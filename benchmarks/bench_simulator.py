@@ -4,9 +4,6 @@ The whole reproduction rides on the event loop: these benchmarks track how
 many simulated events/transactions per wall-second the kernel sustains.
 """
 
-import pytest
-
-from repro.bench.wallclock import _run_bench
 from repro.sim.core import AnyOf, Simulator
 from repro.sim.host import Host
 from repro.sim.resources import Resource, Store
@@ -134,44 +131,6 @@ def test_kernel_anyof_fanout(benchmark):
         return len(winners)
 
     assert benchmark(run) == 120
-
-
-# Scaled-down versions of the repro.bench.wallclock multi-host benches,
-# parametrized over the kernel so the lanes-off/lanes-on wall-clock ratio
-# shows up side by side in the benchmark report.  The full paper_scale
-# topologies (and the asserted lane-speedup gate) live in
-# ``python -m repro.bench.wallclock --assert-lanes``.
-_MULTIHOST_QUICK = {
-    "rpc_hot_shard": dict(
-        kind="rpc", service_hosts=1, service_cores=64, client_hosts=1,
-        fleet_hosts=256, num_clients=128, rpcs_per_client=6, think_us=0.0,
-        work_us=30.0, work_stages=6, timers_per_host=4,
-        timer_period_us=250_000.0, watchdogs_per_host=32),
-    "fleet_sweeps": dict(
-        kind="sweep", fleet_hosts=1024, collector_hosts=8,
-        sweeps_per_host=1, sweep_steps=32, step_us=1.0,
-        spread_us=200_000.0, watchdogs_per_host=16),
-    "shard_compaction": dict(
-        kind="compact", fleet_hosts=512, watchdogs_per_host=32,
-        shard_hosts=2, steps_per_shard=10_000, step_us=1.0),
-}
-
-
-@pytest.mark.parametrize("kernel", ["fast", "lanes"])
-@pytest.mark.parametrize("topology", sorted(_MULTIHOST_QUICK))
-def test_kernel_multihost(benchmark, topology, kernel):
-    params = _MULTIHOST_QUICK[topology]
-
-    def run():
-        ops, _elapsed, final_now = _run_bench(kernel, params)
-        return ops, final_now
-
-    ops, final_now = benchmark(run)
-    assert ops > 0 and final_now > 0
-    # Same simulated history on both kernels (full bit-identity is pinned
-    # by the determinism and stress suites).
-    other = "lanes" if kernel == "fast" else "fast"
-    assert _run_bench(other, params)[2] == final_now
 
 
 def test_shard_single_shard_txns(benchmark):

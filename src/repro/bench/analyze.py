@@ -228,7 +228,7 @@ def classify_run(system, metrics, telemetry=None,
 # it explains at least SEGMENT_MIN_GAIN of the run's total variance.
 # Every input is windowed simulated-time telemetry and every comparison
 # breaks ties leftward, so segment boundaries (and therefore triage
-# exports) are bit-identical across all three kernels.
+# exports) are bit-identical across runs.
 
 
 #: Stop splitting after this many phases.

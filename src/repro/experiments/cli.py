@@ -115,7 +115,7 @@ def _cmd_all(args) -> int:
     outcomes = run_experiments(scale=args.scale, jobs=args.jobs,
                                on_result=show)
     # Wall-clock summary, slowest first, so perf regressions are visible
-    # without digging through BENCH_wallclock.json.
+    # without running the ledger (benchmarks/ledger).
     summary = wallclock_table(outcomes)
     summary.add_note(f"end-to-end wall time {time.time() - started:.1f}s "
                      f"(jobs={args.jobs})")

@@ -16,7 +16,7 @@ burst, or any phase whose verdict pinned a resource), the command
 * writes a schema-validated ``triage_<target>_<system>.json``.
 
 Every input is simulated-time telemetry and span durations, so the
-export is byte-identical across the three kernels.  The trace's
+export is byte-identical across runs.  The trace's
 sample/keep/drop accounting is embedded in the payload and a loud
 warning is printed whenever spans fell out of the ring.
 """

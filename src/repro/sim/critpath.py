@@ -898,8 +898,8 @@ def to_critpath_payload(crit: CritPath,
     """Render the gating profile (and optional contrast) as JSON.
 
     Values are rounded after aggregation and centers are sorted, so — with
-    the simulation itself bit-identical across kernels — the payload is
-    byte-identical across ``MANTLE_SIM_FAST`` on/off.
+    the simulation itself deterministic — the payload is byte-identical
+    across runs (and on the all-heap test oracle, ``tests/oracle.py``).
     """
     shares = crit.shares()
     centers = [
@@ -1003,7 +1003,7 @@ def validate_critpath(payload: Any) -> List[str]:
 
 def to_blame_payload(blame: BlameMatrix, crit: CritPath) -> dict:
     """Render a blame matrix as JSON (rounded after aggregation, cells
-    sorted), byte-identical across kernels like the critpath payload."""
+    sorted), byte-identical across runs like the critpath payload."""
     total_queue = blame.total_queue_us
 
     def cell_row(key: BlameKey, us: float) -> dict:

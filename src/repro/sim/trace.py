@@ -31,8 +31,7 @@ Design constraints, in order of importance:
   whose duration clears a per-op-type adaptive threshold (a quantile of
   the op's own duration digest), under a bounded span budget with whole-
   tree eviction — so slow-op exemplars survive ring pressure.  The keep
-  decision depends only on simulated durations, so it is deterministic
-  across kernels.
+  decision depends only on simulated durations, so it is deterministic.
 
 Enable tracing with ``MANTLE_TRACE=1`` (every :class:`~repro.sim.core.Simulator`
 constructed in the process gets a live tracer), ``MantleConfig(tracing=True)``
@@ -250,8 +249,8 @@ class NullTracer:
 
     Instrumentation sites check :attr:`enabled` before building span
     arguments, so a disabled run's cost per site is one attribute load and a
-    boolean test — the "zero-cost-when-off" contract the wallclock harness
-    enforces.
+    boolean test — the "zero-cost-when-off" contract; the wall-clock
+    ledger's untraced pass (``benchmarks/ledger``) is where it is measured.
     """
 
     __slots__ = ()

@@ -3,10 +3,10 @@
 ``segment_run`` replaces the fixed middle-half analysis window with
 change-point segmentation over the busy-fraction and latency-digest
 timelines.  Everything it consumes is simulated-time bookkeeping, so a
-segmented run must produce byte-identical phases on all three kernels
-— and the per-phase p99s it reads from the merged digests must agree
-with the exact :class:`~repro.sim.stats.LatencyRecorder` quantiles
-within the digest's documented error bound.
+segmented run must produce byte-identical phases on the product scheduler
+and the all-heap oracle — and the per-phase p99s it reads from the merged
+digests must agree with the exact :class:`~repro.sim.stats.LatencyRecorder`
+quantiles within the digest's documented error bound.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.bench.analyze import (
 )
 from repro.experiments.base import mdtest_metrics_triaged
 from repro.sim.telemetry import DIGEST_ALPHA, latency_digests
+from tests.oracle import AllHeapSimulator
 
 import math
 
@@ -107,17 +108,12 @@ class TestSegmentation:
 
 
 class TestSegmentationKernelIndependence:
-    def test_phases_identical_across_all_three_kernels(self, monkeypatch):
-        monkeypatch.delenv("MANTLE_SIM_FAST", raising=False)
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        _m, _t, _tel, fast = _storm(clients=24, items=6)
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        _m, _t, _tel, legacy = _storm(clients=24, items=6)
-        monkeypatch.delenv("MANTLE_SIM_FAST")
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        _m, _t, _tel, lanes = _storm(clients=24, items=6)
-        assert _phase_dump(fast) == _phase_dump(legacy)
-        assert _phase_dump(fast) == _phase_dump(lanes)
+    def test_phases_match_oracle(self, all_heap):
+        _m, _t, _tel, product = _storm(clients=24, items=6)
+        with all_heap():
+            _m, tracer, _tel, oracle = _storm(clients=24, items=6)
+        assert type(tracer._sim) is AllHeapSimulator
+        assert _phase_dump(product) == _phase_dump(oracle)
 
     def test_digests_do_not_change_simulated_results(self, monkeypatch):
         from repro.experiments.base import mdtest_metrics

@@ -6,8 +6,8 @@ validator wiring on a tiny point, CLI exit codes, and the slow
 acceptance battery — on the fig14 shared-mkdir storm the top culprit
 must be the storming op type itself, the multitenant scenario must blame
 the storm tenant for the majority of the victim's queueing, and the
-JSON exports must be byte-identical across all three simulation kernels
-(occupant tracking is pure bookkeeping).
+JSON exports must be byte-identical to a run on the all-heap reference
+scheduler (occupant tracking is pure bookkeeping).
 """
 
 import json
@@ -21,19 +21,6 @@ from repro.sim.critpath import validate_blame
 #: The fig14 '-s' probe point: past the knee (~24 clients) but small
 #: enough for CI — the same point the whatif knee battery uses.
 _FIG14_SMALL = dict(scale="quick", systems=["mantle"], clients=24)
-
-
-def _kernel_envs():
-    """The three A/B kernel settings: fast (default), legacy, lanes."""
-    return ({"MANTLE_SIM_FAST": "1"}, {"MANTLE_SIM_FAST": "0"},
-            {"MANTLE_SIM_LANES": "1"})
-
-
-def _set_kernel(monkeypatch, env):
-    for key in ("MANTLE_SIM_FAST", "MANTLE_SIM_LANES"):
-        monkeypatch.delenv(key, raising=False)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
 
 
 class TestRunBlame:
@@ -97,14 +84,17 @@ class TestBlameValidation:
         assert top_op == "mkdir"
 
     def test_fig14_export_byte_identical_across_kernels(self, tmp_path,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        all_heap):
         monkeypatch.chdir(tmp_path)
-        blobs = set()
-        for env in _kernel_envs():
-            _set_kernel(monkeypatch, env)
+
+        def export():
             _t, _l, artifacts = run_blame("fig14", **_FIG14_SMALL)
-            blobs.add((tmp_path / artifacts[0]["path"]).read_bytes())
-        assert len(blobs) == 1
+            return (tmp_path / artifacts[0]["path"]).read_bytes()
+
+        product = export()
+        with all_heap():
+            assert export() == product
 
     def test_multitenant_blames_storm_for_victim_queueing(self, tmp_path,
                                                           monkeypatch):
@@ -123,11 +113,13 @@ class TestBlameValidation:
         assert artifact["victim_mean_us"] > 0.0
 
     def test_multitenant_export_byte_identical_across_kernels(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, all_heap):
         monkeypatch.chdir(tmp_path)
-        blobs = set()
-        for env in _kernel_envs():
-            _set_kernel(monkeypatch, env)
+
+        def export():
             artifact = run_multitenant(scale="quick")
-            blobs.add((tmp_path / artifact["path"]).read_bytes())
-        assert len(blobs) == 1
+            return (tmp_path / artifact["path"]).read_bytes()
+
+        product = export()
+        with all_heap():
+            assert export() == product

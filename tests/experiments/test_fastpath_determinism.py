@@ -2,33 +2,30 @@
 
 The two-tier scheduler in ``repro.sim.core`` (microtask deque + heap) is a
 pure wall-clock optimisation — every simulated timestamp, throughput figure
-and RPC count must be bit-identical to the legacy all-heap path.  These
-tests pin that down at three levels:
+and RPC count must be bit-identical to the all-heap order, which lives on as
+the test oracle in :mod:`tests.oracle`.  These tests pin that down at three
+levels:
 
-* a kernel-level trace with the ``Simulator(fast_paths=...)`` kwarg,
-* a full mdtest run toggled via the ``MANTLE_SIM_FAST`` env flag,
-* fig12 at quick scale, run twice and against the legacy kernel.
-
-``TestLaneKernelDeterminism`` extends the gate to the lane-sharded kernel
-(``MANTLE_SIM_LANES``): per-host lanes and capped lanes must reproduce the
-single-loop kernels' results exactly, on mdtest and on a full figure.
+* a kernel-level trace on whole-microsecond delays (ties everywhere),
+* full mdtest runs (objstat and mkdir) on all four systems,
+* fig12 at quick scale, run twice and against the oracle.
 """
 
 import pytest
 
-from repro.bench.cluster import build_system
+from repro.bench.cluster import SYSTEMS, build_system
 from repro.bench.harness import run_workload
 from repro.experiments import get_experiment
 from repro.sim.core import AnyOf, Simulator
 from repro.sim.resources import Resource
 from repro.workloads.mdtest import MdtestWorkload
+from tests.oracle import AllHeapSimulator
 
 
-def _kernel_trace(fast_paths: bool):
+def _kernel_trace(sim):
     """A scenario touching every fast path: zero-delay resumes, contended
     resources, AnyOf fan-out and interrupts.  Returns the (time, label)
     event trace."""
-    sim = Simulator(fast_paths=fast_paths)
     resource = Resource(sim, capacity=2)
     trace = []
 
@@ -55,22 +52,28 @@ def _kernel_trace(fast_paths: bool):
     return trace
 
 
-def _mdtest_fingerprint():
-    system = build_system("mantle", "quick")
-    try:
-        metrics = run_workload(system, MdtestWorkload(
-            "objstat", depth=8, items=6, num_clients=12))
-    finally:
-        system.shutdown()
-    return (
-        metrics.ops_completed,
-        metrics.retries,
-        round(metrics.duration_us, 6),
-        {op: (rec.count, round(rec.mean, 9))
-         for op, rec in sorted(metrics.latency.items())},
-        {op: (rec.count, round(rec.mean, 9))
-         for op, rec in sorted(metrics.rpc_rounds.items())},
-    )
+def _mdtest_fingerprint(system_name="mantle", sim_type=Simulator):
+    """An objstat point and a shared-directory mkdir point (the write path
+    is where same-timestamp ties between heap and deque entries happen)."""
+    points = []
+    for op, mode in (("objstat", "exclusive"), ("mkdir", "shared")):
+        system = build_system(system_name, "quick")
+        assert type(system.sim) is sim_type
+        try:
+            metrics = run_workload(system, MdtestWorkload(
+                op, mode=mode, depth=8, items=6, num_clients=12))
+        finally:
+            system.shutdown()
+        points.append((
+            metrics.ops_completed,
+            metrics.retries,
+            round(metrics.duration_us, 6),
+            {name: (rec.count, round(rec.mean, 9))
+             for name, rec in sorted(metrics.latency.items())},
+            {name: (rec.count, round(rec.mean, 9))
+             for name, rec in sorted(metrics.rpc_rounds.items())},
+        ))
+    return points
 
 
 def _fig12_rows():
@@ -80,37 +83,18 @@ def _fig12_rows():
 
 class TestFastPathDeterminism:
     def test_kernel_trace_fast_equals_legacy(self):
-        assert _kernel_trace(fast_paths=True) == _kernel_trace(
-            fast_paths=False)
+        assert _kernel_trace(Simulator()) == _kernel_trace(
+            AllHeapSimulator())
 
-    def test_env_flag_disables_fast_paths(self, monkeypatch):
-        # Lane mode forces the two-tier scheduler, so it must be off for
-        # MANTLE_SIM_FAST=0 to reach the legacy kernel.
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        assert Simulator()._fast is False
-        monkeypatch.setenv("MANTLE_SIM_FAST", "1")
-        assert Simulator()._fast is True
-        monkeypatch.delenv("MANTLE_SIM_FAST")
-        assert Simulator()._fast is True  # default on
-
-    def test_mdtest_metrics_identical_fast_vs_legacy(self, monkeypatch):
-        monkeypatch.setenv("MANTLE_SIM_FAST", "1")
-        fast = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        legacy = _mdtest_fingerprint()
-        assert fast == legacy
+    def test_mdtest_metrics_identical_fast_vs_legacy(self, all_heap):
+        for system_name in SYSTEMS:
+            fast = _mdtest_fingerprint(system_name)
+            with all_heap():
+                legacy = _mdtest_fingerprint(system_name, AllHeapSimulator)
+            assert fast == legacy, system_name
 
     def test_tracing_does_not_change_results(self, monkeypatch):
         """Span tracing is pure bookkeeping: identical simulated results."""
-        monkeypatch.delenv("MANTLE_TRACE", raising=False)
-        untraced = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_TRACE", "1")
-        traced = _mdtest_fingerprint()
-        assert untraced == traced
-
-    def test_tracing_identical_on_legacy_kernel(self, monkeypatch):
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
         monkeypatch.delenv("MANTLE_TRACE", raising=False)
         untraced = _mdtest_fingerprint()
         monkeypatch.setenv("MANTLE_TRACE", "1")
@@ -125,56 +109,10 @@ class TestFastPathDeterminism:
         on = _mdtest_fingerprint()
         assert off == on
 
-    def test_telemetry_identical_on_legacy_kernel(self, monkeypatch):
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        monkeypatch.delenv("MANTLE_TELEMETRY", raising=False)
-        off = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_TELEMETRY", "1")
-        on = _mdtest_fingerprint()
-        assert off == on
-
-    def test_fig12_quick_identical_across_runs_and_kernels(self, monkeypatch):
+    def test_fig12_quick_identical_across_runs_and_kernels(self, all_heap):
         first = _fig12_rows()
         second = _fig12_rows()
         assert first == second
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        legacy = _fig12_rows()
+        with all_heap():
+            legacy = _fig12_rows()
         assert first == legacy
-
-
-class TestLaneKernelDeterminism:
-    """The lane-sharded kernel (``MANTLE_SIM_LANES``) is the third A/B
-    point: per-host event lanes, same simulated history bit-for-bit."""
-
-    def test_mdtest_metrics_identical_lanes_vs_global(self, monkeypatch):
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        single = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        lanes = _mdtest_fingerprint()
-        assert lanes == single
-
-    def test_mdtest_metrics_identical_with_lane_cap(self, monkeypatch):
-        # A lane cap changes only which heap an event waits in (hosts
-        # round-robin over N lanes), never the execution order.
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        per_host = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_SIM_LANES", "3")
-        capped = _mdtest_fingerprint()
-        assert capped == per_host
-
-    def test_mdtest_metrics_identical_lanes_vs_legacy(self, monkeypatch):
-        # All three kernels agree: the lane kernel is transitively pinned
-        # against the legacy all-heap scheduler too.
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        legacy = _mdtest_fingerprint()
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        lanes = _mdtest_fingerprint()
-        assert lanes == legacy
-
-    def test_fig12_quick_identical_under_lanes(self, monkeypatch):
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        single = _fig12_rows()
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        lanes = _fig12_rows()
-        assert lanes == single

@@ -4,8 +4,8 @@ The PR 10 acceptance path: triaging the fig14 shared-mkdir storm must
 find a saturated phase whose tail exemplars fold into a critical path
 and blame matrix that conserve (within the critpath tolerance) and name
 the same top culprit the full-run blame does — mkdir.  The export must
-validate against its schema and be byte-identical across the three
-simulation kernels.
+validate against its schema and be byte-identical to a run on the
+all-heap reference scheduler.
 """
 
 import json
@@ -79,18 +79,11 @@ class TestTriageKernelIndependence:
         with open(artifact["path"], "rb") as handle:
             return handle.read()
 
-    def test_export_byte_identical_across_kernels(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.delenv("MANTLE_SIM_FAST", raising=False)
-        monkeypatch.delenv("MANTLE_SIM_LANES", raising=False)
-        fast = self._export_bytes(tmp_path, "fast")
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        legacy = self._export_bytes(tmp_path, "legacy")
-        monkeypatch.delenv("MANTLE_SIM_FAST")
-        monkeypatch.setenv("MANTLE_SIM_LANES", "1")
-        lanes = self._export_bytes(tmp_path, "lanes")
-        assert fast == legacy
-        assert fast == lanes
+    def test_export_byte_identical_across_kernels(self, tmp_path, all_heap):
+        product = self._export_bytes(tmp_path, "product")
+        with all_heap():
+            oracle = self._export_bytes(tmp_path, "oracle")
+        assert product == oracle
 
 
 class TestRunTriage:

@@ -10,9 +10,10 @@ The guarantees that make the gating profile trustworthy are pinned here:
   serial (back-to-back) siblings all stay,
 * segment decomposition — charges verbatim, queue refined by resource,
   blocked-on edges capped by the idle residual, the rest ``idle``,
-* exports are schema-valid and byte-identical across kernels, and
+* exports are schema-valid and byte-identical to a run on the all-heap
+  reference scheduler (:mod:`tests.oracle`), and
 * extraction is pure bookkeeping: simulated results with tracing on are
-  bit-identical to an uninstrumented run on both kernels.
+  bit-identical to an uninstrumented run.
 """
 
 import json
@@ -20,6 +21,7 @@ import json
 import pytest
 
 from repro.experiments.base import mdtest_metrics, mdtest_metrics_profiled
+from repro.sim.core import Simulator
 from repro.sim.critpath import (
     UNKNOWN_CULPRIT,
     _fold_children,
@@ -41,6 +43,7 @@ from repro.sim.host import CostOverrides
 from repro.sim.profile import profile_from_tracer
 from repro.sim.telemetry import Telemetry
 from repro.sim.trace import CAT_OP, CAT_PHASE, CAT_RPC, Tracer
+from tests.oracle import AllHeapSimulator
 
 
 class _Interval:
@@ -371,11 +374,9 @@ def _traced_run(op="mkdir", **kw):
 
 
 class TestClusterInvariants:
-    """The load-bearing invariants on a real traced cluster, both kernels."""
+    """The load-bearing invariants on a real traced cluster."""
 
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_paths_conserve_op_latency(self, monkeypatch, fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def test_paths_conserve_op_latency(self):
         _m, tracer, _t = _traced_run()
         crit = critpath_from_tracer(tracer)
         assert crit.ops > 0
@@ -385,9 +386,7 @@ class TestClusterInvariants:
         shares = crit.shares()
         assert sum(shares.values()) == pytest.approx(1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_write_path_sees_fsync_and_fanout(self, monkeypatch, fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def test_write_path_sees_fsync_and_fanout(self):
         _m, tracer, _t = _traced_run()
         crit = critpath_from_tracer(tracer)
         kinds = crit.gated_by_kind()
@@ -410,21 +409,22 @@ class TestClusterInvariants:
         # Replication cost exists that no op's path runs through.
         assert any(row.offpath_us > 0.0 for row in contrast)
 
-    def test_export_byte_identical_across_kernels(self, monkeypatch):
-        blobs = {}
-        for fast in ("1", "0"):
-            monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def test_export_byte_identical_across_kernels(self, all_heap):
+        def export(sim_type):
             _m, tracer, _t = _traced_run()
+            assert type(tracer._sim) is sim_type
             crit = critpath_from_tracer(tracer, name="kernel-check")
             contrast = contrast_with_profile(
                 crit, profile_from_tracer(tracer))
-            blobs[fast] = json.dumps(to_critpath_payload(crit, contrast),
-                                     sort_keys=True)
-        assert blobs["1"] == blobs["0"]
+            return json.dumps(to_critpath_payload(crit, contrast),
+                              sort_keys=True)
 
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_tracing_is_pure_bookkeeping(self, monkeypatch, fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+        product = export(Simulator)
+        with all_heap():
+            oracle = export(AllHeapSimulator)
+        assert product == oracle
+
+    def test_tracing_is_pure_bookkeeping(self):
         plain = mdtest_metrics("mantle", "mkdir", mode="shared",
                                clients=8, items=4)
         traced, _tracer, _t = _traced_run()
@@ -432,13 +432,10 @@ class TestClusterInvariants:
             traced.mean_latency_us("mkdir")
         assert plain.ops_completed == traced.ops_completed
 
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_replication_edge_splits_follower_phases(self, monkeypatch,
-                                                     fast):
+    def test_replication_edge_splits_follower_phases(self):
         """The quorum wait decomposes: the follower's durable flush and
         apply are attributed to the *follower's* host, and what remains on
         raft.replicate is pure wire time."""
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
         _m, tracer, _t = _traced_run()
         crit = critpath_from_tracer(tracer)
         follower_flush = [(c, us) for c, us in crit.gated.items()

@@ -8,8 +8,8 @@ explicit) are pinned here:
 * charges land on the innermost open span of the charging process, and
   charges with no span open accrue to the unattributed bucket instead of
   leaking into a neighbouring span,
-* both flame-graph export formats satisfy their validators and are
-  deterministic across kernels,
+* both flame-graph export formats satisfy their validators and match a
+  run on the all-heap reference scheduler,
 * profiling is pure bookkeeping: simulated results with it on are
   bit-identical to an uninstrumented run, and
 * profiler CPU reconciles exactly with telemetry's busy counters.
@@ -33,6 +33,7 @@ from repro.sim.profile import (
 )
 from repro.sim.trace import CAT_OP, CAT_PHASE, CAT_RPC, Tracer
 from repro.workloads.mdtest import MdtestWorkload
+from tests.oracle import AllHeapSimulator
 
 
 def _tree_tracer():
@@ -263,12 +264,12 @@ class TestProfiledRunInvariants:
             assert by_host.get(host, 0.0) == pytest.approx(expected,
                                                            rel=1e-12)
 
-    def test_folded_output_identical_across_kernels(self, monkeypatch):
-        monkeypatch.setenv("MANTLE_SIM_FAST", "1")
+    def test_folded_output_identical_across_kernels(self, all_heap):
         _m, tracer, _t = _profiled_run()
         fast = to_folded(profile_from_tracer(tracer))
-        monkeypatch.setenv("MANTLE_SIM_FAST", "0")
-        _m, tracer, _t = _profiled_run()
+        with all_heap():
+            _m, tracer, _t = _profiled_run()
+        assert type(tracer._sim) is AllHeapSimulator
         legacy = to_folded(profile_from_tracer(tracer))
         assert fast == legacy
         assert validate_folded(fast) == []
@@ -287,10 +288,7 @@ def _fingerprint(metrics):
 
 
 class TestProfilingIsPureBookkeeping:
-    @pytest.mark.parametrize("fast", ["1", "0"])
-    def test_results_bit_identical_profiling_on_vs_off(self, monkeypatch,
-                                                       fast):
-        monkeypatch.setenv("MANTLE_SIM_FAST", fast)
+    def test_results_bit_identical_profiling_on_vs_off(self):
         plain = mdtest_metrics("mantle", "objstat", clients=8, items=4,
                                depth=6)
         profiled, _tracer, _telemetry = _profiled_run()

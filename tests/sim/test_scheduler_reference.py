@@ -1,12 +1,19 @@
-"""Randomized differential stress: lane kernel vs the single-loop kernels.
+"""Randomized differential stress: the product scheduler vs the all-heap
+oracle (:mod:`tests.oracle`).
 
 Each seed expands into a scenario *plan* — plain data: hosts, servers,
 client scripts, store ping-pongs, interrupts, standing watchdogs — before
-any simulator exists, so every kernel replays the identical workload.  The
+any simulator exists, so both schedulers replay the identical workload.  The
 executed event trace (timestamps, actors, values) and the final clock must
-be bit-identical across ``MANTLE_SIM_LANES`` on/off x ``MANTLE_SIM_FAST``
-on/off; any divergence is a lane-kernel ordering bug, and the seed
-reproduces it.
+be bit-identical; any divergence is an ordering bug in the two-tier
+scheduler, and the seed reproduces it.
+
+The two-tier rule (due heap entries, then the deque, then advance) only
+decides anything when a due heap entry and deque entries share a timestamp,
+which continuous delays almost never produce.  So odd seeds round every
+delay to whole microseconds and switch jitter off — ties everywhere — and
+seeds with bit 1 set drive the plan through ``run_until(all_of(procs))``,
+the loop behind every figure, instead of ``run()``.
 """
 
 import random
@@ -17,6 +24,11 @@ from repro.sim.core import AnyOf, Interrupt, Simulator
 from repro.sim.host import Host
 from repro.sim.network import Network, Server
 from repro.sim.resources import Store
+from tests.oracle import AllHeapSimulator
+
+
+#: Four plan shapes (continuous/whole-us delays x run/run_until), 30 seeds each.
+SEEDS = 120
 
 
 class _Echo(Server):
@@ -30,18 +42,22 @@ class _Echo(Server):
 
 
 def _scenario(seed):
-    """Expand ``seed`` into a kernel-independent scenario plan."""
+    """Expand ``seed`` into a scheduler-independent scenario plan."""
     rng = random.Random(seed)
+    digits = 0 if seed & 1 else 3  # whole microseconds on odd seeds
+
+    def delay(lo, hi):
+        return round(rng.uniform(lo, hi), digits)
+
     num_hosts = rng.randint(2, 6)
     plan = {
         "num_hosts": num_hosts,
         "cores": [rng.randint(1, 4) for _ in range(num_hosts)],
-        "work_us": [round(rng.uniform(1.0, 20.0), 3)
-                    for _ in range(num_hosts)],
-        "jitter": rng.choice([0.0, 0.0, 0.25]),
+        "work_us": [delay(1.0, 20.0) for _ in range(num_hosts)],
+        "jitter": rng.choice([0.0, 0.0, 0.25]) if digits else 0.0,
         "net_seed": rng.randint(0, 10_000),
-        "watchdogs": [(rng.randrange(num_hosts),
-                       round(rng.uniform(500.0, 2_000.0), 3))
+        "until_all": bool(seed & 2),
+        "watchdogs": [delay(500.0, 2_000.0)
                       for _ in range(rng.randint(0, 12))],
         "clients": [],
         "pairs": [],
@@ -53,41 +69,34 @@ def _scenario(seed):
             kind = rng.choice(["sleep", "work", "rpc", "rpc", "fsync",
                                "anyof"])
             if kind == "sleep":
-                ops.append(("sleep", round(rng.uniform(0.0, 30.0), 3)))
+                ops.append(("sleep", delay(0.0, 30.0)))
             elif kind == "work":
-                ops.append(("work", round(rng.uniform(0.5, 10.0), 3)))
+                ops.append(("work", delay(0.5, 10.0)))
             elif kind == "rpc":
                 ops.append(("rpc", rng.randrange(num_hosts)))
             elif kind == "fsync":
                 ops.append(("fsync",))
             else:
                 ops.append(("anyof", sorted(
-                    round(rng.uniform(1.0, 25.0), 3)
-                    for _ in range(rng.randint(2, 3)))))
+                    delay(1.0, 25.0) for _ in range(rng.randint(2, 3)))))
         plan["clients"].append({
             "home": rng.randrange(num_hosts),
-            "phase": round(rng.uniform(0.0, 10.0), 3),
+            "phase": delay(0.0, 10.0),
             "ops": ops,
         })
     for pid in range(rng.randint(0, 2)):
         plan["pairs"].append({
             "producer_home": rng.randrange(num_hosts),
-            "consumer_home": rng.randrange(num_hosts),
             "items": rng.randint(1, 4),
-            "gaps": [round(rng.uniform(1.0, 40.0), 3)
-                     for _ in range(4)],
+            "gaps": [delay(1.0, 40.0) for _ in range(4)],
         })
-    for sid in range(rng.randint(0, 2)):
-        plan["interrupts"].append({
-            "victim_home": rng.randrange(num_hosts),
-            "at": round(rng.uniform(5.0, 200.0), 3),
-        })
+    for _ in range(rng.randint(0, 2)):
+        plan["interrupts"].append({"at": delay(5.0, 200.0)})
     return plan
 
 
-def _run(plan, **sim_kwargs):
-    """Replay ``plan`` on one kernel; return (trace, final sim.now)."""
-    sim = Simulator(**sim_kwargs)
+def _run(plan, sim):
+    """Replay ``plan`` on ``sim``; return (trace, final sim.now)."""
     net = Network(sim, one_way_us=50.0, jitter_frac=plan["jitter"],
                   seed=plan["net_seed"])
     hosts = [Host(sim, f"h{i}", cores=plan["cores"][i], fsync_us=80.0)
@@ -96,9 +105,9 @@ def _run(plan, **sim_kwargs):
                for i, host in enumerate(hosts)]
     trace = []
 
-    for hid, delay in plan["watchdogs"]:
-        # Standing timers: fire late, to nobody, on the host's lane.
-        sim.timeout_into(hosts[hid].lane, delay)
+    for delay in plan["watchdogs"]:
+        # Standing timers: fire late, to nobody.
+        sim.timeout(delay)
 
     def client(cid, spec):
         home = hosts[spec["home"]]
@@ -147,47 +156,27 @@ def _run(plan, **sim_kwargs):
         yield sim.timeout(at)
         victim.interrupt(f"poke-{sid}")
 
-    for cid, spec in enumerate(plan["clients"]):
-        sim.process(client(cid, spec), name=f"client-{cid}",
-                    lane=hosts[spec["home"]].lane)
+    procs = [sim.process(client(cid, spec), name=f"client-{cid}")
+             for cid, spec in enumerate(plan["clients"])]
     for pid, spec in enumerate(plan["pairs"]):
         store = Store(sim)
-        sim.process(producer(pid, spec, store), name=f"prod-{pid}",
-                    lane=hosts[spec["producer_home"]].lane)
-        sim.process(consumer(pid, spec, store), name=f"cons-{pid}",
-                    lane=hosts[spec["consumer_home"]].lane)
+        procs.append(sim.process(producer(pid, spec, store),
+                                 name=f"prod-{pid}"))
+        procs.append(sim.process(consumer(pid, spec, store),
+                                 name=f"cons-{pid}"))
     for sid, spec in enumerate(plan["interrupts"]):
-        victim = sim.process(sleeper(sid), name=f"sleeper-{sid}",
-                             lane=hosts[spec["victim_home"]].lane)
-        sim.process(interrupter(victim, spec["at"], sid))
-    sim.run()
+        victim = sim.process(sleeper(sid), name=f"sleeper-{sid}")
+        procs.append(victim)
+        procs.append(sim.process(interrupter(victim, spec["at"], sid)))
+    if plan["until_all"]:
+        sim.run_until(sim.all_of(procs))
+    else:
+        sim.run()
     return trace, sim.now
 
 
-# (lanes, fast_paths) points: single loop legacy/fast, per-host lanes on
-# both fast_paths settings (lanes force the two-tier scheduler), capped.
-_MODES = [
-    {"lanes": 0, "fast_paths": False},
-    {"lanes": True, "fast_paths": True},
-    {"lanes": True, "fast_paths": False},
-    {"lanes": 3, "fast_paths": True},
-]
-
-
-class TestLaneDifferentialStress:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_trace_identical_across_kernels(self, seed):
+class TestSchedulerReference:
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    def test_trace_matches_all_heap_oracle(self, seed):
         plan = _scenario(seed)
-        reference = _run(plan, lanes=0, fast_paths=True)
-        for kwargs in _MODES:
-            assert _run(plan, **kwargs) == reference, (seed, kwargs)
-
-    def test_trace_identical_across_env_matrix(self, monkeypatch):
-        plan = _scenario(1234)
-        results = {}
-        for lanes in ("0", "1"):
-            for fast in ("0", "1"):
-                monkeypatch.setenv("MANTLE_SIM_LANES", lanes)
-                monkeypatch.setenv("MANTLE_SIM_FAST", fast)
-                results[(lanes, fast)] = _run(plan)
-        assert len(set(map(repr, results.values()))) == 1
+        assert _run(plan, Simulator()) == _run(plan, AllHeapSimulator())
