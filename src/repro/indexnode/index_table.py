@@ -50,6 +50,18 @@ class IndexTable:
     def __len__(self) -> int:
         return len(self._by_key)
 
+    def copy(self) -> "IndexTable":
+        """Independent table sharing the (frozen) :class:`AccessMeta` rows:
+        only the containers are copied, which is what a snapshot needs."""
+        twin = IndexTable(self.root_id)
+        twin._by_key = dict(self._by_key)
+        twin._by_id = dict(self._by_id)
+        twin._children = {pid: set(names)
+                          for pid, names in self._children.items()}
+        twin.resolve_calls = self.resolve_calls
+        twin.probe_count = self.probe_count
+        return twin
+
     @property
     def memory_bytes(self) -> int:
         return len(self._by_key) * self.ENTRY_BYTES

@@ -36,6 +36,15 @@ class Invalidator:
         self.purged_entries = 0
         self.purge_rounds = 0
 
+    def copy(self, cache: TopDirPathCache) -> "Invalidator":
+        """Independent Invalidator bound to ``cache`` (a copy of ours)."""
+        twin = Invalidator(cache)
+        twin.prefix_tree = self.prefix_tree.copy()
+        twin.removal_list = self.removal_list.copy()
+        twin.purged_entries = self.purged_entries
+        twin.purge_rounds = self.purge_rounds
+        return twin
+
     # -- lookup-side hooks (Figure 7) -------------------------------------------
 
     def blocking_modification(self, path: str) -> Optional[str]:

@@ -54,6 +54,14 @@ class TopDirPathCache:
     def __contains__(self, prefix: str) -> bool:
         return prefix in self._entries
 
+    def copy(self) -> "TopDirPathCache":
+        """Independent cache sharing the (frozen) entries."""
+        twin = TopDirPathCache(self.k, self.enabled)
+        twin._entries = dict(self._entries)
+        twin.hits, twin.misses = self.hits, self.misses
+        twin.inserts, twin.invalidations = self.inserts, self.invalidations
+        return twin
+
     def cacheable_prefix(self, path: str) -> Optional[str]:
         """The prefix of ``path`` this cache would serve, or None when the
         path is too shallow (within k levels of the root)."""

@@ -203,20 +203,23 @@ class IndexNodeState:
     # -- snapshotting (Raft log compaction support) -----------------------------------
 
     def snapshot(self):
-        """Deep-copy of all replicated state, for Raft snapshot shipping."""
-        import copy
-        return copy.deepcopy((self.table, self.cache, self.invalidator,
-                              self.applied_commands))
+        """Independent copy of all replicated state, for Raft snapshot
+        shipping.  Containers are copied; the rows in them are frozen
+        dataclasses and are shared."""
+        return self._copied(self.table, self.cache, self.invalidator,
+                            self.applied_commands)
 
     def restore(self, blob) -> None:
-        """Replace local state with a (copied) snapshot in place, so
-        existing references to this state machine stay valid."""
-        import copy
-        table, cache, invalidator, applied = copy.deepcopy(blob)
-        self.table = table
-        self.cache = cache
-        self.invalidator = invalidator
-        self.applied_commands = applied
+        """Replace local state with a copy of a snapshot in place, so
+        existing references to this state machine stay valid and the blob
+        can be installed on other replicas."""
+        (self.table, self.cache, self.invalidator,
+         self.applied_commands) = self._copied(*blob)
+
+    @staticmethod
+    def _copied(table, cache, invalidator, applied):
+        cache = cache.copy()
+        return table.copy(), cache, invalidator.copy(cache), applied
 
     # -- bulk loading (benchmark setup backdoor) --------------------------------------
 

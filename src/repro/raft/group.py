@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceUnavailableError
 from repro.raft.node import RaftConfig, RaftNode, Role
@@ -34,8 +34,11 @@ class RaftGroup:
         self.costs = costs or CostModel()
         self.config = config or RaftConfig()
         self.nodes: Dict[int, RaftNode] = {}
-        self._voter_ids = list(range(num_voters))
-        self._learner_ids = list(range(num_voters, num_voters + num_learners))
+        # Membership is fixed at construction: tuples, handed out uncopied.
+        self._voter_ids = tuple(range(num_voters))
+        self._learner_ids = tuple(
+            range(num_voters, num_voters + num_learners))
+        self._replica_ids = self._voter_ids + self._learner_ids
         for node_id, host in enumerate(hosts):
             self.nodes[node_id] = RaftNode(
                 node_id, host, self,
@@ -47,14 +50,14 @@ class RaftGroup:
 
     # -- membership ------------------------------------------------------------
 
-    def voter_ids(self) -> List[int]:
-        return list(self._voter_ids)
+    def voter_ids(self) -> Tuple[int, ...]:
+        return self._voter_ids
 
-    def learner_ids(self) -> List[int]:
-        return list(self._learner_ids)
+    def learner_ids(self) -> Tuple[int, ...]:
+        return self._learner_ids
 
-    def replica_ids(self) -> List[int]:
-        return self._voter_ids + self._learner_ids
+    def replica_ids(self) -> Tuple[int, ...]:
+        return self._replica_ids
 
     def quorum(self) -> int:
         return len(self._voter_ids) // 2 + 1

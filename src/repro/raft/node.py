@@ -233,15 +233,14 @@ class RaftNode:
             return
 
     def _next_deadline(self) -> Optional[float]:
-        candidates = []
-        if self.role in (Role.FOLLOWER, Role.CANDIDATE):
-            candidates.append(self._election_deadline)
         if self.role is Role.LEADER:
-            if self._heartbeat_deadline is not None:
-                candidates.append(self._heartbeat_deadline)
-            if self._flush_deadline is not None:
-                candidates.append(self._flush_deadline)
-        return min(candidates) if candidates else None
+            heartbeat, flush = self._heartbeat_deadline, self._flush_deadline
+            if flush is None:
+                return heartbeat
+            return flush if heartbeat is None else min(heartbeat, flush)
+        if self.role is Role.LEARNER:
+            return None
+        return self._election_deadline
 
     def _check_timers(self):
         now = self.sim.now
@@ -258,7 +257,7 @@ class RaftNode:
                          or len(self._pending) >= self.config.max_batch)):
                 yield from self._flush()
             if self._heartbeat_deadline is not None and now >= self._heartbeat_deadline:
-                self._broadcast_append(heartbeat=True)
+                self._broadcast_append(allow_empty=True)
                 self._heartbeat_deadline = now + self.config.heartbeat_us
 
     def _fresh_election_deadline(self) -> float:
@@ -287,10 +286,11 @@ class RaftNode:
         self._election_deadline = self._fresh_election_deadline()
         # Persist the vote (term/votedFor are durable Raft state).
         yield from self.host.fsync()
-        if len(self.group.voter_ids()) == 1:
+        voters = self.group.voter_ids()
+        if len(voters) == 1:
             self._become_leader()
             return
-        for peer_id in self.group.voter_ids():
+        for peer_id in voters:
             if peer_id != self.id:
                 self.group.send(self.id, peer_id, RequestVote(
                     self.current_term, self.id,
@@ -437,7 +437,10 @@ class RaftNode:
                 flush_us = self.sim.now - flush_started
         match = msg.prev_index + len(msg.entries)
         if msg.leader_commit > self.commit_index:
-            self.commit_index = min(msg.leader_commit, self.log.last_index)
+            # Only up to the last entry this message vouches for: a suffix
+            # beyond it may be a deposed leader's (Raft Fig. 2, step 5).
+            self.commit_index = max(self.commit_index,
+                                    min(msg.leader_commit, match))
             apply_started = self.sim.now
             yield from self._apply_committed()
             if timed:
@@ -451,21 +454,25 @@ class RaftNode:
             return
         if self.role is not Role.LEADER or msg.term != self.current_term:
             return
+        peer = msg.follower_id
+        match = self._match_index.get(peer, 0)
         if msg.success:
-            self._match_index[msg.follower_id] = max(
-                self._match_index.get(msg.follower_id, 0), msg.match_index)
-            self._next_index[msg.follower_id] = \
-                self._match_index[msg.follower_id] + 1
+            match = self._match_index[peer] = max(match, msg.match_index)
+            # ``next`` already points past everything shipped (see
+            # _send_append); an old reply must not pull it back.
+            self._next_index[peer] = max(self._next_index[peer], match + 1)
             if self.sim.tracer.enabled or self.sim.telemetry.enabled:
-                self._reply_times[msg.follower_id] = (msg.flush_us,
-                                                      msg.apply_us)
+                self._reply_times[peer] = (msg.flush_us, msg.apply_us)
             yield from self._advance_commit(gating=msg)
-            # Ship any remaining backlog to this follower.
-            if self._next_index[msg.follower_id] <= self.log.last_index:
-                self._send_append(msg.follower_id)
+            # Catch-up beyond one message's replication_limit: entries
+            # never shipped yet, so nothing crosses the wire twice.
+            if self._next_index[peer] <= self.log.last_index:
+                self._send_append(peer)
         else:
-            self._next_index[msg.follower_id] = max(1, msg.match_index + 1)
-            self._send_append(msg.follower_id)
+            # Rewind to the follower's hint and resend — but never below
+            # what it has acknowledged (a stale, reordered rejection).
+            self._next_index[peer] = max(match, msg.match_index) + 1
+            self._send_append(peer)
 
     # -- leader replication -------------------------------------------------------------
 
@@ -517,10 +524,10 @@ class RaftNode:
         yield from self._advance_commit()
         self._broadcast_append()
 
-    def _broadcast_append(self, heartbeat: bool = False) -> None:
+    def _broadcast_append(self, allow_empty: bool = False) -> None:
         for peer_id in self.group.replica_ids():
             if peer_id != self.id:
-                self._send_append(peer_id, allow_empty=heartbeat)
+                self._send_append(peer_id, allow_empty=allow_empty)
 
     def _send_append(self, peer_id: int, allow_empty: bool = True) -> None:
         next_index = self._next_index.get(peer_id, self.log.last_index + 1)
@@ -544,6 +551,27 @@ class RaftNode:
         self.group.send(self.id, peer_id, AppendEntries(
             self.current_term, self.id, prev_index, prev_term,
             entries, self.commit_index))
+        # Optimistic pipelining (etcd's ``replicate`` state): assume the
+        # entries arrive, so each is shipped once.  A lost or reordered
+        # message surfaces as a refused ``prev_index`` on the next
+        # AppendEntries (the heartbeat at the latest) and rewinds this.
+        self._next_index[peer_id] = prev_index + 1 + len(entries)
+
+    def _committable_index(self) -> int:
+        """The quorum-th largest match index (ours is last_index) is the
+        highest N a voter majority holds; replication count is monotone in
+        N and terms are monotone in the log, so one term check decides
+        whether N may commit (Raft §5.4.2: only current-term entries
+        commit by counting)."""
+        match_index = self._match_index
+        held = sorted(self.log.last_index if vid == self.id
+                      else match_index.get(vid, 0)
+                      for vid in self.group.voter_ids())
+        candidate = held[-self.group.quorum()]
+        if (candidate > self.commit_index
+                and self.log.term_at(candidate) == self.current_term):
+            return candidate
+        return self.commit_index
 
     def _advance_commit(self, gating: Optional[AppendReply] = None):
         """Advance commitIndex to the highest N replicated on a voter
@@ -558,17 +586,11 @@ class RaftNode:
         if self.role is not Role.LEADER:
             return
         old_commit = self.commit_index
-        voters = self.group.voter_ids()
-        for candidate in range(self.log.last_index, self.commit_index, -1):
-            if self.log.term_at(candidate) != self.current_term:
-                break
-            replicated = sum(
-                1 for vid in voters
-                if vid == self.id or self._match_index.get(vid, 0) >= candidate)
-            if replicated >= self.group.quorum():
-                self.commit_index = candidate
-                break
+        self.commit_index = self._committable_index()
         if gating is not None and self.commit_index > old_commit:
+            # Tell followers and learners now, not at the next heartbeat:
+            # §5.1.3 follower reads wait on leader_commit.
+            self._broadcast_append(allow_empty=True)
             if self._commit_stats and self.sim.tracer.enabled:
                 follower = self.group.nodes.get(gating.follower_id)
                 follower_host = (follower.host.name if follower is not None
@@ -687,7 +709,8 @@ class RaftNode:
             return
         self._match_index[msg.follower_id] = max(
             self._match_index.get(msg.follower_id, 0), msg.last_index)
-        self._next_index[msg.follower_id] = msg.last_index + 1
+        self._next_index[msg.follower_id] = max(
+            self._next_index[msg.follower_id], msg.last_index + 1)
         if self._next_index[msg.follower_id] <= self.log.last_index:
             self._send_append(msg.follower_id)
 

@@ -44,6 +44,18 @@ class PrefixTree:
         node = self._walk(path)
         return node is not None and node.terminal
 
+    def copy(self) -> "PrefixTree":
+        twin = PrefixTree()
+        twin._size = self._size
+        stack = [(self._root, twin._root)]
+        while stack:
+            src, dst = stack.pop()
+            dst.terminal = src.terminal
+            for name, child in src.children.items():
+                dst.children[name] = node = _Node()
+                stack.append((child, node))
+        return twin
+
     def _walk(self, path: str) -> Optional[_Node]:
         node = self._root
         for part in split_path(path):

@@ -50,6 +50,15 @@ class SkipList:
     def __contains__(self, key: str) -> bool:
         return self._search(key) is not None
 
+    def copy(self) -> "SkipList":
+        """Same keys, values and version; tower heights are redrawn (they
+        shape cost, never results)."""
+        twin = SkipList()
+        for key, value in self.items():
+            twin.insert(key, value)
+        twin.version = self.version
+        return twin
+
     def _random_level(self) -> int:
         level = 1
         while level < _MAX_LEVEL and self._rng.random() < _P:

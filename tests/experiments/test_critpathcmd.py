@@ -131,14 +131,15 @@ class TestWhatIfValidation:
 
     fig12's quick point (64 objstat clients) sits at its knee; fig14's
     (64 shared-mkdir clients) is past it — latency lifts off the plateau
-    at ~24 clients (see docs/observability.md), so the fsync probe runs
-    there.  Past the knee the open-loop model over-predicts by design;
-    that divergence is documented, not asserted away.
+    at ~32 clients (see the operating-point scan in
+    docs/observability.md), so the fsync probe runs there.  Past the knee
+    the open-loop model over-predicts by design; that divergence is
+    documented, not asserted away.
     """
 
     def test_fsync_scale_validates_at_fig14_knee(self):
         _tables, result = run_whatif("fig14", ["tafdb.fsync=2x"],
-                                     clients=24)
+                                     clients=32)
         assert result.measured_delta_frac > DELTA_FLOOR_FRAC
         assert result.within(0.15), (result.predicted_delta_frac,
                                      result.measured_delta_frac)
@@ -163,7 +164,7 @@ class TestWhatIfValidation:
         model degrades gracefully to the slack prediction (and both hold
         to 15%)."""
         _tables, result = run_whatif("fig14", ["tafdb.fsync=2x"],
-                                     clients=24, model="corrected")
+                                     clients=32, model="corrected")
         assert result.corrected_mean_us == \
             pytest.approx(result.predicted_mean_us)
         assert result.within(0.15)
@@ -177,7 +178,7 @@ class TestWhatIfDeepSaturation:
     with different bottleneck stations — see docs/observability.md)."""
 
     def _probe(self, speedups):
-        _tables, result = run_whatif("fig14", speedups, clients=160,
+        _tables, result = run_whatif("fig14", speedups, clients=176,
                                      model="corrected")
         # The probe only demonstrates the correction when slack really
         # misses big and the floor really binds.

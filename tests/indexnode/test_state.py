@@ -192,3 +192,79 @@ class TestApply:
         state.apply(("mkdir", 2, "x", 50, int(Permission.ALL)))
         state.apply(("rmdir", 2, "x", "/d1/x"))
         assert state.applied_commands == 2
+
+
+def fingerprint(state):
+    """Everything a snapshot must carry, as plain comparable values."""
+    table, cache, inv = state.table, state.cache, state.invalidator
+    return {
+        "rows": sorted(table.entries(), key=lambda m: m.id),
+        "by_id": dict(table._by_id),
+        "children": {pid: sorted(names)
+                     for pid, names in table._children.items()},
+        "probes": (table.resolve_calls, table.probe_count),
+        "cache": dict(cache._entries),
+        "cache_stats": (cache.k, cache.enabled, cache.hits, cache.misses,
+                        cache.inserts, cache.invalidations),
+        "prefix_tree": (list(inv.prefix_tree.paths()), len(inv.prefix_tree)),
+        "removal_list": (list(inv.removal_list.items()),
+                         inv.removal_list.version),
+        "purges": (inv.purged_entries, inv.purge_rounds),
+        "applied": state.applied_commands,
+    }
+
+
+class TestSnapshot:
+    """snapshot()/restore() copy containers and share the frozen rows:
+    neither side may see the other's later mutations."""
+
+    def _busy_state(self):
+        state = build_state(k=1, depth=5)
+        state.bulk_insert_dir(ROOT_ID, "dst", 90)
+        state.lookup("/d1/d2/d3/d4", want="dir")         # cache fill
+        state.apply(("setperm", 3, "d3", int(Permission.READ),
+                     "/d1/d2/d3"))                       # pending removal
+        state.apply(("rename_lock", 5, "d5", "u1", "/d1/d2/d3/d4/d5"))
+        return state
+
+    def _mutate(self, state):
+        state.apply(("mkdir", 2, "new", 50, int(Permission.ALL)))
+        state.apply(("rename_commit", 5, "d5", 90, "moved"))
+        state.apply(("setperm", 2, "d2", int(Permission.READ), "/d1/d2"))
+        state.apply(("rmdir", 2, "new", "/d1/new"))
+        state.invalidator.purge_pending()
+        state.lookup("/dst/moved/x", want="parent")      # cache fill
+        state.apply(("rename_lock", 1, "dst", "u2", "/dst"))
+
+    def test_live_mutations_leave_the_blob_unchanged(self):
+        state = self._busy_state()
+        at_snapshot = fingerprint(state)
+        blob = state.snapshot()
+        self._mutate(state)
+        assert fingerprint(state) != at_snapshot
+        replica = IndexNodeState(cache_k=1)
+        replica.restore(blob)
+        assert fingerprint(replica) == at_snapshot
+        assert replica.invalidator.cache is replica.cache
+
+    def test_restored_replica_does_not_write_through_to_the_blob(self):
+        state = self._busy_state()
+        at_snapshot = fingerprint(state)
+        blob = state.snapshot()
+        first = IndexNodeState(cache_k=1)
+        first.restore(blob)
+        self._mutate(first)
+        second = IndexNodeState(cache_k=1)
+        second.restore(blob)  # the leader ships one blob to many replicas
+        assert fingerprint(second) == at_snapshot
+        assert fingerprint(state) == at_snapshot
+
+    def test_restored_replica_behaves_like_the_original(self):
+        state = self._busy_state()
+        replica = IndexNodeState(cache_k=1)
+        replica.restore(state.snapshot())
+        for each in (state, replica):
+            self._mutate(each)
+        assert fingerprint(replica) == fingerprint(state)
+        assert replica.lookup("/dst/moved", want="dir") == \
+            state.lookup("/dst/moved", want="dir")

@@ -23,9 +23,9 @@ class ListMachine:
 
 
 def build_group(voters=3, learners=0, batching=True, seed=1,
-                batch_window_us=100.0):
+                batch_window_us=100.0, jitter_frac=0.0):
     sim = Simulator()
-    net = Network(sim, one_way_us=50)
+    net = Network(sim, one_way_us=50, jitter_frac=jitter_frac)
     hosts = [Host(sim, f"idx-{i}", cores=4, fsync_us=120)
              for i in range(voters + learners)]
     config = RaftConfig(batching_enabled=batching,
