@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+)
 
+from repro.bench.analyze import classify_run, segment_run
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
 from repro.bench.report import Table
+from repro.sim.critpath import build_blame, critpath_from_tracer
+from repro.sim.profile import dynamic_phase_breakdown, profile_from_tracer
 from repro.sim.stats import MetricSet
+from repro.sim.telemetry import Telemetry
+from repro.sim.trace import TailKeeper, Tracer
 from repro.workloads.mdtest import MdtestWorkload
 
 #: Per-experiment client/item budgets by scale.
@@ -112,160 +126,139 @@ def pick(scale: str, quick, full):
     return quick if scale == "quick" else full
 
 
-def mdtest_metrics(system_name: str, op: str, mode: str = "exclusive",
-                   clients: int = 32, items: int = 10, depth: int = 10,
-                   scale: str = "quick", cluster_scale: Optional[str] = None,
-                   **build_overrides) -> MetricSet:
-    """Build a system, run one mdtest workload, tear down, return metrics."""
-    system = build_system(system_name, cluster_scale or "quick",
-                          **build_overrides)
-    try:
-        workload = MdtestWorkload(op, mode=mode, depth=depth, items=items,
-                                  num_clients=clients)
-        return run_workload(system, workload)
-    finally:
-        system.shutdown()
+#: What an instrumented run may be asked to carry (see
+#: :func:`instrumented_run`); each implies the ones it depends on.
+RIG_NEEDS = ("tracer", "keeper", "telemetry", "verdict", "phases")
 
 
-def mdtest_metrics_traced(system_name: str, op: str, mode: str = "exclusive",
-                          clients: int = 32, items: int = 10, depth: int = 10,
-                          cluster_scale: Optional[str] = None,
-                          **build_overrides):
-    """Like :func:`mdtest_metrics`, but with span tracing on.
+@dataclasses.dataclass
+class RunRecord:
+    """Everything one instrumented run leaves behind.
 
-    Attaches a fresh :class:`~repro.sim.trace.Tracer` to the system's
-    simulator before the workload runs and returns ``(metrics, tracer)``.
-    The tracer never creates simulator events, so the metrics are identical
-    to an untraced run — the fig15/table1 span-derived tables rely on that.
+    The recorded facts — ``metrics``, the ``tracer``'s spans, the
+    windowed ``telemetry`` — plus whatever had to be derived while the
+    system was still up (``verdict``, ``phases``).  Every explanation
+    view is a fold over this record; the span folds several views share
+    (:attr:`crit`, :attr:`profile`, :attr:`blame`) are computed once.
     """
-    from repro.sim.trace import Tracer
 
-    system = build_system(system_name, cluster_scale or "quick",
-                          **build_overrides)
-    tracer = Tracer()
-    tracer.bind(system.sim)
-    system.sim.tracer = tracer
-    try:
-        workload = MdtestWorkload(op, mode=mode, depth=depth, items=items,
-                                  num_clients=clients)
-        return run_workload(system, workload), tracer
-    finally:
-        system.shutdown()
+    name: str
+    metrics: MetricSet
+    tracer: Any = None
+    telemetry: Any = None
+    verdict: Any = None
+    phases: Optional[list] = None
+
+    @functools.cached_property
+    def crit(self):
+        return critpath_from_tracer(self.tracer, name=self.name)
+
+    @functools.cached_property
+    def profile(self):
+        return profile_from_tracer(self.tracer, name=self.name)
+
+    @functools.cached_property
+    def blame(self):
+        return build_blame(self.crit)
 
 
-def mdtest_metrics_profiled(system_name: str, op: str,
-                            mode: str = "exclusive", clients: int = 32,
-                            items: int = 10, depth: int = 10,
-                            cluster_scale: Optional[str] = None,
-                            config=None, **build_overrides):
-    """Like :func:`mdtest_metrics`, but instrumented for cost profiling.
+def instrumented_run(build: Callable[[], Any],
+                     drive: Callable[[Any], MetricSet],
+                     needs: Iterable[str] = (),
+                     window_us: Optional[float] = None,
+                     name: str = "") -> RunRecord:
+    """The one instrumented run: build, attach the rig, drive, tear down.
 
-    Attaches both a bound :class:`~repro.sim.trace.Tracer` (span stacks +
-    cost charges) and a :class:`~repro.sim.telemetry.Telemetry` (the busy
-    counters the profiler's CPU attribution must reconcile against) and
-    returns ``(metrics, tracer, telemetry)``.  Both are pure bookkeeping,
-    so the metrics stay bit-identical to an uninstrumented run.
+    ``build()`` returns a started system (anything with ``.sim`` and
+    ``.shutdown()``), ``drive(system)`` runs the workload and returns its
+    :class:`~repro.sim.stats.MetricSet`.  ``needs`` (from
+    :data:`RIG_NEEDS`) selects the rig: a bound
+    :class:`~repro.sim.trace.Tracer` (``tracer``), carrying a
+    :class:`~repro.sim.trace.TailKeeper` (``keeper``); a
+    :class:`~repro.sim.telemetry.Telemetry` windowed at ``window_us``
+    (``telemetry``); the saturation analyzer's ``verdict`` and the
+    change-point ``phases``, both derived *before* teardown because they
+    read the live system's cost model and host set.  All of it is pure
+    bookkeeping: the metrics are bit-identical to an uninstrumented run.
     """
-    from repro.sim.telemetry import Telemetry
-    from repro.sim.trace import Tracer
-
-    if config is not None:
-        build_overrides["config"] = config
-    system = build_system(system_name, cluster_scale or "quick",
-                          **build_overrides)
-    tracer = Tracer()
-    tracer.bind(system.sim)
-    system.sim.tracer = tracer
-    telemetry = Telemetry()
-    system.sim.telemetry = telemetry
+    needs = frozenset(needs)
+    unknown = needs - frozenset(RIG_NEEDS)
+    if unknown:
+        raise ValueError(f"unknown rig needs {sorted(unknown)}; "
+                         f"pick from {RIG_NEEDS}")
+    system = build()
+    tracer = telemetry = verdict = phases = None
     try:
-        workload = MdtestWorkload(op, mode=mode, depth=depth, items=items,
-                                  num_clients=clients)
-        metrics = run_workload(system, workload)
-        return metrics, tracer, telemetry
+        sim = system.sim
+        if needs & {"tracer", "keeper"}:
+            tracer = Tracer(
+                keeper=TailKeeper() if "keeper" in needs else None)
+            tracer.bind(sim)
+            sim.tracer = tracer
+        if needs & {"telemetry", "verdict", "phases"}:
+            telemetry = Telemetry(window_us) if window_us else Telemetry()
+            sim.telemetry = telemetry
+        metrics = drive(system)
+        if "verdict" in needs:
+            verdict = classify_run(system, metrics, telemetry)
+        if "phases" in needs:
+            phases = segment_run(system, metrics, telemetry)
+        return RunRecord(name, metrics, tracer, telemetry, verdict, phases)
     finally:
         system.shutdown()
 
 
-def mdtest_metrics_telemetry(system_name: str, op: str,
-                             mode: str = "exclusive", clients: int = 32,
-                             items: int = 10, depth: int = 10,
-                             cluster_scale: Optional[str] = None,
-                             window_us: Optional[float] = None,
-                             config=None, **build_overrides):
-    """Like :func:`mdtest_metrics`, but with windowed telemetry attached.
-
-    Attaches a fresh :class:`~repro.sim.telemetry.Telemetry` to the
-    system's simulator, runs the workload and classifies the run with the
-    saturation analyzer *before* teardown (the verdict needs the live
-    system's cost model and host set).  Returns ``(metrics, telemetry,
-    verdict)``.  Telemetry is pure bookkeeping, so the metrics are
-    bit-identical to an uninstrumented run.
-    """
-    from repro.bench.analyze import classify_run
-    from repro.sim.telemetry import Telemetry
-
-    if config is not None:
-        build_overrides["config"] = config
-    system = build_system(system_name, cluster_scale or "quick",
-                          **build_overrides)
-    telemetry = Telemetry(window_us) if window_us else Telemetry()
-    system.sim.telemetry = telemetry
-    try:
-        workload = MdtestWorkload(op, mode=mode, depth=depth, items=items,
-                                  num_clients=clients)
-        metrics = run_workload(system, workload)
-        verdict = classify_run(system, metrics, telemetry)
-        return metrics, telemetry, verdict
-    finally:
-        system.shutdown()
+def mdtest_run(system_name: str, op: str, needs: Iterable[str] = (),
+               mode: str = "exclusive", clients: int = 32, items: int = 10,
+               depth: int = 10, window_us: Optional[float] = None,
+               **build_overrides) -> RunRecord:
+    """:func:`instrumented_run` bound to one mdtest workload on one of
+    the four systems (``build_overrides`` go to
+    :func:`~repro.bench.cluster.build_system`)."""
+    workload = MdtestWorkload(op, mode=mode, depth=depth, items=items,
+                              num_clients=clients)
+    return instrumented_run(
+        lambda: build_system(system_name, "quick", **build_overrides),
+        lambda system: run_workload(system, workload),
+        needs, window_us=window_us, name=f"{system_name} {op}")
 
 
-def mdtest_metrics_triaged(system_name: str, op: str,
-                           mode: str = "exclusive", clients: int = 32,
-                           items: int = 10, depth: int = 10,
-                           cluster_scale: Optional[str] = None,
-                           window_us: Optional[float] = None,
-                           config=None, **build_overrides):
-    """Like :func:`mdtest_metrics_profiled`, but tail-instrumented.
+def mdtest_metrics(system_name: str, op: str, **run_kwargs) -> MetricSet:
+    """Build a system, run one mdtest workload uninstrumented, tear down,
+    return the metrics (keywords as for :func:`mdtest_run`)."""
+    return mdtest_run(system_name, op, **run_kwargs).metrics
 
-    Attaches a :class:`~repro.sim.trace.Tracer` carrying a
-    :class:`~repro.sim.trace.TailKeeper` (slow/errored op trees survive
-    the ring) plus a windowed :class:`~repro.sim.telemetry.Telemetry`
-    (per-op latency digests recorded by ``perform``), runs the workload,
-    and phase-segments the run *before* teardown (the verdicts need the
-    live system's cost model).  Returns ``(metrics, tracer, telemetry,
-    phases)``.  All instrumentation is pure bookkeeping — the metrics
-    stay bit-identical to an uninstrumented run.
-    """
-    from repro.bench.analyze import segment_run
-    from repro.sim.telemetry import Telemetry
-    from repro.sim.trace import TailKeeper, Tracer
 
-    if config is not None:
-        build_overrides["config"] = config
-    system = build_system(system_name, cluster_scale or "quick",
-                          **build_overrides)
-    tracer = Tracer(keeper=TailKeeper())
-    tracer.bind(system.sim)
-    system.sim.tracer = tracer
-    telemetry = Telemetry(window_us) if window_us else Telemetry()
-    system.sim.telemetry = telemetry
-    try:
-        workload = MdtestWorkload(op, mode=mode, depth=depth, items=items,
-                                  num_clients=clients)
-        metrics = run_workload(system, workload)
-        phases = segment_run(system, metrics, telemetry)
-        return metrics, tracer, telemetry, phases
-    finally:
-        system.shutdown()
+#: Max relative disagreement ``--check-profile`` tolerates between an
+#: exhibit's phase means and the profiler's re-derivation (both fold the
+#: same begin/end pairs, so the observed error is floating-point noise).
+CHECK_TOLERANCE = 0.01
+
+
+def check_profile_point(checks: Table, cells: Sequence, spans, op: str,
+                        expected: Dict[str, float]) -> None:
+    """``--check-profile`` for one point: re-derive ``op``'s phase means
+    from the *dynamic* span tree
+    (:func:`repro.sim.profile.dynamic_phase_breakdown`) and add one row
+    per phase of ``expected`` to ``checks``, led by ``cells``.  Raises
+    ``RuntimeError`` on a phase diverging past :data:`CHECK_TOLERANCE`."""
+    derived = dynamic_phase_breakdown(spans).get(op, {})
+    for phase, want in expected.items():
+        got = derived.get(phase, 0.0)
+        err = abs(got - want) / max(abs(want), 1e-9)
+        if err > CHECK_TOLERANCE:
+            raise RuntimeError(
+                f"{'/'.join(cells)}: profiler-derived {phase} mean "
+                f"{got:.3f}us diverges from {want:.3f}us "
+                f"({err:.2%} > {CHECK_TOLERANCE:.0%})")
+        checks.add_row(*cells, phase, round(want, 2), round(got, 2),
+                       f"{err:.4%}")
 
 
 def app_metrics(system_name: str, workload, data_access: bool = False,
-                cluster_scale: str = "quick",
                 **build_overrides) -> MetricSet:
     """Run an application workload (Spark/Audio) on one system."""
-    system = build_system(system_name, cluster_scale, **build_overrides)
+    system = build_system(system_name, "quick", **build_overrides)
     try:
         system.data_access_enabled = data_access
         return run_workload(system, workload)

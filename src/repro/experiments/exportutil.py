@@ -1,17 +1,17 @@
-"""Shared export plumbing for the ``mantle-exp`` artifact subcommands.
+"""The export contract every ``mantle-exp`` artifact goes through.
 
-``trace``, ``telemetry`` and ``profile`` all follow the same contract:
-derive a default output path from the subcommand + target name, schema-
-validate the payload *before* writing (a malformed artifact should fail
-the run, not surface later in a viewer), and write JSON with a trailing
-newline.  This module is that contract, extracted so the three commands
-cannot drift apart.
+One function — :func:`write_export` — derives the default file name from
+the view, target and system, validates the payload *before* writing (a
+malformed artifact should fail the run, not surface later in a viewer),
+and writes it.  The three steps are also usable on their own
+(``mantle-exp live`` names, validates and writes at different moments).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+import os
+from typing import Any, Callable, Optional, Sequence
 
 
 def default_out(kind: str, name: str, suffix: str = "") -> str:
@@ -42,3 +42,30 @@ def write_json_payload(path: str, payload: Any, indent: int = 1) -> Any:
         json.dump(payload, handle, indent=indent, default=str)
         handle.write("\n")
     return payload
+
+
+def write_lines(path: str, lines: Sequence[str]) -> None:
+    """Write ``lines`` newline-terminated to ``path``."""
+    with open(path, "w") as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
+def write_export(out_dir: str, view: str, target: str,
+                 system: Optional[str], suffix: str, payload: Any,
+                 validate: Callable[[Any], Sequence[str]],
+                 write: Callable[[str, Any], Any] = write_json_payload,
+                 ) -> str:
+    """The one export step: name, validate, and only then write.
+
+    The file is ``<out_dir>/<view>_<target>[_<system>]<suffix>`` — the
+    system part is dropped for whole-target exports and where it would
+    only repeat the target (the multitenant scenario).  Raises
+    ``RuntimeError`` and writes nothing when ``validate`` reports
+    problems.  Returns the path written.
+    """
+    name = target if system in (None, target) else f"{target}_{system}"
+    path = os.path.join(out_dir, default_out(view, name, suffix))
+    ensure_valid(validate(payload), path)
+    os.makedirs(out_dir or ".", exist_ok=True)
+    write(path, payload)
+    return path

@@ -15,24 +15,16 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench.cluster import build_system
-from repro.bench.harness import run_workload
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
-from repro.experiments.base import pick, register
+from repro.experiments.base import mdtest_metrics, pick, register
 from repro.sim.host import CostModel
-from repro.workloads.mdtest import MdtestWorkload
 
 
 def _throughput(costs: CostModel, clients: int, items: int) -> float:
     config = MantleConfig(enable_follower_read=False, costs=costs)
-    system = build_system("mantle", "quick", config=config, costs=costs)
-    try:
-        workload = MdtestWorkload("objstat", depth=10, items=items,
-                                  num_clients=clients)
-        return run_workload(system, workload).throughput_kops()
-    finally:
-        system.shutdown()
+    return mdtest_metrics("mantle", "objstat", clients=clients, items=items,
+                          config=config, costs=costs).throughput_kops()
 
 
 @register("ext-rdma", "RDMA RPC proof of concept (extension)",

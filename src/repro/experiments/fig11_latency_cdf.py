@@ -8,24 +8,15 @@ is broad (speculation variability) and Mantle's curves are tight and fast.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from repro.bench.cluster import SYSTEMS, build_system
-from repro.bench.harness import run_workload
+from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table
-from repro.experiments.base import pick, register
+from repro.experiments.base import app_metrics, pick, register
 from repro.workloads.audio import AudioPreprocessWorkload
 from repro.workloads.spark import SparkAnalyticsWorkload
 
 _PERCENTILES = (50, 90, 99, 100)
-
-
-def _collect(system_name: str, workload) -> Dict[str, object]:
-    system = build_system(system_name, "quick")
-    try:
-        return run_workload(system, workload).latency
-    finally:
-        system.shutdown()
 
 
 @register("fig11", "Latency CDFs of application metadata operations",
@@ -41,8 +32,9 @@ def run(scale: str = "quick") -> List[Table]:
         ["op", "system"] + [f"p{p}" for p in _PERCENTILES] +
         ["frac > 10x median"])
     for system_name in SYSTEMS:
-        latencies = _collect(system_name, SparkAnalyticsWorkload(
-            num_clients=clients, parts_per_task=2, rounds=pick(scale, 3, 6)))
+        latencies = app_metrics(system_name, SparkAnalyticsWorkload(
+            num_clients=clients, parts_per_task=2,
+            rounds=pick(scale, 3, 6))).latency
         for op in spark_ops:
             recorder = latencies.get(op)
             if recorder is None:
@@ -62,8 +54,8 @@ def run(scale: str = "quick") -> List[Table]:
         ["op", "system"] + [f"p{p}" for p in _PERCENTILES] +
         ["spread p99/p50"])
     for system_name in SYSTEMS:
-        latencies = _collect(system_name, AudioPreprocessWorkload(
-            num_clients=clients, segments=pick(scale, 8, 16)))
+        latencies = app_metrics(system_name, AudioPreprocessWorkload(
+            num_clients=clients, segments=pick(scale, 8, 16))).latency
         for op in audio_ops:
             recorder = latencies.get(op)
             if recorder is None:

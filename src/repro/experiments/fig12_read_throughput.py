@@ -13,8 +13,7 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import (map_points, mdtest_metrics_telemetry,
-                                    pick, register)
+from repro.experiments.base import map_points, mdtest_run, pick, register
 
 OPS = ("create", "delete", "objstat", "dirstat")
 
@@ -27,9 +26,9 @@ def _throughput_point(point):
     pure bookkeeping, so throughput is identical to an unmetered run.
     """
     system_name, op, clients, items = point
-    metrics, _telemetry, verdict = mdtest_metrics_telemetry(
-        system_name, op, clients=clients, items=items)
-    return metrics.throughput_kops(), verdict.label
+    record = mdtest_run(system_name, op, ("verdict",), clients=clients,
+                        items=items)
+    return record.metrics.throughput_kops(), record.verdict.label
 
 
 @register("fig12", "Throughput of object ops and directory reads",

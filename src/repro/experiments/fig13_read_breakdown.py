@@ -8,7 +8,8 @@ into its lookup phase; LocoFS resolves directory-op paths during execution.
 ``--check-profile`` reruns each point with the cost profiler's span stacks
 attached and re-derives the lookup/execution columns from the *dynamic*
 span tree (:func:`repro.sim.profile.dynamic_phase_breakdown`), asserting
-both derivations agree within :data:`CHECK_TOLERANCE` — the same
+both derivations agree within
+:data:`~repro.experiments.base.CHECK_TOLERANCE` — the same
 cross-check pattern PR 2 established between spans and the legacy phase
 counters.
 """
@@ -20,39 +21,15 @@ from typing import List
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
 from repro.experiments.base import (
-    mdtest_metrics,
-    mdtest_metrics_traced,
+    CHECK_TOLERANCE,
+    check_profile_point,
+    mdtest_run,
     pick,
     register,
 )
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP
 
 OPS = ("create", "delete", "objstat", "dirstat")
-
-#: Max relative disagreement between the metric-derived and
-#: profiler-derived phase means (both fold the same begin/end pairs, so
-#: the observed error is floating-point noise).
-CHECK_TOLERANCE = 0.01
-
-
-def _check_point(op: str, system_name: str, phases, spans,
-                 checks: Table) -> None:
-    """Assert the profiler re-derivation matches ``metrics`` phase means."""
-    from repro.sim.profile import dynamic_phase_breakdown
-
-    derived = dynamic_phase_breakdown(spans).get(op, {})
-    for phase in (PHASE_LOOKUP, PHASE_EXECUTION):
-        expected = phases[phase]
-        got = derived.get(phase, 0.0)
-        err = abs(got - expected) / max(abs(expected), 1e-9)
-        if err > CHECK_TOLERANCE:
-            raise RuntimeError(
-                f"fig13 {op}/{system_name}: profiler-derived {phase} mean "
-                f"{got:.3f}us diverges from metric {expected:.3f}us "
-                f"({err:.2%} > {CHECK_TOLERANCE:.0%})")
-        checks.add_row(op, system_name, phase, round(expected, 2),
-                       round(got, 2), f"{err:.4%}")
-
 
 @register("fig13", "Latency breakdown of object ops and directory reads",
           "Mantle's lookup latency 83.9-89.0%/80.0-84.2%/16.4-74.5% lower "
@@ -69,15 +46,16 @@ def run(scale: str = "quick", check_profile: bool = False) -> List[Table]:
     lookup_by = {}
     for op in OPS:
         for system_name in SYSTEMS:
-            if check_profile:
-                metrics, tracer = mdtest_metrics_traced(
-                    system_name, op, clients=clients, items=items)
-            else:
-                metrics = mdtest_metrics(system_name, op, clients=clients,
-                                         items=items)
+            record = mdtest_run(
+                system_name, op, ("tracer",) if check_profile else (),
+                clients=clients, items=items)
+            metrics = record.metrics
             phases = metrics.phase_breakdown(op)
             if check_profile:
-                _check_point(op, system_name, phases, tracer.spans, checks)
+                check_profile_point(
+                    checks, (op, system_name), record.tracer.spans, op,
+                    {phase: phases[phase]
+                     for phase in (PHASE_LOOKUP, PHASE_EXECUTION)})
             lookup_by[(op, system_name)] = phases[PHASE_LOOKUP]
             table.add_row(op, system_name,
                           round(phases[PHASE_LOOKUP], 1),

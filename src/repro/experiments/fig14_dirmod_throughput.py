@@ -15,19 +15,17 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import (map_points, mdtest_metrics_telemetry,
-                                    pick, register)
-
-CASES = (("mkdir", "exclusive"), ("mkdir", "shared"),
-         ("dirrename", "exclusive"), ("dirrename", "shared"))
+from repro.experiments.base import map_points, mdtest_run, pick, register
+from repro.experiments.explain import DIRMOD_CASES
 
 
 def _dirmod_point(point):
     """One (case, system) sweep cell -> (throughput, retries, bottleneck)."""
     system_name, op, mode, clients, items = point
-    metrics, _telemetry, verdict = mdtest_metrics_telemetry(
-        system_name, op, mode=mode, clients=clients, items=items)
-    return metrics.throughput_kops(), metrics.retries, verdict.label
+    record = mdtest_run(system_name, op, ("verdict",), mode=mode,
+                        clients=clients, items=items)
+    metrics = record.metrics
+    return metrics.throughput_kops(), metrics.retries, record.verdict.label
 
 
 @register("fig14", "Throughput of directory modifications",
@@ -45,9 +43,9 @@ def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
         "steady-state window)",
         ["case"] + list(SYSTEMS))
     points = [(system_name, op, mode, clients, items)
-              for op, mode in CASES for system_name in SYSTEMS]
+              for op, mode in DIRMOD_CASES for system_name in SYSTEMS]
     results = map_points(_dirmod_point, points, jobs=jobs)
-    for i, (op, mode) in enumerate(CASES):
+    for i, (op, mode) in enumerate(DIRMOD_CASES):
         suffix = "-s" if mode == "shared" else "-e"
         row = results[i * len(SYSTEMS):(i + 1) * len(SYSTEMS)]
         throughput = {s: r[0] for s, r in zip(SYSTEMS, row)}

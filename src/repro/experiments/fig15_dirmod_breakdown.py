@@ -9,115 +9,81 @@ Since PR 2 the numbers are derived from the span tracer
 (:mod:`repro.sim.trace`) rather than the ``OpContext`` phase counters: each
 case runs traced, and the table aggregates ``phase``-category spans under
 each successful operation's root span.  The legacy counters still exist (the
-phase API is a shim over spans) and ``mantle-exp trace fig15`` cross-checks
-both derivations agree within 1%.
+phase API is a shim over spans) and ``mantle-exp explain fig15 --view trace``
+cross-checks both derivations agree within 1%.
 
 ``--check-profile`` adds a third, independent derivation: the cost
 profiler's *dynamic* span tree
 (:func:`repro.sim.profile.dynamic_phase_breakdown`, keyed on
 ``dyn_parent_id`` rather than the declared ``parent_id``) must reproduce
-the same phase means within :data:`CHECK_TOLERANCE`.
+the same phase means within
+:data:`~repro.experiments.base.CHECK_TOLERANCE`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Sequence
 
-from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table
-from repro.experiments.base import mdtest_metrics_traced, pick, register
+from repro.experiments.base import (
+    CHECK_TOLERANCE,
+    check_profile_point,
+    register,
+)
+from repro.experiments.explain import CASES, Run, run_case
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, PHASE_LOOP_DETECT
 from repro.sim.trace import aggregate_ops
 
-CASES = (("mkdir", "exclusive"), ("mkdir", "shared"),
-         ("dirrename", "exclusive"), ("dirrename", "shared"))
-
-#: Max relative disagreement between the span-derived columns and the
-#: profiler's dynamic-tree re-derivation.
-CHECK_TOLERANCE = 0.01
-
-
-def check_profile_table(artifacts: List[Dict]) -> Table:
-    """Re-derive every case's phase means from the dynamic span tree.
-
-    Raises ``RuntimeError`` on the first case where the profiler's
-    derivation diverges from the declared-tree aggregation by more than
-    :data:`CHECK_TOLERANCE`.
-    """
-    from repro.sim.profile import dynamic_phase_breakdown
-
+def check_profile_table(runs: Sequence[Run]) -> Table:
+    """Re-derive every case's phase means from the dynamic span tree;
+    raises ``RuntimeError`` on the first case where that diverges from
+    the declared-tree aggregation."""
     checks = Table(
         "Figure 15 profiler cross-check (phase means, us)",
         ["case", "phase", "span-derived", "profiler", "rel err"])
-    for artifact in artifacts:
-        op = artifact["op"]
-        agg = aggregate_ops(artifact["tracer"].spans)[op]
-        derived = dynamic_phase_breakdown(
-            artifact["tracer"].spans).get(op, {})
-        for phase in (PHASE_LOOKUP, PHASE_LOOP_DETECT, PHASE_EXECUTION):
-            expected = agg.mean_phase_us(phase)
-            got = derived.get(phase, 0.0)
-            err = abs(got - expected) / max(abs(expected), 1e-9)
-            if err > CHECK_TOLERANCE:
-                raise RuntimeError(
-                    f"fig15 {artifact['label']}: profiler-derived {phase} "
-                    f"mean {got:.3f}us diverges from span-derived "
-                    f"{expected:.3f}us ({err:.2%} > "
-                    f"{CHECK_TOLERANCE:.0%})")
-            checks.add_row(artifact["label"], phase, round(expected, 2),
-                           round(got, 2), f"{err:.4%}")
+    for case, record in runs:
+        spans = record.tracer.spans
+        agg = aggregate_ops(spans)[case.op]
+        check_profile_point(
+            checks, (case.label,), spans, case.op,
+            {phase: agg.mean_phase_us(phase) for phase in
+             (PHASE_LOOKUP, PHASE_LOOP_DETECT, PHASE_EXECUTION)})
     checks.add_note(f"declared-tree aggregation vs dynamic-tree "
                     f"re-derivation agree within {CHECK_TOLERANCE:.0%} "
                     f"for every case")
     return checks
 
 
-def run_traced(scale: str = "quick") -> Tuple[List[Table], List[Dict]]:
-    """Run every case traced; returns (tables, per-case artifacts).
-
-    Each artifact dict carries the case label, the op, the
-    :class:`~repro.sim.stats.MetricSet` and the live tracer, so
-    ``mantle-exp trace fig15`` can export the spans and cross-validate the
-    two derivations without re-running anything.
-    """
-    clients = pick(scale, 48, 128)
-    items = pick(scale, 8, 20)
+def span_table(runs: Sequence[Run]) -> Table:
+    """The figure's table from traced runs of its registry cases (the
+    runs ``mantle-exp explain fig15 --view trace`` exports)."""
     table = Table(
         "Figure 15: mean per-phase latency (us, span-derived)",
         ["case", "system", "lookup", "loop detect", "execution", "total"])
-    artifacts: List[Dict] = []
-    for op, mode in CASES:
-        suffix = "-s" if mode == "shared" else "-e"
-        for system_name in SYSTEMS:
-            metrics, tracer = mdtest_metrics_traced(
-                system_name, op, mode=mode, clients=clients, items=items)
-            agg = aggregate_ops(tracer.spans).get(op)
-            if agg is None or not agg.count:
-                raise RuntimeError(
-                    f"no successful {op!r} spans for {system_name}")
-            table.add_row(
-                f"{op}{suffix}", system_name,
-                round(agg.mean_phase_us(PHASE_LOOKUP), 1),
-                round(agg.mean_phase_us(PHASE_LOOP_DETECT), 1),
-                round(agg.mean_phase_us(PHASE_EXECUTION), 1),
-                round(agg.mean_latency_us, 1))
-            artifacts.append({
-                "label": f"{op}{suffix}/{system_name}",
-                "op": op,
-                "metrics": metrics,
-                "tracer": tracer,
-            })
+    for case, record in runs:
+        agg = aggregate_ops(record.tracer.spans).get(case.op)
+        if agg is None or not agg.count:
+            raise RuntimeError(
+                f"no successful {case.op!r} spans for {case.system}")
+        table.add_row(
+            case.label.split("/")[0], case.system,
+            round(agg.mean_phase_us(PHASE_LOOKUP), 1),
+            round(agg.mean_phase_us(PHASE_LOOP_DETECT), 1),
+            round(agg.mean_phase_us(PHASE_EXECUTION), 1),
+            round(agg.mean_latency_us, 1))
     table.add_note("Mantle dirrename: lookup column is 0 by construction "
                    "(merged with loop detection); Tectonic has no loop "
                    "detection (relaxed consistency)")
-    return [table], artifacts
+    return table
 
 
 @register("fig15", "Latency breakdown of directory modifications",
           "loop detection only for renames (not Tectonic); Mantle merges "
           "rename lookup into loop detection")
 def run(scale: str = "quick", check_profile: bool = False) -> List[Table]:
-    tables, artifacts = run_traced(scale)
+    runs = [(case, run_case(case, scale, ("tracer",)))
+            for case in CASES["fig15"]]
+    tables = [span_table(runs)]
     if check_profile:
-        tables.append(check_profile_table(artifacts))
+        tables.append(check_profile_table(runs))
     return tables

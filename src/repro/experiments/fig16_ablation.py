@@ -17,12 +17,9 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench.cluster import build_system
-from repro.bench.harness import run_workload
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
-from repro.experiments.base import mdtest_metrics_profiled, pick, register
-from repro.workloads.mdtest import MdtestWorkload
+from repro.experiments.base import mdtest_run, pick, register
 
 #: (label, cumulative config overrides) in the paper's enabling order.
 STEPS = (
@@ -106,29 +103,22 @@ def run(scale: str = "quick") -> List[Table]:
         gate_label = "-"
         for op, mode in WORKLOADS:
             config = _config_for(step_index)
+            # The dirstat run is instrumented: tracing is pure
+            # bookkeeping, so the throughput is bit-identical — one run
+            # feeds both the column and the gating label.
+            record = mdtest_run(
+                "mantle", op, ("tracer",) if op == "dirstat" else (),
+                mode=mode, depth=10, items=items, clients=clients,
+                config=config)
+            metrics = record.metrics
             if op == "dirstat":
-                # Instrumented run: tracing is pure bookkeeping, so the
-                # throughput is bit-identical — one run feeds both the
-                # column and the gating label.
                 from repro.sim.critpath import critpath_from_tracer
 
-                metrics, tracer, _telemetry = mdtest_metrics_profiled(
-                    "mantle", op, mode=mode, depth=10, items=items,
-                    clients=clients, config=config)
-                crit = critpath_from_tracer(tracer, name=label)
+                crit = critpath_from_tracer(record.tracer, name=label)
                 gate_label, component = _top_gate(crit)
                 if step_index == len(STEPS) - 1:
                     final_crit = crit
                     final_component = component
-            else:
-                system = build_system("mantle", "quick", config=config)
-                try:
-                    workload = MdtestWorkload(op, mode=mode, depth=10,
-                                              items=items,
-                                              num_clients=clients)
-                    metrics = run_workload(system, workload)
-                finally:
-                    system.shutdown()
             kops = metrics.throughput_kops()
             key = (op, mode)
             if step_index == 0:

@@ -15,33 +15,33 @@ from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
-from repro.experiments.base import map_points, pick, register
+from repro.experiments.base import (
+    instrumented_run,
+    map_points,
+    pick,
+    register,
+)
 from repro.workloads.mdtest import MdtestWorkload
 from repro.workloads.namespace import build_namespace, populate
 
 
 def _run(config: MantleConfig, op: str, clients: int, items: int,
          prefill_dirs: int = 0):
-    from repro.bench.analyze import classify_run
-    from repro.sim.telemetry import Telemetry
-
-    system = build_system("mantle", "quick", config=config)
-    try:
+    def build():
+        # Prefilled before the rig attaches, so the saturation window
+        # reflects the measured workload, not bulk loading.
+        system = build_system("mantle", "quick", config=config)
         if prefill_dirs:
             populate(system, build_namespace(num_dirs=prefill_dirs,
                                              objects_per_dir=10, seed=5,
                                              root="/bulk"))
-        # Telemetry attaches after the prefill so the saturation window
-        # reflects the measured workload, not bulk loading.
-        telemetry = Telemetry()
-        system.sim.telemetry = telemetry
-        workload = MdtestWorkload(op, depth=10, items=items,
-                                  num_clients=clients)
-        metrics = run_workload(system, workload)
-        verdict = classify_run(system, metrics, telemetry)
-        return metrics.throughput_kops(), verdict.label
-    finally:
-        system.shutdown()
+        return system
+
+    workload = MdtestWorkload(op, depth=10, items=items,
+                              num_clients=clients)
+    record = instrumented_run(
+        build, lambda system: run_workload(system, workload), ("verdict",))
+    return record.metrics.throughput_kops(), record.verdict.label
 
 
 def _scal_point(point):

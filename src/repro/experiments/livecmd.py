@@ -291,7 +291,7 @@ def run_live_trace(args) -> int:
     """Traced workload -> one merged, validated Chrome-trace export."""
     from repro.runtime import obs
     from repro.runtime.client import LiveClient
-    from repro.sim.trace import Tracer, validate_chrome_trace
+    from repro.sim.trace import Tracer
 
     cluster = _start_cluster(not args.processes, wal_dir=args.wal_dir,
                              instrument=True)
@@ -305,15 +305,8 @@ def run_live_trace(args) -> int:
     finally:
         _stop_cluster(cluster)
 
-    for snap in snapshots:
-        ensure_valid(obs.validate_trace_snapshot(snap),
-                     f"trace snapshot ({snap.get('process', '?')})")
-    ensure_valid(obs.cross_process_problems(snapshots),
-                 "cross-process span links")
-    ensure_valid(obs.dyn_self_time_problems(snapshots),
-                 "dynamic-tree self times")
+    ensure_valid(_trace_problems(snapshots), "merged cross-process trace")
     merged = obs.merge_chrome_trace(snapshots)
-    ensure_valid(validate_chrome_trace(merged), "merged Chrome trace")
 
     stats = obs.op_tree_stats(snapshots)
     spanning = [tree for tree in stats["trees"]

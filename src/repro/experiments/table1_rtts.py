@@ -8,17 +8,17 @@ rounds a depth-10 objstat lookup actually performs in each system.
 Since PR 2 the measurement comes from the span tracer: each run is traced
 and the table reads mean RPCs (``rpc``-category spans under each op root)
 and the lookup-phase latency share from :func:`repro.sim.trace.aggregate_ops`
-instead of the ``OpContext`` counters — ``mantle-exp trace table1``
-cross-checks the two derivations agree within 1%.
+instead of the ``OpContext`` counters — ``mantle-exp explain table1 --view
+trace`` cross-checks the two derivations agree within 1%.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Sequence
 
-from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table
-from repro.experiments.base import mdtest_metrics_traced, pick, register
+from repro.experiments.base import register
+from repro.experiments.explain import CASES, Run, run_case
 from repro.sim.stats import PHASE_LOOKUP
 from repro.sim.trace import aggregate_ops
 
@@ -31,43 +31,33 @@ ANALYTIC = {
 }
 
 
-def run_traced(scale: str = "quick") -> Tuple[List[Table], List[Dict]]:
-    """Run every system traced; returns (tables, per-system artifacts)."""
-    clients = pick(scale, 32, 96)
-    items = pick(scale, 10, 24)
-    depth = 10
+def span_table(runs: Sequence[Run]) -> Table:
+    """The table from traced runs of its registry cases (the runs
+    ``mantle-exp explain table1 --view trace`` exports)."""
     table = Table(
         "Table 1: measured RPC rounds for a depth-10 objstat (span-derived)",
         ["system", "mean RPCs (whole op)", "lookup-phase share of latency",
          "paper analytic"])
-    artifacts: List[Dict] = []
-    for system_name in SYSTEMS:
-        metrics, tracer = mdtest_metrics_traced(
-            system_name, "objstat", depth=depth, clients=clients, items=items)
-        agg = aggregate_ops(tracer.spans).get("objstat")
+    for case, record in runs:
+        agg = aggregate_ops(record.tracer.spans).get(case.op)
         if agg is None or not agg.count:
-            raise RuntimeError(f"no successful objstat spans for {system_name}")
+            raise RuntimeError(
+                f"no successful {case.op} spans for {case.system}")
         lookup = agg.mean_phase_us(PHASE_LOOKUP)
         total = agg.mean_latency_us
         table.add_row(
-            system_name,
+            case.system,
             round(agg.mean_rpcs, 1),
             round(lookup / total, 2) if total else 0,
-            ANALYTIC[system_name])
-        artifacts.append({
-            "label": f"objstat/{system_name}",
-            "op": "objstat",
-            "metrics": metrics,
-            "tracer": tracer,
-        })
+            ANALYTIC[case.system])
     table.add_note("InfiniFS issues its per-level reads in ONE parallel "
                    "round, so rounds != RPC count; Mantle/LocoFS pay one "
                    "resolution RPC plus the execution-phase DB read")
-    return [table], artifacts
+    return table
 
 
 @register("table1", "RTT rounds per lookup",
           "pathlen RTTs for DBtable, single RTT for tiering and Mantle")
 def run(scale: str = "quick") -> List[Table]:
-    tables, _artifacts = run_traced(scale)
-    return tables
+    return [span_table([(case, run_case(case, scale, ("tracer",)))
+                        for case in CASES["table1"]])]

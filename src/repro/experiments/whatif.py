@@ -1,25 +1,15 @@
-"""``mantle-exp critpath`` / ``mantle-exp whatif`` — gating analysis.
+"""``mantle-exp whatif`` — the one explanation verb that reruns.
 
-``critpath`` reruns a figure's knee point (or a bare mdtest op)
-instrumented, extracts every op's critical path from the dynamic span
-tree (:mod:`repro.sim.critpath`), then per system
-
-* prints the top gating centers — (host, frame, kind) ranked by the share
-  of end-to-end latency they gate (shares sum to 100% by construction),
-* prints the contrast against the total-cost profile: per (host, kind),
-  how much attributed cost was on some op's path versus **off-path**
-  (heartbeats, compaction, fan-out overlap) — the slack a speedup there
-  would *not* return to clients,
-* renders one exemplar op's path as an indented tree, and
-* writes a schema-validated ``critpath_<target>_<system>.json``.
-
-``whatif`` is the validated virtual-speedup loop: predict the effect of a
-``--speedup component=FACTORx`` set from critical-path slack alone, then
+The validated virtual-speedup loop: predict the effect of a
+``--speedup component=FACTORx`` set from the critical-path slack of one
+instrumented run (the same run record ``mantle-exp explain`` folds), then
 *rerun the simulation with the override actually applied*
 (:class:`~repro.core.config.MantleConfig` ``overrides``) and print
-predicted vs measured with the prediction error.  ``--max-error`` turns
-the comparison into a gate (CI runs it), with an absolute-delta floor so
-a correctly-predicted "this changes nothing" also passes.
+predicted vs measured with the prediction error.  ``--model corrected``
+adds the queueing-aware bottleneck-law bound for deep-saturation points;
+``--max-error`` turns the comparison into a gate (CI runs it), with an
+absolute-delta floor so a correctly-predicted "this changes nothing" also
+passes.
 """
 
 from __future__ import annotations
@@ -27,150 +17,21 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.cluster import build_system
 from repro.bench.report import Table
-from repro.experiments.base import (
-    mdtest_metrics,
-    mdtest_metrics_profiled,
-    pick,
-)
-from repro.experiments.exportutil import (
-    default_out,
-    ensure_valid,
-    write_json_payload,
-)
-from repro.experiments.profilecmd import Case, resolve_case
-from repro.sim.critpath import (
-    CritPath,
-    component_of,
-    contrast_with_profile,
-    critpath_from_tracer,
-    predict_speedup_corrected,
-    to_critpath_payload,
-    validate_critpath,
-)
+from repro.core.config import MantleConfig
+from repro.experiments.base import mdtest_metrics, pick
+from repro.experiments.explain import Case, resolve_cases, run_case
+from repro.sim.critpath import predict_speedup_corrected
 from repro.sim.host import CostModel, CostOverrides, parse_speedup_args
-from repro.sim.profile import profile_from_tracer
 
-#: Max relative error of sum(gated) vs sum(op durations) — the telescoping
-#: identity is exact, so anything past float dust is an extraction bug.
-CONSERVATION_TOLERANCE = 1e-6
-
-#: ``whatif --max-error``: predicted and measured deltas within this many
+#: ``--max-error``: predicted and measured deltas within this many
 #: percentage points of baseline latency count as "both approximately
 #: nothing" even when the relative error is undefined (off-path probes).
 DELTA_FLOOR_FRAC = 0.01
 
+#: The two prediction models ``--model`` selects between.
+MODELS = ("slack", "corrected")
 
-def critpath_point(system: str, target: str, case: Case, scale: str,
-                   clients: Optional[int] = None,
-                   items: Optional[int] = None,
-                   out_base: str = "") -> Dict:
-    """Run one system's knee point instrumented; extract + export.
-
-    Raises ``RuntimeError`` if the extracted paths fail to conserve the
-    ops' end-to-end latency (the invariant that makes shares meaningful).
-    """
-    metrics, tracer, telemetry = mdtest_metrics_profiled(
-        system, case.op, mode=case.mode,
-        clients=clients or pick(scale, *case.clients),
-        items=items or pick(scale, *case.items))
-    crit = critpath_from_tracer(tracer, name=f"{system} {case.op}")
-    err = crit.conservation_error()
-    if err > CONSERVATION_TOLERANCE:
-        raise RuntimeError(
-            f"{system}: critical-path segments cover {1 - err:.6%} of "
-            f"end-to-end latency (must telescope exactly)")
-    profile = profile_from_tracer(tracer, name=f"{system} {case.op}")
-    contrast = contrast_with_profile(crit, profile)
-    base = out_base or default_out("critpath", target)
-    path = f"{base}_{system}.json"
-    payload = to_critpath_payload(crit, contrast)
-    ensure_valid(validate_critpath(payload), path)
-    write_json_payload(path, payload)
-    return {
-        "system": system,
-        "metrics": metrics,
-        "telemetry": telemetry,
-        "crit": crit,
-        "profile": profile,
-        "contrast": contrast,
-        "conservation_err": err,
-        "path": path,
-        "payload": payload,
-    }
-
-
-def gating_table(artifact: Dict, top: int) -> Table:
-    """One system's top gating centers, per completed op."""
-    crit: CritPath = artifact["crit"]
-    ops = max(crit.ops, 1)
-    table = Table(
-        f"{crit.name}: top gating centers "
-        f"({crit.ops} ops, {crit.mean_latency_us:.1f} us/op end-to-end)",
-        ["host", "frame", "kind", "us/op", "share", "what-if component"])
-    shares = crit.shares()
-    for (host, frame, kind), us in crit.top_gating(top):
-        table.add_row(host or "-", frame, kind, round(us / ops, 2),
-                      f"{shares[(host, frame, kind)]:.1%}",
-                      component_of(host, frame, kind) or "-")
-    table.add_note(
-        "share = fraction of end-to-end client latency gated by this "
-        "center (all centers sum to 100%); component names the "
-        "`whatif --speedup` knob that scales it, '-' = no single knob")
-    return table
-
-
-def contrast_table(artifact: Dict, top: int) -> Table:
-    """Gated vs total attributed cost: where the off-path slack lives."""
-    crit: CritPath = artifact["crit"]
-    ops = max(crit.ops, 1)
-    table = Table(
-        f"{crit.name}: on-path vs off-path cost (us per op)",
-        ["host", "kind", "gated", "total", "off-path", "on-path frac"])
-    for row in artifact["contrast"][:top]:
-        table.add_row(row.host or "-", row.kind,
-                      round(row.gated_us / ops, 2),
-                      round(row.total_us / ops, 2),
-                      round(row.offpath_us / ops, 2),
-                      f"{row.gated_frac:.0%}")
-    table.add_note(
-        "off-path = cost the profiler attributes that no op's critical "
-        "path runs through (heartbeats, replication absorbed in commit "
-        "waits, fan-out overlap); speeding it up returns ~nothing to "
-        "clients — `whatif` makes that testable")
-    return table
-
-
-def run_critpath(target: str, scale: str = "quick", out_base: str = "",
-                 systems: Optional[List[str]] = None,
-                 clients: Optional[int] = None,
-                 items: Optional[int] = None,
-                 top: int = 12) -> Tuple[List[Table], List[str], List[Dict]]:
-    """Analyze ``target`` per system; returns (tables, exemplar lines,
-    artifacts)."""
-    case = resolve_case(target)
-    artifacts = [
-        critpath_point(system, target, case, scale, clients=clients,
-                       items=items, out_base=out_base)
-        for system in (systems or list(case.systems))
-    ]
-    tables: List[Table] = []
-    lines: List[str] = []
-    for artifact in artifacts:
-        tables.append(gating_table(artifact, top))
-        tables.append(contrast_table(artifact, top))
-        crit: CritPath = artifact["crit"]
-        lines.append(f"exemplar path ({crit.name}, wrote "
-                     f"{artifact['path']}):")
-        lines.extend("  " + line for line in crit.render_exemplar())
-        lines.append("")
-    return tables, lines, artifacts
-
-
-# ---------------------------------------------------------------------------
-# whatif: predict from slack, then measure by rerunning with the override.
-# ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class WhatIfResult:
@@ -271,7 +132,7 @@ class WhatIfResult:
         return lines
 
 
-def _rerun_with_overrides(system: str, case: Case, overrides: CostOverrides,
+def _rerun_with_overrides(case: Case, overrides: CostOverrides,
                           clients: int, items: int):
     """Measured leg: the same point, uninstrumented, overrides applied.
 
@@ -279,14 +140,12 @@ def _rerun_with_overrides(system: str, case: Case, overrides: CostOverrides,
     machinery a config change would use); baselines take a pre-scaled
     :class:`CostModel` since they have no config object.
     """
-    if system == "mantle":
-        from repro.core.config import MantleConfig
-        return mdtest_metrics(system, case.op, mode=case.mode,
-                              clients=clients, items=items,
-                              config=MantleConfig(overrides=overrides))
-    return mdtest_metrics(system, case.op, mode=case.mode,
-                          clients=clients, items=items,
-                          costs=overrides.apply(CostModel()))
+    if case.system == "mantle":
+        applied = {"config": MantleConfig(overrides=overrides)}
+    else:
+        applied = {"costs": overrides.apply(CostModel())}
+    return mdtest_metrics(case.system, case.op, mode=case.mode,
+                          clients=clients, items=items, **applied)
 
 
 def run_whatif(target: str, speedups: Sequence[str],
@@ -302,23 +161,21 @@ def run_whatif(target: str, speedups: Sequence[str],
     overrides = parse_speedup_args(speedups)
     if not overrides:
         raise ValueError("whatif needs at least one --speedup")
-    if model not in ("slack", "corrected"):
+    if model not in MODELS:
         raise ValueError(f"unknown whatif model {model!r}; "
-                         "pick slack or corrected")
-    case = resolve_case(target)
+                         f"pick from {MODELS}")
+    case = next(case for case in resolve_cases(target, [system])
+                if not case.contrast)
     clients = clients or pick(scale, *case.clients)
     items = items or pick(scale, *case.items)
 
-    metrics, tracer, telemetry = mdtest_metrics_profiled(
-        system, case.op, mode=case.mode, clients=clients, items=items)
-    crit = critpath_from_tracer(tracer, name=f"{system} {case.op}")
-    profile = profile_from_tracer(tracer, name=f"{system} {case.op}")
-    corrected = predict_speedup_corrected(crit, overrides, profile,
-                                          telemetry, clients)
+    record = run_case(case, scale, ("tracer", "telemetry"), clients, items)
+    metrics, crit = record.metrics, record.crit
+    corrected = predict_speedup_corrected(crit, overrides, record.profile,
+                                          record.telemetry, clients)
     prediction = corrected.slack
     bottleneck = corrected.bottleneck()
-    measured = _rerun_with_overrides(system, case, overrides,
-                                     clients, items)
+    measured = _rerun_with_overrides(case, overrides, clients, items)
     result = WhatIfResult(
         system=system, op=case.op, overrides=overrides,
         baseline_mean_us=crit.mean_latency_us,
@@ -354,7 +211,7 @@ def run_whatif(target: str, speedups: Sequence[str],
     for component, us in sorted(result.matched_us_per_op.items()):
         table.add_row(f"gated by {component} (us/op)",
                       round(us, 1), "-", "-", "-")
-    for which in ("slack", "corrected"):
+    for which in MODELS:
         err = result.model_error_frac(which)
         if err == float("inf"):
             table.add_note(f"{which} model: predicted a gain where "

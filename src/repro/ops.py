@@ -1,18 +1,16 @@
 """Typed metadata operations — the registry behind ``perform()``.
 
-Historically every operation travelled through the stringly-typed
-``MetadataSystem.submit(op, *args)`` entry point.  The typed surface keeps
-the same nine mdtest operations (§6.3) but represents each as a small frozen
-dataclass, so call sites get named fields, ``isinstance`` dispatch and IDE
-help instead of positional-tuple conventions::
+The nine mdtest operations (§6.3), each a small frozen dataclass, so call
+sites get named fields, ``isinstance`` dispatch and IDE help instead of
+positional-tuple conventions::
 
     from repro.ops import Mkdir, Rename
 
     yield from system.perform(Mkdir("/a/b"), ctx=ctx)
     yield from system.perform(Rename("/a/b", "/c/b"), ctx=ctx)
 
-``submit`` remains as a deprecation shim that builds the typed op via
-:func:`make_op` and forwards to ``perform``.
+Workload streams still name operations by string; :func:`make_op` is the
+one place such a ``(name, *args)`` pair becomes a typed op.
 """
 
 from __future__ import annotations
@@ -168,11 +166,8 @@ OP_NAMES: Tuple[str, ...] = tuple(OP_TYPES)
 
 
 def make_op(name: str, *args) -> Op:
-    """Build the typed op for a legacy ``(name, *args)`` call.
-
-    Raises ``ValueError`` for unknown operation names — the same contract
-    the stringly ``submit`` entry point always had.
-    """
+    """Build the typed op for a ``(name, *args)`` pair from a workload
+    stream.  Raises ``ValueError`` for unknown operation names."""
     op_type = OP_TYPES.get(name)
     if op_type is None:
         raise ValueError(f"unknown operation {name!r}")

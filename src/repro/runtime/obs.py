@@ -40,6 +40,7 @@ from repro.sim import telemetry as telemetry_module
 from repro.sim.trace import (
     CAT_OP,
     Span,
+    check_shape,
     chrome_trace_events,
     span_from_jsonable,
     span_to_jsonable,
@@ -105,69 +106,54 @@ def metrics_snapshot_payload(runtime) -> Dict[str, Any]:
     }
 
 
+#: What every snapshot carries, whichever obs.* RPC answered with it.
+_SNAPSHOT_HEADER_SHAPE = {
+    "version": ("const", SNAPSHOT_VERSION,
+                f"unknown snapshot version (expected {SNAPSHOT_VERSION})"),
+    "process": "text",
+    "epoch_us": "num",
+    "now_us": "num",
+}
+TRACE_SNAPSHOT_SHAPE = {
+    **_SNAPSHOT_HEADER_SHAPE,
+    "spans": [{"id": "any", "start_us": "any", "name": "any"}],
+}
+METRICS_SNAPSHOT_SHAPE = {
+    **_SNAPSHOT_HEADER_SHAPE,
+    "tracing": {},
+    "telemetry": {"rows": []},
+}
+DIGESTS_SHAPE = [{
+    "metric": "text",
+    "window_us": "num",
+    "windows?": [{"window_start_us": "any", "buckets": []}],
+}]
+
+
 def validate_trace_snapshot(payload: Any) -> List[str]:
     """Schema-check one trace snapshot; returns a list of problems."""
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["snapshot is not an object"]
-    for field, types in (("process", str), ("epoch_us", (int, float)),
-                         ("now_us", (int, float)), ("spans", list)):
-        if not isinstance(payload.get(field), types):
-            problems.append(f"missing/mistyped field {field!r}")
-    if payload.get("version") != SNAPSHOT_VERSION:
-        problems.append(f"unknown snapshot version {payload.get('version')!r}")
-    for i, span in enumerate(payload.get("spans") or ()):
-        if not isinstance(span, dict) or "id" not in span \
-                or "start_us" not in span or "name" not in span:
-            problems.append(f"spans[{i}]: not a span record")
-    return problems
+    return check_shape(payload, TRACE_SNAPSHOT_SHAPE,
+                       what="snapshot is not an object")
 
 
 def validate_metrics_snapshot(payload: Any) -> List[str]:
-    """Schema-check one metrics snapshot; returns a list of problems."""
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["snapshot is not an object"]
-    for field, types in (("process", str), ("epoch_us", (int, float)),
-                         ("now_us", (int, float)), ("tracing", dict),
-                         ("telemetry", dict)):
-        if not isinstance(payload.get(field), types):
-            problems.append(f"missing/mistyped field {field!r}")
-    if payload.get("version") != SNAPSHOT_VERSION:
-        problems.append(f"unknown snapshot version {payload.get('version')!r}")
-    telemetry = payload.get("telemetry")
+    """Schema-check one metrics snapshot (rows and digests included);
+    returns a list of problems."""
+    problems = check_shape(payload, METRICS_SNAPSHOT_SHAPE,
+                           what="snapshot is not an object")
+    telemetry = payload.get("telemetry") \
+        if isinstance(payload, dict) else None
     if isinstance(telemetry, dict):
-        rows = telemetry.get("rows")
-        if not isinstance(rows, list):
-            problems.append("telemetry.rows missing")
-        else:
-            problems.extend(telemetry_module.validate_rows(rows))
-        digests = telemetry.get("digests")
-        if digests is not None:
-            problems.extend(validate_digests(digests))
+        if isinstance(telemetry.get("rows"), list):
+            problems += telemetry_module.validate_rows(telemetry["rows"])
+        if telemetry.get("digests") is not None:
+            problems += validate_digests(telemetry["digests"])
     return problems
 
 
 def validate_digests(digests: Any) -> List[str]:
     """Schema-check a telemetry payload's ``digests`` section."""
-    problems: List[str] = []
-    if not isinstance(digests, list):
-        return ["telemetry.digests is not a list"]
-    for i, digest in enumerate(digests):
-        where = f"digests[{i}]"
-        if not isinstance(digest, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if not isinstance(digest.get("metric"), str):
-            problems.append(f"{where}: missing metric name")
-        if not isinstance(digest.get("window_us"), (int, float)):
-            problems.append(f"{where}: missing window_us")
-        for j, window in enumerate(digest.get("windows") or ()):
-            if not isinstance(window, dict) \
-                    or "window_start_us" not in window \
-                    or not isinstance(window.get("buckets"), list):
-                problems.append(f"{where}.windows[{j}]: not a digest window")
-    return problems
+    return check_shape(digests, DIGESTS_SHAPE, name="telemetry.digests")
 
 
 def merged_digests(metrics_snapshots: Iterable[Dict[str, Any]]

@@ -87,7 +87,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.host import COMPONENT_FIELDS, CostOverrides
-from repro.sim.trace import CAT_OP, Span
+from repro.sim.trace import CAT_OP, Span, check_shape, shape_items
 
 #: Occupant tag used when a queue segment carries no ``queue_by`` entry
 #: (unlabelled holder, sampled-out root, float-dust residuals).
@@ -152,8 +152,10 @@ class CritPath:
             return {key: 0.0 for key in self.gated}
         return {key: us / total for key, us in self.gated.items()}
 
-    def top_gating(self, n: int = 15) -> List[Tuple[Center, float]]:
-        """The ``n`` centers gating the most latency, largest first."""
+    def top_gating(self, n: Optional[int] = 15
+                   ) -> List[Tuple[Center, float]]:
+        """The ``n`` centers gating the most latency (None: all), largest
+        first."""
         ranked = sorted(self.gated.items(),
                         key=lambda kv: (-kv[1], _center_sort_key(kv[0])))
         return ranked[:n]
@@ -442,9 +444,10 @@ class BlameMatrix:
         return (abs(self.blamed_us - self.total_queue_us)
                 / max(self.total_queue_us, 1e-9))
 
-    def top_culprits(self, n: int = 15) -> List[
+    def top_culprits(self, n: Optional[int] = 15) -> List[
             Tuple[Tuple[str, Optional[str], str], float]]:
-        """(culprit op, culprit tenant, resource) -> us, largest first."""
+        """(culprit op, culprit tenant, resource) -> us, largest first
+        (the top ``n``; None: all)."""
         agg: Dict[Tuple[str, Optional[str], str], float] = {}
         for (_vo, _vt, c_op, c_ten, res, _host), us in self.cells.items():
             key = (c_op, c_ten, res)
@@ -487,7 +490,7 @@ def build_blame(crit: CritPath, name: str = "") -> BlameMatrix:
     Walks exactly the spans :func:`build_critpath` folded (same children
     selection, same self-times, same segment decomposition), so the
     matrix conserves against the profile's ``queue*`` centers by
-    construction — the invariant ``mantle-exp blame`` gates on.
+    construction — the invariant the ``blame`` view gates on.
     """
     blame = BlameMatrix(name or crit.name)
     blame.ops = crit.ops
@@ -893,6 +896,27 @@ def predict_speedup_corrected(crit: CritPath, overrides: CostOverrides,
 # JSON export + validator.
 # ---------------------------------------------------------------------------
 
+def center_rows(crit: CritPath, n: Optional[int] = None) -> List[dict]:
+    """The ``n`` top gating centers (all by default) as JSON rows."""
+    shares = crit.shares()
+    return [{"host": host, "frame": frame, "kind": kind,
+             "gated_us": round(us, 3),
+             "share": round(shares[(host, frame, kind)], 6)}
+            for (host, frame, kind), us in
+            crit.top_gating(n)]
+
+
+def culprit_rows(blame: BlameMatrix, n: Optional[int] = None) -> List[dict]:
+    """The ``n`` top culprits (all by default) as JSON rows."""
+    total_queue = blame.total_queue_us
+    return [{"culprit_op": c_op, "culprit_tenant": c_ten,
+             "resource": resource, "us": round(us, 3),
+             "share": round(us / total_queue, 6) if total_queue > 0
+             else 0.0}
+            for (c_op, c_ten, resource), us in
+            blame.top_culprits(n)]
+
+
 def to_critpath_payload(crit: CritPath,
                         contrast: Optional[List[ContrastRow]] = None) -> dict:
     """Render the gating profile (and optional contrast) as JSON.
@@ -901,15 +925,6 @@ def to_critpath_payload(crit: CritPath,
     the simulation itself deterministic — the payload is byte-identical
     across runs (and on the all-heap test oracle, ``tests/oracle.py``).
     """
-    shares = crit.shares()
-    centers = [
-        {"host": host, "frame": frame, "kind": kind,
-         "gated_us": round(us, 3), "share": round(shares[(host, frame,
-                                                          kind)], 6)}
-        for (host, frame, kind), us in sorted(
-            crit.gated.items(), key=lambda kv: (-kv[1],
-                                                _center_sort_key(kv[0])))
-    ]
     payload = {
         "name": crit.name,
         "ops": crit.ops,
@@ -917,7 +932,7 @@ def to_critpath_payload(crit: CritPath,
         "ops_by_name": dict(sorted(crit.ops_by_name.items())),
         "total_us": round(crit.total_us, 3),
         "mean_latency_us": round(crit.mean_latency_us, 3),
-        "centers": centers,
+        "centers": center_rows(crit),
         "exemplar": crit.render_exemplar(),
     }
     if contrast is not None:
@@ -931,73 +946,50 @@ def to_critpath_payload(crit: CritPath,
     return payload
 
 
+_CENTER_SHAPE = {"host": "str?", "frame": "str", "kind": "str",
+                 "gated_us": "num>=0", "share": "share"}
+
+CRITPATH_SHAPE = {
+    "ops": "int>=0",
+    "op_failures": "int>=0",
+    "total_us": "num>=0",
+    "mean_latency_us": "num>=0",
+    "centers": [_CENTER_SHAPE],
+    "exemplar": ["text"],
+    "contrast?": [{"gated_us": "num>=0", "total_us": "num>=0",
+                   "offpath_us": "num>=0"}],
+}
+
+
+def _exceeds(us: Any, total: Any) -> bool:
+    """A rounded part claiming more than its rounded total."""
+    return isinstance(us, (int, float)) and \
+        isinstance(total, (int, float)) and us > total * (1 + 1e-6) + 1e-3
+
+
+def _share_sum(items: List[Tuple[str, dict]]) -> float:
+    return sum(item["share"] for _where, item in items
+               if isinstance(item.get("share"), (int, float)))
+
+
 def validate_critpath(payload: Any) -> List[str]:
     """Schema-check a critical-path payload; returns a list of problems.
 
-    Beyond field shapes, checks the load-bearing invariant the export
-    must carry: center shares sum to ~1 of end-to-end latency (when any
-    ops completed) and no center claims more than the total.
+    Beyond :data:`CRITPATH_SHAPE`, checks the load-bearing invariant the
+    export must carry: center shares sum to ~1 of end-to-end latency
+    (when any ops completed) and no center claims more than the total.
     """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not a JSON object"]
-    for field in ("ops", "op_failures"):
-        if not isinstance(payload.get(field), int) or payload[field] < 0:
-            problems.append(f"{field} must be a non-negative int")
-    for field in ("total_us", "mean_latency_us"):
-        value = payload.get(field)
-        if not isinstance(value, (int, float)) or value < 0:
-            problems.append(f"{field} must be a non-negative number")
-    centers = payload.get("centers")
-    if not isinstance(centers, list):
-        problems.append("missing centers array")
-        centers = []
-    share_sum = 0.0
-    total_us = payload.get("total_us") or 0.0
-    for i, center in enumerate(centers):
-        where = f"centers[{i}]"
-        if not isinstance(center, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if not isinstance(center.get("frame"), str) or not center["frame"]:
-            problems.append(f"{where}: missing frame")
-        if not isinstance(center.get("kind"), str) or not center["kind"]:
-            problems.append(f"{where}: missing kind")
-        host = center.get("host")
-        if host is not None and not isinstance(host, str):
-            problems.append(f"{where}: host must be a string or null")
-        gated = center.get("gated_us")
-        if not isinstance(gated, (int, float)) or gated < 0:
-            problems.append(f"{where}: bad gated_us {gated!r}")
-        elif isinstance(total_us, (int, float)) and \
-                gated > total_us * (1 + 1e-6) + 1e-3:
-            problems.append(f"{where}: gated_us {gated} exceeds total_us")
-        share = center.get("share")
-        if not isinstance(share, (int, float)) or not 0 <= share <= 1:
-            problems.append(f"{where}: bad share {share!r}")
-        else:
-            share_sum += share
+    problems = check_shape(payload, CRITPATH_SHAPE)
+    centers = shape_items(payload, "centers")
+    total_us = payload.get("total_us") if isinstance(payload, dict) else None
+    for where, center in centers:
+        if _exceeds(center.get("gated_us"), total_us or 0.0):
+            problems.append(f"{where}: gated_us {center['gated_us']} "
+                            f"exceeds total_us")
     if centers and isinstance(total_us, (int, float)) and total_us > 0 \
-            and abs(share_sum - 1.0) > 1e-3:
-        problems.append(f"center shares sum to {share_sum:.6f}, not 1")
-    exemplar = payload.get("exemplar")
-    if not isinstance(exemplar, list) or \
-            not all(isinstance(line, str) for line in exemplar):
-        problems.append("exemplar must be a list of strings")
-    if "contrast" in payload:
-        contrast = payload["contrast"]
-        if not isinstance(contrast, list):
-            problems.append("contrast must be an array")
-        else:
-            for i, row in enumerate(contrast):
-                if not isinstance(row, dict):
-                    problems.append(f"contrast[{i}]: not an object")
-                    continue
-                for field in ("gated_us", "total_us", "offpath_us"):
-                    value = row.get(field)
-                    if not isinstance(value, (int, float)) or value < 0:
-                        problems.append(
-                            f"contrast[{i}]: bad {field} {value!r}")
+            and abs(_share_sum(centers) - 1.0) > 1e-3:
+        problems.append(f"center shares sum to {_share_sum(centers):.6f}, "
+                        f"not 1")
     return problems
 
 
@@ -1019,12 +1011,6 @@ def to_blame_payload(blame: BlameMatrix, crit: CritPath) -> dict:
         blame.cells.items(),
         key=lambda kv: (-kv[1], kv[0][0], kv[0][1] or "", kv[0][2],
                         kv[0][3] or "", kv[0][4], kv[0][5] or ""))]
-    culprits = [
-        {"culprit_op": c_op, "culprit_tenant": c_ten, "resource": resource,
-         "us": round(us, 3),
-         "share": round(us / total_queue, 6) if total_queue > 0 else 0.0}
-        for (c_op, c_ten, resource), us in blame.top_culprits(n=10 ** 9)
-    ]
     tenants = [
         {"victim_tenant": v_ten, "culprit_tenant": c_ten,
          "us": round(us, 3)}
@@ -1041,75 +1027,54 @@ def to_blame_payload(blame: BlameMatrix, crit: CritPath) -> dict:
         "interference_us": round(blame.interference_us(), 3),
         "conservation_error": blame.conservation_error(),
         "cells": cells,
-        "top_culprits": culprits,
+        "top_culprits": culprit_rows(blame),
         "tenant_matrix": tenants,
         "exemplar": render_blame_exemplar(crit),
     }
 
 
+BLAME_SHAPE = {
+    "ops": "int>=0",
+    "total_us": "num>=0",
+    "total_queue_us": "num>=0",
+    "queue_share": "num>=0",
+    "interference_us": "num>=0",
+    "conservation_error": "num>=0",
+    "cells": [{"victim_op": "str", "culprit_op": "str", "resource": "str",
+               "victim_tenant": "str?", "culprit_tenant": "str?",
+               "host": "str?", "us": "num>=0", "share": "share"}],
+    "top_culprits": [],
+    "tenant_matrix": [],
+    "exemplar": ["text"],
+}
+
+
 def validate_blame(payload: Any) -> List[str]:
     """Schema-check a blame payload; returns a list of problems.
 
-    Carries the conservation invariant into the export: cell
-    microseconds must sum back to ``total_queue_us`` (to rounding dust —
-    each cell is rounded to 1e-3, so the tolerance scales with the cell
-    count), and no cell or share may exceed the total.
+    Beyond :data:`BLAME_SHAPE`, carries the conservation invariant into
+    the export: cell microseconds must sum back to ``total_queue_us`` (to
+    rounding dust — each cell is rounded to 1e-3, so the tolerance scales
+    with the cell count), and no cell or share may exceed the total.
     """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not a JSON object"]
-    if not isinstance(payload.get("ops"), int) or payload["ops"] < 0:
-        problems.append("ops must be a non-negative int")
-    for field in ("total_us", "total_queue_us", "queue_share",
-                  "interference_us", "conservation_error"):
-        value = payload.get(field)
-        if not isinstance(value, (int, float)) or value < 0:
-            problems.append(f"{field} must be a non-negative number")
-    cells = payload.get("cells")
-    if not isinstance(cells, list):
-        problems.append("missing cells array")
-        cells = []
-    total_queue = payload.get("total_queue_us") or 0.0
-    cell_sum = 0.0
-    share_sum = 0.0
-    for i, cell in enumerate(cells):
-        where = f"cells[{i}]"
-        if not isinstance(cell, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        for field in ("victim_op", "culprit_op", "resource"):
-            if not isinstance(cell.get(field), str) or not cell[field]:
-                problems.append(f"{where}: missing {field}")
-        for field in ("victim_tenant", "culprit_tenant", "host"):
-            value = cell.get(field)
-            if value is not None and not isinstance(value, str):
-                problems.append(f"{where}: {field} must be string or null")
-        us = cell.get("us")
-        if not isinstance(us, (int, float)) or us < 0:
-            problems.append(f"{where}: bad us {us!r}")
-        else:
-            cell_sum += us
-            if isinstance(total_queue, (int, float)) and \
-                    us > total_queue * (1 + 1e-6) + 1e-3:
-                problems.append(f"{where}: us {us} exceeds total_queue_us")
-        share = cell.get("share")
-        if not isinstance(share, (int, float)) or not 0 <= share <= 1:
-            problems.append(f"{where}: bad share {share!r}")
-        else:
-            share_sum += share
+    problems = check_shape(payload, BLAME_SHAPE)
+    cells = shape_items(payload, "cells")
+    total_queue = payload.get("total_queue_us") \
+        if isinstance(payload, dict) else None
+    for where, cell in cells:
+        if _exceeds(cell.get("us"), total_queue or 0.0):
+            problems.append(f"{where}: us {cell['us']} exceeds "
+                            f"total_queue_us")
     if isinstance(total_queue, (int, float)) and total_queue > 0:
+        cell_sum = sum(cell["us"] for _where, cell in cells
+                       if isinstance(cell.get("us"), (int, float))
+                       and cell["us"] >= 0)
         dust = 1e-3 * (len(cells) + 1) + total_queue * 1e-6
         if abs(cell_sum - total_queue) > dust:
             problems.append(
                 f"cells sum to {cell_sum:.3f}us, not total_queue_us "
                 f"{total_queue:.3f} (tolerance {dust:.3f})")
-        if cells and abs(share_sum - 1.0) > 1e-3:
-            problems.append(f"cell shares sum to {share_sum:.6f}, not 1")
-    for field in ("top_culprits", "tenant_matrix"):
-        if not isinstance(payload.get(field), list):
-            problems.append(f"missing {field} array")
-    exemplar = payload.get("exemplar")
-    if not isinstance(exemplar, list) or \
-            not all(isinstance(line, str) for line in exemplar):
-        problems.append("exemplar must be a list of strings")
+        if cells and abs(_share_sum(cells) - 1.0) > 1e-3:
+            problems.append(f"cell shares sum to {_share_sum(cells):.6f}, "
+                            f"not 1")
     return problems

@@ -27,16 +27,22 @@ Exports come in two interchange formats, each with a schema validator:
 dropped because they differ across systems — and normalises by completed
 operations, so deltas read directly as "extra microseconds per op" and the
 per-frame span counts as "extra RPCs per op".  That is what lets
-``mantle-exp profile --diff mantle infinifs fig12`` name the mechanisms
-behind the knee gap instead of just restating the throughput numbers.
+``mantle-exp explain fig12 --view profile --diff mantle infinifs`` name the
+mechanisms behind the knee gap instead of restating the throughput numbers.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.trace import CAT_OP, CAT_PHASE, Span
+from repro.sim.trace import (
+    CAT_OP,
+    CAT_PHASE,
+    NONEMPTY,
+    Span,
+    check_shape,
+    shape_items,
+)
 
 #: Every cost kind a charge can carry, plus the derived residual.
 COST_KINDS = ("cpu", "fsync", "wire", "queue", "idle")
@@ -311,15 +317,6 @@ def to_folded(profile: CostProfile) -> List[str]:
             if value > 0]
 
 
-def write_folded(path: str, profile: CostProfile) -> List[str]:
-    """Write collapsed-stack lines to ``path``; returns the lines."""
-    lines = to_folded(profile)
-    with open(path, "w") as handle:
-        for line in lines:
-            handle.write(line + "\n")
-    return lines
-
-
 def validate_folded(lines: Iterable[str]) -> List[str]:
     """Schema-check collapsed-stack lines; returns a list of problems.
 
@@ -327,24 +324,22 @@ def validate_folded(lines: Iterable[str]) -> List[str]:
     semicolon-separated non-empty frames with no embedded spaces, and a
     positive integer value.
     """
-    problems: List[str] = []
+    lines = list(lines)
+    problems = check_shape(lines, ["str"], name="line")
     for i, line in enumerate(lines):
-        where = f"line {i + 1}"
-        if not isinstance(line, str) or not line.strip():
-            problems.append(f"{where}: empty")
+        if not isinstance(line, str) or not line:
             continue
-        parts = line.rsplit(" ", 1)
-        if len(parts) != 2:
+        where = f"line[{i}]"
+        stack, _sep, value = line.rpartition(" ")
+        if not stack:
             problems.append(f"{where}: missing value field")
             continue
-        stack, value = parts
         if not value.isdigit() or int(value) <= 0:
             problems.append(f"{where}: value {value!r} is not a positive "
                             "integer")
         if " " in stack:
             problems.append(f"{where}: stack contains a space")
-        frames = stack.split(";")
-        if not frames or any(not f for f in frames):
+        if not all(stack.split(";")):
             problems.append(f"{where}: empty frame in stack {stack!r}")
     return problems
 
@@ -399,76 +394,45 @@ def to_speedscope(profile: CostProfile, name: str = "") -> dict:
     }
 
 
-def write_speedscope(path: str, profile: CostProfile,
-                     name: str = "") -> dict:
-    """Write the speedscope JSON to ``path``; returns the payload."""
-    payload = to_speedscope(profile, name=name)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    return payload
+#: What speedscope's importer requires of a "sampled" profile: the
+#: ``$schema`` marker, a shared table of named frames, and per-profile
+#: samples (non-empty frame-index lists) and non-negative weights.
+SPEEDSCOPE_SHAPE = {
+    "$schema": ("const", SPEEDSCOPE_SCHEMA, "missing or wrong $schema"),
+    "shared": {"frames": [{"name": "str"}]},
+    "profiles": [{
+        "type": ("const", "sampled", "type must be 'sampled'"),
+        "unit": ("enum", ("microseconds", "milliseconds", "seconds",
+                          "nanoseconds", "bytes", "none"), "bad"),
+        "samples": [["int>=0", NONEMPTY]],
+        "weights": ["num>=0"],
+    }, NONEMPTY],
+}
 
 
 def validate_speedscope(payload: Any) -> List[str]:
     """Schema-check a speedscope payload; returns a list of problems.
 
-    Covers what speedscope's importer actually requires of a "sampled"
-    profile: the ``$schema`` marker, a shared frame table of named frames,
-    and per-profile samples/weights of equal length whose frame indices
-    stay in range.
+    Beyond :data:`SPEEDSCOPE_SHAPE`: samples and weights pair up and
+    frame indices stay inside the shared frame table.
     """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not a JSON object"]
-    if payload.get("$schema") != SPEEDSCOPE_SCHEMA:
-        problems.append("missing or wrong $schema")
-    shared = payload.get("shared")
+    problems = check_shape(payload, SPEEDSCOPE_SHAPE)
+    shared = payload.get("shared") if isinstance(payload, dict) else None
     frames = shared.get("frames") if isinstance(shared, dict) else None
-    if not isinstance(frames, list):
-        problems.append("missing shared.frames array")
-        frames = []
-    for i, frame in enumerate(frames):
-        if not isinstance(frame, dict) or \
-                not isinstance(frame.get("name"), str) or not frame["name"]:
-            problems.append(f"shared.frames[{i}]: missing name")
-    profiles = payload.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        problems.append("missing profiles array")
-        profiles = []
-    for p, prof in enumerate(profiles):
-        where = f"profiles[{p}]"
-        if not isinstance(prof, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if prof.get("type") != "sampled":
-            problems.append(f"{where}: type must be 'sampled'")
-        if prof.get("unit") not in ("microseconds", "milliseconds",
-                                    "seconds", "nanoseconds", "bytes",
-                                    "none"):
-            problems.append(f"{where}: bad unit {prof.get('unit')!r}")
-        samples = prof.get("samples")
-        weights = prof.get("weights")
+    frames = len(frames) if isinstance(frames, list) else 0
+    for where, prof in shape_items(payload, "profiles"):
+        samples, weights = prof.get("samples"), prof.get("weights")
         if not isinstance(samples, list) or not isinstance(weights, list):
-            problems.append(f"{where}: missing samples/weights")
             continue
         if len(samples) != len(weights):
             problems.append(f"{where}: {len(samples)} samples vs "
                             f"{len(weights)} weights")
         for s, sample in enumerate(samples):
-            if not isinstance(sample, list) or not sample:
-                problems.append(f"{where}.samples[{s}]: empty sample")
-                continue
-            for idx in sample:
-                if not isinstance(idx, int) or idx < 0 or idx >= len(frames):
-                    problems.append(
-                        f"{where}.samples[{s}]: frame index {idx!r} out "
-                        "of range")
-                    break
-        for w, weight in enumerate(weights):
-            if not isinstance(weight, (int, float)) or weight < 0:
-                problems.append(f"{where}.weights[{w}]: bad weight "
-                                f"{weight!r}")
-                break
+            if isinstance(sample, list) and any(
+                    isinstance(idx, int) and idx >= frames
+                    for idx in sample):
+                problems.append(f"{where}.samples[{s}]: frame index out "
+                                f"of range")
     return problems
 
 

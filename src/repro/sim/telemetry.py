@@ -43,6 +43,8 @@ import math
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.trace import check_shape
+
 #: Default sampling window: 10 ms of simulated time.
 DEFAULT_WINDOW_US = 10_000.0
 
@@ -651,23 +653,16 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+#: One exported row: every :data:`EXPORT_COLUMNS` column present, a known
+#: instrument kind, numeric measurements, a window that starts at or after 0.
+ROWS_SHAPE = [{"metric": "any", "kind": ("enum", tuple(_KINDS)),
+               "host": "any", "window_start_us": "num>=0", "value": "num",
+               "count": "num", "max": "num", "capacity": "num"}]
+
+
 def validate_rows(rows: Iterable[Dict[str, Any]]) -> List[str]:
     """Schema check for exported rows; returns a list of problems."""
-    problems: List[str] = []
-    for i, row in enumerate(rows):
-        missing = [col for col in EXPORT_COLUMNS if col not in row]
-        if missing:
-            problems.append(f"row {i}: missing columns {missing}")
-            continue
-        if row["kind"] not in _KINDS:
-            problems.append(f"row {i}: unknown kind {row['kind']!r}")
-        for col in ("window_start_us", "value", "count", "max", "capacity"):
-            if not isinstance(row[col], (int, float)):
-                problems.append(f"row {i}: {col} not numeric")
-        if isinstance(row["window_start_us"], (int, float)) \
-                and row["window_start_us"] < 0:
-            problems.append(f"row {i}: negative window start")
-    return problems
+    return check_shape(list(rows), ROWS_SHAPE, name="rows")
 
 
 _SPARK_BLOCKS = " ▁▂▃▄▅▆▇█"

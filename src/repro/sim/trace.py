@@ -38,14 +38,14 @@ constructed in the process gets a live tracer), ``MantleConfig(tracing=True)``
 (one Mantle deployment), or by assigning ``sim.tracer = Tracer()`` directly.
 
 The module also ships a Chrome-trace (``chrome://tracing`` / Perfetto JSON)
-exporter plus the aggregation helpers ``mantle-exp trace``, fig15 and table1
-use to turn raw spans back into the paper's per-phase tables.
+exporter, the aggregation helpers ``mantle-exp explain --view trace``, fig15
+and table1 use to turn raw spans back into the paper's per-phase tables, and
+:func:`check_shape`, the declarative checker behind every export validator.
 """
 
 from __future__ import annotations
 
 import collections
-import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Span categories used by the built-in instrumentation.
@@ -997,50 +997,123 @@ def export_chrome_trace(sections: Sequence[Tuple[str, Iterable[Span]]],
     return payload
 
 
-def write_chrome_trace(path: str,
-                       sections: Sequence[Tuple[str, Iterable[Span]]],
-                       stats: Optional[Dict[str, Dict[str, int]]] = None,
-                       ) -> dict:
-    """Export ``sections`` to ``path`` as Chrome-trace JSON; returns payload."""
-    payload = export_chrome_trace(sections, stats=stats)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    return payload
+# ---------------------------------------------------------------------------
+# Export shape checking — the one declarative checker every ``validate_*``
+# in the repo calls; each format keeps only its invariants as code.
+# ---------------------------------------------------------------------------
+
+#: Marker in a list spec: the array must not be empty.
+NONEMPTY = "+"
+
+#: scalar spec -> (predicate, problem template over ``name``/``value``).
+_SCALAR_SHAPES = {
+    "any": (lambda v: v is not None, "missing {name}"),
+    "str": (lambda v: isinstance(v, str) and bool(v), "missing {name}"),
+    "text": (lambda v: isinstance(v, str), "missing {name}"),
+    "str?": (lambda v: v is None or isinstance(v, str),
+             "{name} must be a string or null"),
+    "int": (lambda v: isinstance(v, int), "{name} must be an int"),
+    "int>=0": (lambda v: isinstance(v, int) and v >= 0,
+               "{name} must be a non-negative int"),
+    "num": (lambda v: isinstance(v, (int, float)),
+            "bad {name} {value!r} (want a number)"),
+    "num>=0": (lambda v: isinstance(v, (int, float)) and v >= 0,
+               "bad {name} {value!r} (want a non-negative number)"),
+    "share": (lambda v: isinstance(v, (int, float)) and 0 <= v <= 1,
+              "bad {name} {value!r} (want a number in [0, 1])"),
+}
+
+
+def check_shape(value: Any, spec: Any,
+                what: str = "payload is not a JSON object",
+                where: str = "", name: str = "") -> List[str]:
+    """Check ``value`` against a declarative ``spec``; returns problems.
+
+    A spec is one of
+
+    * a dict ``{field: spec}`` — an object with at least those fields
+      (``"field?"`` is checked only when present; ``{}`` is any object),
+    * a list ``[spec]`` — an array of ``spec`` (``[]`` is any array;
+      :data:`NONEMPTY` as an extra element forbids the empty array),
+    * ``("enum", values[, word])`` / ``("enum?", values)`` — one of
+      ``values`` (or null); ``word`` replaces "unknown" in the problem,
+    * ``("const", value, problem)`` — exactly ``value``,
+    * a scalar name: ``any`` (present), ``str`` (non-empty), ``text``,
+      ``str?`` (string or null), ``int``, ``int>=0``, ``num``, ``num>=0``,
+      ``share`` (a number in [0, 1]).
+
+    ``what`` is the problem reported when the root is not an object.
+    Problems read ``<where>: <problem>`` where ``where`` is the enclosing
+    array element (``centers[3]``) and field names are dotted from there.
+    """
+    at = f"{where}: " if where else ""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            return [f"{at}{name} must be an object" if name
+                    else f"{at}not an object" if where else what]
+        problems: List[str] = []
+        for field, sub in spec.items():
+            key = field.rstrip("?")
+            if key != field and key not in value:
+                continue
+            problems += check_shape(value.get(key), sub, what, where,
+                                    f"{name}.{key}" if name else key)
+        return problems
+    if isinstance(spec, list):
+        if not isinstance(value, list) or (NONEMPTY in spec and not value):
+            return [f"{at}missing {name} array" if name
+                    else f"{at}not a non-empty array"]
+        if not spec or spec[0] == NONEMPTY:
+            return []
+        inner = f"{where}.{name}" if where and name else where or name
+        return [problem for i, item in enumerate(value)
+                for problem in check_shape(item, spec[0], what,
+                                           f"{inner}[{i}]")]
+    label = name or "value"
+    if isinstance(spec, tuple):
+        kind, expected = spec[0], spec[1]
+        if kind == "const":
+            return [] if value == expected else [at + spec[2]]
+        if value in expected or (kind == "enum?" and value is None):
+            return []
+        word = spec[2] if len(spec) > 2 else "unknown"
+        return [f"{at}{word} {label} {value!r}"]
+    accepts, template = _SCALAR_SHAPES[spec]
+    if accepts(value):
+        return []
+    return [at + template.format(name=label, value=value)]
+
+
+def shape_items(payload: Any, field: str) -> List[Tuple[str, dict]]:
+    """``(where, element)`` per object in ``payload[field]`` — the walk
+    invariant checks share; whatever is not an object there has already
+    been reported by :func:`check_shape`."""
+    items = payload.get(field) if isinstance(payload, dict) else None
+    if not isinstance(items, list):
+        return []
+    return [(f"{field}[{i}]", item) for i, item in enumerate(items)
+            if isinstance(item, dict)]
+
+
+#: What ``chrome://tracing`` / Perfetto actually require: a ``traceEvents``
+#: array of objects with ``name``/``ph``/``pid``/``tid`` and ``args``
+#: objects where present ...
+CHROME_TRACE_SHAPE = {"traceEvents": [{
+    "name": "str",
+    "ph": ("enum", ("X", "M", "B", "E", "i"), "unsupported"),
+    "pid": "int",
+    "tid": "int",
+    "args?": {},
+}]}
+#: ... plus numeric non-negative ``ts``+``dur`` on complete ("X") events.
+_COMPLETE_EVENT_SHAPE = {"ts": "num>=0", "dur": "num>=0"}
 
 
 def validate_chrome_trace(payload: dict) -> List[str]:
-    """Schema-check a Chrome-trace payload; returns a list of problems.
-
-    Covers what ``chrome://tracing`` / Perfetto actually require: a
-    ``traceEvents`` array of objects with ``name``/``ph``/``pid``/``tid``,
-    numeric non-negative ``ts``+``dur`` on complete ("X") events, and
-    ``args`` objects where present.
-    """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["payload is not a JSON object"]
-    events = payload.get("traceEvents")
-    if not isinstance(events, list):
-        return ["missing traceEvents array"]
-    for i, event in enumerate(events):
-        where = f"traceEvents[{i}]"
-        if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if not isinstance(event.get("name"), str) or not event.get("name"):
-            problems.append(f"{where}: missing name")
-        ph = event.get("ph")
-        if ph not in ("X", "M", "B", "E", "i"):
-            problems.append(f"{where}: unsupported ph {ph!r}")
-        for field in ("pid", "tid"):
-            if not isinstance(event.get(field), int):
-                problems.append(f"{where}: {field} must be an int")
-        if ph == "X":
-            for field in ("ts", "dur"):
-                value = event.get(field)
-                if not isinstance(value, (int, float)) or value < 0:
-                    problems.append(f"{where}: bad {field} {value!r}")
-        if "args" in event and not isinstance(event["args"], dict):
-            problems.append(f"{where}: args must be an object")
+    """Schema-check a Chrome-trace payload; returns a list of problems."""
+    problems = check_shape(payload, CHROME_TRACE_SHAPE)
+    for where, event in shape_items(payload, "traceEvents"):
+        if event.get("ph") == "X":
+            problems += check_shape(event, _COMPLETE_EVENT_SHAPE,
+                                    where=where)
     return problems

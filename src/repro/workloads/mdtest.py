@@ -16,8 +16,10 @@ from typing import Iterator, List, Tuple
 from repro.workloads.namespace import ensure_chain
 
 _MODES = ("exclusive", "shared")
-_OPS = ("create", "delete", "objstat", "dirstat", "readdir",
-        "mkdir", "rmdir", "dirrename")
+#: Every operation the workload can exercise (``mantle-exp explain`` accepts
+#: each as a bare target).
+OPS = ("create", "delete", "objstat", "dirstat", "readdir",
+       "mkdir", "rmdir", "dirrename")
 
 
 class MdtestWorkload:
@@ -29,7 +31,7 @@ class MdtestWorkload:
 
     def __init__(self, op: str, mode: str = "exclusive", depth: int = 10,
                  items: int = 50, num_clients: int = 8, root: str = "/mdtest"):
-        if op not in _OPS:
+        if op not in OPS:
             raise ValueError(f"unsupported mdtest op {op!r}")
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")

@@ -94,10 +94,12 @@ class TestSeriesHelpers:
 
 class TestClassifyRun:
     def test_tiny_real_run_produces_verdict(self):
-        from repro.experiments.base import mdtest_metrics_telemetry
+        from repro.experiments.base import mdtest_run
 
-        metrics, telemetry, verdict = mdtest_metrics_telemetry(
-            "mantle", "objstat", clients=8, items=4)
+        record = mdtest_run("mantle", "objstat", ("verdict",), clients=8,
+                            items=4)
+        metrics, telemetry, verdict = \
+            record.metrics, record.telemetry, record.verdict
         assert verdict.label in set(LABELS.values()) | {UNDERLOADED}
         assert set(verdict.scores) == {"cpu", "fsync", "rpc", "contention"}
         assert all(0.0 <= s <= 1.0 for s in verdict.scores.values())
@@ -107,14 +109,14 @@ class TestClassifyRun:
         assert "=" in verdict.describe()
 
     def test_saturated_run_is_cpu_bound(self):
-        from repro.experiments.base import mdtest_metrics_telemetry
+        from repro.experiments.base import mdtest_run
 
         # Leader-only objstat at high client count pins the leader
         # IndexNode's CPU (the fig19b knee).
         from repro.core.config import MantleConfig
 
-        _, _, verdict = mdtest_metrics_telemetry(
-            "mantle", "objstat", clients=320, items=10,
-            config=MantleConfig(enable_follower_read=False))
+        verdict = mdtest_run(
+            "mantle", "objstat", ("verdict",), clients=320, items=10,
+            config=MantleConfig(enable_follower_read=False)).verdict
         assert verdict.label == "cpu-bound"
         assert verdict.hotspots["cpu"].startswith("default-indexnode")

@@ -18,7 +18,7 @@ from repro.bench.analyze import (
     primary_phase,
     segment_run,
 )
-from repro.experiments.base import mdtest_metrics_triaged
+from repro.experiments.base import mdtest_run
 from repro.sim.telemetry import DIGEST_ALPHA, latency_digests
 from tests.oracle import AllHeapSimulator
 
@@ -27,8 +27,10 @@ import math
 
 def _storm(clients: int = 48, items: int = 8):
     """A shared-directory mkdir storm — the fig14 '-s' regime."""
-    return mdtest_metrics_triaged("mantle", "mkdir", mode="shared",
-                                  clients=clients, items=items)
+    record = mdtest_run("mantle", "mkdir",
+                        ("tracer", "keeper", "telemetry", "phases"),
+                        mode="shared", clients=clients, items=items)
+    return record.metrics, record.tracer, record.telemetry, record.phases
 
 
 def _phase_dump(phases):

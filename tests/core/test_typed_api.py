@@ -82,16 +82,6 @@ class TestClientSurface:
             created = client.create("/d/f")
             assert client.objstat("/d/f").id == created
 
-    def test_perform_and_legacy_submit_agree(self):
-        with MantleClient() as client:
-            system, sim = client.system, client.system.sim
-            typed = sim.run_process(system.perform(Mkdir("/typed")))
-            with pytest.warns(DeprecationWarning, match="submit.*deprecated"):
-                legacy = sim.run_process(system.submit("mkdir", "/legacy"))
-            assert isinstance(typed, int) and isinstance(legacy, int)
-            assert client.dirstat("/typed").id == typed
-            assert client.dirstat("/legacy").id == legacy
-
     def test_mkdir_parents_probes_one_walk(self):
         with MantleClient() as client:
             result = client.mkdir("/a/b/c", parents=True)

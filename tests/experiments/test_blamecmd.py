@@ -1,4 +1,5 @@
-"""Tests for ``mantle-exp blame`` — interference-blame command surface.
+"""Tests for ``mantle-exp explain --view blame`` — interference-blame
+command surface.
 
 The matrix-construction invariants live in ``tests/sim/test_critpath.py``
 (``TestBuildBlame``); this module covers the command: artifact writing +
@@ -14,8 +15,8 @@ import json
 
 import pytest
 
-from repro.experiments.blamecmd import run_blame, run_multitenant
 from repro.experiments.cli import main
+from repro.experiments.explain import explain
 from repro.sim.critpath import validate_blame
 
 #: The fig14 '-s' probe point: past the knee (~24 clients) but small
@@ -26,26 +27,26 @@ _FIG14_SMALL = dict(scale="quick", systems=["mantle"], clients=24)
 class TestRunBlame:
     def test_writes_validated_artifact(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        tables, lines, artifacts = run_blame("mkdir", systems=["mantle"],
-                                             clients=6, items=3)
-        assert len(artifacts) == 1
-        artifact = artifacts[0]
-        assert artifact["blame"].conservation_error() <= 1e-6
-        assert artifact["crit"].conservation_error() <= 1e-6
+        result = explain("mkdir", ["blame"], systems=["mantle"],
+                         clients=6, items=3)
+        (_case, record), = result.runs["blame"]
+        assert record.blame.conservation_error() <= 1e-6
+        assert record.crit.conservation_error() <= 1e-6
         payload = json.loads(
             (tmp_path / "blame_mkdir_mantle.json").read_text())
         assert validate_blame(payload) == []
-        assert payload == artifact["payload"]
-        assert any("top culprits" in t.title for t in tables)
+        export, = result.folded["blame"].exports
+        assert payload == export.payload
+        assert any("top culprits" in t.title for t in result.tables)
         # The exemplar path names a culprit for each queue segment.
-        assert any("<-" in line for line in lines)
+        assert any("<-" in line for line in result.lines)
 
     def test_blamed_microseconds_cover_queue_segments(self, tmp_path,
                                                       monkeypatch):
         monkeypatch.chdir(tmp_path)
-        _t, _l, artifacts = run_blame("mkdir", systems=["mantle"],
-                                      clients=6, items=3)
-        payload = artifacts[0]["payload"]
+        result = explain("mkdir", ["blame"], systems=["mantle"],
+                         clients=6, items=3)
+        payload = result.folded["blame"].exports[0].payload
         blamed = sum(cell["us"] for cell in payload["cells"])
         assert blamed == pytest.approx(payload["total_queue_us"],
                                        rel=1e-3)
@@ -55,8 +56,9 @@ class TestRunBlame:
 class TestCli:
     def test_blame_command(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["blame", "mkdir", "--systems", "mantle",
-                     "--clients", "6", "--items", "3"]) == 0
+        assert main(["explain", "mkdir", "--view", "blame",
+                     "--systems", "mantle", "--clients", "6",
+                     "--items", "3"]) == 0
         out = capsys.readouterr().out
         assert "top culprits" in out
         assert "exemplar victim path" in out
@@ -64,8 +66,8 @@ class TestCli:
 
     def test_blame_rejects_unknown_target(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError):
-            main(["blame", "warp-drive"])
+        with pytest.raises(SystemExit):
+            main(["explain", "warp-drive", "--view", "blame"])
 
 
 @pytest.mark.slow
@@ -77,8 +79,8 @@ class TestBlameValidation:
     def test_fig14_storm_names_mkdir_as_top_culprit(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.chdir(tmp_path)
-        _t, _l, artifacts = run_blame("fig14", **_FIG14_SMALL)
-        blame = artifacts[0]["blame"]
+        result = explain("fig14", ["blame"], **_FIG14_SMALL)
+        blame = result.runs["blame"][0][1].blame
         assert blame.conservation_error() <= 1e-6
         (top_op, _tenant, _resource), _us = blame.top_culprits(1)[0]
         assert top_op == "mkdir"
@@ -89,8 +91,8 @@ class TestBlameValidation:
         monkeypatch.chdir(tmp_path)
 
         def export():
-            _t, _l, artifacts = run_blame("fig14", **_FIG14_SMALL)
-            return (tmp_path / artifacts[0]["path"]).read_bytes()
+            result = explain("fig14", ["blame"], **_FIG14_SMALL)
+            return (tmp_path / result.paths[0]).read_bytes()
 
         product = export()
         with all_heap():
@@ -99,10 +101,12 @@ class TestBlameValidation:
     def test_multitenant_blames_storm_for_victim_queueing(self, tmp_path,
                                                           monkeypatch):
         monkeypatch.chdir(tmp_path)
-        artifact = run_multitenant(scale="quick")
-        blame = artifact["blame"]
+        result = explain("multitenant", ["blame"], scale="quick")
+        (_case, record), = result.runs["blame"]
+        blame = record.blame
         assert blame.conservation_error() <= 1e-6
-        assert validate_blame(artifact["payload"]) == []
+        assert validate_blame(
+            result.folded["blame"].exports[0].payload) == []
         matrix = blame.tenant_matrix()
         victim_rows = {culprit: us for (victim, culprit), us
                        in matrix.items() if victim == "victim"}
@@ -110,15 +114,15 @@ class TestBlameValidation:
         assert total > 0.0
         # The noisy neighbour owns the majority of the victim's queueing.
         assert victim_rows.get("storm", 0.0) > 0.5 * total
-        assert artifact["victim_mean_us"] > 0.0
+        assert record.metrics.mean_latency_us("objstat") > 0.0
 
     def test_multitenant_export_byte_identical_across_kernels(
             self, tmp_path, monkeypatch, all_heap):
         monkeypatch.chdir(tmp_path)
 
         def export():
-            artifact = run_multitenant(scale="quick")
-            return (tmp_path / artifact["path"]).read_bytes()
+            result = explain("multitenant", ["blame"], scale="quick")
+            return (tmp_path / result.paths[0]).read_bytes()
 
         product = export()
         with all_heap():

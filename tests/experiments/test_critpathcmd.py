@@ -1,4 +1,4 @@
-"""Tests for ``mantle-exp critpath`` / ``mantle-exp whatif``.
+"""Tests for ``mantle-exp explain --view critpath`` / ``mantle-exp whatif``.
 
 The extraction invariants live in ``tests/sim/test_critpath.py``; this
 module covers the command surface (artifact writing, validator wiring,
@@ -16,10 +16,10 @@ import json
 import pytest
 
 from repro.experiments.cli import main
-from repro.experiments.critpathcmd import (
+from repro.experiments.explain import explain
+from repro.experiments.whatif import (
     DELTA_FLOOR_FRAC,
     WhatIfResult,
-    run_critpath,
     run_whatif,
 )
 from repro.sim.critpath import validate_critpath
@@ -29,25 +29,25 @@ from repro.sim.host import CostOverrides
 class TestRunCritpath:
     def test_writes_validated_artifact(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        tables, lines, artifacts = run_critpath(
-            "objstat", systems=["mantle"], clients=6, items=3)
-        assert len(artifacts) == 1
-        artifact = artifacts[0]
-        assert artifact["conservation_err"] < 1e-9
+        result = explain("objstat", ["critpath"], systems=["mantle"],
+                         clients=6, items=3)
+        (_case, record), = result.runs["critpath"]
+        assert record.crit.conservation_error() < 1e-9
         payload = json.loads(
             (tmp_path / "critpath_objstat_mantle.json").read_text())
         assert validate_critpath(payload) == []
-        assert payload == artifact["payload"]
-        titles = [t.title for t in tables]
+        export, = result.folded["critpath"].exports
+        assert payload == export.payload
+        titles = [t.title for t in result.tables]
         assert any("top gating centers" in t for t in titles)
         assert any("on-path vs off-path" in t for t in titles)
-        assert any("end-to-end" in line for line in lines)
+        assert any("end-to-end" in line for line in result.lines)
 
     def test_gating_shares_cover_latency(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        _tables, _lines, artifacts = run_critpath(
-            "mkdir", systems=["mantle"], clients=6, items=3)
-        payload = artifacts[0]["payload"]
+        result = explain("mkdir", ["critpath"], systems=["mantle"],
+                         clients=6, items=3)
+        payload = result.folded["critpath"].exports[0].payload
         assert sum(c["share"] for c in payload["centers"]) == \
             pytest.approx(1.0, abs=1e-3)
 
@@ -202,8 +202,9 @@ class TestWhatIfDeepSaturation:
 class TestCli:
     def test_critpath_command(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["critpath", "objstat", "--systems", "mantle",
-                     "--clients", "6", "--items", "3"]) == 0
+        assert main(["explain", "objstat", "--view", "critpath",
+                     "--systems", "mantle", "--clients", "6",
+                     "--items", "3"]) == 0
         out = capsys.readouterr().out
         assert "top gating centers" in out
         assert "exemplar path" in out
@@ -220,12 +221,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "what-if" in out and "measured" in out
 
-    def test_whatif_requires_a_speedup(self, tmp_path, monkeypatch):
+    def test_whatif_requires_a_speedup(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="speedup"):
+        with pytest.raises(SystemExit) as exit_info:
             main(["whatif", "objstat"])
+        assert exit_info.value.code == 2
+        assert "--speedup" in capsys.readouterr().err
 
-    def test_whatif_rejects_malformed_speedup(self, tmp_path, monkeypatch):
+    def test_whatif_rejects_malformed_speedup(self, tmp_path, monkeypatch,
+                                              capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["whatif", "objstat", "--speedup", "warp.drive=9x"])
+        assert exit_info.value.code == 2
+        assert "warp.drive" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 """Direct unit tests for ``repro.experiments.exportutil``.
 
-Every ``mantle-exp`` artifact subcommand (trace, telemetry, profile,
-critpath) leans on these three helpers; their contract — sanitised
-default paths, validate-before-write, trailing-newline JSON — is pinned
-here so the commands cannot drift apart.
+Every ``mantle-exp explain`` export goes through ``write_export`` (and
+``mantle-exp live`` through the three helpers under it); the contract —
+sanitised default names, validate-before-write, trailing-newline JSON —
+is pinned here.
 """
 
 import json
@@ -13,7 +13,9 @@ import pytest
 from repro.experiments.exportutil import (
     default_out,
     ensure_valid,
+    write_export,
     write_json_payload,
+    write_lines,
 )
 
 
@@ -77,3 +79,30 @@ class TestWriteJsonPayload:
         write_json_payload(str(path), {"old": True})
         write_json_payload(str(path), {"new": True})
         assert json.loads(path.read_text()) == {"new": True}
+
+
+class TestWriteExport:
+    def test_names_by_view_target_and_system(self, tmp_path):
+        path = write_export(str(tmp_path), "critpath", "fig14", "mantle",
+                            ".json", {"ok": 1}, lambda payload: [])
+        assert path == str(tmp_path / "critpath_fig14_mantle.json")
+        assert json.loads((tmp_path / "critpath_fig14_mantle.json")
+                          .read_text()) == {"ok": 1}
+
+    def test_whole_target_exports_carry_no_system(self, tmp_path):
+        for system in (None, "multitenant"):
+            path = write_export(str(tmp_path), "blame", "multitenant",
+                                system, ".json", {}, lambda payload: [])
+            assert path == str(tmp_path / "blame_multitenant.json")
+
+    def test_refuses_an_invalid_payload_and_writes_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError, match="bad share"):
+            write_export(str(tmp_path), "critpath", "fig14", "mantle",
+                         ".json", {}, lambda payload: ["bad share"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_creates_the_output_directory(self, tmp_path):
+        out = tmp_path / "nested" / "dir"
+        write_export(str(out), "profile", "fig12", "mantle", ".folded",
+                     ["a;b 3"], lambda lines: [], write_lines)
+        assert (out / "profile_fig12_mantle.folded").read_text() == "a;b 3\n"

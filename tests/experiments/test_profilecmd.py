@@ -1,5 +1,5 @@
-"""Tests for ``mantle-exp profile``, the export helpers, and the
-``--check-profile`` registry plumbing.
+"""Tests for ``mantle-exp explain --view profile``, the export helpers,
+and the ``--check-profile`` registry plumbing.
 
 Profiled runs here stay deliberately tiny (``--clients 6 --items 3``) —
 the attribution invariants themselves live in ``tests/sim/test_profile.py``;
@@ -19,12 +19,12 @@ from repro.experiments.exportutil import (
     ensure_valid,
     write_json_payload,
 )
-from repro.experiments.profilecmd import (
+from repro.experiments.explain import (
     CASES,
     diff_table,
-    resolve_case,
-    run_profile,
-    run_profile_diff,
+    explain,
+    reconcile_cpu,
+    resolve_cases,
 )
 from repro.sim.profile import validate_folded, validate_speedscope
 
@@ -50,32 +50,46 @@ class TestExportUtil:
 
 class TestCaseResolution:
     def test_figures_map_to_their_knee_ops(self):
-        assert resolve_case("fig12").op == "objstat"
-        assert resolve_case("fig14").mode == "shared"
-        assert resolve_case("fig19").systems == ("mantle",)
+        assert {case.op for case in resolve_cases("fig12")} == {"objstat"}
+        assert {case.mode for case in resolve_cases("fig14")} == {"shared"}
+        assert [case.system for case in resolve_cases("fig19")
+                if not case.contrast] == ["mantle"]
 
     def test_bare_ops_accepted(self):
-        assert resolve_case("mkdir").op == "mkdir"
+        assert {case.op for case in resolve_cases("mkdir")} == {"mkdir"}
+        # ... including the paper's signature op, on any system asked for.
+        assert [case.system for case in
+                resolve_cases("dirrename", ["locofs"])] == ["locofs"]
 
     def test_unknown_target_lists_choices(self):
         with pytest.raises(ValueError, match="fig12"):
-            resolve_case("fig99")
+            resolve_cases("fig99")
 
     def test_every_case_op_is_a_real_mdtest_op(self):
-        from repro.experiments.profilecmd import OPS
+        from repro.experiments.explain import MULTITENANT
+        from repro.workloads.mdtest import OPS
 
-        for case in CASES.values():
-            assert case.op in OPS
+        for target, cases in CASES.items():
+            for case in cases:
+                assert case.op in OPS or target == MULTITENANT
+
+    def test_systems_narrow_and_order_a_figures_cases(self):
+        cases = resolve_cases("fig12", ["infinifs", "mantle"])
+        assert [case.system for case in cases] == ["infinifs", "mantle"]
+        # A system the figure has no case for borrows its knee point.
+        borrowed, = resolve_cases("fig14", ["locofs"])
+        assert (borrowed.system, borrowed.op, borrowed.mode) == \
+            ("locofs", "mkdir", "shared")
 
 
 class TestRunProfile:
     def test_writes_validated_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        tables, artifacts = run_profile("objstat", systems=["mantle"],
-                                        clients=6, items=3)
-        assert len(artifacts) == 1
-        artifact = artifacts[0]
-        assert artifact["reconcile_err"] <= 1e-9
+        result = explain("objstat", ["profile"], systems=["mantle"],
+                         clients=6, items=3)
+        tables = result.tables
+        (_case, record), = result.runs["profile"]
+        assert reconcile_cpu(record.profile, record.telemetry) <= 1e-9
         folded = (tmp_path / "profile_objstat_mantle.folded").read_text()
         assert validate_folded(folded.splitlines()) == []
         payload = json.loads(
@@ -87,9 +101,9 @@ class TestRunProfile:
 
     def test_diff_names_mechanisms(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        tables, artifacts = run_profile_diff(
-            "mantle", "infinifs", "objstat", clients=6, items=3)
-        diff = tables[-1]
+        result = explain("objstat", ["profile"],
+                         diff=("mantle", "infinifs"), clients=6, items=3)
+        diff = result.tables[-1]
         assert "differential profile" in diff.title
         assert diff.rows
         # The per-level resolution reads must surface as a named mechanism.
@@ -114,8 +128,7 @@ class TestRunProfile:
 
         base = FakeProfile({("f", "cpu"): 10.0}, {"f": FakeFrame(2)})
         other = FakeProfile({("f", "cpu"): 30.0}, {"f": FakeFrame(6)})
-        table = diff_table({"system": "a", "profile": base},
-                           {"system": "b", "profile": other}, top=5)
+        table = diff_table("a", base, "b", other, top=5)
         row = table.rows[0]
         assert row[-2] == "+10.00"  # (30 - 10) / 2 ops
         assert row[-1] == "+2.00"
@@ -135,8 +148,9 @@ class TestCheckProfileRegistry:
 class TestCli:
     def test_profile_command(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["profile", "objstat", "--systems", "mantle",
-                     "--clients", "6", "--items", "3"]) == 0
+        assert main(["explain", "objstat", "--view", "profile",
+                     "--systems", "mantle", "--clients", "6",
+                     "--items", "3"]) == 0
         out = capsys.readouterr().out
         assert "cost-kind split" in out
         assert (tmp_path / "profile_objstat_mantle.folded").exists()
@@ -144,7 +158,8 @@ class TestCli:
 
     def test_profile_diff_command(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["profile", "objstat", "--diff", "mantle", "tectonic",
+        assert main(["explain", "objstat", "--view", "profile",
+                     "--diff", "mantle", "tectonic",
                      "--clients", "6", "--items", "3"]) == 0
         out = capsys.readouterr().out
         assert "differential profile" in out
@@ -152,5 +167,5 @@ class TestCli:
 
     def test_profile_rejects_unknown_target(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError):
-            main(["profile", "fig99"])
+        with pytest.raises(SystemExit):
+            main(["explain", "fig99", "--view", "profile"])

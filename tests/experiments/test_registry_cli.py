@@ -63,8 +63,8 @@ class TestCli:
 
     def test_telemetry_command(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["telemetry", "fig12", "--clients", "8",
-                     "--items", "4"]) == 0
+        assert main(["explain", "fig12", "--view", "telemetry",
+                     "--clients", "8", "--items", "4"]) == 0
         out = capsys.readouterr().out
         assert "saturation verdicts" in out
         assert "cpu tafdb-0" in out  # per-host CPU timeline
@@ -80,8 +80,57 @@ class TestCli:
 
     def test_telemetry_command_rejects_unknown_fig(self):
         with pytest.raises(SystemExit):
-            main(["telemetry", "fig03"])
+            main(["explain", "fig03", "--view", "telemetry"])
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv, names", [
+        (["whatif", "mkdir"], "--speedup"),
+        (["explain", "fig12", "--view", "profile",
+          "--diff", "mantle", "nosuch"], "nosuch"),
+        (["explain", "fig99", "--view", "critpath"], "fig99"),
+        (["explain", "fig12", "--view", "critpath,nosuch"], "nosuch"),
+        (["explain", "fig12", "--view", "critpath",
+          "--diff", "mantle", "tectonic"], "--diff"),
+        (["explain", "fig15", "--view", "critpath"], "fig15"),
+        (["whatif", "objstat", "--speedup", "warp.drive=9x"], "warp.drive"),
+    ])
+    def test_user_mistakes_exit_2_with_one_line(self, capsys, argv, names):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        message = [line for line in err.splitlines()
+                   if line.startswith("mantle-exp")]
+        assert len(message) == 1 and names in message[0]
+
+    def test_explains_the_papers_signature_op(self, capsys, tmp_path):
+        """dirrename is a target like any other mdtest op, and both
+        conservation identities hold on it."""
+        import json
+
+        from repro.experiments.explain import CONSERVATION_TOLERANCE
+
+        assert main(["explain", "dirrename", "--view", "critpath,blame",
+                     "--systems", "mantle", "--clients", "8",
+                     "--items", "4", "--out", str(tmp_path)]) == 0
+        assert "top gating centers" in capsys.readouterr().out
+        crit = json.loads(
+            (tmp_path / "critpath_dirrename_mantle.json").read_text())
+        assert crit["ops"] == 8 * 4
+        assert abs(sum(c["share"] for c in crit["centers"]) - 1.0) < 1e-3
+        blame = json.loads(
+            (tmp_path / "blame_dirrename_mantle.json").read_text())
+        assert blame["conservation_error"] <= CONSERVATION_TOLERANCE
+        assert sum(cell["us"] for cell in blame["cells"]) == pytest.approx(
+            blame["total_queue_us"], abs=1e-3 * (len(blame["cells"]) + 1))
+
+    def test_out_is_a_directory_and_views_never_share_a_file(self, tmp_path):
+        assert main(["explain", "mkdir", "--view", "critpath,triage",
+                     "--systems", "mantle", "--clients", "6",
+                     "--items", "3", "--out", str(tmp_path)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "critpath_mkdir_mantle.json", "triage_mkdir_mantle.json"]

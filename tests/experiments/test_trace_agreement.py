@@ -2,10 +2,11 @@
 
 import json
 
-from repro.experiments.base import mdtest_metrics_traced
+from repro.experiments.base import mdtest_run
 from repro.experiments.cli import main as cli_main
-from repro.experiments.tracecmd import (
+from repro.experiments.explain import (
     AGREEMENT_TOLERANCE,
+    Case,
     agreement_table,
     breakdown_table,
 )
@@ -13,9 +14,8 @@ from repro.sim.trace import export_chrome_trace, validate_chrome_trace
 
 
 def _artifact(system, op, **kwargs):
-    metrics, tracer = mdtest_metrics_traced(system, op, **kwargs)
-    return {"label": f"{op}/{system}", "op": op, "metrics": metrics,
-            "tracer": tracer}
+    return (Case(f"{op}/{system}", system, op),
+            mdtest_run(system, op, ("tracer",), **kwargs))
 
 
 def test_span_and_metric_derivations_agree_within_tolerance():
@@ -29,7 +29,7 @@ def test_span_and_metric_derivations_agree_within_tolerance():
     assert worst == 0.0
     assert len(table.rows) >= 2 * 3  # latency + rpcs + >=1 phase per case
     payload = export_chrome_trace(
-        [(a["label"], a["tracer"].spans) for a in artifacts])
+        [(case.label, record.tracer.spans) for case, record in artifacts])
     assert validate_chrome_trace(payload) == []
     summary = breakdown_table(artifacts)
     assert summary.rows
@@ -37,7 +37,8 @@ def test_span_and_metric_derivations_agree_within_tolerance():
 
 def test_cli_trace_subcommand_writes_valid_json(tmp_path, capsys):
     out = tmp_path / "trace_table1.json"
-    assert cli_main(["trace", "table1", "--out", str(out)]) == 0
+    assert cli_main(["explain", "table1", "--view", "trace",
+                     "--out", str(tmp_path)]) == 0
     payload = json.loads(out.read_text())
     assert validate_chrome_trace(payload) == []
     assert payload["traceEvents"]

@@ -1,4 +1,5 @@
-"""``mantle-exp triage``: phase-resolved tail blame, validated end to end.
+"""``mantle-exp explain --view triage``: phase-resolved tail blame,
+validated end to end.
 
 The PR 10 acceptance path: triaging the fig14 shared-mkdir storm must
 find a saturated phase whose tail exemplars fold into a critical path
@@ -13,23 +14,27 @@ import os
 
 import pytest
 
-from repro.experiments.critpathcmd import CONSERVATION_TOLERANCE
-from repro.experiments.triagecmd import (
+from repro.experiments.explain import (
+    CONSERVATION_TOLERANCE,
     dropped_warning,
-    run_triage,
-    triage_point,
+    explain,
     validate_triage,
 )
-from repro.experiments.profilecmd import resolve_case
+
+
+def _triage(target, out_dir, **point):
+    """One triaged mantle run -> {"payload": ..., "path": ...}."""
+    result = explain(target, ["triage"], systems=["mantle"],
+                     out_dir=str(out_dir), **point)
+    export, = result.folded["triage"].exports
+    path, = result.paths
+    return {"payload": export.payload, "path": path}
 
 
 @pytest.fixture(scope="module")
 def storm_artifact(tmp_path_factory):
     """One triaged fig14 mantle storm, shared by the assertions below."""
-    out = tmp_path_factory.mktemp("triage") / "triage_fig14"
-    case = resolve_case("fig14")
-    return triage_point("mantle", "fig14", case, "quick",
-                        out_base=str(out))
+    return _triage("fig14", tmp_path_factory.mktemp("triage"))
 
 
 class TestTriageStorm:
@@ -72,10 +77,9 @@ class TestTriageStorm:
 
 class TestTriageKernelIndependence:
     def _export_bytes(self, tmp_path, tag):
-        out = tmp_path / f"triage_{tag}"
-        case = resolve_case("mkdir")
-        artifact = triage_point("mantle", "mkdir", case, "quick",
-                                clients=24, items=6, out_base=str(out))
+        out = tmp_path / tag
+        out.mkdir()
+        artifact = _triage("mkdir", out, clients=24, items=6)
         with open(artifact["path"], "rb") as handle:
             return handle.read()
 
@@ -88,14 +92,15 @@ class TestTriageKernelIndependence:
 
 class TestRunTriage:
     def test_run_triage_returns_tables_lines_artifacts(self, tmp_path):
-        tables, lines, artifacts = run_triage(
-            "mkdir", scale="quick", out_base=str(tmp_path / "t"),
+        result = explain(
+            "mkdir", ["triage"], scale="quick", out_dir=str(tmp_path),
             systems=["mantle"], clients=16, items=5)
-        assert len(artifacts) == 1
-        assert tables, "phase table expected"
-        assert any(line.startswith("(wrote ") for line in lines)
-        assert os.path.exists(artifacts[0]["path"])
-        assert validate_triage(artifacts[0]["payload"]) == []
+        assert len(result.runs["triage"]) == 1
+        assert result.tables, "phase table expected"
+        assert any(line.startswith("(wrote ") for line in result.lines)
+        assert os.path.exists(result.paths[0])
+        assert validate_triage(
+            result.folded["triage"].exports[0].payload) == []
 
 
 class TestTriageSchema:

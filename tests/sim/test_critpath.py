@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.experiments.base import mdtest_metrics, mdtest_metrics_profiled
+from repro.experiments.base import mdtest_metrics, mdtest_run
 from repro.sim.core import Simulator
 from repro.sim.critpath import (
     UNKNOWN_CULPRIT,
@@ -370,7 +370,8 @@ def _traced_run(op="mkdir", **kw):
     kw.setdefault("mode", "shared")
     kw.setdefault("clients", 8)
     kw.setdefault("items", 4)
-    return mdtest_metrics_profiled("mantle", op, **kw)
+    record = mdtest_run("mantle", op, ("tracer", "telemetry"), **kw)
+    return record.metrics, record.tracer, record.telemetry
 
 
 class TestClusterInvariants:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
-from repro.experiments.base import mdtest_metrics, mdtest_metrics_profiled
+from repro.experiments.base import mdtest_metrics, mdtest_run
 from repro.sim.profile import (
     UNATTRIBUTED_FRAME,
     build_profile,
@@ -241,8 +241,9 @@ class TestDiffProfiles:
 
 
 def _profiled_run(clients=8, items=4, depth=6):
-    return mdtest_metrics_profiled("mantle", "objstat", clients=clients,
-                                   items=items, depth=depth)
+    record = mdtest_run("mantle", "objstat", ("tracer", "telemetry"),
+                        clients=clients, items=items, depth=depth)
+    return record.metrics, record.tracer, record.telemetry
 
 
 class TestProfiledRunInvariants:

@@ -6,6 +6,9 @@ from repro.core.api import MantleClient
 from repro.core.config import MantleConfig
 from repro.errors import MetadataError
 from repro.sim.trace import (
+    NONEMPTY,
+    check_shape,
+    shape_items,
     NULL_SPAN,
     NULL_TRACER,
     OpAggregate,
@@ -227,3 +230,85 @@ class TestSpanTreeInvariants:
             assert agg["mkdir"].failures == 1
         finally:
             client.close()
+
+
+class TestCheckShape:
+    """The one declarative checker every ``validate_*`` calls."""
+
+    SPEC = {
+        "name": "str",
+        "note": "text",
+        "host": "str?",
+        "ops": "int>=0",
+        "pid": "int",
+        "offset": "num",
+        "total_us": "num>=0",
+        "share": "share",
+        "seen": "any",
+        "kind": ("enum", ("cpu", "wire")),
+        "phase": ("enum?", ("warmup",), "unsupported"),
+        "version": ("const", 1, "unknown version"),
+        "meta": {"rows": [{"us": "num>=0"}, NONEMPTY]},
+        "tags": ["text"],
+        "free": [],
+        "args?": {},
+    }
+    GOOD = {
+        "name": "x", "note": "", "host": None, "ops": 0, "pid": -3,
+        "offset": -1.5, "total_us": 2.0, "share": 1, "seen": 0,
+        "kind": "cpu", "phase": None, "version": 1,
+        "meta": {"rows": [{"us": 1}]}, "tags": ["", "a"], "free": [1, {}],
+    }
+
+    def test_a_conforming_payload_has_no_problems(self):
+        assert check_shape(self.GOOD, self.SPEC) == []
+        assert check_shape(dict(self.GOOD, args={}), self.SPEC) == []
+
+    @pytest.mark.parametrize("field, bad, problem", [
+        ("name", "", "missing name"),
+        ("note", 3, "missing note"),
+        ("host", 7, "host must be a string or null"),
+        ("ops", -1, "ops must be a non-negative int"),
+        ("pid", "p", "pid must be an int"),
+        ("offset", "1", "bad offset '1' (want a number)"),
+        ("total_us", -2, "bad total_us -2 (want a non-negative number)"),
+        ("share", 1.5, "bad share 1.5 (want a number in [0, 1])"),
+        ("seen", None, "missing seen"),
+        ("kind", "disk", "unknown kind 'disk'"),
+        ("phase", "drain", "unsupported phase 'drain'"),
+        ("version", 2, "unknown version"),
+        ("meta", [], "meta must be an object"),
+        ("meta", {"rows": []}, "missing meta.rows array"),
+        ("meta", {"rows": [{"us": -1}]},
+         "meta.rows[0]: bad us -1 (want a non-negative number)"),
+        ("meta", {"rows": [3]}, "meta.rows[0]: not an object"),
+        ("tags", "a", "missing tags array"),
+        ("tags", ["a", 2], "tags[1]: missing value"),
+        ("free", None, "missing free array"),
+        ("args", None, "args must be an object"),
+    ])
+    def test_each_rule_reports_its_own_problem(self, field, bad, problem):
+        assert check_shape(dict(self.GOOD, **{field: bad}),
+                           self.SPEC) == [problem]
+
+    def test_missing_fields_are_problems_unless_optional(self):
+        payload = dict(self.GOOD)
+        del payload["ops"]
+        assert check_shape(payload, self.SPEC) == \
+            ["ops must be a non-negative int"]
+
+    def test_root_type_problems(self):
+        assert check_shape([], self.SPEC) == ["payload is not a JSON object"]
+        assert check_shape(3, {}, what="snapshot is not an object") == \
+            ["snapshot is not an object"]
+        assert check_shape({}, ["str"], name="line") == \
+            ["missing line array"]
+        assert check_shape(["a", ""], ["str"], name="line") == \
+            ["line[1]: missing value"]
+
+    def test_shape_items_walks_only_the_objects(self):
+        payload = {"cells": [{"us": 1}, 7, {"us": 2}]}
+        assert shape_items(payload, "cells") == [
+            ("cells[0]", {"us": 1}), ("cells[2]", {"us": 2})]
+        assert shape_items(payload, "absent") == []
+        assert shape_items([], "cells") == []
