@@ -6,31 +6,33 @@ objects; :meth:`AsyncioRuntime.drive` is the trampoline that steps the
 generator with ``send``/``throw``, awaiting each effect on the real event
 loop:
 
-* ``_Sleep``  -> ``asyncio.sleep``
-* ``_Rpc``    -> one multiplexed request/response round trip over TCP
-* ``_Gather`` -> ``asyncio.gather`` over sub-generators (the 2PC fan-out)
-* ``_Fsync``  -> a real ``os.fsync`` offloaded to a worker thread
-* ``_Propose``-> the live single-node Raft's durable append+apply
+* ``_Sleep``   -> ``asyncio.sleep``
+* ``_Rpc``     -> one multiplexed request/response round trip over TCP
+* ``_Gather``  -> ``asyncio.gather`` over sub-generators (the 2PC fan-out)
+* ``_Offload`` -> a blocking call on a worker thread (a real ``os.fsync``,
+  the live single-node Raft's durable append)
 
 ``work()`` is deliberately a no-op: in the simulator it charges modelled
 CPU, live the real computation already happened on this very event loop.
 That asymmetry is the point of the sim-vs-live comparison
 (``mantle-exp live fig12``), not a bug.
 
-This module also carries both halves of the TCP transport: the client-side
-:class:`RpcConnection`/:class:`RemoteService` (per-request ids, response
-futures, per-call deadline) and the server-side :class:`WireServer` that
-exposes any object with sim-``Server``-compatible ``dispatch`` over the
-wire.  Transport faults map onto the :class:`~repro.errors.TransportError`
-branch, so domain retry loops treat a dropped connection exactly like a
-crashed simulated host.
+This module also carries both halves of the TCP transport, built on one
+:class:`FrameProtocol`: the client-side :class:`RpcConnection`/
+:class:`RemoteService` (per-request ids, response futures, one timer per
+call as its deadline) and the server-side :class:`WireServer` that exposes
+any object with sim-``Server``-compatible ``dispatch`` over the wire.
+Transport faults map onto the :class:`~repro.errors.TransportError` branch,
+so domain retry loops treat a dropped connection exactly like a crashed
+simulated host.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import time
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Set
 
 from repro.errors import (
     ConnectionLostError,
@@ -48,50 +50,16 @@ from repro.sim.trace import NULL_SPAN, NULL_TRACER, RemoteSpanRef
 DEFAULT_RPC_TIMEOUT_S = 30.0
 
 
-class _Sleep:
-    __slots__ = ("us",)
-
-    def __init__(self, us: float):
-        self.us = us
-
-
-class _Rpc:
-    __slots__ = ("service", "method", "args", "kwargs", "trace", "want_meta")
-
-    def __init__(self, service, method, args, kwargs, trace=None,
-                 want_meta=False):
-        self.service = service
-        self.method = method
-        self.args = args
-        self.kwargs = kwargs
-        #: Cross-process span context to stamp on the request frame.
-        self.trace = trace
-        #: When set the trampoline resolves to ``(result, srv_us)`` so the
-        #: instrumented ``rpc()`` can split round-trip time into wire vs
-        #: remote handler time.
-        self.want_meta = want_meta
-
-
-class _Gather:
-    __slots__ = ("generators",)
-
-    def __init__(self, generators):
-        self.generators = generators
-
-
-class _Fsync:
-    __slots__ = ("host",)
-
-    def __init__(self, host):
-        self.host = host
-
-
-class _Propose:
-    __slots__ = ("node", "command")
-
-    def __init__(self, node, command):
-        self.node = node
-        self.command = command
+# The effects a driven generator yields.  ``_Rpc.trace`` is cross-process
+# span context to stamp on the request frame; with ``want_meta`` the effect
+# resolves to ``(result, response envelope)`` so the instrumented ``rpc()``
+# can split round-trip time into wire vs remote handler time (``srv_us``).
+_Sleep = collections.namedtuple("_Sleep", "us")
+_Rpc = collections.namedtuple(
+    "_Rpc", "service method args kwargs trace want_meta",
+    defaults=(None, False))
+_Gather = collections.namedtuple("_Gather", "generators")
+_Offload = collections.namedtuple("_Offload", "fn args")
 
 
 class AsyncioRuntime(Runtime):
@@ -121,6 +89,11 @@ class AsyncioRuntime(Runtime):
         self.process_name = process_name
         self._t0 = time.monotonic()
         self.epoch_us = time.time() * 1e6
+        #: The generator the trampoline is stepping right now.  Published
+        #: before every resume — what ``sim._active_process`` is to the
+        #: kernel — so the tracer keeps one span stack per request whether
+        #: a handler runs inside the read callback or on a task of its own.
+        self.active = None
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
@@ -142,8 +115,27 @@ class AsyncioRuntime(Runtime):
         return
         yield  # pragma: no cover
 
+    def offload(self, fn, *args):
+        """Run blocking ``fn(*args)`` on a worker thread, so the event loop
+        never waits on the device (live-only)."""
+        result = yield _Offload(fn, args)
+        return result
+
     def fsync(self, host, us: float):
-        yield _Fsync(host)
+        # The live analogue of the simulator's modelled fsync charge:
+        # measure the executor round trip (queueing to a worker thread
+        # included, exactly as the sim's disk FIFO queueing is).
+        started = self.now
+        yield _Offload(host.do_fsync, ())
+        host.fsyncs += 1  # on the loop side: worker threads share the host
+        now = self.now
+        if self.tracer.enabled:
+            self.tracer.charge("fsync", now - started, host.name)
+        if self.telemetry.enabled:
+            self.telemetry.counter("host.fsync", host.name).add(now)
+            self.telemetry.counter("host.disk_busy_us", host.name,
+                                   capacity=1.0).add_interval(
+                started, now, now - started)
 
     def rpc(self, service, method: str, *args, ctx=None, **kwargs):
         if ctx is not None:
@@ -155,8 +147,8 @@ class AsyncioRuntime(Runtime):
             return result
         # Instrumented path: open an rpc span parented like the simulated
         # Network.rpc (the op context's root, falling back to the innermost
-        # open span), ship span context on the frame, and charge the wire
-        # cost as round-trip minus remote handler time.
+        # open span), ship span context on the frame, and charge the round
+        # trip as wire cost plus what the remote handler reports it cost.
         name = getattr(service, "name", None) or str(service)
         span = NULL_SPAN
         trace_ctx = None
@@ -172,10 +164,9 @@ class AsyncioRuntime(Runtime):
             telemetry.counter("rpc.count", name).add(started)
             telemetry.gauge("rpc.in_flight").adjust(started, 1.0)
         ok = True
-        srv_us = 0.0
         try:
-            result, srv_us = yield _Rpc(service, method, args, kwargs,
-                                        trace=trace_ctx, want_meta=True)
+            result, envelope = yield _Rpc(service, method, args, kwargs,
+                                          trace=trace_ctx, want_meta=True)
         except BaseException:
             ok = False
             raise
@@ -187,8 +178,7 @@ class AsyncioRuntime(Runtime):
                     now, now - started)
             if tracer.enabled:
                 if ok:
-                    tracer.charge("wire", max(0.0, (now - started) - srv_us),
-                                  name)
+                    charge_round_trip(tracer, now - started, envelope, name)
                 tracer.end(span, now, ok=ok)
         return result
 
@@ -197,170 +187,232 @@ class AsyncioRuntime(Runtime):
         return results
 
     def propose(self, node, command):
-        result = yield _Propose(node, command)
+        result = yield from node.commit(command)
         return result
 
     # -- the trampoline -----------------------------------------------------
 
-    async def drive(self, generator) -> Any:
-        """Run one domain generator to completion, awaiting its effects."""
-        value: Any = None
-        pending_exc: Optional[BaseException] = None
-        while True:
-            try:
-                if pending_exc is not None:
-                    exc, pending_exc = pending_exc, None
-                    effect = generator.throw(exc)
-                else:
-                    effect = generator.send(value)
-            except StopIteration as stop:
-                return stop.value
-            try:
-                value = await self._perform(effect)
-            except BaseException as exc:  # delivered into the generator
-                pending_exc = exc
-                value = None
+    async def drive(self, generator, waiting=None, timing=None) -> Any:
+        """Run one domain generator to completion, awaiting its effects.
 
-    async def _perform(self, effect) -> Any:
-        if isinstance(effect, _Rpc):
+        ``waiting`` is the awaitable of an effect the generator has already
+        yielded: the :class:`WireServer` takes a handler's first step (and
+        begins its first effect) itself and only comes here, on a task,
+        when the handler turned out to wait.  ``timing`` (traced requests)
+        accumulates how long the generator spent suspended on effects.
+        """
+        try:
+            if waiting is None:
+                self.active = generator
+                waiting = self.begin(generator.send(None), timing)
+            while True:
+                try:
+                    value = await waiting
+                except BaseException as exc:  # delivered into the generator
+                    step, value = generator.throw, exc
+                else:
+                    step = generator.send
+                if timing is not None:
+                    timing.awaited += self.now - timing.paused
+                self.active = generator
+                waiting = self.begin(step(value), timing)
+        except StopIteration as stop:
+            return stop.value
+
+    def begin(self, effect, timing=None):
+        """Start ``effect`` now — the request frame is written, the worker
+        thread has its call — and return the awaitable that completes it."""
+        if timing is not None:
+            timing.paused = self.now
+        kind = type(effect)
+        if kind is _Rpc:
             if effect.want_meta:
-                result, payload = await effect.service.call(
+                return effect.service.call(
                     effect.method, effect.args, effect.kwargs,
                     timeout_s=self.rpc_timeout_s, trace=effect.trace,
                     with_meta=True)
-                return result, payload.get("srv_us", 0.0)
-            return await effect.service.call(
+            return effect.service.call(
                 effect.method, effect.args, effect.kwargs,
                 timeout_s=self.rpc_timeout_s)
-        if isinstance(effect, _Sleep):
-            await asyncio.sleep(effect.us / 1e6)
-            return None
-        if isinstance(effect, _Gather):
-            return list(await asyncio.gather(
-                *(self.drive(g) for g in effect.generators)))
-        if isinstance(effect, _Fsync):
-            tracer = self.tracer
-            telemetry = self.telemetry
-            if not tracer.enabled and not telemetry.enabled:
-                await self.loop.run_in_executor(None, effect.host.do_fsync)
-                return None
-            # The live analogue of the simulator's modelled fsync charge:
-            # measure the executor round trip (queueing to a worker thread
-            # included, exactly as the sim's disk FIFO queueing is).
-            started = self.now
-            await self.loop.run_in_executor(None, effect.host.do_fsync)
-            now = self.now
-            host = getattr(effect.host, "name", None)
-            if tracer.enabled:
-                tracer.charge("fsync", now - started, host)
-            if telemetry.enabled:
-                telemetry.counter("host.fsync", host).add(now)
-                telemetry.counter("host.disk_busy_us", host,
-                                  capacity=1.0).add_interval(
-                    started, now, now - started)
-            return None
-        if isinstance(effect, _Propose):
-            return await effect.node.commit(effect.command)
+        if kind is _Offload:
+            return self.loop.run_in_executor(None, effect.fn, *effect.args)
+        if kind is _Sleep:
+            return asyncio.sleep(effect.us / 1e6)
+        if kind is _Gather:
+            return asyncio.gather(*(self.drive(g) for g in effect.generators))
         raise RuntimeError(
             f"generator yielded a non-effect to AsyncioRuntime: {effect!r} "
             "(a simulator event leaked through the runtime seam)")
 
 
+def charge_round_trip(tracer, elapsed_us: float, envelope: dict,
+                      host: str) -> None:
+    """Split one traced round trip on the caller's open span: what the
+    server's handler reports it cost — ``cpu`` inside its own steps,
+    ``queue`` from frame arrival to handler start — and the rest of the
+    time outside the handler (``srv_us`` is its wall time) as ``wire``."""
+    tracer.charge("wire", max(0.0, elapsed_us - envelope.get("srv_us", 0.0)),
+                  host)
+    tracer.charge("cpu", envelope.get("srv_cpu_us", 0.0), host)
+    tracer.charge("queue", envelope.get("srv_queue_us", 0.0), host)
+
+
+# -- the framed transport ----------------------------------------------------
+
+class FrameProtocol(asyncio.Protocol):
+    """One end of a connection carrying length-prefixed frames.
+
+    ``data_received`` parses every complete frame the segment holds and
+    hands each to the subclass's ``frame_received(payload)``, so coalesced
+    frames cost one wakeup.  A framing fault — an oversized declared
+    length, an undecodable payload, a truncated tail at EOF — closes the
+    connection and is what the subclass's ``closed(fault)`` is told; a
+    clean close reports ``None``.
+    """
+
+    def __init__(self) -> None:
+        self.transport: Optional[asyncio.Transport] = None
+        self._decoder = wire.FrameDecoder()
+        self._fault: Optional[FrameError] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for payload in self._decoder.feed(data):
+                if type(payload) is not dict:
+                    raise FrameError("frame is not a JSON object")
+                self.frame_received(payload)
+        except FrameError as exc:
+            self._fault = exc
+            self.transport.close()
+
+    def eof_received(self) -> None:
+        try:
+            self._decoder.check_eof()
+        except FrameError as exc:
+            self._fault = exc
+        # Returning None closes the transport; connection_lost follows.
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        self.closed(self._fault)
+
+
 # -- client-side transport ---------------------------------------------------
 
-class RpcConnection:
+class RpcConnection(FrameProtocol):
     """One multiplexed TCP connection: concurrent in-flight requests carry
-    distinct ids; a background task routes response frames to futures."""
+    distinct ids and the read callback resolves each response frame's
+    future.  Connects on first use and again after a loss."""
 
     def __init__(self, endpoint: str):
+        super().__init__()
         self.endpoint = endpoint
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: Dict[int, asyncio.Future] = {}
+        #: request id -> (response future, deadline timer, with_meta)
+        self._pending: Dict[int, tuple] = {}
         self._next_id = 0
-        self._reader_task: Optional[asyncio.Task] = None
         self._connect_lock = asyncio.Lock()
+        #: Set while the transport's write buffer is over its high-water
+        #: mark (the peer is not reading); calls wait on it before writing.
+        self._drained: Optional[asyncio.Future] = None
 
-    async def _ensure_connected(self) -> None:
-        if self._writer is not None and not self._writer.is_closing():
-            return
-        async with self._connect_lock:
-            if self._writer is not None and not self._writer.is_closing():
-                return
-            host, port = self.endpoint.rsplit(":", 1)
-            try:
-                self._reader, self._writer = await asyncio.open_connection(
-                    host, int(port))
-            except OSError as exc:
-                raise ConnectionLostError(self.endpoint, str(exc)) from exc
-            self._reader_task = asyncio.ensure_future(self._read_loop())
-
-    async def _read_loop(self) -> None:
-        error: MetadataError
-        try:
-            while True:
-                payload = await wire.read_frame(self._reader)
-                future = self._pending.pop(payload.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(payload)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError) as exc:
-            error = ConnectionLostError(self.endpoint, str(exc))
-        except FrameError as exc:
-            error = exc
-        except asyncio.CancelledError:
-            error = ConnectionLostError(self.endpoint, "connection closed")
-        self._fail_all(error)
-
-    def _fail_all(self, error: MetadataError) -> None:
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(error)
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-
-    async def call(self, method: str, args: tuple, kwargs: dict,
-                   timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
-                   trace: Optional[dict] = None,
-                   with_meta: bool = False) -> Any:
-        """One request/response round trip.
-
-        ``trace`` rides the request envelope as cross-process span context;
-        ``with_meta`` returns ``(result, payload)`` so callers can read
-        envelope metadata (``srv_us``) alongside the decoded result.
-        """
-        await self._ensure_connected()
+    def call(self, method: str, args: tuple, kwargs: dict,
+             timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
+             trace: Optional[dict] = None, with_meta: bool = False):
+        """Begin one request/response round trip — the frame is written
+        before this returns, unless the connection first has to be made or
+        drained — and return its awaitable.  ``trace`` rides the request
+        envelope as cross-process span context; ``with_meta`` resolves to
+        ``(result, payload)`` for the envelope's metadata (``srv_us``)."""
+        if self.transport is None or self._drained is not None:
+            return self._call_when_writable(method, args, kwargs, timeout_s,
+                                            trace, with_meta)
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         self._next_id += 1
         request_id = self._next_id
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
         try:
-            self._writer.write(
-                wire.encode_request(request_id, method, args, kwargs,
-                                    trace=trace))
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(request_id, None)
-            raise ConnectionLostError(self.endpoint, str(exc)) from exc
-        try:
-            payload = await asyncio.wait_for(future, timeout_s)
-        except asyncio.TimeoutError:
-            self._pending.pop(request_id, None)
-            raise RPCTimeoutError(self.endpoint, timeout_s) from None
-        result = wire.decode_result(payload)
-        if with_meta:
-            return result, payload
-        return result
+            if self.transport.is_closing():
+                raise ConnectionLostError(self.endpoint, "connection closing")
+            self.transport.write(wire.encode_request(
+                request_id, method, args, kwargs, trace=trace))
+        except MetadataError as exc:  # closing, or an unencodable argument
+            future.set_exception(exc)
+            return future
+        deadline = loop.call_later(timeout_s, self._expire, request_id,
+                                   timeout_s)
+        self._pending[request_id] = (future, deadline, with_meta)
+        return future
 
-    async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
+    async def _call_when_writable(self, *call) -> Any:
+        if self.transport is None:
+            await self._connect()
+        while self._drained is not None:
+            await self._drained
+        return await self.call(*call)
+
+    async def _connect(self) -> None:
+        async with self._connect_lock:
+            if self.transport is not None:
+                return
+            host, port = self.endpoint.rsplit(":", 1)
+            self._decoder = wire.FrameDecoder()
+            self._fault = None
             try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._reader_task = None
+                await asyncio.get_running_loop().create_connection(
+                    lambda: self, host, int(port))
+            except OSError as exc:
+                raise ConnectionLostError(self.endpoint, str(exc)) from exc
+
+    def _settle(self, request_id, result: Any = None,
+                error: Optional[Exception] = None) -> None:
+        future, deadline, _ = self._pending.pop(request_id)
+        deadline.cancel()
+        if future.done():  # the caller gave up (cancelled) meanwhile
+            return
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
+
+    def frame_received(self, payload: dict) -> None:
+        request_id = payload.get("id")
+        entry = self._pending.get(request_id)
+        if entry is None:
+            return  # the call already hit its deadline: drop the late reply
+        try:
+            result = wire.decode_result(payload)
+        except Exception as exc:  # noqa: BLE001 - the remote (typed) error
+            self._settle(request_id, error=exc)
+        else:
+            self._settle(request_id, (result, payload) if entry[2] else result)
+
+    def _expire(self, request_id: int, timeout_s: float) -> None:
+        self._settle(request_id,
+                     error=RPCTimeoutError(self.endpoint, timeout_s))
+
+    def pause_writing(self) -> None:
+        self._drained = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        drained, self._drained = self._drained, None
+        if drained is not None and not drained.done():
+            drained.set_result(None)
+
+    def closed(self, fault: Optional[FrameError]) -> None:
+        self._fail_all(fault or ConnectionLostError(
+            self.endpoint, "connection closed"))
+
+    def _fail_all(self, error: MetadataError) -> None:
+        for request_id in list(self._pending):
+            self._settle(request_id, error=error)
+        self.resume_writing()  # waiting writers go on to reconnect
+
+    def close(self) -> None:
+        if self.transport is not None:
+            self.transport.close()
         self._fail_all(ConnectionLostError(self.endpoint, "closed"))
 
 
@@ -374,18 +426,11 @@ class RemoteService:
     def __init__(self, name: str, connection: RpcConnection):
         self.name = name
         self.connection = connection
+        self.call = connection.call
 
     @property
     def endpoint(self) -> str:
         return self.connection.endpoint
-
-    async def call(self, method: str, args: tuple, kwargs: dict,
-                   timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
-                   trace: Optional[dict] = None,
-                   with_meta: bool = False) -> Any:
-        return await self.connection.call(method, args, kwargs,
-                                          timeout_s=timeout_s, trace=trace,
-                                          with_meta=with_meta)
 
 
 # -- server-side transport ---------------------------------------------------
@@ -394,9 +439,13 @@ class WireServer:
     """Serves a dispatchable object (live DBServer/IndexNodeService role, or
     the proxy facade) over length-prefixed frames.
 
-    Each request runs as its own task, so one slow 2PC prepare doesn't
-    head-of-line-block an independent read on the same connection — the
-    concurrency a real service has and the simulator models with processes.
+    Each handler generator is stepped to its first effect inside the read
+    callback: one that never waits (a TafDB read, an IndexNode lookup) is
+    answered right there.  One that does wait has that effect begun right
+    there (the onward request written, the fsync handed to its thread) and
+    continues on a task of its own, so a slow 2PC prepare doesn't head-of-line-block an independent
+    read on the same connection — the concurrency a real service has and
+    the simulator models with processes.
     """
 
     def __init__(self, runtime: AsyncioRuntime, dispatcher,
@@ -406,78 +455,22 @@ class WireServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set["_ServerConnection"] = set()
 
     async def start(self) -> int:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ServerConnection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            for connection in list(self._connections):
+                connection.transport.close()
             await self._server.wait_closed()
+            await asyncio.sleep(0)  # let the closed connections report in
             self._server = None
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        tasks = set()
-        try:
-            while True:
-                try:
-                    payload = await wire.read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        FrameError, OSError):
-                    break
-                except asyncio.CancelledError:
-                    break  # server stopping; finish cleanly, not as an error
-                task = asyncio.ensure_future(
-                    self._handle_request(payload, writer))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            for task in tasks:
-                task.cancel()
-            writer.close()
-
-    async def _handle_request(self, payload: dict,
-                              writer: asyncio.StreamWriter) -> None:
-        request_id = payload.get("id")
-        try:
-            method = payload["method"]
-            if method.startswith("obs."):
-                result = self._handle_obs(method)
-                frame = wire.encode_response(request_id, result=result)
-            else:
-                args = tuple(wire.from_jsonable(a)
-                             for a in payload.get("args", []))
-                kwargs = {k: wire.from_jsonable(v)
-                          for k, v in payload.get("kwargs", {}).items()}
-                span = None
-                srv_started = None
-                if self.runtime.tracer.enabled:
-                    # Re-parent this handler onto the caller's span so the
-                    # merged trace shows one tree per op across processes.
-                    trace_ctx = payload.get("trace")
-                    if isinstance(trace_ctx, dict):
-                        span = RemoteSpanRef(str(trace_ctx.get("proc", "")),
-                                             int(trace_ctx.get("span", 0)))
-                    srv_started = self.runtime.now
-                result = await self.runtime.drive(
-                    self.dispatcher.dispatch(method, args, kwargs, span))
-                srv_us = (None if srv_started is None
-                          else self.runtime.now - srv_started)
-                frame = wire.encode_response(request_id, result=result,
-                                             srv_us=srv_us)
-        except MetadataError as exc:
-            frame = wire.encode_response(request_id, error=exc)
-        except Exception as exc:  # noqa: BLE001 - report, don't kill the conn
-            frame = wire.encode_response(request_id, error=exc)
-        try:
-            writer.write(frame)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # client went away; nothing to tell it
 
     def _handle_obs(self, method: str):
         """Observability control RPCs, answered by the transport itself so
@@ -492,3 +485,116 @@ class WireServer:
             self.runtime.tracer.reset()
             return {"ok": True}
         raise MetadataError(f"unknown observability RPC {method!r}")
+
+
+class _Timing:
+    """A traced request's clock (microseconds): frame arrival, handler
+    start, when the handler last yielded an effect, and how long it has
+    spent suspended on effects in total."""
+
+    __slots__ = ("arrived", "started", "paused", "awaited")
+
+    def __init__(self, arrived: float, started: float):
+        self.arrived = arrived
+        self.started = self.paused = started
+        self.awaited = 0.0
+
+
+class _ServerConnection(FrameProtocol):
+    """One accepted connection of a :class:`WireServer`."""
+
+    def __init__(self, server: WireServer):
+        super().__init__()
+        self.server = server
+        self._tasks: Set[asyncio.Task] = set()
+        self._arrived: Optional[float] = None
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        runtime = self.server.runtime
+        if runtime.tracer.enabled:
+            self._arrived = runtime.now
+        super().data_received(data)
+
+    # A peer that stops reading its responses stops being read from.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def frame_received(self, payload: dict) -> None:
+        server = self.server
+        runtime = server.runtime
+        request_id = payload.get("id")
+        timing = span = None
+        try:
+            method = payload["method"]
+            if method.startswith("obs."):
+                self._respond(request_id, None, server._handle_obs(method))
+                return
+            args = tuple(wire.from_jsonable(a)
+                         for a in payload.get("args", ()))
+            kwargs = {k: wire.from_jsonable(v)
+                      for k, v in payload.get("kwargs", {}).items()}
+            if self._arrived is not None:
+                # Re-parent this handler onto the caller's span so the
+                # merged trace shows one tree per op across processes.
+                trace_ctx = payload.get("trace")
+                if isinstance(trace_ctx, dict):
+                    span = RemoteSpanRef(str(trace_ctx.get("proc", "")),
+                                         int(trace_ctx.get("span", 0)))
+                timing = _Timing(self._arrived, runtime.now)
+            generator = server.dispatcher.dispatch(method, args, kwargs, span)
+            runtime.active = generator
+            waiting = runtime.begin(generator.send(None), timing)
+        except StopIteration as stop:
+            self._respond(request_id, timing, stop.value)
+        except Exception as exc:  # noqa: BLE001 - report, don't kill the conn
+            self._respond(request_id, timing, error=exc)
+        else:
+            task = asyncio.get_running_loop().create_task(
+                self._finish(request_id, timing, generator, waiting))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+
+    async def _finish(self, request_id, timing, generator, waiting) -> None:
+        try:
+            result = await self.server.runtime.drive(generator, waiting,
+                                                     timing)
+        except Exception as exc:  # noqa: BLE001 - report, don't kill the conn
+            self._respond(request_id, timing, error=exc)
+        else:
+            self._respond(request_id, timing, result)
+
+    def _respond(self, request_id, timing: Optional[_Timing],
+                 result: Any = None, error: Any = None) -> None:
+        """Write one response frame.  A traced request's carries what its
+        handler cost: wall time since the frame arrived (``srv_us``), the
+        part of it before the handler started (``srv_queue_us``), and the
+        part inside the handler's own steps — not awaiting an effect, which
+        rpc/fsync charges cover — as ``srv_cpu_us``."""
+        if error is None:
+            cost = {}
+            if timing is not None:
+                srv_us = self.server.runtime.now - timing.arrived
+                queue_us = timing.started - timing.arrived
+                cost = {"srv_us": srv_us, "srv_queue_us": queue_us,
+                        "srv_cpu_us": srv_us - queue_us - timing.awaited}
+            try:
+                frame = wire.encode_response(request_id, result=result,
+                                             **cost)
+            except Exception as exc:  # noqa: BLE001 - unencodable result
+                error = exc
+        if error is not None:
+            frame = wire.encode_response(request_id, error=error)
+        if self.transport is not None:  # else: client went away
+            self.transport.write(frame)
+
+    def closed(self, fault: Optional[FrameError]) -> None:
+        self.server._connections.discard(self)
+        for task in self._tasks:
+            task.cancel()

@@ -16,19 +16,28 @@ test code can be parameterised over either — the agreement suite and
 microseconds (the live runtime's clock), on the same scale simulated
 latencies are reported in.
 
-The client owns a private event loop on a daemon thread; the public
-methods are ordinary blocking calls safe to use from synchronous code.
+The client is a plain blocking socket: a call sends one frame and reads
+frames until the reply with its id arrives; ``batch()`` pipelines its
+frames and then collects the replies.  No event loop, no helper thread —
+the calling thread does the I/O.  A lock makes each exchange atomic, so
+threads may share an untraced client; to overlap requests (or to trace)
+give each thread its own.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
 import time
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.api import BatchResult
-from repro.errors import MetadataError, NoSuchPathError
+from repro.errors import (
+    ConnectionLostError,
+    MetadataError,
+    NoSuchPathError,
+    RPCTimeoutError,
+)
 from repro.ops import (
     Create,
     Delete,
@@ -43,23 +52,13 @@ from repro.ops import (
 )
 from repro.paths import ancestors
 from repro.paths import normalize as paths_normalize
-from repro.runtime.aio import DEFAULT_RPC_TIMEOUT_S, RpcConnection
+from repro.runtime import wire
+from repro.runtime.aio import DEFAULT_RPC_TIMEOUT_S, charge_round_trip
 from repro.sim.stats import MetricSet, OpContext
 from repro.sim.trace import CAT_OP, NULL_TRACER
 from repro.types import OpResult, Permission, StatResult
 
-
-class _TaskKeyed:
-    """Binds a tracer's span stacks to the client's running asyncio task
-    (the client-side analogue of ``sim._active_process``), so concurrent
-    ``batch()`` ops keep separate stacks."""
-
-    @property
-    def _active_process(self):
-        try:
-            return asyncio.current_task()
-        except RuntimeError:
-            return None
+_RECV_BYTES = 256 * 1024
 
 
 class LiveClient:
@@ -69,8 +68,9 @@ class LiveClient:
     cross-process span tree at the client: each ``perform`` opens an
     ``op``-category span (wall-clock, ``PROCESS_NAME`` process), ships its
     span id as trace context on the wire, and charges the round trip minus
-    server time as wire cost — mirroring what the simulated client's op
-    root plus ``Network.rpc`` record.
+    server time as wire cost (plus the proxy handler's own reported cost) —
+    mirroring what the simulated client's op root plus ``Network.rpc``
+    record.
     """
 
     #: Trace-context process name for client-side spans.
@@ -83,16 +83,18 @@ class LiveClient:
         self.rpc_timeout_s = rpc_timeout_s
         self.metrics = MetricSet()
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: The tracer's span-stack key (the client-side analogue of
+        #: ``sim._active_process``): the request being sent or collected,
+        #: so the ops of one ``batch()`` keep separate stacks.
+        self._active_process: Optional[int] = None
         if self.tracer.enabled:
-            self.tracer.bind(_TaskKeyed())
+            self.tracer.bind(self)
         self._epoch_us = time.time() * 1e6
         self._t0 = time.monotonic()
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name=f"live-client-{endpoint}",
-            daemon=True)
-        self._thread.start()
-        self._connection = RpcConnection(endpoint)
+        self._lock = threading.Lock()
+        self._sock: Optional[socket.socket] = None
+        self._decoder = wire.FrameDecoder()
+        self._next_id = 0
         self._closed = False
 
     @property
@@ -108,82 +110,137 @@ class LiveClient:
                                     epoch_us=self._epoch_us,
                                     now_us=self.now_us, clock="wallclock")
 
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-        pending = asyncio.all_tasks(self._loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            self._loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True))
-        self._loop.close()
+    # -- transport -----------------------------------------------------------
 
-    def _submit(self, coro) -> Any:
+    def _connect(self) -> socket.socket:
+        host, port = self.endpoint.rsplit(":", 1)
+        try:
+            sock = socket.create_connection((host, int(port)),
+                                            timeout=self.rpc_timeout_s)
+        except OSError as exc:
+            raise ConnectionLostError(self.endpoint, str(exc)) from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._decoder = wire.FrameDecoder()
+        self._sock = sock
+        return sock
+
+    def _drop(self) -> None:
+        """Forget the connection after a fault; the next call reconnects."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+    def _exchange(self, calls: Sequence[Tuple[str, tuple, Optional[dict]]]):
+        """Pipeline ``calls`` — ``(method, args, trace context)`` each —
+        and yield ``(position, payload)`` as each reply arrives, all under
+        one ``rpc_timeout_s`` deadline.  Replies to calls that missed an
+        earlier deadline are dropped.  Raises the transport error that
+        lost the replies still owed; after anything but a receive timeout
+        the connection is dropped and the next call reconnects."""
         if self._closed:
-            coro.close()
             raise RuntimeError("LiveClient is closed")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result()
+        with self._lock:
+            sock = self._sock or self._connect()
+            owed = {}
+            frames = []
+            for position, (method, args, trace) in enumerate(calls):
+                self._next_id += 1
+                owed[self._next_id] = position
+                frames.append(wire.encode_request(self._next_id, method, args,
+                                                  {}, trace=trace))
+            deadline = time.monotonic() + self.rpc_timeout_s
+            try:
+                sock.settimeout(self.rpc_timeout_s)
+                sock.sendall(b"".join(frames))
+                while owed:
+                    sock.settimeout(max(1e-6, deadline - time.monotonic()))
+                    try:
+                        data = sock.recv(_RECV_BYTES)
+                    except socket.timeout:
+                        raise RPCTimeoutError(self.endpoint,
+                                              self.rpc_timeout_s) from None
+                    if not data:
+                        self._decoder.check_eof()
+                        raise ConnectionLostError(self.endpoint,
+                                                  "connection closed")
+                    for payload in self._decoder.feed(data):
+                        position = owed.pop(payload.get("id"), None)
+                        if position is not None:
+                            yield position, payload
+            except RPCTimeoutError:
+                raise  # the stream is intact: keep it, skip the late reply
+            except MetadataError:  # framing fault, or the peer closed
+                self._drop()
+                raise
+            except OSError as exc:
+                self._drop()
+                raise ConnectionLostError(self.endpoint, str(exc)) from exc
 
     # -- op plumbing ---------------------------------------------------------
 
-    async def _perform_async(self, op: Op) -> Tuple[Any, OpContext]:
+    def _perform_many(self, ops: Sequence[Op]) -> List[Any]:
+        """Pipeline ``ops`` on the connection and record each in
+        ``metrics``.  Per op, in op order: its result (mutations as
+        :class:`OpResult`), or the :class:`MetadataError` that failed it."""
         tracer = self.tracer
-        if not tracer.enabled:
-            payload = await self._connection.call(
-                "perform", (op.to_wire(),), {}, timeout_s=self.rpc_timeout_s)
-        else:
-            started = self.now_us
-            span = tracer.begin(op.name, started, category=CAT_OP,
-                                host=self.PROCESS_NAME)
-            trace_ctx = {"proc": self.PROCESS_NAME, "span": span.span_id}
-            ok = False
-            try:
-                payload, meta = await self._connection.call(
-                    "perform", (op.to_wire(),), {},
-                    timeout_s=self.rpc_timeout_s, trace=trace_ctx,
-                    with_meta=True)
-                ok = True
-            finally:
-                now = self.now_us
-                if ok:
-                    srv_us = meta.get("srv_us", 0.0)
-                    tracer.charge("wire", max(0.0, (now - started) - srv_us),
-                                  self.endpoint)
-                tracer.end(span, now, ok=ok)
-        ctx = OpContext(op.name)
-        ctx.rpcs = payload.get("rpcs", 0)
-        ctx.retries = payload.get("retries", 0)
-        ctx.start = 0.0
-        ctx.finish = payload.get("latency_us", 0.0)
-        return payload.get("result"), ctx
-
-    def _run_ctx(self, op: Op) -> Tuple[Any, OpContext]:
+        calls = []
+        spans = []  # per op, under an enabled tracer: (op span, send time)
+        for position, op in enumerate(ops):
+            trace_ctx = None
+            if tracer.enabled:
+                self._active_process = position
+                started = self.now_us
+                span = tracer.begin(op.name, started, category=CAT_OP,
+                                    host=self.PROCESS_NAME)
+                spans.append((span, started))
+                trace_ctx = {"proc": self.PROCESS_NAME, "span": span.span_id}
+            calls.append(("perform", (op.to_wire(),), trace_ctx))
+        outcomes: List[Any] = [None] * len(ops)
+        fault = None
         try:
-            result, ctx = self._submit(self._perform_async(op))
-        except MetadataError:
-            ctx = OpContext(op.name)
-            self.metrics.record_failure(ctx)
-            raise
-        self.metrics.record(ctx)
-        return result, ctx
-
-    def _run(self, op: Op) -> Any:
-        return self._run_ctx(op)[0]
-
-    def _run_mutation(self, op: Op) -> OpResult:
-        result, ctx = self._run_ctx(op)
-        return OpResult(result, rpcs=ctx.rpcs, retries=ctx.retries,
-                        latency_us=ctx.latency)
+            for position, payload in self._exchange(calls):
+                try:
+                    reply = wire.decode_result(payload)
+                except MetadataError as exc:
+                    outcomes[position] = exc
+                    continue
+                ctx = OpContext(ops[position].name)
+                ctx.rpcs = reply.get("rpcs", 0)
+                ctx.retries = reply.get("retries", 0)
+                ctx.start = 0.0
+                ctx.finish = reply.get("latency_us", 0.0)
+                self.metrics.record(ctx)
+                result = reply.get("result")
+                if isinstance(result, int) and not isinstance(result, bool):
+                    result = OpResult(result, rpcs=ctx.rpcs,
+                                      retries=ctx.retries,
+                                      latency_us=ctx.latency)
+                outcomes[position] = result
+                if spans:
+                    span, started = spans[position]
+                    self._active_process = position
+                    now = self.now_us
+                    charge_round_trip(tracer, now - started, payload,
+                                      self.endpoint)
+                    tracer.end(span, now)
+        except MetadataError as exc:
+            fault = exc
+        for position, op in enumerate(ops):
+            if outcomes[position] is None:
+                outcomes[position] = fault
+            if isinstance(outcomes[position], MetadataError):
+                self.metrics.record_failure(OpContext(op.name))
+                if spans:
+                    self._active_process = position
+                    tracer.end(spans[position][0], self.now_us, ok=False)
+        return outcomes
 
     def perform(self, op: Op) -> Any:
         """Run one typed op; mutations come back as :class:`OpResult`."""
-        result, ctx = self._run_ctx(op)
-        if isinstance(result, int) and not isinstance(result, bool):
-            return OpResult(result, rpcs=ctx.rpcs, retries=ctx.retries,
-                            latency_us=ctx.latency)
-        return result
+        (outcome,) = self._perform_many((op,))
+        if isinstance(outcome, MetadataError):
+            raise outcome
+        return outcome
 
     # -- namespace operations (mirrors MantleClient) -------------------------
 
@@ -200,24 +257,24 @@ class LiveClient:
                 except MetadataError:
                     break
             for ancestor in reversed(missing):
-                self._run_mutation(Mkdir(ancestor))
-        return self._run_mutation(Mkdir(path))
+                self.perform(Mkdir(ancestor))
+        return self.perform(Mkdir(path))
 
     def rmdir(self, path: str) -> OpResult:
-        return self._run_mutation(Rmdir(path))
+        return self.perform(Rmdir(path))
 
     def create(self, path: str, size: int = 0) -> OpResult:
         del size
-        return self._run_mutation(Create(path))
+        return self.perform(Create(path))
 
     def delete(self, path: str) -> OpResult:
-        return self._run_mutation(Delete(path))
+        return self.perform(Delete(path))
 
     def objstat(self, path: str) -> StatResult:
-        return self._run(ObjStat(path))
+        return self.perform(ObjStat(path))
 
     def dirstat(self, path: str) -> StatResult:
-        return self._run(DirStat(path))
+        return self.perform(DirStat(path))
 
     def stat(self, path: str) -> StatResult:
         try:
@@ -226,13 +283,13 @@ class LiveClient:
             return self.dirstat(path)
 
     def listdir(self, path: str) -> List[str]:
-        return self._run(ReadDir(path))
+        return self.perform(ReadDir(path))
 
     def rename(self, src: str, dst: str) -> OpResult:
-        return self._run_mutation(Rename(src, dst))
+        return self.perform(Rename(src, dst))
 
     def setattr(self, path: str, permission: Permission) -> StatResult:
-        return self._run(SetAttr(path, permission))
+        return self.perform(SetAttr(path, permission))
 
     def exists(self, path: str) -> bool:
         try:
@@ -241,57 +298,42 @@ class LiveClient:
         except MetadataError:
             return False
 
+    def call(self, method: str, *args) -> Any:
+        """One raw RPC to the endpoint (any role's wire port answers
+        ``ping`` and the ``obs.*`` control methods)."""
+        # Unpacking runs the exchange to its end, releasing the lock.
+        ((_, payload),) = self._exchange([(method, args, None)])
+        return wire.decode_result(payload)
+
     def ping(self) -> dict:
         """Round trip a no-op frame (connectivity check)."""
-        return self._submit(self._connection.call(
-            "ping", (), {}, timeout_s=self.rpc_timeout_s))
+        return self.call("ping")
 
     # -- batching ------------------------------------------------------------
 
     def batch(self, ops: Iterable[Op]) -> List[BatchResult]:
-        """Run several ops concurrently over the multiplexed connection.
+        """Run several ops pipelined on the connection.
 
         Like the simulated client's ``batch``, per-op failures land in
         ``BatchResult.error`` instead of raising, and all ops are in flight
-        together (distinct request ids on one TCP connection).
+        together (distinct request ids on one TCP connection); results
+        come back in op order.
         """
         items = [BatchResult(op) for op in ops]
-
-        async def run_all():
-            async def run_one(item: BatchResult):
-                try:
-                    result, ctx = await self._perform_async(item.op)
-                except MetadataError as exc:
-                    item.error = exc
-                    self.metrics.record_failure(OpContext(item.op.name))
-                    return
-                if isinstance(result, int) and not isinstance(result, bool):
-                    result = OpResult(result, rpcs=ctx.rpcs,
-                                      retries=ctx.retries,
-                                      latency_us=ctx.latency)
-                item.result = result
-                self.metrics.record(ctx)
-
-            await asyncio.gather(*(run_one(item) for item in items))
-
-        if items:
-            self._submit(run_all())
+        outcomes = self._perform_many([item.op for item in items])
+        for item, outcome in zip(items, outcomes):
+            if isinstance(outcome, MetadataError):
+                item.error = outcome
+            else:
+                item.result = outcome
         return items
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
         self._closed = True
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self._connection.close(), self._loop)
-            future.result(timeout=5)
-        except Exception:
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
+        with self._lock:
+            self._drop()
 
     def __enter__(self) -> "LiveClient":
         return self

@@ -35,7 +35,10 @@ from typing import Dict, List, Optional
 from repro.baselines.base import IdAllocator, MetadataSystem
 from repro.core.config import MantleConfig
 from repro.core.proxy import MantleProxy
+from repro.errors import MetadataError
+from repro.ops import Op
 from repro.runtime.aio import AsyncioRuntime, RemoteService, WireServer
+from repro.sim.stats import OpContext
 from repro.sim.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.tafdb.client import TafDBClient
@@ -74,9 +77,9 @@ class LiveSimFacade:
     facade never reassigns shared globals, so two facades in one process
     can carry different tracers and a test can hand in its own.  The
     tracer's span stacks are keyed by :attr:`_active_process`: live, the
-    "process" a charge belongs to is the asyncio task serving the
-    request, which is exactly the role ``sim._active_process`` plays for
-    simulated processes.
+    "process" a charge belongs to is the request generator the runtime's
+    trampoline is stepping, which is exactly the role
+    ``sim._active_process`` plays for simulated processes.
     """
 
     def __init__(self, runtime: AsyncioRuntime, tracer=None, telemetry=None):
@@ -97,11 +100,8 @@ class LiveSimFacade:
 
     @property
     def _active_process(self):
-        """The tracer's span-stack key: the currently running task."""
-        try:
-            return asyncio.current_task()
-        except RuntimeError:
-            return None
+        """The tracer's span-stack key: the generator being stepped."""
+        return self.runtime.active
 
 
 class LiveHost:
@@ -110,6 +110,8 @@ class LiveHost:
     ``do_fsync`` is what ``AsyncioRuntime.fsync`` offloads to a worker
     thread: an append plus a real ``os.fsync`` on this host's WAL file —
     the durability point the simulator charges ``db_commit_sync_us`` for.
+    ``fsyncs`` is counted by the runtime on the loop side, once the
+    offloaded call has returned.
     """
 
     def __init__(self, sim: LiveSimFacade, name: str,
@@ -126,7 +128,6 @@ class LiveHost:
             self._wal = open(self._wal_path, "ab")
 
     def do_fsync(self) -> None:
-        self.fsyncs += 1
         if self._wal is not None:
             self._wal.write(b"C\n")  # commit marker
             self._wal.flush()
@@ -141,8 +142,9 @@ class LiveHost:
 class SoloRaft:
     """Single-node durable log backing the live IndexNode.
 
-    ``commit`` appends the command to a JSONL log, fsyncs it off-loop, then
-    applies it to the state machine — the ordering and durability contract
+    ``commit`` (a generator the runtime's trampoline drives) appends the
+    command to a JSONL log, fsyncs it off-loop, then applies it to the state
+    machine — the ordering and durability contract
     the simulated Raft group provides, minus replication (the live smoke
     cluster runs one IndexNode replica).  Always leader; ``read_barrier``
     is a no-op generator for the same reason.
@@ -170,49 +172,37 @@ class SoloRaft:
             self._log.flush()
             os.fsync(self._log.fileno())
 
-    async def commit(self, command):
-        loop = asyncio.get_running_loop()
-        sim = self.host.sim
-        tracer = sim.tracer
-        telemetry = sim.telemetry
-        if not tracer.enabled and not telemetry.enabled:
-            await loop.run_in_executor(None, self._append_durable, command)
-            self.commits += 1
-            return self.state_machine.apply(command)
-        # Instrumented commit: the same raft.flush / raft.apply spans the
+    def commit(self, command):
+        # Under a tracer: the same raft.flush / raft.apply spans the
         # simulated leader opens, with wall-clock durations — what lets
         # the differential report align live commits against the modelled
-        # fsync/apply costs.
+        # fsync/apply costs.  (The apply's CPU is part of the handler's own
+        # time, which the transport charges; its span only marks where.)
+        sim = self.host.sim
+        tracer = sim.tracer
         host = self.host.name
-        flush_started = sim.now
+        started = sim.now
         if tracer.enabled:
-            span = tracer.begin("raft.flush", flush_started, category="raft",
+            span = tracer.begin("raft.flush", started, category="raft",
                                 host=host)
             span.annotate(entries=1)
-        await loop.run_in_executor(None, self._append_durable, command)
-        flush_ended = sim.now
-        if tracer.enabled:
-            tracer.charge("fsync", flush_ended - flush_started, host)
-            tracer.end(span, flush_ended)
-        if telemetry.enabled:
-            telemetry.counter("raft.flushes", host).add(flush_ended)
-            telemetry.counter("host.disk_busy_us", host,
-                              capacity=1.0).add_interval(
-                flush_started, flush_ended)
+        yield from sim.runtime.offload(self._append_durable, command)
         self.commits += 1
+        flushed = sim.now
+        if sim.telemetry.enabled:
+            sim.telemetry.counter("raft.flushes", host).add(flushed)
+            sim.telemetry.counter("host.disk_busy_us", host,
+                                  capacity=1.0).add_interval(started, flushed)
         if not tracer.enabled:
             return self.state_machine.apply(command)
-        apply_started = sim.now
-        span = tracer.begin("raft.apply", apply_started, category="raft",
-                            host=host)
+        tracer.charge("fsync", flushed - started, host)
+        tracer.end(span, flushed)
+        span = tracer.begin("raft.apply", flushed, category="raft", host=host)
         span.annotate(entries=1)
         try:
-            result = self.state_machine.apply(command)
+            return self.state_machine.apply(command)
         finally:
-            now = sim.now
-            tracer.charge("cpu", now - apply_started, host)
-            tracer.end(span, now)
-        return result
+            tracer.end(span, sim.now)
 
     def read_barrier(self):
         return
@@ -248,6 +238,15 @@ def build_tafdb_role(config: MantleConfig, runtime: AsyncioRuntime,
         attr_key(ROOT_ID), "insert",
         AttrMeta(id=ROOT_ID, kind=EntryKind.DIRECTORY))])
     return server
+
+
+def start_compactor(server, config: MantleConfig) -> asyncio.Task:
+    """Run the TafDB role's delta compactor (§5.2.1) on the running loop:
+    the loop the simulator spawns with ``sim.process``, at the same
+    configured period, driven by the live runtime's trampoline.  Runs
+    until cancelled."""
+    return asyncio.ensure_future(server.runtime.drive(
+        server.compactor_loop(config.compaction_period_us)))
 
 
 def build_indexnode_role(config: MantleConfig, runtime: AsyncioRuntime,
@@ -315,6 +314,7 @@ class LiveMantleService(MetadataSystem):
         self.namespace = "default"
         self.root_id = ROOT_ID
         self._wal_dir = wal_dir
+        self._hosts: Dict[int, LiveHost] = {}
         self.tafdb = LiveTafDB(facade, runtime, config, tafdb_services)
         self._index_service = index_service
         self.ids = IdAllocator(start=ROOT_ID + 1)
@@ -325,7 +325,18 @@ class LiveMantleService(MetadataSystem):
     # -- the service surface MantleProxy consumes ---------------------------
 
     def proxy_host(self, proxy_id: int) -> LiveHost:
-        return LiveHost(self.sim, f"proxy-{proxy_id}", wal_dir=self._wal_dir)
+        host = self._hosts.get(proxy_id)
+        if host is None:
+            host = self._hosts[proxy_id] = LiveHost(
+                self.sim, f"proxy-{proxy_id}", wal_dir=self._wal_dir)
+        return host
+
+    def shutdown(self) -> None:
+        """Close every proxy's write-ahead file and backend connection."""
+        for host in self._hosts.values():
+            host.close()
+        for service in [*self.tafdb.services, self._index_service]:
+            service.connection.close()
 
     def leader_service(self) -> RemoteService:
         return self._index_service
@@ -391,11 +402,7 @@ class ProxyFrontend:
         if method == "ping":
             return {"pong": True, "now_us": self.service.sim.now}
         if method != "perform":
-            from repro.errors import MetadataError
             raise MetadataError(f"proxy frontend has no RPC {method!r}")
-        from repro.ops import Op
-        from repro.sim.stats import OpContext
-
         op = Op.from_wire(args[0])
         ctx = OpContext(op.name)
         sim = self.service.sim
@@ -463,6 +470,8 @@ class InProcessCluster:
         self._thread: Optional[threading.Thread] = None
         self._servers: List[WireServer] = []
         self._metrics_servers: List = []
+        self._compactor: Optional[asyncio.Task] = None
+        self._frontend: Optional[ProxyFrontend] = None
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
 
@@ -527,6 +536,7 @@ class InProcessCluster:
     async def _start_roles(self) -> None:
         runtime = self._make_runtime("tafdb")
         tafdb = build_tafdb_role(self.config, runtime, wal_dir=self.wal_dir)
+        self._compactor = start_compactor(tafdb, self.config)
         tafdb_server = WireServer(runtime, tafdb)
         tafdb_port = await tafdb_server.start()
         await self._start_metrics("tafdb", runtime)
@@ -543,6 +553,7 @@ class InProcessCluster:
             self.config, runtime,
             [f"127.0.0.1:{tafdb_port}"], f"127.0.0.1:{index_port}",
             wal_dir=self.wal_dir)
+        self._frontend = frontend
         proxy_server = WireServer(runtime, frontend)
         proxy_port = await proxy_server.start()
         await self._start_metrics("proxy", runtime)
@@ -560,10 +571,14 @@ class InProcessCluster:
             return
 
         async def shutdown():
+            if self._compactor is not None:
+                self._compactor.cancel()
             for server in self._metrics_servers:
                 await server.stop()
             for server in self._servers:
                 await server.stop()
+            if self._frontend is not None:
+                self._frontend.service.shutdown()
 
         future = asyncio.run_coroutine_threadsafe(shutdown(), self._loop)
         try:

@@ -415,39 +415,25 @@ def phase_breakdown(snapshots: List[Dict[str, Any]]) -> Dict[str, OpPhases]:
 # Snapshot collection over the wire.
 # ---------------------------------------------------------------------------
 
-async def call_endpoint(endpoint: str, method: str,
-                        timeout_s: float = 10.0) -> Any:
+def call_endpoint(endpoint: str, method: str, timeout_s: float = 10.0) -> Any:
     """One throwaway-connection RPC (used for obs.* control methods)."""
-    from repro.runtime import wire
+    from repro.runtime.client import LiveClient
 
-    host, port = endpoint.rsplit(":", 1)
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, int(port)), timeout_s)
-    try:
-        writer.write(wire.encode_request(1, method, (), {}))
-        await writer.drain()
-        payload = await asyncio.wait_for(wire.read_frame(reader), timeout_s)
-    finally:
-        writer.close()
-    return wire.decode_result(payload)
+    with LiveClient(endpoint, rpc_timeout_s=timeout_s) as client:
+        return client.call(method)
 
 
 def collect_snapshots(endpoints: Dict[str, str],
                       method: str = "obs.trace_snapshot"
                       ) -> List[Dict[str, Any]]:
-    """Fetch one obs snapshot from each role endpoint (blocking helper).
+    """Fetch one obs snapshot from each role endpoint, in role order.
 
-    ``endpoints`` maps role name -> ``host:port``.  Runs its own event
-    loop, so call it from synchronous driver code only (the ``mantle-exp``
-    commands), never from inside a live cluster's loop.
+    ``endpoints`` maps role name -> ``host:port``.  Blocking sockets: call
+    it from synchronous driver code (the ``mantle-exp`` commands), never
+    from inside a live cluster's loop.
     """
-    async def _collect():
-        out = []
-        for _role, endpoint in sorted(endpoints.items()):
-            out.append(await call_endpoint(endpoint, method))
-        return out
-
-    return asyncio.run(_collect())
+    return [call_endpoint(endpoint, method)
+            for _role, endpoint in sorted(endpoints.items())]
 
 
 # ---------------------------------------------------------------------------

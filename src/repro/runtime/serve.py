@@ -68,6 +68,7 @@ async def _serve_role(args) -> int:
     if args.role == "tafdb":
         dispatcher = live.build_tafdb_role(config, runtime,
                                            wal_dir=args.wal_dir)
+        background = live.start_compactor(dispatcher, config)
     elif args.role == "indexnode":
         dispatcher = live.build_indexnode_role(config, runtime,
                                                wal_dir=args.wal_dir)
@@ -103,6 +104,8 @@ async def _serve_role(args) -> int:
     if metrics_server is not None:
         await metrics_server.stop()
     await server.stop()
+    if args.role == "proxy":
+        dispatcher.service.shutdown()
     return 0
 
 

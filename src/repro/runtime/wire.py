@@ -2,9 +2,10 @@
 
 Every frame is a 4-byte big-endian payload length followed by a compact,
 key-sorted JSON document.  JSON (rather than msgpack, which the protocol
-was also designed to carry) keeps the reproduction dependency-free; frames
-are small — ops, rows, stat results — so codec throughput is not the
-bottleneck, the network round trip is.
+was also designed to carry) keeps the reproduction dependency-free.  Frames
+are small — ops, rows, stat results — but an op crosses three hops, so
+this codec runs six times per op: values go through a per-type dispatch
+table (one dict lookup, field names computed once at registration).
 
 Domain values cross the wire through a tagged encoding:
 
@@ -14,8 +15,10 @@ Domain values cross the wire through a tagged encoding:
   and Raft commands rely on tuple identity);
 * :class:`~repro.types.EntryKind` becomes ``{"__k__": "dir"|"obj"}`` and
   :class:`~repro.types.Permission` ``{"__p__": <int mask>}``;
-* :class:`~repro.types.OpResult` becomes ``{"__r__": {...}}`` via its own
-  ``to_wire``.
+* subclasses of the JSON scalars travel as their base type — an
+  :class:`~repro.types.OpResult` is its inode id on the wire (the proxy
+  ships its counters beside it); a ``{"__r__": {...}}`` document still
+  decodes to one.
 
 The exact byte format is pinned by the golden file in
 ``tests/runtime/golden_ops_wire.json`` — a change here that alters those
@@ -28,9 +31,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.errors import FrameError
+from repro.errors import (
+    FrameError,
+    MetadataError,
+    error_from_wire,
+    error_to_wire,
+)
 from repro.types import EntryKind, OpResult, Permission
 
 #: Hard ceiling on one frame's payload; anything larger is a framing bug
@@ -38,10 +46,57 @@ from repro.types import EntryKind, OpResult, Permission
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
+_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+#: For trees :func:`to_jsonable` built: it inserts every dict's keys in
+#: sorted order and shares no node, so the same bytes come out without the
+#: encoder sorting or tracking cycles.
+_dumps_tree = json.JSONEncoder(separators=(",", ":"),
+                               check_circular=False).encode
+
+
+# -- value codec --------------------------------------------------------------
+
+def _same(value: Any) -> Any:
+    return value
+
+
+#: JSON scalars: containers test for these inline and skip the call.
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _items(values) -> list:
+    return [v if type(v) in _LEAVES else to_jsonable(v) for v in values]
+
+
+#: Exact type -> encoder.  Seeded with the JSON-native and tagged builtin
+#: types; registered dataclasses and resolved subclasses are added on first
+#: use, so the steady state is one dict lookup per value.  Every dict an
+#: encoder builds has its keys inserted in sorted order (``_dumps_tree``).
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {
+    **dict.fromkeys(_LEAVES, _same),
+    Permission: lambda value: {"__p__": int(value)},
+    EntryKind: lambda value: {"__k__": value.value},
+    tuple: lambda value: {"__t__": _items(value)},
+    list: _items,
+    dict: lambda value: {key: to_jsonable(value[key])
+                         for key in sorted(value)},
+}
+_BUILTIN_TYPES = frozenset(_ENCODERS)
 
 #: Wire tag -> dataclass.  Only types that actually cross a live RPC
 #: boundary are registered; registration order is part of the protocol.
 _WIRE_TYPES: Dict[str, Type] = {}
+
+#: What ``json.loads`` yields that :func:`from_jsonable` has to look into.
+_NESTED = (dict, list)
+
+#: Single-key tag -> decoder of that key's value.
+_TAG_DECODERS: Dict[str, Callable[[Any], Any]] = {
+    "__p__": Permission,
+    "__k__": EntryKind,
+    "__r__": OpResult.from_wire,
+    "__t__": lambda items: tuple(from_jsonable(items)),
+}
 
 
 def _register_wire_types() -> None:
@@ -56,69 +111,79 @@ def _register_wire_types() -> None:
     for cls in (RowKey, Dirent, AttrDelta, AttrMeta, Row, WriteIntent,
                 AccessMeta, StatResult, LookupOutcome, RenamePrep):
         _WIRE_TYPES[cls.__name__] = cls
+        _ENCODERS[cls] = _dataclass_encoder(
+            cls.__name__, sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _dataclass_encoder(name: str, fields: List[str]):
+    def encode(value: Any) -> Any:
+        out = {}
+        for field in fields:
+            item = getattr(value, field)
+            out[field] = item if type(item) in _LEAVES else to_jsonable(item)
+        return {"__w__": name, "f": out}
+    return encode
+
+
+def _resolve_encoder(cls: type) -> Callable[[Any], Any]:
+    """Slow path, once per type: register the wire dataclasses, or give a
+    subclass of a builtin its base's encoder (first base in the MRO)."""
+    if not _WIRE_TYPES:
+        _register_wire_types()
+        if cls in _ENCODERS:
+            return _ENCODERS[cls]
+    for base in cls.__mro__:
+        if base in _BUILTIN_TYPES:
+            _ENCODERS[cls] = _ENCODERS[base]
+            return _ENCODERS[cls]
+    if dataclasses.is_dataclass(cls):
+        raise FrameError(f"unregistered wire type {cls.__name__}")
+    raise FrameError(f"cannot encode {cls.__name__} on the wire")
 
 
 def to_jsonable(value: Any) -> Any:
     """Recursively encode ``value`` into JSON-compatible structures."""
-    if value is None or isinstance(value, (str, bool)):
-        return value
-    if isinstance(value, Permission):  # IntFlag: test before plain int
-        return {"__p__": int(value)}
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, EntryKind):
-        return {"__k__": value.value}
-    if isinstance(value, OpResult):
-        return {"__r__": value.to_wire()}
-    if isinstance(value, tuple):
-        return {"__t__": [to_jsonable(v) for v in value]}
-    if isinstance(value, list):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {key: to_jsonable(v) for key, v in value.items()}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        if not _WIRE_TYPES:
-            _register_wire_types()
-        name = type(value).__name__
-        if name not in _WIRE_TYPES:
-            raise FrameError(f"unregistered wire type {name}")
-        fields = {f.name: to_jsonable(getattr(value, f.name))
-                  for f in dataclasses.fields(value)}
-        return {"__w__": name, "f": fields}
-    raise FrameError(f"cannot encode {type(value).__name__} on the wire")
+    encode = _ENCODERS.get(type(value))
+    if encode is None:
+        encode = _resolve_encoder(type(value))
+    return encode(value)
 
 
 def from_jsonable(value: Any) -> Any:
     """Inverse of :func:`to_jsonable`."""
-    if isinstance(value, list):
-        return [from_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        if "__p__" in value and len(value) == 1:
-            return Permission(value["__p__"])
-        if "__k__" in value and len(value) == 1:
-            return EntryKind(value["__k__"])
-        if "__r__" in value and len(value) == 1:
-            return OpResult.from_wire(value["__r__"])
-        if "__t__" in value and len(value) == 1:
-            return tuple(from_jsonable(v) for v in value["__t__"])
-        if "__w__" in value:
-            if not _WIRE_TYPES:
-                _register_wire_types()
-            cls = _WIRE_TYPES.get(value["__w__"])
-            if cls is None:
-                raise FrameError(f"unknown wire type {value['__w__']!r}")
-            fields = {name: from_jsonable(v)
-                      for name, v in value.get("f", {}).items()}
-            return cls(**fields)
-        return {key: from_jsonable(v) for key, v in value.items()}
-    return value
+    kind = type(value)
+    if kind is list:
+        return [from_jsonable(v) if type(v) in _NESTED else v for v in value]
+    if kind is not dict:
+        return value
+    if len(value) == 1:
+        for tag, body in value.items():
+            decode = _TAG_DECODERS.get(tag)
+            if decode is not None:
+                return decode(body)
+    name = value.get("__w__")
+    if name is not None:
+        if not _WIRE_TYPES:
+            _register_wire_types()
+        cls = _WIRE_TYPES.get(name)
+        if cls is None:
+            raise FrameError(f"unknown wire type {name!r}")
+        return cls(**{field: from_jsonable(v) if type(v) in _NESTED else v
+                      for field, v in value.get("f", {}).items()})
+    return {key: from_jsonable(v) if type(v) in _NESTED else v
+            for key, v in value.items()}
 
+
+# -- framing ------------------------------------------------------------------
 
 def pack_frame(payload: Any) -> bytes:
     """Encode one message (already passed through :func:`to_jsonable` where
     needed) as a length-prefixed frame."""
-    data = json.dumps(payload, separators=(",", ":"),
-                      sort_keys=True).encode("utf-8")
+    return _frame(_dumps(payload))
+
+
+def _frame(text: str) -> bytes:
+    data = text.encode("utf-8")
     if len(data) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(data)} bytes exceeds limit")
     return _LEN.pack(len(data)) + data
@@ -132,26 +197,44 @@ def unpack_payload(data: bytes) -> Any:
         raise FrameError(f"undecodable frame: {exc}") from exc
 
 
-async def read_frame(reader) -> Any:
-    """Read one length-prefixed frame from an asyncio stream reader.
+class FrameDecoder:
+    """Incremental frame splitter shared by the asyncio transport and the
+    blocking client: feed it whatever the socket delivered — one byte, or
+    fifty coalesced frames — and get back every complete payload."""
 
-    Raises ``asyncio.IncompleteReadError`` at clean EOF (no partial frame)
-    and :class:`~repro.errors.FrameError` on truncation mid-frame or an
-    oversized/undecodable payload.
-    """
-    import asyncio
+    __slots__ = ("_buf",)
 
-    header = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"declared frame length {length} exceeds limit")
-    try:
-        data = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(
-            f"truncated frame: wanted {length} bytes, "
-            f"got {len(exc.partial)}") from exc
-    return unpack_payload(data)
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def feed(self, data: bytes) -> List[Any]:
+        """Payloads of the frames ``data`` completes, in order.  Raises
+        :class:`~repro.errors.FrameError` on an oversized declared length
+        or an undecodable payload; the stream is unusable after that."""
+        buf = self._buf
+        buf += data
+        payloads = []
+        pos, size = 0, len(buf)
+        while size - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(buf, pos)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(
+                    f"declared frame length {length} exceeds limit")
+            end = pos + _LEN.size + length
+            if end > size:
+                break
+            payloads.append(unpack_payload(buf[pos + _LEN.size:end]))
+            pos = end
+        del buf[:pos]
+        return payloads
+
+    def check_eof(self) -> None:
+        """The peer closed its end: a partial frame left behind is a
+        truncation, not a clean close."""
+        if self._buf:
+            raise FrameError(
+                f"truncated frame: {len(self._buf)} bytes of an unfinished "
+                "frame at end of stream")
 
 
 # -- request/response envelopes ---------------------------------------------
@@ -167,29 +250,31 @@ def encode_request(request_id: int, method: str, args: Tuple,
     byte-identical to the pre-trace protocol (the golden file pins both
     shapes), so traced and untraced peers interoperate.
     """
-    payload: Dict[str, Any] = {
+    payload: Dict[str, Any] = {  # keys in sorted order, for _dumps_tree
+        "args": _items(args),
         "id": request_id,
+        "kwargs": to_jsonable(kwargs),
         "method": method,
-        "args": [to_jsonable(a) for a in args],
-        "kwargs": {k: to_jsonable(v) for k, v in kwargs.items()},
     }
     if trace is not None:
-        payload["trace"] = trace
-    return pack_frame(payload)
+        payload["trace"] = to_jsonable(trace)
+    return _frame(_dumps_tree(payload))
 
 
 def encode_response(request_id: int, result: Any = None,
-                    error: Any = None,
-                    srv_us: Optional[float] = None) -> bytes:
+                    error: Any = None, srv_us: Optional[float] = None,
+                    srv_cpu_us: Optional[float] = None,
+                    srv_queue_us: Optional[float] = None) -> bytes:
     """Encode one response frame.
 
     ``srv_us`` is the server-side handler wall time, stamped only when the
     server's tracer is on; the caller subtracts it from the round-trip
     time to isolate the wire cost (the live analogue of the simulator's
-    modelled transit charge).
+    modelled transit charge).  ``srv_cpu_us``/``srv_queue_us`` split it:
+    time inside the handler's own steps, and from frame arrival to handler
+    start.  Peers that predate them ignore them.
     """
     if error is not None:
-        from repro.errors import MetadataError, error_to_wire
         if not isinstance(error, MetadataError):
             error = MetadataError(
                 f"{type(error).__name__}: {error}")
@@ -197,14 +282,16 @@ def encode_response(request_id: int, result: Any = None,
                            "error": error_to_wire(error)})
     payload: Dict[str, Any] = {"id": request_id, "ok": True,
                                "result": to_jsonable(result)}
+    if srv_cpu_us is not None:
+        payload["srv_cpu_us"] = srv_cpu_us
+        payload["srv_queue_us"] = srv_queue_us
     if srv_us is not None:
         payload["srv_us"] = srv_us
-    return pack_frame(payload)
+    return _frame(_dumps_tree(payload))
 
 
 def decode_result(payload: Dict[str, Any]) -> Any:
     """Turn a response payload into a result, raising the remote error."""
     if payload.get("ok"):
         return from_jsonable(payload.get("result"))
-    from repro.errors import error_from_wire
     raise error_from_wire(payload.get("error") or {})

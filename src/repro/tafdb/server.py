@@ -142,12 +142,16 @@ class DBServer(Server):
     def compactor_loop(self, period_us: float):
         """Background process folding delta rows into primary attribute rows.
 
-        Runs until interrupted (cluster shutdown / failure injection).
+        Written against the runtime seam, so the simulator spawns it with
+        ``sim.process`` and the live TafDB role drives the same loop on its
+        event loop.  Runs until interrupted (cluster shutdown / failure
+        injection) or, live, cancelled.
         """
         from repro.sim.core import Interrupt
+        runtime = self.runtime
         try:
             while True:
-                yield self.sim.timeout(period_us)
+                yield from runtime.sleep(period_us)
                 if self.host.crashed:
                     continue
                 tracer = self.sim.tracer
@@ -163,7 +167,8 @@ class DBServer(Server):
                                     category="maintenance",
                                     host=self.host.name)
                             round_folded += folded
-                            yield from self.host.work(
+                            yield from runtime.work(
+                                self.host,
                                 self.costs.db_row_write_us * folded)
                 if span is not None:
                     span.annotate(folded=round_folded)

@@ -7,17 +7,23 @@ code.  ``TestProcessCluster`` (marked slow) does the same through actual
 OS processes spawned via ``mantle-serve``.
 """
 
+import sys
+import threading
+
 import pytest
 
+from repro.core.config import MantleConfig
 from repro.errors import (
     AlreadyExistsError,
     ConnectionLostError,
     NoSuchPathError,
     ServiceUnavailableError,
 )
-from repro.ops import Create, Mkdir, ObjStat, ReadDir
+from repro.ops import Create, DirStat, Mkdir, ObjStat, ReadDir
+from repro.runtime import obs
 from repro.runtime.client import LiveClient
 from repro.runtime.live import InProcessCluster, ProcessCluster
+from repro.sim.trace import Tracer
 from repro.types import EntryKind, OpResult, Permission, StatResult
 
 
@@ -127,6 +133,31 @@ class TestLiveOps:
         assert not items[2].ok
         assert isinstance(items[2].error, NoSuchPathError)
 
+    def test_batch_returns_results_in_op_order(self, client, ns):
+        root = ns()
+        client.mkdir(root)
+        ops = []
+        for n in range(12):
+            ops.append(Create(f"{root}/o{n}"))
+            ops.append(ObjStat(f"{root}/absent{n}"))
+        items = client.batch(ops)
+        assert [item.op for item in items] == ops
+        created = [int(item.result) for item in items[0::2]]
+        assert len(set(created)) == 12
+        assert all(isinstance(item.error, NoSuchPathError)
+                   and item.result is None for item in items[1::2])
+        # The ids really are the ones the named objects got.
+        stats = client.batch([ObjStat(f"{root}/o{n}") for n in range(12)])
+        assert [item.result.id for item in stats] == created
+        assert client.metrics.ops_failed == 12
+        assert client.batch([]) == []
+
+    def test_batch_reports_a_lost_connection_per_op(self):
+        with LiveClient("127.0.0.1:1") as client:
+            items = client.batch([Mkdir("/a"), Mkdir("/b")])
+        assert [type(item.error) for item in items] == \
+            [ConnectionLostError] * 2
+
     def test_perform_typed_op(self, client, ns):
         root = ns()
         result = client.perform(Mkdir(root))
@@ -173,6 +204,98 @@ class TestTransportFaults:
             assert b.ping()["pong"] is True
         finally:
             b.close()
+
+
+class TestClientThreads:
+    CYCLES = 60
+
+    def _cycle(self, client, root, errors):
+        try:
+            for n in range(self.CYCLES):
+                path = f"{root}/o{n}"
+                created = int(client.create(path))
+                if client.objstat(path).id != created:
+                    errors.append(f"{path}: objstat disagrees with create")
+                if client.listdir(root) != [f"o{n}"]:
+                    errors.append(f"{root}: listing is not [o{n}]")
+                client.delete(path)
+        except Exception as exc:  # noqa: BLE001 - surfaced by the assert
+            errors.append(repr(exc))
+
+    def _run_threads(self, targets):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=target, args=args)
+                       for target, args in targets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_two_clients_on_two_threads(self, cluster, ns):
+        errors = []
+        roots = [ns(), ns()]
+        clients = [LiveClient(cluster.proxy_endpoint) for _ in roots]
+        try:
+            for client, root in zip(clients, roots):
+                client.mkdir(root)
+            self._run_threads([(self._cycle, (client, root, errors))
+                               for client, root in zip(clients, roots)])
+        finally:
+            for client in clients:
+                client.close()
+        assert errors == []
+        assert all(c.metrics.ops_completed == 1 + 4 * self.CYCLES
+                   for c in clients)
+
+    def test_one_client_shared_by_three_threads(self, client, ns):
+        # Each exchange is atomic under the client's lock: replies never
+        # cross between the threads' requests.
+        errors = []
+        roots = [ns(), ns(), ns()]
+        for root in roots:
+            client.mkdir(root)
+        self._run_threads([(self._cycle, (client, root, errors))
+                           for root in roots])
+        assert errors == []
+
+
+class TestTracedClient:
+    def test_every_op_roots_one_connected_span_tree(self):
+        config = MantleConfig.small().copy(tracing=True)
+        with InProcessCluster(config=config) as cluster:
+            with LiveClient(cluster.proxy_endpoint,
+                            tracer=Tracer()) as client:
+                client.mkdir("/tr")
+                items = client.batch(
+                    [Create(f"/tr/o{n}") for n in range(4)]
+                    + [ObjStat("/tr/absent"), DirStat("/tr")])
+                assert [item.ok for item in items] == [True] * 4 + \
+                    [False, True]
+                client.objstat("/tr/o0")
+                snapshots = cluster.trace_snapshots()
+                snapshots.append(client.trace_snapshot())
+        assert obs.cross_process_problems(snapshots) == []
+        assert obs.dyn_self_time_problems(snapshots, tolerance_us=50.0) == []
+        stats = obs.op_tree_stats(snapshots)
+        assert sorted(tree["op"] for tree in stats["trees"]) == sorted(
+            ["mkdir"] + ["create"] * 4 + ["objstat", "dirstat", "objstat"])
+        for tree in stats["trees"]:
+            assert {"client", "proxy"} <= set(tree["processes"]), tree
+        # Pipelined ops kept separate span stacks: no client op span has
+        # another as its dynamic parent.
+        client_spans = snapshots[-1]["spans"]
+        assert len(client_spans) == 8
+        assert not any(span.get("dyn_parent") for span in client_spans)
+        # Each handler's own cpu and queue time rides back on the response
+        # envelope and is charged on the caller's span.
+        phases = obs.phase_breakdown(snapshots)
+        assert phases["create"].mean_phase_us("cpu") > 0.0
+        assert phases["create"].mean_phase_us("queue") > 0.0
 
 
 @pytest.mark.slow

@@ -167,6 +167,57 @@ class TestValueCodec:
         ):
             assert self.round_trip(value) == value
 
+    def test_envelopes_match_the_key_sorting_encoder_byte_for_byte(self):
+        # encode_request/encode_response skip the JSON encoder's key sort
+        # (to_jsonable inserts keys in order); pack_frame still sorts.
+        dirent = Dirent(id=9, kind=EntryKind.OBJECT,
+                        attrs=AttrMeta(id=9, kind=EntryKind.OBJECT))
+        values = [
+            None, True, 7, -1.5, "é\"\n", OpResult(42, rpcs=3),
+            {"zeta": 1, "alpha": {"m": (1, 2), "b": [dirent]}, "Z": None},
+            (("nested", Permission.READ), [RowKey(3, "n"), {"y": 0, "x": 1}]),
+            Row(RowKey(3, "name"), dirent, version=4),
+            WriteIntent(RowKey(3, "n"), "insert", dirent),
+        ]
+        for value in values:
+            assert wire.encode_response(5, result=value, srv_us=1.25) == \
+                wire.pack_frame({"srv_us": 1.25, "result":
+                                 wire.to_jsonable(value), "ok": True, "id": 5})
+            assert wire.encode_response(5, result=value, srv_us=9.5,
+                                        srv_cpu_us=3.25, srv_queue_us=0.5) == \
+                wire.pack_frame({"srv_us": 9.5, "srv_queue_us": 0.5,
+                                 "srv_cpu_us": 3.25, "ok": True, "id": 5,
+                                 "result": wire.to_jsonable(value)})
+            trace = {"span": 9, "proc": "p"}
+            kwargs = {"want": value, "also": 1}
+            assert wire.encode_request(8, "m", (value, 2), kwargs, trace) == \
+                wire.pack_frame({
+                    "trace": trace, "method": "m", "id": 8,
+                    "kwargs": {k: wire.to_jsonable(v)
+                               for k, v in kwargs.items()},
+                    "args": [wire.to_jsonable(value), 2]})
+
+    def test_subclasses_travel_as_their_base_type(self):
+        class Text(str):
+            pass
+
+        assert wire.to_jsonable(Text("x")) == "x"
+        assert wire.to_jsonable(OpResult(42, rpcs=3)) == 42
+        assert wire.from_jsonable({"__r__": OpResult(42, rpcs=3).to_wire()}) \
+            .rpcs == 3
+
+    def test_unregistered_dataclass_rejected(self):
+        import dataclasses
+
+        @dataclasses.dataclass
+        class Stray:
+            x: int = 0
+
+        with pytest.raises(FrameError, match="unregistered"):
+            wire.to_jsonable(Stray())
+        with pytest.raises(FrameError, match="unknown wire type"):
+            wire.from_jsonable({"__w__": "Stray", "f": {"x": 1}})
+
     def test_unregistered_type_rejected(self):
         class NotWire:
             pass
