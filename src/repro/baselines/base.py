@@ -7,8 +7,10 @@ generators and the benchmark harness never special-case a system.
 Operation methods are *generators* running inside the discrete-event
 simulation; ``perform`` is the uniform typed entry point: it dispatches a
 :class:`repro.ops.Op` through the per-system handler table, stamps the
-:class:`~repro.sim.stats.OpContext`, and (under an enabled tracer) opens the
-operation's root span.
+:class:`~repro.sim.stats.OpContext`, records the outcome into a
+:class:`~repro.sim.stats.MetricSet` when given one, and (under an enabled
+tracer) opens the operation's root span.  A system without a handler for
+an op raises ``NotImplementedError`` naming both.
 """
 
 from __future__ import annotations
@@ -16,22 +18,21 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Optional
 
-from repro.ops import OP_NAMES, Op
+from repro.errors import MetadataError
+from repro.ops import Op
 from repro.sim.core import Simulator
 from repro.sim.network import Network
-from repro.sim.stats import OpContext
+from repro.sim.stats import MetricSet, OpContext
 from repro.sim.telemetry import OP_LATENCY_DIGEST_PREFIX
-
-#: The mdtest operation names used throughout benchmarks (§6.3).
-#: (Alias of :data:`repro.ops.OP_NAMES`; kept for existing importers.)
-OPS = OP_NAMES
 
 #: Operations followed by a data-service access in end-to-end runs (§3).
 _DATA_ACCESS_OPS = frozenset(("create", "delete", "objstat"))
 
 
 class MetadataSystem:
-    """Abstract base; subclasses implement ``op_<name>`` generators."""
+    """Abstract base; subclasses implement ``op_<name>`` generators (or
+    override :meth:`_handler_for` to route ops elsewhere, as Mantle's
+    proxy routing does)."""
 
     name = "abstract"
 
@@ -89,21 +90,26 @@ class MetadataSystem:
             table[op_name] = handler
         return handler
 
-    def perform(self, op: Op, ctx: Optional[OpContext] = None):
+    def perform(self, op: Op, ctx: Optional[OpContext] = None,
+                metrics: Optional[MetricSet] = None):
         """Run one typed metadata operation end to end (generator).
 
-        Stamps start/finish times on ``ctx``, optionally appends the
-        data-service access the paper's Figure 10b end-to-end runs include,
-        and — under an enabled tracer — opens the operation's root span and
-        threads it through ``ctx`` so phases, RPCs and transactions nest
-        beneath it.
+        The one place an op's outcome is stamped and recorded: ``ctx``
+        gets its start and finish times on success and on failure, and
+        ``metrics`` (when given) records it as completed, or as failed
+        when a :class:`~repro.errors.MetadataError` ends it.  Optionally
+        appends the data-service access the paper's Figure 10b end-to-end
+        runs include, and — under an enabled tracer — opens the
+        operation's root span and threads it through ``ctx`` so phases,
+        RPCs and transactions nest beneath it.
         """
         handler = self._handler_for(op.name)
         if ctx is None:
             ctx = OpContext(op.name)
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
         if tracer.enabled:
-            span = tracer.begin(op.name, self.sim.now, category="op",
+            span = tracer.begin(op.name, sim.now, category="op",
                                 host=self.name)
             if self.tenant is not None:
                 span.annotate(tenant=self.tenant)
@@ -111,28 +117,33 @@ class MetadataSystem:
             ctx.tracer = tracer
         else:
             span = None
-        ctx.start = self.sim.now
+        ctx.start = sim.now
         try:
             result = yield from handler(*op.handler_args(), ctx=ctx)
             if self.data_access_enabled and op.name in _DATA_ACCESS_OPS:
                 yield from self.data_access(ctx)
-        except BaseException:
-            if span is not None:
-                ctx.finish = self.sim.now
-                tracer.end(span, self.sim.now, ok=False)
-            telemetry = self.sim.telemetry
-            if telemetry.enabled:
-                telemetry.digest(OP_LATENCY_DIGEST_PREFIX + op.name).record(
-                    self.sim.now, self.sim.now - ctx.start)
+        except BaseException as exc:
+            self._finish(op.name, ctx, tracer, span, False)
+            if metrics is not None and isinstance(exc, MetadataError):
+                metrics.record_failure(ctx)
             raise
-        ctx.finish = self.sim.now
-        if span is not None:
-            tracer.end(span, self.sim.now)
-        telemetry = self.sim.telemetry
-        if telemetry.enabled:
-            telemetry.digest(OP_LATENCY_DIGEST_PREFIX + op.name).record(
-                self.sim.now, self.sim.now - ctx.start)
+        self._finish(op.name, ctx, tracer, span, True)
+        if metrics is not None:
+            metrics.record(ctx)
         return result
+
+    def _finish(self, op_name: str, ctx: OpContext, tracer, span,
+                ok: bool) -> None:
+        """Stamp ``ctx.finish``, close the root span and feed the latency
+        digest — the same for an op that succeeded and one that failed."""
+        sim = self.sim
+        now = ctx.finish = sim.now
+        if span is not None:
+            tracer.end(span, now, ok=ok)
+        telemetry = sim.telemetry
+        if telemetry.enabled:
+            telemetry.digest(OP_LATENCY_DIGEST_PREFIX + op_name).record(
+                now, now - ctx.start)
 
     def data_access(self, ctx: OpContext):
         """One small-object data-service access: a single RPC plus tens of
@@ -141,44 +152,6 @@ class MetadataSystem:
         one_way = costs.net_one_way_us if costs else 50.0
         device = costs.data_io_small_us if costs else 80.0
         yield self.sim.timeout(2 * one_way + device)
-
-    # -- operations (override in subclasses) ---------------------------------------
-
-    def op_create(self, path: str, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def op_delete(self, path: str, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def op_objstat(self, path: str, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def op_dirstat(self, path: str, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def op_readdir(self, path: str, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def op_mkdir(self, path: str, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def op_rmdir(self, path: str, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def op_dirrename(self, src: str, dst: str, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def op_setattr(self, path: str, permission, ctx: OpContext):
-        raise NotImplementedError
-        yield  # pragma: no cover
 
 
 class IdAllocator:

@@ -29,9 +29,11 @@ class StorageMixin:
     """TafDB-backed storage, bulk loading and sequential resolution.
 
     Subclasses must have ``self.sim``, ``self.network``, ``self.costs`` and
-    call :meth:`_init_storage`.  ``_on_bulk_mkdir`` lets a system mirror new
-    directories into its own index (IndexNode replicas, LocoFS's directory
-    server, InfiniFS's rename coordinator).
+    ``self.ids``, and either call :meth:`_init_storage` (a private TafDB
+    rooted at ``ROOT_ID``) or build/borrow their own ``self.tafdb`` and call
+    :meth:`_init_bulk` with their root id (Mantle's namespaces over a
+    shared TafDB).  ``_on_bulk_mkdir`` lets a system mirror new directories
+    into its own index (IndexNode replicas, InfiniFS's rename coordinator).
     """
 
     def _init_storage(self, num_db_servers: int, num_db_shards: int,
@@ -43,12 +45,18 @@ class StorageMixin:
             num_shards=num_db_shards, cores=db_cores, costs=costs,
             deltas_enabled=deltas_enabled,
             start_compactors=deltas_enabled)
-        self._bulk_dirs: Dict[str, int] = {"/": ROOT_ID}
+        self._init_bulk(ROOT_ID, new_dir_id)
+
+    def _init_bulk(self, root_id: int,
+                   new_dir_id: Optional[Callable[[str], int]] = None):
+        """Bulk-loader state for a namespace rooted at ``root_id``; installs
+        the root's attribute row in ``self.tafdb``."""
+        self._bulk_dirs: Dict[str, int] = {"/": root_id}
         self._bulk_seq = 0
         self._new_dir_id = new_dir_id or (lambda _path: self.ids.next())
-        self._bulk_execute(ROOT_ID, [WriteIntent(
-            attr_key(ROOT_ID), "insert",
-            AttrMeta(id=ROOT_ID, kind=EntryKind.DIRECTORY))])
+        self._bulk_execute(root_id, [WriteIntent(
+            attr_key(root_id), "insert",
+            AttrMeta(id=root_id, kind=EntryKind.DIRECTORY))])
 
     # -- bulk loading --------------------------------------------------------
 

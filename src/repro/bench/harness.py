@@ -27,19 +27,13 @@ def run_workload(system, workload, num_clients: Optional[int] = None,
     sim = system.sim
 
     def client(cid: int):
-        # Hoisted attribute lookups: this loop runs once per simulated op.
+        # Hoisted lookup: this loop runs once per simulated op.
         perform = system.perform
-        record = metrics.record
-        record_failure = metrics.record_failure
         for op, args in workload.client_ops(cid):
-            ctx = OpContext(op)
             try:
-                yield from perform(make_op(op, *args), ctx=ctx)
+                yield from perform(make_op(op, *args), None, metrics)
             except MetadataError:
-                ctx.finish = sim.now
-                record_failure(ctx)
-                continue
-            record(ctx)
+                pass  # recorded in metrics.ops_failed by perform
 
     metrics.started_at = sim.now
     done = sim.all_of([
@@ -56,10 +50,5 @@ def run_workload(system, workload, num_clients: Optional[int] = None,
 def run_single_op(system, op: str, *args) -> OpContext:
     """Run one operation and return its context (latency, phases, RPCs)."""
     ctx = OpContext(op)
-    system.sim.run_process(system.perform(make_op(op, *args), ctx=ctx))
+    system.sim.run_process(system.perform(make_op(op, *args), ctx))
     return ctx
-
-
-def completion_time_us(metrics: MetricSet) -> float:
-    """Wall-clock (simulated) duration of a finished workload run."""
-    return metrics.duration_us

@@ -15,13 +15,15 @@ Operations dispatch through the typed registry (:mod:`repro.ops`); mutating
 calls return :class:`~repro.types.OpResult` — an ``int`` subclass carrying
 the inode id plus the per-call RPC/latency measurements — and reads return
 :class:`~repro.types.StatResult` or entry lists.  Errors raise the
-:mod:`repro.errors` hierarchy.
+:mod:`repro.errors` hierarchy.  The typed methods live once, on
+:class:`ClientOps`, which the live ``LiveClient`` shares; each client adds
+only its own drive.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.core.config import MantleConfig
 from repro.core.service import MantleSystem
@@ -43,14 +45,9 @@ from repro.sim.stats import MetricSet, OpContext
 from repro.types import OpResult, Permission, StatResult
 
 
-def _small_config() -> MantleConfig:
-    """Deprecated alias of :meth:`MantleConfig.small` (kept for importers)."""
-    return MantleConfig.small()
-
-
 @dataclasses.dataclass
 class BatchResult:
-    """Outcome of one operation inside :meth:`MantleClient.batch`."""
+    """Outcome of one operation inside a client's ``batch``."""
 
     op: Op
     result: Any = None
@@ -61,7 +58,124 @@ class BatchResult:
         return self.error is None
 
 
-class MantleClient:
+@dataclasses.dataclass(frozen=True)
+class _ReadDirPage(ReadDir):
+    """One page of a listing: Mantle's proxy ``op_readdir`` with its
+    pagination arguments.  Simulator-only — never registered and never on
+    the wire, where ``ReadDir`` keeps its one-field form."""
+
+    limit: Optional[int] = None
+    start_after: Optional[str] = None
+
+
+def op_result(result: Any, ctx: OpContext) -> Any:
+    """A mutation's inode id as an :class:`OpResult` carrying the op's
+    counters; any other result unchanged."""
+    if isinstance(result, int) and not isinstance(result, bool):
+        return OpResult(result, rpcs=ctx.rpcs, retries=ctx.retries,
+                        latency_us=ctx.latency)
+    return result
+
+
+class ClientOps:
+    """The typed client surface, defined once for the simulated
+    :class:`MantleClient` and the live ``repro.runtime.client.LiveClient``.
+
+    A subclass supplies only its drive: :meth:`perform` runs one op
+    (mutations come back as :class:`OpResult`, failures raise) and
+    :meth:`_perform_many` runs several together, returning per op, in op
+    order, its result or the :class:`MetadataError` that failed it.
+    """
+
+    def perform(self, op: Op) -> Any:
+        raise NotImplementedError
+
+    def _perform_many(self, ops: Sequence[Op]) -> List[Any]:
+        raise NotImplementedError
+
+    # -- namespace operations ------------------------------------------------------
+
+    def mkdir(self, path: str, parents: bool = False) -> OpResult:
+        """Create a directory; with ``parents=True`` create missing ancestors.
+
+        The ancestor resolution walks *up* from the deepest ancestor until
+        an existing directory is found (one ``dirstat`` per probed level),
+        then creates the missing chain downwards.
+        """
+        if parents:
+            chain = ancestors(paths_normalize(path))[1:]  # strict, sans root
+            missing: List[str] = []
+            for ancestor in reversed(chain):
+                try:
+                    self.dirstat(ancestor)
+                    break
+                except NoSuchPathError:
+                    missing.append(ancestor)
+                except MetadataError:
+                    break  # exists but is not a plain dir; let mkdir surface it
+            for ancestor in reversed(missing):
+                self.perform(Mkdir(ancestor))
+        return self.perform(Mkdir(path))
+
+    def rmdir(self, path: str) -> OpResult:
+        return self.perform(Rmdir(path))
+
+    def create(self, path: str, size: int = 0) -> OpResult:
+        """Create an object (PUT without data body in this model)."""
+        del size  # size is recorded via bulk loaders; kept for API symmetry
+        return self.perform(Create(path))
+
+    def delete(self, path: str) -> OpResult:
+        return self.perform(Delete(path))
+
+    def objstat(self, path: str) -> StatResult:
+        return self.perform(ObjStat(path))
+
+    def dirstat(self, path: str) -> StatResult:
+        return self.perform(DirStat(path))
+
+    def stat(self, path: str) -> StatResult:
+        """stat either kind: try the object path first, then directory."""
+        try:
+            return self.objstat(path)
+        except MetadataError:
+            return self.dirstat(path)
+
+    def listdir(self, path: str) -> List[str]:
+        return self.perform(ReadDir(path))
+
+    def rename(self, src: str, dst: str) -> OpResult:
+        """Atomic cross-directory rename with loop detection."""
+        return self.perform(Rename(src, dst))
+
+    def setattr(self, path: str, permission: Permission) -> StatResult:
+        return self.perform(SetAttr(path, permission))
+
+    def exists(self, path: str) -> bool:
+        try:
+            self.stat(path)
+            return True
+        except MetadataError:
+            return False
+
+    def batch(self, ops: Iterable[Op]) -> List[BatchResult]:
+        """Run several typed operations together.
+
+        All operations are in flight at once; per-op failures land in
+        ``BatchResult.error`` rather than raising, so one conflict cannot
+        abort its siblings; results come back in op order.
+        """
+        items = [BatchResult(op) for op in ops]
+        outcomes = self._perform_many([item.op for item in items])
+        for item, outcome in zip(items, outcomes):
+            if isinstance(outcome, MetadataError):
+                item.error = outcome
+            else:
+                item.result = outcome
+        return items
+
+
+class MantleClient(ClientOps):
     """Synchronous client over a simulated Mantle deployment.
 
     Parameters
@@ -82,105 +196,53 @@ class MantleClient:
         self.metrics = MetricSet()
         self.metrics.started_at = self.system.sim.now
 
-    # -- internal --------------------------------------------------------------
-
-    def _run_ctx(self, op: Op) -> Tuple[Any, OpContext]:
-        """Drive one typed op to completion; returns (result, context)."""
-        ctx = OpContext(op.name)
-        try:
-            result = self.system.sim.run_process(
-                self.system.perform(op, ctx=ctx), name=op.name)
-        except MetadataError:
-            self.metrics.record_failure(ctx)
-            raise
-        self.metrics.record(ctx)
-        self.metrics.finished_at = self.system.sim.now
-        return result, ctx
-
-    def _run(self, op: Op) -> Any:
-        return self._run_ctx(op)[0]
-
-    def _run_mutation(self, op: Op) -> OpResult:
-        result, ctx = self._run_ctx(op)
-        return OpResult(result, rpcs=ctx.rpcs, retries=ctx.retries,
-                        latency_us=ctx.latency)
+    # -- the drive -----------------------------------------------------------------
 
     def perform(self, op: Op) -> Any:
-        """Run one typed op; mutations come back as :class:`OpResult`.
+        """Run one typed op as a simulated process and drive the event loop
+        until it completes; mutations come back as :class:`OpResult`.
 
         Same contract as ``repro.runtime.client.LiveClient.perform`` — the
         agreement suite replays one trace through both.
         """
-        result, ctx = self._run_ctx(op)
-        if isinstance(result, int) and not isinstance(result, bool):
-            return OpResult(result, rpcs=ctx.rpcs, retries=ctx.retries,
-                            latency_us=ctx.latency)
-        return result
+        ctx = OpContext(op.name)
+        sim = self.system.sim
+        result = sim.run_process(self.system.perform(op, ctx, self.metrics),
+                                 name=op.name)
+        self.metrics.finished_at = sim.now
+        return op_result(result, ctx)
 
-    # -- namespace operations ------------------------------------------------------
+    def _perform_many(self, ops: Sequence[Op]) -> List[Any]:
+        """Spawn every op as a simulated process before the event loop
+        runs, so they overlap exactly like concurrent clients would — one
+        simulator drive for the lot."""
+        sim = self.system.sim
+        outcomes: List[Any] = [None] * len(ops)
 
-    def mkdir(self, path: str, parents: bool = False) -> OpResult:
-        """Create a directory; with ``parents=True`` create missing ancestors.
+        def run_one(position: int, op: Op):
+            ctx = OpContext(op.name)
+            try:
+                result = yield from self.system.perform(op, ctx, self.metrics)
+            except MetadataError as exc:
+                outcomes[position] = exc
+                return
+            outcomes[position] = op_result(result, ctx)
 
-        The ancestor resolution walks *up* from the deepest ancestor until
-        an existing directory is found (one ``dirstat`` drive per probed
-        level), then creates the missing chain downwards — instead of one
-        ``exists()`` probe (up to two sim drives) per level from the root.
-        """
-        if parents:
-            chain = ancestors(paths_normalize(path))[1:]  # strict, sans root
-            missing: List[str] = []
-            for ancestor in reversed(chain):
-                try:
-                    self.dirstat(ancestor)
-                    break
-                except NoSuchPathError:
-                    missing.append(ancestor)
-                except MetadataError:
-                    break  # exists but is not a plain dir; let mkdir surface it
-            for ancestor in reversed(missing):
-                self._run_mutation(Mkdir(ancestor))
-        return self._run_mutation(Mkdir(path))
+        if ops:
+            done = sim.all_of([
+                sim.process(run_one(position, op), name=f"batch-{op.name}")
+                for position, op in enumerate(ops)
+            ])
+            sim.run_until(done)
+            self.metrics.finished_at = sim.now
+        return outcomes
 
-    def rmdir(self, path: str) -> OpResult:
-        return self._run_mutation(Rmdir(path))
-
-    def create(self, path: str, size: int = 0) -> OpResult:
-        """Create an object (PUT without data body in this model)."""
-        del size  # size is recorded via bulk loaders; kept for API symmetry
-        return self._run_mutation(Create(path))
-
-    def delete(self, path: str) -> OpResult:
-        return self._run_mutation(Delete(path))
-
-    def objstat(self, path: str) -> StatResult:
-        return self._run(ObjStat(path))
-
-    def dirstat(self, path: str) -> StatResult:
-        return self._run(DirStat(path))
-
-    def stat(self, path: str) -> StatResult:
-        """stat either kind: try the object path first, then directory."""
-        try:
-            return self.objstat(path)
-        except MetadataError:
-            return self.dirstat(path)
-
-    def listdir(self, path: str) -> List[str]:
-        return self._run(ReadDir(path))
+    # -- simulator-only listing ------------------------------------------------------
 
     def listdir_page(self, path: str, limit: int,
                      start_after: Optional[str] = None) -> List[str]:
         """One page of directory entries (S3-style continuation listing)."""
-        ctx = OpContext("readdir")
-        proxy = self.system.proxy()
-        ctx.start = self.system.sim.now
-        result = self.system.sim.run_process(
-            proxy.op_readdir(path, ctx, limit=limit, start_after=start_after),
-            name="readdir-page")
-        ctx.finish = self.system.sim.now
-        self.metrics.record(ctx)
-        return result
+        return self.perform(_ReadDirPage(path, limit, start_after))
 
     def walk(self, path: str = "/", page_size: int = 64):
         """Iterate every entry under ``path`` breadth-first (paged)."""
@@ -201,59 +263,6 @@ class MantleClient:
                 if len(page) < page_size:
                     break
                 start_after = page[-1]
-
-    def rename(self, src: str, dst: str) -> OpResult:
-        """Atomic cross-directory rename with loop detection."""
-        return self._run_mutation(Rename(src, dst))
-
-    def setattr(self, path: str, permission: Permission) -> StatResult:
-        return self._run(SetAttr(path, permission))
-
-    def exists(self, path: str) -> bool:
-        try:
-            self.stat(path)
-            return True
-        except MetadataError:
-            return False
-
-    # -- batching --------------------------------------------------------------
-
-    def batch(self, ops: Iterable[Op]) -> List[BatchResult]:
-        """Run several typed operations concurrently in one sim drive.
-
-        All operations are spawned as simulated processes before the event
-        loop runs, so they overlap exactly like concurrent clients would —
-        one ``batch`` call costs one drive of the simulator instead of one
-        per operation.  Per-op failures land in ``BatchResult.error`` rather
-        than raising, so one conflict cannot abort its siblings.
-        """
-        items = [BatchResult(op) for op in ops]
-        sim = self.system.sim
-
-        def run_one(item: BatchResult):
-            ctx = OpContext(item.op.name)
-            try:
-                item.result = yield from self.system.perform(item.op, ctx=ctx)
-            except MetadataError as exc:
-                ctx.finish = sim.now
-                item.error = exc
-                self.metrics.record_failure(ctx)
-                return
-            if isinstance(item.result, int) and \
-                    not isinstance(item.result, bool):
-                item.result = OpResult(item.result, rpcs=ctx.rpcs,
-                                       retries=ctx.retries,
-                                       latency_us=ctx.latency)
-            self.metrics.record(ctx)
-
-        if items:
-            done = sim.all_of([
-                sim.process(run_one(item), name=f"batch-{item.op.name}")
-                for item in items
-            ])
-            sim.run_until(done)
-            self.metrics.finished_at = sim.now
-        return items
 
     # -- observability --------------------------------------------------------------
 

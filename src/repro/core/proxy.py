@@ -318,8 +318,8 @@ class MantleProxy:
         ctx.end(PHASE_EXECUTION, self.runtime.now)
         return make_stat(paths.normalize(path), attrs)
 
-    def op_readdir(self, path: str, ctx: OpContext, limit: Optional[int] = None,
-                   start_after: Optional[str] = None):
+    def op_readdir(self, path: str, limit: Optional[int] = None,
+                   start_after: Optional[str] = None, *, ctx: OpContext):
         yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
         ctx.begin(PHASE_LOOKUP, self.runtime.now)
         target = yield from self._index_lookup(path, "dir", ctx)
@@ -487,3 +487,29 @@ class MantleProxy:
         self._client_cache_invalidate(prep.src_path)
         ctx.end(PHASE_EXECUTION, self.runtime.now)
         return prep.src_id
+
+
+class ProxyRouted:
+    """Routing for a metadata system whose ops all run on a fleet of
+    :class:`MantleProxy` instances — the simulated ``MantleSystem`` and
+    the live proxy process's ``LiveMantleService``.
+
+    ``MetadataSystem.perform`` resolves each op's handler at the op's
+    first resume: one round-robin proxy pick, then that proxy's own
+    ``op_<name>`` generator runs directly.
+    """
+
+    def _init_proxies(self, count: int) -> None:
+        self.proxies = [MantleProxy(self, i) for i in range(count)]
+        self._proxy_rr = 0
+
+    def proxy(self) -> MantleProxy:
+        self._proxy_rr += 1
+        return self.proxies[self._proxy_rr % len(self.proxies)]
+
+    def _handler_for(self, op_name: str):
+        handler = getattr(self.proxy(), "op_" + op_name, None)
+        if handler is None:
+            raise NotImplementedError(
+                f"{self.name} does not implement {op_name!r}")
+        return handler

@@ -12,24 +12,21 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.baselines.base import IdAllocator, MetadataSystem
+from repro.baselines.common import StorageMixin
 from repro.core.config import MantleConfig
-from repro.core.proxy import MantleProxy
-from repro.errors import NoSuchPathError
+from repro.core.proxy import ProxyRouted
 from repro.indexnode.server import IndexNodeService
 from repro.indexnode.state import IndexNodeState
-from repro.paths import parent_and_name
 from repro.raft.group import RaftGroup
 from repro.raft.node import RaftConfig
 from repro.sim.core import Simulator
 from repro.sim.host import Host
 from repro.sim.network import Network
 from repro.tafdb.cluster import TafDBCluster
-from repro.tafdb.rows import Dirent, attr_key, dirent_key
-from repro.tafdb.shard import WriteIntent
-from repro.types import ROOT_ID, AttrMeta, EntryKind
+from repro.types import ROOT_ID
 
 
-class MantleSystem(MetadataSystem):
+class MantleSystem(ProxyRouted, StorageMixin, MetadataSystem):
     """A full simulated Mantle deployment for one namespace."""
 
     name = "mantle"
@@ -119,20 +116,10 @@ class MantleSystem(MetadataSystem):
         }
 
         self.ids = ids or IdAllocator(start=root_id + 1)
-        self.proxies = [MantleProxy(self, i)
-                        for i in range(self.config.num_proxies)]
-        self._proxy_rr = 0
-        self._bulk_dirs: Dict[str, int] = {"/": root_id}
-        self._bulk_seq = 0
-        self._install_root()
+        self._init_proxies(self.config.num_proxies)
+        self._init_bulk(root_id)
 
     # -- lifecycle ----------------------------------------------------------------
-
-    def _install_root(self) -> None:
-        """Install the namespace root's attribute row directly in TafDB."""
-        self._bulk_execute(self.root_id, [WriteIntent(
-            attr_key(self.root_id), "insert",
-            AttrMeta(id=self.root_id, kind=EntryKind.DIRECTORY))])
 
     def startup(self) -> None:
         """Elect the IndexNode leader; must run before submitting ops."""
@@ -146,10 +133,6 @@ class MantleSystem(MetadataSystem):
             self.tafdb.stop_compactors()
 
     # -- routing ---------------------------------------------------------------------
-
-    def proxy(self) -> MantleProxy:
-        self._proxy_rr += 1
-        return self.proxies[self._proxy_rr % len(self.proxies)]
 
     def proxy_host(self, proxy_id: int) -> Host:
         """The execution host backing proxy ``proxy_id``.
@@ -171,102 +154,10 @@ class MantleSystem(MetadataSystem):
         return [svc for svc in self.index_services.values()
                 if not svc.host.crashed]
 
-    # -- MetadataSystem operations ------------------------------------------------------
-
-    def op_create(self, path, ctx):
-        result = yield from self.proxy().op_create(path, ctx=ctx)
-        return result
-
-    def op_delete(self, path, ctx):
-        result = yield from self.proxy().op_delete(path, ctx=ctx)
-        return result
-
-    def op_objstat(self, path, ctx):
-        result = yield from self.proxy().op_objstat(path, ctx=ctx)
-        return result
-
-    def op_dirstat(self, path, ctx):
-        result = yield from self.proxy().op_dirstat(path, ctx=ctx)
-        return result
-
-    def op_readdir(self, path, ctx):
-        result = yield from self.proxy().op_readdir(path, ctx=ctx)
-        return result
-
-    def op_mkdir(self, path, ctx):
-        result = yield from self.proxy().op_mkdir(path, ctx=ctx)
-        return result
-
-    def op_rmdir(self, path, ctx):
-        result = yield from self.proxy().op_rmdir(path, ctx=ctx)
-        return result
-
-    def op_dirrename(self, src, dst, ctx):
-        result = yield from self.proxy().op_dirrename(src, dst, ctx=ctx)
-        return result
-
-    def op_setattr(self, path, permission, ctx):
-        result = yield from self.proxy().op_setattr(path, permission, ctx=ctx)
-        return result
-
     # -- bulk loading ----------------------------------------------------------------------
 
-    def _bulk_execute(self, pid: int, intents) -> None:
-        shard_id = self.tafdb.partitioner.shard_of(pid)
-        server = self.tafdb.servers[
-            self.tafdb.partitioner.server_of_shard(shard_id)]
-        self._bulk_seq += 1
-        server.shard(shard_id).execute(f"bulk-{self._bulk_seq}", intents)
-
-    def _bulk_parent(self, path: str):
-        parent_path, name = parent_and_name(path)
-        pid = self._bulk_dirs.get(parent_path)
-        if pid is None:
-            raise NoSuchPathError(path, parent_path)
-        return parent_path, name, pid
-
-    def _bulk_bump_parent(self, pid: int, link_delta: int, entry_delta: int):
-        shard_id = self.tafdb.partitioner.shard_of(pid)
-        shard = self.tafdb.servers[
-            self.tafdb.partitioner.server_of_shard(shard_id)].shard(shard_id)
-        row = shard.read(attr_key(pid))
-        if row is None:
-            raise NoSuchPathError(f"dir id {pid}")
-        attrs = row.value.copy()
-        attrs.link_count += link_delta
-        attrs.entry_count += entry_delta
-        self._bulk_execute(pid, [WriteIntent(
-            attr_key(pid), "update", attrs, expect_version=row.version)])
-
-    def bulk_mkdir(self, path: str) -> int:
-        """Install one directory without simulated cost (pre-population)."""
-        from repro.paths import normalize
-        path = normalize(path)
-        if path in self._bulk_dirs:
-            return self._bulk_dirs[path]
-        _parent_path, name, pid = self._bulk_parent(path)
-        dir_id = self.ids.next()
-        self._bulk_execute(pid, [WriteIntent(
-            dirent_key(pid, name), "insert",
-            Dirent(id=dir_id, kind=EntryKind.DIRECTORY))])
-        self._bulk_execute(dir_id, [WriteIntent(
-            attr_key(dir_id), "insert",
-            AttrMeta(id=dir_id, kind=EntryKind.DIRECTORY))])
-        self._bulk_bump_parent(pid, 1, 1)
+    def _on_bulk_mkdir(self, pid: int, name: str, dir_id: int,
+                       path: str) -> None:
+        """Mirror a bulk-loaded directory into every IndexNode replica."""
         for node in self.index_group.nodes.values():
             node.state_machine.bulk_insert_dir(pid, name, dir_id)
-        self._bulk_dirs[path] = dir_id
-        return dir_id
-
-    def bulk_create(self, path: str, size: int = 0) -> int:
-        from repro.paths import normalize
-        path = normalize(path)
-        _parent_path, name, pid = self._bulk_parent(path)
-        obj_id = self.ids.next()
-        self._bulk_execute(pid, [WriteIntent(
-            dirent_key(pid, name), "insert",
-            Dirent(id=obj_id, kind=EntryKind.OBJECT,
-                   attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
-                                  size=size)))])
-        self._bulk_bump_parent(pid, 0, 1)
-        return obj_id

@@ -11,7 +11,7 @@ Usage::
     mantle-exp explain fig14 --view telemetry [--window-us US]
     mantle-exp explain fig15|table1 --view trace
     mantle-exp explain multitenant --view blame
-    mantle-exp whatif fig14 --speedup tafdb.fsync=2x [--model slack|corrected]
+    mantle-exp whatif fig14 --speedup tafdb.fsync=2x [--max-error FRAC]
     mantle-exp live smoke|fig12|trace ...
 
 ``run --jobs N`` fans a sweep experiment's per-point simulators across N
@@ -28,10 +28,9 @@ derives each view from that one run record (the view table is in
 validated before it is written.
 
 ``whatif`` is the one explanation verb that reruns: it predicts a virtual
-speedup from critical-path slack, reruns with the override applied and
-compares — ``--model corrected`` adds the queueing-aware bottleneck-law
-bound for deep-saturation points, and ``--max-error`` gates on the
-selected model, reporting per-model pass/fail on failure.
+speedup from critical-path slack floored by the queueing bottleneck law
+(the floor binds only deep in saturation), reruns with the override
+applied and compares; ``--max-error`` gates on that one prediction.
 
 A request the registries cannot serve (unknown target, view or system,
 ``--diff`` without the profile view) exits 2 with a one-line message.
@@ -51,7 +50,7 @@ from repro.experiments.base import SCALES
 from repro.experiments.explain import MULTITENANT, explain, targets
 from repro.experiments.livecmd import add_live_parser, cmd_live
 from repro.experiments.runner import run_experiments, wallclock_table
-from repro.experiments.whatif import MODELS, run_whatif
+from repro.experiments.whatif import run_whatif
 
 
 def _cmd_list(_args) -> int:
@@ -127,16 +126,13 @@ def _cmd_whatif(args) -> int:
     started = time.time()
     tables, result = run_whatif(
         args.target, args.speedup, system=args.system,
-        scale=args.scale, clients=args.clients, items=args.items,
-        model=args.model)
+        scale=args.scale, clients=args.clients, items=args.items)
     header = (f"### whatif {args.target} (scale={args.scale}, "
               f"{time.time() - started:.1f}s wall)")
     print_tables(tables, header=header)
     if args.max_error is not None and not result.within(args.max_error):
-        print(f"whatif: --model {result.model} prediction failed the "
-              f"--max-error {args.max_error:.0%} gate:", file=sys.stderr)
-        for line in result.failure_report(args.max_error):
-            print(line, file=sys.stderr)
+        print("whatif: prediction failed the gate: "
+              + result.failure_report(args.max_error), file=sys.stderr)
         return 1
     return 0
 
@@ -222,12 +218,6 @@ def main(argv=None) -> int:
                                help="exit non-zero if the prediction "
                                     "error exceeds this fraction of the "
                                     "measured delta (e.g. 0.15)")
-    whatif_parser.add_argument("--model", choices=MODELS,
-                               default="slack",
-                               help="prediction the --max-error gate "
-                                    "judges: first-order slack, or slack "
-                                    "floored by the queueing bottleneck "
-                                    "law (both are always printed)")
     add_live_parser(sub)
     args = parser.parse_args(argv)
     handlers = {"list": _cmd_list, "run": _cmd_run, "all": _cmd_all,

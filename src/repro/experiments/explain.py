@@ -86,7 +86,7 @@ from repro.sim.profile import (
     validate_folded,
     validate_speedscope,
 )
-from repro.sim.stats import MetricSet, OpContext
+from repro.sim.stats import MetricSet
 from repro.sim.telemetry import sparkline, validate_rows
 from repro.sim.trace import (
     CAT_OP,
@@ -260,9 +260,7 @@ def _multitenant_drive(deployment, scale: str, storm_clients: int,
 
     def client(namespace, op: str, paths):
         for path in paths:
-            ctx = OpContext(op)
-            yield from namespace.perform(make_op(op, path), ctx=ctx)
-            metrics.record(ctx)
+            yield from namespace.perform(make_op(op, path), None, metrics)
 
     storm, victim = deployment.namespace("storm"), \
         deployment.namespace("victim")

@@ -19,7 +19,7 @@ from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
 from repro.core.multitenant import MantleDeployment
 from repro.experiments.base import pick, register
-from repro.sim.stats import OpContext
+from repro.sim.stats import MetricSet
 from repro.ops import make_op
 
 
@@ -37,22 +37,20 @@ def _measure(colocate: bool, victim_clients: int, neighbor_clients: int,
             system.bulk_mkdir("/w")
             system.bulk_create("/w/obj")
         sim = deployment.sim
-        latencies = []
+        measured = MetricSet()
 
-        def client(system, count, sink):
+        def client(system, count, metrics):
             for _ in range(count):
-                ctx = OpContext("objstat")
-                yield from system.perform(make_op("objstat", "/w/obj"), ctx=ctx)
-                if sink is not None:
-                    sink.append(ctx.latency)
+                yield from system.perform(make_op("objstat", "/w/obj"), None,
+                                          metrics)
 
-        procs = [sim.process(client(victim, ops, latencies))
+        procs = [sim.process(client(victim, ops, measured))
                  for _ in range(victim_clients)]
         procs += [sim.process(client(neighbor, ops, None))
                   for _ in range(neighbor_clients)]
         done = sim.all_of(procs)
         sim.run_until(done)
-        return sum(latencies) / len(latencies)
+        return measured.mean_latency_us("objstat")
     finally:
         deployment.shutdown()
 

@@ -48,17 +48,19 @@ def run(scale: str = "quick") -> List[Table]:
     def drive(system) -> MetricSet:
         sim = system.sim
         t0 = sim.now
+        metrics = MetricSet()
 
         def client():
             while sim.now - t0 < duration_us:
                 ctx = OpContext("objstat")
                 try:
                     yield from system.perform(make_op("objstat", "/w/obj"),
-                                              ctx=ctx)
-                    events.append((sim.now - t0, True))
+                                              ctx, metrics)
                 except MetadataError:
-                    events.append((sim.now - t0, False))
+                    events.append((ctx.finish - t0, False))
                     yield sim.timeout(1_000)  # client retry pause
+                else:
+                    events.append((ctx.finish - t0, True))
 
         def assassin():
             yield sim.timeout(crash_at_us)
@@ -69,7 +71,7 @@ def run(scale: str = "quick") -> List[Table]:
         procs = [sim.process(client()) for _ in range(clients)]
         procs.append(sim.process(assassin()))
         sim.run_until(sim.all_of(procs))
-        return MetricSet()
+        return metrics
 
     # Trace the failover (election spans included); the rig attaches after
     # the bulk namespace build so the ring holds only the measured run.

@@ -5,11 +5,12 @@ The validated virtual-speedup loop: predict the effect of a
 instrumented run (the same run record ``mantle-exp explain`` folds), then
 *rerun the simulation with the override actually applied*
 (:class:`~repro.core.config.MantleConfig` ``overrides``) and print
-predicted vs measured with the prediction error.  ``--model corrected``
-adds the queueing-aware bottleneck-law bound for deep-saturation points;
-``--max-error`` turns the comparison into a gate (CI runs it), with an
-absolute-delta floor so a correctly-predicted "this changes nothing" also
-passes.
+predicted vs measured with the prediction error.  The prediction is the
+slack model floored by the queueing-aware bottleneck law, so it equals
+the slack model wherever the floor does not bind (knee points) and
+removes its open-loop optimism deep in saturation.  ``--max-error`` turns
+the comparison into a gate (CI runs it), with an absolute-delta floor so
+a correctly-predicted "this changes nothing" also passes.
 """
 
 from __future__ import annotations
@@ -29,20 +30,14 @@ from repro.sim.host import CostModel, CostOverrides, parse_speedup_args
 #: nothing" even when the relative error is undefined (off-path probes).
 DELTA_FLOOR_FRAC = 0.01
 
-#: The two prediction models ``--model`` selects between.
-MODELS = ("slack", "corrected")
-
-
 @dataclasses.dataclass(frozen=True)
 class WhatIfResult:
     """Predicted-vs-measured outcome of one virtual speedup.
 
-    Two predictions ride along: ``predicted_mean_us`` is the first-order
-    **slack** model (open-loop), ``corrected_mean_us`` the queueing-aware
-    **corrected** model (slack floored by the closed-loop bottleneck law;
-    ``None`` when telemetry was unavailable).  ``model`` selects which
-    one :meth:`error_frac` / :meth:`within` judge — both are always
-    reported so the gap between them is visible.
+    ``predicted_mean_us`` is the one prediction the gate judges: the
+    first-order slack model (``slack_mean_us``, open-loop) floored by the
+    closed-loop bottleneck law (``bottleneck_mean_us`` at
+    ``bottleneck_station``).
     """
 
     system: str
@@ -54,8 +49,7 @@ class WhatIfResult:
     baseline_kops: float
     measured_kops: float
     matched_us_per_op: Dict[str, float]
-    model: str = "slack"
-    corrected_mean_us: Optional[float] = None
+    slack_mean_us: float
     bottleneck_mean_us: float = 0.0
     bottleneck_station: str = ""
 
@@ -64,72 +58,48 @@ class WhatIfResult:
             return 0.0
         return 1.0 - mean_us / self.baseline_mean_us
 
-    def model_mean_us(self, model: str) -> float:
-        if model == "corrected" and self.corrected_mean_us is not None:
-            return self.corrected_mean_us
-        return self.predicted_mean_us
-
     @property
     def predicted_delta_frac(self) -> float:
         return self._delta_frac(self.predicted_mean_us)
 
     @property
-    def corrected_delta_frac(self) -> float:
-        return self._delta_frac(self.model_mean_us("corrected"))
+    def slack_delta_frac(self) -> float:
+        return self._delta_frac(self.slack_mean_us)
 
     @property
     def measured_delta_frac(self) -> float:
         return self._delta_frac(self.measured_mean_us)
 
-    def model_error_frac(self, model: str) -> float:
-        """|predicted - measured| relative to the measured delta, for one
-        of the two prediction models."""
-        predicted = self._delta_frac(self.model_mean_us(model))
-        measured = abs(self.measured_delta_frac)
-        if measured <= 0.0:
-            return 0.0 if abs(predicted) <= 0.0 else float("inf")
-        return abs(predicted - self.measured_delta_frac) / measured
-
     @property
     def error_frac(self) -> float:
-        """Error of the *selected* model (``--model``; default slack)."""
-        return self.model_error_frac(self.model)
-
-    def model_within(self, model: str, max_error: float) -> bool:
-        predicted = self._delta_frac(self.model_mean_us(model))
-        if abs(predicted) < DELTA_FLOOR_FRAC and \
-                abs(self.measured_delta_frac) < DELTA_FLOOR_FRAC:
-            return True
-        return self.model_error_frac(model) <= max_error
+        """|predicted - measured| relative to the measured delta."""
+        measured = abs(self.measured_delta_frac)
+        if measured <= 0.0:
+            return 0.0 if abs(self.predicted_delta_frac) <= 0.0 \
+                else float("inf")
+        return abs(self.predicted_delta_frac
+                   - self.measured_delta_frac) / measured
 
     def within(self, max_error: float) -> bool:
-        """Selected model acceptable: relative error inside ``max_error``,
-        or both deltas under the :data:`DELTA_FLOOR_FRAC` floor (a correct
+        """Prediction acceptable: relative error inside ``max_error``, or
+        both deltas under the :data:`DELTA_FLOOR_FRAC` floor (a correct
         "this override buys nothing" prediction)."""
-        return self.model_within(self.model, max_error)
+        if abs(self.predicted_delta_frac) < DELTA_FLOOR_FRAC and \
+                abs(self.measured_delta_frac) < DELTA_FLOOR_FRAC:
+            return True
+        return self.error_frac <= max_error
 
-    def failure_report(self, max_error: float) -> List[str]:
-        """Per-model pass/fail lines for the ``--max-error`` gate: which
-        bound (slack vs corrected) failed, and by how much."""
-        models = ["slack"]
-        if self.corrected_mean_us is not None:
-            models.append("corrected")
-        lines = []
-        for model in models:
-            err = self.model_error_frac(model)
-            predicted = self._delta_frac(self.model_mean_us(model))
-            err_text = ("inf (predicted a gain where measurement shows "
-                        "none)" if err == float("inf")
-                        else f"{err:.1%} of the measured delta")
-            verdict = ("within" if self.model_within(model, max_error)
-                       else "EXCEEDS")
-            active = " [selected]" if model == self.model else ""
-            lines.append(
-                f"  {model} model{active}: predicted "
-                f"-{predicted:.1%} vs measured "
+    def failure_report(self, max_error: float) -> str:
+        """The ``--max-error`` verdict as one line: predicted vs measured
+        delta and the error between them."""
+        err = self.error_frac
+        err_text = ("inf (predicted a gain where measurement shows none)"
+                    if err == float("inf")
+                    else f"{err:.1%} of the measured delta")
+        verdict = "within" if self.within(max_error) else "EXCEEDS"
+        return (f"predicted -{self.predicted_delta_frac:.1%} vs measured "
                 f"-{self.measured_delta_frac:.1%} -> error {err_text}; "
                 f"{verdict} --max-error {max_error:.0%}")
-        return lines
 
 
 def _rerun_with_overrides(case: Case, overrides: CostOverrides,
@@ -152,18 +122,11 @@ def run_whatif(target: str, speedups: Sequence[str],
                system: str = "mantle", scale: str = "quick",
                clients: Optional[int] = None,
                items: Optional[int] = None,
-               model: str = "slack") -> Tuple[List[Table], WhatIfResult]:
-    """Predict (both models), rerun, compare.  Returns (tables, result).
-
-    ``model`` ("slack" or "corrected") selects which prediction the
-    ``--max-error`` gate judges; both are always computed and printed.
-    """
+               ) -> Tuple[List[Table], WhatIfResult]:
+    """Predict, rerun, compare.  Returns (tables, result)."""
     overrides = parse_speedup_args(speedups)
     if not overrides:
         raise ValueError("whatif needs at least one --speedup")
-    if model not in MODELS:
-        raise ValueError(f"unknown whatif model {model!r}; "
-                         f"pick from {MODELS}")
     case = next(case for case in resolve_cases(target, [system])
                 if not case.contrast)
     clients = clients or pick(scale, *case.clients)
@@ -171,10 +134,9 @@ def run_whatif(target: str, speedups: Sequence[str],
 
     record = run_case(case, scale, ("tracer", "telemetry"), clients, items)
     metrics, crit = record.metrics, record.crit
-    corrected = predict_speedup_corrected(crit, overrides, record.profile,
-                                          record.telemetry, clients)
-    prediction = corrected.slack
-    bottleneck = corrected.bottleneck()
+    prediction = predict_speedup_corrected(crit, overrides, record.profile,
+                                           record.telemetry, clients)
+    bottleneck = prediction.bottleneck()
     measured = _rerun_with_overrides(case, overrides, clients, items)
     result = WhatIfResult(
         system=system, op=case.op, overrides=overrides,
@@ -183,10 +145,9 @@ def run_whatif(target: str, speedups: Sequence[str],
         measured_mean_us=measured.mean_latency_us(case.op),
         baseline_kops=metrics.throughput_kops(case.op),
         measured_kops=measured.throughput_kops(case.op),
-        matched_us_per_op=prediction.matched_us_per_op,
-        model=model,
-        corrected_mean_us=corrected.predicted_mean_us,
-        bottleneck_mean_us=corrected.bottleneck_mean_us,
+        matched_us_per_op=prediction.slack.matched_us_per_op,
+        slack_mean_us=prediction.slack.predicted_mean_us,
+        bottleneck_mean_us=prediction.bottleneck_mean_us,
         bottleneck_station=(f"{bottleneck.host}/{bottleneck.resource}"
                             if bottleneck is not None else ""))
 
@@ -194,16 +155,16 @@ def run_whatif(target: str, speedups: Sequence[str],
                       for component, factor in overrides.speedups)
     table = Table(
         f"what-if {knobs} on {target}/{system} ({case.op}, "
-        f"{clients} clients, --model {model})",
-        ["metric", "baseline", "slack model", "corrected", "measured"])
+        f"{clients} clients)",
+        ["metric", "baseline", "slack", "predicted", "measured"])
     table.add_row("mean latency (us/op)",
                   round(result.baseline_mean_us, 1),
+                  round(result.slack_mean_us, 1),
                   round(result.predicted_mean_us, 1),
-                  round(result.model_mean_us("corrected"), 1),
                   round(result.measured_mean_us, 1))
     table.add_row("latency delta", "-",
+                  f"-{result.slack_delta_frac:.1%}",
                   f"-{result.predicted_delta_frac:.1%}",
-                  f"-{result.corrected_delta_frac:.1%}",
                   f"-{result.measured_delta_frac:.1%}")
     table.add_row("throughput (Kop/s)",
                   round(result.baseline_kops, 2), "-", "-",
@@ -211,24 +172,21 @@ def run_whatif(target: str, speedups: Sequence[str],
     for component, us in sorted(result.matched_us_per_op.items()):
         table.add_row(f"gated by {component} (us/op)",
                       round(us, 1), "-", "-", "-")
-    for which in MODELS:
-        err = result.model_error_frac(which)
-        if err == float("inf"):
-            table.add_note(f"{which} model: predicted a gain where "
-                           "measurement shows none")
-        else:
-            table.add_note(f"{which} model error {err:.1%} of the "
-                           "measured delta")
+    if result.error_frac == float("inf"):
+        table.add_note("prediction: a gain where measurement shows none")
+    else:
+        table.add_note(f"prediction error {result.error_frac:.1%} of the "
+                       "measured delta")
     if bottleneck is not None:
         table.add_note(
             f"bottleneck station {result.bottleneck_station}: "
             f"{bottleneck.utilization:.0%} utilized, mean queue "
             f"{bottleneck.mean_queue:.1f}; closed-loop floor "
             f"{result.bottleneck_mean_us:.1f} us/op "
-            f"({'binding' if corrected.bound_binding else 'not binding'} "
+            f"({'binding' if prediction.bound_binding else 'not binding'} "
             f"vs slack)")
     table.add_note("slack = first-order critical-path model (open-loop); "
-                   "corrected = slack floored by the bottleneck law "
+                   "predicted = slack floored by the bottleneck law "
                    "clients x max per-op demand; measured = full rerun "
                    "with the override applied to the cost model")
     return [table], result

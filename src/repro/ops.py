@@ -6,8 +6,8 @@ positional-tuple conventions::
 
     from repro.ops import Mkdir, Rename
 
-    yield from system.perform(Mkdir("/a/b"), ctx=ctx)
-    yield from system.perform(Rename("/a/b", "/c/b"), ctx=ctx)
+    yield from system.perform(Mkdir("/a/b"), ctx, metrics)
+    yield from system.perform(Rename("/a/b", "/c/b"), ctx, metrics)
 
 Workload streams still name operations by string; :func:`make_op` is the
 one place such a ``(name, *args)`` pair becomes a typed op.
@@ -160,8 +160,7 @@ class SetAttr(Op):
     name: ClassVar[str] = "setattr"
 
 
-#: Canonical operation-name tuple (kept identical to the legacy
-#: ``repro.baselines.base.OPS`` constant, which now aliases this).
+#: Canonical operation-name tuple, in mdtest order (§6.3).
 OP_NAMES: Tuple[str, ...] = tuple(OP_TYPES)
 
 

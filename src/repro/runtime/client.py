@@ -9,8 +9,10 @@ in-process, ``LiveClient`` speaks the typed op registry
         client.create("/a/obj")
         print(client.objstat("/a/obj"))
 
-The method surface, result types (``OpResult``/``StatResult``), exception
-types and per-op metrics mirror the simulated client, so benchmark and
+The typed methods are the simulated client's own
+(:class:`~repro.core.api.ClientOps`, defined once for both); result types
+(``OpResult``/``StatResult``), exception types and per-op metrics mirror
+it too, so benchmark and
 test code can be parameterised over either — the agreement suite and
 ``mantle-exp live fig12`` do exactly that.  Latencies are wallclock
 microseconds (the live runtime's clock), on the same scale simulated
@@ -29,39 +31,20 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.core.api import BatchResult
-from repro.errors import (
-    ConnectionLostError,
-    MetadataError,
-    NoSuchPathError,
-    RPCTimeoutError,
-)
-from repro.ops import (
-    Create,
-    Delete,
-    DirStat,
-    Mkdir,
-    Op,
-    ObjStat,
-    ReadDir,
-    Rename,
-    Rmdir,
-    SetAttr,
-)
-from repro.paths import ancestors
-from repro.paths import normalize as paths_normalize
+from repro.core.api import ClientOps, op_result
+from repro.errors import ConnectionLostError, MetadataError, RPCTimeoutError
+from repro.ops import Op
 from repro.runtime import wire
 from repro.runtime.aio import DEFAULT_RPC_TIMEOUT_S, charge_round_trip
 from repro.sim.stats import MetricSet, OpContext
 from repro.sim.trace import CAT_OP, NULL_TRACER
-from repro.types import OpResult, Permission, StatResult
 
 _RECV_BYTES = 256 * 1024
 
 
-class LiveClient:
+class LiveClient(ClientOps):
     """Blocking client for a live Mantle proxy endpoint.
 
     Pass a :class:`~repro.sim.trace.Tracer` to root every op's
@@ -210,12 +193,7 @@ class LiveClient:
                 ctx.start = 0.0
                 ctx.finish = reply.get("latency_us", 0.0)
                 self.metrics.record(ctx)
-                result = reply.get("result")
-                if isinstance(result, int) and not isinstance(result, bool):
-                    result = OpResult(result, rpcs=ctx.rpcs,
-                                      retries=ctx.retries,
-                                      latency_us=ctx.latency)
-                outcomes[position] = result
+                outcomes[position] = op_result(reply.get("result"), ctx)
                 if spans:
                     span, started = spans[position]
                     self._active_process = position
@@ -242,62 +220,6 @@ class LiveClient:
             raise outcome
         return outcome
 
-    # -- namespace operations (mirrors MantleClient) -------------------------
-
-    def mkdir(self, path: str, parents: bool = False) -> OpResult:
-        if parents:
-            chain = ancestors(paths_normalize(path))[1:]
-            missing: List[str] = []
-            for ancestor in reversed(chain):
-                try:
-                    self.dirstat(ancestor)
-                    break
-                except NoSuchPathError:
-                    missing.append(ancestor)
-                except MetadataError:
-                    break
-            for ancestor in reversed(missing):
-                self.perform(Mkdir(ancestor))
-        return self.perform(Mkdir(path))
-
-    def rmdir(self, path: str) -> OpResult:
-        return self.perform(Rmdir(path))
-
-    def create(self, path: str, size: int = 0) -> OpResult:
-        del size
-        return self.perform(Create(path))
-
-    def delete(self, path: str) -> OpResult:
-        return self.perform(Delete(path))
-
-    def objstat(self, path: str) -> StatResult:
-        return self.perform(ObjStat(path))
-
-    def dirstat(self, path: str) -> StatResult:
-        return self.perform(DirStat(path))
-
-    def stat(self, path: str) -> StatResult:
-        try:
-            return self.objstat(path)
-        except MetadataError:
-            return self.dirstat(path)
-
-    def listdir(self, path: str) -> List[str]:
-        return self.perform(ReadDir(path))
-
-    def rename(self, src: str, dst: str) -> OpResult:
-        return self.perform(Rename(src, dst))
-
-    def setattr(self, path: str, permission: Permission) -> StatResult:
-        return self.perform(SetAttr(path, permission))
-
-    def exists(self, path: str) -> bool:
-        try:
-            self.stat(path)
-            return True
-        except MetadataError:
-            return False
-
     def call(self, method: str, *args) -> Any:
         """One raw RPC to the endpoint (any role's wire port answers
         ``ping`` and the ``obs.*`` control methods)."""
@@ -308,25 +230,6 @@ class LiveClient:
     def ping(self) -> dict:
         """Round trip a no-op frame (connectivity check)."""
         return self.call("ping")
-
-    # -- batching ------------------------------------------------------------
-
-    def batch(self, ops: Iterable[Op]) -> List[BatchResult]:
-        """Run several ops pipelined on the connection.
-
-        Like the simulated client's ``batch``, per-op failures land in
-        ``BatchResult.error`` instead of raising, and all ops are in flight
-        together (distinct request ids on one TCP connection); results
-        come back in op order.
-        """
-        items = [BatchResult(op) for op in ops]
-        outcomes = self._perform_many([item.op for item in items])
-        for item, outcome in zip(items, outcomes):
-            if isinstance(outcome, MetadataError):
-                item.error = outcome
-            else:
-                item.result = outcome
-        return items
 
     # -- lifecycle -----------------------------------------------------------
 

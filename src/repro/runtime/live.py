@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 from repro.baselines.base import IdAllocator, MetadataSystem
 from repro.core.config import MantleConfig
-from repro.core.proxy import MantleProxy
+from repro.core.proxy import ProxyRouted
 from repro.errors import MetadataError
 from repro.ops import Op
 from repro.runtime.aio import AsyncioRuntime, RemoteService, WireServer
@@ -231,7 +231,7 @@ def build_tafdb_role(config: MantleConfig, runtime: AsyncioRuntime,
     host = LiveHost(facade, "tafdb-0", wal_dir=wal_dir)
     partitioner = Partitioner(config.num_db_shards, 1)
     server = DBServer(host, partitioner.shards_on_server(0), costs)
-    # Bootstrap the namespace root exactly as MantleSystem._install_root
+    # Bootstrap the namespace root exactly as StorageMixin._init_bulk
     # does for the simulated deployment.
     root_shard = partitioner.shard_of(ROOT_ID)
     server.shard(root_shard).execute("bootstrap-root", [WriteIntent(
@@ -292,7 +292,7 @@ class LiveTafDB:
                            runtime=self._runtime)
 
 
-class LiveMantleService(MetadataSystem):
+class LiveMantleService(ProxyRouted, MetadataSystem):
     """The proxy process's service object: real ``MantleProxy`` instances
     orchestrating over remote TafDB/IndexNode stubs.
 
@@ -318,9 +318,7 @@ class LiveMantleService(MetadataSystem):
         self.tafdb = LiveTafDB(facade, runtime, config, tafdb_services)
         self._index_service = index_service
         self.ids = IdAllocator(start=ROOT_ID + 1)
-        self.proxies = [MantleProxy(self, i)
-                        for i in range(config.num_proxies)]
-        self._proxy_rr = 0
+        self._init_proxies(config.num_proxies)
 
     # -- the service surface MantleProxy consumes ---------------------------
 
@@ -344,48 +342,6 @@ class LiveMantleService(MetadataSystem):
     def lookup_services(self) -> List[RemoteService]:
         return [self._index_service]
 
-    def proxy(self) -> MantleProxy:
-        self._proxy_rr += 1
-        return self.proxies[self._proxy_rr % len(self.proxies)]
-
-    # -- MetadataSystem operations -------------------------------------------
-
-    def op_create(self, path, ctx):
-        result = yield from self.proxy().op_create(path, ctx=ctx)
-        return result
-
-    def op_delete(self, path, ctx):
-        result = yield from self.proxy().op_delete(path, ctx=ctx)
-        return result
-
-    def op_objstat(self, path, ctx):
-        result = yield from self.proxy().op_objstat(path, ctx=ctx)
-        return result
-
-    def op_dirstat(self, path, ctx):
-        result = yield from self.proxy().op_dirstat(path, ctx=ctx)
-        return result
-
-    def op_readdir(self, path, ctx):
-        result = yield from self.proxy().op_readdir(path, ctx=ctx)
-        return result
-
-    def op_mkdir(self, path, ctx):
-        result = yield from self.proxy().op_mkdir(path, ctx=ctx)
-        return result
-
-    def op_rmdir(self, path, ctx):
-        result = yield from self.proxy().op_rmdir(path, ctx=ctx)
-        return result
-
-    def op_dirrename(self, src, dst, ctx):
-        result = yield from self.proxy().op_dirrename(src, dst, ctx=ctx)
-        return result
-
-    def op_setattr(self, path, permission, ctx):
-        result = yield from self.proxy().op_setattr(path, permission, ctx=ctx)
-        return result
-
 
 class ProxyFrontend:
     """The proxy process's wire surface: the typed op registry over TCP.
@@ -408,22 +364,21 @@ class ProxyFrontend:
         sim = self.service.sim
         tracer = sim.tracer
         if not tracer.enabled:
-            result = yield from self.service.perform(op, ctx=ctx)
-            return {"result": result, "rpcs": ctx.rpcs,
-                    "retries": ctx.retries, "latency_us": ctx.latency}
-        # Handler span mirroring the sim Server.dispatch convention; when
-        # the caller shipped trace context, ``span`` is a RemoteSpanRef and
-        # the op's whole tree re-parents onto the client's rpc span.
-        handler = tracer.begin("rpc_perform", sim.now, category="handler",
-                               parent=span, host=None)
-        ok = True
-        try:
-            result = yield from self.service.perform(op, ctx=ctx)
-        except BaseException:
+            result = yield from self.service.perform(op, ctx)
+        else:
+            # Handler span mirroring the sim Server.dispatch convention;
+            # when the caller shipped trace context, ``span`` is a
+            # RemoteSpanRef and the op's whole tree re-parents onto the
+            # client's rpc span.
+            handler = tracer.begin("rpc_perform", sim.now,
+                                   category="handler", parent=span,
+                                   host=None)
             ok = False
-            raise
-        finally:
-            tracer.end(handler, sim.now, ok=ok)
+            try:
+                result = yield from self.service.perform(op, ctx)
+                ok = True
+            finally:
+                tracer.end(handler, sim.now, ok=ok)
         return {"result": result, "rpcs": ctx.rpcs,
                 "retries": ctx.retries, "latency_us": ctx.latency}
 

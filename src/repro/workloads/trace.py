@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, TextIO, Tuple
 
-from repro.baselines.base import OPS
+from repro.ops import OP_NAMES
 
 
 class TraceRecorder:
@@ -60,7 +60,7 @@ class TraceWorkload:
                 args = tuple(record["args"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"bad trace line {line_no}: {exc}") from exc
-            if op not in OPS:
+            if op not in OP_NAMES:
                 raise ValueError(f"bad trace line {line_no}: unknown op {op!r}")
             self._per_client.setdefault(cid, []).append((op, args))
         if not self._per_client:

@@ -5,9 +5,11 @@ the shared MetadataSystem interface; only *performance* may differ between
 systems, never results.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.ops import make_op
+from repro.ops import Op, make_op
 from repro.errors import (
     AlreadyExistsError,
     IsADirectoryError,
@@ -119,6 +121,18 @@ class TestErrors:
         with pytest.raises(ValueError):
             driver.system.sim.run_process(
                 driver.system.perform(make_op("chmodx", "/")))
+
+    def test_missing_handler_names_system_and_op(self, driver):
+        @dataclasses.dataclass(frozen=True)
+        class Frobnicate(Op):
+            path: str
+            name = "frobnicate"
+
+        system = driver.system
+        with pytest.raises(NotImplementedError,
+                           match=f"{system.name} does not implement "
+                                 "'frobnicate'"):
+            system.sim.run_process(system.perform(Frobnicate("/")))
 
 
 class TestPhaseAccounting:

@@ -81,3 +81,27 @@ class TestBulkLoaders:
                         if d != leaf and d.rsplit("/", 1)[0] == leaf)
         assert run_op(system, "dirstat", leaf).entry_count == expected
         system.shutdown()
+
+
+class TestSharedTafDBBulkLoading:
+    def test_namespaces_bulk_load_into_every_replica(self):
+        from repro.core.multitenant import MantleDeployment
+
+        deployment = MantleDeployment(MantleConfig(
+            num_db_servers=2, num_db_shards=4, num_proxies=1,
+            index_replicas=3, index_cores=8, db_cores=8, proxy_cores=8))
+        namespaces = [deployment.create_namespace(name)
+                      for name in ("alpha", "beta")]
+        for system in namespaces:
+            assert system.root_id != 1  # a non-default namespace root
+            ids = [system.bulk_mkdir("/a"), system.bulk_mkdir("/a/b")]
+            system.bulk_create("/a/b/obj")
+            for node in system.index_group.nodes.values():
+                table = node.state_machine.table
+                assert table.get(system.root_id, "a").id == ids[0]
+                assert table.get(ids[0], "b").id == ids[1]
+        deployment.sim.run(until=deployment.sim.now + 200_000)
+        for system in namespaces:
+            assert check_consistency(system) == []
+            assert run_op(system, "objstat", "/a/b/obj").id > 0
+        deployment.shutdown()

@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.core.api import BatchResult, MantleClient, _small_config
+from repro.core.api import BatchResult, MantleClient
 from repro.core.config import MantleConfig
-from repro.errors import AlreadyExistsError, MetadataError
+from repro.errors import AlreadyExistsError, MetadataError, NoSuchPathError
 from repro.ops import (
     OP_NAMES,
     OP_TYPES,
@@ -16,7 +16,21 @@ from repro.ops import (
     Rename,
     make_op,
 )
+from repro.runtime.client import LiveClient
+from repro.sim.stats import MetricSet
 from repro.types import OpResult, Permission
+
+#: Methods only one client's transport has: the raw wire calls and the
+#: live clock/trace export, or the simulator's paged listing, cache
+#: statistics and instrumentation handles.
+TRANSPORT_ONLY = frozenset((
+    "call", "ping", "trace_snapshot", "now_us", "PROCESS_NAME",
+    "listdir_page", "walk", "cache_stats", "simulated_time_us", "tracer",
+    "telemetry"))
+
+
+def _public(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
 
 
 class TestOpRegistry:
@@ -62,7 +76,6 @@ class TestConfigPresets:
         assert config.num_db_servers == 3
         assert config.num_proxies == 2
         assert config.tracing is False
-        assert _small_config() == config  # deprecated alias stays equivalent
 
     def test_paper_scale_matches_defaults(self):
         assert MantleConfig.paper_scale() == MantleConfig()
@@ -131,3 +144,48 @@ class TestClientSurface:
             assert client.stat("/onlydir").is_dir
             with pytest.raises(MetadataError):
                 client.stat("/absent")
+
+    def test_both_clients_expose_one_op_surface(self):
+        sim_ops = _public(MantleClient) - TRANSPORT_ONLY
+        live_ops = _public(LiveClient) - TRANSPORT_ONLY
+        assert sim_ops == live_ops
+        # Defined once: the typed methods are the same function objects.
+        for name in sim_ops - {"perform", "close"}:
+            assert getattr(MantleClient, name) is getattr(LiveClient, name), \
+                name
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_failed_op_is_recorded_with_its_latency(self, tracing):
+        with MantleClient(MantleConfig.small(tracing=tracing)) as client:
+            with pytest.raises(NoSuchPathError):
+                client.objstat("/absent")
+            metrics = client.metrics
+            assert metrics.ops_failed == 1
+            assert metrics.failed_latency["objstat"].min > 0
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_perform_records_failures_into_metrics(self, tracing):
+        with MantleClient(MantleConfig.small(tracing=tracing)) as client:
+            system, metrics = client.system, MetricSet()
+            with pytest.raises(NoSuchPathError):
+                system.sim.run_process(system.perform(
+                    make_op("dirstat", "/absent"), None, metrics))
+            system.sim.run_process(system.perform(
+                make_op("mkdir", "/present"), None, metrics))
+            assert (metrics.ops_failed, metrics.ops_completed) == (1, 1)
+            assert metrics.failed_latency["dirstat"].min > 0
+            assert metrics.latency["mkdir"].min > 0
+
+    def test_failed_listdir_page_is_counted(self):
+        with MantleClient() as client:
+            with pytest.raises(NoSuchPathError):
+                client.listdir_page("/absent", limit=10)
+            assert client.metrics.ops_failed == 1
+            assert client.metrics.failed_latency["readdir"].min > 0
+
+    def test_listdir_page_opens_a_root_span(self):
+        with MantleClient(MantleConfig.small(tracing=True)) as client:
+            client.mkdir("/d")
+            assert client.listdir_page("/d", limit=5) == []
+            assert [span.name for span in client.tracer.spans
+                    if span.category == "op"] == ["mkdir", "readdir"]

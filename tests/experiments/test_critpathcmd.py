@@ -3,8 +3,8 @@
 The extraction invariants live in ``tests/sim/test_critpath.py``; this
 module covers the command surface (artifact writing, validator wiring,
 table shape, CLI exit codes) plus the headline claim of the what-if
-engine: on figure *knee* points the slack prediction lands within 15% of
-a measured rerun — for an on-path fsync scale, an RTT scale, and an
+engine: on figure *knee* points the prediction (there: the slack model)
+lands within 15% of a measured rerun — for an on-path fsync scale, an RTT scale, and an
 off-critical-path center that must predict (and measure) ≈0 gain.
 
 The validation probes rerun real knee points, so this file is the slow
@@ -53,13 +53,14 @@ class TestRunCritpath:
 
 
 class TestWhatIfResultLogic:
-    def _result(self, predicted, measured, baseline=1000.0):
+    def _result(self, predicted, measured, baseline=1000.0, slack=None):
         return WhatIfResult(
             system="mantle", op="mkdir",
             overrides=CostOverrides.of(**{"tafdb.fsync": 2.0}),
             baseline_mean_us=baseline, predicted_mean_us=predicted,
             measured_mean_us=measured, baseline_kops=1.0,
-            measured_kops=1.0, matched_us_per_op={})
+            measured_kops=1.0, matched_us_per_op={},
+            slack_mean_us=predicted if slack is None else slack)
 
     def test_error_relative_to_measured_delta(self):
         result = self._result(predicted=890.0, measured=900.0)
@@ -80,49 +81,27 @@ class TestWhatIfResultLogic:
                               measured=1000.0)
         assert result.within(0.15)
 
-    def _two_model_result(self, predicted=800.0, corrected=890.0,
-                          measured=900.0, model="corrected"):
-        return WhatIfResult(
-            system="mantle", op="mkdir",
-            overrides=CostOverrides.of(**{"tafdb.fsync": 2.0}),
-            baseline_mean_us=1000.0, predicted_mean_us=predicted,
-            measured_mean_us=measured, baseline_kops=1.0,
-            measured_kops=1.0, matched_us_per_op={}, model=model,
-            corrected_mean_us=corrected)
-
-    def test_selected_model_drives_the_gate(self):
-        # Slack over-predicts 2x (20% vs 10%); corrected lands at 11%.
-        result = self._two_model_result()
-        assert result.model_error_frac("slack") == pytest.approx(1.0)
-        assert result.model_error_frac("corrected") == pytest.approx(0.10)
+    def test_slack_figure_is_reported_not_judged(self):
+        # Slack over-predicts 2x (20% vs 10%); the floored prediction
+        # lands at 11% and is what the gate judges.
+        result = self._result(predicted=890.0, measured=900.0, slack=800.0)
+        assert result.slack_delta_frac == pytest.approx(0.20)
         assert result.error_frac == pytest.approx(0.10)
         assert result.within(0.15)
-        assert not result.model_within("slack", 0.15)
-        slack_sel = self._two_model_result(model="slack")
-        assert slack_sel.error_frac == pytest.approx(1.0)
-        assert not slack_sel.within(0.15)
-
-    def test_corrected_falls_back_to_slack_without_telemetry(self):
-        result = self._two_model_result(corrected=None)
-        assert result.model_mean_us("corrected") == 800.0
-        assert result.model_error_frac("corrected") == \
-            result.model_error_frac("slack")
 
     def test_failure_report_names_the_failing_bound(self):
-        lines = self._two_model_result().failure_report(0.15)
-        assert len(lines) == 2
-        slack_line, corrected_line = lines
-        assert "slack model:" in slack_line
-        assert "EXCEEDS --max-error 15%" in slack_line
-        assert "error 100.0% of the measured delta" in slack_line
-        assert "corrected model [selected]:" in corrected_line
-        assert "within --max-error 15%" in corrected_line
+        line = self._result(predicted=800.0, measured=900.0
+                            ).failure_report(0.15)
+        assert "predicted -20.0% vs measured -10.0%" in line
+        assert "error 100.0% of the measured delta" in line
+        assert "EXCEEDS --max-error 15%" in line
+        assert "within --max-error 15%" in self._result(
+            predicted=890.0, measured=900.0).failure_report(0.15)
 
     def test_failure_report_marks_phantom_gains_as_infinite(self):
-        result = self._two_model_result(predicted=800.0, corrected=1000.0,
-                                        measured=1000.0)
-        slack_line = result.failure_report(0.15)[0]
-        assert "predicted a gain where measurement shows none" in slack_line
+        result = self._result(predicted=800.0, measured=1000.0)
+        assert "predicted a gain where measurement shows none" in \
+            result.failure_report(0.15)
 
 
 @pytest.mark.slow
@@ -160,34 +139,32 @@ class TestWhatIfValidation:
         assert result.within(0.15)
 
     def test_corrected_matches_slack_at_the_knee(self):
-        """At the knee the bottleneck floor must not bind: the corrected
-        model degrades gracefully to the slack prediction (and both hold
-        to 15%)."""
+        """At the knee the bottleneck floor must not bind: the prediction
+        degrades to the slack model exactly (and holds to 15%)."""
         _tables, result = run_whatif("fig14", ["tafdb.fsync=2x"],
-                                     clients=32, model="corrected")
-        assert result.corrected_mean_us == \
-            pytest.approx(result.predicted_mean_us)
+                                     clients=32)
+        assert result.predicted_mean_us == \
+            pytest.approx(result.slack_mean_us)
         assert result.within(0.15)
 
 
 @pytest.mark.slow
 class TestWhatIfDeepSaturation:
     """Deep past fig14's knee the open-loop slack model over-predicts by
-    >=2x; the bottleneck-law correction must bind and recover the
-    prediction to <=30% of the measured delta (calibrated on two probes
-    with different bottleneck stations — see docs/observability.md)."""
+    >=2x; the bottleneck-law floor must bind and recover the prediction
+    to <=30% of the measured delta (calibrated on two probes with
+    different bottleneck stations — see docs/observability.md)."""
 
     def _probe(self, speedups):
-        _tables, result = run_whatif("fig14", speedups, clients=176,
-                                     model="corrected")
-        # The probe only demonstrates the correction when slack really
-        # misses big and the floor really binds.
-        assert result.model_error_frac("slack") > 1.0, \
+        _tables, result = run_whatif("fig14", speedups, clients=176)
+        # The probe only demonstrates the floor when slack really misses
+        # big (error > 100% of the measured delta) and the floor binds.
+        assert result.slack_delta_frac > 2 * result.measured_delta_frac > 0, \
+            (result.slack_delta_frac, result.measured_delta_frac)
+        assert result.bottleneck_mean_us > result.slack_mean_us
+        assert result.predicted_mean_us == result.bottleneck_mean_us
+        assert result.within(0.30), \
             (result.predicted_delta_frac, result.measured_delta_frac)
-        assert not result.model_within("slack", 0.30)
-        assert result.bottleneck_mean_us > result.predicted_mean_us
-        assert result.model_within("corrected", 0.30), \
-            (result.corrected_delta_frac, result.measured_delta_frac)
         return result
 
     def test_fsync_probe_recovers_cpu_bottleneck_floor(self):
