@@ -94,10 +94,9 @@ class MetadataSystem:
                 metrics: Optional[MetricSet] = None):
         """Run one typed metadata operation end to end (generator).
 
-        The one place an op's outcome is stamped and recorded: ``ctx``
-        gets its start and finish times on success and on failure, and
-        ``metrics`` (when given) records it as completed, or as failed
-        when a :class:`~repro.errors.MetadataError` ends it.  Optionally
+        ``ctx`` gets its start time here and everything else about the
+        outcome in :meth:`_finish`, on success and on failure alike; the
+        op is recorded into ``metrics`` when given.  Optionally
         appends the data-service access the paper's Figure 10b end-to-end
         runs include, and — under an enabled tracer — opens the
         operation's root span and threads it through ``ctx`` so phases,
@@ -123,27 +122,32 @@ class MetadataSystem:
             if self.data_access_enabled and op.name in _DATA_ACCESS_OPS:
                 yield from self.data_access(ctx)
         except BaseException as exc:
-            self._finish(op.name, ctx, tracer, span, False)
-            if metrics is not None and isinstance(exc, MetadataError):
-                metrics.record_failure(ctx)
+            self._finish(op.name, ctx, tracer, span, metrics, exc)
             raise
-        self._finish(op.name, ctx, tracer, span, True)
-        if metrics is not None:
-            metrics.record(ctx)
+        self._finish(op.name, ctx, tracer, span, metrics, None)
         return result
 
     def _finish(self, op_name: str, ctx: OpContext, tracer, span,
-                ok: bool) -> None:
-        """Stamp ``ctx.finish``, close the root span and feed the latency
-        digest — the same for an op that succeeded and one that failed."""
+                metrics: Optional[MetricSet],
+                exc: Optional[BaseException]) -> None:
+        """The one place an op's outcome is recorded: stamp
+        ``ctx.finish``, close the root span, feed the latency digest and
+        record into ``metrics`` — as completed when ``exc`` is None, as
+        failed when it is a :class:`~repro.errors.MetadataError` (any
+        other exception is not an op outcome and is not recorded)."""
         sim = self.sim
         now = ctx.finish = sim.now
         if span is not None:
-            tracer.end(span, now, ok=ok)
+            tracer.end(span, now, ok=exc is None)
         telemetry = sim.telemetry
         if telemetry.enabled:
             telemetry.digest(OP_LATENCY_DIGEST_PREFIX + op_name).record(
                 now, now - ctx.start)
+        if metrics is not None:
+            if exc is None:
+                metrics.record(ctx)
+            elif isinstance(exc, MetadataError):
+                metrics.record_failure(ctx)
 
     def data_access(self, ctx: OpContext):
         """One small-object data-service access: a single RPC plus tens of

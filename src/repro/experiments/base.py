@@ -5,25 +5,17 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.bench.analyze import classify_run, segment_run
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
 from repro.bench.report import Table
 from repro.sim.critpath import build_blame, critpath_from_tracer
-from repro.sim.profile import dynamic_phase_breakdown, profile_from_tracer
+from repro.sim.profile import profile_from_tracer
 from repro.sim.stats import MetricSet
 from repro.sim.telemetry import Telemetry
-from repro.sim.trace import TailKeeper, Tracer
+from repro.sim.trace import OpAggregate, TailKeeper, Tracer, aggregate_ops
 from repro.workloads.mdtest import MdtestWorkload
 
 #: Per-experiment client/item budgets by scale.
@@ -41,26 +33,13 @@ class Experiment:
     #: Whether ``runner`` takes a ``jobs`` keyword (sweep-style experiments
     #: that can fan per-point simulators across worker processes).
     accepts_jobs: bool = False
-    #: Whether ``runner`` takes a ``check_profile`` keyword (breakdown
-    #: experiments that can cross-check their columns against the cost
-    #: profiler).
-    accepts_check_profile: bool = False
 
-    def run(self, scale: str = "quick", jobs: int = 1,
-            check_profile: bool = False) -> List[Table]:
+    def run(self, scale: str = "quick", jobs: int = 1) -> List[Table]:
         if scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}")
-        if check_profile and not self.accepts_check_profile:
-            raise ValueError(
-                f"{self.id} does not support --check-profile; supported: "
-                + ", ".join(e.id for e in list_experiments()
-                            if e.accepts_check_profile))
-        kwargs = {}
         if self.accepts_jobs:
-            kwargs["jobs"] = jobs
-        if self.accepts_check_profile:
-            kwargs["check_profile"] = check_profile
-        return self.runner(scale, **kwargs)
+            return self.runner(scale, jobs=jobs)
+        return self.runner(scale)
 
 
 REGISTRY: Dict[str, Experiment] = {}
@@ -69,18 +48,15 @@ REGISTRY: Dict[str, Experiment] = {}
 def register(exp_id: str, title: str, paper_claim: str):
     """Decorator registering a ``run(scale) -> List[Table]`` function.
 
-    Runners may additionally accept ``jobs`` and/or ``check_profile``
-    keywords; the registry detects them so ``Experiment.run`` only forwards
-    what each runner supports.
+    Runners may additionally accept a ``jobs`` keyword; the registry
+    detects it so ``Experiment.run`` only forwards it where supported.
     """
     def decorate(func):
         if exp_id in REGISTRY:
             raise ValueError(f"duplicate experiment id {exp_id!r}")
-        params = inspect.signature(func).parameters
         REGISTRY[exp_id] = Experiment(
             exp_id, title, paper_claim, func,
-            accepts_jobs="jobs" in params,
-            accepts_check_profile="check_profile" in params)
+            accepts_jobs="jobs" in inspect.signature(func).parameters)
         return func
     return decorate
 
@@ -229,30 +205,23 @@ def mdtest_metrics(system_name: str, op: str, **run_kwargs) -> MetricSet:
     return mdtest_run(system_name, op, **run_kwargs).metrics
 
 
-#: Max relative disagreement ``--check-profile`` tolerates between an
-#: exhibit's phase means and the profiler's re-derivation (both fold the
-#: same begin/end pairs, so the observed error is floating-point noise).
-CHECK_TOLERANCE = 0.01
+def op_aggregate(record: RunRecord, op: str) -> OpAggregate:
+    """``op``'s span fold from a traced run: per-phase means (the only
+    phase record), mean latency and mean RPCs.
 
-
-def check_profile_point(checks: Table, cells: Sequence, spans, op: str,
-                        expected: Dict[str, float]) -> None:
-    """``--check-profile`` for one point: re-derive ``op``'s phase means
-    from the *dynamic* span tree
-    (:func:`repro.sim.profile.dynamic_phase_breakdown`) and add one row
-    per phase of ``expected`` to ``checks``, led by ``cells``.  Raises
-    ``RuntimeError`` on a phase diverging past :data:`CHECK_TOLERANCE`."""
-    derived = dynamic_phase_breakdown(spans).get(op, {})
-    for phase, want in expected.items():
-        got = derived.get(phase, 0.0)
-        err = abs(got - want) / max(abs(want), 1e-9)
-        if err > CHECK_TOLERANCE:
-            raise RuntimeError(
-                f"{'/'.join(cells)}: profiler-derived {phase} mean "
-                f"{got:.3f}us diverges from {want:.3f}us "
-                f"({err:.2%} > {CHECK_TOLERANCE:.0%})")
-        checks.add_row(*cells, phase, round(want, 2), round(got, 2),
-                       f"{err:.4%}")
+    Raises ``RuntimeError`` when spans fell out of the trace ring — means
+    over a truncated ring would silently under-count — or when no ``op``
+    completed.
+    """
+    tracer = record.tracer
+    if tracer.dropped:
+        raise RuntimeError(
+            f"{record.name}: {tracer.dropped} spans fell out of the trace "
+            f"ring; phase means would under-count")
+    agg = aggregate_ops(tracer.spans).get(op)
+    if agg is None or not agg.count:
+        raise RuntimeError(f"{record.name}: no successful {op!r} spans")
+    return agg
 
 
 def app_metrics(system_name: str, workload, data_access: bool = False,

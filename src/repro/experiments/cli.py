@@ -63,8 +63,7 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     experiment = get_experiment(args.experiment)
     started = time.time()
-    tables = experiment.run(scale=args.scale, jobs=args.jobs,
-                            check_profile=args.check_profile)
+    tables = experiment.run(scale=args.scale, jobs=args.jobs)
     header = (f"### {experiment.id}: {experiment.title} "
               f"(scale={args.scale}, {time.time() - started:.1f}s wall)")
     print_tables(tables, header=header)
@@ -164,10 +163,6 @@ def main(argv=None) -> int:
                             help="fan sweep points across N worker processes")
     run_parser.add_argument("--json", metavar="PATH", default=None,
                             help="also write the tables as JSON")
-    run_parser.add_argument("--check-profile", action="store_true",
-                            help="re-derive breakdown columns from the "
-                                 "cost profiler and assert agreement "
-                                 "(fig13/fig15)")
     all_parser = sub.add_parser("all", help="run every experiment")
     all_parser.add_argument("--scale", choices=SCALES, default="quick")
     all_parser.add_argument("--jobs", type=int, default=1, metavar="N",

@@ -10,7 +10,13 @@ from __future__ import annotations
 from typing import List
 
 from repro.bench.report import Table, ratio
-from repro.experiments.base import mdtest_metrics, pick, register
+from repro.experiments.base import (
+    mdtest_metrics,
+    mdtest_run,
+    op_aggregate,
+    pick,
+    register,
+)
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP
 
 
@@ -27,15 +33,17 @@ def run(scale: str = "quick") -> List[Table]:
          "lookup share %", "paper share %"])
     paper_share = {"objstat": 89.9, "dirstat": 91.2, "delete": 63.1}
     for op in ("objstat", "dirstat", "delete"):
-        metrics = mdtest_metrics("tectonic", op, clients=clients, items=items)
-        phases = metrics.phase_breakdown(op)
-        total = metrics.mean_latency_us(op)
+        record = mdtest_run("tectonic", op, ("tracer",), clients=clients,
+                            items=items)
+        agg = op_aggregate(record, op)
+        lookup = agg.mean_phase_us(PHASE_LOOKUP)
+        total = record.metrics.mean_latency_us(op)
         breakdown.add_row(
             op,
-            round(phases[PHASE_LOOKUP], 1),
-            round(phases[PHASE_EXECUTION], 1),
+            round(lookup, 1),
+            round(agg.mean_phase_us(PHASE_EXECUTION), 1),
             round(total, 1),
-            round(100 * phases[PHASE_LOOKUP] / total, 1) if total else 0,
+            round(100 * lookup / total, 1) if total else 0,
             paper_share[op])
 
     contention = Table(

@@ -13,7 +13,13 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import map_points, mdtest_metrics, pick, register
+from repro.experiments.base import (
+    map_points,
+    mdtest_run,
+    op_aggregate,
+    pick,
+    register,
+)
 from repro.sim.stats import PHASE_LOOKUP
 
 DEPTHS = (2, 4, 6, 8, 10)
@@ -22,9 +28,9 @@ DEPTHS = (2, 4, 6, 8, 10)
 def _lookup_point(point) -> float:
     """One (system, depth) sweep cell -> mean lookup-phase latency."""
     system_name, depth, clients, items = point
-    metrics = mdtest_metrics(system_name, "objstat", depth=depth,
-                             clients=clients, items=items)
-    return metrics.phase_breakdown("objstat")[PHASE_LOOKUP]
+    record = mdtest_run(system_name, "objstat", ("tracer",), depth=depth,
+                        clients=clients, items=items)
+    return op_aggregate(record, "objstat").mean_phase_us(PHASE_LOOKUP)
 
 
 @register("fig17", "Impact of depth on path resolution",

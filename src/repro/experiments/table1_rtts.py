@@ -5,11 +5,11 @@ resolving between 1 and ``pathlen`` (7.4 in practice at 512 threads for a
 10-level path), tiering and Mantle a single RTT.  We *measure* the RPC
 rounds a depth-10 objstat lookup actually performs in each system.
 
-Since PR 2 the measurement comes from the span tracer: each run is traced
-and the table reads mean RPCs (``rpc``-category spans under each op root)
-and the lookup-phase latency share from :func:`repro.sim.trace.aggregate_ops`
-instead of the ``OpContext`` counters — ``mantle-exp explain table1 --view
-trace`` cross-checks the two derivations agree within 1%.
+Each run is traced and the table reads mean RPCs (``rpc``-category spans
+under each op root) and the lookup-phase latency share from the span fold
+(:func:`repro.experiments.base.op_aggregate`); ``mantle-exp explain table1
+--view trace`` checks the span-derived mean RPCs and latency against the
+``MetricSet`` within 1%.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.bench.report import Table
-from repro.experiments.base import register
+from repro.experiments.base import op_aggregate, register
 from repro.experiments.explain import CASES, Run, run_case
 from repro.sim.stats import PHASE_LOOKUP
-from repro.sim.trace import aggregate_ops
 
 #: The paper's analytic RTT count for a depth-`n` lookup.
 ANALYTIC = {
@@ -39,10 +38,7 @@ def span_table(runs: Sequence[Run]) -> Table:
         ["system", "mean RPCs (whole op)", "lookup-phase share of latency",
          "paper analytic"])
     for case, record in runs:
-        agg = aggregate_ops(record.tracer.spans).get(case.op)
-        if agg is None or not agg.count:
-            raise RuntimeError(
-                f"no successful {case.op} spans for {case.system}")
+        agg = op_aggregate(record, case.op)
         lookup = agg.mean_phase_us(PHASE_LOOKUP)
         total = agg.mean_latency_us
         table.add_row(

@@ -167,15 +167,15 @@ class LiveClient(ClientOps):
         :class:`OpResult`), or the :class:`MetadataError` that failed it."""
         tracer = self.tracer
         calls = []
-        spans = []  # per op, under an enabled tracer: (op span, send time)
+        spans = []  # per op, under an enabled tracer
+        sent_at = self.now_us
         for position, op in enumerate(ops):
             trace_ctx = None
             if tracer.enabled:
                 self._active_process = position
-                started = self.now_us
-                span = tracer.begin(op.name, started, category=CAT_OP,
+                span = tracer.begin(op.name, sent_at, category=CAT_OP,
                                     host=self.PROCESS_NAME)
-                spans.append((span, started))
+                spans.append(span)
                 trace_ctx = {"proc": self.PROCESS_NAME, "span": span.span_id}
             calls.append(("perform", (op.to_wire(),), trace_ctx))
         outcomes: List[Any] = [None] * len(ops)
@@ -195,22 +195,24 @@ class LiveClient(ClientOps):
                 self.metrics.record(ctx)
                 outcomes[position] = op_result(reply.get("result"), ctx)
                 if spans:
-                    span, started = spans[position]
                     self._active_process = position
                     now = self.now_us
-                    charge_round_trip(tracer, now - started, payload,
+                    charge_round_trip(tracer, now - sent_at, payload,
                                       self.endpoint)
-                    tracer.end(span, now)
+                    tracer.end(spans[position], now)
         except MetadataError as exc:
             fault = exc
         for position, op in enumerate(ops):
             if outcomes[position] is None:
                 outcomes[position] = fault
             if isinstance(outcomes[position], MetadataError):
-                self.metrics.record_failure(OpContext(op.name))
+                # No server-measured latency: record what the client waited.
+                ctx = OpContext(op.name)
+                ctx.start, ctx.finish = sent_at, self.now_us
+                self.metrics.record_failure(ctx)
                 if spans:
                     self._active_process = position
-                    tracer.end(spans[position][0], self.now_us, ok=False)
+                    tracer.end(spans[position], ctx.finish, ok=False)
         return outcomes
 
     def perform(self, op: Op) -> Any:

@@ -37,7 +37,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.trace import (
     CAT_OP,
-    CAT_PHASE,
     NONEMPTY,
     Span,
     check_shape,
@@ -140,15 +139,6 @@ class CostProfile:
             out[key] = out.get(key, 0.0) + us
         return out
 
-    def inclusive_by_frame(self) -> Dict[str, Tuple[int, float]]:
-        """frame -> (span count, inclusive microseconds).
-
-        Phase frames never nest under themselves, so dividing by root
-        count re-derives fig13/fig15's per-phase means from the profiler.
-        """
-        return {frame: (fc.spans, fc.inclusive_us)
-                for frame, fc in self.frames.items()}
-
     def top_self(self, n: int = 15) -> List[Tuple[str, str, float]]:
         """The ``n`` hottest (frame, kind, us) centers by self cost."""
         totals = self.frame_kind_totals()
@@ -250,48 +240,6 @@ def build_profile(spans: Iterable[Span],
 def profile_from_tracer(tracer, name: str = "") -> CostProfile:
     """Fold one tracer's ring (and unattributed bucket) into a profile."""
     return build_profile(tracer.spans, dict(tracer.unattributed), name=name)
-
-
-def dynamic_phase_breakdown(
-        spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
-    """op -> phase -> mean microseconds, derived from the dynamic tree.
-
-    Groups ``phase``-category spans under their dynamic-parent ``op`` roots
-    (phases open directly inside the client process, so the dynamic parent
-    *is* the root), sums per root, and averages over the successful roots
-    that recorded each phase — the same semantics as
-    :meth:`repro.sim.stats.MetricSet.phase_breakdown`, which is what lets
-    fig13/fig15's ``--check-profile`` assert the two derivations agree.
-    """
-    finished = {s.span_id: s for s in spans if s.end_us is not None}
-    roots = {sid: s for sid, s in finished.items() if s.category == CAT_OP}
-    per_root: Dict[int, Dict[str, float]] = {}
-    for span in finished.values():
-        if span.category != CAT_PHASE:
-            continue
-        # Phases normally open directly under their op root, but chase the
-        # chain anyway so a phase nested inside another phase still lands
-        # on the right op.
-        anc = span.dyn_parent_id
-        while anc and anc not in roots:
-            parent = finished.get(anc)
-            anc = parent.dyn_parent_id if parent is not None else 0
-        if not anc:
-            continue
-        phases = per_root.setdefault(anc, {})
-        phases[span.name] = phases.get(span.name, 0.0) + span.duration_us
-    agg: Dict[str, Dict[str, Tuple[int, float]]] = {}
-    for root_id, phases in per_root.items():
-        root = roots[root_id]
-        if not root.ok:
-            continue
-        op_phases = agg.setdefault(root.name, {})
-        for phase, total in phases.items():
-            count, acc = op_phases.get(phase, (0, 0.0))
-            op_phases[phase] = (count + 1, acc + total)
-    return {op: {phase: total / count
-                 for phase, (count, total) in phases.items() if count}
-            for op, phases in agg.items()}
 
 
 # ---------------------------------------------------------------------------

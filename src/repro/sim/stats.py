@@ -1,25 +1,27 @@
-"""Measurement plumbing: latency recorders, CDFs, phase breakdowns.
+"""Measurement plumbing: latency recorders, per-op contexts, metric sets.
 
-The paper reports three views of performance and this module supports all of
-them:
+The paper reports three views of performance; this module records the
+first two:
 
 * throughput (ops completed / simulated wall time) — Figures 12, 14, 19;
-* latency distributions and CDFs — Figure 11, 17, 18;
-* per-phase latency breakdown into lookup / loop-detection / execution —
-  Figures 4a, 13, 15.
+* latency distributions — Figure 11, 17, 18.
+
+The third, per-phase latency breakdown into lookup / loop-detection /
+execution (Figures 4a, 13, 15, 17), is a fold over ``phase`` spans
+(:func:`repro.sim.trace.aggregate_ops`); :class:`OpContext` marks the
+phases and defines their canonical names here.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 #: Canonical phase names used by every system so breakdowns line up.
 PHASE_LOOKUP = "lookup"
 PHASE_LOOP_DETECT = "loop_detect"
 PHASE_EXECUTION = "execution"
-PHASES = (PHASE_LOOKUP, PHASE_LOOP_DETECT, PHASE_EXECUTION)
 
 
 def percentile(sorted_values: Sequence[float], p: float) -> float:
@@ -38,7 +40,7 @@ def percentile(sorted_values: Sequence[float], p: float) -> float:
 
 
 class LatencyRecorder:
-    """Accumulates latency samples for one (operation, phase) stream."""
+    """Accumulates latency samples for one operation's stream."""
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -130,18 +132,6 @@ class LatencyRecorder:
             "total": self.total,
         }
 
-    def cdf(self, points: int = 100) -> List[Tuple[float, float]]:
-        """Return ``points`` (latency, cumulative fraction) pairs."""
-        data = self._ensure_sorted()
-        if not data:
-            return []
-        out = []
-        for i in range(1, points + 1):
-            frac = i / points
-            idx = min(len(data) - 1, max(0, int(math.ceil(frac * len(data))) - 1))
-            out.append((data[idx], frac))
-        return out
-
     def fraction_above(self, threshold: float) -> float:
         """Fraction of samples strictly above ``threshold`` (tail mass)."""
         if not self._samples:
@@ -151,37 +141,29 @@ class LatencyRecorder:
         return (len(data) - idx) / len(data)
 
 
-#: Shared immutable stand-in for "no phases recorded yet"; real dicts are
-#: allocated lazily on first use so the per-op hot loop skips two dict
-#: allocations for phase-less operations.
-_NO_PHASES: Dict[str, float] = {}
-
-
 class OpContext:
     """Per-operation measurement context threaded through orchestration code.
 
-    Records RPC rounds (Table 1), retries, and phase timings.  Phase usage::
+    Records RPC rounds (Table 1) and retries, and marks phases::
 
         ctx.begin(PHASE_LOOKUP, sim.now)
         ...
         ctx.end(PHASE_LOOKUP, sim.now)
 
-    The phase API doubles as a thin shim over span tracing: when the
-    operation's root span is attached (``trace``/``tracer``, set by
-    ``MetadataSystem.perform`` under an enabled tracer), every begin/end
-    pair additionally opens and closes a ``phase``-category child span, so
-    breakdowns can be derived from the trace instead of these counters.
+    A phase is recorded only as a ``phase``-category child span of the
+    operation's root span (``trace``/``tracer``, attached by
+    ``MetadataSystem.perform`` under an enabled tracer); untraced, the
+    markers cost one test each.  Per-phase breakdowns are folds over those
+    spans (:func:`repro.sim.trace.aggregate_ops`).
     """
 
-    __slots__ = ("op", "rpcs", "retries", "phases", "_open", "start",
-                 "finish", "trace", "tracer", "_phase_spans")
+    __slots__ = ("op", "rpcs", "retries", "start", "finish", "trace",
+                 "tracer", "_phase_spans")
 
     def __init__(self, op: str = ""):
         self.op = op
         self.rpcs = 0
         self.retries = 0
-        self.phases: Dict[str, float] = _NO_PHASES
-        self._open: Optional[Dict[str, float]] = None
         self.start: Optional[float] = None
         self.finish: Optional[float] = None
         #: Root span of this operation (None while tracing is off).
@@ -191,30 +173,21 @@ class OpContext:
         self._phase_spans: Optional[Dict[str, object]] = None
 
     def begin(self, phase: str, now: float) -> None:
-        if self._open is None:
-            self._open = {}
-        self._open[phase] = now
-        if self.trace is not None:
-            if self._phase_spans is None:
-                self._phase_spans = {}
-            self._phase_spans[phase] = self.tracer.begin(
-                phase, now, category="phase", parent=self.trace)
+        if self.trace is None:
+            return
+        if self._phase_spans is None:
+            self._phase_spans = {}
+        self._phase_spans[phase] = self.tracer.begin(
+            phase, now, category="phase", parent=self.trace)
 
     def end(self, phase: str, now: float) -> None:
-        started = self._open.pop(phase, None) if self._open else None
-        if started is None:
+        if self.trace is None:
+            return
+        span = self._phase_spans.pop(phase, None) \
+            if self._phase_spans else None
+        if span is None:
             raise ValueError(f"phase {phase!r} was not begun")
-        phases = self.phases
-        if phases is _NO_PHASES:
-            phases = self.phases = {}
-        phases[phase] = phases.get(phase, 0.0) + (now - started)
-        if self._phase_spans is not None:
-            span = self._phase_spans.pop(phase, None)
-            if span is not None:
-                self.tracer.end(span, now)
-
-    def phase_time(self, phase: str) -> float:
-        return self.phases.get(phase, 0.0)
+        self.tracer.end(span, now)
 
     @property
     def latency(self) -> float:
@@ -228,14 +201,10 @@ class MetricSet:
 
     def __init__(self):
         self.latency: Dict[str, LatencyRecorder] = {}
-        self.phase_latency: Dict[Tuple[str, str], LatencyRecorder] = {}
         self.rpc_rounds: Dict[str, LatencyRecorder] = {}
-        # Failed operations' measurements, recorded in parallel so the work
-        # spent on failures is not silently dropped (telemetry and trace
-        # views then agree on total work).
+        # Failed operations' latencies, kept apart so the work spent on
+        # failures is not silently dropped.
         self.failed_latency: Dict[str, LatencyRecorder] = {}
-        self.failed_phase_latency: Dict[Tuple[str, str], LatencyRecorder] = {}
-        self.failed_rpc_rounds: Dict[str, LatencyRecorder] = {}
         self.ops_completed = 0
         self.ops_failed = 0
         self.retries = 0
@@ -246,30 +215,21 @@ class MetricSet:
         self.ops_completed += 1
         self.retries += ctx.retries
         op = ctx.op
-        self.latency.setdefault(op, LatencyRecorder(op)).add(ctx.latency)
-        self.rpc_rounds.setdefault(op, LatencyRecorder(op)).add(float(ctx.rpcs))
-        if ctx.phases:
-            for phase, spent in ctx.phases.items():
-                key = (op, phase)
-                self.phase_latency.setdefault(key, LatencyRecorder(op)).add(spent)
+        latency = self.latency.get(op)
+        if latency is None:
+            latency = self.latency[op] = LatencyRecorder(op)
+            self.rpc_rounds[op] = LatencyRecorder(op)
+        latency.add(ctx.latency)
+        self.rpc_rounds[op].add(float(ctx.rpcs))
 
     def record_failure(self, ctx: OpContext) -> None:
         self.ops_failed += 1
         self.retries += ctx.retries
         op = ctx.op
-        self.failed_latency.setdefault(op, LatencyRecorder(op)).add(
-            ctx.latency)
-        self.failed_rpc_rounds.setdefault(op, LatencyRecorder(op)).add(
-            float(ctx.rpcs))
-        if ctx.phases:
-            for phase, spent in ctx.phases.items():
-                key = (op, phase)
-                self.failed_phase_latency.setdefault(
-                    key, LatencyRecorder(op)).add(spent)
-
-    def failed_mean_latency_us(self, op: str) -> float:
-        rec = self.failed_latency.get(op)
-        return rec.mean if rec else 0.0
+        failed = self.failed_latency.get(op)
+        if failed is None:
+            failed = self.failed_latency[op] = LatencyRecorder(op)
+        failed.add(ctx.latency)
 
     @property
     def duration_us(self) -> float:
@@ -288,14 +248,6 @@ class MetricSet:
     def mean_latency_us(self, op: str) -> float:
         rec = self.latency.get(op)
         return rec.mean if rec else 0.0
-
-    def phase_breakdown(self, op: str) -> Dict[str, float]:
-        """Mean per-phase latency for ``op`` (missing phases are 0)."""
-        out = {}
-        for phase in PHASES:
-            rec = self.phase_latency.get((op, phase))
-            out[phase] = rec.mean if rec else 0.0
-        return out
 
     def mean_rpcs(self, op: str) -> float:
         rec = self.rpc_rounds.get(op)

@@ -419,6 +419,10 @@ class Digest:
                  hi: Optional[float] = None) -> float:
         """Quantile over windows intersecting ``[lo, hi)`` (whole run if
         None), within :data:`DIGEST_ALPHA` of the true sample quantile."""
+        if lo is None and hi is None and len(self.windows) == 1:
+            # One window needs no merged copy (a TailKeeper asks per op).
+            (cell,) = self.windows.values()
+            return _bucket_quantile(cell[0], q)
         w = self.window_us
         merged: Dict[int, int] = {}
         for idx, (buckets, _c, _s, _m) in self.windows.items():

@@ -38,14 +38,15 @@ constructed in the process gets a live tracer), ``MantleConfig(tracing=True)``
 (one Mantle deployment), or by assigning ``sim.tracer = Tracer()`` directly.
 
 The module also ships a Chrome-trace (``chrome://tracing`` / Perfetto JSON)
-exporter, the aggregation helpers ``mantle-exp explain --view trace``, fig15
-and table1 use to turn raw spans back into the paper's per-phase tables, and
+exporter, :func:`aggregate_ops` — the one fold from spans to the paper's
+per-phase tables (phases are recorded nowhere else) — and
 :func:`check_shape`, the declarative checker behind every export validator.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Span categories used by the built-in instrumentation.
@@ -331,13 +332,12 @@ class TailKeeper:
     root the keeper decides: keep the tree if the root errored, or if its
     duration reaches the op type's threshold — ``threshold_us`` when
     fixed, else the :data:`DEFAULT_KEEP_QUANTILE` of the op's own
-    duration sketch (same log-spaced buckets as
-    :class:`~repro.sim.telemetry.Digest`, so the threshold inherits the
-    digest's error bound).  Until an op type has
-    ``min_samples`` observations its roots are all kept — early stragglers
-    are exactly the ones worth keeping, and the span ``budget`` bounds
-    memory either way: once exceeded, the oldest kept trees are evicted
-    whole (``evicted_roots`` counts them).
+    duration :class:`~repro.sim.telemetry.Digest` (one run-long window,
+    so the threshold inherits the digest's error bound).  Until an op
+    type has ``min_samples`` observations its roots are all kept — early
+    stragglers are exactly the ones worth keeping, and the span ``budget``
+    bounds memory either way: once exceeded, the oldest kept trees are
+    evicted whole (``evicted_roots`` counts them).
 
     Decisions read only simulated durations and integer counts, never the
     wall clock or an RNG — identical traffic keeps identical trees on
@@ -346,7 +346,7 @@ class TailKeeper:
 
     __slots__ = ("quantile", "threshold_us", "min_samples", "budget",
                  "kept_roots", "kept_errors", "evicted_roots", "_trees",
-                 "_span_count", "_buckets", "_counts")
+                 "_span_count", "_digests")
 
     def __init__(self, quantile: float = DEFAULT_KEEP_QUANTILE,
                  threshold_us: Optional[float] = None,
@@ -370,20 +370,18 @@ class TailKeeper:
         #: by root finish time, which is what eviction walks).
         self._trees: Dict[int, List[Span]] = {}
         self._span_count = 0
-        #: op name -> duration sketch (digest buckets) feeding thresholds.
-        self._buckets: Dict[str, Dict[int, int]] = {}
-        self._counts: Dict[str, int] = {}
+        #: op name -> duration digest feeding the adaptive thresholds.
+        self._digests: Dict[str, "_telemetry.Digest"] = {}
 
     def op_threshold_us(self, op: str) -> Optional[float]:
         """Current keep threshold for an op type; ``None`` = keep all
         (threshold still warming up)."""
         if self.threshold_us is not None:
             return self.threshold_us
-        if self._counts.get(op, 0) < self.min_samples:
+        digest = self._digests.get(op)
+        if digest is None or digest.total_count < self.min_samples:
             return None
-        from repro.sim import telemetry as _telemetry
-
-        return _telemetry._bucket_quantile(self._buckets[op], self.quantile)
+        return digest.quantile(self.quantile)
 
     def offer(self, root: Span, tree: List[Span]) -> bool:
         """Decide on one finished root's tree; returns True when kept."""
@@ -391,14 +389,11 @@ class TailKeeper:
         keep = (not root.ok) or threshold is None \
             or root.duration_us >= threshold
         if self.threshold_us is None:
-            from repro.sim import telemetry as _telemetry
-
-            buckets = self._buckets.get(root.name)
-            if buckets is None:
-                buckets = self._buckets[root.name] = {}
-            b = _telemetry.digest_bucket(root.duration_us)
-            buckets[b] = buckets.get(b, 0) + 1
-            self._counts[root.name] = self._counts.get(root.name, 0) + 1
+            digest = self._digests.get(root.name)
+            if digest is None:
+                digest = self._digests[root.name] = _telemetry.Digest(
+                    root.name, None, math.inf)
+            digest.record(root.end_us, root.duration_us)
         if not keep:
             return False
         self.kept_roots += 1
@@ -434,8 +429,7 @@ class TailKeeper:
         self.evicted_roots = 0
         self._trees.clear()
         self._span_count = 0
-        self._buckets.clear()
-        self._counts.clear()
+        self._digests.clear()
 
 
 class Tracer:
@@ -722,6 +716,18 @@ class Tracer:
                 return (label[0], label[1])
         return (root.name, None)
 
+    def open_costs(self) -> Dict[Tuple[Optional[str], str], float]:
+        """(host, cost-kind) -> us charged to spans still open: work in
+        flight when the run stopped (a background compaction round, a
+        follower mid-append), which telemetry's busy counters include but
+        no finished span — so no profile — carries."""
+        out: Dict[Tuple[Optional[str], str], float] = {}
+        for stack in self._stacks.values():
+            for span in stack:
+                for (kind, host), us in (span.costs or {}).items():
+                    out[(host, kind)] = out.get((host, kind), 0.0) + us
+        return out
+
     def retained_spans(self) -> List[Span]:
         """Every span still held: the ring plus kept tail trees, deduped
         and ordered by span id (creation order, deterministic)."""
@@ -839,9 +845,10 @@ class OpAggregate:
     """Per-operation rollup of root spans and their direct children.
 
     Mirrors :class:`~repro.sim.stats.MetricSet` semantics exactly: failed
-    operations contribute to ``failures`` only, phase means average over the
-    roots that recorded that phase, and ``rpcs`` counts one per ``rpc``-
-    category child — which is also how ``OpContext.rpcs`` counts.
+    operations contribute to ``failures`` only, and ``rpcs`` counts one per
+    ``rpc``-category child — which is also how ``OpContext.rpcs`` counts.
+    Phase means average over the successful roots that recorded the phase,
+    an op's re-entries summed; a phase no root recorded reads 0.
     """
 
     __slots__ = ("op", "count", "failures", "total_latency_us",
@@ -1117,3 +1124,9 @@ def validate_chrome_trace(payload: dict) -> List[str]:
             problems += check_shape(event, _COMPLETE_EVENT_SHAPE,
                                     where=where)
     return problems
+
+
+# Bottom import: telemetry imports this module's ``check_shape``, so it can
+# only load once everything above exists (``TailKeeper`` reads ``Digest``
+# at call time).
+from repro.sim import telemetry as _telemetry  # noqa: E402

@@ -136,15 +136,15 @@ class TestErrors:
 
 
 class TestPhaseAccounting:
-    def test_objstat_has_lookup_phase(self, driver):
+    def test_objstat_has_lookup_phase(self, driver, phases_of):
         driver.system.bulk_mkdir("/p")
         driver.system.bulk_create("/p/o")
-        driver.run("objstat", "/p/o")
-        ctx = driver.contexts[-1]
-        assert ctx.latency > 0
+        agg = phases_of(driver.system,
+                        lambda: driver.run("objstat", "/p/o"))
+        assert agg.mean_latency_us > 0
         # LocoFS folds dir-op resolution into execution; all systems must
         # still account the whole operation to *some* phase.
-        assert sum(ctx.phases.values()) > 0
+        assert sum(agg.mean_phase_us(phase) for phase in agg.phases) > 0
 
     def test_rpc_rounds_counted(self, driver):
         driver.system.bulk_mkdir("/p")

@@ -185,23 +185,25 @@ class TestClientCache:
 
 
 class TestPhaseAccounting:
-    def test_lookup_plus_execution_cover_most_of_latency(self):
+    def test_lookup_plus_execution_cover_most_of_latency(self, phases_of):
         system = build()
         system.bulk_mkdir("/p")
         system.bulk_create("/p/o")
-        _, ctx = run_op(system, "objstat", "/p/o")
-        covered = ctx.phase_time(PHASE_LOOKUP) + ctx.phase_time(PHASE_EXECUTION)
-        assert covered == pytest.approx(ctx.latency, rel=0.05)
+        agg = phases_of(system, lambda: run_op(system, "objstat", "/p/o"))
+        covered = agg.mean_phase_us(PHASE_LOOKUP) + \
+            agg.mean_phase_us(PHASE_EXECUTION)
+        assert covered == pytest.approx(agg.mean_latency_us, rel=0.05)
         system.shutdown()
 
-    def test_dirrename_has_no_lookup_phase(self):
+    def test_dirrename_has_no_lookup_phase(self, phases_of):
         system = build()
         for p in ("/a", "/a/b", "/dst"):
             system.bulk_mkdir(p)
-        _, ctx = run_op(system, "dirrename", "/a/b", "/dst/b")
-        assert ctx.phase_time(PHASE_LOOKUP) == 0
-        assert ctx.phase_time(PHASE_LOOP_DETECT) > 0
-        assert ctx.phase_time(PHASE_EXECUTION) > 0
+        agg = phases_of(system, lambda: run_op(system, "dirrename", "/a/b",
+                                               "/dst/b"))
+        assert PHASE_LOOKUP not in agg.phases
+        assert agg.mean_phase_us(PHASE_LOOP_DETECT) > 0
+        assert agg.mean_phase_us(PHASE_EXECUTION) > 0
         system.shutdown()
 
     def test_retries_counted_on_context(self):

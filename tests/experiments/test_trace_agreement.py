@@ -1,8 +1,12 @@
-"""Span-derived experiment numbers must agree with the legacy counters."""
+"""Span-derived experiment numbers: they agree with the ``MetricSet``,
+the phase means the figures read are pinned, and a truncated span ring is
+refused rather than averaged."""
 
 import json
 
-from repro.experiments.base import mdtest_run
+import pytest
+
+from repro.experiments.base import RunRecord, mdtest_run, op_aggregate
 from repro.experiments.cli import main as cli_main
 from repro.experiments.explain import (
     AGREEMENT_TOLERANCE,
@@ -10,7 +14,35 @@ from repro.experiments.explain import (
     agreement_table,
     breakdown_table,
 )
-from repro.sim.trace import export_chrome_trace, validate_chrome_trace
+from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, MetricSet
+from repro.sim.trace import Tracer, export_chrome_trace, validate_chrome_trace
+
+#: (system, op, depth) -> (lookup, execution) mean phase us of an 8-client,
+#: 3-item mdtest point — the fig04/fig13 ops at depth 10 plus a fig17
+#: shallower objstat — as the per-op phase counters that spans replaced
+#: reported them.  The span fold must reproduce them to the last bit.
+PINNED_PHASE_MEANS = {
+    ("tectonic", "create", 10): (1129.1666666666667, 546.6666666666666),
+    ("tectonic", "delete", 10): (1129.1666666666667, 671.6666666666666),
+    ("tectonic", "objstat", 10): (1129.1666666666667, 125.0),
+    ("tectonic", "dirstat", 10): (1254.1666666666667, 125.0),
+    ("tectonic", "objstat", 4): (379.1666666666667, 125.0),
+    ("infinifs", "create", 10): (235.20833333333334, 431.875),
+    ("infinifs", "delete", 10): (235.20833333333334, 556.875),
+    ("infinifs", "objstat", 10): (362.9166666666667, 0.0),
+    ("infinifs", "dirstat", 10): (251.04166666666666, 126.04166666666667),
+    ("infinifs", "objstat", 4): (287.2916666666667, 0.0),
+    ("locofs", "create", 10): (213.0, 218.33333333333334),
+    ("locofs", "delete", 10): (213.0, 343.3333333333333),
+    ("locofs", "objstat", 10): (205.0, 125.0),
+    ("locofs", "dirstat", 10): (0.0, 213.0),
+    ("locofs", "objstat", 4): (155.1999999999971, 125.0),
+    ("mantle", "create", 10): (169.66666666666666, 268.3333333333333),
+    ("mantle", "delete", 10): (169.66666666666666, 393.3333333333333),
+    ("mantle", "objstat", 10): (169.66666666666666, 125.0),
+    ("mantle", "dirstat", 10): (177.66666666666666, 125.0),
+    ("mantle", "objstat", 4): (149.53333333333043, 125.0),
+}
 
 
 def _artifact(system, op, **kwargs):
@@ -27,7 +59,7 @@ def test_span_and_metric_derivations_agree_within_tolerance():
     assert worst <= AGREEMENT_TOLERANCE
     # in the deterministic sim the two derivations are actually bit-equal:
     assert worst == 0.0
-    assert len(table.rows) >= 2 * 3  # latency + rpcs + >=1 phase per case
+    assert len(table.rows) == 2 * 2  # mean latency + mean rpcs per case
     payload = export_chrome_trace(
         [(case.label, record.tracer.spans) for case, record in artifacts])
     assert validate_chrome_trace(payload) == []
@@ -44,3 +76,26 @@ def test_cli_trace_subcommand_writes_valid_json(tmp_path, capsys):
     assert payload["traceEvents"]
     printed = capsys.readouterr().out
     assert "Span-derived vs metric-derived agreement" in printed
+
+
+@pytest.mark.parametrize("system, op, depth", list(PINNED_PHASE_MEANS))
+def test_phase_means_match_the_pinned_values(system, op, depth):
+    record = mdtest_run(system, op, ("tracer",), clients=8, items=3,
+                        depth=depth)
+    agg = op_aggregate(record, op)
+    assert (agg.mean_phase_us(PHASE_LOOKUP),
+            agg.mean_phase_us(PHASE_EXECUTION)) == \
+        PINNED_PHASE_MEANS[(system, op, depth)]
+
+
+def test_a_ring_that_dropped_spans_is_refused():
+    tracer = Tracer(max_spans=4)
+    for i in range(3):
+        root = tracer.begin("objstat", float(i), category="op")
+        phase = tracer.begin("lookup", float(i), category="phase",
+                             parent=root)
+        tracer.end(phase, i + 0.5)
+        tracer.end(root, i + 1.0)
+    assert tracer.dropped == 2
+    with pytest.raises(RuntimeError, match="2 spans fell out"):
+        op_aggregate(RunRecord("tiny", MetricSet(), tracer), "objstat")

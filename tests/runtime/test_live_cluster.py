@@ -174,6 +174,15 @@ class TestLiveOps:
             assert client.metrics.ops_completed == 2
             assert client.metrics.ops_failed == 1
 
+    def test_failed_op_is_recorded_with_its_latency(self, cluster, ns):
+        """A failed op's reply carries no latency; the client records the
+        send-to-reply time it measured instead of 0."""
+        with LiveClient(cluster.proxy_endpoint) as client:
+            with pytest.raises(NoSuchPathError):
+                client.objstat(f"{ns()}/absent")
+            failed = client.metrics.failed_latency["objstat"]
+            assert failed.count == 1 and failed.min > 0
+
 
 class TestTransportFaults:
     def test_connection_refused_is_service_unavailable(self):

@@ -24,7 +24,6 @@ from repro.sim.profile import (
     UNATTRIBUTED_FRAME,
     build_profile,
     diff_profiles,
-    dynamic_phase_breakdown,
     profile_from_tracer,
     to_folded,
     to_speedscope,
@@ -136,30 +135,6 @@ class TestChargeAttribution:
         tracer.charge("cpu", 0.0, "h0")
         tracer.charge("cpu", -1.0, "h0")
         assert tracer.unattributed == {}
-
-
-class TestDynamicPhaseBreakdown:
-    def test_means_over_successful_roots_only(self):
-        tracer = Tracer()
-        for latency, ok in ((10.0, True), (20.0, True), (99.0, False)):
-            root = tracer.begin("objstat", 0.0, CAT_OP)
-            phase = tracer.begin("lookup", 0.0, CAT_PHASE, parent=root)
-            tracer.end(phase, latency)
-            tracer.end(root, latency + 1.0, ok=ok)
-        breakdown = dynamic_phase_breakdown(tracer.spans)
-        assert breakdown == {"objstat": {"lookup": 15.0}}
-
-    def test_repeated_phase_sums_within_an_op(self):
-        """Retries re-enter a phase; per-op totals must sum like
-        ``OpContext.phases`` does."""
-        tracer = Tracer()
-        root = tracer.begin("create", 0.0, CAT_OP)
-        for start, end in ((0.0, 4.0), (10.0, 16.0)):
-            phase = tracer.begin("execution", start, CAT_PHASE, parent=root)
-            tracer.end(phase, end)
-        tracer.end(root, 20.0)
-        breakdown = dynamic_phase_breakdown(tracer.spans)
-        assert breakdown["create"]["execution"] == 10.0  # 4 + 6, one root
 
 
 class TestExports:

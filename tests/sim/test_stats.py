@@ -10,6 +10,7 @@ from repro.sim.stats import (
     OpContext,
     percentile,
 )
+from repro.sim.trace import Tracer, aggregate_ops
 
 
 class TestPercentile:
@@ -61,18 +62,6 @@ class TestLatencyRecorder:
         rec = LatencyRecorder()
         assert rec.mean == 0.0
         assert rec.p99 == 0.0
-        assert rec.cdf() == []
-
-    def test_cdf_monotone(self):
-        rec = LatencyRecorder()
-        rec.extend(float(i) for i in range(100))
-        points = rec.cdf(points=10)
-        lats = [p[0] for p in points]
-        fracs = [p[1] for p in points]
-        assert lats == sorted(lats)
-        assert fracs == sorted(fracs)
-        assert fracs[-1] == 1.0
-        assert lats[-1] == 99.0
 
     def test_fraction_above(self):
         rec = LatencyRecorder()
@@ -121,28 +110,52 @@ class TestLatencyRecorder:
         assert all(v == 0.0 for v in digest.values())
 
 
+def _traced_ctx(op, tracer):
+    """An OpContext under a root span, as ``MetadataSystem.perform``
+    threads one when tracing is on."""
+    ctx = OpContext(op)
+    ctx.tracer = tracer
+    ctx.trace = tracer.begin(op, 0.0, category="op")
+    return ctx
+
+
 class TestOpContext:
     def test_phase_accounting(self):
-        ctx = OpContext("mkdir")
+        tracer = Tracer()
+        ctx = _traced_ctx("mkdir", tracer)
         ctx.begin(PHASE_LOOKUP, 100.0)
         ctx.end(PHASE_LOOKUP, 130.0)
         ctx.begin(PHASE_EXECUTION, 130.0)
         ctx.end(PHASE_EXECUTION, 180.0)
-        assert ctx.phase_time(PHASE_LOOKUP) == 30.0
-        assert ctx.phase_time(PHASE_EXECUTION) == 50.0
+        tracer.end(ctx.trace, 180.0)
+        agg = aggregate_ops(tracer.spans)["mkdir"]
+        assert agg.mean_phase_us(PHASE_LOOKUP) == 30.0
+        assert agg.mean_phase_us(PHASE_EXECUTION) == 50.0
 
     def test_phase_reentry_accumulates(self):
-        ctx = OpContext("op")
+        tracer = Tracer()
+        ctx = _traced_ctx("op", tracer)
         ctx.begin(PHASE_LOOKUP, 0.0)
         ctx.end(PHASE_LOOKUP, 10.0)
         ctx.begin(PHASE_LOOKUP, 20.0)
         ctx.end(PHASE_LOOKUP, 25.0)
-        assert ctx.phase_time(PHASE_LOOKUP) == 15.0
+        tracer.end(ctx.trace, 30.0)
+        assert aggregate_ops(tracer.spans)["op"].mean_phase_us(
+            PHASE_LOOKUP) == 15.0
 
     def test_end_without_begin_rejected(self):
-        ctx = OpContext("op")
+        ctx = _traced_ctx("op", Tracer())
         with pytest.raises(ValueError):
             ctx.end(PHASE_LOOKUP, 1.0)
+
+    def test_untraced_markers_are_no_ops(self):
+        """Without a root span there is nothing to record (or to check an
+        unmatched end against)."""
+        ctx = OpContext("op")
+        ctx.begin(PHASE_LOOKUP, 0.0)
+        ctx.end(PHASE_LOOKUP, 10.0)
+        ctx.end(PHASE_EXECUTION, 10.0)
+        assert ctx._phase_spans is None
 
     def test_latency_requires_start_finish(self):
         ctx = OpContext("op")
@@ -152,14 +165,10 @@ class TestOpContext:
 
 
 class TestMetricSet:
-    def _ctx(self, op, start, finish, rpcs=1, phases=None):
+    def _ctx(self, op, start, finish, rpcs=1):
         ctx = OpContext(op)
         ctx.start, ctx.finish = start, finish
         ctx.rpcs = rpcs
-        if phases:
-            for name, dur in phases.items():
-                ctx.begin(name, 0.0)
-                ctx.end(name, dur)
         return ctx
 
     def test_throughput_kops(self):
@@ -170,13 +179,6 @@ class TestMetricSet:
         assert ms.throughput_kops() == pytest.approx(0.5)
         assert ms.throughput_kops("objstat") == pytest.approx(0.5)
         assert ms.throughput_kops("missing") == 0.0
-
-    def test_phase_breakdown_defaults_missing_to_zero(self):
-        ms = MetricSet()
-        ms.record(self._ctx("mkdir", 0, 50, phases={PHASE_LOOKUP: 30.0}))
-        breakdown = ms.phase_breakdown("mkdir")
-        assert breakdown[PHASE_LOOKUP] == 30.0
-        assert breakdown[PHASE_EXECUTION] == 0.0
 
     def test_mean_rpcs(self):
         ms = MetricSet()
@@ -194,16 +196,12 @@ class TestMetricSet:
         assert ms.ops_completed == 0
 
     def test_failed_ops_keep_their_measurements(self):
-        """record_failure must not drop the context's latency/rpcs/phases;
-        they land in the parallel failed_* recorders."""
+        """record_failure must not drop the context's latency; it lands in
+        the parallel failed_latency recorder."""
         ms = MetricSet()
-        ctx = self._ctx("mkdir", 0.0, 40.0, rpcs=3,
-                        phases={PHASE_LOOKUP: 12.0})
-        ms.record_failure(ctx)
-        assert ms.failed_mean_latency_us("mkdir") == 40.0
+        ms.record_failure(self._ctx("mkdir", 0.0, 40.0, rpcs=3))
         assert ms.failed_latency["mkdir"].count == 1
-        assert ms.failed_rpc_rounds["mkdir"].mean == 3.0
-        assert ms.failed_phase_latency[("mkdir", PHASE_LOOKUP)].mean == 12.0
+        assert ms.failed_latency["mkdir"].mean == 40.0
         # The success-side recorders stay untouched.
         assert "mkdir" not in ms.latency
-        assert ms.failed_mean_latency_us("missing") == 0.0
+        assert "mkdir" not in ms.rpc_rounds

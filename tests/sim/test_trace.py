@@ -120,6 +120,30 @@ class TestAggregation:
         assert agg.mean_phase_us("lookup") == pytest.approx(4.0)
         assert agg.mean_phase_us("execution") == 0.0
 
+    def test_means_over_successful_roots_only(self):
+        tracer = Tracer()
+        for latency, ok in ((10.0, True), (20.0, True), (99.0, False)):
+            root = tracer.begin("objstat", 0.0, category="op")
+            phase = tracer.begin("lookup", 0.0, category="phase",
+                                 parent=root)
+            tracer.end(phase, latency)
+            tracer.end(root, latency + 1.0, ok=ok)
+        agg = aggregate_ops(tracer.spans)["objstat"]
+        assert agg.phases == {"lookup": (2, 30.0)}
+        assert agg.mean_phase_us("lookup") == 15.0
+
+    def test_repeated_phase_sums_within_an_op(self):
+        """Retries re-enter a phase; the op's phase time is the sum."""
+        tracer = Tracer()
+        root = tracer.begin("create", 0.0, category="op")
+        for start, end in ((0.0, 4.0), (10.0, 16.0)):
+            phase = tracer.begin("execution", start, category="phase",
+                                 parent=root)
+            tracer.end(phase, end)
+        tracer.end(root, 20.0)
+        agg = aggregate_ops(tracer.spans)["create"]
+        assert agg.mean_phase_us("execution") == 10.0  # 4 + 6, one root
+
     def test_children_index_and_category_summary(self):
         tracer = self._traced_ops()
         index = children_index(tracer.spans)
