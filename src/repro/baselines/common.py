@@ -18,11 +18,13 @@ from repro.errors import (
 )
 from repro.paths import normalize, parent_and_name, split_path
 from repro.sim.host import CostModel
-from repro.sim.stats import OpContext
+from repro.sim.stats import PHASE_LOOKUP, OpContext
 from repro.tafdb.cluster import TafDBCluster
 from repro.tafdb.rows import Dirent, attr_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AttrMeta, EntryKind, Permission
+
+_ALL = Permission.ALL
 
 
 class StorageMixin:
@@ -123,12 +125,14 @@ class StorageMixin:
 
     def resolve_sequential(self, db, path: str, upto_parent: bool,
                            ctx: OpContext):
-        """Level-by-level path traversal: one RPC per component.
+        """Level-by-level path traversal: one RPC per component, marked as
+        the op's lookup phase.
 
         This is the multi-RPC resolution of Figure 2 that Mantle's
         single-RPC IndexNode lookup replaces.  Returns (dir_id, final_name,
         permission); ``final_name`` is None when resolving the full path.
         """
+        ctx.begin(PHASE_LOOKUP, self.sim.now)
         parts = split_path(path)
         if upto_parent:
             if not parts:
@@ -142,10 +146,13 @@ class StorageMixin:
             row = yield from db.read(dirent_key(current, part), ctx=ctx)
             if row is None:
                 raise NoSuchPathError(path, part)
-            if not row.value.is_dir:
+            value = row.value
+            if not value.is_dir:
                 raise NotADirectoryError(path, part)
-            perm &= row.value.permission
-            current = row.value.id
+            if value.permission is not _ALL:  # skip IntFlag.__and__
+                perm &= value.permission
+            current = value.id
+        ctx.end(PHASE_LOOKUP, self.sim.now)
         return current, final, perm
 
     # -- parent attribute read-modify-write with retries ------------------------------

@@ -52,6 +52,8 @@ from repro.tafdb.rows import Dirent, attr_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AccessMeta, AttrMeta, EntryKind, Permission, make_stat
 
+_ALL = Permission.ALL
+
 
 def predict_dir_id(path: str) -> int:
     """Deterministic directory id from the creation-time full path."""
@@ -221,17 +223,16 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
 
         # One parallel round: read every remaining level with predicted pids.
         predicted = [start_id]
+        prefix = "/" + "/".join(walk[:start_level]) if start_level else ""
         for level in range(start_level + 1, len(walk)):
-            predicted.append(predict_dir_id("/" + "/".join(walk[:level])))
-
-        def read_one(pid, name):
-            row = yield from db.read(dirent_key(pid, name), ctx=ctx)
-            return row
+            prefix += "/" + walk[level - 1]
+            predicted.append(predict_dir_id(prefix))
 
         # Thread over-provisioning: every speculative sub-request costs
         # proxy CPU whether or not its prediction was useful.
         yield from host.work(self.speculation_cpu_us * len(predicted))
-        procs = [self.sim.process(read_one(predicted[i], walk[start_level + i]))
+        procs = [self.sim.process(db.read(
+                     dirent_key(predicted[i], walk[start_level + i]), ctx=ctx))
                  for i in range(len(predicted))]
         rows = yield self.sim.all_of(procs)
 
@@ -244,10 +245,12 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
                 break  # misprediction (renamed ancestry): stop trusting
             if row is None:
                 raise NoSuchPathError(path, walk[level])
-            if not row.value.is_dir:
+            value = row.value
+            if not value.is_dir:
                 raise NotADirectoryError(path, walk[level])
-            perm &= row.value.permission
-            current = row.value.id
+            if value.permission is not _ALL:  # skip IntFlag.__and__
+                perm &= value.permission
+            current = value.id
             level += 1
         while level < len(walk):
             row = yield from db.read(dirent_key(current, walk[level]), ctx=ctx)
@@ -261,10 +264,12 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
                         cache.put("/" + "/".join(walk), result[0])
                     return result
                 raise NoSuchPathError(path, walk[level])
-            if not row.value.is_dir:
+            value = row.value
+            if not value.is_dir:
                 raise NotADirectoryError(path, walk[level])
-            perm &= row.value.permission
-            current = row.value.id
+            if value.permission is not _ALL:  # skip IntFlag.__and__
+                perm &= value.permission
+            current = value.id
             level += 1
 
         if cache is not None:

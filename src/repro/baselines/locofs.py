@@ -35,7 +35,7 @@ from repro.raft.group import RaftGroup
 from repro.raft.node import NotLeaderError, RaftConfig
 from repro.sim.core import Simulator
 from repro.sim.host import CostModel, Host
-from repro.sim.network import Network, Server
+from repro.sim.network import Network, Server, unary
 from repro.sim.stats import (
     PHASE_EXECUTION,
     PHASE_LOOKUP,
@@ -151,8 +151,9 @@ class LocoDirService(Server):
         if not self.node.is_leader:
             raise NotLeaderError(self.node.leader_hint)
 
-    def _resolve(self, path: str, upto_parent: bool):
-        """Local tree walk, charging one probe per level."""
+    def _walk(self, path: str, upto_parent: bool):
+        """Local tree walk: ``(cpu us, (dir_id, final, perm))``, one probe
+        charged per level."""
         parts = split_path(path)
         if upto_parent:
             if not parts:
@@ -161,16 +162,21 @@ class LocoDirService(Server):
         else:
             walk, final = parts, None
         dir_id, perm, probes = self.state.resolve(walk, path)
-        yield from self.host.work(
-            self.costs.index_rpc_overhead_us
-            + probes * self.costs.index_probe_us
-            + len(parts) * self.costs.permission_check_us)
-        return dir_id, final, perm
+        return (self.costs.index_rpc_overhead_us
+                + probes * self.costs.index_probe_us
+                + len(parts) * self.costs.permission_check_us,
+                (dir_id, final, perm))
 
+    def _resolve(self, path: str, upto_parent: bool):
+        us, result = self._walk(path, upto_parent)
+        yield from self.host.work(us)
+        return result
+
+    @unary
     def rpc_resolve(self, path: str, upto_parent: bool = True):
         self._require_leader()
-        result = yield from self._resolve(path, upto_parent)
-        return result
+        us, result = self._walk(path, upto_parent)
+        return us, None, result
 
     def rpc_dirstat(self, path: str):
         self._require_leader()

@@ -26,7 +26,7 @@ from repro.paths import is_prefix, normalize
 from repro.sim.core import Simulator
 from repro.sim.host import CostModel, Host
 from repro.sim.network import Network
-from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, OpContext
+from repro.sim.stats import PHASE_EXECUTION, OpContext
 from repro.tafdb.rows import Dirent, attr_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import AttrMeta, EntryKind, Permission, make_stat
@@ -61,13 +61,7 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def shutdown(self) -> None:
         self.tafdb.stop_compactors()
 
-    # -- lookup helper -----------------------------------------------------------
-
-    def _lookup(self, db, path: str, upto_parent: bool, ctx: OpContext):
-        ctx.begin(PHASE_LOOKUP, self.sim.now)
-        result = yield from self.resolve_sequential(db, path, upto_parent, ctx)
-        ctx.end(PHASE_LOOKUP, self.sim.now)
-        return result
+    # -- row helper --------------------------------------------------------------
 
     def _read_dirent(self, db, pid: int, name: str, path: str,
                      ctx: OpContext):
@@ -81,7 +75,8 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def op_create(self, path: str, ctx: OpContext):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(db, path, True, ctx)
+        pid, name, _perm = yield from self.resolve_sequential(
+            db, path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         obj_id = self.ids.next()
         now = self.sim.now
@@ -97,7 +92,8 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def op_delete(self, path: str, ctx: OpContext):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(db, path, True, ctx)
+        pid, name, _perm = yield from self.resolve_sequential(
+            db, path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         row = yield from self._read_dirent(db, pid, name, path, ctx)
         if row.value.is_dir:
@@ -117,7 +113,8 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def op_objstat(self, path: str, ctx: OpContext):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(db, path, True, ctx)
+        pid, name, _perm = yield from self.resolve_sequential(
+            db, path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         row = yield from self._read_dirent(db, pid, name, path, ctx)
         if row.value.is_dir:
@@ -132,7 +129,8 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def op_dirstat(self, path: str, ctx: OpContext):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self._lookup(db, path, False, ctx)
+        dir_id, _none, _perm = yield from self.resolve_sequential(
+            db, path, False, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         attrs = yield from db.read_dir_attrs(dir_id, ctx=ctx)
         if attrs is None:
@@ -143,7 +141,8 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def op_readdir(self, path: str, ctx: OpContext):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self._lookup(db, path, False, ctx)
+        dir_id, _none, _perm = yield from self.resolve_sequential(
+            db, path, False, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         page = yield from db.scan_children(dir_id, ctx=ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
@@ -155,7 +154,8 @@ class TectonicSystem(StorageMixin, MetadataSystem):
                  permission: Permission = Permission.ALL):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(db, path, True, ctx)
+        pid, name, _perm = yield from self.resolve_sequential(
+            db, path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         dir_id = self.ids.next()
         now = self.sim.now
@@ -176,7 +176,8 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def op_rmdir(self, path: str, ctx: OpContext):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(db, path, True, ctx)
+        pid, name, _perm = yield from self.resolve_sequential(
+            db, path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         row = yield from self._read_dirent(db, pid, name, path, ctx)
         if not row.value.is_dir:
@@ -197,7 +198,8 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def op_setattr(self, path: str, permission: Permission, ctx: OpContext):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self._lookup(db, path, False, ctx)
+        dir_id, _none, _perm = yield from self.resolve_sequential(
+            db, path, False, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         attempt = 0
         while True:
@@ -222,8 +224,10 @@ class TectonicSystem(StorageMixin, MetadataSystem):
     def op_dirrename(self, src: str, dst: str, ctx: OpContext):
         host, db = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        src_pid, src_name, _sp = yield from self._lookup(db, src, True, ctx)
-        dst_pid, dst_name, _dp = yield from self._lookup(db, dst, True, ctx)
+        src_pid, src_name, _sp = yield from self.resolve_sequential(
+            db, src, True, ctx)
+        dst_pid, dst_name, _dp = yield from self.resolve_sequential(
+            db, dst, True, ctx)
 
         # Relaxed consistency (§6.1: "for Tectonic, we relax the consistency
         # and avoid using distributed transactions"): no transactional loop

@@ -168,10 +168,13 @@ class MantleProxy:
         """
         if not self.config.enforce_permissions:
             return
+        permission = outcome.permission
+        if permission is Permission.ALL:  # skip IntFlag.__and__
+            return
         needed = Permission.EXECUTE
         if write:
             needed |= Permission.WRITE
-        if (outcome.permission & needed) != needed:
+        if (permission & needed) != needed:
             raise PermissionDeniedError(path, needed)
 
     # -- TafDB transaction helper with delta-record fast path ----------------------

@@ -17,6 +17,8 @@ from repro.errors import (
 )
 from repro.types import ROOT_ID, AccessMeta, Permission
 
+_ALL = Permission.ALL
+
 
 class IndexTable:
     """In-memory map of all directory access metadata for one namespace.
@@ -156,7 +158,8 @@ class IndexTable:
                 if meta is None:
                     raise NoSuchPathError(
                         path_for_errors or "/".join(parts), part)
-                perm &= meta.permission
+                if meta.permission is not _ALL:  # skip IntFlag.__and__
+                    perm &= meta.permission
                 current = meta.id
         finally:
             self.probe_count += probes

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-from repro.paths import truncate_prefix
+from repro.paths import split_path
 from repro.types import Permission
 
 
@@ -62,13 +62,20 @@ class TopDirPathCache:
         twin.inserts, twin.invalidations = self.inserts, self.invalidations
         return twin
 
+    def prefix_depth(self, depth: int) -> int:
+        """How many leading components of a depth-``depth`` path key this
+        cache: ``depth - k``, or 0 when the path is within k levels of the
+        root (or the cache is off)."""
+        if not self.enabled:
+            return 0
+        return max(0, depth - self.k)
+
     def cacheable_prefix(self, path: str) -> Optional[str]:
         """The prefix of ``path`` this cache would serve, or None when the
         path is too shallow (within k levels of the root)."""
-        if not self.enabled:
-            return None
-        prefix = truncate_prefix(path, self.k)
-        return None if prefix == "/" else prefix
+        parts = split_path(path)
+        keep = self.prefix_depth(len(parts))
+        return "/" + "/".join(parts[:keep]) if keep else None
 
     def probe(self, prefix: str) -> Optional[CacheEntry]:
         entry = self._entries.get(prefix)

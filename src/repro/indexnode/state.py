@@ -82,11 +82,14 @@ class IndexNodeState:
         version_before = self.invalidator.version()
         # Step 1: scan RemovalList for in-flight modifications on our path.
         blocked = self.invalidator.blocking_modification(path) is not None
-        prefix = None if blocked else self.cache.cacheable_prefix(path)
-        prefix_parts: List[str] = split_path(prefix) if prefix else []
-        if len(prefix_parts) > len(resolve_parts):
+        # The cache key is the path less its last k components, taken from
+        # the parts already split rather than from the path again.
+        keep = 0 if blocked else self.cache.prefix_depth(len(parts))
+        if keep > len(resolve_parts):
             # Shallow parent resolution (depth < k): no cacheable prefix.
-            prefix, prefix_parts = None, []
+            keep = 0
+        prefix_parts: List[str] = parts[:keep]
+        prefix = "/" + "/".join(prefix_parts) if keep else None
 
         start_id, start_perm = self.table.root_id, Permission.ALL
         consumed = 0

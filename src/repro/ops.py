@@ -16,6 +16,7 @@ one place such a ``(name, *args)`` pair becomes a typed op.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, ClassVar, Dict, Tuple, Type
 
 from repro.types import Permission
@@ -33,8 +34,8 @@ class Op:
     name: ClassVar[str] = ""
 
     def handler_args(self) -> Tuple[Any, ...]:
-        return tuple(getattr(self, field.name)
-                     for field in dataclasses.fields(self))
+        return tuple([getattr(self, field)
+                      for field in _field_names(type(self))])
 
     def to_wire(self) -> Dict[str, Any]:
         """JSON-safe encoding for the live wire protocol.
@@ -64,6 +65,12 @@ class Op:
             if field.name in args and field.type == "Permission":
                 args[field.name] = Permission(args[field.name])
         return op_type(**args)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(op_type: Type[Op]) -> Tuple[str, ...]:
+    """An op class's field names in declaration order, computed once."""
+    return tuple(field.name for field in dataclasses.fields(op_type))
 
 
 #: Operation name -> dataclass, in the canonical mdtest order.

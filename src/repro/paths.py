@@ -41,6 +41,12 @@ def split_path(path: str) -> List[str]:
     parts = trimmed.split("/")
     if len(parts) > _MAX_DEPTH:
         raise InvalidPathError(path, f"deeper than {_MAX_DEPTH} levels")
+    # Valid paths pass in C-level scans; the reserved ATTR_SENTINEL holds a
+    # "/" and so can never be a component.  A fault is named by the loop.
+    if ("" not in parts and "." not in parts and ".." not in parts
+            and (len(trimmed) <= _MAX_COMPONENT
+                 or max(map(len, parts)) <= _MAX_COMPONENT)):
+        return parts
     for part in parts:
         if not part:
             raise InvalidPathError(path, "empty component")

@@ -43,10 +43,11 @@ class Runtime:
     """Abstract execution environment for Mantle's orchestration code.
 
     All generator methods are consumed with ``yield from`` inside domain
-    generators; ``now`` is an ordinary property.  ``kind`` distinguishes
-    implementations where behaviour must legitimately differ (e.g. error
-    messages); domain code must not branch on it for anything that changes
-    results.
+    generators (an implementation may return the generator of a primitive
+    it delegates to instead of being one); ``now`` is an ordinary
+    property.  ``kind`` distinguishes implementations where behaviour must
+    legitimately differ (e.g. error messages); domain code must not branch
+    on it for anything that changes results.
     """
 
     kind = "abstract"
@@ -121,7 +122,9 @@ class SimRuntime(Runtime):
 
     Every method delegates to the exact primitive the pre-seam code used,
     producing the identical yield sequence — this class must never add,
-    remove or reorder simulator events.  ``network`` may be ``None`` for
+    remove or reorder simulator events.  ``work``, ``fsync`` and ``rpc``
+    hand back the primitive's own generator rather than wrapping it, so
+    the seam adds no frame to a resume.  ``network`` may be ``None`` for
     server-side runtimes (handlers charge work/fsync but never originate
     RPCs); calling :meth:`rpc` on such a runtime is a bug and raises.
     """
@@ -142,19 +145,17 @@ class SimRuntime(Runtime):
         yield self.sim.timeout(us)
 
     def work(self, host, us: float):
-        yield from host.work(us)
+        return host.work(us)
 
     def fsync(self, host, us: float):
-        yield from host.fsync_cost(us)
+        return host.fsync_cost(us)
 
     def rpc(self, service, method: str, *args, ctx=None, **kwargs):
         network = self.network
         if network is None:
             raise RuntimeError(
                 "this SimRuntime has no network transport attached")
-        result = yield from network.rpc(service, method, *args,
-                                        ctx=ctx, **kwargs)
-        return result
+        return network.rpc(service, method, *args, ctx=ctx, **kwargs)
 
     def gather(self, generators: Iterable):
         sim = self.sim

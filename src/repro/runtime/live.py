@@ -24,6 +24,7 @@ processes:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
 import subprocess
@@ -285,8 +286,11 @@ class LiveTafDB:
             threshold=config.delta_activation_threshold,
             window_us=config.delta_activation_window_us,
             enabled=config.enable_delta_records)
+        self._client_ids = itertools.count(1)
 
     def client(self, client_id: Optional[int] = None) -> TafDBClient:
+        if client_id is None:
+            client_id = next(self._client_ids)
         return TafDBClient(self._facade, None, self.partitioner,
                            self.services, self.costs, client_id=client_id,
                            runtime=self._runtime)

@@ -19,11 +19,15 @@ earlier simulated time (a push at the current time lands in the deque), so
 it carries a smaller sequence number than anything in the deque, and deque
 entries preserve FIFO order among themselves.  The event loop therefore
 drains heap entries at the current time first, then the deque, then advances
-the clock.  This is the only scheduler.  The all-heap order it must
-reproduce survives as a test oracle (``tests/oracle.py``: a subclass whose
-``_micro.append`` pushes onto the heap), and ``tests/sim/
-test_scheduler_reference.py`` and ``tests/experiments/
-test_fastpath_determinism.py`` hold the two to bit-identical results.
+the clock.  An entry on either tier is an :class:`Event` to deliver to its
+callbacks, or a ``(function, arg)`` pair the loop calls directly — how a
+deferred resume, a CPU slice's start and a network flight step without an
+event of their own (:meth:`Simulator._at`).  This is the only scheduler.
+The all-heap order it must reproduce survives as a test oracle
+(``tests/oracle.py``: a subclass whose ``_micro.append`` pushes onto the
+heap), and ``tests/sim/test_scheduler_reference.py`` and
+``tests/experiments/test_fastpath_determinism.py`` hold the two to
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -174,12 +178,21 @@ class Process(Event):
                  "_waiting_index", "_cb", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
-        if not hasattr(generator, "send"):
-            raise SimulationError(f"process body must be a generator, got {generator!r}")
-        super().__init__(sim)
+        try:
+            self._send = generator.send
+            self._throw = generator.throw
+        except AttributeError:
+            raise SimulationError(
+                f"process body must be a generator, got {generator!r}"
+            ) from None
+        # Flat slot initialisation, as in Timeout: InfiniFS spawns one
+        # process per speculative read.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
-        self._send = generator.send
-        self._throw = generator.throw
         self._waiting_on: Optional[Event] = None
         self._waiting_index = -1
         # One bound method reused for every wait; also the identity token the
@@ -271,6 +284,9 @@ class Process(Event):
     def _finish(self, ok: bool, value: Any) -> None:
         self._ok = ok
         self._value = value
+        # A finished process never resumes: drop the bound method, the
+        # process's reference cycle, so refcounting frees it, not the GC.
+        self._cb = None
         self.sim._micro.append(self)
 
 
@@ -438,6 +454,18 @@ class Simulator:
             _heappush(self._queue, (when, self._seq, t))
         return t
 
+    def _at(self, delay: float, entry) -> None:
+        """Schedule ``entry`` — an event to deliver, or a ``(function,
+        arg)`` pair to call — ``delay`` microseconds from now, routed
+        exactly as :meth:`timeout` routes a timeout."""
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._micro.append(entry)
+        else:
+            self._seq += 1
+            _heappush(self._queue, (when, self._seq, entry))
+
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
 
@@ -462,11 +490,7 @@ class Simulator:
             if queue and queue[0][0] <= now:
                 event = heappop(queue)[2]
             elif micro:
-                entry = micro.popleft()
-                if type(entry) is tuple:
-                    entry[0](entry[1])
-                    continue
-                event = entry
+                event = micro.popleft()
             elif queue:
                 when = queue[0][0]
                 if limit is not None and when > limit:
@@ -476,6 +500,9 @@ class Simulator:
                 event = heappop(queue)[2]
             else:
                 break
+            if type(event) is tuple:
+                event[0](event[1])
+                continue
             callbacks = event.callbacks
             event.callbacks = None
             if callbacks:
@@ -505,16 +532,15 @@ class Simulator:
             if queue and queue[0][0] <= now:
                 current = heappop(queue)[2]
             elif micro:
-                entry = micro.popleft()
-                if type(entry) is tuple:
-                    entry[0](entry[1])
-                    continue
-                current = entry
+                current = micro.popleft()
             elif queue:
                 when, _seq, current = heappop(queue)
                 now = self._now = when
             else:
                 break
+            if type(current) is tuple:
+                current[0](current[1])
+                continue
             callbacks = current.callbacks
             current.callbacks = None
             if callbacks:

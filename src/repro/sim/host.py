@@ -5,7 +5,8 @@ Each metadata server in the paper's Table 2 deployment becomes a
 :meth:`Host.work`, which occupies one core for the given number of simulated
 microseconds — this is what makes a single IndexNode saturate (Figure 19b)
 and what makes LocoFS's central directory server the bottleneck the paper
-describes.
+describes.  A charge is one :class:`Slice` event, which the kernel grants,
+times and releases.
 
 The :class:`CostModel` gathers every constant in one place so experiments
 (and tests) can build deliberately skewed models.
@@ -17,8 +18,8 @@ import dataclasses
 from typing import Dict, Iterable, Tuple
 
 from repro.errors import ServiceUnavailableError
-from repro.sim.core import Simulator, Timeout
-from repro.sim.resources import Resource
+from repro.sim.core import _PENDING, SimulationError, Simulator
+from repro.sim.resources import Request, Resource
 
 
 @dataclasses.dataclass
@@ -160,6 +161,116 @@ def parse_speedup_args(args: "Iterable[str]") -> CostOverrides:
     return CostOverrides.parse(speedups)
 
 
+class Slice(Request):
+    """``us`` microseconds on one slot of a host's CPU or disk, as one event.
+
+    The kernel drives it from request to release.  Its grant (a free slot
+    at :meth:`Resource.acquire`, or a release handing one on) queues
+    ``(Slice._start, slice)`` on the microtask deque where a plain request
+    would trigger.  ``_start`` pushes the slice itself onto the heap at
+    ``now + us``, taking the sequence number the holder's ``Timeout`` took
+    when it resumed from that trigger.  ``_done``, the slice's first
+    callback, books the charge and releases the slot before anyone waiting
+    on the slice runs.  So the holder resumes once where a request and a
+    timeout resumed it twice, and every event keeps its place in the order.
+
+    Charges land where the holder's own code put them: ``holder`` is the
+    process that asked for the slice, published as the running one while
+    the kernel charges and releases on its behalf (span costs and occupant
+    tags are keyed by it).  A CPU charge uses the tracer seen at the grant,
+    a disk charge the one seen at completion.  A crashed host fails a CPU
+    slice with :class:`ServiceUnavailableError` once its slot is released.
+    """
+
+    __slots__ = ("host", "us", "holder", "_tracer")
+
+    def __init__(self, host: "Host", resource: Resource, us: float):
+        sim = host.sim
+        self.sim = sim
+        self.callbacks = [self._done]
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self.resource = resource
+        self._enqueue_time = sim._now
+        self._granted = False
+        self.host = host
+        self.us = us
+        self.holder = sim._active_process
+        resource.acquire(self)
+
+    def _admit(self) -> None:
+        self.sim._micro.append((Slice._start, self))
+
+    def _start(self) -> None:
+        if not self._granted:
+            return  # abandoned while its grant was queued
+        sim = self.sim
+        tracer = self._tracer = sim.tracer
+        if tracer.enabled:
+            wait = sim._now - self._enqueue_time
+            if wait > 0.0:
+                running, sim._active_process = sim._active_process, self.holder
+                tracer.charge("queue", wait, self.host.name,
+                              resource=self.resource.label,
+                              by=getattr(self, "_blame", None))
+                sim._active_process = running
+        sim._at(self.us, self._expiry())
+
+    def _expiry(self):
+        """What the heap delivers when the charge is up: the slice itself,
+        whose first callback is :meth:`_done`."""
+        return self
+
+    def _done(self, _event) -> None:
+        if not self._granted:
+            return  # abandoned: the slot went back already
+        error = self._settle()
+        if error is None:
+            self._value = None
+        else:
+            self._ok = False
+            self._value = error
+
+    def _settle(self):
+        """Book the charge and hand the slot on, as the holder.  Returns
+        the error a crashed host fails a CPU slice with, else None."""
+        sim = self.sim
+        host = self.host
+        resource = self.resource
+        us = self.us
+        running, sim._active_process = sim._active_process, self.holder
+        error = None
+        if resource is host.cpu:
+            host.cpu_busy_us += us
+            if self._tracer.enabled:
+                self._tracer.charge("cpu", us, host.name)
+            telemetry = sim.telemetry
+            if telemetry.enabled:
+                now = sim._now
+                telemetry.counter("host.cpu_busy_us", host.name,
+                                  capacity=host.cores).add_interval(
+                    now - us, now, us)
+            resource.release(self)
+            if host.crashed:
+                error = ServiceUnavailableError(host.name)
+        else:
+            host.fsync_count += 1
+            host._record_fsync(us)
+            resource.release(self)
+        sim._active_process = running
+        return error
+
+    def abandon(self) -> None:
+        """Withdraw for a holder that stopped waiting (an interrupt): a
+        queued slice leaves the queue, a granted one hands its slot on, a
+        finished one is left alone."""
+        if self._granted:
+            self.resource.release(self)
+        else:
+            self.cancel()
+
+
 class Host:
     """A simulated server with ``cores`` CPU cores and one durable disk."""
 
@@ -179,37 +290,13 @@ class Host:
         return f"<Host {self.name} cores={self.cores}>"
 
     def work(self, us: float):
-        """Occupy one CPU core for ``us`` simulated microseconds.
+        """Occupy one CPU core for ``us`` simulated microseconds (a
+        generator to ``yield from``).
 
         Raises :class:`ServiceUnavailableError` if the host has been crashed
-        by failure injection.
+        by failure injection, at the start or by the end of the charge.
         """
-        if self.crashed:
-            raise ServiceUnavailableError(self.name)
-        cpu = self.cpu
-        req = cpu.request()
-        yield req
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            wait = self.sim._now - req._enqueue_time
-            if wait > 0.0:
-                tracer.charge("queue", wait, self.name, resource="cpu",
-                              by=getattr(req, "_blame", None))
-        try:
-            yield Timeout(self.sim, us)
-            self.cpu_busy_us += us
-            if tracer.enabled:
-                tracer.charge("cpu", us, self.name)
-            telemetry = self.sim.telemetry
-            if telemetry.enabled:
-                now = self.sim._now
-                telemetry.counter("host.cpu_busy_us", self.name,
-                                  capacity=self.cores).add_interval(
-                    now - us, now, us)
-        finally:
-            cpu.release(req)
-        if self.crashed:
-            raise ServiceUnavailableError(self.name)
+        return self._occupy(self.cpu, us)
 
     def fsync(self, amortized_over: int = 1):
         """Charge one durable flush, optionally amortised across a batch.
@@ -217,25 +304,30 @@ class Host:
         Raft log batching submits many entries under a single fsync; the
         caller passes the batch size so per-entry accounting stays honest.
         """
+        return self._occupy(self.disk, self.fsync_us)
+
+    def fsync_cost(self, us: float):
+        """Charge a caller-specified durable-write cost on the disk.
+
+        TafDB's group-committed WAL writes are cheaper than a full Raft log
+        segment fsync, so callers pass their own duration here; plain
+        :meth:`fsync` uses the host default.
+        """
+        return self._occupy(self.disk, us)
+
+    def _occupy(self, resource: Resource, us: float):
+        """Wait on one :class:`Slice`; a holder interrupted meanwhile gives
+        the slot back instead of leaking it."""
         if self.crashed:
             raise ServiceUnavailableError(self.name)
-        req = self.disk.request()
-        yield req
-        self._charge_disk_wait(req)
+        if us < 0:
+            raise SimulationError(f"negative charge: {us}")
+        held = Slice(self, resource, us)
         try:
-            yield self.sim.timeout(self.fsync_us)
-            self.fsync_count += 1
-            self._record_fsync(self.fsync_us)
-        finally:
-            self.disk.release(req)
-
-    def _charge_disk_wait(self, req) -> None:
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            wait = self.sim._now - req._enqueue_time
-            if wait > 0.0:
-                tracer.charge("queue", wait, self.name, resource="disk",
-                              by=getattr(req, "_blame", None))
+            yield held
+        except BaseException:
+            held.abandon()
+            raise
 
     def _record_fsync(self, us: float) -> None:
         tracer = self.sim.tracer
@@ -247,25 +339,6 @@ class Host:
             telemetry.counter("host.fsync", self.name).add(now)
             telemetry.counter("host.disk_busy_us", self.name,
                               capacity=1.0).add_interval(now - us, now, us)
-
-    def fsync_cost(self, us: float):
-        """Charge a caller-specified durable-write cost on the disk.
-
-        TafDB's group-committed WAL writes are cheaper than a full Raft log
-        segment fsync, so callers pass their own duration here; plain
-        :meth:`fsync` uses the host default.
-        """
-        if self.crashed:
-            raise ServiceUnavailableError(self.name)
-        req = self.disk.request()
-        yield req
-        self._charge_disk_wait(req)
-        try:
-            yield self.sim.timeout(us)
-            self.fsync_count += 1
-            self._record_fsync(us)
-        finally:
-            self.disk.release(req)
 
     def crash(self) -> None:
         """Failure injection: subsequent work on this host fails."""

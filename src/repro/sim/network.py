@@ -5,17 +5,135 @@ in the calling process (request/response semantics) but charges the *target
 host's* CPU via ``host.work``, so server-side queueing delays are modelled
 faithfully.  Asynchronous messaging (Raft) uses :class:`repro.sim.resources.Store`
 mailboxes instead.
+
+A handler that is one CPU charge between two plain computations is declared
+:func:`unary`.  Called without a tracer or telemetry attached, such an RPC
+is one :class:`_UnaryCall` event the kernel steps through out-flight, grant,
+work, body and back-flight, so the caller resumes once, with the reply.
+Everything else, and every instrumented call, runs the handler generator.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Any, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ServiceUnavailableError
-from repro.sim.core import Simulator, Timeout
-from repro.sim.host import Host
+from repro.sim.core import _PENDING, Simulator, Timeout
+from repro.sim.host import Host, Slice
 from repro.sim.stats import OpContext
+
+
+def unary(declaration: Callable) -> Callable:
+    """Declare an ``rpc_<method>`` handler as one CPU charge between two
+    plain computations.
+
+    ``declaration(self, *args, **kwargs)`` runs when the request arrives
+    and returns ``(us, then, arg)``: the CPU to charge on the server's
+    host, then what the reply is once it is charged — ``then(arg)``, or
+    ``arg`` itself when ``then`` is None.  The generator handler that live
+    and instrumented calls run is derived here from the same declaration,
+    so there is no second copy of the body; untraced simulated calls hand
+    the declaration to the kernel instead (``Network.rpc``).
+    """
+    @functools.wraps(declaration)
+    def handler(self, *args, **kwargs):
+        us, then, arg = declaration(self, *args, **kwargs)
+        yield from self.runtime.work(self.host, us)
+        return arg if then is None else then(arg)
+
+    handler.unary = declaration
+    return handler
+
+
+#: Stages of a :class:`_UnaryCall`.
+_OUT, _AT_SERVER, _REPLYING, _ABANDONED = range(4)
+
+
+class _UnaryCall(Slice):
+    """One untraced RPC to a :func:`unary` handler, stepped by the kernel.
+
+    The call is the server's CPU :class:`~repro.sim.host.Slice`, with a
+    flight on each side.  It makes the events the handler generator
+    makes, in the same order: the flight out; on arrival the host's crash
+    check, the declaration and the CPU request; the charge; then the body
+    and the flight back, which carries the call itself (result or
+    exception) to the caller.  Between the flights it is only ever on the
+    kernel's tiers as a ``(function, call)`` pair, so nobody waiting on it
+    runs before the reply lands.
+    """
+
+    __slots__ = ("network", "server", "declaration", "args", "kwargs",
+                 "_stage", "_then", "_arg")
+
+    def __init__(self, network: "Network", server: "Server",
+                 declaration: Callable, args: tuple, kwargs: dict):
+        sim = network.sim
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._granted = False
+        self.network = network
+        self.server = server
+        self.declaration = declaration
+        self.args = args
+        self.kwargs = kwargs
+        self.holder = sim._active_process
+        self._stage = _OUT
+        network._fly((_UnaryCall._arrive, self))
+
+    def _arrive(self) -> None:
+        if self._stage != _OUT:
+            return
+        server = self.server
+        host = self.host = server.host
+        if host.crashed:
+            return self._reply(False, ServiceUnavailableError(host.name))
+        try:
+            self.us, self._then, self._arg = self.declaration(
+                server, *self.args, **self.kwargs)
+        except BaseException as exc:  # noqa: BLE001 - the handler's error
+            return self._reply(False, exc)
+        self._stage = _AT_SERVER
+        cpu = self.resource = host.cpu
+        self._enqueue_time = self.sim._now
+        cpu.acquire(self)
+
+    def _expiry(self):
+        return (_UnaryCall._worked, self)
+
+    def _worked(self) -> None:
+        if self._stage != _AT_SERVER:
+            return
+        error = self._settle()
+        if error is not None:
+            return self._reply(False, error)
+        then = self._then
+        try:
+            value = self._arg if then is None else then(self._arg)
+        except BaseException as exc:  # noqa: BLE001 - the handler's error
+            return self._reply(False, exc)
+        self._reply(True, value)
+
+    def _reply(self, ok: bool, value: Any) -> None:
+        self._stage = _REPLYING
+        self._ok = ok
+        self._value = value
+        self.network._fly(self)
+
+    def withdraw(self) -> bool:
+        """The caller stopped waiting (an interrupt).  Stop the call where
+        it is; True when the server had the request, so the caller still
+        owes the flight back, as the handler generator does."""
+        stage, self._stage = self._stage, _ABANDONED
+        if stage == _AT_SERVER:
+            self.abandon()  # the CPU request: leave the queue or hand on
+            return True
+        self._defused = True  # a reply in flight now reaches no one
+        return False
 
 
 class Network:
@@ -36,15 +154,22 @@ class Network:
         spread = self.one_way_us * self.jitter_frac
         return max(1.0, self.one_way_us + self._rng.uniform(-spread, spread))
 
-    def transit(self):
-        """One-way message flight."""
+    def _delay(self) -> float:
+        """Count one message and draw its one-way latency."""
         self.message_count += 1
         if self.jitter_frac <= 0:
             # Jitter-free fast path: fixed latency, no RNG draw.
-            delay = self.one_way_us
-        else:
-            delay = self._sample_one_way()
-        yield Timeout(self.sim, delay)
+            return self.one_way_us
+        return self._sample_one_way()
+
+    def _fly(self, entry) -> None:
+        """Deliver ``entry`` (an event or a ``(function, arg)`` pair) one
+        message flight from now."""
+        self.sim._at(self._delay(), entry)
+
+    def transit(self):
+        """One-way message flight."""
+        yield Timeout(self.sim, self._delay())
 
     def rpc(self, server: "Server", method: str, *args,
             ctx: Optional[OpContext] = None, **kwargs):
@@ -59,26 +184,48 @@ class Network:
         self.rpc_count += 1
         if ctx is not None:
             ctx.rpcs += 1
-        tracer = self.sim.tracer
+        sim = self.sim
+        if sim.tracer.enabled or sim.telemetry.enabled:
+            return (yield from self._instrumented_rpc(server, method, args,
+                                                      kwargs, ctx))
+        declaration = server.unary_handlers.get(method)
+        if declaration is not None:
+            call = _UnaryCall(self, server, declaration, args, kwargs)
+            try:
+                return (yield call)
+            except BaseException:
+                if call.withdraw():
+                    yield Timeout(sim, self._delay())
+                raise
+        yield Timeout(sim, self._delay())
+        try:
+            return (yield from server.handler(method)(*args, **kwargs))
+        finally:
+            # The response (or error) still has to fly back.
+            yield Timeout(sim, self._delay())
+
+    def _instrumented_rpc(self, server: "Server", method: str, args: tuple,
+                          kwargs: dict, ctx: Optional[OpContext]):
+        sim = self.sim
+        tracer = sim.tracer
         if tracer.enabled:
             span = tracer.begin(
-                "rpc:" + method, self.sim.now, category="rpc",
+                "rpc:" + method, sim.now, category="rpc",
                 parent=ctx.trace if ctx is not None else None,
                 host=server.host.name)
         else:
             span = None
-        telemetry = self.sim.telemetry
+        telemetry = sim.telemetry
         if telemetry.enabled:
-            started_us = self.sim._now
+            started_us = sim._now
             telemetry.counter("rpc.count", server.host.name).add(started_us)
             telemetry.gauge("rpc.in_flight").adjust(started_us, 1.0)
         else:
             started_us = None
         if tracer.enabled:
-            sent_us = self.sim._now
+            sent_us = sim._now
             yield from self.transit()
-            tracer.charge("wire", self.sim._now - sent_us,
-                          server.host.name)
+            tracer.charge("wire", sim._now - sent_us, server.host.name)
         else:
             yield from self.transit()
         ok = True
@@ -90,16 +237,15 @@ class Network:
         finally:
             # The response (or error) still has to fly back.
             if tracer.enabled:
-                sent_us = self.sim._now
+                sent_us = sim._now
                 yield from self.transit()
-                tracer.charge("wire", self.sim._now - sent_us,
-                              server.host.name)
+                tracer.charge("wire", sim._now - sent_us, server.host.name)
             else:
                 yield from self.transit()
             if span is not None:
-                tracer.end(span, self.sim.now, ok=ok)
+                tracer.end(span, sim.now, ok=ok)
             if started_us is not None and telemetry.enabled:
-                now = self.sim._now
+                now = sim._now
                 telemetry.gauge("rpc.in_flight").adjust(now, -1.0)
                 telemetry.histogram("rpc.latency_us",
                                     server.host.name).record(
@@ -110,9 +256,10 @@ class Network:
 class Server:
     """Base class for services addressed by RPC.
 
-    Subclasses implement handler generators named ``rpc_<method>``.  Handlers
-    charge CPU on ``self.host`` explicitly — through ``self.runtime`` — at
-    the points where real work happens.
+    Subclasses implement handler generators named ``rpc_<method>``, or
+    declare them :func:`unary`.  Handlers charge CPU on ``self.host``
+    explicitly — through ``self.runtime`` — at the points where real work
+    happens.
 
     The runtime is resolved from the host's ``sim`` object: a simulated
     :class:`~repro.sim.host.Host` answers with the kernel-backed
@@ -120,6 +267,16 @@ class Server:
     ``mantle-serve`` hands back the process's ``AsyncioRuntime`` — the same
     handler generators serve both worlds (see ``docs/runtime.md``).
     """
+
+    #: ``method -> declaration`` of this class's :func:`unary` handlers.
+    unary_handlers: Dict[str, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.unary_handlers = {
+            name[len("rpc_"):]: handler.unary
+            for name in dir(cls) if name.startswith("rpc_")
+            for handler in (getattr(cls, name),) if hasattr(handler, "unary")}
 
     def __init__(self, host: Host):
         self.host = host
@@ -129,12 +286,18 @@ class Server:
     def sim(self) -> Simulator:
         return self.host.sim
 
-    def dispatch(self, method: str, args: tuple, kwargs: dict, span=None):
+    def handler(self, method: str):
+        """The ``rpc_<method>`` handler, once a request has arrived: raises
+        :class:`ServiceUnavailableError` on a crashed host."""
         if self.host.crashed:
             raise ServiceUnavailableError(self.host.name)
         handler = getattr(self, "rpc_" + method, None)
         if handler is None:
             raise AttributeError(f"{type(self).__name__} has no RPC {method!r}")
+        return handler
+
+    def dispatch(self, method: str, args: tuple, kwargs: dict, span=None):
+        handler = self.handler(method)
         tracer = self.sim.tracer
         if tracer.enabled:
             hspan = tracer.begin("rpc_" + method, self.sim.now,

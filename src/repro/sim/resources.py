@@ -6,8 +6,9 @@ single write head, or a latch: ``capacity`` concurrent holders, FIFO queueing.
 passing (Raft RPCs, background compaction queues).
 
 Grants and mailbox wakeups are zero-delay pushes through ``sim._micro``, the
-kernel's FIFO microtask deque; only the holder's ``Host.work`` / ``fsync``
-timeouts go through the heap.
+kernel's FIFO microtask deque.  A grant is the request's :meth:`Request._admit`:
+a plain request triggers, while a :class:`~repro.sim.host.Slice` starts its
+own timed occupancy from the deque without resuming anyone.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ class Request(Event):
         self.resource = resource
         self._enqueue_time = sim._now
         self._granted = False
+
+    def _admit(self) -> None:
+        """Granted: trigger (a fresh request cannot already have)."""
+        self._value = None
+        self.sim._micro.append(self)
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request (e.g. on interrupt)."""
@@ -108,19 +114,19 @@ class Resource:
         return len(self._waiting)
 
     def request(self) -> Request:
-        req = Request(self)
+        return self.acquire(Request(self))
+
+    def acquire(self, req: Request) -> Request:
+        """Queue ``req`` for a slot, granting it at once if one is free."""
         if self._in_use < self.capacity:
-            # Uncontended fast path: grant inline (counters only, and the
-            # trigger is enqueued directly — the request is fresh, so the
-            # already-triggered guard in Event.succeed cannot fire).
+            # Uncontended fast path: grant inline (counters only).
             in_use = self._in_use + 1
             self._in_use = in_use
             self.total_grants += 1
             if in_use > self.peak_in_use:
                 self.peak_in_use = in_use
             req._granted = True
-            req._value = None
-            self.sim._micro.append(req)
+            req._admit()
         else:
             self._waiting.append(req)
             if self.label is not None:
@@ -169,7 +175,7 @@ class Resource:
         if in_use > self.peak_in_use:
             self.peak_in_use = in_use
         req._granted = True
-        req.succeed()
+        req._admit()
 
 
 class Store:

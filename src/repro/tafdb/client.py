@@ -15,7 +15,6 @@ exponential-backoff schedule.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TransactionAbort
@@ -28,16 +27,19 @@ from repro.tafdb.rows import RowKey
 from repro.tafdb.server import DBServer
 from repro.tafdb.shard import WriteIntent
 
-_client_counter = itertools.count(1)
-
 
 class TafDBClient:
-    """Routing + transaction coordination for one client (proxy) endpoint."""
+    """Routing + transaction coordination for one client (proxy) endpoint.
+
+    ``client_id`` must be unique among the clients of one TafDB deployment
+    (it prefixes transaction ids and delta timestamps); the deployment's
+    ``client()`` hands them out.  The read methods return the runtime's RPC
+    generator itself, to be consumed with ``yield from``.
+    """
 
     def __init__(self, sim: Simulator, network: Network,
                  partitioner: Partitioner, servers: Sequence[DBServer],
-                 costs: CostModel, client_id: Optional[int] = None,
-                 runtime=None):
+                 costs: CostModel, client_id: int, runtime=None):
         if len(servers) != partitioner.num_servers:
             raise ValueError("server list does not match partitioner")
         self.sim = sim
@@ -48,8 +50,12 @@ class TafDBClient:
         self.runtime = runtime
         self.partitioner = partitioner
         self.servers = list(servers)
+        #: shard id -> the server holding it.
+        self._shard_servers = [
+            self.servers[partitioner.server_of_shard(shard_id)]
+            for shard_id in range(partitioner.num_shards)]
         self.costs = costs
-        self.client_id = client_id if client_id is not None else next(_client_counter)
+        self.client_id = client_id
         self._txn_seq = 0
         self._ts_seq = 0
         self.txn_attempts = 0
@@ -93,34 +99,30 @@ class TafDBClient:
 
     def server_for(self, pid: int) -> Tuple[int, DBServer]:
         shard_id = self.partitioner.shard_of(pid)
-        return shard_id, self.servers[self.partitioner.server_of_shard(shard_id)]
+        return shard_id, self._shard_servers[shard_id]
 
     # -- reads ---------------------------------------------------------------------
 
     def read(self, key: RowKey, ctx: Optional[OpContext] = None):
         shard_id, server = self.server_for(key.pid)
-        row = yield from self.runtime.rpc(server, "read", shard_id, key, ctx=ctx)
-        return row
+        return self.runtime.rpc(server, "read", shard_id, key, ctx=ctx)
 
     def scan_children(self, pid: int, limit: Optional[int] = None,
                       start_after: Optional[str] = None,
                       ctx: Optional[OpContext] = None):
         shard_id, server = self.server_for(pid)
-        page = yield from self.runtime.rpc(
+        return self.runtime.rpc(
             server, "scan_children", shard_id, pid, limit, start_after, ctx=ctx)
-        return page
 
     def has_children(self, dir_id: int, ctx: Optional[OpContext] = None):
         shard_id, server = self.server_for(dir_id)
-        result = yield from self.runtime.rpc(
+        return self.runtime.rpc(
             server, "has_children", shard_id, dir_id, ctx=ctx)
-        return result
 
     def read_dir_attrs(self, dir_id: int, ctx: Optional[OpContext] = None):
         shard_id, server = self.server_for(dir_id)
-        attrs = yield from self.runtime.rpc(
+        return self.runtime.rpc(
             server, "read_dir_attrs", shard_id, dir_id, ctx=ctx)
-        return attrs
 
     def atomic_add(self, dir_id: int, link_delta: int, entry_delta: int,
                    ctx: Optional[OpContext] = None):
@@ -193,7 +195,7 @@ class TafDBClient:
             span = None
         if len(by_shard) == 1:
             shard_id, shard_intents = next(iter(by_shard.items()))
-            server = self.servers[self.partitioner.server_of_shard(shard_id)]
+            server = self._shard_servers[shard_id]
             try:
                 yield from self.runtime.rpc(
                     server, "execute", shard_id, txn_id, shard_intents, ctx=ctx)
@@ -250,7 +252,7 @@ class TafDBClient:
 
     def _prepare_one(self, txn_id: str, shard_id: int,
                      intents: List[WriteIntent], ctx: Optional[OpContext]):
-        server = self.servers[self.partitioner.server_of_shard(shard_id)]
+        server = self._shard_servers[shard_id]
         yield from self.runtime.rpc(
             server, "prepare", shard_id, txn_id, intents, ctx=ctx)
 
@@ -267,7 +269,7 @@ class TafDBClient:
         rounds = []
         label = tracer.current_op_label() if fspan is not None else None
         for shard_id in shard_ids:
-            server = self.servers[self.partitioner.server_of_shard(shard_id)]
+            server = self._shard_servers[shard_id]
             leg = self.runtime.rpc(server, verb, shard_id, txn_id, ctx=ctx)
             if fspan is not None:
                 leg = self._fanout_leg(verb, fspan, leg, label)

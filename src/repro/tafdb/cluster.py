@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional
 
 from repro.sim.core import Simulator
@@ -45,6 +46,7 @@ class TafDBCluster:
         self.contention = ContentionRegistry(
             threshold=delta_threshold, window_us=delta_window_us,
             enabled=deltas_enabled)
+        self._client_ids = itertools.count(1)
         self._compactors = []
         if start_compactors:
             for server in self.servers:
@@ -53,6 +55,10 @@ class TafDBCluster:
                     name=f"compactor-{server.host.name}"))
 
     def client(self, client_id: Optional[int] = None) -> TafDBClient:
+        """A new client, numbered in this deployment unless ``client_id``
+        is given."""
+        if client_id is None:
+            client_id = next(self._client_ids)
         return TafDBClient(self.sim, self.network, self.partitioner,
                            self.servers, self.costs, client_id=client_id)
 

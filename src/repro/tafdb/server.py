@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.sim.host import CostModel, Host
-from repro.sim.network import Server
+from repro.sim.network import Server, unary
 from repro.sim.resources import Resource
 from repro.tafdb.rows import AttrDelta, RowKey, attr_key
 from repro.tafdb.shard import ShardState, WriteIntent
@@ -34,36 +34,32 @@ class DBServer(Server):
             raise KeyError(f"shard {shard_id} is not placed on {self.host.name}")
         return state
 
-    # -- reads ----------------------------------------------------------------
+    # -- reads: one CPU charge each (see repro.sim.network.unary) -------------
 
+    @unary
     def rpc_read(self, shard_id: int, key: RowKey):
-        yield from self.runtime.work(
-            self.host, self.costs.db_row_read_us)
-        return self.shard(shard_id).read(key)
+        return self.costs.db_row_read_us, self.shard(shard_id).read, key
 
+    @unary
     def rpc_scan_children(self, shard_id: int, pid: int,
                           limit: Optional[int] = None,
                           start_after: Optional[str] = None):
-        state = self.shard(shard_id)
-        page = state.scan_children(pid, limit=limit, start_after=start_after)
+        page = self.shard(shard_id).scan_children(
+            pid, limit=limit, start_after=start_after)
         # Charge one probe plus one row read per returned entry.
-        yield from self.runtime.work(
-            self.host,
-            self.costs.db_row_read_us * max(1, len(page)))
-        return page
+        return self.costs.db_row_read_us * max(1, len(page)), None, page
 
+    @unary
     def rpc_has_children(self, shard_id: int, pid: int):
-        yield from self.runtime.work(
-            self.host, self.costs.db_row_read_us)
-        return self.shard(shard_id).has_children(pid)
+        return (self.costs.db_row_read_us,
+                self.shard(shard_id).has_children, pid)
 
+    @unary
     def rpc_read_dir_attrs(self, shard_id: int, dir_id: int):
         state = self.shard(shard_id)
-        pending = state.delta_count(dir_id)
         # dirstat folds pending deltas at read time: the §5.2.1 trade-off.
-        yield from self.runtime.work(
-            self.host, self.costs.db_row_read_us * (1 + pending))
-        return state.read_attrs_folded(dir_id)
+        return (self.costs.db_row_read_us * (1 + state.delta_count(dir_id)),
+                state.read_attrs_folded, dir_id)
 
     # -- transactions -----------------------------------------------------------
 

@@ -85,7 +85,10 @@ class AttrMeta:
     permission: Permission = Permission.ALL
 
     def copy(self) -> "AttrMeta":
-        return dataclasses.replace(self)
+        # Field by field: dataclasses.replace re-walks fields() per call.
+        return AttrMeta(self.id, self.kind, self.size, self.ctime,
+                        self.mtime, self.link_count, self.entry_count,
+                        self.owner, self.permission)
 
 
 @dataclasses.dataclass(frozen=True)

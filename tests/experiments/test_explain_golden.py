@@ -7,21 +7,21 @@ through the one new path into ``tmp_path`` and must reproduce those bytes
 — independent of the output directory, of ``PYTHONHASHSEED`` and of which
 other views shared the simulated run.
 
-The digests were taken one command per process.  TafDB client ids come
-from a process-wide counter and show up in the trace exports' ``txn_id``
-attributes, so every test here restarts that counter first — the only
-process history the exports can see.
+The digests were taken one command per process.  TafDB client ids (in the
+trace exports' ``txn_id`` attributes) are numbered per deployment, so no
+process history reaches the exports; ``trace_fig15.json``, whose one
+command builds several deployments, was re-pinned when they stopped
+sharing a process-wide counter — its ``txn_id`` client numbers restart per
+system, and every other byte is unchanged.
 """
 
 import hashlib
-import itertools
 import json
 import pathlib
 
 import pytest
 
 import repro.experiments.base as base
-import repro.tafdb.client as tafdb_client
 from repro.experiments.explain import explain
 
 GOLDEN = json.loads(
@@ -46,11 +46,6 @@ INVOCATIONS = [
     (dict(target="multitenant", views=["blame"]),
      ["blame_multitenant.json"]),
 ]
-
-
-@pytest.fixture(autouse=True)
-def fresh_process_client_ids(monkeypatch):
-    monkeypatch.setattr(tafdb_client, "_client_counter", itertools.count(1))
 
 
 def _digests(directory) -> dict:

@@ -19,7 +19,7 @@ from repro.experiments import get_experiment
 from repro.sim.core import AnyOf, Simulator
 from repro.sim.resources import Resource
 from repro.workloads.mdtest import MdtestWorkload
-from tests.oracle import AllHeapSimulator
+from tests.oracle import AllHeapSimulator, request_timeout_hosts
 
 
 def _kernel_trace(sim):
@@ -100,6 +100,19 @@ class TestFastPathDeterminism:
         monkeypatch.setenv("MANTLE_TRACE", "1")
         traced = _mdtest_fingerprint()
         assert untraced == traced
+
+    @pytest.mark.parametrize("system_name", SYSTEMS)
+    def test_kernel_driven_paths_match_the_generator_reference(
+            self, system_name, monkeypatch):
+        """Untraced, unary RPCs and every CPU/disk charge are driven by the
+        kernel; traced on request-then-timeout hosts, by the generators
+        they replace (:mod:`tests.oracle`): identical results."""
+        monkeypatch.delenv("MANTLE_TRACE", raising=False)
+        untraced = _mdtest_fingerprint(system_name)
+        monkeypatch.setenv("MANTLE_TRACE", "1")
+        with request_timeout_hosts():
+            reference = _mdtest_fingerprint(system_name)
+        assert untraced == reference
 
     def test_telemetry_does_not_change_results(self, monkeypatch):
         """Windowed telemetry is pure bookkeeping: identical results."""

@@ -1,12 +1,22 @@
-"""The all-heap reference scheduler, kept as a test oracle.
+"""Reference implementations the product is held to, kept as test oracles.
 
-``repro.sim.core`` schedules in two tiers — a ``(time, seq)`` heap for
-delayed events, a FIFO deque for zero-delay ones — and claims the resulting
-order is exactly what one heap would give.  :class:`AllHeapSimulator` *is*
-that one heap: every zero-delay site in the product does
-``sim._micro.append(entry)``, so swapping ``_micro`` for an object whose
-``append`` takes the next sequence number and pushes onto the heap, plus a
-pop-and-deliver loop, runs every entry in ``(time, seq)`` order.
+The all-heap scheduler.  ``repro.sim.core`` schedules in two tiers — a
+``(time, seq)`` heap for delayed events, a FIFO deque for zero-delay ones —
+and claims the resulting order is exactly what one heap would give.
+:class:`AllHeapSimulator` *is* that one heap: every zero-delay site in the
+product does ``sim._micro.append(entry)``, so swapping ``_micro`` for an
+object whose ``append`` takes the next sequence number and pushes onto the
+heap, plus a pop-and-deliver loop, runs every entry in ``(time, seq)``
+order.
+
+The request-then-timeout host.  The product charges CPU and disk with one
+kernel-driven :class:`~repro.sim.host.Slice` per charge, and claims the
+order is exactly what a holder process gets by requesting the slot,
+resuming on the grant, then waiting out a ``Timeout``.
+:func:`request_timeout_hosts` swaps that generator back in.  Under a tracer
+every RPC runs its handler generator too, so a traced run inside the block
+is the generator path end to end — the reference an untraced run, with its
+kernel-driven unary RPCs and slices, must equal.
 """
 
 import contextlib
@@ -16,7 +26,9 @@ import pytest
 
 from repro.baselines import infinifs, locofs, tectonic
 from repro.core import multitenant, service
-from repro.sim.core import Simulator
+from repro.errors import ServiceUnavailableError
+from repro.sim.core import Simulator, Timeout
+from repro.sim.host import Host
 
 
 class _HeapTier:
@@ -78,3 +90,31 @@ def all_heap_systems():
             patch.setattr(module, "Simulator", build)
         yield built
     assert built, "no system ran on the oracle"
+
+
+def _request_then_timeout(host, resource, us):
+    """``Host._occupy`` as a holder process: request, grant, timeout."""
+    if host.crashed:
+        raise ServiceUnavailableError(host.name)
+    sim = host.sim
+    req = resource.request()
+    try:
+        yield req
+        yield Timeout(sim, us)
+        if resource is host.cpu:
+            host.cpu_busy_us += us
+        else:
+            host.fsync_count += 1
+    finally:
+        resource.release(req)  # withdraws it if never granted
+    if resource is host.cpu and host.crashed:
+        raise ServiceUnavailableError(host.name)
+
+
+@contextlib.contextmanager
+def request_timeout_hosts():
+    """Inside the block every host charges through
+    :func:`_request_then_timeout` instead of a slice."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Host, "_occupy", _request_then_timeout)
+        yield

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServiceUnavailableError
-from repro.sim.core import Simulator
+from repro.sim.core import Interrupt, Simulator
 from repro.sim.host import CostModel, Host
 from repro.sim.network import LoadBalancer, Network, Server
 from repro.sim.stats import OpContext
@@ -122,6 +122,69 @@ def test_fsync_serializes_and_counts():
     sim.run()
     assert done == [100.0, 200.0]
     assert host.fsync_count == 2
+
+
+class TestInterruptedHolderGivesTheSlotBack:
+    """A holder interrupted while waiting for a core (or the disk) — Raft
+    ``stop``, compactor shutdown — must not keep it: queued, its request
+    leaves the queue; granted, its slot goes to the next in line."""
+
+    def _run(self, victim_waits_at, resource="cpu"):
+        sim = Simulator()
+        host = Host(sim, "h", cores=1, fsync_us=10.0)
+        hold = host.work if resource == "cpu" else (
+            lambda us: host.fsync_cost(us))
+        log = []
+
+        def poker(at):
+            yield sim.timeout(at)
+            victim.interrupt("stop")
+
+        def holder():
+            yield from hold(10.0)
+
+        def victim_body():
+            try:
+                yield from hold(10.0)
+                log.append(("victim done", sim.now))
+            except Interrupt:
+                log.append(("victim interrupted", sim.now))
+
+        def latecomer():
+            yield sim.timeout(12.0)
+            yield from hold(5.0)
+            log.append(("latecomer done", sim.now))
+
+        # The poker's timer is armed first, so at t=10 it fires before the
+        # holder's slot is released and granted to the victim.
+        sim.process(poker(victim_waits_at))
+        sim.process(holder())
+        victim = sim.process(victim_body())
+        sim.process(latecomer())
+        sim.run()
+        slot = host.cpu if resource == "cpu" else host.disk
+        return log, slot.in_use, slot.queued
+
+    @pytest.mark.parametrize("resource", ["cpu", "disk"])
+    def test_interrupted_while_queued(self, resource):
+        log, in_use, queued = self._run(5.0, resource)
+        assert log == [("victim interrupted", 5.0), ("latecomer done", 17.0)]
+        assert (in_use, queued) == (0, 0)
+
+    @pytest.mark.parametrize("resource", ["cpu", "disk"])
+    def test_interrupted_after_its_grant_before_its_charge(self, resource):
+        # At t=10 the interrupt is queued first, then the release grants
+        # the victim the slot: the victim hands it straight on.
+        log, in_use, queued = self._run(10.0, resource)
+        assert log == [("victim interrupted", 10.0),
+                       ("latecomer done", 17.0)]
+        assert (in_use, queued) == (0, 0)
+
+    def test_interrupted_mid_charge(self):
+        log, in_use, queued = self._run(15.0)
+        assert log == [("victim interrupted", 15.0),
+                       ("latecomer done", 20.0)]
+        assert (in_use, queued) == (0, 0)
 
 
 def test_utilization_accounting():

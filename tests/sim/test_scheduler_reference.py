@@ -1,34 +1,47 @@
 """Randomized differential stress: the product scheduler vs the all-heap
-oracle (:mod:`tests.oracle`).
+oracle (:mod:`tests.oracle`), and untraced runs vs traced ones.
 
 Each seed expands into a scenario *plan* — plain data: hosts, servers,
-client scripts, store ping-pongs, interrupts, standing watchdogs — before
-any simulator exists, so both schedulers replay the identical workload.  The
-executed event trace (timestamps, actors, values) and the final clock must
-be bit-identical; any divergence is an ordering bug in the two-tier
-scheduler, and the seed reproduces it.
+client scripts, store ping-pongs, interrupts, host crashes, standing
+watchdogs — before any simulator exists, so every run replays the identical
+workload.  The executed event trace (timestamps, actors, values, errors)
+and the final clock must be bit-identical; any divergence is an ordering
+bug, and the seed reproduces it.
 
-The two-tier rule (due heap entries, then the deque, then advance) only
-decides anything when a due heap entry and deque entries share a timestamp,
-which continuous delays almost never produce.  So odd seeds round every
-delay to whole microseconds and switch jitter off — ties everywhere — and
-seeds with bit 1 set drive the plan through ``run_until(all_of(procs))``,
-the loop behind every figure, instead of ``run()``.
+Two oracles (:mod:`tests.oracle`) read the same plans.  The all-heap
+scheduler checks the two-tier one: the two-tier rule (due heap entries,
+then the deque, then advance) only decides anything when a due heap entry
+and deque entries share a timestamp, which continuous delays almost never
+produce, so odd seeds round every delay to whole microseconds and switch
+jitter off — ties everywhere — and seeds with bit 1 set drive the plan
+through ``run_until(all_of(procs))``, the loop behind every figure,
+instead of ``run()``.  A traced run on request-then-timeout hosts checks
+the kernel-driven paths — untraced unary RPCs and CPU/disk slices — against
+the generators they replace, so the plans mix generator and
+:func:`~repro.sim.network.unary` handlers, handlers whose body or
+declaration raises, crashed hosts, ``AnyOf`` over a raw CPU slice and
+clients interrupted mid-operation.
 """
 
 import random
 
 import pytest
 
+from repro.errors import ServiceUnavailableError
 from repro.sim.core import AnyOf, Interrupt, Simulator
-from repro.sim.host import Host
-from repro.sim.network import Network, Server
+from repro.sim.host import Host, Slice
+from repro.sim.network import Network, Server, unary
 from repro.sim.resources import Store
-from tests.oracle import AllHeapSimulator
+from repro.sim.trace import Tracer
+from tests.oracle import AllHeapSimulator, request_timeout_hosts
 
 
 #: Four plan shapes (continuous/whole-us delays x run/run_until), 30 seeds each.
 SEEDS = 120
+
+
+class HandlerError(Exception):
+    """What the faulty handlers raise."""
 
 
 class _Echo(Server):
@@ -39,6 +52,22 @@ class _Echo(Server):
     def rpc_echo(self, value):
         yield from self.host.work(self.work_us)
         return value
+
+    @unary
+    def rpc_uecho(self, value):
+        return self.work_us, None, value
+
+    @unary
+    def rpc_ufault(self, value):
+        return self.work_us, self._fault, value
+
+    @unary
+    def rpc_urefuse(self, value):
+        raise HandlerError(value)
+
+    @staticmethod
+    def _fault(value):
+        raise HandlerError(value)
 
 
 def _scenario(seed):
@@ -62,18 +91,21 @@ def _scenario(seed):
         "clients": [],
         "pairs": [],
         "interrupts": [],
+        "crashes": [],
+        "pokes": [],
     }
     for cid in range(rng.randint(2, 8)):
         ops = []
         for _ in range(rng.randint(3, 8)):
             kind = rng.choice(["sleep", "work", "rpc", "rpc", "fsync",
-                               "anyof"])
+                               "anyof", "urpc", "urpc", "urpc", "ufault",
+                               "urefuse", "aslice"])
             if kind == "sleep":
                 ops.append(("sleep", delay(0.0, 30.0)))
-            elif kind == "work":
-                ops.append(("work", delay(0.5, 10.0)))
-            elif kind == "rpc":
-                ops.append(("rpc", rng.randrange(num_hosts)))
+            elif kind in ("work", "aslice"):
+                ops.append((kind, delay(0.5, 10.0), delay(0.5, 10.0)))
+            elif kind in ("rpc", "urpc", "ufault", "urefuse"):
+                ops.append((kind, rng.randrange(num_hosts)))
             elif kind == "fsync":
                 ops.append(("fsync",))
             else:
@@ -92,6 +124,13 @@ def _scenario(seed):
         })
     for _ in range(rng.randint(0, 2)):
         plan["interrupts"].append({"at": delay(5.0, 200.0)})
+    for _ in range(rng.randint(0, 2)):
+        plan["crashes"].append({"host": rng.randrange(num_hosts),
+                                "at": delay(0.0, 300.0),
+                                "down": delay(5.0, 150.0)})
+    for _ in range(rng.randint(0, 2)):
+        plan["pokes"].append({"client": rng.randrange(len(plan["clients"])),
+                              "at": delay(0.0, 300.0)})
     return plan
 
 
@@ -109,34 +148,47 @@ def _run(plan, sim):
         # Standing timers: fire late, to nobody.
         sim.timeout(delay)
 
+    def step(cid, idx, op, home):
+        kind = op[0]
+        if kind == "sleep":
+            yield sim.timeout(op[1])
+            return "slept"
+        if kind == "work":
+            yield from home.work(op[1])
+            return "worked"
+        if kind == "fsync":
+            yield from home.fsync()
+            return "synced"
+        if kind == "aslice":
+            first, _ = yield AnyOf(sim, [Slice(home, home.cpu, op[1]),
+                                         sim.timeout(op[2])])
+            return ("aslice", first)
+        if kind == "anyof":
+            first, _ = yield AnyOf(sim, [sim.timeout(d) for d in op[1]])
+            return ("anyof", first)
+        method = {"rpc": "echo", "urpc": "uecho", "ufault": "ufault",
+                  "urefuse": "urefuse"}[kind]
+        reply = yield from net.rpc(servers[op[1]], method, (cid, idx))
+        return (kind, reply)
+
     def client(cid, spec):
         home = hosts[spec["home"]]
         yield sim.timeout(spec["phase"])
         for idx, op in enumerate(spec["ops"]):
-            kind = op[0]
-            if kind == "sleep":
-                yield sim.timeout(op[1])
-                trace.append((sim.now, cid, idx, "slept"))
-            elif kind == "work":
-                yield from home.work(op[1])
-                trace.append((sim.now, cid, idx, "worked"))
-            elif kind == "fsync":
-                yield from home.fsync()
-                trace.append((sim.now, cid, idx, "synced"))
-            elif kind == "rpc":
-                reply = yield from net.rpc(servers[op[1]], "echo",
-                                           (cid, idx))
-                trace.append((sim.now, cid, idx, "rpc", reply))
-            else:
-                first, _ = yield AnyOf(
-                    sim, [sim.timeout(d) for d in op[1]])
-                trace.append((sim.now, cid, idx, "anyof", first))
+            try:
+                outcome = yield from step(cid, idx, op, home)
+            except (HandlerError, ServiceUnavailableError, Interrupt) as exc:
+                outcome = ("error", type(exc).__name__, str(exc))
+            trace.append((sim.now, cid, idx, outcome))
 
     def producer(pid, spec, store):
         home = hosts[spec["producer_home"]]
         for i in range(spec["items"]):
             yield sim.timeout(spec["gaps"][i])
-            yield from home.work(1.0)
+            try:
+                yield from home.work(1.0)
+            except ServiceUnavailableError:
+                trace.append((sim.now, "producer down", pid, i))
             store.put((pid, i))
             trace.append((sim.now, "put", pid, i))
 
@@ -156,8 +208,17 @@ def _run(plan, sim):
         yield sim.timeout(at)
         victim.interrupt(f"poke-{sid}")
 
-    procs = [sim.process(client(cid, spec), name=f"client-{cid}")
-             for cid, spec in enumerate(plan["clients"])]
+    def crasher(spec):
+        yield sim.timeout(spec["at"])
+        hosts[spec["host"]].crash()
+        trace.append((sim.now, "crash", spec["host"]))
+        yield sim.timeout(spec["down"])
+        hosts[spec["host"]].recover()
+        trace.append((sim.now, "recover", spec["host"]))
+
+    clients = [sim.process(client(cid, spec), name=f"client-{cid}")
+               for cid, spec in enumerate(plan["clients"])]
+    procs = list(clients)
     for pid, spec in enumerate(plan["pairs"]):
         store = Store(sim)
         procs.append(sim.process(producer(pid, spec, store),
@@ -168,11 +229,18 @@ def _run(plan, sim):
         victim = sim.process(sleeper(sid), name=f"sleeper-{sid}")
         procs.append(victim)
         procs.append(sim.process(interrupter(victim, spec["at"], sid)))
+    for spec in plan["crashes"]:
+        procs.append(sim.process(crasher(spec)))
+    for sid, spec in enumerate(plan["pokes"]):
+        procs.append(sim.process(interrupter(
+            clients[spec["client"]], spec["at"], f"client-{sid}")))
     if plan["until_all"]:
         sim.run_until(sim.all_of(procs))
     else:
         sim.run()
-    return trace, sim.now
+    busy = [(host.cpu_busy_us, host.fsync_count, host.cpu.in_use,
+             host.disk.in_use) for host in hosts]
+    return trace, sim.now, net.message_count, busy
 
 
 class TestSchedulerReference:
@@ -180,3 +248,14 @@ class TestSchedulerReference:
     def test_trace_matches_all_heap_oracle(self, seed):
         plan = _scenario(seed)
         assert _run(plan, Simulator()) == _run(plan, AllHeapSimulator())
+
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    def test_kernel_driven_paths_match_the_generator_reference(self, seed):
+        """Untraced, unary RPCs and every charge are kernel-driven; traced,
+        RPCs run their handler generators; traced on request-then-timeout
+        hosts, nothing is kernel-driven.  No run may tell them apart."""
+        plan = _scenario(seed)
+        untraced = _run(plan, Simulator())
+        assert untraced == _run(plan, Simulator(tracer=Tracer()))
+        with request_timeout_hosts():
+            assert untraced == _run(plan, Simulator(tracer=Tracer()))
