@@ -81,15 +81,19 @@ class MantleConfig:
     max_rename_retries: int = 64
 
     # --- observability ------------------------------------------------------
-    #: Attach a live span tracer (:mod:`repro.sim.trace`) to this
-    #: deployment's simulator.  Purely observational: the tracer never
-    #: creates simulator events, so simulated results are identical with it
-    #: on or off.  ``MANTLE_TRACE=1`` enables tracing process-wide instead.
+    #: Attach a span tracer (:mod:`repro.sim.trace`) to this deployment's
+    #: simulator.  Purely observational: the tracer never creates simulator
+    #: events, so simulated results are identical with it on or off.
+    #: ``MANTLE_TRACE=1`` enables tracing process-wide instead.  Simulator
+    #: only: live roles are traced by ``mantle-serve --trace`` and the
+    #: cluster classes' ``trace=`` argument.
     tracing: bool = False
     #: Attach a windowed time-series registry (:mod:`repro.sim.telemetry`)
     #: to this deployment's simulator.  Same contract as ``tracing``: pure
     #: bookkeeping, results identical either way.  ``MANTLE_TELEMETRY=1``
-    #: enables it process-wide instead.
+    #: enables it process-wide instead.  Simulator only: live roles take
+    #: ``mantle-serve --telemetry`` and the cluster classes' ``telemetry=``
+    #: (this config's ``telemetry_window_us`` still sets their window).
     telemetry: bool = False
     #: Telemetry sampling window in simulated microseconds (10 ms sim).
     telemetry_window_us: float = 10_000.0

@@ -12,7 +12,8 @@ Usage::
     mantle-exp explain fig15|table1 --view trace
     mantle-exp explain multitenant --view blame
     mantle-exp whatif fig14 --speedup tafdb.fsync=2x [--max-error FRAC]
-    mantle-exp live smoke|fig12|trace ...
+    mantle-exp live smoke [--trace] [--telemetry] [--metrics] [--out DIR]
+    mantle-exp live fig12 [--divergence X]     (both: [--in-process])
 
 ``run --jobs N`` fans a sweep experiment's per-point simulators across N
 worker processes; ``all --jobs N`` runs whole experiments concurrently.

@@ -1,19 +1,17 @@
 """``mantle-exp live`` — drive a real asyncio Mantle cluster.
 
-Three subtargets:
+Both subtargets run three ``mantle-serve`` OS processes by default, or
+every role on one thread with ``--in-process``:
 
-* ``live smoke`` — start a cluster (three OS processes via ``mantle-serve``
-  by default, or in-process with ``--in-process``), push N operations
-  through :class:`~repro.runtime.client.LiveClient`, and fail unless every
-  op succeeds and every role exits cleanly.  ``--trace``/``--telemetry``
-  turn on the wall-clock instrumentation and additionally fail the run
-  unless the merged cross-process trace and every metrics snapshot
-  validate — the CI ``live-obs`` job.
-
-* ``live trace`` — run a small traced workload, collect every process's
-  span buffer (client included), check the cross-process links stitch
-  into connected per-op trees, and write one merged Chrome-trace /
-  Perfetto JSON file with a pid track per process.
+* ``live smoke`` — push N operations through
+  :class:`~repro.runtime.client.LiveClient` and fail unless every op
+  succeeds and every role shuts down cleanly.  ``--trace`` traces every
+  process, fails unless the merged cross-process trace validates and some
+  op tree spans client -> proxy -> backend, and writes it as one
+  Chrome-trace / Perfetto file (``trace_live.json`` under ``--out``).
+  ``--telemetry`` schema-checks every role's metrics snapshot and fails
+  unless the roles' windowed latency digests merge cluster-wide;
+  ``--metrics`` reads those snapshots from per-role HTTP endpoints.
 
 * ``live fig12`` — the sim-vs-live companion to Figure 12's read path: the
   same namespace is built and the same read mix is run through the
@@ -23,6 +21,9 @@ Three subtargets:
   differential table says *where*: per-phase (wire / fsync / cpu / queue)
   microseconds aligned sim vs live, with divergences beyond a threshold
   flagged.
+
+Snapshots, metrics and resets go over every role's ``obs.*`` RPCs
+(:func:`repro.runtime.obs.collect_snapshots`), whichever flavour runs.
 """
 
 from __future__ import annotations
@@ -30,17 +31,13 @@ from __future__ import annotations
 import json
 import time
 import urllib.request
-from typing import Any, Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.bench.report import Table, print_tables
 from repro.core.api import MantleClient
 from repro.core.config import MantleConfig
 from repro.errors import MetadataError
-from repro.experiments.exportutil import (
-    default_out,
-    ensure_valid,
-    write_json_payload,
-)
+from repro.experiments.exportutil import ensure_valid, write_export
 from repro.ops import DirStat, ObjStat, ReadDir
 
 #: fig12-companion namespace shape (quick scale).
@@ -54,88 +51,80 @@ DIVERGENCE_FLOOR_US = 25.0
 
 # -- cluster plumbing --------------------------------------------------------
 
-def _start_cluster(in_process: bool, wal_dir=None, instrument: bool = False,
-                   metrics: bool = False):
-    """Start and return the chosen cluster flavour.
+def _start_cluster(args, trace: bool = False, telemetry: bool = False):
+    """Start the flavour ``--in-process`` picks; both take the same
+    arguments."""
+    from repro.runtime.live import InProcessCluster, ProcessCluster
 
-    ``instrument`` turns on tracing+telemetry on every role (via the
-    config for in-process roles, via ``mantle-serve --trace --telemetry``
-    for spawned ones); ``metrics`` gives each role an ephemeral metrics
-    HTTP port.
-    """
-    if in_process:
-        from repro.runtime.live import InProcessCluster
-
-        config = MantleConfig.small()
-        if instrument:
-            config = config.copy(tracing=True, telemetry=True)
-        cluster = InProcessCluster(config=config, wal_dir=wal_dir,
-                                   metrics=metrics)
-    else:
-        from repro.runtime.live import ProcessCluster
-
-        cluster = ProcessCluster(wal_dir=wal_dir, trace=instrument,
-                                 telemetry=instrument, metrics=metrics)
+    flavour = InProcessCluster if args.in_process else ProcessCluster
+    cluster = flavour(wal_dir=args.wal_dir, trace=trace, telemetry=telemetry,
+                      metrics=getattr(args, "metrics", False))
     cluster.start()
     return cluster
 
 
-def _stop_cluster(cluster) -> Dict[str, int]:
-    """Stop either cluster flavour; returns role exit codes (process mode)."""
-    return cluster.stop() or {}
-
-
-def _role_trace_snapshots(cluster) -> List[dict]:
-    """One trace snapshot per role, however the cluster is hosted."""
-    from repro.runtime import obs
-    from repro.runtime.live import InProcessCluster
-
-    if isinstance(cluster, InProcessCluster):
-        return cluster.trace_snapshots()
-    return obs.collect_snapshots(cluster.endpoints)
-
-
-def _role_metrics_snapshots(cluster) -> List[dict]:
-    from repro.runtime import obs
-    from repro.runtime.live import InProcessCluster
-
-    if isinstance(cluster, InProcessCluster):
-        return cluster.metrics_snapshots()
-    return obs.collect_snapshots(cluster.endpoints,
-                                 method="obs.metrics_snapshot")
-
-
-def _reset_role_tracers(cluster) -> None:
-    """Drop every role's collected spans (fig12: exclude namespace build)."""
-    from repro.runtime import obs
-    from repro.runtime.live import InProcessCluster
-
-    if isinstance(cluster, InProcessCluster):
-        for runtime in cluster.runtimes.values():
-            runtime.tracer.reset()
-    else:
-        obs.collect_snapshots(cluster.endpoints, method="obs.reset")
-
-
-def _trace_problems(snapshots: List[dict]) -> List[str]:
-    """Every validator the merged cross-process trace must pass."""
+def _check_trace(cluster, client, out_dir: str) -> List[str]:
+    """Merge every process's spans (the client's included) and validate
+    them; require an op tree spanning client -> proxy -> backend; write
+    the merged trace under ``out_dir`` when all of it holds."""
     from repro.runtime import obs
     from repro.sim.trace import validate_chrome_trace
 
-    problems: List[str] = []
-    for snap in snapshots:
-        for problem in obs.validate_trace_snapshot(snap):
-            problems.append(f"{snap.get('process', '?')}: {problem}")
-    problems.extend(obs.cross_process_problems(snapshots))
-    problems.extend(obs.dyn_self_time_problems(snapshots))
-    problems.extend(validate_chrome_trace(obs.merge_chrome_trace(snapshots)))
+    snapshots = obs.collect_snapshots(cluster.endpoints)
+    snapshots.append(client.trace_snapshot())
+    merged = obs.merge_chrome_trace(snapshots)
+    problems = [f"{snap.get('process', '?')}: {problem}"
+                for snap in snapshots
+                for problem in obs.validate_trace_snapshot(snap)]
+    problems += obs.cross_process_problems(snapshots)
+    problems += obs.dyn_self_time_problems(snapshots)
+    problems += validate_chrome_trace(merged)
+    stats = obs.op_tree_stats(snapshots)
+    spanning = sum(len(tree["processes"]) >= 3 for tree in stats["trees"])
+    print(f"live-smoke: {stats['ops']} op trees over {len(snapshots)} "
+          f"processes, {spanning} spanning >= 3 (client -> proxy -> backend)")
+    if not spanning:
+        problems.append("no op tree crosses client+proxy+backend: "
+                        "trace-context propagation is broken")
+    if problems:
+        print(f"live-smoke: trace INVALID ({len(problems)} problems)")
+        return problems
+    path = write_export(out_dir, "trace", "live", None, ".json", merged,
+                        validate_chrome_trace)
+    print(f"live-smoke: merged trace OK, {len(merged['traceEvents'])} "
+          f"events -> {path} (open at https://ui.perfetto.dev)")
+    return []
+
+
+def _check_metrics(cluster, args) -> List[str]:
+    """Schema-check every role's metrics snapshot; with ``--telemetry``
+    also merge the roles' latency digests cluster-wide."""
+    from repro.runtime import obs
+
+    if args.metrics:
+        payloads = []
+        for port in sorted(cluster.metrics_ports.values()):
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/",
+                                        timeout=10) as response:
+                payloads.append(json.loads(response.read()))
+        source = "metrics endpoint"
+    else:
+        payloads = obs.collect_snapshots(cluster.endpoints,
+                                         method="obs.metrics_snapshot")
+        source = "obs.metrics_snapshot"
+    problems = [f"{source} ({payload.get('process', '?')}): {problem}"
+                for payload in payloads
+                for problem in obs.validate_metrics_snapshot(payload)]
+    print(f"live-smoke: {len(payloads)} {source} snapshots schema-checked")
+    if args.telemetry:
+        merged = obs.merged_digests(payloads)
+        recorded = sum(d.total_count for d in merged.values())
+        print(f"live-smoke: merged {len(merged)} cluster-wide digests "
+              f"covering {recorded} completions")
+        if recorded <= 0:
+            problems.append("the roles' latency digests merge to no "
+                            "completions")
     return problems
-
-
-def _fetch_metrics_http(port: int) -> Any:
-    with urllib.request.urlopen(f"http://127.0.0.1:{port}/",
-                                timeout=10) as response:
-        return json.loads(response.read().decode("utf-8"))
 
 
 # -- live smoke --------------------------------------------------------------
@@ -145,11 +134,8 @@ def run_live_smoke(args) -> int:
     from repro.sim.trace import Tracer
 
     total_ops = args.ops
-    want_digests = getattr(args, "digests", False)
-    instrument = args.trace or args.telemetry or want_digests
     started = time.time()
-    cluster = _start_cluster(args.in_process, wal_dir=args.wal_dir,
-                             instrument=instrument, metrics=args.metrics)
+    cluster = _start_cluster(args, trace=args.trace, telemetry=args.telemetry)
     flavour = "in-process" if args.in_process else "3 OS processes"
     print(f"live-smoke: cluster up ({flavour}), "
           f"proxy at {cluster.proxy_endpoint}")
@@ -189,47 +175,11 @@ def run_live_smoke(args) -> int:
             metrics = client.metrics
         # Observability checks while the cluster is still serving.
         if args.trace:
-            snapshots = _role_trace_snapshots(cluster)
-            snapshots.append(client.trace_snapshot())
-            obs_problems.extend(_trace_problems(snapshots))
-            spans = sum(len(s.get("spans", ())) for s in snapshots)
-            print(f"live-smoke: merged trace OK "
-                  f"({spans} spans over {len(snapshots)} processes)"
-                  if not obs_problems else
-                  f"live-smoke: trace INVALID ({len(obs_problems)} problems)")
-        if args.telemetry or args.metrics or want_digests:
-            from repro.runtime import obs as obs_module
-
-            if args.metrics:
-                payloads = [_fetch_metrics_http(port)
-                            for port in sorted(cluster.metrics_ports.values())]
-                source = "metrics endpoint"
-            else:
-                payloads = _role_metrics_snapshots(cluster)
-                source = "obs.metrics_snapshot"
-            for payload in payloads:
-                for problem in obs_module.validate_metrics_snapshot(payload):
-                    obs_problems.append(
-                        f"{source} ({payload.get('process', '?')}): "
-                        f"{problem}")
-            print(f"live-smoke: {len(payloads)} {source} snapshots "
-                  "schema-checked")
-            if want_digests:
-                merged = obs_module.merged_digests(payloads)
-                recorded = sum(d.total_count for d in merged.values())
-                if not merged:
-                    obs_problems.append(
-                        "no latency digests in any metrics snapshot "
-                        "(--digests)")
-                elif recorded <= 0:
-                    obs_problems.append(
-                        "merged latency digests recorded zero completions "
-                        "(--digests)")
-                else:
-                    print(f"live-smoke: merged {len(merged)} cluster-wide "
-                          f"digests covering {recorded} completions")
+            obs_problems += _check_trace(cluster, client, args.out)
+        if args.telemetry or args.metrics:
+            obs_problems += _check_metrics(cluster, args)
     finally:
-        codes = _stop_cluster(cluster)
+        codes = cluster.stop()
     elapsed = time.time() - started
 
     for path, message in errors[:10]:
@@ -240,7 +190,7 @@ def run_live_smoke(args) -> int:
     rate = completed / elapsed if elapsed > 0 else 0.0
     print(f"live-smoke: {completed} ops in {elapsed:.1f}s "
           f"({rate:,.0f} ops/s), {len(errors)} errors, "
-          f"shutdown codes {codes or '{in-process}'}")
+          f"shutdown codes {codes}")
     if metrics.latency:
         overall = sorted(s for rec in metrics.latency.values()
                          for s in rec.samples)
@@ -285,46 +235,6 @@ def _drive(client, ops) -> None:
         client.perform(op)
 
 
-# -- live trace --------------------------------------------------------------
-
-def run_live_trace(args) -> int:
-    """Traced workload -> one merged, validated Chrome-trace export."""
-    from repro.runtime import obs
-    from repro.runtime.client import LiveClient
-    from repro.sim.trace import Tracer
-
-    cluster = _start_cluster(not args.processes, wal_dir=args.wal_dir,
-                             instrument=True)
-    try:
-        client = LiveClient(cluster.proxy_endpoint, tracer=Tracer())
-        with client:
-            paths = _build_namespace(client)
-            _drive(client, _read_mix(paths, args.ops))
-        snapshots = _role_trace_snapshots(cluster)
-        snapshots.append(client.trace_snapshot())
-    finally:
-        _stop_cluster(cluster)
-
-    ensure_valid(_trace_problems(snapshots), "merged cross-process trace")
-    merged = obs.merge_chrome_trace(snapshots)
-
-    stats = obs.op_tree_stats(snapshots)
-    spanning = [tree for tree in stats["trees"]
-                if len(tree["processes"]) >= 3]
-    print(f"live-trace: {stats['ops']} op trees across "
-          f"{len(snapshots)} processes; {len(spanning)} span >=3 processes "
-          "(client -> proxy -> backend)")
-    if not spanning:
-        print("live-trace: FAIL — no op tree crosses client+proxy+backend; "
-              "trace-context propagation is broken")
-        return 1
-    out_path = args.out or default_out("live", "trace", ".trace.json")
-    write_json_payload(out_path, merged)
-    print(f"live-trace: {len(merged['traceEvents'])} events -> {out_path}")
-    print("live-trace: open at https://ui.perfetto.dev or chrome://tracing")
-    return 0
-
-
 # -- live fig12 companion ----------------------------------------------------
 
 def run_live_fig12(args) -> int:
@@ -346,21 +256,20 @@ def run_live_fig12(args) -> int:
     sim_phases = obs.phase_breakdown([sim_snapshot])
 
     # Live side, identically traced and identically reset.
-    cluster = _start_cluster(not args.processes, wal_dir=args.wal_dir,
-                             instrument=True)
+    cluster = _start_cluster(args, trace=True)
     try:
         live_client = LiveClient(cluster.proxy_endpoint, tracer=Tracer())
         with live_client:
             live_paths = _build_namespace(live_client)
             assert live_paths == paths
-            _reset_role_tracers(cluster)
+            obs.collect_snapshots(cluster.endpoints, method="obs.reset")
             live_client.tracer.reset()
             _drive(live_client, _read_mix(live_paths, args.ops))
             live_metrics = live_client.metrics
-        snapshots = _role_trace_snapshots(cluster)
+        snapshots = obs.collect_snapshots(cluster.endpoints)
         snapshots.append(live_client.trace_snapshot())
     finally:
-        _stop_cluster(cluster)
+        cluster.stop()
     ensure_valid(obs.cross_process_problems(snapshots),
                  "live cross-process span links")
     live_phases = obs.phase_breakdown(snapshots)
@@ -441,54 +350,40 @@ def add_live_parser(sub) -> None:
     """Register the ``live`` subcommand on the mantle-exp parser."""
     live_parser = sub.add_parser(
         "live",
-        help="run a real asyncio cluster: smoke test, traced run, or "
-             "sim-vs-live tables")
+        help="run a real asyncio cluster: smoke test (optionally traced) "
+             "or sim-vs-live tables")
     live_sub = live_parser.add_subparsers(dest="live_command", required=True)
 
     smoke = live_sub.add_parser(
         "smoke", help="N ops through a live cluster; fail on any error")
-    smoke.add_argument("--ops", type=int, default=1000,
-                       help="operation count (default 1000)")
-    smoke.add_argument("--in-process", action="store_true",
-                       help="run the roles on a thread instead of "
-                            "spawning mantle-serve processes")
-    smoke.add_argument("--wal-dir", default=None,
-                       help="directory for write-ahead files")
-    smoke.add_argument("--trace", action="store_true",
-                       help="trace every process and fail unless the "
-                            "merged cross-process trace validates")
-    smoke.add_argument("--telemetry", action="store_true",
-                       help="enable telemetry and schema-check every "
-                            "role's metrics snapshot")
-    smoke.add_argument("--metrics", action="store_true",
-                       help="serve per-role metrics HTTP endpoints and "
-                            "schema-check what they return")
-    smoke.add_argument("--digests", action="store_true",
-                       help="additionally merge every role's windowed "
-                            "latency digests cluster-wide and fail if "
-                            "none recorded any completions")
-
-    trace = live_sub.add_parser(
-        "trace", help="traced run -> one merged Chrome-trace JSON export")
-    trace.add_argument("--ops", type=int, default=80,
-                       help="read ops after the namespace build "
-                            "(default 80)")
-    trace.add_argument("--processes", action="store_true",
-                       help="use real OS processes for the cluster")
-    trace.add_argument("--wal-dir", default=None,
-                       help="directory for write-ahead files")
-    trace.add_argument("--out", default=None,
-                       help="output path (default live_trace.trace.json)")
-
     fig12 = live_sub.add_parser(
         "fig12", help="print sim-vs-live read-path latency and the "
                       "per-phase differential side by side")
+    smoke.add_argument("--ops", type=int, default=1000,
+                       help="operation count (default 1000)")
     fig12.add_argument("--ops", type=int, default=200,
                        help="read ops per side (default 200)")
-    fig12.add_argument("--processes", action="store_true",
-                       help="use real OS processes for the live side")
-    fig12.add_argument("--wal-dir", default=None,
-                       help="directory for write-ahead files")
+    for parser in (smoke, fig12):
+        parser.add_argument("--in-process", action="store_true",
+                            help="run the roles on a thread instead of "
+                                 "spawning mantle-serve processes")
+        parser.add_argument("--wal-dir", default=None,
+                            help="directory for write-ahead files")
+    smoke.add_argument("--trace", action="store_true",
+                       help="trace every process, fail unless the merged "
+                            "cross-process trace validates and links "
+                            "client -> proxy -> backend, and write it as "
+                            "trace_live.json")
+    smoke.add_argument("--telemetry", action="store_true",
+                       help="enable telemetry; fail unless every role's "
+                            "metrics snapshot validates and their latency "
+                            "digests merge cluster-wide")
+    smoke.add_argument("--metrics", action="store_true",
+                       help="serve per-role metrics HTTP endpoints and "
+                            "schema-check what they return")
+    smoke.add_argument("--out", metavar="DIR", default="",
+                       help="directory for the --trace export "
+                            "(default: the working directory)")
     fig12.add_argument("--divergence", type=float, default=10.0,
                        help="flag phases whose sim/live ratio exceeds "
                             "this factor either way (default 10)")
@@ -497,6 +392,4 @@ def add_live_parser(sub) -> None:
 def cmd_live(args) -> int:
     if args.live_command == "smoke":
         return run_live_smoke(args)
-    if args.live_command == "trace":
-        return run_live_trace(args)
     return run_live_fig12(args)

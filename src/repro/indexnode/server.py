@@ -54,14 +54,21 @@ class IndexNodeService(Server):
         self._purger = None
         if start_purger:
             self._purger = host.sim.process(
-                self._purge_loop(), name=f"invalidator-{host.name}")
+                self.purge_loop(), name=f"invalidator-{host.name}")
 
     # -- background invalidation (§5.1.2) ---------------------------------------
 
-    def _purge_loop(self):
+    def purge_loop(self):
+        """Background process draining the RemovalList every period.
+
+        Written against the runtime seam like ``DBServer.compactor_loop``:
+        the simulator spawns it here, a live IndexNode role drives the same
+        loop on its event loop.  Runs until interrupted or, live, cancelled.
+        """
+        runtime = self.runtime
         try:
             while True:
-                yield self.sim.timeout(self.purge_period_us)
+                yield from runtime.sleep(self.purge_period_us)
                 if self.host.crashed:
                     continue
                 telemetry = self.sim.telemetry
@@ -83,7 +90,7 @@ class IndexNodeService(Server):
                     else:
                         span = None
                     # Range-scan + hash removals are cheap per entry.
-                    yield from self.host.work(0.5 * removed)
+                    yield from runtime.work(self.host, 0.5 * removed)
                     if span is not None:
                         tracer.end(span, self.sim.now)
         except Interrupt:

@@ -78,10 +78,8 @@ class AsyncioRuntime(Runtime):
 
     kind = "aio"
 
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None,
-                 rpc_timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
+    def __init__(self, rpc_timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
                  tracer=None, telemetry=None, process_name: str = "live"):
-        self._loop = loop
         self.rpc_timeout_s = rpc_timeout_s
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.telemetry = (telemetry if telemetry is not None
@@ -94,12 +92,6 @@ class AsyncioRuntime(Runtime):
         #: kernel — so the tracer keeps one span stack per request whether
         #: a handler runs inside the read callback or on a task of its own.
         self.active = None
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            self._loop = asyncio.get_running_loop()
-        return self._loop
 
     # -- Runtime surface (generators yielding effects) ----------------------
 
@@ -235,7 +227,8 @@ class AsyncioRuntime(Runtime):
                 effect.method, effect.args, effect.kwargs,
                 timeout_s=self.rpc_timeout_s)
         if kind is _Offload:
-            return self.loop.run_in_executor(None, effect.fn, *effect.args)
+            return asyncio.get_running_loop().run_in_executor(
+                None, effect.fn, *effect.args)
         if kind is _Sleep:
             return asyncio.sleep(effect.us / 1e6)
         if kind is _Gather:
@@ -427,10 +420,6 @@ class RemoteService:
         self.name = name
         self.connection = connection
         self.call = connection.call
-
-    @property
-    def endpoint(self) -> str:
-        return self.connection.endpoint
 
 
 # -- server-side transport ---------------------------------------------------

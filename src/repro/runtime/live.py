@@ -6,19 +6,22 @@ under a DES kernel.  This module re-hosts the *identical* classes in real
 processes:
 
 * :class:`LiveSimFacade` duck-types the handful of ``Simulator`` attributes
-  domain code reads (``now``/``_now``, constructor-injected
-  tracer/telemetry instances fed by the wall clock, and the ``runtime``
-  the seam resolves) — so ``Server.dispatch``, ``TafDBClient`` and
-  ``MetadataSystem.perform`` run unmodified, instrumentation included;
+  domain code reads (``now``/``_now``, the runtime's wall-clock-fed
+  tracer/telemetry, and the ``runtime`` the seam resolves) — so
+  ``Server.dispatch``, ``TafDBClient`` and ``MetadataSystem.perform`` run
+  unmodified, instrumentation included;
 * :class:`LiveHost` stands in for ``sim.host.Host``: never crashed, and its
   "disk" is a real write-ahead file fsynced on a worker thread;
 * :class:`SoloRaft` is the live IndexNode's single-node replicated log — a
   durable JSONL append before every apply, the degenerate (but correctly
   ordered and durable) Raft a one-replica group is;
-* the three ``build_*_role`` functions assemble each ``mantle-serve``
-  process; :class:`InProcessCluster` hosts all three roles on one event
-  loop (real localhost TCP) for tests, and :class:`ProcessCluster` spawns
-  them as actual OS processes with a READY handshake.
+* the three ``build_*_role`` functions assemble each role, and
+  :class:`LiveRole` is the one way a role starts and stops: dispatcher,
+  background loops on the runtime seam, wire and metrics listeners.
+  ``mantle-serve <role>`` runs one per process; :class:`InProcessCluster`
+  runs all three on one event loop (real localhost TCP) for tests, and
+  :class:`ProcessCluster` spawns them as ``mantle-serve`` processes with a
+  READY handshake.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from typing import Dict, List, Optional
 
 from repro.baselines.base import IdAllocator, MetadataSystem
@@ -50,44 +54,48 @@ from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AttrMeta, EntryKind
 
 
-def build_observability(config: MantleConfig, process_name: str,
-                        force_trace: bool = False,
-                        force_telemetry: bool = False):
+#: The roles of a live cluster, in start order (stopped in reverse).
+ROLE_ORDER = ("tafdb", "indexnode", "proxy")
+
+#: How long a cluster waits for its roles to come up, and to go down.
+START_TIMEOUT_S = 30.0
+STOP_TIMEOUT_S = 15.0
+
+#: How often a live IndexNode drains its RemovalList (§5.1.2).  The
+#: simulator's ``invalidator_period_us`` (200 us) would wake a real process
+#: 5,000 times a second.
+LIVE_PURGE_PERIOD_US = 50_000.0
+
+
+def build_observability(config: MantleConfig, trace: bool = False,
+                        telemetry: bool = False):
     """Resolve (tracer, telemetry) for one live process.
 
-    The same ``MantleConfig.tracing``/``telemetry`` flags that instrument
-    a simulated deployment instrument a live one; ``force_*`` are the CLI
-    overrides (``mantle-serve --trace/--telemetry``).  Disabled layers get
-    the shared null singletons, preserving the zero-cost-off contract.
+    ``trace``/``telemetry`` are the one switch (``mantle-serve
+    --trace/--telemetry``, the cluster classes' arguments); the config only
+    supplies the telemetry window.  Disabled layers get the shared null
+    singletons, preserving the zero-cost-off contract.
     """
-    del process_name  # reserved for future per-role capacity tuning
-    tracer = Tracer() if (config.tracing or force_trace) else NULL_TRACER
-    telemetry = (Telemetry(window_us=config.telemetry_window_us)
-                 if (config.telemetry or force_telemetry)
-                 else NULL_TELEMETRY)
-    return tracer, telemetry
+    return (Tracer() if trace else NULL_TRACER,
+            Telemetry(window_us=config.telemetry_window_us) if telemetry
+            else NULL_TELEMETRY)
 
 
 class LiveSimFacade:
     """The ``sim`` object live code sees: a wallclock plus this process's
-    tracer/telemetry, with the :class:`AsyncioRuntime` on the attribute
-    the runtime seam resolves.
+    tracer/telemetry (the runtime's own), with the :class:`AsyncioRuntime`
+    on the attribute the runtime seam resolves.
 
-    Instrumentation is **constructor-injected** (defaulting to the
-    runtime's own instances, which default to the null singletons) — the
-    facade never reassigns shared globals, so two facades in one process
-    can carry different tracers and a test can hand in its own.  The
-    tracer's span stacks are keyed by :attr:`_active_process`: live, the
-    "process" a charge belongs to is the request generator the runtime's
-    trampoline is stepping, which is exactly the role
+    The tracer's span stacks are keyed by :attr:`_active_process`: live,
+    the "process" a charge belongs to is the request generator the
+    runtime's trampoline is stepping, which is exactly the role
     ``sim._active_process`` plays for simulated processes.
     """
 
-    def __init__(self, runtime: AsyncioRuntime, tracer=None, telemetry=None):
+    def __init__(self, runtime: AsyncioRuntime):
         self.runtime = runtime
-        self.tracer = tracer if tracer is not None else runtime.tracer
-        self.telemetry = (telemetry if telemetry is not None
-                          else runtime.telemetry)
+        self.tracer = runtime.tracer
+        self.telemetry = runtime.telemetry
         if self.tracer.enabled:
             self.tracer.bind(self)
 
@@ -216,10 +224,15 @@ class SoloRaft:
 
 
 # -- role builders -----------------------------------------------------------
+#
+# Each returns ``(dispatcher, background loops, close)``: the object the
+# WireServer serves, the generators :class:`LiveRole` drives on the role's
+# runtime until it stops, and what releases the role's files and sockets.
 
 def build_tafdb_role(config: MantleConfig, runtime: AsyncioRuntime,
                      wal_dir: Optional[str] = None):
-    """One live TafDB server process holding every shard.
+    """One live TafDB server process holding every shard, compacting delta
+    rows (§5.2.1) at the configured period.
 
     The live smoke cluster maps all shards onto one server; shard *count*
     (and therefore 1PC-vs-2PC routing) still matches the simulated
@@ -238,21 +251,15 @@ def build_tafdb_role(config: MantleConfig, runtime: AsyncioRuntime,
     server.shard(root_shard).execute("bootstrap-root", [WriteIntent(
         attr_key(ROOT_ID), "insert",
         AttrMeta(id=ROOT_ID, kind=EntryKind.DIRECTORY))])
-    return server
-
-
-def start_compactor(server, config: MantleConfig) -> asyncio.Task:
-    """Run the TafDB role's delta compactor (§5.2.1) on the running loop:
-    the loop the simulator spawns with ``sim.process``, at the same
-    configured period, driven by the live runtime's trampoline.  Runs
-    until cancelled."""
-    return asyncio.ensure_future(server.runtime.drive(
-        server.compactor_loop(config.compaction_period_us)))
+    return (server, [server.compactor_loop(config.compaction_period_us)],
+            host.close)
 
 
 def build_indexnode_role(config: MantleConfig, runtime: AsyncioRuntime,
                          wal_dir: Optional[str] = None):
-    """One live IndexNode process: real state machine over a SoloRaft log."""
+    """One live IndexNode process: real state machine over a SoloRaft log,
+    its invalidator draining the RemovalList every
+    :data:`LIVE_PURGE_PERIOD_US`."""
     from repro.indexnode.server import IndexNodeService
     from repro.indexnode.state import IndexNodeState
 
@@ -264,10 +271,17 @@ def build_indexnode_role(config: MantleConfig, runtime: AsyncioRuntime,
                            root_id=ROOT_ID)
     log_path = None
     if wal_dir is not None:
-        os.makedirs(wal_dir, exist_ok=True)
         log_path = os.path.join(wal_dir, "indexnode-raft.jsonl")
     node = SoloRaft(host, state, log_path=log_path)
-    return IndexNodeService(host, node, state, costs, start_purger=False)
+    service = IndexNodeService(host, node, state, costs,
+                               purge_period_us=LIVE_PURGE_PERIOD_US,
+                               start_purger=False)
+
+    def close() -> None:
+        node.close()
+        host.close()
+
+    return service, [service.purge_loop()], close
 
 
 class LiveTafDB:
@@ -275,10 +289,9 @@ class LiveTafDB:
     contention registry (process-local live, exactly as shared-object state
     is cluster-internal in the simulator)."""
 
-    def __init__(self, facade: LiveSimFacade, runtime: AsyncioRuntime,
-                 config: MantleConfig, services: List[RemoteService]):
+    def __init__(self, facade: LiveSimFacade, config: MantleConfig,
+                 services: List[RemoteService]):
         self._facade = facade
-        self._runtime = runtime
         self.costs = config.effective_costs()
         self.partitioner = Partitioner(config.num_db_shards, len(services))
         self.services = services
@@ -293,7 +306,7 @@ class LiveTafDB:
             client_id = next(self._client_ids)
         return TafDBClient(self._facade, None, self.partitioner,
                            self.services, self.costs, client_id=client_id,
-                           runtime=self._runtime)
+                           runtime=self._facade.runtime)
 
 
 class LiveMantleService(ProxyRouted, MetadataSystem):
@@ -319,7 +332,7 @@ class LiveMantleService(ProxyRouted, MetadataSystem):
         self.root_id = ROOT_ID
         self._wal_dir = wal_dir
         self._hosts: Dict[int, LiveHost] = {}
-        self.tafdb = LiveTafDB(facade, runtime, config, tafdb_services)
+        self.tafdb = LiveTafDB(facade, config, tafdb_services)
         self._index_service = index_service
         self.ids = IdAllocator(start=ROOT_ID + 1)
         self._init_proxies(config.num_proxies)
@@ -388,190 +401,220 @@ class ProxyFrontend:
 
 
 def build_proxy_role(config: MantleConfig, runtime: AsyncioRuntime,
-                     tafdb_endpoints: List[str], index_endpoint: str,
-                     wal_dir: Optional[str] = None) -> ProxyFrontend:
+                     wal_dir: Optional[str] = None,
+                     tafdb: str = "", indexnode: str = ""):
+    """The proxy process over the comma-separated ``tafdb`` endpoints and
+    the ``indexnode`` endpoint."""
     from repro.runtime.aio import RpcConnection
 
     tafdb_services = [RemoteService(f"tafdb-{i}", RpcConnection(endpoint))
-                      for i, endpoint in enumerate(tafdb_endpoints)]
-    index_service = RemoteService(
-        "indexnode-0", RpcConnection(index_endpoint))
+                      for i, endpoint in enumerate(tafdb.split(","))]
+    index_service = RemoteService("indexnode-0", RpcConnection(indexnode))
     service = LiveMantleService(config, runtime, tafdb_services,
                                 index_service, wal_dir=wal_dir)
-    return ProxyFrontend(service)
+    return ProxyFrontend(service), [], service.shutdown
+
+
+_ROLE_BUILDERS = {"tafdb": build_tafdb_role,
+                  "indexnode": build_indexnode_role,
+                  "proxy": build_proxy_role}
+
+
+class LiveRole:
+    """One live role from assembly to teardown — the one way a role starts.
+
+    :meth:`start` gives the role its own :class:`AsyncioRuntime` (so span
+    buffers stay per role even when roles share an event loop), builds its
+    dispatcher, drives its background loops on that runtime (TafDB's delta
+    compactor, the IndexNode's invalidator — the very generators the
+    simulator spawns), binds the :class:`WireServer` and, given a
+    ``metrics_port``, a :class:`~repro.runtime.obs.MetricsServer`.
+    :meth:`stop` undoes all of it.  ``mantle-serve <role>`` runs one per
+    process; :class:`InProcessCluster` runs one per role on a shared loop.
+    ``tafdb``/``indexnode`` are the proxy's backend endpoints.
+    """
+
+    def __init__(self, role: str, config: MantleConfig, *,
+                 trace: bool = False, telemetry: bool = False,
+                 wal_dir: Optional[str] = None, host: str = "127.0.0.1",
+                 port: int = 0, metrics_port: Optional[int] = None,
+                 tafdb: str = "", indexnode: str = ""):
+        tracer, registry = build_observability(config, trace, telemetry)
+        self.runtime = AsyncioRuntime(tracer=tracer, telemetry=registry,
+                                      process_name=role)
+        self.role = role
+        self.config = config
+        self.wal_dir = wal_dir
+        self.host = host
+        #: The bound ports once started.
+        self.port = port
+        self.metrics_port = metrics_port
+        self._backends = {"tafdb": tafdb, "indexnode": indexnode} \
+            if role == "proxy" else {}
+        self._server: Optional[WireServer] = None
+        self._metrics = None
+        self._loops: List[asyncio.Future] = []
+        self._close = None
+
+    @property
+    def endpoint(self) -> str:
+        return f"{self.host}:{self.port}"
+
+    async def start(self) -> int:
+        """Assemble and bind the role; returns its wire port."""
+        dispatcher, loops, self._close = _ROLE_BUILDERS[self.role](
+            self.config, self.runtime, self.wal_dir, **self._backends)
+        self._loops = [asyncio.ensure_future(self.runtime.drive(loop))
+                       for loop in loops]
+        self._server = WireServer(self.runtime, dispatcher, host=self.host,
+                                  port=self.port)
+        self.port = await self._server.start()
+        if self.metrics_port is not None:
+            from repro.runtime.obs import MetricsServer
+
+            self._metrics = MetricsServer(self.runtime, host=self.host,
+                                          port=self.metrics_port)
+            self.metrics_port = await self._metrics.start()
+        return self.port
+
+    async def stop(self) -> None:
+        """Cancel the background loops, close both listeners, release the
+        role's files and backend connections; then raise what a background
+        loop died of, if one did."""
+        for task in self._loops:
+            task.cancel()
+        ended = await asyncio.gather(*self._loops, return_exceptions=True)
+        if self._metrics is not None:
+            await self._metrics.stop()
+        if self._server is not None:
+            await self._server.stop()
+        if self._close is not None:
+            self._close()
+        for outcome in ended:
+            if isinstance(outcome, Exception):
+                raise outcome
 
 
 # -- clusters ----------------------------------------------------------------
 
-class InProcessCluster:
-    """All three roles on one background event loop, talking over real
-    localhost TCP.  The cheap way for tests (and ``--in-process`` smoke
-    runs) to exercise the full wire protocol without spawning processes."""
+class _Cluster:
+    """What both cluster flavours share: the role order, the
+    instrumentation switches, and where the running roles can be reached
+    (``obs.collect_snapshots(cluster.endpoints, ...)`` reads either)."""
 
-    ROLE_ORDER = ("tafdb", "indexnode", "proxy")
+    ROLE_ORDER = ROLE_ORDER
 
-    def __init__(self, config: Optional[MantleConfig] = None,
-                 wal_dir: Optional[str] = None,
-                 metrics: bool = False):
-        self.config = config or MantleConfig.small()
+    def __init__(self, wal_dir: Optional[str], trace: bool, telemetry: bool,
+                 metrics: bool):
         self.wal_dir = wal_dir
+        self.trace = trace
+        self.telemetry = telemetry
         self.metrics = metrics
-        self.proxy_endpoint: Optional[str] = None
         #: role -> "127.0.0.1:<port>" once started (obs snapshot targets).
         self.endpoints: Dict[str, str] = {}
-        #: role -> metrics port (only when ``metrics`` was requested).
+        #: role -> metrics HTTP port (only with ``metrics=True``).
         self.metrics_ports: Dict[str, int] = {}
-        #: role -> that role's AsyncioRuntime (each role gets its own, so
-        #: span buffers separate per "process" even though the roles share
-        #: one event loop).
-        self.runtimes: Dict[str, AsyncioRuntime] = {}
-        self._loop = None
-        self._thread: Optional[threading.Thread] = None
-        self._servers: List[WireServer] = []
-        self._metrics_servers: List = []
-        self._compactor: Optional[asyncio.Task] = None
-        self._frontend: Optional[ProxyFrontend] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        self.proxy_endpoint: Optional[str] = None
 
-    def __enter__(self) -> "InProcessCluster":
+    def __enter__(self):
         self.start()
         return self
 
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def start(self) -> str:
-        import asyncio
+    def _role_wal_dir(self, role: str) -> Optional[str]:
+        return os.path.join(self.wal_dir, role) if self.wal_dir else None
 
-        def runner():
-            loop = asyncio.new_event_loop()
+
+class InProcessCluster(_Cluster):
+    """All three roles, one :class:`LiveRole` each, on one background event
+    loop, talking over real localhost TCP.  The cheap way for tests (and
+    ``--in-process`` runs) to exercise the full wire protocol without
+    spawning processes."""
+
+    def __init__(self, config: Optional[MantleConfig] = None,
+                 wal_dir: Optional[str] = None, trace: bool = False,
+                 telemetry: bool = False, metrics: bool = False):
+        super().__init__(wal_dir, trace, telemetry, metrics)
+        self.config = config or MantleConfig.small()
+        self._roles: List[LiveRole] = []
+        self._exit_codes: Dict[str, int] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self) -> str:
+        started = threading.Event()
+        failed: List[Exception] = []
+
+        def serve() -> None:
+            loop = self._loop = asyncio.new_event_loop()
             asyncio.set_event_loop(loop)
-            self._loop = loop
             try:
                 loop.run_until_complete(self._start_roles())
-            except BaseException as exc:  # surface to the caller
-                self._startup_error = exc
-                self._started.set()
-                return
-            self._started.set()
-            loop.run_forever()
-            # Drain cancelled tasks after stop() halts the loop.
+            except Exception as exc:  # surfaced by start()
+                failed.append(exc)
+            started.set()
+            if not failed:
+                loop.run_forever()  # until stop()
+            loop.run_until_complete(self._stop_roles())
             pending = asyncio.all_tasks(loop)
             for task in pending:
                 task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True))
+            loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True))
             loop.close()
 
-        self._thread = threading.Thread(target=runner, name="mantle-live",
+        self._thread = threading.Thread(target=serve, name="mantle-live",
                                         daemon=True)
         self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise RuntimeError("live cluster failed to start in 30s")
-        if self._startup_error is not None:
+        if not started.wait(timeout=START_TIMEOUT_S):
             raise RuntimeError(
-                f"live cluster startup failed: {self._startup_error!r}")
+                f"live cluster failed to start in {START_TIMEOUT_S:.0f}s")
+        if failed:
+            self._thread.join(timeout=STOP_TIMEOUT_S)
+            self._thread = None
+            raise RuntimeError(f"live cluster startup failed: {failed[0]!r}")
         return self.proxy_endpoint
 
-    def _make_runtime(self, role: str) -> AsyncioRuntime:
-        tracer, telemetry = build_observability(self.config, role)
-        runtime = AsyncioRuntime(tracer=tracer, telemetry=telemetry,
-                                 process_name=role)
-        self.runtimes[role] = runtime
-        return runtime
-
-    async def _start_metrics(self, role: str,
-                             runtime: AsyncioRuntime) -> None:
-        if not self.metrics:
-            return
-        from repro.runtime.obs import MetricsServer
-
-        server = MetricsServer(runtime)
-        self.metrics_ports[role] = await server.start()
-        self._metrics_servers.append(server)
-
     async def _start_roles(self) -> None:
-        runtime = self._make_runtime("tafdb")
-        tafdb = build_tafdb_role(self.config, runtime, wal_dir=self.wal_dir)
-        self._compactor = start_compactor(tafdb, self.config)
-        tafdb_server = WireServer(runtime, tafdb)
-        tafdb_port = await tafdb_server.start()
-        await self._start_metrics("tafdb", runtime)
-
-        runtime = self._make_runtime("indexnode")
-        index = build_indexnode_role(self.config, runtime,
-                                     wal_dir=self.wal_dir)
-        index_server = WireServer(runtime, index)
-        index_port = await index_server.start()
-        await self._start_metrics("indexnode", runtime)
-
-        runtime = self._make_runtime("proxy")
-        frontend = build_proxy_role(
-            self.config, runtime,
-            [f"127.0.0.1:{tafdb_port}"], f"127.0.0.1:{index_port}",
-            wal_dir=self.wal_dir)
-        self._frontend = frontend
-        proxy_server = WireServer(runtime, frontend)
-        proxy_port = await proxy_server.start()
-        await self._start_metrics("proxy", runtime)
-
-        self._servers = [tafdb_server, index_server, proxy_server]
-        self.endpoints = {"tafdb": f"127.0.0.1:{tafdb_port}",
-                          "indexnode": f"127.0.0.1:{index_port}",
-                          "proxy": f"127.0.0.1:{proxy_port}"}
+        for role in self.ROLE_ORDER:
+            runner = LiveRole(
+                role, self.config, trace=self.trace,
+                telemetry=self.telemetry, wal_dir=self._role_wal_dir(role),
+                metrics_port=0 if self.metrics else None,
+                tafdb=self.endpoints.get("tafdb", ""),
+                indexnode=self.endpoints.get("indexnode", ""))
+            self._roles.append(runner)
+            await runner.start()
+            self.endpoints[role] = runner.endpoint
+            if self.metrics:
+                self.metrics_ports[role] = runner.metrics_port
         self.proxy_endpoint = self.endpoints["proxy"]
 
-    def stop(self) -> None:
-        import asyncio
+    async def _stop_roles(self) -> None:
+        for runner in reversed(self._roles):
+            try:
+                await runner.stop()
+            except Exception:  # noqa: BLE001 - reported as its exit code
+                traceback.print_exc()
+                self._exit_codes[runner.role] = 1
+            else:
+                self._exit_codes[runner.role] = 0
 
-        if self._loop is None:
-            return
-
-        async def shutdown():
-            if self._compactor is not None:
-                self._compactor.cancel()
-            for server in self._metrics_servers:
-                await server.stop()
-            for server in self._servers:
-                await server.stop()
-            if self._frontend is not None:
-                self._frontend.service.shutdown()
-
-        future = asyncio.run_coroutine_threadsafe(shutdown(), self._loop)
-        try:
-            future.result(timeout=10)
-        except Exception:
-            pass
+    def stop(self) -> Dict[str, int]:
+        """Stop every role (proxy first); returns ``{role: 0}`` for each
+        role that shut down cleanly, 1 for one that did not."""
+        if self._thread is None:
+            return {}
         self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-        self._loop = None
+        self._thread.join(timeout=STOP_TIMEOUT_S)
         self._thread = None
-
-    # -- observability -------------------------------------------------------
-
-    def trace_snapshots(self) -> List[dict]:
-        """Per-role trace snapshots (direct runtime access; no RPC).
-
-        Safe after the driving client has drained: the snapshot payloads
-        are built from plain attribute reads on each role's runtime.
-        """
-        from repro.runtime.obs import trace_snapshot_payload
-
-        return [trace_snapshot_payload(self.runtimes[role])
-                for role in self.ROLE_ORDER if role in self.runtimes]
-
-    def metrics_snapshots(self) -> List[dict]:
-        """Per-role metrics snapshots (direct runtime access; no RPC)."""
-        from repro.runtime.obs import metrics_snapshot_payload
-
-        return [metrics_snapshot_payload(self.runtimes[role])
-                for role in self.ROLE_ORDER if role in self.runtimes]
+        return {runner.role: self._exit_codes.get(runner.role, 1)
+                for runner in reversed(self._roles)}
 
 
-class ProcessCluster:
+class ProcessCluster(_Cluster):
     """Real OS processes: one ``mantle-serve`` per role.
 
     Startup is a READY handshake — each child prints
@@ -580,43 +623,25 @@ class ProcessCluster:
     CI ``live-smoke`` job asserts).
     """
 
-    ROLE_ORDER = ("tafdb", "indexnode", "proxy")
-
     def __init__(self, config_name: str = "small",
-                 wal_dir: Optional[str] = None,
-                 ready_timeout_s: float = 30.0,
-                 trace: bool = False, telemetry: bool = False,
-                 metrics: bool = False):
+                 wal_dir: Optional[str] = None, trace: bool = False,
+                 telemetry: bool = False, metrics: bool = False):
+        super().__init__(wal_dir, trace, telemetry, metrics)
         self.config_name = config_name
-        self.wal_dir = wal_dir
-        self.ready_timeout_s = ready_timeout_s
-        self.trace = trace
-        self.telemetry = telemetry
-        self.metrics = metrics
         self.processes: Dict[str, subprocess.Popen] = {}
-        self.ports: Dict[str, int] = {}
-        #: role -> "127.0.0.1:<port>" (obs snapshot targets).
-        self.endpoints: Dict[str, str] = {}
-        #: role -> metrics HTTP port (only with ``metrics=True``).
-        self.metrics_ports: Dict[str, int] = {}
-        self.proxy_endpoint: Optional[str] = None
 
-    def __enter__(self) -> "ProcessCluster":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _spawn(self, role: str, extra: List[str]) -> subprocess.Popen:
+    def _spawn(self, role: str) -> subprocess.Popen:
         env = dict(os.environ)
         src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         argv = [sys.executable, "-m", "repro.runtime.serve", role,
-                "--config", self.config_name] + extra
+                "--config", self.config_name, "--port", "0"]
+        if role == "proxy":
+            argv += ["--tafdb", self.endpoints["tafdb"],
+                     "--indexnode", self.endpoints["indexnode"]]
         if self.wal_dir:
-            argv += ["--wal-dir", os.path.join(self.wal_dir, role)]
+            argv += ["--wal-dir", self._role_wal_dir(role)]
         if self.trace:
             argv.append("--trace")
         if self.telemetry:
@@ -630,7 +655,7 @@ class ProcessCluster:
         """Parse the READY line; returns the wire port and records any
         advertised metrics port (``MANTLE-SERVE READY port=N [metrics=M]``).
         """
-        deadline = time.monotonic() + self.ready_timeout_s
+        deadline = time.monotonic() + START_TIMEOUT_S
         while time.monotonic() < deadline:
             line = proc.stdout.readline()
             if not line:
@@ -648,45 +673,28 @@ class ProcessCluster:
             f"{role} never reported READY (rc={proc.poll()}): {stderr[-2000:]}")
 
     def start(self) -> str:
-        proc = self._spawn("tafdb", ["--port", "0"])
-        self.processes["tafdb"] = proc
-        self.ports["tafdb"] = self._await_ready("tafdb", proc)
-
-        proc = self._spawn("indexnode", ["--port", "0"])
-        self.processes["indexnode"] = proc
-        self.ports["indexnode"] = self._await_ready("indexnode", proc)
-
-        proc = self._spawn("proxy", [
-            "--port", "0",
-            "--tafdb", f"127.0.0.1:{self.ports['tafdb']}",
-            "--indexnode", f"127.0.0.1:{self.ports['indexnode']}"])
-        self.processes["proxy"] = proc
-        self.ports["proxy"] = self._await_ready("proxy", proc)
-        self.endpoints = {role: f"127.0.0.1:{port}"
-                          for role, port in self.ports.items()}
+        for role in self.ROLE_ORDER:
+            proc = self.processes[role] = self._spawn(role)
+            self.endpoints[role] = \
+                f"127.0.0.1:{self._await_ready(role, proc)}"
         self.proxy_endpoint = self.endpoints["proxy"]
         return self.proxy_endpoint
 
-    def stop(self, timeout_s: float = 15.0) -> Dict[str, int]:
+    def stop(self) -> Dict[str, int]:
         """SIGTERM every role (proxy first) and collect exit codes."""
+        roles = [role for role in reversed(self.ROLE_ORDER)
+                 if role in self.processes]
+        for role in roles:
+            if self.processes[role].poll() is None:
+                self.processes[role].terminate()
         exit_codes: Dict[str, int] = {}
-        for role in reversed(self.ROLE_ORDER):
-            proc = self.processes.get(role)
-            if proc is None:
-                continue
-            if proc.poll() is None:
-                proc.terminate()
-        for role in reversed(self.ROLE_ORDER):
-            proc = self.processes.pop(role, None)
-            if proc is None:
-                continue
+        for role in roles:
+            proc = self.processes.pop(role)
             try:
-                proc.wait(timeout=timeout_s)
+                exit_codes[role] = proc.wait(timeout=STOP_TIMEOUT_S)
             except subprocess.TimeoutExpired:
                 proc.kill()
-                proc.wait()
-            exit_codes[role] = proc.returncode
-            for stream in (proc.stdout, proc.stderr):
-                if stream is not None:
-                    stream.close()
+                exit_codes[role] = proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
         return exit_codes

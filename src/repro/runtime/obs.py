@@ -208,69 +208,88 @@ def merge_chrome_trace(snapshots: Iterable[Dict[str, Any]]) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def _global_index(snapshots: Iterable[Dict[str, Any]]):
-    """Index spans by (process, id); compute each span's global parent key.
+class _SpanIndex:
+    """Every snapshotted span under its ``(process, span_id)`` key, with
+    its global parent and children — the one index the cross-process
+    validators and the phase fold share.
 
     Parent preference: an explicit cross-process link first, then the
     within-process dynamic parent, then a ``join_to`` edge (a 2PC fan-out
     leg joining back into the span that awaited it — legs run as their own
-    tasks, so they have no dynamic parent), then the declared parent.
-    Returns ``(spans, parent_of)`` where keys are ``(process, span_id)``.
+    tasks, so they have no dynamic parent), then the declared parent.  A
+    parent that fell out of the ring (or lives in a process that was not
+    snapshotted) leaves its child a root; the validators report it.
     """
-    spans: Dict[Tuple[str, int], Span] = {}
-    for snap in snapshots:
-        proc = snap.get("process", "")
-        for span in _spans_of(snap):
-            spans[(proc, span.span_id)] = span
-    parent_of: Dict[Tuple[str, int], Optional[Tuple[str, int]]] = {}
-    for (proc, span_id), span in spans.items():
-        parent = None
+
+    def __init__(self, snapshots: Iterable[Dict[str, Any]]):
+        self.spans: Dict[Tuple[str, int], Span] = {}
+        self.processes = set()
+        for snap in snapshots:
+            proc = snap.get("process", "")
+            self.processes.add(proc)
+            for span in _spans_of(snap):
+                self.spans[(proc, span.span_id)] = span
+        self.parent_of: Dict[Tuple[str, int], Optional[Tuple[str, int]]] = {}
+        self.children: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
+        for key, span in self.spans.items():
+            parent = self._parent_key(key[0], span)
+            if parent not in self.spans:
+                parent = None
+            self.parent_of[key] = parent
+            if parent is not None:
+                self.children.setdefault(parent, []).append(key)
+
+    @staticmethod
+    def _parent_key(proc: str, span: Span) -> Optional[Tuple[str, int]]:
         attrs = span.attrs or {}
         if "remote_parent_proc" in attrs:
-            parent = (str(attrs["remote_parent_proc"]),
-                      int(attrs.get("remote_parent_span", 0)))
-        elif span.dyn_parent_id:
-            parent = (proc, span.dyn_parent_id)
-        elif attrs.get("join_to"):
-            parent = (proc, int(attrs["join_to"]))
-        elif span.parent_id:
-            parent = (proc, span.parent_id)
-        if parent is not None and parent not in spans:
-            # Parent fell out of the ring (or lives in a process we did
-            # not snapshot): treat as a root, the validators report it.
-            parent = None
-        parent_of[(proc, span_id)] = parent
-    return spans, parent_of
+            return (str(attrs["remote_parent_proc"]),
+                    int(attrs.get("remote_parent_span", 0)))
+        if span.dyn_parent_id:
+            return (proc, span.dyn_parent_id)
+        if attrs.get("join_to"):
+            return (proc, int(attrs["join_to"]))
+        if span.parent_id:
+            return (proc, span.parent_id)
+        return None
+
+    def op_roots(self):
+        """``(key, span)`` of every op span heading a tree, in key order."""
+        for key, span in sorted(self.spans.items()):
+            if span.category == CAT_OP and self.parent_of[key] is None:
+                yield key, span
+
+    def tree(self, root: Tuple[str, int]) -> List[Tuple[str, int]]:
+        """Every key under ``root`` (itself included), each once."""
+        seen = set()
+        order = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            order.append(node)
+            stack.extend(self.children.get(node, ()))
+        return order
 
 
 def cross_process_problems(snapshots: List[Dict[str, Any]]) -> List[str]:
-    """Check the merged trace's cross-process structure; returns problems.
-
-    * every ``remote_parent_*`` reference must resolve to a snapshotted
-      span in the named process;
-    * every ``op`` root must head a *connected* tree — no descendant may
-      sit in a cycle or dangle off a missing parent (both would mean the
-      re-parenting protocol lost an edge).
-    """
+    """Check the merged trace's cross-process structure; returns problems:
+    every ``remote_parent_*`` reference must resolve to a snapshotted span
+    in the named process (a dangling one would mean the re-parenting
+    protocol lost an edge)."""
+    index = _SpanIndex(snapshots)
     problems: List[str] = []
-    spans: Dict[Tuple[str, int], Span] = {}
-    procs = set()
-    for snap in snapshots:
-        proc = snap.get("process", "")
-        procs.add(proc)
-        for span in _spans_of(snap):
-            spans[(proc, span.span_id)] = span
-    for (proc, span_id), span in sorted(spans.items()):
-        attrs = span.attrs or {}
-        if "remote_parent_proc" not in attrs:
+    for (proc, span_id), span in sorted(index.spans.items()):
+        if "remote_parent_proc" not in (span.attrs or {}):
             continue
-        target = (str(attrs["remote_parent_proc"]),
-                  int(attrs.get("remote_parent_span", 0)))
-        if target[0] not in procs:
+        target = _SpanIndex._parent_key(proc, span)
+        if target[0] not in index.processes:
             problems.append(
                 f"{proc}#{span_id} ({span.name}): remote parent process "
                 f"{target[0]!r} was not snapshotted")
-        elif target not in spans:
+        elif target not in index.spans:
             problems.append(
                 f"{proc}#{span_id} ({span.name}): remote parent "
                 f"{target[0]}#{target[1]} not found (dropped span?)")
@@ -280,27 +299,13 @@ def cross_process_problems(snapshots: List[Dict[str, Any]]) -> List[str]:
 def op_tree_stats(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Connectivity stats for the merged trace: per-op-root tree sizes and
     the set of processes each tree touches (the e2e assertion surface)."""
-    spans, parent_of = _global_index(snapshots)
-    children: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
-    for key, parent in parent_of.items():
-        if parent is not None:
-            children.setdefault(parent, []).append(key)
+    index = _SpanIndex(snapshots)
     trees = []
-    for key, span in sorted(spans.items()):
-        if span.category != CAT_OP or parent_of[key] is not None:
-            continue
-        seen = set()
-        stack = [key]
-        touched = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            touched.add(node[0])
-            stack.extend(children.get(node, ()))
+    for key, span in index.op_roots():
+        nodes = index.tree(key)
         trees.append({"root": f"{key[0]}#{key[1]}", "op": span.name,
-                      "spans": len(seen), "processes": sorted(touched)})
+                      "spans": len(nodes),
+                      "processes": sorted({node[0] for node in nodes})})
     return {"ops": len(trees), "trees": trees}
 
 
@@ -379,15 +384,9 @@ def phase_breakdown(snapshots: List[Dict[str, Any]]) -> Dict[str, OpPhases]:
     via the remote links — double-counts nothing.  Works identically on
     simulated and live snapshots; only successful ops are folded.
     """
-    spans, parent_of = _global_index(snapshots)
-    children: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
-    for key, parent in parent_of.items():
-        if parent is not None:
-            children.setdefault(parent, []).append(key)
+    index = _SpanIndex(snapshots)
     out: Dict[str, OpPhases] = {}
-    for key, span in sorted(spans.items()):
-        if span.category != CAT_OP or parent_of[key] is not None:
-            continue
+    for key, span in index.op_roots():
         if not span.ok or span.end_us is None:
             continue
         agg = out.get(span.name)
@@ -395,19 +394,12 @@ def phase_breakdown(snapshots: List[Dict[str, Any]]) -> Dict[str, OpPhases]:
             agg = out[span.name] = OpPhases(span.name)
         agg.count += 1
         agg.total_latency_us += span.duration_us
-        seen = set()
-        stack = [key]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            node_span = spans[node]
-            if node_span.costs:
-                for (kind, _host), us in node_span.costs.items():
+        for node in index.tree(key):
+            costs = index.spans[node].costs
+            if costs:
+                for (kind, _host), us in costs.items():
                     folded = _fold_kind(kind)
                     agg.phase_us[folded] = agg.phase_us.get(folded, 0.0) + us
-            stack.extend(children.get(node, ()))
     return out
 
 
@@ -415,25 +407,24 @@ def phase_breakdown(snapshots: List[Dict[str, Any]]) -> Dict[str, OpPhases]:
 # Snapshot collection over the wire.
 # ---------------------------------------------------------------------------
 
-def call_endpoint(endpoint: str, method: str, timeout_s: float = 10.0) -> Any:
-    """One throwaway-connection RPC (used for obs.* control methods)."""
-    from repro.runtime.client import LiveClient
-
-    with LiveClient(endpoint, rpc_timeout_s=timeout_s) as client:
-        return client.call(method)
-
-
 def collect_snapshots(endpoints: Dict[str, str],
                       method: str = "obs.trace_snapshot"
                       ) -> List[Dict[str, Any]]:
-    """Fetch one obs snapshot from each role endpoint, in role order.
+    """Fetch one obs snapshot from each role endpoint, sorted by role
+    name, over a throwaway connection each.
 
-    ``endpoints`` maps role name -> ``host:port``.  Blocking sockets: call
-    it from synchronous driver code (the ``mantle-exp`` commands), never
-    from inside a live cluster's loop.
+    ``endpoints`` maps role name -> ``host:port`` (a cluster's
+    ``endpoints``, either flavour).  Blocking sockets: call it from
+    synchronous code (the ``mantle-exp`` commands, the ledger, tests),
+    never from inside a live cluster's loop.
     """
-    return [call_endpoint(endpoint, method)
-            for _role, endpoint in sorted(endpoints.items())]
+    from repro.runtime.client import LiveClient
+
+    snapshots = []
+    for _role, endpoint in sorted(endpoints.items()):
+        with LiveClient(endpoint, rpc_timeout_s=10.0) as client:
+            snapshots.append(client.call(method))
+    return snapshots
 
 
 # ---------------------------------------------------------------------------

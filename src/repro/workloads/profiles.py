@@ -10,6 +10,7 @@ statistics).
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from typing import Dict, Optional, Tuple
 
 from repro.workloads.namespace import NamespaceSpec, build_namespace
@@ -33,7 +34,9 @@ class NamespaceProfile:
         """Build a scaled namespace matching this profile's shape.
 
         ``scale_entries`` is the approximate number of entries to generate;
-        the object fraction and mean depth follow the profile.
+        the object fraction and mean depth follow the profile.  Without a
+        ``seed`` the tree is seeded from a digest of the profile's name,
+        so it is the same in every process.
         """
         objects_per_dir = max(
             1, round(self.object_fraction / (1.0 - self.object_fraction)))
@@ -43,7 +46,8 @@ class NamespaceProfile:
             objects_per_dir=objects_per_dir,
             mean_depth=self.mean_depth,
             max_depth=min(self.max_depth, 30),  # laptop-scale clip
-            seed=seed if seed is not None else hash(self.name) & 0xFFFF,
+            seed=(seed if seed is not None
+                  else zlib.crc32(self.name.encode()) & 0xFFFF),
             root=f"/{self.name}")
 
 

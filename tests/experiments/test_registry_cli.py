@@ -1,8 +1,14 @@
 """Tests for the experiment registry and CLI (fast experiments only —
 the heavy figure runs are exercised by the benchmark suite)."""
 
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bench.report import Table
 from repro.experiments import REGISTRY, get_experiment, list_experiments
 from repro.experiments.cli import main
@@ -56,6 +62,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 3a" in out
         assert "ns4" in out
+
+    def test_fig03_tables_do_not_depend_on_the_hash_seed(self):
+        # The profiles seed their synthetic trees from a digest of the
+        # namespace name, not hash(): interpreters with different hash
+        # seeds must print the same tables.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.experiments.cli", "run",
+                 "fig03", "--scale", "quick"],
+                env=env, capture_output=True, text=True, check=True)
+            outputs.append(re.sub(r"[0-9.]+s wall", "", proc.stdout))
+        assert "Figure 3b" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_run_with_scale_flag_validation(self):
         with pytest.raises(SystemExit):

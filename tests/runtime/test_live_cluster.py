@@ -9,10 +9,10 @@ OS processes spawned via ``mantle-serve``.
 
 import sys
 import threading
+import time
 
 import pytest
 
-from repro.core.config import MantleConfig
 from repro.errors import (
     AlreadyExistsError,
     ConnectionLostError,
@@ -22,7 +22,11 @@ from repro.errors import (
 from repro.ops import Create, DirStat, Mkdir, ObjStat, ReadDir
 from repro.runtime import obs
 from repro.runtime.client import LiveClient
-from repro.runtime.live import InProcessCluster, ProcessCluster
+from repro.runtime.live import (
+    LIVE_PURGE_PERIOD_US,
+    InProcessCluster,
+    ProcessCluster,
+)
 from repro.sim.trace import Tracer
 from repro.types import EntryKind, OpResult, Permission, StatResult
 
@@ -275,8 +279,7 @@ class TestClientThreads:
 
 class TestTracedClient:
     def test_every_op_roots_one_connected_span_tree(self):
-        config = MantleConfig.small().copy(tracing=True)
-        with InProcessCluster(config=config) as cluster:
+        with InProcessCluster(trace=True) as cluster:
             with LiveClient(cluster.proxy_endpoint,
                             tracer=Tracer()) as client:
                 client.mkdir("/tr")
@@ -286,7 +289,7 @@ class TestTracedClient:
                 assert [item.ok for item in items] == [True] * 4 + \
                     [False, True]
                 client.objstat("/tr/o0")
-                snapshots = cluster.trace_snapshots()
+                snapshots = obs.collect_snapshots(cluster.endpoints)
                 snapshots.append(client.trace_snapshot())
         assert obs.cross_process_problems(snapshots) == []
         assert obs.dyn_self_time_problems(snapshots, tolerance_us=50.0) == []
@@ -305,6 +308,43 @@ class TestTracedClient:
         phases = obs.phase_breakdown(snapshots)
         assert phases["create"].mean_phase_us("cpu") > 0.0
         assert phases["create"].mean_phase_us("queue") > 0.0
+
+
+class TestLiveInvalidator:
+    @staticmethod
+    def _index_counters(cluster) -> dict:
+        snapshot, = obs.collect_snapshots(
+            {"indexnode": cluster.endpoints["indexnode"]},
+            method="obs.metrics_snapshot")
+        totals = {}
+        for row in snapshot["telemetry"]["rows"]:
+            if row["kind"] == "counter":
+                totals[row["metric"]] = \
+                    totals.get(row["metric"], 0) + row["value"]
+        return totals
+
+    def test_removal_list_drains_after_a_rename(self):
+        # The IndexNode role drives the simulator's invalidator loop: a few
+        # purge periods after a rename, lookups under the old prefix no
+        # longer bypass the path cache.
+        with InProcessCluster(telemetry=True) as cluster:
+            with LiveClient(cluster.proxy_endpoint) as client:
+                client.mkdir("/a/b/c/d/e", parents=True)
+                client.rename("/a/b", "/a/z")
+                time.sleep(6 * LIVE_PURGE_PERIOD_US / 1e6)
+                before = self._index_counters(cluster)
+                client.mkdir("/a/b/c/d/e", parents=True)
+                client.create("/a/b/c/d/e/o")
+                client.objstat("/a/b/c/d/e/o")
+                after = self._index_counters(cluster)
+            codes = cluster.stop()
+        lookups = sum(after.get(metric, 0) - before.get(metric, 0)
+                      for metric in ("index.cache_hits", "index.cache_misses",
+                                     "index.cache_bypass"))
+        assert lookups > 0
+        assert after.get("index.cache_bypass", 0) == \
+            before.get("index.cache_bypass", 0)
+        assert codes == {"proxy": 0, "indexnode": 0, "tafdb": 0}
 
 
 @pytest.mark.slow

@@ -6,7 +6,8 @@ the cross-process properties the tooling depends on: every op roots one
 *connected* span tree across client, proxy, and backend; the merged
 Chrome-trace export validates; wall-clock self-times telescope; and every
 role serves a schema-valid metrics snapshot (over the wire and, for the
-HTTP endpoint, over plain GET).
+HTTP endpoint, over plain GET).  Every snapshot is read over the roles'
+``obs.*`` RPCs, the one path both cluster flavours serve.
 """
 
 import json
@@ -14,7 +15,6 @@ import urllib.request
 
 import pytest
 
-from repro.core.config import MantleConfig
 from repro.runtime import obs
 from repro.runtime.client import LiveClient
 from repro.runtime.live import InProcessCluster
@@ -24,8 +24,8 @@ from repro.sim.trace import Tracer, validate_chrome_trace
 @pytest.fixture(scope="module")
 def traced_world():
     """Cluster + client snapshots after a fixed traced workload."""
-    config = MantleConfig.small().copy(tracing=True, telemetry=True)
-    with InProcessCluster(config=config, metrics=True) as cluster:
+    with InProcessCluster(trace=True, telemetry=True,
+                          metrics=True) as cluster:
         client = LiveClient(cluster.proxy_endpoint, tracer=Tracer())
         with client:
             client.mkdir("/obs")
@@ -34,9 +34,10 @@ def traced_world():
                 client.objstat(f"/obs/o{i}")
             client.listdir("/obs")
             client.dirstat("/obs")
-        snapshots = cluster.trace_snapshots()
+        snapshots = obs.collect_snapshots(cluster.endpoints)
         snapshots.append(client.trace_snapshot())
-        metrics = cluster.metrics_snapshots()
+        metrics = obs.collect_snapshots(cluster.endpoints,
+                                        method="obs.metrics_snapshot")
         http_payloads = []
         for port in sorted(cluster.metrics_ports.values()):
             with urllib.request.urlopen(f"http://127.0.0.1:{port}/",
@@ -138,13 +139,12 @@ class TestUntracedInterop:
     def test_untraced_client_against_traced_cluster(self):
         # Old-style frames (no trace context) must still be served, and
         # the server must treat them as untraced callers.
-        config = MantleConfig.small().copy(tracing=True, telemetry=True)
-        with InProcessCluster(config=config) as cluster:
+        with InProcessCluster(trace=True, telemetry=True) as cluster:
             with LiveClient(cluster.proxy_endpoint) as client:
                 client.mkdir("/plain")
                 client.create("/plain/o")
                 assert client.listdir("/plain") == ["o"]
-            snapshots = cluster.trace_snapshots()
+            snapshots = obs.collect_snapshots(cluster.endpoints)
         # Server-side spans exist (role tracers are on, and proxy->backend
         # RPCs still propagate *proxy* context) but none may reference the
         # client, which sent old-style frames.
@@ -158,10 +158,15 @@ class TestUntracedInterop:
         with InProcessCluster() as cluster:
             with LiveClient(cluster.proxy_endpoint) as client:
                 client.mkdir("/off")
-            for runtime in cluster.runtimes.values():
-                assert not runtime.tracer.enabled
-                assert not runtime.telemetry.enabled
-            snapshots = cluster.trace_snapshots()
+            snapshots = obs.collect_snapshots(cluster.endpoints)
+            metrics = obs.collect_snapshots(cluster.endpoints,
+                                            method="obs.metrics_snapshot")
+        assert {snap["process"] for snap in snapshots} == \
+            {"tafdb", "indexnode", "proxy"}
         for snap in snapshots:
             assert snap["enabled"] is False
             assert snap["spans"] == []
+        for payload in metrics:
+            assert payload["tracing"]["enabled"] is False
+            assert payload["telemetry"]["enabled"] is False
+            assert payload["telemetry"]["rows"] == []
