@@ -913,7 +913,7 @@ _PHASE_ENUM = ("enum", PHASE_LABELS)
 TRIAGE_SHAPE = {
     "name": "str", "system": "str", "target": "str", "op": "str",
     "trace_stats": dict.fromkeys(
-        ("started", "finished", "dropped", "sample_every", "kept_roots",
+        ("started", "finished", "dropped", "kept_roots",
          "kept_errors", "kept_spans", "kept_evicted_roots"), "int>=0"),
     "phases": [{
         "label": _PHASE_ENUM,

@@ -72,6 +72,7 @@ class RaftGroup:
 
     def _deliver(self, to_id: int, message):
         tracer = self.sim.tracer
+        span = None
         if tracer.enabled:
             # Attribute the flight to the destination replica's host so
             # replication traffic shows up against the IndexNode servers
@@ -84,15 +85,12 @@ class RaftGroup:
             host = target.host.name if target is not None else None
             span = tracer.begin("raft.msg:" + type(message).__name__,
                                 self.sim.now, category="raft", host=host)
-            sent_us = self.sim._now
-            yield from self.network.transit()
-            tracer.charge("wire", self.sim._now - sent_us, host)
-        else:
-            span = None
-            yield from self.network.transit()
+        sent_us = self.sim._now
+        yield from self.network.transit()
         target = self.nodes.get(to_id)
         dropped = target is None or target._stopped or target.host.crashed
         if span is not None:
+            tracer.charge("wire", self.sim._now - sent_us, host)
             span.annotate(to=to_id, dropped=dropped)
             tracer.end(span, self.sim.now, ok=not dropped)
         if dropped:

@@ -355,33 +355,30 @@ class RaftNode:
         if isinstance(message, _Poke):
             return
         tracer = self.sim.tracer
+        span = None
         if tracer.enabled:
             span = tracer.begin("raft." + type(message).__name__,
                                 self.sim.now, category="raft",
                                 host=self.host.name)
-            try:
-                yield from self._handle_traced(message)
-            finally:
+        try:
+            yield from self.host.work(self.group.costs.raft_msg_us)
+            if isinstance(message, RequestVote):
+                yield from self._on_request_vote(message)
+            elif isinstance(message, VoteReply):
+                self._on_vote_reply(message)
+            elif isinstance(message, AppendEntries):
+                yield from self._on_append_entries(message)
+            elif isinstance(message, AppendReply):
+                yield from self._on_append_reply(message)
+            elif isinstance(message, InstallSnapshot):
+                yield from self._on_install_snapshot(message)
+            elif isinstance(message, SnapshotReply):
+                self._on_snapshot_reply(message)
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown raft message {message!r}")
+        finally:
+            if span is not None:
                 tracer.end(span, self.sim.now)
-            return
-        yield from self._handle_traced(message)
-
-    def _handle_traced(self, message):
-        yield from self.host.work(self.group.costs.raft_msg_us)
-        if isinstance(message, RequestVote):
-            yield from self._on_request_vote(message)
-        elif isinstance(message, VoteReply):
-            self._on_vote_reply(message)
-        elif isinstance(message, AppendEntries):
-            yield from self._on_append_entries(message)
-        elif isinstance(message, AppendReply):
-            yield from self._on_append_reply(message)
-        elif isinstance(message, InstallSnapshot):
-            yield from self._on_install_snapshot(message)
-        elif isinstance(message, SnapshotReply):
-            self._on_snapshot_reply(message)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown raft message {message!r}")
 
     def _on_request_vote(self, msg: RequestVote):
         if msg.term > self.current_term:
@@ -425,16 +422,13 @@ class RaftNode:
                 max(self.log.base_index, hint, 0)))
             return
         appended = self.log.merge(msg.prev_index, msg.entries)
-        # Timing piggyback feeds both the tracer's commit-wait split and
-        # the telemetry skew histogram; measuring is pure subtraction, so
-        # either instrument alone turns it on without changing results.
-        timed = self.sim.tracer.enabled or self.sim.telemetry.enabled
+        # Timing piggyback for the tracer's commit-wait split and the
+        # telemetry skew histogram; measuring it is pure subtraction.
         flush_us = apply_us = 0.0
         if appended:
             flush_started = self.sim.now
             yield from self.host.fsync()  # one fsync per shipped batch
-            if timed:
-                flush_us = self.sim.now - flush_started
+            flush_us = self.sim.now - flush_started
         match = msg.prev_index + len(msg.entries)
         if msg.leader_commit > self.commit_index:
             # Only up to the last entry this message vouches for: a suffix
@@ -443,8 +437,7 @@ class RaftNode:
                                     min(msg.leader_commit, match))
             apply_started = self.sim.now
             yield from self._apply_committed()
-            if timed:
-                apply_us = self.sim.now - apply_started
+            apply_us = self.sim.now - apply_started
         self.group.send(self.id, msg.leader_id, AppendReply(
             self.current_term, self.id, True, match, flush_us, apply_us))
 
@@ -461,8 +454,7 @@ class RaftNode:
             # ``next`` already points past everything shipped (see
             # _send_append); an old reply must not pull it back.
             self._next_index[peer] = max(self._next_index[peer], match + 1)
-            if self.sim.tracer.enabled or self.sim.telemetry.enabled:
-                self._reply_times[peer] = (msg.flush_us, msg.apply_us)
+            self._reply_times[peer] = (msg.flush_us, msg.apply_us)
             yield from self._advance_commit(gating=msg)
             # Catch-up beyond one message's replication_limit: entries
             # never shipped yet, so nothing crosses the wire twice.

@@ -43,7 +43,7 @@ from repro.errors import (
 from repro.runtime import wire
 from repro.runtime.base import Runtime
 from repro.sim.telemetry import NULL_TELEMETRY
-from repro.sim.trace import NULL_SPAN, NULL_TRACER, RemoteSpanRef
+from repro.sim.trace import NULL_TRACER, RemoteSpanRef
 
 #: Default per-RPC response deadline.  Generous: live ops are millisecond
 #: scale, and a smoke run on a loaded CI box must not flake.
@@ -51,13 +51,11 @@ DEFAULT_RPC_TIMEOUT_S = 30.0
 
 
 # The effects a driven generator yields.  ``_Rpc.trace`` is cross-process
-# span context to stamp on the request frame; with ``want_meta`` the effect
-# resolves to ``(result, response envelope)`` so the instrumented ``rpc()``
-# can split round-trip time into wire vs remote handler time (``srv_us``).
+# span context to stamp on the request frame; the effect resolves to
+# ``(result, response envelope)`` so a traced ``rpc()`` can split
+# round-trip time into wire vs remote handler time (``srv_us``).
 _Sleep = collections.namedtuple("_Sleep", "us")
-_Rpc = collections.namedtuple(
-    "_Rpc", "service method args kwargs trace want_meta",
-    defaults=(None, False))
+_Rpc = collections.namedtuple("_Rpc", "service method args kwargs trace")
 _Gather = collections.namedtuple("_Gather", "generators")
 _Offload = collections.namedtuple("_Offload", "fn args")
 
@@ -130,48 +128,48 @@ class AsyncioRuntime(Runtime):
                 started, now, now - started)
 
     def rpc(self, service, method: str, *args, ctx=None, **kwargs):
+        """One round trip to ``service``.  Traced, it opens an rpc span
+        parented like the simulated ``Network.rpc``'s (the op context's
+        root, falling back to the innermost open span), ships span context
+        on the frame, and charges the round trip as wire cost plus what the
+        remote handler reports it cost."""
         if ctx is not None:
             ctx.rpcs += 1
         tracer = self.tracer
         telemetry = self.telemetry
-        if not tracer.enabled and not telemetry.enabled:
-            result = yield _Rpc(service, method, args, kwargs)
-            return result
-        # Instrumented path: open an rpc span parented like the simulated
-        # Network.rpc (the op context's root, falling back to the innermost
-        # open span), ship span context on the frame, and charge the round
-        # trip as wire cost plus what the remote handler reports it cost.
-        name = getattr(service, "name", None) or str(service)
-        span = NULL_SPAN
-        trace_ctx = None
-        if tracer.enabled:
-            parent = ctx.trace if ctx is not None else tracer.current_span()
-            span = tracer.begin("rpc:" + method, self.now, category="rpc",
-                                parent=parent, host=name)
-            if span:
+        span = trace_ctx = started = None
+        if tracer.enabled or telemetry.enabled:
+            name = getattr(service, "name", None) or str(service)
+            if tracer.enabled:
+                parent = (ctx.trace if ctx is not None
+                          else tracer.current_span())
+                span = tracer.begin("rpc:" + method, self.now,
+                                    category="rpc", parent=parent, host=name)
                 trace_ctx = {"proc": self.process_name,
                              "span": span.span_id}
-        started = self.now
-        if telemetry.enabled:
-            telemetry.counter("rpc.count", name).add(started)
-            telemetry.gauge("rpc.in_flight").adjust(started, 1.0)
+            started = self.now
+            if telemetry.enabled:
+                telemetry.counter("rpc.count", name).add(started)
+                telemetry.gauge("rpc.in_flight").adjust(started, 1.0)
         ok = True
         try:
             result, envelope = yield _Rpc(service, method, args, kwargs,
-                                          trace=trace_ctx, want_meta=True)
+                                          trace_ctx)
         except BaseException:
             ok = False
             raise
         finally:
-            now = self.now
-            if telemetry.enabled:
-                telemetry.gauge("rpc.in_flight").adjust(now, -1.0)
-                telemetry.histogram("rpc.latency_us", name).record(
-                    now, now - started)
-            if tracer.enabled:
-                if ok:
-                    charge_round_trip(tracer, now - started, envelope, name)
-                tracer.end(span, now, ok=ok)
+            if started is not None:
+                now = self.now
+                if telemetry.enabled:
+                    telemetry.gauge("rpc.in_flight").adjust(now, -1.0)
+                    telemetry.histogram("rpc.latency_us", name).record(
+                        now, now - started)
+                if span is not None:
+                    if ok:
+                        charge_round_trip(tracer, now - started, envelope,
+                                          name)
+                    tracer.end(span, now, ok=ok)
         return result
 
     def gather(self, generators: Iterable):
@@ -218,14 +216,9 @@ class AsyncioRuntime(Runtime):
             timing.paused = self.now
         kind = type(effect)
         if kind is _Rpc:
-            if effect.want_meta:
-                return effect.service.call(
-                    effect.method, effect.args, effect.kwargs,
-                    timeout_s=self.rpc_timeout_s, trace=effect.trace,
-                    with_meta=True)
             return effect.service.call(
                 effect.method, effect.args, effect.kwargs,
-                timeout_s=self.rpc_timeout_s)
+                timeout_s=self.rpc_timeout_s, trace=effect.trace)
         if kind is _Offload:
             return asyncio.get_running_loop().run_in_executor(
                 None, effect.fn, *effect.args)
@@ -303,7 +296,7 @@ class RpcConnection(FrameProtocol):
     def __init__(self, endpoint: str):
         super().__init__()
         self.endpoint = endpoint
-        #: request id -> (response future, deadline timer, with_meta)
+        #: request id -> (response future, deadline timer)
         self._pending: Dict[int, tuple] = {}
         self._next_id = 0
         self._connect_lock = asyncio.Lock()
@@ -313,15 +306,16 @@ class RpcConnection(FrameProtocol):
 
     def call(self, method: str, args: tuple, kwargs: dict,
              timeout_s: float = DEFAULT_RPC_TIMEOUT_S,
-             trace: Optional[dict] = None, with_meta: bool = False):
+             trace: Optional[dict] = None):
         """Begin one request/response round trip — the frame is written
         before this returns, unless the connection first has to be made or
-        drained — and return its awaitable.  ``trace`` rides the request
-        envelope as cross-process span context; ``with_meta`` resolves to
-        ``(result, payload)`` for the envelope's metadata (``srv_us``)."""
+        drained — and return its awaitable, which resolves to ``(result,
+        payload)``: the response envelope carries the server's handler
+        cost (``srv_us``) when it is traced.  ``trace`` rides the request
+        envelope as cross-process span context."""
         if self.transport is None or self._drained is not None:
             return self._call_when_writable(method, args, kwargs, timeout_s,
-                                            trace, with_meta)
+                                            trace)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._next_id += 1
@@ -336,7 +330,7 @@ class RpcConnection(FrameProtocol):
             return future
         deadline = loop.call_later(timeout_s, self._expire, request_id,
                                    timeout_s)
-        self._pending[request_id] = (future, deadline, with_meta)
+        self._pending[request_id] = (future, deadline)
         return future
 
     async def _call_when_writable(self, *call) -> Any:
@@ -361,7 +355,7 @@ class RpcConnection(FrameProtocol):
 
     def _settle(self, request_id, result: Any = None,
                 error: Optional[Exception] = None) -> None:
-        future, deadline, _ = self._pending.pop(request_id)
+        future, deadline = self._pending.pop(request_id)
         deadline.cancel()
         if future.done():  # the caller gave up (cancelled) meanwhile
             return
@@ -372,15 +366,14 @@ class RpcConnection(FrameProtocol):
 
     def frame_received(self, payload: dict) -> None:
         request_id = payload.get("id")
-        entry = self._pending.get(request_id)
-        if entry is None:
+        if request_id not in self._pending:
             return  # the call already hit its deadline: drop the late reply
         try:
             result = wire.decode_result(payload)
         except Exception as exc:  # noqa: BLE001 - the remote (typed) error
             self._settle(request_id, error=exc)
         else:
-            self._settle(request_id, (result, payload) if entry[2] else result)
+            self._settle(request_id, (result, payload))
 
     def _expire(self, request_id: int, timeout_s: float) -> None:
         self._settle(request_id,

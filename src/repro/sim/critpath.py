@@ -90,7 +90,7 @@ from repro.sim.host import COMPONENT_FIELDS, CostOverrides
 from repro.sim.trace import CAT_OP, Span, check_shape, shape_items
 
 #: Occupant tag used when a queue segment carries no ``queue_by`` entry
-#: (unlabelled holder, sampled-out root, float-dust residuals).
+#: (unlabelled holder, float-dust residuals).
 UNKNOWN_CULPRIT = ("(unknown)", None)
 
 #: Gating-segment kinds, in display order.  ``queue:*`` refines ``queue``
@@ -164,14 +164,6 @@ class CritPath:
         out: Dict[str, float] = {}
         for (_host, _frame, kind), us in self.gated.items():
             out[kind] = out.get(kind, 0.0) + us
-        return out
-
-    def host_kind_totals(self) -> Dict[Tuple[Optional[str], str], float]:
-        """(host, collapsed kind) -> gated us; the contrast alignment."""
-        out: Dict[Tuple[Optional[str], str], float] = {}
-        for (host, _frame, kind), us in self.gated.items():
-            key = (host, collapse_kind(kind))
-            out[key] = out.get(key, 0.0) + us
         return out
 
     def conservation_error(self) -> float:
@@ -650,8 +642,8 @@ def contrast_with_profile(crit: CritPath, profile) -> List[ContrastRow]:
 # What-if: first-order prediction of a virtual speedup.
 # ---------------------------------------------------------------------------
 
-def component_of(host: Optional[str], frame: str, kind: str,
-                 include_queue: bool = True) -> Optional[str]:
+def component_of(host: Optional[str], frame: str,
+                 kind: str) -> Optional[str]:
     """Map a gating center to the override component that scales it.
 
     Returns ``None`` for centers no single cost constant controls:
@@ -660,8 +652,7 @@ def component_of(host: Optional[str], frame: str, kind: str,
     fallback.  ``raft.replicate`` — wire-only now that follower fsync/cpu
     are split out via the AppendReply piggyback — maps to ``net.rtt``.
     Queue segments map to the component of the resource they waited on
-    (first-order: waits shrink with service time) unless
-    ``include_queue`` is off.
+    (first-order: waits shrink with service time).
     """
     if kind == "idle":
         return None
@@ -671,8 +662,6 @@ def component_of(host: Optional[str], frame: str, kind: str,
         return "net.rtt"
     resource = None
     if kind.startswith("queue"):
-        if not include_queue:
-            return None
         resource = kind.partition(":")[2]
         if resource in ("", "latch"):
             return None
@@ -697,17 +686,16 @@ class Prediction:
     """First-order what-if estimate for one override set."""
 
     __slots__ = ("overrides", "baseline_mean_us", "ops", "gain_us_per_op",
-                 "matched_us_per_op", "include_queue")
+                 "matched_us_per_op")
 
     def __init__(self, overrides: CostOverrides, baseline_mean_us: float,
                  ops: int, gain_us_per_op: float,
-                 matched_us_per_op: Dict[str, float], include_queue: bool):
+                 matched_us_per_op: Dict[str, float]):
         self.overrides = overrides
         self.baseline_mean_us = baseline_mean_us
         self.ops = ops
         self.gain_us_per_op = gain_us_per_op
         self.matched_us_per_op = matched_us_per_op
-        self.include_queue = include_queue
 
     @property
     def predicted_mean_us(self) -> float:
@@ -730,8 +718,7 @@ class Prediction:
         return self.baseline_mean_us / predicted
 
 
-def predict_speedup(crit: CritPath, overrides: CostOverrides,
-                    include_queue: bool = True) -> Prediction:
+def predict_speedup(crit: CritPath, overrides: CostOverrides) -> Prediction:
     """Predict the latency delta of ``overrides`` from gating slack alone.
 
     First-order model: a center gated for ``g`` microseconds per run,
@@ -747,8 +734,7 @@ def predict_speedup(crit: CritPath, overrides: CostOverrides,
     gain = 0.0
     matched: Dict[str, float] = {component: 0.0 for component in factors}
     for (host, frame, kind), us in crit.gated.items():
-        component = component_of(host, frame, kind,
-                                 include_queue=include_queue)
+        component = component_of(host, frame, kind)
         if component is None:
             continue
         factor = factors.get(component)
@@ -757,7 +743,7 @@ def predict_speedup(crit: CritPath, overrides: CostOverrides,
         matched[component] += us / ops
         gain += (us / ops) * (1.0 - 1.0 / factor)
     return Prediction(overrides, crit.mean_latency_us, crit.ops, gain,
-                      matched, include_queue)
+                      matched)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +821,6 @@ _STATION_METRICS = (("host.cpu_busy_us", "cpu"),
 
 def predict_speedup_corrected(crit: CritPath, overrides: CostOverrides,
                               profile, telemetry, clients: int,
-                              include_queue: bool = True,
                               ) -> CorrectedPrediction:
     """Queueing-aware what-if: slack prediction + bottleneck-law floor.
 
@@ -845,7 +830,7 @@ def predict_speedup_corrected(crit: CritPath, overrides: CostOverrides,
     busy microseconds, capacities and queue depths; ``clients`` is the
     closed-loop population that drove the run.
     """
-    slack = predict_speedup(crit, overrides, include_queue=include_queue)
+    slack = predict_speedup(crit, overrides)
     factors = overrides.as_dict()
     ops = max(crit.ops, 1)
     elapsed = max((root.end_us or 0.0 for root, _us in crit.root_paths),
@@ -863,7 +848,7 @@ def predict_speedup_corrected(crit: CritPath, overrides: CostOverrides,
             resource = "disk"
         else:
             continue
-        component = component_of(host, frame, kind, include_queue=False)
+        component = component_of(host, frame, kind)
         factor = factors.get(component) if component else None
         if factor is None or host is None:
             continue

@@ -298,12 +298,8 @@ class Host:
         """
         return self._occupy(self.cpu, us)
 
-    def fsync(self, amortized_over: int = 1):
-        """Charge one durable flush, optionally amortised across a batch.
-
-        Raft log batching submits many entries under a single fsync; the
-        caller passes the batch size so per-entry accounting stays honest.
-        """
+    def fsync(self):
+        """Charge one durable flush."""
         return self._occupy(self.disk, self.fsync_us)
 
     def fsync_cost(self, us: float):

@@ -7,10 +7,11 @@ faithfully.  Asynchronous messaging (Raft) uses :class:`repro.sim.resources.Stor
 mailboxes instead.
 
 A handler that is one CPU charge between two plain computations is declared
-:func:`unary`.  Called without a tracer or telemetry attached, such an RPC
-is one :class:`_UnaryCall` event the kernel steps through out-flight, grant,
-work, body and back-flight, so the caller resumes once, with the reply.
-Everything else, and every instrumented call, runs the handler generator.
+:func:`unary`.  Such an RPC is one :class:`_UnaryCall` event the kernel
+steps through out-flight, grant, work, body and back-flight, so the caller
+resumes once, with the reply.  Every other handler runs as a generator in
+the caller's process.  A tracer or telemetry changes what is recorded,
+never which of the two runs.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ def unary(declaration: Callable) -> Callable:
     ``declaration(self, *args, **kwargs)`` runs when the request arrives
     and returns ``(us, then, arg)``: the CPU to charge on the server's
     host, then what the reply is once it is charged — ``then(arg)``, or
-    ``arg`` itself when ``then`` is None.  The generator handler that live
-    and instrumented calls run is derived here from the same declaration,
-    so there is no second copy of the body; untraced simulated calls hand
-    the declaration to the kernel instead (``Network.rpc``).
+    ``arg`` itself when ``then`` is None.  Simulated calls hand the
+    declaration to the kernel (``Network.rpc``); the generator handler
+    derived here from the same declaration serves live calls, so there is
+    no second copy of the body.
     """
     @functools.wraps(declaration)
     def handler(self, *args, **kwargs):
@@ -52,23 +53,31 @@ _OUT, _AT_SERVER, _REPLYING, _ABANDONED = range(4)
 
 
 class _UnaryCall(Slice):
-    """One untraced RPC to a :func:`unary` handler, stepped by the kernel.
+    """One RPC to a :func:`unary` handler, stepped by the kernel.
 
     The call is the server's CPU :class:`~repro.sim.host.Slice`, with a
-    flight on each side.  It makes the events the handler generator
-    makes, in the same order: the flight out; on arrival the host's crash
+    flight on each side.  It makes the events a handler generator would
+    make, in the same order: the flight out; on arrival the host's crash
     check, the declaration and the CPU request; the charge; then the body
     and the flight back, which carries the call itself (result or
     exception) to the caller.  Between the flights it is only ever on the
     kernel's tiers as a ``(function, call)`` pair, so nobody waiting on it
     runs before the reply lands.
+
+    Under the caller's ``rpc:`` span (``span``) the call records what the
+    caller's process would have: on arrival it charges the flight out as
+    ``wire`` and opens the ``rpc_<method>`` handler span (``hspan``), which
+    it closes at the reply, or with ``ok=False`` on a raise or when the
+    caller withdraws.  It publishes its holder as the running process
+    meanwhile, as a slice does for its charges.  ``sent_us`` is when the
+    last flight left.
     """
 
     __slots__ = ("network", "server", "declaration", "args", "kwargs",
-                 "_stage", "_then", "_arg")
+                 "span", "hspan", "sent_us", "_stage", "_then", "_arg")
 
     def __init__(self, network: "Network", server: "Server",
-                 declaration: Callable, args: tuple, kwargs: dict):
+                 declaration: Callable, args: tuple, kwargs: dict, span):
         sim = network.sim
         self.sim = sim
         self.callbacks = []
@@ -82,14 +91,27 @@ class _UnaryCall(Slice):
         self.args = args
         self.kwargs = kwargs
         self.holder = sim._active_process
+        self.span = span
+        self.hspan = None
+        self.sent_us = sim._now
         self._stage = _OUT
         network._fly((_UnaryCall._arrive, self))
 
     def _arrive(self) -> None:
         if self._stage != _OUT:
             return
+        sim = self.sim
         server = self.server
         host = self.host = server.host
+        if self.span is not None:
+            tracer = sim.tracer
+            running, sim._active_process = sim._active_process, self.holder
+            tracer.charge("wire", sim._now - self.sent_us, host.name)
+            if not host.crashed:
+                self.hspan = tracer.begin(
+                    self.declaration.__name__, sim._now,
+                    category="handler", parent=self.span, host=host.name)
+            sim._active_process = running
         if host.crashed:
             return self._reply(False, ServiceUnavailableError(host.name))
         try:
@@ -99,7 +121,7 @@ class _UnaryCall(Slice):
             return self._reply(False, exc)
         self._stage = _AT_SERVER
         cpu = self.resource = host.cpu
-        self._enqueue_time = self.sim._now
+        self._enqueue_time = sim._now
         cpu.acquire(self)
 
     def _expiry(self):
@@ -119,18 +141,26 @@ class _UnaryCall(Slice):
         self._reply(True, value)
 
     def _reply(self, ok: bool, value: Any) -> None:
+        sim = self.sim
+        if self.hspan is not None:
+            running, sim._active_process = sim._active_process, self.holder
+            sim.tracer.end(self.hspan, sim._now, ok=ok)
+            sim._active_process = running
         self._stage = _REPLYING
         self._ok = ok
         self._value = value
+        self.sent_us = sim._now
         self.network._fly(self)
 
     def withdraw(self) -> bool:
         """The caller stopped waiting (an interrupt).  Stop the call where
         it is; True when the server had the request, so the caller still
-        owes the flight back, as the handler generator does."""
+        owes the flight back, as a handler generator does."""
         stage, self._stage = self._stage, _ABANDONED
         if stage == _AT_SERVER:
             self.abandon()  # the CPU request: leave the queue or hand on
+            if self.hspan is not None:
+                self.sim.tracer.end(self.hspan, self.sim._now, ok=False)
             return True
         self._defused = True  # a reply in flight now reaches no one
         return False
@@ -176,81 +206,88 @@ class Network:
         """Request/response round trip to ``server``.
 
         Counts one RPC round on the network and on ``ctx`` when provided —
-        the counter behind the Table 1 RTT comparison.  Under an enabled
-        tracer each round trip opens an ``rpc``-category span (parented to
-        the operation's root span when ``ctx`` carries one) covering both
-        flights, and the handler body nests inside it.
+        the counter behind the Table 1 RTT comparison.  A :func:`unary`
+        handler is one :class:`_UnaryCall`; any other runs here, between
+        the two flights.  Under an enabled tracer each round trip opens an
+        ``rpc``-category span (parented to the operation's root span when
+        ``ctx`` carries one) covering both flights, and the handler span
+        nests inside it.
         """
         self.rpc_count += 1
         if ctx is not None:
             ctx.rpcs += 1
         sim = self.sim
-        if sim.tracer.enabled or sim.telemetry.enabled:
-            return (yield from self._instrumented_rpc(server, method, args,
-                                                      kwargs, ctx))
-        declaration = server.unary_handlers.get(method)
-        if declaration is not None:
-            call = _UnaryCall(self, server, declaration, args, kwargs)
-            try:
-                return (yield call)
-            except BaseException:
-                if call.withdraw():
-                    yield Timeout(sim, self._delay())
-                raise
-        yield Timeout(sim, self._delay())
-        try:
-            return (yield from server.handler(method)(*args, **kwargs))
-        finally:
-            # The response (or error) still has to fly back.
-            yield Timeout(sim, self._delay())
-
-    def _instrumented_rpc(self, server: "Server", method: str, args: tuple,
-                          kwargs: dict, ctx: Optional[OpContext]):
-        sim = self.sim
         tracer = sim.tracer
+        span = started_us = None
         if tracer.enabled:
             span = tracer.begin(
-                "rpc:" + method, sim.now, category="rpc",
+                "rpc:" + method, sim._now, category="rpc",
                 parent=ctx.trace if ctx is not None else None,
                 host=server.host.name)
-        else:
-            span = None
         telemetry = sim.telemetry
         if telemetry.enabled:
             started_us = sim._now
             telemetry.counter("rpc.count", server.host.name).add(started_us)
             telemetry.gauge("rpc.in_flight").adjust(started_us, 1.0)
-        else:
-            started_us = None
-        if tracer.enabled:
-            sent_us = sim._now
-            yield from self.transit()
+        declaration = server.unary_handlers.get(method)
+        if declaration is not None:
+            call = _UnaryCall(self, server, declaration, args, kwargs, span)
+            try:
+                result = yield call
+            except BaseException as exc:
+                if exc is not call._value:  # interrupted while waiting
+                    if not call.withdraw():
+                        raise
+                    call.sent_us = sim._now
+                    yield Timeout(sim, self._delay())
+                if span is not None or started_us is not None:
+                    self._landed(server, span, started_us, call.sent_us,
+                                 False)
+                raise
+            if span is not None or started_us is not None:
+                self._landed(server, span, started_us, call.sent_us, True)
+            return result
+        sent_us = sim._now
+        yield Timeout(sim, self._delay())
+        if span is not None:
             tracer.charge("wire", sim._now - sent_us, server.host.name)
-        else:
-            yield from self.transit()
+        hspan = None
         ok = True
         try:
-            result = yield from server.dispatch(method, args, kwargs, span)
+            handler = server.handler(method)
+            if span is not None:
+                hspan = tracer.begin("rpc_" + method, sim._now,
+                                     category="handler", parent=span,
+                                     host=server.host.name)
+            result = yield from handler(*args, **kwargs)
         except BaseException:
             ok = False
             raise
         finally:
+            if hspan is not None:
+                tracer.end(hspan, sim._now, ok=ok)
             # The response (or error) still has to fly back.
-            if tracer.enabled:
-                sent_us = sim._now
-                yield from self.transit()
-                tracer.charge("wire", sim._now - sent_us, server.host.name)
-            else:
-                yield from self.transit()
-            if span is not None:
-                tracer.end(span, sim.now, ok=ok)
-            if started_us is not None and telemetry.enabled:
-                now = sim._now
-                telemetry.gauge("rpc.in_flight").adjust(now, -1.0)
-                telemetry.histogram("rpc.latency_us",
-                                    server.host.name).record(
-                    now, now - started_us)
+            sent_us = sim._now
+            yield Timeout(sim, self._delay())
+            if span is not None or started_us is not None:
+                self._landed(server, span, started_us, sent_us, ok)
         return result
+
+    def _landed(self, server: "Server", span, started_us: Optional[float],
+                sent_us: float, ok: bool) -> None:
+        """Record a reply that landed: the flight back as ``wire``, the
+        end of the ``rpc:`` span, the round trip's latency."""
+        sim = self.sim
+        now = sim._now
+        if span is not None:
+            tracer = sim.tracer
+            tracer.charge("wire", now - sent_us, server.host.name)
+            tracer.end(span, now, ok=ok)
+        if started_us is not None:
+            telemetry = sim.telemetry
+            telemetry.gauge("rpc.in_flight").adjust(now, -1.0)
+            telemetry.histogram("rpc.latency_us", server.host.name).record(
+                now, now - started_us)
 
 
 class Server:

@@ -21,12 +21,11 @@ Design constraints, in order of importance:
 * **Zero cost when off** — the default tracer is the :data:`NULL_TRACER`
   no-op singleton; instrumentation sites guard on ``tracer.enabled`` so a
   disabled run pays one attribute load and a boolean test per site.
-* **Bounded overhead when on** — finished spans land in a fixed-size ring
-  buffer (oldest spans fall out) and root spans can be sampled 1-in-N;
-  children of unsampled roots are elided entirely.
-* **Tail retention** — the ring plus uniform sampling keep a *uniform*
-  slice, so the p999 stragglers that define SLOs are exactly the spans
-  that fall out first.  A :class:`TailKeeper` attached to the tracer
+* **Bounded memory when on** — finished spans land in a fixed-size ring
+  buffer (oldest spans fall out).
+* **Tail retention** — the ring keeps the most recent spans, so the p999
+  stragglers that define SLOs fall out as readily as any other.  A
+  :class:`TailKeeper` attached to the tracer
   additionally retains the full span tree of any root op that errored or
   whose duration clears a per-op-type adaptive threshold (a quantile of
   the op's own duration digest), under a bounded span budget with whole-
@@ -174,8 +173,8 @@ class Span:
 
 
 class _NullSpan:
-    """Stand-in returned for elided spans (disabled tracer, unsampled root,
-    or any descendant of an unsampled root).  Accepts annotations silently."""
+    """The span the disabled tracer hands out.  Accepts annotations
+    silently."""
 
     __slots__ = ()
     span_id = 0
@@ -218,7 +217,7 @@ class _NullSpan:
         return False
 
 
-#: Shared elided-span singleton; falsy so ``if span:`` skips dead work.
+#: Shared disabled-span singleton; falsy so ``if span:`` skips dead work.
 NULL_SPAN = _NullSpan()
 
 
@@ -440,32 +439,23 @@ class Tracer:
     max_spans:
         Ring capacity; once full, the oldest finished spans fall out and
         :attr:`dropped` counts them.
-    sample_every:
-        Root-span sampling: keep 1 in N root spans (default 1 = keep all).
-        Children of an unsampled root are elided at creation, so sampling
-        bounds tracing overhead for large workloads.
     keeper:
         Optional :class:`TailKeeper`; finished trees of slow or failed
-        (sampled-in) roots are retained beyond the ring under its budget.
+        roots are retained beyond the ring under its budget.
     """
 
-    __slots__ = ("_ring", "_next_id", "_roots_seen", "_sample_every",
-                 "started", "finished", "_sim", "_stacks", "unattributed",
-                 "keeper", "_root_of", "_live_trees")
+    __slots__ = ("_ring", "_next_id", "started", "finished", "_sim",
+                 "_stacks", "unattributed", "keeper", "_root_of",
+                 "_live_trees")
 
     enabled = True
 
     def __init__(self, max_spans: int = DEFAULT_MAX_SPANS,
-                 sample_every: int = 1,
                  keeper: Optional[TailKeeper] = None):
         if max_spans < 1:
             raise ValueError("max_spans must be >= 1")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self._ring: collections.deque = collections.deque(maxlen=max_spans)
         self._next_id = 0
-        self._roots_seen = 0
-        self._sample_every = sample_every
         self.keeper = keeper
         #: span_id -> its tree root's span_id (tail-keep bookkeeping; only
         #: populated while a keeper is attached).
@@ -481,8 +471,8 @@ class Tracer:
         # for concurrent workloads, which is why every assignment site binds.
         self._sim = None
         self._stacks: Dict[Any, List[Any]] = {}
-        #: (host, cost-kind) -> us charged while no (sampled) span was open.
-        #: Keeps profiler-vs-telemetry reconciliation exact under sampling.
+        #: (host, cost-kind) -> us charged while no span was open.  Keeps
+        #: profiler-vs-telemetry reconciliation exact.
         self.unattributed: Dict[Tuple[Optional[str], str], float] = {}
 
     def bind(self, sim) -> None:
@@ -504,62 +494,39 @@ class Tracer:
         """Finished spans that fell out of the ring."""
         return self.finished - len(self._ring)
 
-    @property
-    def sample_every(self) -> int:
-        return self._sample_every
-
     def begin(self, name: str, now: float, category: str = "",
-              parent: Any = None, host: Optional[str] = None):
-        """Open a span; returns :data:`NULL_SPAN` when sampled out.
+              parent: Any = None, host: Optional[str] = None) -> Span:
+        """Open a span.
 
-        ``parent`` is another :class:`Span` (or :data:`NULL_SPAN`, in which
-        case the child is elided too, keeping whole trees atomic under
-        sampling), ``None`` for a root span, or a :class:`RemoteSpanRef`
-        for a parent in another live process — the span becomes a local
-        root carrying the remote link in its attributes.
-
-        Elided spans are still pushed onto the opening process's stack so
-        that work done under them charges the unattributed bucket rather
-        than leaking into an outer span's cost profile.
+        ``parent`` is another :class:`Span`, ``None`` for a root span, or a
+        :class:`RemoteSpanRef` for a parent in another live process — the
+        span becomes a local root carrying the remote link in its
+        attributes.
         """
         proc = self._sim._active_process if self._sim is not None else None
         stack = self._stacks.get(proc)
         remote = None
         if isinstance(parent, RemoteSpanRef):
             remote, parent = parent, None
-        if parent is None:
-            self._roots_seen += 1
-            if self._sample_every > 1 and \
-                    (self._roots_seen - 1) % self._sample_every:
-                span = NULL_SPAN
-            else:
-                span = None
-            parent_id = 0
-        elif parent is NULL_SPAN:
-            span = NULL_SPAN
-            parent_id = 0
-        else:
-            span = None
-            parent_id = parent.span_id
-        if span is None:
-            self._next_id += 1
-            self.started += 1
-            span = Span(self._next_id, parent_id, name, category, host, now)
+        self._next_id += 1
+        self.started += 1
+        span = Span(self._next_id, parent.span_id if parent is not None else 0,
+                    name, category, host, now)
+        if stack:
+            span.dyn_parent_id = stack[-1].span_id
+        if remote is not None:
+            span.annotate(remote_parent_proc=remote.proc,
+                          remote_parent_span=remote.span_id)
+        if self.keeper is not None:
+            # Tree membership follows the opening process's stack: its
+            # bottom span is this process's tree root (the op root for
+            # client work, the fan-out wrapper for spawned legs).
             if stack:
-                span.dyn_parent_id = stack[-1].span_id
-            if remote is not None:
-                span.annotate(remote_parent_proc=remote.proc,
-                              remote_parent_span=remote.span_id)
-            if self.keeper is not None:
-                # Tree membership follows the opening process's stack: its
-                # bottom span is this process's tree root (the op root for
-                # client work, the fan-out wrapper for spawned legs).
-                bottom = stack[0] if stack else None
-                if bottom is not None and bottom is not NULL_SPAN:
-                    self._root_of[span.span_id] = self._root_of.get(
-                        bottom.span_id, bottom.span_id)
-                else:
-                    self._root_of[span.span_id] = span.span_id
+                bottom = stack[0].span_id
+                self._root_of[span.span_id] = self._root_of.get(bottom,
+                                                                bottom)
+            else:
+                self._root_of[span.span_id] = span.span_id
         if stack is None:
             self._stacks[proc] = [span]
         else:
@@ -568,7 +535,7 @@ class Tracer:
 
     def current_span(self):
         """The innermost open span of the currently executing process, or
-        ``None`` (``NULL_SPAN`` while an elided subtree is open)."""
+        ``None``."""
         proc = self._sim._active_process if self._sim is not None else None
         stack = self._stacks.get(proc)
         return stack[-1] if stack else None
@@ -580,7 +547,7 @@ class Tracer:
         if stack:
             if stack[-1] is span:
                 stack.pop()
-            elif span is not NULL_SPAN:
+            else:
                 # A child leaked open (exception unwound past its end call):
                 # truncate through it so the stack mirrors reality again.
                 for i in range(len(stack) - 1, -1, -1):
@@ -589,8 +556,6 @@ class Tracer:
                         break
             if not stack:
                 del self._stacks[proc]
-        if span is NULL_SPAN:
-            return
         span.end_us = now
         span.ok = ok
         self.finished += 1
@@ -612,7 +577,7 @@ class Tracer:
         """Attribute ``us`` simulated microseconds of ``kind`` cost.
 
         The charge lands on the innermost open span of the currently
-        executing process; with no (sampled) span open it accrues to the
+        executing process; with no span open it accrues to the
         tracer-level :attr:`unattributed` bucket so totals still reconcile
         against telemetry busy counters.
 
@@ -635,16 +600,14 @@ class Tracer:
         stack = self._stacks.get(proc)
         if stack:
             top = stack[-1]
-            if top is not NULL_SPAN:
-                top.add_cost(kind, host, us)
-                if resource is not None:
-                    top.add_queue_resource(resource, host, us)
-                    if by is None:
-                        top.add_queue_by("(unknown)", None, resource,
-                                         host, us)
-                    else:
-                        top.add_queue_by(by[0], by[1], resource, host, us)
-                return
+            top.add_cost(kind, host, us)
+            if resource is not None:
+                top.add_queue_resource(resource, host, us)
+                if by is None:
+                    top.add_queue_by("(unknown)", None, resource, host, us)
+                else:
+                    top.add_queue_by(by[0], by[1], resource, host, us)
+            return
         key = (host, kind)
         bucket = self.unattributed
         bucket[key] = bucket.get(key, 0.0) + us
@@ -675,14 +638,12 @@ class Tracer:
         stack = self._stacks.get(proc)
         if stack:
             top = stack[-1]
-            if top is not NULL_SPAN:
-                top.add_blocked(cause, kind, host, us)
-                if resource is not None:
-                    if by is None:
-                        top.add_queue_by("(unknown)", None, resource,
-                                         host, us)
-                    else:
-                        top.add_queue_by(by[0], by[1], resource, host, us)
+            top.add_blocked(cause, kind, host, us)
+            if resource is not None:
+                if by is None:
+                    top.add_queue_by("(unknown)", None, resource, host, us)
+                else:
+                    top.add_queue_by(by[0], by[1], resource, host, us)
 
     def current_op_label(self) -> Optional[Tuple[str, Optional[str]]]:
         """The ``(op, tenant)`` identity of the currently executing
@@ -696,17 +657,14 @@ class Tracer:
         identity as an ``op_label`` annotation (see
         ``TafDBClient._fanout_leg``).  Other non-client processes (the
         Raft event loop, background maintenance) report their root
-        span's name with no tenant.  Returns ``None`` with no open span
-        or under an elided (sampled-out) root — callers then tag
-        ``"(unknown)"``.
+        span's name with no tenant.  Returns ``None`` with no open span —
+        callers then tag ``"(unknown)"``.
         """
         proc = self._sim._active_process if self._sim is not None else None
         stack = self._stacks.get(proc)
         if not stack:
             return None
         root = stack[0]
-        if root is NULL_SPAN:
-            return None
         attrs = root.attrs
         if root.category == CAT_OP:
             return (root.name, attrs.get("tenant") if attrs else None)
@@ -749,7 +707,6 @@ class Tracer:
         """Drop every collected span (counters restart too)."""
         self._ring.clear()
         self._next_id = 0
-        self._roots_seen = 0
         self.started = 0
         self.finished = 0
         self._stacks.clear()
@@ -761,14 +718,13 @@ class Tracer:
 
 
 def trace_stats(tracer) -> Dict[str, int]:
-    """Sample/keep/drop accounting for one tracer, embedded in every trace
-    export so consumers can tell how complete the span population is."""
+    """Keep/drop accounting for one tracer, embedded in every trace export
+    so consumers can tell how complete the span population is."""
     keeper = getattr(tracer, "keeper", None)
     return {
         "started": getattr(tracer, "started", 0),
         "finished": getattr(tracer, "finished", 0),
         "dropped": tracer.dropped,
-        "sample_every": getattr(tracer, "sample_every", 1),
         "kept_roots": keeper.kept_roots if keeper is not None else 0,
         "kept_errors": keeper.kept_errors if keeper is not None else 0,
         "kept_spans": keeper.kept_spans if keeper is not None else 0,
@@ -991,7 +947,7 @@ def export_chrome_trace(sections: Sequence[Tuple[str, Iterable[Span]]],
 
     ``stats`` (per-section :func:`trace_stats` dicts) rides along as a
     ``traceStats`` top-level key — Perfetto ignores unknown keys, and the
-    sample/keep/drop accounting must survive into every export so nobody
+    keep/drop accounting must survive into every export so nobody
     mistakes a ring-truncated trace for a complete one.
     """
     events: List[dict] = []

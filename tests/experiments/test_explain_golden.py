@@ -12,7 +12,10 @@ trace exports' ``txn_id`` attributes) are numbered per deployment, so no
 process history reaches the exports; ``trace_fig15.json``, whose one
 command builds several deployments, was re-pinned when they stopped
 sharing a process-wide counter — its ``txn_id`` client numbers restart per
-system, and every other byte is unchanged.
+system, and every other byte is unchanged.  ``trace_fig15.json``,
+``trace_table1.json`` and ``triage_fig14_mantle.json`` were re-pinned when
+the tracer lost root sampling: loaded as JSON, each equals the previous
+export with the ``sample_every`` key of its ``trace_stats`` removed.
 """
 
 import hashlib

@@ -9,14 +9,15 @@ object whose ``append`` takes the next sequence number and pushes onto the
 heap, plus a pop-and-deliver loop, runs every entry in ``(time, seq)``
 order.
 
-The request-then-timeout host.  The product charges CPU and disk with one
-kernel-driven :class:`~repro.sim.host.Slice` per charge, and claims the
-order is exactly what a holder process gets by requesting the slot,
-resuming on the grant, then waiting out a ``Timeout``.
-:func:`request_timeout_hosts` swaps that generator back in.  Under a tracer
-every RPC runs its handler generator too, so a traced run inside the block
-is the generator path end to end — the reference an untraced run, with its
-kernel-driven unary RPCs and slices, must equal.
+The generator path.  The product charges CPU and disk with one
+kernel-driven :class:`~repro.sim.host.Slice` per charge and runs an RPC to
+a :func:`~repro.sim.network.unary` handler as one kernel-driven call, and
+claims the order and the records are exactly what the caller's own process
+gets by requesting the slot, resuming on the grant, then waiting out a
+``Timeout`` — and by running every handler as a generator between two
+flights.  :func:`request_timeout_hosts` swaps both generators back in, so a
+run inside the block is the generator path end to end: the reference a
+kernel-driven run, traced or not, must equal.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ from repro.core import multitenant, service
 from repro.errors import ServiceUnavailableError
 from repro.sim.core import Simulator, Timeout
 from repro.sim.host import Host
+from repro.sim.network import Network
 
 
 class _HeapTier:
@@ -93,28 +95,91 @@ def all_heap_systems():
 
 
 def _request_then_timeout(host, resource, us):
-    """``Host._occupy`` as a holder process: request, grant, timeout."""
+    """``Host._occupy`` as a holder process: request, grant, timeout, with
+    the queue, cpu and fsync records made from the holder itself."""
     if host.crashed:
         raise ServiceUnavailableError(host.name)
     sim = host.sim
+    tracer = sim.tracer
     req = resource.request()
     try:
         yield req
+        wait = sim._now - req._enqueue_time
+        if tracer.enabled and wait > 0.0:
+            tracer.charge("queue", wait, host.name, resource=resource.label,
+                          by=getattr(req, "_blame", None))
         yield Timeout(sim, us)
         if resource is host.cpu:
             host.cpu_busy_us += us
+            if tracer.enabled:
+                tracer.charge("cpu", us, host.name)
+            telemetry = sim.telemetry
+            if telemetry.enabled:
+                now = sim._now
+                telemetry.counter("host.cpu_busy_us", host.name,
+                                  capacity=host.cores).add_interval(
+                    now - us, now, us)
         else:
             host.fsync_count += 1
+            host._record_fsync(us)
     finally:
         resource.release(req)  # withdraws it if never granted
     if resource is host.cpu and host.crashed:
         raise ServiceUnavailableError(host.name)
 
 
+def _generator_rpc(self, server, method, *args, ctx=None, **kwargs):
+    """``Network.rpc`` as the caller's process: a flight out, the handler
+    generator (the one :func:`~repro.sim.network.unary` derives, for a
+    unary handler) inside ``Server.dispatch``, a flight back — with the
+    ``rpc:`` span, wire charges and RPC telemetry made as it goes."""
+    self.rpc_count += 1
+    if ctx is not None:
+        ctx.rpcs += 1
+    sim = self.sim
+    tracer = sim.tracer
+    span = None
+    if tracer.enabled:
+        span = tracer.begin("rpc:" + method, sim.now, category="rpc",
+                            parent=ctx.trace if ctx is not None else None,
+                            host=server.host.name)
+    telemetry = sim.telemetry
+    started_us = None
+    if telemetry.enabled:
+        started_us = sim._now
+        telemetry.counter("rpc.count", server.host.name).add(started_us)
+        telemetry.gauge("rpc.in_flight").adjust(started_us, 1.0)
+    sent_us = sim._now
+    yield Timeout(sim, self._delay())
+    if tracer.enabled:
+        tracer.charge("wire", sim._now - sent_us, server.host.name)
+    ok = True
+    try:
+        result = yield from server.dispatch(method, args, kwargs, span)
+    except BaseException:
+        ok = False
+        raise
+    finally:
+        # The response (or error) still has to fly back.
+        sent_us = sim._now
+        yield Timeout(sim, self._delay())
+        if tracer.enabled:
+            tracer.charge("wire", sim._now - sent_us, server.host.name)
+            tracer.end(span, sim.now, ok=ok)
+        if started_us is not None:
+            now = sim._now
+            telemetry.gauge("rpc.in_flight").adjust(now, -1.0)
+            telemetry.histogram("rpc.latency_us", server.host.name).record(
+                now, now - started_us)
+    return result
+
+
 @contextlib.contextmanager
 def request_timeout_hosts():
     """Inside the block every host charges through
-    :func:`_request_then_timeout` instead of a slice."""
+    :func:`_request_then_timeout` instead of a slice, and every RPC runs
+    through :func:`_generator_rpc`."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Host, "_occupy", _request_then_timeout)
+        patch.setattr(Network, "rpc", _generator_rpc)
         yield

@@ -119,7 +119,7 @@ class TestAsyncioTrampoline:
         runtime = AsyncioRuntime()
 
         class Boom:
-            async def call(self, method, args, kwargs, timeout_s):
+            async def call(self, method, args, kwargs, timeout_s, trace):
                 raise NoSuchPathError("/x")
 
         def domain():
@@ -135,7 +135,7 @@ class TestAsyncioTrampoline:
         runtime = AsyncioRuntime()
 
         class Boom:
-            async def call(self, method, args, kwargs, timeout_s):
+            async def call(self, method, args, kwargs, timeout_s, trace):
                 raise NoSuchPathError("/x")
 
         def domain():
@@ -148,8 +148,8 @@ class TestAsyncioTrampoline:
         runtime = AsyncioRuntime()
 
         class Echo:
-            async def call(self, method, args, kwargs, timeout_s):
-                return args[0]
+            async def call(self, method, args, kwargs, timeout_s, trace):
+                return args[0], {}  # result, response envelope
 
         class Ctx:
             rpcs = 0

@@ -94,6 +94,12 @@ async def read_reply(reader):
     return wire.unpack_payload(await reader.readexactly(length))
 
 
+async def result_of(connection, *call, **kwargs):
+    """One call's result (``call`` resolves to it and its envelope)."""
+    result, _envelope = await connection.call(*call, **kwargs)
+    return result
+
+
 class TestFrameDecoder:
     FRAMES = [wire.pack_frame({"id": n, "v": "é" * n}) for n in range(50)]
 
@@ -205,7 +211,7 @@ class TestHandlers:
                 with pytest.raises(MetadataError):
                     await connection.call("no_such_method", (), {})
                 # ... and the connection survived all three.
-                assert await connection.call("echo", (1,), {}) == 1
+                assert await result_of(connection, "echo", (1,), {}) == 1
                 return missing.value.path
             finally:
                 connection.close()
@@ -218,7 +224,7 @@ class TestHandlers:
             finished = []
 
             async def call(method, *args):
-                finished.append(await connection.call(method, args, {}))
+                finished.append(await result_of(connection, method, args, {}))
 
             try:
                 slow = asyncio.ensure_future(call("slow", 0.3, "prepare"))
@@ -258,8 +264,8 @@ class TestRpcConnection:
                 with pytest.raises(RPCTimeoutError):
                     await connection.call("slow", (0.2,), {}, timeout_s=0.05)
                 await asyncio.sleep(0.3)  # the reply arrives, for nobody
-                return await connection.call("echo", ("still here",), {}), \
-                    len(connection._pending)
+                return await result_of(connection, "echo", ("still here",),
+                                       {}), len(connection._pending)
             finally:
                 connection.close()
 
@@ -304,11 +310,11 @@ class TestRpcConnection:
     def test_reconnects_after_a_loss(self):
         async def scenario(server, dispatcher, endpoint):
             connection = RpcConnection(endpoint)
-            assert await connection.call("echo", (1,), {}) == 1
+            assert await result_of(connection, "echo", (1,), {}) == 1
             connection.transport.abort()
             await asyncio.sleep(0.05)
             try:
-                return await connection.call("echo", (2,), {})
+                return await result_of(connection, "echo", (2,), {})
             finally:
                 connection.close()
 
@@ -358,7 +364,8 @@ class TestRpcConnection:
             connection = RpcConnection(f"127.0.0.1:{port}")
             blob = "x" * (256 * 1024)
             calls = [asyncio.ensure_future(
-                connection.call("echo", (blob,), {})) for _ in range(64)]
+                result_of(connection, "echo", (blob,), {}))
+                for _ in range(64)]
             await asyncio.sleep(0.3)
             waiting = connection._drained is not None
             release.set()

@@ -181,11 +181,9 @@ class TestComponentMapping:
         assert component_of("indexnode-0", "raft.commit", "wire") is None
         assert component_of("tafdb-0", "rpc_prepare", "queue:latch") is None
 
-    def test_queue_maps_to_resource_component_unless_disabled(self):
+    def test_queue_maps_to_resource_component(self):
         assert component_of("tafdb-0", "rpc_commit",
                             "queue:disk") == "tafdb.fsync"
-        assert component_of("tafdb-0", "rpc_commit", "queue:disk",
-                            include_queue=False) is None
 
 
 class TestPredictSpeedup:

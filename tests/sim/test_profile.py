@@ -119,17 +119,6 @@ class TestChargeAttribution:
         profile = profile_from_tracer(tracer)
         assert profile.centers[("bg0", UNATTRIBUTED_FRAME, "cpu")] == 7.0
 
-    def test_charge_under_unsampled_root_is_unattributed(self):
-        tracer = Tracer(sample_every=2)
-        first = tracer.begin("objstat", 0.0, CAT_OP)
-        tracer.charge("cpu", 1.0, "h0")
-        tracer.end(first, 5.0)
-        second = tracer.begin("objstat", 10.0, CAT_OP)  # sampled out
-        tracer.charge("cpu", 2.0, "h0")
-        tracer.end(second, 15.0)
-        assert first.costs == {("cpu", "h0"): 1.0}
-        assert tracer.unattributed == {("h0", "cpu"): 2.0}
-
     def test_zero_and_negative_charges_ignored(self):
         tracer = Tracer()
         tracer.charge("cpu", 0.0, "h0")

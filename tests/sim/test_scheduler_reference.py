@@ -15,9 +15,10 @@ and deque entries share a timestamp, which continuous delays almost never
 produce, so odd seeds round every delay to whole microseconds and switch
 jitter off — ties everywhere — and seeds with bit 1 set drive the plan
 through ``run_until(all_of(procs))``, the loop behind every figure,
-instead of ``run()``.  A traced run on request-then-timeout hosts checks
-the kernel-driven paths — untraced unary RPCs and CPU/disk slices — against
-the generators they replace, so the plans mix generator and
+instead of ``run()``.  A run on request-then-timeout hosts with generator
+RPCs checks the kernel-driven paths — unary RPCs and CPU/disk slices —
+against the generators they replace, in what happens and, traced and
+telemetered, in what is recorded, so the plans mix generator and
 :func:`~repro.sim.network.unary` handlers, handlers whose body or
 declaration raises, crashed hosts, ``AnyOf`` over a raw CPU slice and
 clients interrupted mid-operation.
@@ -32,7 +33,8 @@ from repro.sim.core import AnyOf, Interrupt, Simulator
 from repro.sim.host import Host, Slice
 from repro.sim.network import Network, Server, unary
 from repro.sim.resources import Store
-from repro.sim.trace import Tracer
+from repro.sim.telemetry import Telemetry
+from repro.sim.trace import Tracer, span_to_jsonable
 from tests.oracle import AllHeapSimulator, request_timeout_hosts
 
 
@@ -243,6 +245,16 @@ def _run(plan, sim):
     return trace, sim.now, net.message_count, busy
 
 
+def _recorded(plan):
+    """Replay ``plan`` traced and telemetered; return what ``_run`` returns
+    plus every finished span (in order), the unattributed charges and the
+    telemetry rows."""
+    sim = Simulator(tracer=Tracer(), telemetry=Telemetry())
+    outcome = _run(plan, sim)
+    return (outcome, [span_to_jsonable(span) for span in sim.tracer.spans],
+            sim.tracer.unattributed, sim.telemetry.export_rows(sim.now))
+
+
 class TestSchedulerReference:
     @pytest.mark.parametrize("seed", range(SEEDS))
     def test_trace_matches_all_heap_oracle(self, seed):
@@ -251,11 +263,23 @@ class TestSchedulerReference:
 
     @pytest.mark.parametrize("seed", range(SEEDS))
     def test_kernel_driven_paths_match_the_generator_reference(self, seed):
-        """Untraced, unary RPCs and every charge are kernel-driven; traced,
-        RPCs run their handler generators; traced on request-then-timeout
-        hosts, nothing is kernel-driven.  No run may tell them apart."""
+        """Unary RPCs and every charge are kernel-driven, traced or not;
+        on request-then-timeout hosts with generator RPCs, nothing is.  No
+        run may tell them apart."""
         plan = _scenario(seed)
         untraced = _run(plan, Simulator())
         assert untraced == _run(plan, Simulator(tracer=Tracer()))
         with request_timeout_hosts():
             assert untraced == _run(plan, Simulator(tracer=Tracer()))
+
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    def test_instruments_record_what_the_generator_reference_records(
+            self, seed):
+        """Traced and telemetered, the kernel-driven paths leave the spans,
+        unattributed charges and telemetry rows the generator path leaves
+        — raising handlers, crashed hosts and interrupted callers
+        included."""
+        plan = _scenario(seed)
+        product = _recorded(plan)
+        with request_timeout_hosts():
+            assert product == _recorded(plan)

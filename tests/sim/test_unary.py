@@ -1,14 +1,14 @@
 """Kernel-driven unary RPCs and CPU slices against the generators they
 replace.
 
-Untraced, an RPC to a :func:`~repro.sim.network.unary` handler is one
-event the kernel steps through; traced, the same declaration runs as a
-handler generator; traced on request-then-timeout hosts
-(:mod:`tests.oracle`), no charge is kernel-driven either.  Every scenario
-here runs all three ways and must produce the same timestamps, results and
-errors (:func:`both`); the seeded plans of ``test_scheduler_reference.py``
-mix the same ingredients at random and also run them against the all-heap
-oracle.
+An RPC to a :func:`~repro.sim.network.unary` handler is one event the
+kernel steps through, traced or not; on request-then-timeout hosts
+(:mod:`tests.oracle`) the same declaration runs as a handler generator and
+no charge is kernel-driven either.  Every scenario here runs untraced,
+traced and traced on the reference hosts and must produce the same
+timestamps, results and errors (:func:`both`); the seeded plans of
+``test_scheduler_reference.py`` mix the same ingredients at random and also
+run them against the all-heap oracle.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.errors import ServiceUnavailableError
 from repro.sim.core import AnyOf, Process, Simulator
 from repro.sim.host import Host, Slice
 from repro.sim.network import Network, Server, unary
+from repro.sim.telemetry import Telemetry
 from repro.sim.trace import Tracer
 from repro.tafdb.cluster import TafDBCluster
 from repro.tafdb.rows import attr_key
@@ -225,8 +226,7 @@ def _resumes_of_one_call(monkeypatch, sim, call):
     return stamps[1:], proc.value
 
 
-def test_untraced_tafdb_read_resumes_its_caller_once(monkeypatch):
-    sim = Simulator()
+def _tafdb_read(monkeypatch, sim):
     cluster = TafDBCluster(sim, Network(sim), num_servers=2, num_shards=4,
                            start_compactors=False)
     db = cluster.client()
@@ -235,6 +235,22 @@ def test_untraced_tafdb_read_resumes_its_caller_once(monkeypatch):
     # 50 out + 25 read + 50 back, and nothing in between.
     assert stamps == [125.0]
     assert row is None  # an empty store: no root row was loaded
+
+
+def test_untraced_tafdb_read_resumes_its_caller_once(monkeypatch):
+    _tafdb_read(monkeypatch, Simulator())
+
+
+def test_traced_tafdb_read_resumes_its_caller_once(monkeypatch):
+    """Instruments change what is recorded, not the path: the traced read
+    is the same one kernel-driven call, and still leaves its spans."""
+    sim = Simulator(tracer=Tracer(), telemetry=Telemetry())
+    _tafdb_read(monkeypatch, sim)
+    handler, rpc = sim.tracer.spans
+    assert (handler.name, rpc.name) == ("rpc_read", "rpc:read")
+    assert handler.parent_id == rpc.span_id
+    assert [kind for kind, _host in handler.costs] == ["cpu"]
+    assert rpc.costs == {("wire", rpc.host): 100.0}
 
 
 def test_untraced_host_work_resumes_its_holder_once(monkeypatch):
