@@ -16,7 +16,7 @@ an op raises ``NotImplementedError`` naming both.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import MetadataError
 from repro.ops import Op
@@ -63,11 +63,16 @@ class MetadataSystem:
 
     # -- bulk loading (pre-population, no simulated cost) -----------------------
 
-    def bulk_mkdir(self, path: str) -> int:
+    def bulk_load(self, dirs: Iterable[str] = (), objects: Iterable[str] = (),
+                  size: int = 0) -> Optional[int]:
+        """Install ``dirs`` then ``objects``; returns the last entry's id."""
         raise NotImplementedError
 
+    def bulk_mkdir(self, path: str) -> int:
+        return self.bulk_load((path,))
+
     def bulk_create(self, path: str, size: int = 0) -> int:
-        raise NotImplementedError
+        return self.bulk_load((), (path,), size)
 
     # -- uniform submission -----------------------------------------------------
 

@@ -8,15 +8,17 @@ and the level-by-level resolution primitive the DBtable approach uses.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from collections import Counter
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import (
     AlreadyExistsError,
+    InvalidPathError,
     NoSuchPathError,
     NotADirectoryError,
     TransactionAbort,
 )
-from repro.paths import normalize, parent_and_name, split_path
+from repro.paths import normalize, split_path
 from repro.sim.host import CostModel
 from repro.sim.stats import PHASE_LOOKUP, OpContext
 from repro.tafdb.cluster import TafDBCluster
@@ -54,72 +56,88 @@ class StorageMixin:
         """Bulk-loader state for a namespace rooted at ``root_id``; installs
         the root's attribute row in ``self.tafdb``."""
         self._bulk_dirs: Dict[str, int] = {"/": root_id}
-        self._bulk_seq = 0
         self._new_dir_id = new_dir_id or (lambda _path: self.ids.next())
-        self._bulk_execute(root_id, [WriteIntent(
-            attr_key(root_id), "insert",
-            AttrMeta(id=root_id, kind=EntryKind.DIRECTORY))])
+        self.tafdb.shard_for(root_id).install(
+            attr_key(root_id), AttrMeta(id=root_id, kind=EntryKind.DIRECTORY))
 
     # -- bulk loading --------------------------------------------------------
 
-    def _bulk_execute(self, pid: int, intents) -> None:
-        shard_id = self.tafdb.partitioner.shard_of(pid)
-        server = self.tafdb.servers[
-            self.tafdb.partitioner.server_of_shard(shard_id)]
-        self._bulk_seq += 1
-        server.shard(shard_id).execute(f"bulk-{self._bulk_seq}", intents)
+    def bulk_load(self, dirs: Iterable[str] = (), objects: Iterable[str] = (),
+                  size: int = 0) -> Optional[int]:
+        """Install ``dirs`` (parents before children; already-loaded ones are
+        skipped) and then ``objects`` of ``size`` bytes, at no simulated cost.
 
-    def _bulk_bump_parent(self, pid: int, link_delta: int, entry_delta: int):
-        shard_id = self.tafdb.partitioner.shard_of(pid)
-        shard = self.tafdb.servers[
-            self.tafdb.partitioner.server_of_shard(shard_id)].shard(shard_id)
-        row = shard.read(attr_key(pid))
-        if row is None:
-            raise NoSuchPathError(f"dir id {pid}")
-        attrs = row.value.copy()
-        attrs.link_count += link_delta
-        attrs.entry_count += entry_delta
-        self._bulk_execute(pid, [WriteIntent(
-            attr_key(pid), "update", attrs, expect_version=row.version)])
+        Rows go straight into their TafDB shard, and each parent's link and
+        entry counts fold into its attribute row once, at the end of the
+        call (also when an entry raises part-way).  Ids are allocated
+        directories first, then objects, in list order.  Returns the id of
+        the last entry named, or None when both lists are empty.
+        """
+        known = self._bulk_dirs
+        shard_for = self.tafdb.shard_for
+        links: Counter = Counter()  # pid -> directories added under it
+        entries: Counter = Counter()  # pid -> entries added under it
+        last = None
+        try:
+            for path in dirs:
+                path = normalize(path)
+                last = known.get(path)
+                if last is not None:
+                    continue
+                pid, name = self._bulk_parent(path)
+                shard = shard_for(pid)
+                key = dirent_key(pid, name)
+                if shard.read(key) is not None:
+                    raise AlreadyExistsError(path)
+                last = self._new_dir_id(path)
+                shard.install(key, Dirent(id=last, kind=EntryKind.DIRECTORY))
+                shard_for(last).install(
+                    attr_key(last),
+                    AttrMeta(id=last, kind=EntryKind.DIRECTORY))
+                links[pid] += 1
+                entries[pid] += 1
+                self._on_bulk_mkdir(pid, name, last, path)
+                known[path] = last
+            for path in objects:
+                path = normalize(path)
+                pid, name = self._bulk_parent(path)
+                last = self._bulk_object(pid, name, path, size)
+                entries[pid] += 1
+        finally:
+            for pid, count in entries.items():
+                shard = shard_for(pid)
+                row = shard.read(attr_key(pid))
+                row.value.link_count += links[pid]
+                row.value.entry_count += count
+                shard.install(row.key, row.value, row.version + count)
+        return last
+
+    def _bulk_parent(self, path: str) -> Tuple[int, str]:
+        """(parent id, name) of normalized ``path``; its parent must have
+        been bulk-loaded."""
+        parent, _, name = path.rpartition("/")
+        if not name:
+            raise InvalidPathError(path, "root has no parent")
+        pid = self._bulk_dirs.get(parent or "/")
+        if pid is None:
+            raise NoSuchPathError(path, parent or "/")
+        return pid, name
+
+    def _bulk_object(self, pid: int, name: str, path: str, size: int) -> int:
+        """Install one object's dirent (attributes inline); returns its id."""
+        shard = self.tafdb.shard_for(pid)
+        key = dirent_key(pid, name)
+        if shard.read(key) is not None:
+            raise AlreadyExistsError(path)
+        obj_id = self.ids.next()
+        shard.install(key, Dirent(
+            id=obj_id, kind=EntryKind.OBJECT,
+            attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT, size=size)))
+        return obj_id
 
     def _on_bulk_mkdir(self, pid: int, name: str, dir_id: int,
                        path: str) -> None:
         """Hook: mirror a bulk-loaded directory into system-local indexes."""
-
-    def bulk_mkdir(self, path: str) -> int:
-        path = normalize(path)
-        if path in self._bulk_dirs:
-            return self._bulk_dirs[path]
-        parent_path, name = parent_and_name(path)
-        pid = self._bulk_dirs.get(parent_path)
-        if pid is None:
-            raise NoSuchPathError(path, parent_path)
-        dir_id = self._new_dir_id(path)
-        self._bulk_execute(pid, [WriteIntent(
-            dirent_key(pid, name), "insert",
-            Dirent(id=dir_id, kind=EntryKind.DIRECTORY))])
-        self._bulk_execute(dir_id, [WriteIntent(
-            attr_key(dir_id), "insert",
-            AttrMeta(id=dir_id, kind=EntryKind.DIRECTORY))])
-        self._bulk_bump_parent(pid, 1, 1)
-        self._on_bulk_mkdir(pid, name, dir_id, path)
-        self._bulk_dirs[path] = dir_id
-        return dir_id
-
-    def bulk_create(self, path: str, size: int = 0) -> int:
-        path = normalize(path)
-        parent_path, name = parent_and_name(path)
-        pid = self._bulk_dirs.get(parent_path)
-        if pid is None:
-            raise NoSuchPathError(path, parent_path)
-        obj_id = self.ids.next()
-        self._bulk_execute(pid, [WriteIntent(
-            dirent_key(pid, name), "insert",
-            Dirent(id=obj_id, kind=EntryKind.OBJECT,
-                   attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
-                                  size=size)))])
-        self._bulk_bump_parent(pid, 0, 1)
-        return obj_id
 
     # -- DBtable sequential resolution (§2.3) ------------------------------------
 

@@ -18,7 +18,8 @@ Consequences the paper measures, all reproduced here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.baselines.base import IdAllocator, MetadataSystem
 from repro.baselines.common import StorageMixin
@@ -30,7 +31,7 @@ from repro.errors import (
     TransactionAbort,
 )
 from repro.indexnode.index_table import IndexTable
-from repro.paths import normalize, parent_and_name, split_path
+from repro.paths import normalize, split_path
 from repro.raft.group import RaftGroup
 from repro.raft.node import NotLeaderError, RaftConfig
 from repro.sim.core import Simulator
@@ -324,39 +325,48 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
 
     # -- bulk loading (directories live only at the dir server) ----------------------
 
-    def bulk_mkdir(self, path: str) -> int:
-        path = normalize(path)
-        if path in self._bulk_dirs:
-            return self._bulk_dirs[path]
-        parent_path, name = parent_and_name(path)
-        pid = self._bulk_dirs.get(parent_path)
-        if pid is None:
-            raise NoSuchPathError(path, parent_path)
-        dir_id = self.ids.next()
-        for node in self.dir_group.nodes.values():
-            state = node.state_machine
-            state.table.insert(AccessMeta(pid=pid, name=name, id=dir_id))
-            state.attrs[dir_id] = AttrMeta(id=dir_id,
-                                           kind=EntryKind.DIRECTORY)
-            state.bump(pid, 1, 1, 0.0)
-        self._bulk_dirs[path] = dir_id
-        return dir_id
-
-    def bulk_create(self, path: str, size: int = 0) -> int:
-        path = normalize(path)
-        parent_path, name = parent_and_name(path)
-        pid = self._bulk_dirs.get(parent_path)
-        if pid is None:
-            raise NoSuchPathError(path, parent_path)
-        obj_id = self.ids.next()
-        self._bulk_execute(pid, [WriteIntent(
-            dirent_key(pid, name), "insert",
-            Dirent(id=obj_id, kind=EntryKind.OBJECT,
-                   attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
-                                  size=size)))])
-        for node in self.dir_group.nodes.values():
-            node.state_machine.bump(pid, 0, 1, 0.0)
-        return obj_id
+    def bulk_load(self, dirs: Iterable[str] = (), objects: Iterable[str] = (),
+                  size: int = 0) -> Optional[int]:
+        """:meth:`StorageMixin.bulk_load` with directories installed in every
+        dir-service replica instead of TafDB; each parent's counts fold with
+        one ``bump`` per replica at the end of the call."""
+        states = [node.state_machine for node in self.dir_group.nodes.values()]
+        table = states[0].table
+        known = self._bulk_dirs
+        links: Counter = Counter()  # pid -> directories added under it
+        entries: Counter = Counter()  # pid -> entries added under it
+        last = None
+        try:
+            for path in dirs:
+                path = normalize(path)
+                last = known.get(path)
+                if last is not None:
+                    continue
+                pid, name = self._bulk_parent(path)
+                if (table.get(pid, name) is not None
+                        or self.tafdb.shard_for(pid).read(
+                            dirent_key(pid, name)) is not None):
+                    raise AlreadyExistsError(path)
+                last = self.ids.next()
+                for state in states:
+                    state.table.insert(AccessMeta(pid=pid, name=name, id=last))
+                    state.attrs[last] = AttrMeta(id=last,
+                                                 kind=EntryKind.DIRECTORY)
+                links[pid] += 1
+                entries[pid] += 1
+                known[path] = last
+            for path in objects:
+                path = normalize(path)
+                pid, name = self._bulk_parent(path)
+                if table.get(pid, name) is not None:
+                    raise AlreadyExistsError(path)
+                last = self._bulk_object(pid, name, path, size)
+                entries[pid] += 1
+        finally:
+            for pid, count in entries.items():
+                for state in states:
+                    state.bump(pid, links[pid], count, 0.0)
+        return last
 
     # -- object operations --------------------------------------------------------------
 

@@ -35,24 +35,15 @@ class Violation:
 
 
 def _read_row(system, key):
-    shard_id = system.tafdb.partitioner.shard_of(key.pid)
-    server = system.tafdb.servers[
-        system.tafdb.partitioner.server_of_shard(shard_id)]
-    return server.shard(shard_id).read(key)
+    return system.tafdb.shard_for(key.pid).read(key)
 
 
 def _scan_children(system, pid):
-    shard_id = system.tafdb.partitioner.shard_of(pid)
-    server = system.tafdb.servers[
-        system.tafdb.partitioner.server_of_shard(shard_id)]
-    return server.shard(shard_id).scan_children(pid)
+    return system.tafdb.shard_for(pid).scan_children(pid)
 
 
 def _folded_attrs(system, dir_id):
-    shard_id = system.tafdb.partitioner.shard_of(dir_id)
-    server = system.tafdb.servers[
-        system.tafdb.partitioner.server_of_shard(shard_id)]
-    return server.shard(shard_id).read_attrs_folded(dir_id)
+    return system.tafdb.shard_for(dir_id).read_attrs_folded(dir_id)
 
 
 def check_consistency(system, check_counts: bool = True,

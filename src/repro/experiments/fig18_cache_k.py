@@ -45,19 +45,18 @@ class _BushyLookupWorkload:
     def setup(self, system) -> None:
         trunk = ensure_chain(system, "/bushy", self.TRUNK_DEPTH - 1)
         self._objects = []
+        # One call per leaf keeps each leaf's objects right after it in id
+        # order; the leaf's loaded ancestors are skipped.
         for a in range(self.FANOUT[0]):
             pa = f"{trunk}/a{a}"
-            system.bulk_mkdir(pa)
             for b in range(self.FANOUT[1]):
                 pb = f"{pa}/b{b}"
-                system.bulk_mkdir(pb)
                 for c in range(self.FANOUT[2]):
                     pc = f"{pb}/c{c}"
-                    system.bulk_mkdir(pc)
-                    for o in range(self.OBJECTS_PER_LEAF):
-                        path = f"{pc}/o{o}.bin"
-                        system.bulk_create(path)
-                        self._objects.append(path)
+                    objects = [f"{pc}/o{o}.bin"
+                               for o in range(self.OBJECTS_PER_LEAF)]
+                    system.bulk_load((pa, pb, pc), objects)
+                    self._objects += objects
 
     def client_ops(self, cid: int):
         rng = random.Random((cid << 16) ^ 77)

@@ -50,7 +50,6 @@ from repro.tafdb.client import TafDBClient
 from repro.tafdb.contention import ContentionRegistry
 from repro.tafdb.partition import Partitioner
 from repro.tafdb.rows import attr_key
-from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AttrMeta, EntryKind
 
 
@@ -248,9 +247,8 @@ def build_tafdb_role(config: MantleConfig, runtime: AsyncioRuntime,
     # Bootstrap the namespace root exactly as StorageMixin._init_bulk
     # does for the simulated deployment.
     root_shard = partitioner.shard_of(ROOT_ID)
-    server.shard(root_shard).execute("bootstrap-root", [WriteIntent(
-        attr_key(ROOT_ID), "insert",
-        AttrMeta(id=ROOT_ID, kind=EntryKind.DIRECTORY))])
+    server.shard(root_shard).install(
+        attr_key(ROOT_ID), AttrMeta(id=ROOT_ID, kind=EntryKind.DIRECTORY))
     return (server, [server.compactor_loop(config.compaction_period_us)],
             host.close)
 

@@ -12,6 +12,7 @@ from repro.tafdb.client import TafDBClient
 from repro.tafdb.contention import ContentionRegistry
 from repro.tafdb.partition import Partitioner
 from repro.tafdb.server import DBServer
+from repro.tafdb.shard import ShardState
 
 
 class TafDBCluster:
@@ -43,6 +44,9 @@ class TafDBCluster:
             shard_ids = self.partitioner.shards_on_server(server_id)
             self.hosts.append(host)
             self.servers.append(DBServer(host, shard_ids, self.costs))
+        self._shards: List[ShardState] = [
+            self.servers[self.partitioner.server_of_shard(shard_id)].shard(
+                shard_id) for shard_id in range(num_shards)]
         self.contention = ContentionRegistry(
             threshold=delta_threshold, window_us=delta_window_us,
             enabled=deltas_enabled)
@@ -61,6 +65,11 @@ class TafDBCluster:
             client_id = next(self._client_ids)
         return TafDBClient(self.sim, self.network, self.partitioner,
                            self.servers, self.costs, client_id=client_id)
+
+    def shard_for(self, pid: int) -> ShardState:
+        """The shard holding directory ``pid``'s rows (direct access, no
+        RPC: bulk loading and the consistency audit)."""
+        return self._shards[self.partitioner.shard_of(pid)]
 
     def stop_compactors(self) -> None:
         for proc in self._compactors:

@@ -191,6 +191,18 @@ class ShardState:
         if old is None:
             self._index(key)
 
+    def install(self, key: RowKey, value: RowValue, version: int = 1) -> None:
+        """Put a row in place outside the transaction path (bulk loading).
+
+        Takes no txn id, lock or staged intent and counts no commit.
+        Replacing an existing row keeps its place in insertion order, so a
+        loader that folds n updates into one install with ``version + n``
+        leaves the shard exactly as n transactional updates would.
+        """
+        if key not in self._rows:
+            self._index(key)
+        self._rows[key] = Row(key, value, version)
+
     def _index(self, key: RowKey) -> None:
         if key.is_delta:
             self._deltas.setdefault(key.pid, set()).add(key.ts)

@@ -40,9 +40,9 @@ class AudioPreprocessWorkload:
         for cid in range(self.num_clients):
             input_dir = ensure_chain(system, f"{self.root}/in/shard{cid}",
                                      max(1, self.depth - 4), prefix="seg")
-            for i in range(self.segments):
-                system.bulk_create(f"{input_dir}/raw_{cid}_{i}.wav",
-                                   size=256 * 1024)
+            system.bulk_load((), [f"{input_dir}/raw_{cid}_{i}.wav"
+                                  for i in range(self.segments)],
+                             size=256 * 1024)
             output_dir = ensure_chain(system, f"{self.root}/out/task{cid}",
                                       max(1, self.depth - 4), prefix="seg")
             self._input_dirs.append(input_dir)

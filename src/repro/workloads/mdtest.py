@@ -59,24 +59,23 @@ class MdtestWorkload:
             self._client_dirs.append(base)
         self._shared_dir = ensure_chain(system, f"{self.root}/shared",
                                         self.depth - 3, prefix="l")
+        dirs: List[str] = []
+        objects: List[str] = []
         for cid in range(self.num_clients):
             target = self._target_dir(cid)
             if self.op in ("objstat", "delete", "readdir"):
-                for i in range(self.items):
-                    system.bulk_create(self._obj_path(cid, i))
+                objects += [self._obj_path(cid, i) for i in range(self.items)]
             if self.op == "dirstat":
-                for i in range(self.items):
-                    system.bulk_mkdir(f"{target}/st{cid}_{i}")
+                dirs += [f"{target}/st{cid}_{i}" for i in range(self.items)]
             if self.op == "rmdir":
-                for i in range(self.items):
-                    system.bulk_mkdir(f"{target}/rm{cid}_{i}")
+                dirs += [f"{target}/rm{cid}_{i}" for i in range(self.items)]
             if self.op == "dirrename":
                 src_base = f"{self._client_dirs[cid]}/src"
-                system.bulk_mkdir(src_base)
+                dirs.append(src_base)
                 if self.mode == "exclusive":
-                    system.bulk_mkdir(f"{self._client_dirs[cid]}/dst")
-                for i in range(self.items):
-                    system.bulk_mkdir(f"{src_base}/mv{cid}_{i}")
+                    dirs.append(f"{self._client_dirs[cid]}/dst")
+                dirs += [f"{src_base}/mv{cid}_{i}" for i in range(self.items)]
+        system.bulk_load(dirs, objects)
 
     def _target_dir(self, cid: int) -> str:
         return (self._shared_dir if self.mode == "shared"

@@ -123,11 +123,8 @@ def populate(system, spec: NamespaceSpec) -> None:
     system with data... prior to running experiments"), but without
     simulated cost so benchmark setup stays cheap.
     """
-    for directory in sorted(spec.directories, key=lambda p: p.count("/")):
-        if directory != "/":
-            system.bulk_mkdir(directory)
-    for obj in spec.objects:
-        system.bulk_create(obj)
+    system.bulk_load(sorted(spec.directories, key=lambda p: p.count("/")),
+                     spec.objects)
 
 
 def deep_chain(root: str, depth: int, prefix: str = "l") -> List[str]:
@@ -141,16 +138,13 @@ def deep_chain(root: str, depth: int, prefix: str = "l") -> List[str]:
 
 
 def ensure_chain(system, root: str, depth: int, prefix: str = "l") -> str:
-    """Bulk-create a chain below ``root``; returns the deepest directory."""
-    if root != "/":
-        parts = root.strip("/").split("/")
-        for i in range(1, len(parts) + 1):
-            system.bulk_mkdir("/" + "/".join(parts[:i]))
-    deepest = root if root != "/" else ""
-    for path in deep_chain(root if root != "/" else "", depth, prefix):
-        system.bulk_mkdir(path)
-        deepest = path
-    return deepest if deepest else "/"
+    """Bulk-create ``root`` and a chain below it; returns the deepest
+    directory."""
+    parts = root.strip("/").split("/") if root != "/" else []
+    paths = ["/" + "/".join(parts[:i]) for i in range(1, len(parts) + 1)]
+    paths += deep_chain(root if root != "/" else "", depth, prefix)
+    system.bulk_load(paths)
+    return paths[-1] if paths else "/"
 
 
 def client_paths(spec: NamespaceSpec, num_clients: int,

@@ -43,8 +43,7 @@ class SparkAnalyticsWorkload:
                             max(1, self.depth - 3), prefix="q")
         self.staging = f"{base}/_staging"
         self.output = f"{base}/output"
-        system.bulk_mkdir(self.staging)
-        system.bulk_mkdir(self.output)
+        system.bulk_load((self.staging, self.output))
 
     def client_ops(self, cid: int) -> Iterator[Tuple[str, tuple]]:
         if not self.staging:

@@ -18,6 +18,12 @@ gets by requesting the slot, resuming on the grant, then waiting out a
 flights.  :func:`request_timeout_hosts` swaps both generators back in, so a
 run inside the block is the generator path end to end: the reference a
 kernel-driven run, traced or not, must equal.
+
+The transactional loader.  ``bulk_load`` installs rows straight into their
+shard and folds each parent's counts once per call, and claims every shard,
+replica and id counter ends exactly as loading the same lists one entry at
+a time through single-shard TafDB transactions would leave them.
+:func:`transactional_bulk_load` swaps that per-entry loader back in.
 """
 
 import contextlib
@@ -26,11 +32,16 @@ from heapq import heappop, heappush
 import pytest
 
 from repro.baselines import infinifs, locofs, tectonic
+from repro.baselines.common import StorageMixin
 from repro.core import multitenant, service
-from repro.errors import ServiceUnavailableError
+from repro.errors import NoSuchPathError, ServiceUnavailableError
+from repro.paths import normalize, parent_and_name
 from repro.sim.core import Simulator, Timeout
 from repro.sim.host import Host
 from repro.sim.network import Network
+from repro.tafdb.rows import Dirent, attr_key, dirent_key
+from repro.tafdb.shard import WriteIntent
+from repro.types import AccessMeta, AttrMeta, EntryKind
 
 
 class _HeapTier:
@@ -182,4 +193,99 @@ def request_timeout_hosts():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Host, "_occupy", _request_then_timeout)
         patch.setattr(Network, "rpc", _generator_rpc)
+        yield
+
+
+def _execute(system, pid, intents):
+    """One single-shard transaction on the shard holding ``pid``."""
+    system.tafdb.shard_for(pid).execute("bulk", intents)
+
+
+def _bump_parent(system, pid, link_delta, entry_delta):
+    row = system.tafdb.shard_for(pid).read(attr_key(pid))
+    attrs = row.value.copy()
+    attrs.link_count += link_delta
+    attrs.entry_count += entry_delta
+    _execute(system, pid, [WriteIntent(
+        attr_key(pid), "update", attrs, expect_version=row.version)])
+
+
+def _loaded_parent(system, path):
+    parent_path, name = parent_and_name(path)
+    pid = system._bulk_dirs.get(parent_path)
+    if pid is None:
+        raise NoSuchPathError(path, parent_path)
+    return pid, name
+
+
+def _create_object(system, path, size):
+    pid, name = _loaded_parent(system, path)
+    obj_id = system.ids.next()
+    _execute(system, pid, [WriteIntent(
+        dirent_key(pid, name), "insert",
+        Dirent(id=obj_id, kind=EntryKind.OBJECT,
+               attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
+                              size=size)))])
+    return pid, obj_id
+
+
+def _txn_bulk_load(self, dirs=(), objects=(), size=0):
+    """Every directory: a dirent insert, an attribute-row insert and a
+    parent read-modify-write; every object: a dirent insert and a parent
+    read-modify-write — each its own transaction."""
+    last = None
+    for path in dirs:
+        path = normalize(path)
+        last = self._bulk_dirs.get(path)
+        if last is not None:
+            continue
+        pid, name = _loaded_parent(self, path)
+        last = self._new_dir_id(path)
+        _execute(self, pid, [WriteIntent(
+            dirent_key(pid, name), "insert",
+            Dirent(id=last, kind=EntryKind.DIRECTORY))])
+        _execute(self, last, [WriteIntent(
+            attr_key(last), "insert",
+            AttrMeta(id=last, kind=EntryKind.DIRECTORY))])
+        _bump_parent(self, pid, 1, 1)
+        self._on_bulk_mkdir(pid, name, last, path)
+        self._bulk_dirs[path] = last
+    for path in objects:
+        pid, last = _create_object(self, normalize(path), size)
+        _bump_parent(self, pid, 0, 1)
+    return last
+
+
+def _loco_txn_bulk_load(self, dirs=(), objects=(), size=0):
+    """LocoFS: directories and their parents' bumps go to every
+    dir-service replica, one entry at a time; objects are TafDB
+    transactions."""
+    states = [node.state_machine for node in self.dir_group.nodes.values()]
+    last = None
+    for path in dirs:
+        path = normalize(path)
+        last = self._bulk_dirs.get(path)
+        if last is not None:
+            continue
+        pid, name = _loaded_parent(self, path)
+        last = self.ids.next()
+        for state in states:
+            state.table.insert(AccessMeta(pid=pid, name=name, id=last))
+            state.attrs[last] = AttrMeta(id=last, kind=EntryKind.DIRECTORY)
+            state.bump(pid, 1, 1, 0.0)
+        self._bulk_dirs[path] = last
+    for path in objects:
+        pid, last = _create_object(self, normalize(path), size)
+        for state in states:
+            state.bump(pid, 0, 1, 0.0)
+    return last
+
+
+@contextlib.contextmanager
+def transactional_bulk_load():
+    """Inside the block every system bulk-loads one entry at a time
+    through single-shard TafDB transactions."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StorageMixin, "bulk_load", _txn_bulk_load)
+        patch.setattr(locofs.LocoFSSystem, "bulk_load", _loco_txn_bulk_load)
         yield
