@@ -2,7 +2,7 @@
 
 
 def test_ext_failover_timeline(exhibit):
-    (table,) = exhibit("ext-failover")
+    table = exhibit("ext-failover")[0]
     rows = table.as_dicts()
     phases = [r["phase"] for r in rows]
     # Full service before the crash, a bounded dip, then recovery.

@@ -2,7 +2,7 @@
 
 
 def test_fig12_read_throughput(exhibit, rows_by):
-    (table,) = exhibit("fig12")
+    table = exhibit("fig12")[0]
     by_op = rows_by(table, "op")
     for op, row in by_op.items():
         # Paper ordering: Tectonic < InfiniFS < (LocoFS, Mantle).

@@ -2,7 +2,7 @@
 
 
 def test_fig14_dirmod_throughput(exhibit, rows_by):
-    (table,) = exhibit("fig14")
+    table = exhibit("fig14")[0]
     by_case = rows_by(table, "case")
     # Paper: Mantle achieves the highest throughput in every case.
     for case, row in by_case.items():

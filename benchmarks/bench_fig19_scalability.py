@@ -2,7 +2,8 @@
 
 
 def test_fig19_scalability(exhibit):
-    size_table, client_table = exhibit("fig19")
+    tables = exhibit("fig19")
+    size_table, client_table = tables[0], tables[1]
     # Fig 19a: throughput is flat in namespace size (within 15%).
     for column in ("objstat", "create"):
         values = size_table.column(column)

@@ -44,9 +44,12 @@ per-phase tables (phases are recorded nowhere else) — and
 
 from __future__ import annotations
 
+import bisect
 import collections
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 #: Span categories used by the built-in instrumentation.
 CAT_OP = "op"              #: one client-visible metadata operation (root)
@@ -73,11 +76,18 @@ class Span:
     profiler (:mod:`repro.sim.profile`) folds on the dynamic tree because
     only there are sibling intervals guaranteed disjoint, which is what makes
     self-time = parent-minus-children non-negative and exactly conservative.
+
+    The cost maps are keyed by tuples the :class:`Tracer` interns (one
+    object per distinct key, not one per charge).  Most spans are charged
+    one cost kind on one host, so the first cost entry lives in two slots
+    and a dict is built only when a second distinct key arrives;
+    :attr:`costs` reads either form as one read-only mapping.
     """
 
     __slots__ = ("span_id", "parent_id", "name", "category", "host",
                  "start_us", "end_us", "attrs", "ok", "dyn_parent_id",
-                 "costs", "queue_res", "blocked", "queue_by")
+                 "root_id", "_costs", "_cost_us", "queue_res", "blocked",
+                 "queue_by")
 
     def __init__(self, span_id: int, parent_id: int, name: str,
                  category: str, host: Optional[str], start_us: float):
@@ -91,9 +101,13 @@ class Span:
         self.attrs: Optional[Dict[str, Any]] = None
         self.ok = True
         self.dyn_parent_id = 0
-        #: (cost-kind, host) -> simulated microseconds charged while this
-        #: span was innermost; ``None`` until the first charge.
-        self.costs: Optional[Dict[Tuple[str, Optional[str]], float]] = None
+        #: span_id of this span's tail-keep tree root (kept up to date only
+        #: while the tracer has a keeper; a span starts as its own root).
+        self.root_id = span_id
+        #: ``None``, the one (cost-kind, host) key charged so far (its
+        #: microseconds in ``_cost_us``), or a dict once there are two.
+        self._costs: Any = None
+        self._cost_us = 0.0
         #: (resource, host) -> queue microseconds, refining the ``queue``
         #: entries in :attr:`costs` by what was waited on (cpu/disk/latch).
         #: A strict decomposition: summed per host it never exceeds the
@@ -118,39 +132,56 @@ class Span:
         self.queue_by: Optional[Dict[Tuple[str, Optional[str], str,
                                            Optional[str]], float]] = None
 
-    def add_cost(self, kind: str, host: Optional[str], us: float) -> None:
-        """Accumulate ``us`` of ``kind`` cost (cpu/fsync/wire/queue)."""
-        costs = self.costs
-        if costs is None:
-            costs = self.costs = {}
-        key = (kind, host)
-        costs[key] = costs.get(key, 0.0) + us
+    @property
+    def costs(self) -> Optional[Mapping[Tuple[str, Optional[str]], float]]:
+        """(cost-kind, host) -> simulated microseconds charged while this
+        span was innermost, in first-charge order; ``None`` until the
+        first charge.  Read-only."""
+        held = self._costs
+        if held is None:
+            return None
+        if type(held) is dict:
+            return MappingProxyType(held)
+        return MappingProxyType({held: self._cost_us})
 
-    def add_queue_resource(self, resource: str, host: Optional[str],
+    def add_cost(self, key: Tuple[str, Optional[str]], us: float) -> None:
+        """Accumulate ``us`` of cost under ``key`` = (kind, host), kind
+        one of cpu/fsync/wire/queue."""
+        held = self._costs
+        if held is None:
+            self._costs = key
+            self._cost_us = 0.0 + us
+        elif type(held) is dict:
+            held[key] = held.get(key, 0.0) + us
+        elif held == key:
+            self._cost_us += us
+        else:
+            self._costs = {held: self._cost_us, key: 0.0 + us}
+
+    def add_queue_resource(self, key: Tuple[str, Optional[str]],
                            us: float) -> None:
-        """Refine a ``queue`` charge by the resource waited on."""
+        """Refine a ``queue`` charge by ``key`` = (resource waited on,
+        host)."""
         res = self.queue_res
         if res is None:
             res = self.queue_res = {}
-        key = (resource, host)
         res[key] = res.get(key, 0.0) + us
 
-    def add_blocked(self, cause: str, kind: str, host: Optional[str],
+    def add_blocked(self, key: Tuple[str, str, Optional[str]],
                     us: float) -> None:
-        """Accumulate blocked-on time attributed to ``cause``."""
+        """Accumulate blocked-on time under ``key`` = (cause, kind, host)."""
         blocked = self.blocked
         if blocked is None:
             blocked = self.blocked = {}
-        key = (cause, kind, host)
         blocked[key] = blocked.get(key, 0.0) + us
 
-    def add_queue_by(self, op: str, tenant: Optional[str], resource: str,
-                     host: Optional[str], us: float) -> None:
-        """Tag queue time with the occupant (op, tenant) that preceded it."""
+    def add_queue_by(self, key: Tuple[str, Optional[str], str,
+                                      Optional[str]], us: float) -> None:
+        """Tag queue time with ``key`` = (op, tenant, resource, host): the
+        occupant that preceded it on that resource."""
         by = self.queue_by
         if by is None:
             by = self.queue_by = {}
-        key = (op, tenant, resource, host)
         by[key] = by.get(key, 0.0) + us
 
     @property
@@ -193,21 +224,6 @@ class _NullSpan:
     queue_by = None
 
     def annotate(self, **attrs) -> None:
-        pass
-
-    def add_cost(self, kind: str, host: Optional[str], us: float) -> None:
-        pass
-
-    def add_queue_resource(self, resource: str, host: Optional[str],
-                           us: float) -> None:
-        pass
-
-    def add_blocked(self, cause: str, kind: str, host: Optional[str],
-                    us: float) -> None:
-        pass
-
-    def add_queue_by(self, op: str, tenant: Optional[str], resource: str,
-                     host: Optional[str], us: float) -> None:
         pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -307,8 +323,9 @@ class NullTracer:
 #: Process-wide no-op tracer shared by every untraced simulator.
 NULL_TRACER = NullTracer()
 
-#: Default ring capacity: ~40 MB of spans worst-case, far above what the
-#: quick-scale workloads produce, small enough to bound long soak runs.
+#: Default ring capacity: ~65 MB of spans at ~250 B each (attributes
+#: aside), far above what the quick-scale workloads produce, small enough
+#: to bound long soak runs.
 DEFAULT_MAX_SPANS = 262_144
 
 #: Default tail-keeper budget: whole trees are evicted (oldest first) once
@@ -324,6 +341,50 @@ DEFAULT_KEEP_QUANTILE = 0.99
 DEFAULT_KEEP_MIN_SAMPLES = 64
 
 
+class _DurationBuckets:
+    """One op type's root durations in :class:`~repro.sim.telemetry.Digest`
+    buckets, keys kept sorted as they first appear.
+
+    :meth:`quantile` equals ``Digest.quantile`` over the same samples (one
+    window), but walks down from the largest bucket instead of summing
+    and sorting every bucket: a tail quantile is a few steps from the top,
+    and the keeper asks for one per finished root.
+    """
+
+    __slots__ = ("counts", "keys", "total")
+
+    def __init__(self):
+        #: bucket index -> samples in it.
+        self.counts: Dict[int, int] = {}
+        #: the bucket indexes in ``counts``, ascending.
+        self.keys: List[int] = []
+        self.total = 0
+
+    def record(self, value: float) -> None:
+        b = _telemetry.digest_bucket(value)
+        count = self.counts.get(b)
+        if count is None:
+            self.counts[b] = 1
+            bisect.insort(self.keys, b)
+        else:
+            self.counts[b] = count + 1
+        self.total += 1
+
+    def quantile(self, q: float) -> float:
+        # The lowest bucket whose cumulative count exceeds the rank is the
+        # lowest one with fewer than ``total - rank`` samples above it.
+        rank = max(0, int(math.ceil(q * self.total)) - 1)
+        need = self.total - rank
+        above = 0
+        counts = self.counts
+        keys = self.keys
+        i = len(keys) - 1
+        while i > 0 and above + counts[keys[i]] < need:
+            above += counts[keys[i]]
+            i -= 1
+        return _telemetry.digest_bucket_value(keys[i])
+
+
 class TailKeeper:
     """Keep policy retaining whole span trees for tail/error exemplars.
 
@@ -331,12 +392,12 @@ class TailKeeper:
     root the keeper decides: keep the tree if the root errored, or if its
     duration reaches the op type's threshold — ``threshold_us`` when
     fixed, else the :data:`DEFAULT_KEEP_QUANTILE` of the op's own
-    duration :class:`~repro.sim.telemetry.Digest` (one run-long window,
-    so the threshold inherits the digest's error bound).  Until an op
-    type has ``min_samples`` observations its roots are all kept — early
-    stragglers are exactly the ones worth keeping, and the span ``budget``
-    bounds memory either way: once exceeded, the oldest kept trees are
-    evicted whole (``evicted_roots`` counts them).
+    durations in :class:`~repro.sim.telemetry.Digest` buckets (one
+    run-long window, so the threshold inherits the digest's error bound).
+    Until an op type has ``min_samples`` observations its roots are all
+    kept — early stragglers are exactly the ones worth keeping, and the
+    span ``budget`` bounds memory either way: once exceeded, the oldest
+    kept trees are evicted whole (``evicted_roots`` counts them).
 
     Decisions read only simulated durations and integer counts, never the
     wall clock or an RNG — identical traffic keeps identical trees on
@@ -345,7 +406,7 @@ class TailKeeper:
 
     __slots__ = ("quantile", "threshold_us", "min_samples", "budget",
                  "kept_roots", "kept_errors", "evicted_roots", "_trees",
-                 "_span_count", "_digests")
+                 "_span_count", "_durations")
 
     def __init__(self, quantile: float = DEFAULT_KEEP_QUANTILE,
                  threshold_us: Optional[float] = None,
@@ -369,18 +430,18 @@ class TailKeeper:
         #: by root finish time, which is what eviction walks).
         self._trees: Dict[int, List[Span]] = {}
         self._span_count = 0
-        #: op name -> duration digest feeding the adaptive thresholds.
-        self._digests: Dict[str, "_telemetry.Digest"] = {}
+        #: op name -> root durations feeding the adaptive thresholds.
+        self._durations: Dict[str, _DurationBuckets] = {}
 
     def op_threshold_us(self, op: str) -> Optional[float]:
         """Current keep threshold for an op type; ``None`` = keep all
         (threshold still warming up)."""
         if self.threshold_us is not None:
             return self.threshold_us
-        digest = self._digests.get(op)
-        if digest is None or digest.total_count < self.min_samples:
+        durations = self._durations.get(op)
+        if durations is None or durations.total < self.min_samples:
             return None
-        return digest.quantile(self.quantile)
+        return durations.quantile(self.quantile)
 
     def offer(self, root: Span, tree: List[Span]) -> bool:
         """Decide on one finished root's tree; returns True when kept."""
@@ -388,11 +449,10 @@ class TailKeeper:
         keep = (not root.ok) or threshold is None \
             or root.duration_us >= threshold
         if self.threshold_us is None:
-            digest = self._digests.get(root.name)
-            if digest is None:
-                digest = self._digests[root.name] = _telemetry.Digest(
-                    root.name, None, math.inf)
-            digest.record(root.end_us, root.duration_us)
+            durations = self._durations.get(root.name)
+            if durations is None:
+                durations = self._durations[root.name] = _DurationBuckets()
+            durations.record(root.duration_us)
         if not keep:
             return False
         self.kept_roots += 1
@@ -428,7 +488,7 @@ class TailKeeper:
         self.evicted_roots = 0
         self._trees.clear()
         self._span_count = 0
-        self._digests.clear()
+        self._durations.clear()
 
 
 class Tracer:
@@ -445,7 +505,7 @@ class Tracer:
     """
 
     __slots__ = ("_ring", "_next_id", "started", "finished", "_sim",
-                 "_stacks", "unattributed", "keeper", "_root_of",
+                 "_stacks", "unattributed", "keeper", "_keys",
                  "_live_trees")
 
     enabled = True
@@ -457,9 +517,9 @@ class Tracer:
         self._ring: collections.deque = collections.deque(maxlen=max_spans)
         self._next_id = 0
         self.keeper = keeper
-        #: span_id -> its tree root's span_id (tail-keep bookkeeping; only
-        #: populated while a keeper is attached).
-        self._root_of: Dict[int, int] = {}
+        #: Every cost-map key charged so far, mapped to itself: spans share
+        #: one tuple per distinct key instead of holding one per charge.
+        self._keys: Dict[tuple, tuple] = {}
         #: root span_id -> finished spans of its still-open tree.
         self._live_trees: Dict[int, List[Span]] = {}
         self.started = 0
@@ -522,11 +582,7 @@ class Tracer:
             # bottom span is this process's tree root (the op root for
             # client work, the fan-out wrapper for spawned legs).
             if stack:
-                bottom = stack[0].span_id
-                self._root_of[span.span_id] = self._root_of.get(bottom,
-                                                                bottom)
-            else:
-                self._root_of[span.span_id] = span.span_id
+                span.root_id = stack[0].root_id
         if stack is None:
             self._stacks[proc] = [span]
         else:
@@ -561,7 +617,7 @@ class Tracer:
         self.finished += 1
         self._ring.append(span)
         if self.keeper is not None:
-            root_id = self._root_of.pop(span.span_id, span.span_id)
+            root_id = span.root_id
             tree = self._live_trees.get(root_id)
             if tree is None:
                 tree = self._live_trees[root_id] = []
@@ -600,13 +656,14 @@ class Tracer:
         stack = self._stacks.get(proc)
         if stack:
             top = stack[-1]
-            top.add_cost(kind, host, us)
+            keys = self._keys
+            key = (kind, host)
+            top.add_cost(keys.setdefault(key, key), us)
             if resource is not None:
-                top.add_queue_resource(resource, host, us)
-                if by is None:
-                    top.add_queue_by("(unknown)", None, resource, host, us)
-                else:
-                    top.add_queue_by(by[0], by[1], resource, host, us)
+                key = (resource, host)
+                top.add_queue_resource(keys.setdefault(key, key), us)
+                key = self._queue_by_key(by, resource, host)
+                top.add_queue_by(keys.setdefault(key, key), us)
             return
         key = (host, kind)
         bucket = self.unattributed
@@ -638,12 +695,20 @@ class Tracer:
         stack = self._stacks.get(proc)
         if stack:
             top = stack[-1]
-            top.add_blocked(cause, kind, host, us)
+            keys = self._keys
+            key = (cause, kind, host)
+            top.add_blocked(keys.setdefault(key, key), us)
             if resource is not None:
-                if by is None:
-                    top.add_queue_by("(unknown)", None, resource, host, us)
-                else:
-                    top.add_queue_by(by[0], by[1], resource, host, us)
+                key = self._queue_by_key(by, resource, host)
+                top.add_queue_by(keys.setdefault(key, key), us)
+
+    @staticmethod
+    def _queue_by_key(by: Optional[Tuple[str, Optional[str]]],
+                      resource: str, host: Optional[str]) -> tuple:
+        """The (op, tenant, resource, host) occupant tag of a charge."""
+        if by is None:
+            return ("(unknown)", None, resource, host)
+        return (by[0], by[1], resource, host)
 
     def current_op_label(self) -> Optional[Tuple[str, Optional[str]]]:
         """The ``(op, tenant)`` identity of the currently executing
@@ -711,7 +776,7 @@ class Tracer:
         self.finished = 0
         self._stacks.clear()
         self.unattributed.clear()
-        self._root_of.clear()
+        self._keys.clear()
         self._live_trees.clear()
         if self.keeper is not None:
             self.keeper.reset()
@@ -783,13 +848,13 @@ def span_from_jsonable(data: Dict[str, Any]) -> Span:
     if attrs:
         span.attrs = dict(attrs)
     for kind, host, us in data.get("costs", ()):
-        span.add_cost(kind, host, us)
+        span.add_cost((kind, host), us)
     for res, host, us in data.get("queue_res", ()):
-        span.add_queue_resource(res, host, us)
+        span.add_queue_resource((res, host), us)
     for cause, kind, host, us in data.get("blocked", ()):
-        span.add_blocked(cause, kind, host, us)
+        span.add_blocked((cause, kind, host), us)
     for op, tenant, res, host, us in data.get("queue_by", ()):
-        span.add_queue_by(op, tenant, res, host, us)
+        span.add_queue_by((op, tenant, res, host), us)
     return span
 
 
@@ -1083,6 +1148,6 @@ def validate_chrome_trace(payload: dict) -> List[str]:
 
 
 # Bottom import: telemetry imports this module's ``check_shape``, so it can
-# only load once everything above exists (``TailKeeper`` reads ``Digest``
-# at call time).
+# only load once everything above exists (``TailKeeper`` reads the digest
+# buckets at call time).
 from repro.sim import telemetry as _telemetry  # noqa: E402

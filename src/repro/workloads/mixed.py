@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.workloads.namespace import NamespaceSpec, populate
 
@@ -30,18 +30,34 @@ DEFAULT_MIX: Dict[str, float] = {
 _SUPPORTED = set(DEFAULT_MIX)
 
 
+def zipf_table(items: List, s: float = 1.1) -> Tuple[List, List[float]]:
+    """``(items, cumulative Zipf(s) weights)``: the table a
+    :class:`ZipfPicker` bisects.  ``items`` is held, not copied, so one
+    table serves any number of pickers."""
+    if not items:
+        raise ValueError("need at least one item")
+    if s < 0:
+        raise ValueError("zipf exponent must be >= 0")
+    weights = [1.0 / ((rank + 1) ** s) for rank in range(len(items))]
+    return items, list(itertools.accumulate(weights))
+
+
 class ZipfPicker:
     """Draws items with a Zipf(s) popularity distribution."""
 
     def __init__(self, items: List, s: float = 1.1, seed: int = 0):
-        if not items:
-            raise ValueError("need at least one item")
-        if s < 0:
-            raise ValueError("zipf exponent must be >= 0")
-        self._items = list(items)
+        self._items, self._cumulative = zipf_table(list(items), s)
         self._rng = random.Random(seed)
-        weights = [1.0 / ((rank + 1) ** s) for rank in range(len(items))]
-        self._cumulative = list(itertools.accumulate(weights))
+
+    @classmethod
+    def over(cls, table: Tuple[List, List[float]], seed: int
+             ) -> "ZipfPicker":
+        """A picker drawing from a shared :func:`zipf_table` with its own
+        RNG; the same draws as ``ZipfPicker(items, s, seed)``."""
+        picker = cls.__new__(cls)
+        picker._items, picker._cumulative = table
+        picker._rng = random.Random(seed)
+        return picker
 
     def pick(self):
         point = self._rng.uniform(0.0, self._cumulative[-1])
@@ -68,24 +84,28 @@ class MixedWorkload:
         self.mix = {op: weight / total for op, weight in self.mix.items()}
         self.zipf_s = zipf_s
         self.seed = seed
-        self._dirs: List[str] = []
-        self._objects: List[str] = []
+        #: ``zipf_table`` of the objects and of the non-root directories,
+        #: built once in :meth:`setup` and shared by every client's pickers.
+        self._obj_table: Optional[Tuple[List, List[float]]] = None
+        self._dir_table: Optional[Tuple[List, List[float]]] = None
 
     def setup(self, system) -> None:
         populate(system, self.spec)
-        self._dirs = [d for d in self.spec.directories if d.count("/") > 1]
-        self._objects = list(self.spec.objects)
-        if not self._objects or not self._dirs:
+        dirs = [d for d in self.spec.directories if d.count("/") > 1]
+        objects = list(self.spec.objects)
+        if not objects or not dirs:
             raise ValueError("namespace too small for a mixed workload")
+        self._obj_table = zipf_table(objects, self.zipf_s)
+        self._dir_table = zipf_table(dirs, self.zipf_s)
 
     def client_ops(self, cid: int) -> Iterator[Tuple[str, tuple]]:
-        if not self._objects:
+        if self._obj_table is None:
             raise RuntimeError("setup() must run before client_ops()")
         rng = random.Random((self.seed << 20) ^ cid)
-        obj_picker = ZipfPicker(self._objects, self.zipf_s,
-                                seed=(self.seed << 8) ^ cid)
-        dir_picker = ZipfPicker(self._dirs, self.zipf_s,
-                                seed=(self.seed << 8) ^ cid ^ 0x5A5A)
+        obj_picker = ZipfPicker.over(self._obj_table,
+                                     seed=(self.seed << 8) ^ cid)
+        dir_picker = ZipfPicker.over(self._dir_table,
+                                     seed=(self.seed << 8) ^ cid ^ 0x5A5A)
         ops = list(self.mix)
         weights = [self.mix[op] for op in ops]
         created: List[str] = []

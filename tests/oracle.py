@@ -19,6 +19,12 @@ flights.  :func:`request_timeout_hosts` swaps both generators back in, so a
 run inside the block is the generator path end to end: the reference a
 kernel-driven run, traced or not, must equal.
 
+The per-client Zipf tables.  ``MixedWorkload`` builds one cumulative Zipf
+table per item list and every client's picker draws from it with its own
+RNG, and claims each client's op stream is exactly what it was when every
+picker copied the items and built its own table.
+:func:`per_client_zipf_ops` is that stream.
+
 The transactional loader.  ``bulk_load`` installs rows straight into their
 shard and folds each parent's counts once per call, and claims every shard,
 replica and id counter ends exactly as loading the same lists one entry at
@@ -26,7 +32,10 @@ a time through single-shard TafDB transactions would leave them.
 :func:`transactional_bulk_load` swaps that per-entry loader back in.
 """
 
+import bisect
 import contextlib
+import itertools
+import random
 from heapq import heappop, heappush
 
 import pytest
@@ -289,3 +298,64 @@ def transactional_bulk_load():
         patch.setattr(StorageMixin, "bulk_load", _txn_bulk_load)
         patch.setattr(locofs.LocoFSSystem, "bulk_load", _loco_txn_bulk_load)
         yield
+
+
+class PerClientZipfPicker:
+    """A Zipf(s) picker that copies its items and builds its own
+    cumulative table."""
+
+    def __init__(self, items, s=1.1, seed=0):
+        if not items:
+            raise ValueError("need at least one item")
+        if s < 0:
+            raise ValueError("zipf exponent must be >= 0")
+        self._items = list(items)
+        self._rng = random.Random(seed)
+        weights = [1.0 / ((rank + 1) ** s) for rank in range(len(items))]
+        self._cumulative = list(itertools.accumulate(weights))
+
+    def pick(self):
+        point = self._rng.uniform(0.0, self._cumulative[-1])
+        return self._items[bisect.bisect_left(self._cumulative, point)]
+
+
+def per_client_zipf_ops(workload, cid):
+    """Client ``cid``'s op stream of a set-up ``MixedWorkload``, drawn the
+    way every client drew it when it built its own pickers."""
+    dirs = [d for d in workload.spec.directories if d.count("/") > 1]
+    objects = list(workload.spec.objects)
+    rng = random.Random((workload.seed << 20) ^ cid)
+    obj_picker = PerClientZipfPicker(objects, workload.zipf_s,
+                                     seed=(workload.seed << 8) ^ cid)
+    dir_picker = PerClientZipfPicker(dirs, workload.zipf_s,
+                                     seed=(workload.seed << 8) ^ cid ^ 0x5A5A)
+    ops = list(workload.mix)
+    weights = [workload.mix[op] for op in ops]
+    created = []
+    made_dirs = []
+    counter = 0
+    for _ in range(workload.ops_per_client):
+        op = rng.choices(ops, weights)[0]
+        counter += 1
+        if op == "objstat":
+            yield (op, (obj_picker.pick(),))
+        elif op in ("readdir", "dirstat"):
+            yield (op, (dir_picker.pick(),))
+        elif op == "create":
+            path = f"{dir_picker.pick()}/mx_{cid}_{counter}.bin"
+            created.append(path)
+            yield (op, (path,))
+        elif op == "delete":
+            if created:
+                yield (op, (created.pop(),))
+            else:
+                yield ("objstat", (obj_picker.pick(),))
+        elif op == "mkdir":
+            path = f"{dir_picker.pick()}/mxd_{cid}_{counter}"
+            made_dirs.append(path)
+            yield (op, (path,))
+        elif op == "rmdir":
+            if made_dirs:
+                yield (op, (made_dirs.pop(),))
+            else:
+                yield ("dirstat", (dir_picker.pick(),))

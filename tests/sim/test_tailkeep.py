@@ -8,6 +8,12 @@ trees, no matter how small the ring is, and that every keep/drop is
 accounted for in :func:`~repro.sim.trace.trace_stats`.
 """
 
+import math
+import random
+
+import pytest
+
+from repro.sim.telemetry import Digest
 from repro.sim.trace import (
     CAT_OP,
     CAT_PHASE,
@@ -124,6 +130,37 @@ class TestAdaptiveThreshold:
         # Per-op-type thresholds: a different op type starts keep-all.
         _run_op(tracer, "other", now + 1_000.0, 1.0)
         assert keeper.kept_roots == kept_before + 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("quantile", [0.5, 0.99, 0.999])
+    def test_threshold_equals_the_digest_quantile(self, seed, quantile):
+        """The keeper's incremental bucket walk reads exactly what
+        ``Digest.quantile`` reads over the same durations, per op type,
+        from the first root through the ``min_samples`` warm-up."""
+        rng = random.Random(seed)
+        draws = {
+            "objstat": lambda: rng.lognormvariate(5.0, 0.6),
+            "mkdir": lambda: rng.choice((0.01, 40.0, 40.0, 3000.0)),
+            "rename": lambda: rng.expovariate(1 / 200.0),
+            "create": lambda: float(rng.randint(1, 4)) * 100.0,
+        }
+        keeper = TailKeeper(quantile=quantile, min_samples=16)
+        tracer = Tracer(max_spans=64, keeper=keeper)
+        digests = {op: Digest(op, None, math.inf) for op in draws}
+        now = 0.0
+        for _ in range(600):
+            op = rng.choice(sorted(draws))
+            digest = digests[op]
+            want = (None if digest.total_count < keeper.min_samples
+                    else digest.quantile(quantile))
+            assert keeper.op_threshold_us(op) == want
+            _run_op(tracer, op, now, draws[op](), children=0)
+            root = tracer.spans[-1]
+            digest.record(root.end_us, root.duration_us)
+            now += 5_000.0
+        for op, digest in digests.items():
+            assert digest.total_count > keeper.min_samples
+            assert keeper.op_threshold_us(op) == digest.quantile(quantile)
 
     def test_reset_clears_keeper_state(self):
         keeper = TailKeeper(threshold_us=1.0)

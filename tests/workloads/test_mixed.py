@@ -1,13 +1,17 @@
 """Tests for the mixed production-style workload and Zipf picker."""
 
 import collections
+import gc
+import tracemalloc
 
 import pytest
 
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
-from repro.workloads.mixed import DEFAULT_MIX, MixedWorkload, ZipfPicker
+from repro.workloads.mixed import (DEFAULT_MIX, MixedWorkload, ZipfPicker,
+                                   zipf_table)
 from repro.workloads.namespace import build_namespace
+from tests.oracle import per_client_zipf_ops
 
 
 class TestZipfPicker:
@@ -87,3 +91,57 @@ class TestMixedWorkload:
         workload = MixedWorkload(self._spec())
         with pytest.raises(RuntimeError):
             list(workload.client_ops(0))
+
+
+class _NoLoad:
+    """A system whose bulk load keeps nothing: the op streams only need
+    the workload's own lists."""
+
+    def bulk_load(self, dirs, objects):
+        pass
+
+
+class TestSharedZipfTables:
+    """One Zipf table per item list, shared by every client's pickers."""
+
+    CLIENTS = 32
+
+    def _workload(self, seed):
+        # The ledger's sim_mixed spec and stream, at full size.
+        spec = build_namespace(num_dirs=2000, objects_per_dir=10, seed=seed)
+        workload = MixedWorkload(spec, num_clients=self.CLIENTS,
+                                 ops_per_client=400, seed=seed)
+        workload.setup(_NoLoad())
+        return workload
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_streams_equal_per_client_tables(self, seed):
+        workload = self._workload(seed)
+        for cid in range(self.CLIENTS):
+            assert list(workload.client_ops(cid)) == \
+                list(per_client_zipf_ops(workload, cid)), cid
+
+    def test_picker_over_a_table_draws_like_its_own(self):
+        items = [f"/d{i}" for i in range(500)]
+        own = ZipfPicker(items, s=1.1, seed=7)
+        shared = ZipfPicker.over(zipf_table(items, 1.1), seed=7)
+        assert [own.pick() for _ in range(2000)] == \
+            [shared.pick() for _ in range(2000)]
+
+    def test_more_clients_allocate_no_more_tables(self):
+        workload = self._workload(11)
+
+        def opened(clients):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                streams = [workload.client_ops(cid) for cid in range(clients)]
+                for stream in streams:
+                    next(stream)  # the pickers are built on the first op
+                return tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+
+        one, all_clients = opened(1), opened(self.CLIENTS)
+        assert all_clients - one < 1 << 20, (one, all_clients)
