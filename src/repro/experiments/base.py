@@ -11,11 +11,12 @@ from repro.bench.analyze import classify_run, segment_run
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
 from repro.bench.report import Table
-from repro.sim.critpath import build_blame, critpath_from_tracer
-from repro.sim.profile import profile_from_tracer
+from repro.sim.critpath import build_critpath
+from repro.sim.profile import build_profile
 from repro.sim.stats import MetricSet
 from repro.sim.telemetry import Telemetry
-from repro.sim.trace import OpAggregate, TailKeeper, Tracer, aggregate_ops
+from repro.sim.trace import (OpAggregate, SpanIndex, TailKeeper, Tracer,
+                             aggregate_ops)
 from repro.workloads.mdtest import MdtestWorkload
 
 #: Per-experiment client/item budgets by scale.
@@ -115,7 +116,8 @@ class RunRecord:
     windowed ``telemetry`` — plus whatever had to be derived while the
     system was still up (``verdict``, ``phases``).  Every explanation
     view is a fold over this record; the span folds several views share
-    (:attr:`crit`, :attr:`profile`, :attr:`blame`) are computed once.
+    (:attr:`crit` with its blame matrix, :attr:`profile`) are computed
+    once, over one :attr:`index` of the ring.
     """
 
     name: str
@@ -126,16 +128,17 @@ class RunRecord:
     phases: Optional[list] = None
 
     @functools.cached_property
+    def index(self):
+        return SpanIndex(self.tracer.spans)
+
+    @functools.cached_property
     def crit(self):
-        return critpath_from_tracer(self.tracer, name=self.name)
+        return build_critpath(self.index, name=self.name)
 
     @functools.cached_property
     def profile(self):
-        return profile_from_tracer(self.tracer, name=self.name)
-
-    @functools.cached_property
-    def blame(self):
-        return build_blame(self.crit)
+        return build_profile(self.index, dict(self.tracer.unattributed),
+                             name=self.name)
 
 
 def instrumented_run(build: Callable[[], Any],
@@ -218,7 +221,7 @@ def op_aggregate(record: RunRecord, op: str) -> OpAggregate:
         raise RuntimeError(
             f"{record.name}: {tracer.dropped} spans fell out of the trace "
             f"ring; phase means would under-count")
-    agg = aggregate_ops(tracer.spans).get(op)
+    agg = aggregate_ops(record.index).get(op)
     if agg is None or not agg.count:
         raise RuntimeError(f"{record.name}: no successful {op!r} spans")
     return agg

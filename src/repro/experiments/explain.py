@@ -40,7 +40,8 @@ window than ``triage`` segments on, so those two get separate runs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from repro.bench.analyze import (
     PHASE_LABELS,
@@ -68,7 +69,6 @@ from repro.experiments.exportutil import (
 )
 from repro.ops import make_op
 from repro.sim.critpath import (
-    build_blame,
     build_critpath,
     center_rows,
     component_of,
@@ -90,8 +90,8 @@ from repro.sim.profile import (
 from repro.sim.stats import MetricSet
 from repro.sim.telemetry import sparkline, validate_rows
 from repro.sim.trace import (
-    CAT_OP,
     NONEMPTY,
+    SpanIndex,
     aggregate_ops,
     category_summary,
     check_shape,
@@ -332,21 +332,20 @@ class Folded:
     exports: List[Export] = dataclasses.field(default_factory=list)
 
 
-def check_conservation(crit, blame=None, who: str = "") -> None:
+def check_conservation(crit, who: str = "") -> None:
     """The one conservation gate: path segments telescope to the folded
-    ops' latency and, given a blame matrix, blamed microseconds cover the
-    gated queue segments exactly.  Raises ``RuntimeError`` otherwise."""
+    ops' latency and blamed microseconds cover the gated queue segments
+    exactly.  Raises ``RuntimeError`` otherwise."""
     err = crit.conservation_error()
     if err > CONSERVATION_TOLERANCE:
         raise RuntimeError(
             f"{who}: critical-path segments cover {1 - err:.6%} of "
             f"end-to-end latency (must telescope exactly)")
-    if blame is not None:
-        err = blame.conservation_error()
-        if err > CONSERVATION_TOLERANCE:
-            raise RuntimeError(
-                f"{who}: blame matrix covers {1 - err:.6%} of gated queue "
-                f"time (occupant tags must decompose queue_res exactly)")
+    err = crit.blame.conservation_error()
+    if err > CONSERVATION_TOLERANCE:
+        raise RuntimeError(
+            f"{who}: blame matrix covers {1 - err:.6%} of gated queue "
+            f"time (occupant tags must decompose queue_res exactly)")
 
 
 def dropped_warning(stats: Dict[str, int]) -> Optional[str]:
@@ -394,7 +393,7 @@ def agreement_table(runs: Sequence[Run]) -> Tuple[Table, float]:
     worst = 0.0
     for case, record in runs:
         metrics = record.metrics
-        agg = aggregate_ops(record.tracer.spans).get(case.op)
+        agg = aggregate_ops(record.index).get(case.op)
         if agg is None:
             raise RuntimeError(f"no {case.op!r} spans for case {case.label}")
         pairs = [("mean latency us", agg.mean_latency_us,
@@ -785,10 +784,11 @@ def _victim_exemplar(crit):
 def fold_blame(request: Request, runs: Sequence[Run]) -> Folded:
     folded = Folded()
     for case, record in runs:
-        crit, blame = record.crit, record.blame
-        check_conservation(crit, blame, who=case.system)
+        crit = record.crit
+        blame = crit.blame
+        check_conservation(crit, who=case.system)
         folded.exports.append(Export(
-            case.system, ".json", to_blame_payload(blame, crit),
+            case.system, ".json", to_blame_payload(crit),
             validate_blame))
         folded.tables.append(culprit_table(blame, request.top))
         if len({tenant for _op, tenant in blame.victim_totals()}) > 1:
@@ -817,48 +817,35 @@ def _window_jsonable(phase: Phase) -> List[float]:
     return [round(phase.window[0], 3), round(phase.window[1], 3)]
 
 
-def _phase_exemplars(tracer, phase: Phase, is_last: bool) -> List[int]:
-    """Root span ids of kept tail trees whose op completed in the phase.
+def triage_phase(index: SpanIndex, kept: FrozenSet[int], phase: Phase,
+                 is_last: bool, who: str) -> Dict[str, Any]:
+    """Fold one anomalous phase's tail exemplars into gating + blame.
 
-    Completion time decides membership (that is when the latency digests
-    record the op); the run's final phase is end-inclusive so the last
-    op to finish is not orphaned.
+    The exemplars are the kept tail trees' roots (``kept``) whose op
+    completed in the phase: completion time decides membership (that is
+    when the latency digests record the op), and the run's final phase
+    is end-inclusive so the last op to finish is not orphaned.  ``index``
+    covers the tracer's retained spans.
     """
     lo, hi = phase.window
-    out = []
-    for tree in tracer.keeper.trees():
-        root = tree[-1]
-        if root.category != CAT_OP or root.end_us is None:
-            continue
-        if lo <= root.end_us < hi or (is_last and root.end_us == hi):
-            out.append(root.span_id)
-    return out
-
-
-def triage_phase(tracer, phase: Phase, is_last: bool,
-                 who: str) -> Dict[str, Any]:
-    """Fold one anomalous phase's tail exemplars into gating + blame."""
-    exemplar_ids = _phase_exemplars(tracer, phase, is_last)
+    crit = build_critpath(
+        index, name=f"{who} {phase.label}",
+        root_where=lambda span: span.span_id in kept and (
+            lo <= span.end_us < hi or (is_last and span.end_us == hi)))
     entry: Dict[str, Any] = {
         "phase": phase.label,
         "window_us": _window_jsonable(phase),
         "verdict": _verdict_jsonable(phase.verdict),
-        "exemplars": len(exemplar_ids),
+        "exemplars": crit.ops + crit.op_failures,
         "gated_by": [],
         "blamed_on": [],
         "summary": (f"no tail exemplars completed in phase "
                     f"{phase.label!r}"),
     }
-    if not exemplar_ids:
-        return entry
-    wanted = frozenset(exemplar_ids)
-    crit = build_critpath(tracer.retained_spans(),
-                          name=f"{who} {phase.label}",
-                          root_where=lambda span: span.span_id in wanted)
     if crit.ops == 0:
         return entry
-    blame = build_blame(crit)
-    check_conservation(crit, blame, f"{who} phase {phase.label}")
+    blame = crit.blame
+    check_conservation(crit, f"{who} phase {phase.label}")
     entry["gated_by"] = center_rows(crit, EXPORT_TOP)
     entry["blamed_on"] = culprit_rows(blame, EXPORT_TOP)
     entry["critpath_conservation_error"] = crit.conservation_error()
@@ -886,6 +873,9 @@ def triage_payload(target: str, case: Case,
     phases = record.phases
     last_window = phases[-1].window if phases else (0.0, 0.0)
     primary = primary_phase(phases)
+    index = SpanIndex(record.tracer.retained_spans())
+    kept = frozenset(tree[-1].span_id
+                     for tree in record.tracer.keeper.trees())
     return {
         "name": record.name,
         "system": case.system,
@@ -902,7 +892,7 @@ def triage_payload(target: str, case: Case,
             "verdict": _verdict_jsonable(phase.verdict),
         } for phase in phases],
         "primary_phase": primary.label if primary is not None else None,
-        "triage": [triage_phase(record.tracer, phase,
+        "triage": [triage_phase(index, kept, phase,
                                 phase.window == last_window, record.name)
                    for phase in anomalous_phases(phases)],
     }

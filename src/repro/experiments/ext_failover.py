@@ -9,7 +9,7 @@ dip bounded by the election timeout, and recovery to full throughput after.
 The run is traced end-to-end (:func:`~repro.experiments.base.instrumented_run`
 attaches the tracer before the crash) and the winning candidacy's ``raft.election``
 span is decomposed with :func:`~repro.sim.critpath.build_critpath`
-(``root_category="raft"``), so the report shows *where the unavailability
+(rooted at ``raft.election`` spans), so the report shows *where the unavailability
 window went* — durable-vote fsync, vote-counting CPU, or waiting on the
 wire for the quorum.
 """
@@ -75,7 +75,7 @@ def run(scale: str = "quick") -> List[Table]:
 
     # Trace the failover (election spans included); the rig attaches after
     # the bulk namespace build so the ring holds only the measured run.
-    tracer = instrumented_run(build, drive, ("tracer",)).tracer
+    record = instrumented_run(build, drive, ("tracer",))
 
     table = Table(
         "Extension: lookup completions per 25 ms window "
@@ -108,9 +108,10 @@ def run(scale: str = "quick") -> List[Table]:
 
     # Decompose the winning candidacy: what gated the new leader's
     # election, microsecond by microsecond.
-    crit = build_critpath(tracer.spans, name="failover-election",
-                          root_category=CAT_RAFT,
-                          root_name="raft.election")
+    crit = build_critpath(
+        record.index, name="failover-election",
+        root_where=lambda span: (span.category == CAT_RAFT
+                                 and span.name == "raft.election"))
     shares = crit.shares()
     election = Table(
         "Extension: critical path of the winning election",

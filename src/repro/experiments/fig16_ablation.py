@@ -112,9 +112,9 @@ def run(scale: str = "quick") -> List[Table]:
                 config=config)
             metrics = record.metrics
             if op == "dirstat":
-                from repro.sim.critpath import critpath_from_tracer
+                from repro.sim.critpath import build_critpath
 
-                crit = critpath_from_tracer(record.tracer, name=label)
+                crit = build_critpath(record.index, name=label)
                 gate_label, component = _top_gate(crit)
                 if step_index == len(STEPS) - 1:
                     final_crit = crit

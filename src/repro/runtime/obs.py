@@ -19,15 +19,18 @@ own buffers.  This module is the cross-process half:
   processes it touched; :func:`dyn_self_time_problems` checks the
   within-process dynamic trees telescope (non-negative self-times), the
   invariant the profiler and critical-path machinery rely on;
-* **phase breakdown** — :func:`phase_breakdown` walks the *global* span
-  tree (within-process dynamic links + cross-process remote links) and
-  folds each op kind's charges into wire/fsync/cpu/queue microseconds
-  per op.  The same function consumes simulated tracer output, which is
-  what makes the ``mantle-exp live fig12`` differential an
-  apples-to-apples table;
+* **phase breakdown** — :func:`phase_breakdown` walks each op's *global*
+  span tree and folds each op kind's charges into wire/fsync/cpu/queue
+  microseconds per op.  The same function consumes simulated tracer
+  output, which is what makes the ``mantle-exp live fig12`` differential
+  an apples-to-apples table;
 * **metrics endpoint** — :class:`MetricsServer` is the tiny HTTP listener
   behind ``mantle-serve --metrics-port``: every GET answers one JSON
   metrics snapshot (schema-checked by :func:`validate_metrics_snapshot`).
+
+Validation and the phase breakdown read one
+:class:`~repro.sim.trace.SpanIndex` over the snapshots, keyed by
+``(process, span_id)`` (``docs/observability.md``, "One span index").
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.sim import telemetry as telemetry_module
 from repro.sim.trace import (
     CAT_OP,
+    EDGE_REMOTE,
     Span,
+    SpanIndex,
     check_shape,
     chrome_trace_events,
     span_from_jsonable,
@@ -208,70 +213,10 @@ def merge_chrome_trace(snapshots: Iterable[Dict[str, Any]]) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-class _SpanIndex:
-    """Every snapshotted span under its ``(process, span_id)`` key, with
-    its global parent and children — the one index the cross-process
-    validators and the phase fold share.
-
-    Parent preference: an explicit cross-process link first, then the
-    within-process dynamic parent, then a ``join_to`` edge (a 2PC fan-out
-    leg joining back into the span that awaited it — legs run as their own
-    tasks, so they have no dynamic parent), then the declared parent.  A
-    parent that fell out of the ring (or lives in a process that was not
-    snapshotted) leaves its child a root; the validators report it.
-    """
-
-    def __init__(self, snapshots: Iterable[Dict[str, Any]]):
-        self.spans: Dict[Tuple[str, int], Span] = {}
-        self.processes = set()
-        for snap in snapshots:
-            proc = snap.get("process", "")
-            self.processes.add(proc)
-            for span in _spans_of(snap):
-                self.spans[(proc, span.span_id)] = span
-        self.parent_of: Dict[Tuple[str, int], Optional[Tuple[str, int]]] = {}
-        self.children: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
-        for key, span in self.spans.items():
-            parent = self._parent_key(key[0], span)
-            if parent not in self.spans:
-                parent = None
-            self.parent_of[key] = parent
-            if parent is not None:
-                self.children.setdefault(parent, []).append(key)
-
-    @staticmethod
-    def _parent_key(proc: str, span: Span) -> Optional[Tuple[str, int]]:
-        attrs = span.attrs or {}
-        if "remote_parent_proc" in attrs:
-            return (str(attrs["remote_parent_proc"]),
-                    int(attrs.get("remote_parent_span", 0)))
-        if span.dyn_parent_id:
-            return (proc, span.dyn_parent_id)
-        if attrs.get("join_to"):
-            return (proc, int(attrs["join_to"]))
-        if span.parent_id:
-            return (proc, span.parent_id)
-        return None
-
-    def op_roots(self):
-        """``(key, span)`` of every op span heading a tree, in key order."""
-        for key, span in sorted(self.spans.items()):
-            if span.category == CAT_OP and self.parent_of[key] is None:
-                yield key, span
-
-    def tree(self, root: Tuple[str, int]) -> List[Tuple[str, int]]:
-        """Every key under ``root`` (itself included), each once."""
-        seen = set()
-        order = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            order.append(node)
-            stack.extend(self.children.get(node, ()))
-        return order
+def _op_roots(index: SpanIndex) -> List[Span]:
+    """Every op span heading a tree, in key order."""
+    return [span for span in sorted(index.spans, key=index.key)
+            if span.category == CAT_OP and index.parent(span) is None]
 
 
 def cross_process_problems(snapshots: List[Dict[str, Any]]) -> List[str]:
@@ -279,17 +224,19 @@ def cross_process_problems(snapshots: List[Dict[str, Any]]) -> List[str]:
     every ``remote_parent_*`` reference must resolve to a snapshotted span
     in the named process (a dangling one would mean the re-parenting
     protocol lost an edge)."""
-    index = _SpanIndex(snapshots)
+    index = SpanIndex(snapshots=snapshots)
     problems: List[str] = []
-    for (proc, span_id), span in sorted(index.spans.items()):
-        if "remote_parent_proc" not in (span.attrs or {}):
+    for span in sorted(index.spans, key=index.key):
+        edge = index.edge(span)
+        if edge is None or edge[0] != EDGE_REMOTE:
             continue
-        target = _SpanIndex._parent_key(proc, span)
+        proc, span_id = index.key(span)
+        target = edge[1]
         if target[0] not in index.processes:
             problems.append(
                 f"{proc}#{span_id} ({span.name}): remote parent process "
                 f"{target[0]!r} was not snapshotted")
-        elif target not in index.spans:
+        elif index.parent(span) is None:
             problems.append(
                 f"{proc}#{span_id} ({span.name}): remote parent "
                 f"{target[0]}#{target[1]} not found (dropped span?)")
@@ -299,13 +246,15 @@ def cross_process_problems(snapshots: List[Dict[str, Any]]) -> List[str]:
 def op_tree_stats(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Connectivity stats for the merged trace: per-op-root tree sizes and
     the set of processes each tree touches (the e2e assertion surface)."""
-    index = _SpanIndex(snapshots)
+    index = SpanIndex(snapshots=snapshots)
     trees = []
-    for key, span in index.op_roots():
-        nodes = index.tree(key)
-        trees.append({"root": f"{key[0]}#{key[1]}", "op": span.name,
+    for root in _op_roots(index):
+        proc, span_id = index.key(root)
+        nodes = index.tree(root)
+        trees.append({"root": f"{proc}#{span_id}", "op": root.name,
                       "spans": len(nodes),
-                      "processes": sorted({node[0] for node in nodes})})
+                      "processes": sorted({index.key(node)[0]
+                                           for node in nodes})})
     return {"ops": len(trees), "trees": trees}
 
 
@@ -319,22 +268,17 @@ def dyn_self_time_problems(snapshots: List[Dict[str, Any]],
     property every downstream analysis assumes.  ``tolerance_us`` absorbs
     clock-read ordering dust on the wall clock.
     """
+    index = SpanIndex(snapshots=snapshots)
+    order = {proc: i for i, proc in enumerate(index.processes)}
     problems: List[str] = []
-    for snap in snapshots:
-        proc = snap.get("process", "")
-        spans = {s.span_id: s for s in _spans_of(snap)
-                 if s.end_us is not None}
-        child_us: Dict[int, float] = {}
-        for span in spans.values():
-            pid = span.dyn_parent_id
-            if pid and pid in spans:
-                child_us[pid] = child_us.get(pid, 0.0) + span.duration_us
-        for span_id, span in sorted(spans.items()):
-            self_us = span.duration_us - child_us.get(span_id, 0.0)
-            if self_us < -tolerance_us:
-                problems.append(
-                    f"{proc}#{span_id} ({span.name}): negative self time "
-                    f"{self_us:.1f}us")
+    for span in sorted(index.spans,
+                       key=lambda s: (order[index.key(s)[0]], s.span_id)):
+        self_us = index.dyn_self_us(span)
+        if self_us < -tolerance_us:
+            proc, span_id = index.key(span)
+            problems.append(
+                f"{proc}#{span_id} ({span.name}): negative self time "
+                f"{self_us:.1f}us")
     return problems
 
 
@@ -384,18 +328,18 @@ def phase_breakdown(snapshots: List[Dict[str, Any]]) -> Dict[str, OpPhases]:
     via the remote links — double-counts nothing.  Works identically on
     simulated and live snapshots; only successful ops are folded.
     """
-    index = _SpanIndex(snapshots)
+    index = SpanIndex(snapshots=snapshots)
     out: Dict[str, OpPhases] = {}
-    for key, span in index.op_roots():
-        if not span.ok or span.end_us is None:
+    for span in _op_roots(index):
+        if not span.ok:
             continue
         agg = out.get(span.name)
         if agg is None:
             agg = out[span.name] = OpPhases(span.name)
         agg.count += 1
         agg.total_latency_us += span.duration_us
-        for node in index.tree(key):
-            costs = index.spans[node].costs
+        for node in index.tree(span):
+            costs = node.costs
             if costs:
                 for (kind, _host), us in costs.items():
                     folded = _fold_kind(kind)

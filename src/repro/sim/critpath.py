@@ -7,34 +7,20 @@ microseconds actually gated end-to-end latency* — and, on top of that,
 
 Extraction
 ----------
-Every completed operation runs as one client process, and RPC handlers
-execute inline in the calling process, so an op's dynamic span tree
-(``Span.dyn_parent_id``) is a **serial decomposition** of its wall clock:
-sibling intervals are disjoint and self-times telescope to the root's
-duration exactly.  Parallel sub-work (the 2PC fan-out) enters the tree
-through explicit ``join_to`` edges — spans annotated with the fan-out
-wait span they join back into; within a group of time-overlapping
-siblings only the **gating leg** (the one the join actually waited on,
-i.e. the last to finish) stays on the path, and the overlapped legs'
-cost surfaces as off-path slack in the contrast.  :func:`build_critpath`
-walks each successful ``op`` root and splits every span's self-time into
-gating segments:
+An op's gating path is its :class:`~repro.sim.trace.SpanIndex` gating
+tree: a **serial decomposition** of its wall clock, with each overlapping
+2PC fan-out group folded to its **gating leg** (``docs/observability.md``,
+"One span index").  :func:`gating_walk` splits every span's self-time on
+it into gating segments:
 
 * the cpu / fsync / wire charges the sim layer attributed to the span,
 * ``queue`` charges refined by the resource waited on
   (``queue:cpu`` / ``queue:disk`` / ``queue:latch``, from
   ``Span.queue_res``),
 * **blocked-on edges** (``Span.blocked``) — time the span spent waiting on
-  *another process*, decomposed into its causes.  The cross-process waits
-  in the stack are the Raft commit — the IndexNode service stamps the
-  commit timeline so the wait splits into ``raft.queue`` (batch window),
-  ``raft.flush`` (leader log fsync), ``raft.follower_flush`` /
-  ``raft.follower_apply`` (the gating follower's fsync and apply,
-  piggybacked on its AppendReply and charged to the follower's host) and
-  ``raft.replicate`` (the remaining replication round trips — genuinely
-  network-shaped) — and the follower read barrier
-  (``raft.read_barrier``, the commitIndex round trip replica reads wait
-  on, charged as wire),
+  *another process*, split into the causes the waiting site names (the
+  IndexNode service splits the Raft commit wait and the follower read
+  barrier into ``raft.*`` causes on the hosts that did the work),
 * an ``idle`` residual for self-time no charge or blocked edge explains.
 
 Summed over an op's tree the segments equal the op's duration (up to float
@@ -84,10 +70,10 @@ hiding.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.sim.host import COMPONENT_FIELDS, CostOverrides
-from repro.sim.trace import CAT_OP, Span, check_shape, shape_items
+from repro.sim.trace import CAT_OP, Span, SpanIndex, check_shape, shape_items
 
 #: Occupant tag used when a queue segment carries no ``queue_by`` entry
 #: (unlabelled holder, float-dust residuals).
@@ -100,6 +86,10 @@ SEGMENT_KINDS = ("cpu", "fsync", "wire", "queue:cpu", "queue:disk",
 
 #: A gating center: (host, frame, kind) -> microseconds on some op's path.
 Center = Tuple[Optional[str], str, str]
+
+#: One gating segment: (host, frame, kind, microseconds, whether it came
+#: from ``Span.blocked`` — time waiting on another process's work).
+Segment = Tuple[Optional[str], str, str, float, bool]
 
 
 def collapse_kind(kind: str) -> str:
@@ -125,9 +115,14 @@ class CritPath:
     root_paths:
         (root span, extracted path microseconds) per folded op — the
         per-op conservation invariant ``path_us == root.duration_us``.
+    blame:
+        the :class:`BlameMatrix` of the same walks' queue segments.
+    blocked_centers:
+        the centers some ``Span.blocked`` segment landed on.
     """
 
-    def __init__(self, name: str = ""):
+    def __init__(self, index: SpanIndex, name: str = ""):
+        self.index = index
         self.name = name
         self.ops = 0
         self.op_failures = 0
@@ -135,9 +130,8 @@ class CritPath:
         self.gated: Dict[Center, float] = {}
         self.ops_by_name: Dict[str, int] = {}
         self.root_paths: List[Tuple[Span, float]] = []
-        self._by_id: Dict[int, Span] = {}
-        self._children: Dict[int, List[Span]] = {}
-        self._self_us: Dict[int, float] = {}
+        self.blame = BlameMatrix(name)
+        self.blocked_centers: Set[Center] = set()
 
     # -- derived views -----------------------------------------------------
 
@@ -191,28 +185,36 @@ class CritPath:
             return ["(no completed ops traced)"]
         lines = [f"{root.name}  {root.duration_us:.1f}us end-to-end"]
 
-        def describe(span: Span) -> str:
+        def describe(segments: List[Segment]) -> str:
             parts = []
-            for host, _frame, kind, us in _segments_of(
-                    span, self._self_us.get(span.span_id, 0.0)):
+            for host, _frame, kind, us, _blocked in segments:
                 if us > 0.005:
                     where = f"@{host}" if host else ""
                     parts.append(f"{kind}{where} {us:.1f}")
             return ", ".join(parts) if parts else "-"
 
-        def walk(span: Span, depth: int) -> None:
-            pad = "  " * depth
+        for span, depth, segments in self.path_tree(root):
             if depth:
-                lines.append(f"{pad}{span.name}  {span.duration_us:.1f}us"
-                             f"  [{describe(span)}]")
+                lines.append(f"{'  ' * depth}{span.name}  "
+                             f"{span.duration_us:.1f}us  "
+                             f"[{describe(segments)}]")
             else:
-                lines.append(f"{pad}gates: {describe(span)}")
-            for child in sorted(self._children.get(span.span_id, ()),
-                                key=lambda s: (s.start_us, s.span_id)):
-                walk(child, depth + 1)
-
-        walk(root, 0)
+                lines.append(f"gates: {describe(segments)}")
         return lines
+
+    def path_tree(self, root: Span) -> Iterator[
+            Tuple[Span, int, List[Segment]]]:
+        """A folded op's walk as a tree for display: ``(span, depth,
+        segments)`` depth first, children by start time."""
+        segments = dict(gating_walk(self.index, root))
+        gating_children = self.index.gating_children
+        stack = [(root, 0)]
+        while stack:
+            span, depth = stack.pop()
+            yield span, depth, segments[span]
+            stack.extend((child, depth + 1) for child in sorted(
+                gating_children(span), key=lambda s: (s.start_us, s.span_id),
+                reverse=True))
 
 
 def _center_sort_key(center: Center) -> Tuple[str, str, str]:
@@ -220,34 +222,33 @@ def _center_sort_key(center: Center) -> Tuple[str, str, str]:
     return (host or "", frame, kind)
 
 
-def _segments_of(span: Span, self_us: float) -> List[
-        Tuple[Optional[str], str, str, float]]:
-    """Decompose one span's self-time into (host, frame, kind, us) gating
-    segments.  By construction the segments sum to ``self_us`` up to float
-    dust: charges are taken verbatim, queue charges are refined by their
+def _segments_of(span: Span, self_us: float) -> List[Segment]:
+    """Decompose one span's self-time into gating segments.  By
+    construction the segments sum to ``self_us`` up to float dust:
+    charges are taken verbatim, queue charges are refined by their
     resource tags, blocked-on edges refine (and are capped by) the idle
     residual, and whatever remains is ``idle``.
     """
     frame = span.name
-    out: List[Tuple[Optional[str], str, str, float]] = []
+    out: List[Segment] = []
     charged = 0.0
     if span.costs:
         queue_res = dict(span.queue_res) if span.queue_res else {}
         for (kind, host), us in span.costs.items():
             charged += us
             if kind != "queue":
-                out.append((host, frame, kind, us))
+                out.append((host, frame, kind, us, False))
                 continue
             remaining = us
             for (resource, rhost), rus in list(queue_res.items()):
                 if rhost != host or rus <= 0.0 or remaining <= 0.0:
                     continue
                 take = min(rus, remaining)
-                out.append((host, frame, f"queue:{resource}", take))
+                out.append((host, frame, f"queue:{resource}", take, False))
                 remaining -= take
                 del queue_res[(resource, rhost)]
             if remaining > 0.0:
-                out.append((host, frame, "queue", remaining))
+                out.append((host, frame, "queue", remaining, False))
     avail = self_us - charged
     if avail < 0.0:
         avail = 0.0
@@ -260,120 +261,82 @@ def _segments_of(span: Span, self_us: float) -> List[
         for (cause, kind, host), us in span.blocked.items():
             us *= scale
             if us > 0.0:
-                out.append((host, cause, kind, us))
+                out.append((host, cause, kind, us, True))
                 used += us
         avail -= used
     if avail > 0.0:
-        out.append((span.host, frame, "idle", avail))
+        out.append((span.host, frame, "idle", avail, False))
     return out
 
 
-def _fold_children(kids: List[Span]) -> List[Span]:
-    """Select the children on the gating path.
+def gating_walk(index: SpanIndex, root: Span
+                ) -> Iterator[Tuple[Span, List[Segment]]]:
+    """Every span on ``root``'s gating path with its segments, each once.
 
-    Serial siblings (disjoint intervals — the normal stack-discipline
-    case) all stay.  Siblings whose intervals overlap are a fan-out
-    group: the join waited on whichever leg finished *last*, so only
-    that leg gates; the others ran in its shadow.  Back-to-back spans
-    (end == next start, exact in the DES) are serial, not overlapping.
+    A span's segments decompose its gating self-time, so over the walk
+    they sum to the root's duration — the telescoping identity the
+    profiler relies on, inherited segment by segment, with each fan-out
+    group contributing exactly its gating leg.
     """
-    kids = sorted(kids, key=lambda s: (s.start_us, s.end_us, s.span_id))
-    folded: List[Span] = []
-    group = [kids[0]]
-    group_end = kids[0].end_us
-    for kid in kids[1:]:
-        if kid.start_us < group_end:
-            group.append(kid)
-            group_end = max(group_end, kid.end_us)
-        else:
-            folded.append(max(group,
-                              key=lambda s: (s.end_us, s.span_id)))
-            group = [kid]
-            group_end = kid.end_us
-    folded.append(max(group, key=lambda s: (s.end_us, s.span_id)))
-    return folded
+    gating_children = index.gating_children
+    gating_self_us = index.gating_self_us
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node, _segments_of(node, gating_self_us(node))
+        stack.extend(gating_children(node))
 
 
-def build_critpath(spans: Iterable[Span], name: str = "",
-                   root_category: str = CAT_OP,
-                   root_name: Optional[str] = None,
-                   require_ok: bool = True,
-                   root_where: Optional[Callable[[Span], bool]] = None
-                   ) -> CritPath:
+def build_critpath(index: SpanIndex, name: str = "",
+                   root_where: Callable[[Span], bool] =
+                   lambda span: span.category == CAT_OP) -> CritPath:
     """Extract and aggregate the critical path of every traced op.
 
-    Only *successful*, *dynamically rooted* ``op``-category spans are
-    folded (an op whose root fell out of the ring cannot be decomposed;
-    failed ops contribute no latency).  Per root, the extracted segments
-    sum to the root's duration exactly — the telescoping identity the
-    profiler relies on, inherited here segment-by-segment, with fan-out
-    groups contributing exactly their gating leg.
+    Only *successful*, *dynamically rooted* spans that ``root_where``
+    accepts — by default every ``op`` span — are folded (an op whose root
+    fell out of the ring cannot be decomposed; failed ops contribute no
+    latency, only ``op_failures``).  Per root, the walk's segments sum to
+    the root's duration exactly, and its queue segments are blamed in the
+    same pass (:attr:`CritPath.blame`).
 
-    ``root_category`` / ``root_name`` / ``require_ok`` repoint the fold at
-    non-op roots — e.g. ``root_category="raft", root_name="raft.election"``
-    decomposes a traced failover's unavailability window instead of client
-    ops (lost candidacies are still skipped unless ``require_ok=False``).
-    ``root_where`` filters root spans further — the triage path uses it to
-    fold only the tail exemplars of one phase (the predicate sees the root
-    span; roots it rejects are skipped without counting as failures).
+    Other predicates repoint the fold: the failover extension decomposes
+    its ``raft.election`` spans, the triage view one phase's tail
+    exemplars.
     """
-    crit = CritPath(name)
-    finished = [s for s in spans if s.end_us is not None]
-    by_id = {s.span_id: s for s in finished}
-    raw_children: Dict[int, List[Span]] = {}
-    for span in finished:
-        pid = span.dyn_parent_id
-        if (not pid or pid not in by_id) and span.attrs is not None:
-            # A fan-out leg: a dynamic root that joins back into the
-            # span that awaited it (see TafDBClient._fanout_leg).
-            pid = span.attrs.get("join_to", 0)
-        if pid and pid in by_id:
-            raw_children.setdefault(pid, []).append(span)
-    children = {pid: _fold_children(kids)
-                for pid, kids in raw_children.items()}
-    child_us: Dict[int, float] = {
-        pid: sum(kid.duration_us for kid in kids)
-        for pid, kids in children.items()}
-    crit._by_id = by_id
-    crit._children = children
-    self_us = crit._self_us
-    for span in finished:
-        value = span.duration_us - child_us.get(span.span_id, 0.0)
-        self_us[span.span_id] = value if value > 0.0 else 0.0
-
+    crit = CritPath(index, name)
     gated = crit.gated
-    for span in finished:
-        if span.category != root_category:
+    blame = crit.blame
+    for span in index.dyn_roots():
+        if not root_where(span):
             continue
-        if root_name is not None and span.name != root_name:
-            continue
-        if span.dyn_parent_id and span.dyn_parent_id in by_id:
-            continue  # op nested under another op's tree: not a root
-        if root_where is not None and not root_where(span):
-            continue
-        if require_ok and not span.ok:
+        if not span.ok:
             crit.op_failures += 1
             continue
         crit.ops += 1
         crit.ops_by_name[span.name] = crit.ops_by_name.get(span.name, 0) + 1
         crit.total_us += span.duration_us
+        attrs = span.attrs
+        victim = (span.name, attrs.get("tenant") if attrs else None)
         path_us = 0.0
-        stack = [span]
-        while stack:
-            node = stack.pop()
-            for host, frame, kind, us in _segments_of(
-                    node, self_us[node.span_id]):
+        for node, segments in gating_walk(index, span):
+            for host, frame, kind, us, blocked in segments:
                 key = (host, frame, kind)
                 gated[key] = gated.get(key, 0.0) + us
                 path_us += us
-            stack.extend(children.get(node.span_id, ()))
+                if blocked:
+                    crit.blocked_centers.add(key)
+                resource = _queue_resource(frame, kind)
+                if resource is not None and us > 0.0:
+                    blame.add(victim, node, resource, host, us)
         crit.root_paths.append((span, path_us))
+    blame.ops = crit.ops
+    blame.total_us = crit.total_us
     return crit
 
 
 def critpath_from_tracer(tracer, name: str = "") -> CritPath:
     """Fold one tracer's finished spans into a gating profile."""
-    return build_critpath(tracer.spans, name=name)
+    return build_critpath(SpanIndex(tracer.spans), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +394,21 @@ class BlameMatrix:
             return 0.0
         return self.total_queue_us / self.total_us
 
+    def add(self, victim: Tuple[str, Optional[str]], span: Span,
+            resource: str, host: Optional[str], us: float) -> None:
+        """Blame ``us`` of ``victim``'s queueing on ``resource`` at
+        ``host`` on the occupants ``span`` queued behind."""
+        self.total_queue_us += us
+        cells = self.cells
+        shares = _culprit_shares(span, resource, host)
+        if not shares:
+            key = victim + UNKNOWN_CULPRIT + (resource, host)
+            cells[key] = cells.get(key, 0.0) + us
+            return
+        for culprit, frac in shares:
+            key = victim + culprit + (resource, host)
+            cells[key] = cells.get(key, 0.0) + us * frac
+
     def conservation_error(self) -> float:
         """Relative |sum(cells) - sum(queue segments)|; float dust only."""
         return (abs(self.blamed_us - self.total_queue_us)
@@ -476,50 +454,21 @@ class BlameMatrix:
             in self.cells.items() if (v_op, v_ten) != (c_op, c_ten))
 
 
-def build_blame(crit: CritPath, name: str = "") -> BlameMatrix:
-    """Fold a :class:`CritPath`'s queue segments into a blame matrix.
-
-    Walks exactly the spans :func:`build_critpath` folded (same children
-    selection, same self-times, same segment decomposition), so the
-    matrix conserves against the profile's ``queue*`` centers by
-    construction — the invariant the ``blame`` view gates on.
-    """
-    blame = BlameMatrix(name or crit.name)
-    blame.ops = crit.ops
-    blame.total_us = crit.total_us
-    cells = blame.cells
-    self_us = crit._self_us
-    children = crit._children
-    for root, _path_us in crit.root_paths:
-        attrs = root.attrs
-        victim = (root.name, attrs.get("tenant") if attrs else None)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for host, frame, kind, us in _segments_of(
-                    node, self_us[node.span_id]):
-                resource = _queue_resource(frame, kind)
-                if resource is None or us <= 0.0:
-                    continue
-                blame.total_queue_us += us
-                tags = node.queue_by
-                shares = []
-                if tags:
-                    shares = [((op, tenant), t_us)
-                              for (op, tenant, res, t_host), t_us
-                              in tags.items()
-                              if res == resource and t_host == host
-                              and t_us > 0.0]
-                total = sum(t_us for _c, t_us in shares)
-                if total <= 0.0:
-                    key = victim + UNKNOWN_CULPRIT + (resource, host)
-                    cells[key] = cells.get(key, 0.0) + us
-                    continue
-                for culprit, t_us in shares:
-                    key = victim + culprit + (resource, host)
-                    cells[key] = cells.get(key, 0.0) + us * (t_us / total)
-            stack.extend(children.get(node.span_id, ()))
-    return blame
+def _culprit_shares(span: Span, resource: str, host: Optional[str]
+                    ) -> List[Tuple[Tuple[str, Optional[str]], float]]:
+    """``((op, tenant), fraction)`` per occupant ``span`` queued behind on
+    ``resource`` at ``host``, in tag order, fractions summing to 1; empty
+    when no tagged time matches."""
+    tags = span.queue_by
+    if not tags:
+        return []
+    shares = [((op, tenant), us)
+              for (op, tenant, res, t_host), us in tags.items()
+              if res == resource and t_host == host and us > 0.0]
+    total = sum(us for _culprit, us in shares)
+    if total <= 0.0:
+        return []
+    return [(culprit, us / total) for culprit, us in shares]
 
 
 def render_blame_exemplar(crit: CritPath,
@@ -536,43 +485,27 @@ def render_blame_exemplar(crit: CritPath,
 
     def culprits_of(span: Span, resource: str,
                     host: Optional[str]) -> str:
-        tags = span.queue_by
-        if not tags:
+        shares = sorted(_culprit_shares(span, resource, host),
+                        key=lambda cf: (-cf[1], cf[0][0], cf[0][1] or ""))
+        if not shares:
             return "(unknown)"
-        shares = [((op, ten), us) for (op, ten, res, t_host), us
-                  in tags.items()
-                  if res == resource and t_host == host and us > 0.0]
-        total = sum(us for _c, us in shares)
-        if total <= 0.0:
-            return "(unknown)"
-        shares.sort(key=lambda cu: (-cu[1], cu[0][0], cu[0][1] or ""))
-        parts = []
-        for (op, ten), us in shares[:3]:
-            label = op + (f"/{ten}" if ten else "")
-            parts.append(f"{label} {us / total:.0%}")
-        return ", ".join(parts)
+        return ", ".join(op + (f"/{ten}" if ten else "") + f" {frac:.0%}"
+                         for (op, ten), frac in shares[:3])
 
-    def walk(span: Span, depth: int) -> None:
+    for span, depth, segments in crit.path_tree(root):
         segs = []
-        for host, frame, kind, us in _segments_of(
-                span, crit._self_us.get(span.span_id, 0.0)):
+        for host, frame, kind, us, _blocked in segments:
             resource = _queue_resource(frame, kind)
             if resource is None or us <= 0.005:
                 continue
             where = f"@{host}" if host else ""
             segs.append(f"{kind}{where} {us:.1f}us <- "
                         f"{culprits_of(span, resource, host)}")
-        if depth and (segs or crit._children.get(span.span_id)):
-            pad = "  " * depth
+        if depth and (segs or crit.index.gating_children(span)):
             detail = "; ".join(segs) if segs else "-"
-            lines.append(f"{pad}{span.name}  [{detail}]")
+            lines.append(f"{'  ' * depth}{span.name}  [{detail}]")
         elif not depth and segs:
             lines.append(f"  queued: {'; '.join(segs)}")
-        for child in sorted(crit._children.get(span.span_id, ()),
-                            key=lambda s: (s.start_us, s.span_id)):
-            walk(child, depth + 1)
-
-    walk(root, 0)
     return lines
 
 
@@ -611,11 +544,12 @@ def contrast_with_profile(crit: CritPath, profile) -> List[ContrastRow]:
     at (host, kind) granularity, largest off-path slack first.
 
     ``idle`` is excluded on both sides (it is a residual, not a cost) and
-    blocked-on segments are excluded from the gated side: their cost is
-    *attributed* on the worker process's own spans (raft.flush fsync,
-    raft.msg wire...), so including the waiter's view too would double
-    count.  What remains compares like-for-like: cost charged at sim
-    sites, split by whether any op's path ran through it.
+    the centers blocked-on segments landed on (``crit.blocked_centers``)
+    are excluded from the gated side: their cost is *attributed* on the
+    worker process's own spans (raft.flush fsync, raft.msg wire...), so
+    including the waiter's view too would double count.  What remains
+    compares like-for-like: cost charged at sim sites, split by whether
+    any op's path ran through it.
     """
     total: Dict[Tuple[Optional[str], str], float] = {}
     for (host, _frame, kind), us in profile.centers.items():
@@ -623,12 +557,10 @@ def contrast_with_profile(crit: CritPath, profile) -> List[ContrastRow]:
             continue
         key = (host, kind)
         total[key] = total.get(key, 0.0) + us
-    blocked_frames = ("raft.queue", "raft.flush", "raft.follower_flush",
-                      "raft.follower_apply", "raft.replicate",
-                      "raft.commit", "raft.read_barrier")
     gated: Dict[Tuple[Optional[str], str], float] = {}
-    for (host, frame, kind), us in crit.gated.items():
-        if kind == "idle" or frame in blocked_frames:
+    for center, us in crit.gated.items():
+        host, _frame, kind = center
+        if kind == "idle" or center in crit.blocked_centers:
             continue
         key = (host, collapse_kind(kind))
         gated[key] = gated.get(key, 0.0) + us
@@ -978,9 +910,11 @@ def validate_critpath(payload: Any) -> List[str]:
     return problems
 
 
-def to_blame_payload(blame: BlameMatrix, crit: CritPath) -> dict:
-    """Render a blame matrix as JSON (rounded after aggregation, cells
-    sorted), byte-identical across runs like the critpath payload."""
+def to_blame_payload(crit: CritPath) -> dict:
+    """Render a critical path's blame matrix as JSON (rounded after
+    aggregation, cells sorted), byte-identical across runs like the
+    critpath payload."""
+    blame = crit.blame
     total_queue = blame.total_queue_us
 
     def cell_row(key: BlameKey, us: float) -> dict:

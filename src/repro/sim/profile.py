@@ -4,12 +4,11 @@ The tracer (:mod:`repro.sim.trace`) answers *what happened when*; this
 module answers *where every simulated microsecond went*.  A
 :class:`CostProfile` folds a tracer's finished spans into
 
-* **self-times** on the dynamic span tree — each span's duration minus its
-  dynamic children's durations.  The dynamic tree (``Span.dyn_parent_id``,
-  per-process nesting recorded by the tracer's span stacks) guarantees
-  sibling intervals are disjoint, so self-time is non-negative and the sum
-  of self-times over a tree equals the root's duration *exactly* (a
-  telescoping identity; ``tests/sim/test_profile.py`` pins it down).
+* **self-times** on the dynamic span tree of a
+  :class:`~repro.sim.trace.SpanIndex` (``docs/observability.md``, "One
+  span index"): sibling intervals are disjoint, so the sum of self-times
+  over a tree equals the root's duration *exactly*
+  (``tests/sim/test_profile.py`` pins it down).
 * **cost kinds** — the cpu / fsync / wire / queue charges the sim layer
   attributed to each span while it was innermost, plus a derived
   ``idle`` residual (self-time not explained by any charge: think blocked
@@ -38,7 +37,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.sim.trace import (
     CAT_OP,
     NONEMPTY,
-    Span,
+    SpanIndex,
     check_shape,
     shape_items,
 )
@@ -59,19 +58,15 @@ def _frame(name: str) -> str:
 
 
 class FrameCost:
-    """Per-frame rollup: span count, inclusive time, per-kind self costs."""
+    """Per-frame rollup: span count and self-time (the per-kind split is
+    :meth:`CostProfile.frame_kind_totals`)."""
 
-    __slots__ = ("frame", "spans", "inclusive_us", "self_us", "kinds")
+    __slots__ = ("frame", "spans", "self_us")
 
     def __init__(self, frame: str):
         self.frame = frame
         self.spans = 0
-        self.inclusive_us = 0.0
         self.self_us = 0.0
-        self.kinds: Dict[str, float] = {}
-
-    def add_kind(self, kind: str, us: float) -> None:
-        self.kinds[kind] = self.kinds.get(kind, 0.0) + us
 
 
 class CostProfile:
@@ -151,63 +146,42 @@ class CostProfile:
                 / max(self.total_root_us, 1e-9))
 
 
-def build_profile(spans: Iterable[Span],
+def build_profile(index: SpanIndex,
                   unattributed: Optional[Dict[Tuple[Optional[str], str],
                                               float]] = None,
                   name: str = "") -> CostProfile:
-    """Fold finished spans (plus the tracer's unattributed charges) into a
-    :class:`CostProfile`.
+    """Fold an indexed span set (plus the tracer's unattributed charges)
+    into a :class:`CostProfile`: per-center totals over the index's
+    dynamic tree.
 
-    Spans whose dynamic parent is absent (true roots, spans begun in
+    Spans with no dynamic parent in the set (true roots, spans begun in
     freshly spawned processes, or orphans whose parent fell out of the
-    ring) become dynamic roots; conservation holds per present tree.
+    ring) are dynamic roots; conservation holds per present tree.
     """
     profile = CostProfile(name)
-    finished = [s for s in spans if s.end_us is not None]
-    by_id: Dict[int, Span] = {s.span_id: s for s in finished}
-    child_us: Dict[int, float] = {}
-    for span in finished:
-        pid = span.dyn_parent_id
-        if pid and pid in by_id:
-            child_us[pid] = child_us.get(pid, 0.0) + span.duration_us
-
-    paths: Dict[int, Tuple[str, ...]] = {}
-
-    def path_of(span: Span) -> Tuple[str, ...]:
-        cached = paths.get(span.span_id)
-        if cached is not None:
-            return cached
-        pid = span.dyn_parent_id
-        if pid and pid in by_id:
-            result = path_of(by_id[pid]) + (_frame(span.name),)
-        else:
-            result = (_frame(span.name),)
-        paths[span.span_id] = result
-        return result
-
+    profile.span_count = len(index.spans)
+    for root in index.dyn_roots():
+        profile.total_root_us += root.duration_us
+    paths = index.dyn_paths(_frame)
+    dyn_self_us = index.dyn_self_us
     centers = profile.centers
     stacks = profile.stacks
-    for span in finished:
-        profile.span_count += 1
-        frame = _frame(span.name)
-        dur = span.duration_us
-        self_us = dur - child_us.get(span.span_id, 0.0)
+    for span in index.spans:
+        stack = paths[span]
+        frame = stack[-1]
+        self_us = dyn_self_us(span)
         if self_us < 0.0:
             self_us = 0.0  # float dust only; nesting forbids real negatives
-        stack = path_of(span)
         fc = profile.frames.get(frame)
         if fc is None:
             fc = profile.frames[frame] = FrameCost(frame)
         fc.spans += 1
-        fc.inclusive_us += dur
         fc.self_us += self_us
         if span.category == CAT_OP:
             if span.ok:
                 profile.ops += 1
             else:
                 profile.op_failures += 1
-        if not span.dyn_parent_id or span.dyn_parent_id not in by_id:
-            profile.total_root_us += dur
         profile.total_self_us += self_us
         charged = 0.0
         if span.costs:
@@ -217,14 +191,12 @@ def build_profile(spans: Iterable[Span],
                 centers[key] = centers.get(key, 0.0) + us
                 skey = (stack, kind)
                 stacks[skey] = stacks.get(skey, 0.0) + us
-                fc.add_kind(kind, us)
         idle = self_us - charged
         if idle > 0.0:
             key = (span.host, frame, "idle")
             centers[key] = centers.get(key, 0.0) + idle
             skey = (stack, "idle")
             stacks[skey] = stacks.get(skey, 0.0) + idle
-            fc.add_kind("idle", idle)
     if unattributed:
         for (host, kind), us in unattributed.items():
             if us <= 0.0:
@@ -239,7 +211,8 @@ def build_profile(spans: Iterable[Span],
 
 def profile_from_tracer(tracer, name: str = "") -> CostProfile:
     """Fold one tracer's ring (and unattributed bucket) into a profile."""
-    return build_profile(tracer.spans, dict(tracer.unattributed), name=name)
+    return build_profile(SpanIndex(tracer.spans), dict(tracer.unattributed),
+                         name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,10 @@ Enable tracing with ``MANTLE_TRACE=1`` (every :class:`~repro.sim.core.Simulator`
 constructed in the process gets a live tracer), ``MantleConfig(tracing=True)``
 (one Mantle deployment), or by assigning ``sim.tracer = Tracer()`` directly.
 
-The module also ships a Chrome-trace (``chrome://tracing`` / Perfetto JSON)
-exporter, :func:`aggregate_ops` — the one fold from spans to the paper's
-per-phase tables (phases are recorded nowhere else) — and
+The module also ships :class:`SpanIndex` — the one place span-tree edges
+are built, which every fold reads — a Chrome-trace (``chrome://tracing`` /
+Perfetto JSON) exporter, :func:`aggregate_ops` — the one fold from spans to
+the paper's per-phase tables (phases are recorded nowhere else) — and
 :func:`check_shape`, the declarative checker behind every export validator.
 """
 
@@ -48,8 +49,8 @@ import bisect
 import collections
 import math
 from types import MappingProxyType
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 #: Span categories used by the built-in instrumentation.
 CAT_OP = "op"              #: one client-visible metadata operation (root)
@@ -71,11 +72,8 @@ class Span:
     ``parent_id`` is the *declared* parent (what the instrumentation site
     passed, e.g. an RPC span declares the operation root).  ``dyn_parent_id``
     is the *dynamic* parent: the span that was innermost on the opening
-    process's stack at begin time.  The two differ exactly where declared
-    trees overlap (RPCs declare the root while a phase span is open); the
-    profiler (:mod:`repro.sim.profile`) folds on the dynamic tree because
-    only there are sibling intervals guaranteed disjoint, which is what makes
-    self-time = parent-minus-children non-negative and exactly conservative.
+    process's stack at begin time.  Which fold follows which link is
+    :class:`SpanIndex`'s edge rule.
 
     The cost maps are keyed by tuples the :class:`Tracer` interns (one
     object per distinct key, not one per charge).  Most spans are charged
@@ -899,22 +897,18 @@ class OpAggregate:
         return entry[1] / entry[0]
 
 
-def aggregate_ops(spans: Iterable[Span]) -> Dict[str, OpAggregate]:
-    """Fold a span stream into per-operation aggregates.
+def aggregate_ops(index: "SpanIndex") -> Dict[str, OpAggregate]:
+    """Fold a span set into per-operation aggregates.
 
-    Only ``op``-category roots and their *direct* children matter here;
-    deeper descendants (handlers under RPCs, 2PC phases under transactions)
-    are drill-down detail for the exported trace.
+    Only ``op``-category spans and their *declared* children matter here
+    (so ``rpcs`` counts exactly what ``OpContext.rpcs`` does); deeper
+    descendants (handlers under RPCs, 2PC phases under transactions) are
+    drill-down detail for the exported trace.
     """
-    roots: Dict[int, Span] = {}
-    children: Dict[int, List[Span]] = {}
-    for span in spans:
-        if span.category == CAT_OP:
-            roots[span.span_id] = span
-        elif span.parent_id:
-            children.setdefault(span.parent_id, []).append(span)
     out: Dict[str, OpAggregate] = {}
-    for span_id, root in roots.items():
+    for root in index.spans:
+        if root.category != CAT_OP:
+            continue
         agg = out.get(root.name)
         if agg is None:
             agg = out[root.name] = OpAggregate(root.name)
@@ -924,7 +918,7 @@ def aggregate_ops(spans: Iterable[Span]) -> Dict[str, OpAggregate]:
         agg.count += 1
         agg.total_latency_us += root.duration_us
         per_phase: Dict[str, float] = {}
-        for child in children.get(span_id, ()):
+        for child in index.declared_children(root):
             if child.category == CAT_PHASE:
                 per_phase[child.name] = (
                     per_phase.get(child.name, 0.0) + child.duration_us)
@@ -936,13 +930,243 @@ def aggregate_ops(spans: Iterable[Span]) -> Dict[str, OpAggregate]:
     return out
 
 
-def children_index(spans: Iterable[Span]) -> Dict[int, List[Span]]:
-    """parent span_id -> list of direct children (test/debug helper)."""
-    index: Dict[int, List[Span]] = {}
-    for span in spans:
-        if span.parent_id:
-            index.setdefault(span.parent_id, []).append(span)
-    return index
+# ---------------------------------------------------------------------------
+# The span index: the one place span-tree edges are built.
+# ---------------------------------------------------------------------------
+
+#: How a span links to its parent, in the order the edge rule tries them:
+#: a cross-process link (live runtime), the dynamic parent (innermost open
+#: span of the opening process), a ``join_to`` fan-out edge (a 2PC leg
+#: joining back into the span that awaited it), the declared parent.
+EDGE_REMOTE, EDGE_DYNAMIC, EDGE_JOIN, EDGE_DECLARED = range(4)
+
+#: The edges a critical path follows: fan-out legs join a dynamic tree.
+_GATING_EDGES = (EDGE_DYNAMIC, EDGE_JOIN)
+
+
+def _fold_children(kids: List[Span]) -> List[Span]:
+    """Select the children on the gating path.
+
+    Serial siblings (disjoint intervals — the normal stack-discipline
+    case) all stay.  Siblings whose intervals overlap are a fan-out
+    group: the join waited on whichever leg finished *last*, so only
+    that leg gates; the others ran in its shadow.  Back-to-back spans
+    (end == next start, exact in the DES) are serial, not overlapping.
+    """
+    kids = sorted(kids, key=lambda s: (s.start_us, s.end_us, s.span_id))
+    folded: List[Span] = []
+    group = [kids[0]]
+    group_end = kids[0].end_us
+    for kid in kids[1:]:
+        if kid.start_us < group_end:
+            group.append(kid)
+            group_end = max(group_end, kid.end_us)
+        else:
+            folded.append(max(group,
+                              key=lambda s: (s.end_us, s.span_id)))
+            group = [kid]
+            group_end = kid.end_us
+    folded.append(max(group, key=lambda s: (s.end_us, s.span_id)))
+    return folded
+
+
+class SpanIndex:
+    """The finished spans of one span set and the tree edges between them,
+    built once and read by every fold (``docs/observability.md``, "One
+    span index").
+
+    A span set is a tracer's ring, a retained set, or — with
+    ``snapshots`` — the per-process span snapshots of a live cluster,
+    keyed by ``(process, span_id)`` instead of ``span_id``.
+
+    Each span has at most one *tree edge*: the first of its remote,
+    dynamic, ``join_to`` and declared parent links (:data:`EDGE_REMOTE`
+    ...).  A link whose target is not in the set leaves the span a root.
+    The profile reads the dynamic edges, the critical path the dynamic
+    and ``join_to`` ones, the live checks all of them, and
+    ``aggregate_ops`` the declared parents, kept apart.
+    """
+
+    __slots__ = ("spans", "processes", "_by_key", "_keys", "_kinds",
+                 "_dangling", "_parents", "_dyn_parents", "_children",
+                 "_dyn_child_us", "_gating", "_declared")
+
+    def __init__(self, spans: Iterable[Span] = (),
+                 snapshots: Optional[Iterable[Dict[str, Any]]] = None):
+        #: snapshot processes, in first-seen order (empty for one set).
+        self.processes: List[str] = []
+        keyed = snapshots is not None
+        if not keyed:
+            by_key = {span.span_id: span for span in spans
+                      if span.end_us is not None}
+        else:
+            by_key = {}
+            for snap in snapshots:
+                proc = snap.get("process", "")
+                if proc not in self.processes:
+                    self.processes.append(proc)
+                for data in snap.get("spans", ()):
+                    span = span_from_jsonable(data)
+                    if span.end_us is not None:
+                        by_key[(proc, span.span_id)] = span
+        self._by_key: Dict[Any, Span] = by_key
+        self._keys = {span: key for key, span in by_key.items()} \
+            if keyed else None
+        #: every finished span, in input order.
+        self.spans: List[Span] = list(by_key.values())
+        #: span -> the kind of its tree edge, for every span with a link.
+        self._kinds: Dict[Span, int] = {}
+        #: span -> the key of a tree parent that is not in the set.
+        self._dangling: Dict[Span, Any] = {}
+        #: span -> its tree parent, when that is in the set.
+        self._parents: Dict[Span, Span] = {}
+        #: the dynamic edges of ``_parents``.
+        self._dyn_parents: Dict[Span, Span] = {}
+        #: span -> its tree children (every edge kind), in input order.
+        self._children: Dict[Span, List[Span]] = {}
+        #: span -> summed duration of its dynamic children.
+        self._dyn_child_us: Dict[Span, float] = {}
+        self._gating: Dict[Span, List[Span]] = {}
+        self._declared: Optional[Dict[Span, List[Span]]] = None
+        kinds = self._kinds
+        parents = self._parents
+        dyn_parents = self._dyn_parents
+        children = self._children
+        child_us = self._dyn_child_us
+        for key, span in by_key.items():
+            # The edge rule: the first link present names the parent.
+            attrs = span.attrs
+            if attrs and "remote_parent_proc" in attrs:
+                kind = EDGE_REMOTE
+                # In a single set the remote parent lives elsewhere.
+                parent_key = (str(attrs["remote_parent_proc"]),
+                              int(attrs.get("remote_parent_span", 0))) \
+                    if keyed else None
+            else:
+                if span.dyn_parent_id:
+                    kind, parent_id = EDGE_DYNAMIC, span.dyn_parent_id
+                elif attrs and attrs.get("join_to"):
+                    kind, parent_id = EDGE_JOIN, int(attrs["join_to"])
+                elif span.parent_id:
+                    kind, parent_id = EDGE_DECLARED, span.parent_id
+                else:
+                    continue
+                parent_key = (key[0], parent_id) if keyed else parent_id
+            kinds[span] = kind
+            parent = by_key.get(parent_key)
+            if parent is None:
+                self._dangling[span] = parent_key
+                continue
+            parents[span] = parent
+            kids = children.get(parent)
+            if kids is None:
+                children[parent] = [span]
+            else:
+                kids.append(span)
+            if kind == EDGE_DYNAMIC:
+                dyn_parents[span] = parent
+                child_us[parent] = child_us.get(parent, 0.0) + \
+                    span.duration_us
+
+    def key(self, span: Span) -> Any:
+        """``span_id``, or ``(process, span_id)`` for snapshots."""
+        return self._keys[span] if self._keys is not None else span.span_id
+
+    def edge(self, span: Span) -> Optional[Tuple[int, Any]]:
+        """``(edge kind, parent key)`` of ``span``'s tree edge, whether or
+        not the parent is in the set; ``None`` for a span with no link."""
+        kind = self._kinds.get(span)
+        if kind is None:
+            return None
+        parent = self._parents.get(span)
+        return kind, (self._dangling[span] if parent is None
+                      else self.key(parent))
+
+    def parent(self, span: Span) -> Optional[Span]:
+        """``span``'s tree parent, or ``None`` for a root."""
+        return self._parents.get(span)
+
+    def dyn_roots(self) -> List[Span]:
+        """Spans with no dynamic parent in the set, in input order: true
+        roots, spans opened by spawned processes, and orphans."""
+        dyn_parents = self._dyn_parents
+        return [span for span in self.spans if span not in dyn_parents]
+
+    def dyn_self_us(self, span: Span) -> float:
+        """Duration minus the dynamic children's durations (unclipped)."""
+        return span.duration_us - self._dyn_child_us.get(span, 0.0)
+
+    def dyn_paths(self, label: Callable[[str], str]
+                  ) -> Dict[Span, Tuple[str, ...]]:
+        """span -> ``label`` of every span name from its dynamic root down
+        to it (the flame-graph stack)."""
+        paths: Dict[Span, Tuple[str, ...]] = {}
+        dyn_parents = self._dyn_parents
+        for span in self.spans:
+            if span in paths:
+                continue
+            chain = []
+            node = span
+            while node is not None and node not in paths:
+                chain.append(node)
+                node = dyn_parents.get(node)
+            path = paths[node] if node is not None else ()
+            for node in reversed(chain):
+                path = path + (label(node.name),)
+                paths[node] = path
+        return paths
+
+    def gating_children(self, span: Span) -> Sequence[Span]:
+        """``span``'s children on a critical path: its dynamic children and
+        ``join_to`` legs, each overlapping group folded to the leg that
+        finished last, ordered by ``(start, end, span_id)``."""
+        kids = self._gating.get(span)
+        if kids is None:
+            children = self._children.get(span)
+            if children is None:
+                return ()
+            kinds = self._kinds
+            kids = [kid for kid in children if kinds[kid] in _GATING_EDGES]
+            if len(kids) > 1:
+                kids = _fold_children(kids)
+            self._gating[span] = kids
+        return kids
+
+    def gating_self_us(self, span: Span) -> float:
+        """Duration minus the gating children's durations, floored at 0:
+        unlike :meth:`dyn_self_us`, the gating fan-out legs are
+        subtracted too."""
+        value = span.duration_us - sum(
+            kid.duration_us for kid in self.gating_children(span))
+        return value if value > 0.0 else 0.0
+
+    def tree(self, root: Span) -> List[Span]:
+        """Every span under ``root`` over every edge kind (itself
+        included), each once."""
+        seen = set()
+        order = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            order.append(node)
+            stack.extend(self._children.get(node, ()))
+        return order
+
+    def declared_children(self, span: Span) -> List[Span]:
+        """The spans that declared ``span`` as their parent, in input
+        order."""
+        if self._declared is None:
+            self._declared = {}
+            for child in self.spans:
+                parent = self._by_key.get(
+                    child.parent_id if self._keys is None
+                    else (self._keys[child][0], child.parent_id))
+                if child.parent_id and parent is not None:
+                    self._declared.setdefault(parent, []).append(child)
+        return self._declared.get(span, [])
 
 
 def category_summary(spans: Iterable[Span]) -> Dict[str, Tuple[int, float]]:

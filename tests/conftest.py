@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.trace import Tracer, aggregate_ops
+from repro.sim.trace import SpanIndex, Tracer, aggregate_ops
 from tests.oracle import all_heap_systems
 
 
@@ -27,6 +27,6 @@ def phases_of():
         tracer.bind(system.sim)
         system.sim.tracer = tracer
         op_thunk()
-        (agg,) = aggregate_ops(tracer.spans).values()
+        (agg,) = aggregate_ops(SpanIndex(tracer.spans)).values()
         return agg
     return run

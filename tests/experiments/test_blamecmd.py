@@ -30,7 +30,7 @@ class TestRunBlame:
         result = explain("mkdir", ["blame"], systems=["mantle"],
                          clients=6, items=3)
         (_case, record), = result.runs["blame"]
-        assert record.blame.conservation_error() <= 1e-6
+        assert record.crit.blame.conservation_error() <= 1e-6
         assert record.crit.conservation_error() <= 1e-6
         payload = json.loads(
             (tmp_path / "blame_mkdir_mantle.json").read_text())
@@ -80,7 +80,7 @@ class TestBlameValidation:
                                                     monkeypatch):
         monkeypatch.chdir(tmp_path)
         result = explain("fig14", ["blame"], **_FIG14_SMALL)
-        blame = result.runs["blame"][0][1].blame
+        blame = result.runs["blame"][0][1].crit.blame
         assert blame.conservation_error() <= 1e-6
         (top_op, _tenant, _resource), _us = blame.top_culprits(1)[0]
         assert top_op == "mkdir"
@@ -103,7 +103,7 @@ class TestBlameValidation:
         monkeypatch.chdir(tmp_path)
         result = explain("multitenant", ["blame"], scale="quick")
         (_case, record), = result.runs["blame"]
-        blame = record.blame
+        blame = record.crit.blame
         assert blame.conservation_error() <= 1e-6
         assert validate_blame(
             result.folded["blame"].exports[0].payload) == []

@@ -12,7 +12,7 @@ from repro.sim.core import Simulator
 from repro.sim.critpath import build_critpath
 from repro.sim.host import CostModel, Host
 from repro.sim.network import Network
-from repro.sim.trace import Tracer
+from repro.sim.trace import SpanIndex, Tracer
 
 
 class _NullMachine:
@@ -91,6 +91,7 @@ class TestTracedElection:
         group.stop()
         # Elections are raft-category roots, not ops; the extractor must
         # digest the trace without choking on them (zero ops is fine).
-        crit = build_critpath(sim.tracer.spans, name="election-smoke")
+        crit = build_critpath(SpanIndex(sim.tracer.spans),
+                              name="election-smoke")
         assert crit.op_failures == 0
         assert crit.conservation_error() < 1e-6

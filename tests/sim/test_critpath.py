@@ -24,13 +24,12 @@ from repro.experiments.base import mdtest_metrics, mdtest_run
 from repro.sim.core import Simulator
 from repro.sim.critpath import (
     UNKNOWN_CULPRIT,
-    _fold_children,
-    build_blame,
     build_critpath,
     collapse_kind,
     component_of,
     contrast_with_profile,
     critpath_from_tracer,
+    gating_walk,
     predict_speedup,
     predict_speedup_corrected,
     render_blame_exemplar,
@@ -42,7 +41,8 @@ from repro.sim.critpath import (
 from repro.sim.host import CostOverrides
 from repro.sim.profile import profile_from_tracer
 from repro.sim.telemetry import Telemetry
-from repro.sim.trace import CAT_OP, CAT_PHASE, CAT_RPC, Tracer
+from repro.sim.trace import (CAT_OP, CAT_PHASE, CAT_RPC, SpanIndex, Tracer,
+                             _fold_children)
 from tests.oracle import AllHeapSimulator
 
 
@@ -89,7 +89,7 @@ class TestSyntheticExtraction:
         tracer.charge("fsync", 40.0, "tafdb-0")
         tracer.end(child, 90.0)
         tracer.end(root, 100.0)
-        crit = build_critpath(tracer.spans)
+        crit = build_critpath(SpanIndex(tracer.spans))
         assert crit.ops == 1 and crit.total_us == 100.0
         assert crit.conservation_error() < 1e-12
         assert crit.gated[("tafdb-0", "tafdb.txn", "queue:disk")] == 30.0
@@ -109,11 +109,27 @@ class TestSyntheticExtraction:
         tracer.charge_blocked("raft.flush", "fsync", 40.0, "indexnode-1")
         tracer.charge_blocked("raft.replicate", "wire", 40.0, "indexnode-1")
         tracer.end(root, 100.0)
-        crit = build_critpath(tracer.spans)
+        crit = build_critpath(SpanIndex(tracer.spans))
         assert crit.conservation_error() < 1e-12
         assert crit.gated[("indexnode-1", "raft.flush", "fsync")] == 20.0
         assert crit.gated[("indexnode-1", "raft.replicate", "wire")] == 20.0
         assert (None, "mkdir", "idle") not in crit.gated
+
+    def test_contrast_excludes_every_blocked_cause(self):
+        """The contrast drops whatever centers ``Span.blocked`` landed on,
+        so a cause named nowhere in critpath is excluded too."""
+        tracer = Tracer()
+        root = tracer.begin("mkdir", 0.0, CAT_OP)
+        tracer.charge("fsync", 30.0, "tafdb-0")
+        tracer.charge_blocked("tafdb.group_commit", "fsync", 20.0,
+                              "tafdb-0")
+        tracer.end(root, 100.0)
+        crit = critpath_from_tracer(tracer)
+        assert crit.gated[("tafdb-0", "tafdb.group_commit", "fsync")] == 20.0
+        (row,) = [row for row in contrast_with_profile(
+                      crit, profile_from_tracer(tracer))
+                  if (row.host, row.kind) == ("tafdb-0", "fsync")]
+        assert row.gated_us == row.total_us == 30.0
 
     def test_join_to_leg_folds_into_waiting_op(self):
         tracer = Tracer()
@@ -129,7 +145,7 @@ class TestSyntheticExtraction:
             tracer.end(leg, end)
         tracer.end(wait, 60.0)
         tracer.end(root, 70.0)
-        crit = build_critpath(tracer.spans)
+        crit = build_critpath(SpanIndex(tracer.spans))
         assert crit.ops == 1
         assert crit.conservation_error() < 1e-12
         # Gating leg contributes its 50us of wire; the 30us leg is off-path.
@@ -143,7 +159,7 @@ class TestSyntheticExtraction:
         tracer.end(ok, 50.0)
         bad = tracer.begin("mkdir", 0.0, CAT_OP)
         tracer.end(bad, 400.0, ok=False)
-        crit = build_critpath(tracer.spans)
+        crit = build_critpath(SpanIndex(tracer.spans))
         assert crit.ops == 1 and crit.op_failures == 1
         assert crit.total_us == 50.0
 
@@ -193,7 +209,7 @@ class TestPredictSpeedup:
         tracer.charge("fsync", 40.0, "tafdb-0")
         tracer.charge("cpu", 40.0, "indexnode-0")
         tracer.end(root, 100.0)  # 20us idle
-        return build_critpath(tracer.spans)
+        return build_critpath(SpanIndex(tracer.spans))
 
     def test_first_order_gain(self):
         crit = self._crit()
@@ -227,10 +243,10 @@ class TestBuildBlame:
         tracer.charge("queue", 20.0, "proxy-0", resource="cpu")
         tracer.charge("cpu", 15.0, "proxy-0")
         tracer.end(root, 100.0)
-        return build_critpath(tracer.spans, name="blame-unit")
+        return build_critpath(SpanIndex(tracer.spans), name="blame-unit")
 
     def test_cells_conserve_queue_segments_exactly(self):
-        blame = build_blame(self._crit())
+        blame = self._crit().blame
         assert blame.ops == 1
         assert blame.total_queue_us == pytest.approx(60.0)
         assert blame.conservation_error() <= 1e-9
@@ -244,7 +260,7 @@ class TestBuildBlame:
             == pytest.approx(20.0)
 
     def test_rollups(self):
-        blame = build_blame(self._crit())
+        blame = self._crit().blame
         (top, us) = blame.top_culprits(1)[0]
         assert top == ("mkdir", "storm", "disk")
         assert us == pytest.approx(30.0)
@@ -267,7 +283,7 @@ class TestBuildBlame:
 
     def test_blame_payload_round_trip_validates(self):
         crit = self._crit()
-        payload = to_blame_payload(build_blame(crit), crit)
+        payload = to_blame_payload(crit)
         assert validate_blame(payload) == []
         assert json.loads(json.dumps(payload)) == payload
         assert payload["conservation_error"] <= 1e-9
@@ -275,11 +291,11 @@ class TestBuildBlame:
     def test_validator_flags_broken_payloads(self):
         assert validate_blame([]) == ["payload is not a JSON object"]
         crit = self._crit()
-        payload = to_blame_payload(build_blame(crit), crit)
+        payload = to_blame_payload(crit)
         payload["cells"][0]["us"] *= 10  # breaks conservation
         assert any("conserv" in p or "cells" in p
                    for p in validate_blame(payload))
-        payload = to_blame_payload(build_blame(crit), crit)
+        payload = to_blame_payload(crit)
         del payload["cells"]
         assert any("cells" in p for p in validate_blame(payload))
 
@@ -392,8 +408,9 @@ class TestClusterInvariants:
         assert kinds.get("fsync", 0.0) > 0.0
         # 2PC legs join the tree via join_to edges; every fan-out group
         # folds to exactly one gating leg per disjoint time interval.
-        folded = [kid for kids in crit._children.values() for kid in kids
-                  if kid.name.startswith("fanout:")]
+        folded = [span for root, _us in crit.root_paths
+                  for span, _segments in gating_walk(crit.index, root)
+                  if span.name.startswith("fanout:")]
         assert folded, "no fan-out legs folded into any op tree"
 
     def test_gated_never_exceeds_attributed_total(self):

@@ -30,7 +30,7 @@ from repro.sim.profile import (
     validate_folded,
     validate_speedscope,
 )
-from repro.sim.trace import CAT_OP, CAT_PHASE, CAT_RPC, Tracer
+from repro.sim.trace import CAT_OP, CAT_PHASE, CAT_RPC, SpanIndex, Tracer
 from repro.workloads.mdtest import MdtestWorkload
 from tests.oracle import AllHeapSimulator
 
@@ -269,7 +269,7 @@ class TestProfilingIsPureBookkeeping:
             assert system.sim.tracer._sim is system.sim
             metrics = run_workload(system, MdtestWorkload(
                 "objstat", depth=6, items=4, num_clients=8))
-            profile = build_profile(system.sim.tracer.spans,
+            profile = build_profile(SpanIndex(system.sim.tracer.spans),
                                     dict(system.sim.tracer.unattributed))
         finally:
             system.shutdown()

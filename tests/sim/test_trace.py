@@ -13,9 +13,9 @@ from repro.sim.trace import (
     NULL_TRACER,
     OpAggregate,
     Tracer,
+    SpanIndex,
     aggregate_ops,
     category_summary,
-    children_index,
     chrome_trace_events,
     export_chrome_trace,
     validate_chrome_trace,
@@ -93,7 +93,7 @@ class TestAggregation:
         return tracer
 
     def test_aggregate_ops_matches_metricset_semantics(self):
-        agg = aggregate_ops(self._traced_ops().spans)["mkdir"]
+        agg = aggregate_ops(SpanIndex(self._traced_ops().spans))["mkdir"]
         assert isinstance(agg, OpAggregate)
         assert agg.count == 3
         assert agg.failures == 1  # failed roots contribute nothing else
@@ -110,7 +110,7 @@ class TestAggregation:
                                  parent=root)
             tracer.end(phase, latency)
             tracer.end(root, latency + 1.0, ok=ok)
-        agg = aggregate_ops(tracer.spans)["objstat"]
+        agg = aggregate_ops(SpanIndex(tracer.spans))["objstat"]
         assert agg.phases == {"lookup": (2, 30.0)}
         assert agg.mean_phase_us("lookup") == 15.0
 
@@ -123,15 +123,15 @@ class TestAggregation:
                                  parent=root)
             tracer.end(phase, end)
         tracer.end(root, 20.0)
-        agg = aggregate_ops(tracer.spans)["create"]
+        agg = aggregate_ops(SpanIndex(tracer.spans))["create"]
         assert agg.mean_phase_us("execution") == 10.0  # 4 + 6, one root
 
     def test_children_index_and_category_summary(self):
         tracer = self._traced_ops()
-        index = children_index(tracer.spans)
+        index = SpanIndex(tracer.spans)
         roots = [s for s in tracer.spans if s.category == "op" and s.ok]
         for root in roots:
-            assert len(index[root.span_id]) == 2
+            assert len(index.declared_children(root)) == 2
         summary = category_summary(tracer.spans)
         assert summary["op"][0] == 4
         assert summary["rpc"] == (3, pytest.approx(6.0))
@@ -217,17 +217,17 @@ class TestSpanTreeInvariants:
         try:
             spans = list(client.tracer.spans)
             roots = [s for s in spans if s.category == "op"]
-            index = children_index(spans)
+            index = SpanIndex(spans)
             # ops ran sequentially, so roots line up with the call order;
             # the first five are the mutations that returned OpResults.
             assert len(roots) == 7
             for root, result in zip(roots, results):
-                rpc_children = [c for c in index.get(root.span_id, ())
+                rpc_children = [c for c in index.declared_children(root)
                                 if c.category == "rpc"]
                 assert len(rpc_children) == result.rpcs
             assert roots[-1].ok is False  # the duplicate mkdir
             # aggregate view agrees with the MetricSet counters:
-            agg = aggregate_ops(spans)
+            agg = aggregate_ops(index)
             for op in ("mkdir", "create", "dirrename", "objstat"):
                 assert agg[op].mean_rpcs == pytest.approx(
                     client.metrics.mean_rpcs(op))
