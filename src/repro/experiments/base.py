@@ -15,8 +15,7 @@ from repro.sim.critpath import build_critpath
 from repro.sim.profile import build_profile
 from repro.sim.stats import MetricSet
 from repro.sim.telemetry import Telemetry
-from repro.sim.trace import (OpAggregate, SpanIndex, TailKeeper, Tracer,
-                             aggregate_ops)
+from repro.sim.trace import OpAggregate, SpanIndex, TailKeeper, Tracer
 from repro.workloads.mdtest import MdtestWorkload
 
 #: Per-experiment client/item budgets by scale.
@@ -210,18 +209,12 @@ def mdtest_metrics(system_name: str, op: str, **run_kwargs) -> MetricSet:
 
 def op_aggregate(record: RunRecord, op: str) -> OpAggregate:
     """``op``'s span fold from a traced run: per-phase means (the only
-    phase record), mean latency and mean RPCs.
+    phase record), mean latency and mean RPCs.  The tracer folds every op
+    as it ends, so a ring that dropped spans still gives exact means.
 
-    Raises ``RuntimeError`` when spans fell out of the trace ring — means
-    over a truncated ring would silently under-count — or when no ``op``
-    completed.
+    Raises ``RuntimeError`` when no ``op`` completed.
     """
-    tracer = record.tracer
-    if tracer.dropped:
-        raise RuntimeError(
-            f"{record.name}: {tracer.dropped} spans fell out of the trace "
-            f"ring; phase means would under-count")
-    agg = aggregate_ops(record.index).get(op)
+    agg = record.tracer.aggregates.get(op)
     if agg is None or not agg.count:
         raise RuntimeError(f"{record.name}: no successful {op!r} spans")
     return agg

@@ -92,7 +92,6 @@ from repro.sim.telemetry import sparkline, validate_rows
 from repro.sim.trace import (
     NONEMPTY,
     SpanIndex,
-    aggregate_ops,
     category_summary,
     check_shape,
     export_chrome_trace,
@@ -355,8 +354,8 @@ def dropped_warning(stats: Dict[str, int]) -> Optional[str]:
     return (f"!!! WARNING: {stats['dropped']} spans fell out of the trace "
             f"ring (finished {stats['finished']}, kept "
             f"{stats['kept_spans']} tail spans across "
-            f"{stats['kept_roots']} trees); ring-based aggregates "
-            f"under-count, tail exemplars are unaffected")
+            f"{stats['kept_roots']} trees); views built from the ring "
+            f"under-count, phase means and tail exemplars are unaffected")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +392,7 @@ def agreement_table(runs: Sequence[Run]) -> Tuple[Table, float]:
     worst = 0.0
     for case, record in runs:
         metrics = record.metrics
-        agg = aggregate_ops(record.index).get(case.op)
+        agg = record.tracer.aggregates.get(case.op)
         if agg is None:
             raise RuntimeError(f"no {case.op!r} spans for case {case.label}")
         pairs = [("mean latency us", agg.mean_latency_us,

@@ -6,8 +6,8 @@ InfiniFS and 16.4-74.5 % below LocoFS.  InfiniFS folds objstat's execution
 into its lookup phase; LocoFS resolves directory-op paths during execution.
 
 Each point runs traced; the phase columns are means of the ``phase``
-spans under each successful op root
-(:func:`repro.experiments.base.op_aggregate`).
+spans under each successful op root, which the tracer folds as each op
+ends (:func:`repro.experiments.base.op_aggregate`).
 """
 
 from __future__ import annotations

@@ -5,30 +5,32 @@ in mkdir-e; loop detection appears only for dirrename and only in
 InfiniFS/LocoFS/Mantle (relaxed Tectonic skips it); Mantle records zero
 lookup time in dirrename because resolution is merged with loop detection.
 
-Each case runs traced, and the table aggregates ``phase``-category spans
-under each successful operation's root span
-(:func:`repro.experiments.base.op_aggregate`) — spans are the only phase
-record.  ``mantle-exp explain fig15 --view trace`` exports the same runs.
+Each case runs traced; the tracer folds each successful op's
+``phase``-category spans as the op ends, and a row reads those means
+(:func:`repro.experiments.base.op_aggregate`) as its case finishes — spans
+are the only phase record.  ``mantle-exp explain fig15 --view trace``
+exports the same runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Tuple
 
 from repro.bench.report import Table
 from repro.experiments.base import op_aggregate, register
-from repro.experiments.explain import CASES, Run, run_case
+from repro.experiments.explain import CASES, Case, run_case
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, PHASE_LOOP_DETECT
+from repro.sim.trace import OpAggregate
 
 
-def span_table(runs: Sequence[Run]) -> Table:
-    """The figure's table from traced runs of its registry cases (the
-    runs ``mantle-exp explain fig15 --view trace`` exports)."""
+def span_table(aggs: Iterable[Tuple[Case, OpAggregate]]) -> Table:
+    """The figure's table from the op aggregates of its registry cases'
+    traced runs (the runs ``mantle-exp explain fig15 --view trace``
+    exports)."""
     table = Table(
         "Figure 15: mean per-phase latency (us, span-derived)",
         ["case", "system", "lookup", "loop detect", "execution", "total"])
-    for case, record in runs:
-        agg = op_aggregate(record, case.op)
+    for case, agg in aggs:
         table.add_row(
             case.label.split("/")[0], case.system,
             round(agg.mean_phase_us(PHASE_LOOKUP), 1),
@@ -45,5 +47,6 @@ def span_table(runs: Sequence[Run]) -> Table:
           "loop detection only for renames (not Tectonic); Mantle merges "
           "rename lookup into loop detection")
 def run(scale: str = "quick") -> List[Table]:
-    return [span_table([(case, run_case(case, scale, ("tracer",)))
-                        for case in CASES["fig15"]])]
+    return [span_table(
+        [(case, op_aggregate(run_case(case, scale, ("tracer",)), case.op))
+         for case in CASES["fig15"]])]

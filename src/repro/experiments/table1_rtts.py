@@ -5,21 +5,22 @@ resolving between 1 and ``pathlen`` (7.4 in practice at 512 threads for a
 10-level path), tiering and Mantle a single RTT.  We *measure* the RPC
 rounds a depth-10 objstat lookup actually performs in each system.
 
-Each run is traced and the table reads mean RPCs (``rpc``-category spans
-under each op root) and the lookup-phase latency share from the span fold
-(:func:`repro.experiments.base.op_aggregate`); ``mantle-exp explain table1
---view trace`` checks the span-derived mean RPCs and latency against the
-``MetricSet`` within 1%.
+Each run is traced and a row reads mean RPCs (``rpc``-category spans
+under each op root) and the lookup-phase latency share from the tracer's
+per-op fold (:func:`repro.experiments.base.op_aggregate`) as its case
+finishes; ``mantle-exp explain table1 --view trace`` checks the
+span-derived mean RPCs and latency against the ``MetricSet`` within 1%.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Tuple
 
 from repro.bench.report import Table
 from repro.experiments.base import op_aggregate, register
-from repro.experiments.explain import CASES, Run, run_case
+from repro.experiments.explain import CASES, Case, run_case
 from repro.sim.stats import PHASE_LOOKUP
+from repro.sim.trace import OpAggregate
 
 #: The paper's analytic RTT count for a depth-`n` lookup.
 ANALYTIC = {
@@ -30,15 +31,14 @@ ANALYTIC = {
 }
 
 
-def span_table(runs: Sequence[Run]) -> Table:
-    """The table from traced runs of its registry cases (the runs
-    ``mantle-exp explain table1 --view trace`` exports)."""
+def span_table(aggs: Iterable[Tuple[Case, OpAggregate]]) -> Table:
+    """The table from the op aggregates of its registry cases' traced
+    runs (the runs ``mantle-exp explain table1 --view trace`` exports)."""
     table = Table(
         "Table 1: measured RPC rounds for a depth-10 objstat (span-derived)",
         ["system", "mean RPCs (whole op)", "lookup-phase share of latency",
          "paper analytic"])
-    for case, record in runs:
-        agg = op_aggregate(record, case.op)
+    for case, agg in aggs:
         lookup = agg.mean_phase_us(PHASE_LOOKUP)
         total = agg.mean_latency_us
         table.add_row(
@@ -55,5 +55,6 @@ def span_table(runs: Sequence[Run]) -> Table:
 @register("table1", "RTT rounds per lookup",
           "pathlen RTTs for DBtable, single RTT for tiering and Mantle")
 def run(scale: str = "quick") -> List[Table]:
-    return [span_table([(case, run_case(case, scale, ("tracer",)))
-                        for case in CASES["table1"]])]
+    return [span_table(
+        [(case, op_aggregate(run_case(case, scale, ("tracer",)), case.op))
+         for case in CASES["table1"]])]

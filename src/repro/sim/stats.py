@@ -7,9 +7,10 @@ first two:
 * latency distributions — Figure 11, 17, 18.
 
 The third, per-phase latency breakdown into lookup / loop-detection /
-execution (Figures 4a, 13, 15, 17), is a fold over ``phase`` spans
-(:func:`repro.sim.trace.aggregate_ops`); :class:`OpContext` marks the
-phases and defines their canonical names here.
+execution (Figures 4a, 13, 15, 17), is the tracer's fold of ``phase``
+spans as each op ends (:class:`repro.sim.trace.OpAggregate`);
+:class:`OpContext` marks the phases and defines their canonical names
+here.
 """
 
 from __future__ import annotations
@@ -153,8 +154,9 @@ class OpContext:
     A phase is recorded only as a ``phase``-category child span of the
     operation's root span (``trace``/``tracer``, attached by
     ``MetadataSystem.perform`` under an enabled tracer); untraced, the
-    markers cost one test each.  Per-phase breakdowns are folds over those
-    spans (:func:`repro.sim.trace.aggregate_ops`).
+    markers cost one test each.  The tracer folds those spans into
+    per-phase breakdowns as each op ends
+    (:attr:`repro.sim.trace.Tracer.aggregates`).
     """
 
     __slots__ = ("op", "rpcs", "retries", "start", "finish", "trace",

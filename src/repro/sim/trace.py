@@ -36,11 +36,13 @@ Enable tracing with ``MANTLE_TRACE=1`` (every :class:`~repro.sim.core.Simulator`
 constructed in the process gets a live tracer), ``MantleConfig(tracing=True)``
 (one Mantle deployment), or by assigning ``sim.tracer = Tracer()`` directly.
 
-The module also ships :class:`SpanIndex` — the one place span-tree edges
-are built, which every fold reads — a Chrome-trace (``chrome://tracing`` /
-Perfetto JSON) exporter, :func:`aggregate_ops` — the one fold from spans to
-the paper's per-phase tables (phases are recorded nowhere else) — and
-:func:`check_shape`, the declarative checker behind every export validator.
+The tracer folds each ``op`` span with its declared ``phase``/``rpc``
+children into :class:`OpAggregate` as the op ends — the paper's per-phase
+tables, which need no ring (phases are recorded nowhere else).  The module
+also ships :class:`SpanIndex` — the one place span-tree edges are built,
+which every other fold reads — a Chrome-trace (``chrome://tracing`` /
+Perfetto JSON) exporter and :func:`check_shape`, the declarative checker
+behind every export validator.
 """
 
 from __future__ import annotations
@@ -489,8 +491,65 @@ class TailKeeper:
         self._durations.clear()
 
 
+class OpAggregate:
+    """Per-operation rollup of ``op`` spans and the ``phase``/``rpc`` spans
+    that declared them as parent — the paper's per-phase tables.
+
+    Mirrors :class:`~repro.sim.stats.MetricSet` semantics exactly: failed
+    operations contribute to ``failures`` only, and ``rpcs`` counts one per
+    ``rpc``-category child — which is also how ``OpContext.rpcs`` counts.
+    Phase means average over the successful roots that recorded the phase,
+    an op's re-entries summed; a phase no root recorded reads 0.
+    """
+
+    __slots__ = ("op", "count", "failures", "total_latency_us",
+                 "rpcs_total", "phases")
+
+    def __init__(self, op: str):
+        self.op = op
+        self.count = 0
+        self.failures = 0
+        self.total_latency_us = 0.0
+        self.rpcs_total = 0
+        #: phase -> (roots that recorded it, summed duration).
+        self.phases: Dict[str, Tuple[int, float]] = {}
+
+    @property
+    def mean_latency_us(self) -> float:
+        return self.total_latency_us / self.count if self.count else 0.0
+
+    @property
+    def mean_rpcs(self) -> float:
+        return self.rpcs_total / self.count if self.count else 0.0
+
+    def mean_phase_us(self, phase: str) -> float:
+        entry = self.phases.get(phase)
+        if not entry or not entry[0]:
+            return 0.0
+        return entry[1] / entry[0]
+
+    def add(self, root: Span, children: Iterable[Span]) -> None:
+        """Fold one finished root and its ``phase``/``rpc`` children."""
+        if not root.ok:
+            self.failures += 1
+            return
+        self.count += 1
+        self.total_latency_us += root.duration_us
+        per_phase: Dict[str, float] = {}
+        for child in children:
+            if child.category == CAT_PHASE:
+                per_phase[child.name] = (
+                    per_phase.get(child.name, 0.0) + child.duration_us)
+            else:
+                self.rpcs_total += 1
+        for phase, total in per_phase.items():
+            seen, acc = self.phases.get(phase, (0, 0.0))
+            self.phases[phase] = (seen + 1, acc + total)
+
+
 class Tracer:
-    """Collects finished spans into a bounded ring buffer.
+    """Collects finished spans into a bounded ring buffer, and folds each
+    ``op`` span into :attr:`aggregates` as it ends.
 
     Parameters
     ----------
@@ -504,7 +563,7 @@ class Tracer:
 
     __slots__ = ("_ring", "_next_id", "started", "finished", "_sim",
                  "_stacks", "unattributed", "keeper", "_keys",
-                 "_live_trees")
+                 "_live_trees", "aggregates", "_pending")
 
     enabled = True
 
@@ -520,6 +579,13 @@ class Tracer:
         self._keys: Dict[tuple, tuple] = {}
         #: root span_id -> finished spans of its still-open tree.
         self._live_trees: Dict[int, List[Span]] = {}
+        #: op name -> :class:`OpAggregate` of every op span that ended, so
+        #: the phase tables need no ring.
+        self.aggregates: Dict[str, OpAggregate] = {}
+        #: span_id -> the finished ``phase``/``rpc`` spans that declared it
+        #: as parent, folded (``op``) or dropped when it ends; a child that
+        #: ends after its parent is not folded.
+        self._pending: Dict[int, List[Span]] = {}
         self.started = 0
         self.finished = 0
         # Cost attribution.  ``_stacks`` maps the simulator's currently
@@ -614,6 +680,21 @@ class Tracer:
         span.ok = ok
         self.finished += 1
         self._ring.append(span)
+        pending = self._pending
+        kids = pending.pop(span.span_id, ())
+        category = span.category
+        if category == CAT_OP:
+            agg = self.aggregates.get(span.name)
+            if agg is None:
+                agg = self.aggregates[span.name] = OpAggregate(span.name)
+            agg.add(span, kids)
+        elif (category == CAT_PHASE or category == CAT_RPC) \
+                and span.parent_id:
+            siblings = pending.get(span.parent_id)
+            if siblings is None:
+                pending[span.parent_id] = [span]
+            else:
+                siblings.append(span)
         if self.keeper is not None:
             root_id = span.root_id
             tree = self._live_trees.get(root_id)
@@ -776,6 +857,8 @@ class Tracer:
         self.unattributed.clear()
         self._keys.clear()
         self._live_trees.clear()
+        self.aggregates.clear()
+        self._pending.clear()
         if self.keeper is not None:
             self.keeper.reset()
 
@@ -857,80 +940,6 @@ def span_from_jsonable(data: Dict[str, Any]) -> Span:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation: spans -> the paper's per-phase / per-RPC tables.
-# ---------------------------------------------------------------------------
-
-class OpAggregate:
-    """Per-operation rollup of root spans and their direct children.
-
-    Mirrors :class:`~repro.sim.stats.MetricSet` semantics exactly: failed
-    operations contribute to ``failures`` only, and ``rpcs`` counts one per
-    ``rpc``-category child — which is also how ``OpContext.rpcs`` counts.
-    Phase means average over the successful roots that recorded the phase,
-    an op's re-entries summed; a phase no root recorded reads 0.
-    """
-
-    __slots__ = ("op", "count", "failures", "total_latency_us",
-                 "rpcs_total", "phases")
-
-    def __init__(self, op: str):
-        self.op = op
-        self.count = 0
-        self.failures = 0
-        self.total_latency_us = 0.0
-        self.rpcs_total = 0
-        #: phase -> (roots that recorded it, summed duration).
-        self.phases: Dict[str, Tuple[int, float]] = {}
-
-    @property
-    def mean_latency_us(self) -> float:
-        return self.total_latency_us / self.count if self.count else 0.0
-
-    @property
-    def mean_rpcs(self) -> float:
-        return self.rpcs_total / self.count if self.count else 0.0
-
-    def mean_phase_us(self, phase: str) -> float:
-        entry = self.phases.get(phase)
-        if not entry or not entry[0]:
-            return 0.0
-        return entry[1] / entry[0]
-
-
-def aggregate_ops(index: "SpanIndex") -> Dict[str, OpAggregate]:
-    """Fold a span set into per-operation aggregates.
-
-    Only ``op``-category spans and their *declared* children matter here
-    (so ``rpcs`` counts exactly what ``OpContext.rpcs`` does); deeper
-    descendants (handlers under RPCs, 2PC phases under transactions) are
-    drill-down detail for the exported trace.
-    """
-    out: Dict[str, OpAggregate] = {}
-    for root in index.spans:
-        if root.category != CAT_OP:
-            continue
-        agg = out.get(root.name)
-        if agg is None:
-            agg = out[root.name] = OpAggregate(root.name)
-        if not root.ok:
-            agg.failures += 1
-            continue
-        agg.count += 1
-        agg.total_latency_us += root.duration_us
-        per_phase: Dict[str, float] = {}
-        for child in index.declared_children(root):
-            if child.category == CAT_PHASE:
-                per_phase[child.name] = (
-                    per_phase.get(child.name, 0.0) + child.duration_us)
-            elif child.category == CAT_RPC:
-                agg.rpcs_total += 1
-        for phase, total in per_phase.items():
-            seen, acc = agg.phases.get(phase, (0, 0.0))
-            agg.phases[phase] = (seen + 1, acc + total)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # The span index: the one place span-tree edges are built.
 # ---------------------------------------------------------------------------
 
@@ -983,13 +992,12 @@ class SpanIndex:
     dynamic, ``join_to`` and declared parent links (:data:`EDGE_REMOTE`
     ...).  A link whose target is not in the set leaves the span a root.
     The profile reads the dynamic edges, the critical path the dynamic
-    and ``join_to`` ones, the live checks all of them, and
-    ``aggregate_ops`` the declared parents, kept apart.
+    and ``join_to`` ones, the live checks all of them.
     """
 
-    __slots__ = ("spans", "processes", "_by_key", "_keys", "_kinds",
+    __slots__ = ("spans", "processes", "_keys", "_kinds",
                  "_dangling", "_parents", "_dyn_parents", "_children",
-                 "_dyn_child_us", "_gating", "_declared")
+                 "_dyn_child_us", "_gating")
 
     def __init__(self, spans: Iterable[Span] = (),
                  snapshots: Optional[Iterable[Dict[str, Any]]] = None):
@@ -1009,7 +1017,6 @@ class SpanIndex:
                     span = span_from_jsonable(data)
                     if span.end_us is not None:
                         by_key[(proc, span.span_id)] = span
-        self._by_key: Dict[Any, Span] = by_key
         self._keys = {span: key for key, span in by_key.items()} \
             if keyed else None
         #: every finished span, in input order.
@@ -1027,7 +1034,6 @@ class SpanIndex:
         #: span -> summed duration of its dynamic children.
         self._dyn_child_us: Dict[Span, float] = {}
         self._gating: Dict[Span, List[Span]] = {}
-        self._declared: Optional[Dict[Span, List[Span]]] = None
         kinds = self._kinds
         parents = self._parents
         dyn_parents = self._dyn_parents
@@ -1154,19 +1160,6 @@ class SpanIndex:
             order.append(node)
             stack.extend(self._children.get(node, ()))
         return order
-
-    def declared_children(self, span: Span) -> List[Span]:
-        """The spans that declared ``span`` as their parent, in input
-        order."""
-        if self._declared is None:
-            self._declared = {}
-            for child in self.spans:
-                parent = self._by_key.get(
-                    child.parent_id if self._keys is None
-                    else (self._keys[child][0], child.parent_id))
-                if child.parent_id and parent is not None:
-                    self._declared.setdefault(parent, []).append(child)
-        return self._declared.get(span, [])
 
 
 def category_summary(spans: Iterable[Span]) -> Dict[str, Tuple[int, float]]:

@@ -1,6 +1,6 @@
 """Span-derived experiment numbers: they agree with the ``MetricSet``,
-the phase means the figures read are pinned, and a truncated span ring is
-refused rather than averaged."""
+the phase means the figures read are pinned, and a span ring that dropped
+spans still gives exact means."""
 
 import json
 
@@ -88,14 +88,19 @@ def test_phase_means_match_the_pinned_values(system, op, depth):
         PINNED_PHASE_MEANS[(system, op, depth)]
 
 
-def test_a_ring_that_dropped_spans_is_refused():
+def test_a_ring_that_dropped_spans_still_gives_exact_means():
     tracer = Tracer(max_spans=4)
     for i in range(3):
-        root = tracer.begin("objstat", float(i), category="op")
-        phase = tracer.begin("lookup", float(i), category="phase",
+        root = tracer.begin("objstat", 10.0 * i, category="op")
+        phase = tracer.begin("lookup", 10.0 * i, category="phase",
                              parent=root)
-        tracer.end(phase, i + 0.5)
-        tracer.end(root, i + 1.0)
-    assert tracer.dropped == 2
-    with pytest.raises(RuntimeError, match="2 spans fell out"):
-        op_aggregate(RunRecord("tiny", MetricSet(), tracer), "objstat")
+        tracer.end(phase, 10.0 * i + 1.0 + i)
+        rpc = tracer.begin("rpc:lookup", 10.0 * i, category="rpc",
+                           parent=root)
+        tracer.end(rpc, 10.0 * i + 0.5)
+        tracer.end(root, 10.0 * i + 4.0 + i, ok=i != 1)
+    assert tracer.dropped == 5
+    agg = op_aggregate(RunRecord("tiny", MetricSet(), tracer), "objstat")
+    assert (agg.count, agg.failures, agg.rpcs_total) == (2, 1, 2)
+    assert agg.mean_latency_us == (4.0 + 6.0) / 2
+    assert agg.mean_phase_us(PHASE_LOOKUP) == (1.0 + 3.0) / 2

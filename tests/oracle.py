@@ -31,13 +31,19 @@ replica and id counter ends exactly as loading the same lists one entry at
 a time through single-shard TafDB transactions would leave them.
 :func:`transactional_bulk_load` swaps that per-entry loader back in.
 
-The per-fold span trees.  Every span fold (cost profile, critical path,
-blame, ``aggregate_ops`` and the live checks in ``repro.runtime.obs``)
-reads one :class:`~repro.sim.trace.SpanIndex`, and claims each result is
-exactly what the fold gave when it built its own tree from the span links.
+The per-fold span trees.  Every span-tree fold (cost profile, critical
+path, blame and the live checks in ``repro.runtime.obs``) reads one
+:class:`~repro.sim.trace.SpanIndex`, and claims each result is exactly what
+the fold gave when it built its own tree from the span links.
 :func:`ref_build_profile`, :func:`ref_build_critpath` /
-:func:`ref_build_blame`, :func:`ref_aggregate_ops` and :class:`_RefSpanIndex`
-with its four checks are those builders.
+:func:`ref_build_blame` and :class:`_RefSpanIndex` with its four checks are
+those builders.
+
+The ring fold of phase means.  The tracer folds each op's declared
+``phase``/``rpc`` children as the op ends (``Tracer.aggregates``), and
+claims the result is exactly what folding the finished ring afterwards
+gives when the ring dropped nothing.  :func:`ref_aggregate_ops` is that
+ring fold.
 """
 
 from __future__ import annotations

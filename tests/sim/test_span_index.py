@@ -1,5 +1,8 @@
 """Every fold over the one :class:`~repro.sim.trace.SpanIndex` equals the
-tree builder that fold used before the index existed (``tests/oracle.py``).
+tree builder that fold used before the index existed (``tests/oracle.py``),
+and the tracer's per-op fold (``Tracer.aggregates``, made as each op ends)
+equals the reference fold over a ring that dropped nothing — on the
+simulated runs below and a fig15 InfiniFS shared-directory dirrename case.
 
 Compared exactly — same keys, same insertion order, same float bits — on:
 
@@ -19,6 +22,7 @@ import pytest
 
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
+from repro.experiments.explain import CASES, run_case
 from repro.runtime import obs
 from repro.runtime.client import LiveClient
 from repro.runtime.live import InProcessCluster
@@ -35,7 +39,6 @@ from repro.sim.trace import (
     SpanIndex,
     TailKeeper,
     Tracer,
-    aggregate_ops,
     span_to_jsonable,
 )
 from repro.workloads.mdtest import MdtestWorkload
@@ -193,8 +196,15 @@ def assert_folds_match(spans, unattributed=None):
         assert _items(crit.blame.cells) == _items(ref_blame.cells)
         assert crit.blame.total_queue_us == ref_blame.total_queue_us
 
-    aggs = aggregate_ops(index)
-    ref_aggs = oracle.ref_aggregate_ops(spans)
+    assert_obs_folds_match([_snapshot("sim", spans)])
+
+
+def assert_op_fold_matches(tracer):
+    """``tracer.aggregates`` equals the reference fold over its whole
+    ring, field for field."""
+    assert not tracer.dropped
+    aggs = tracer.aggregates
+    ref_aggs = oracle.ref_aggregate_ops(tracer.spans)
     assert list(aggs) == list(ref_aggs)
     for op, agg in aggs.items():
         ref_agg = ref_aggs[op]
@@ -202,8 +212,6 @@ def assert_folds_match(spans, unattributed=None):
                 agg.rpcs_total, _items(agg.phases)) == (
             ref_agg.count, ref_agg.failures, ref_agg.total_latency_us,
             ref_agg.rpcs_total, _items(ref_agg.phases))
-
-    assert_obs_folds_match([_snapshot("sim", spans)])
 
 
 class TestSimulatedRuns:
@@ -215,6 +223,7 @@ class TestSimulatedRuns:
                    for parent in [index.parent(span)] if parent), \
             "no 2PC fan-out legs traced"
         assert_folds_match(tracer.spans, dict(tracer.unattributed))
+        assert_op_fold_matches(tracer)
 
     @pytest.mark.parametrize("system", ["tectonic", "infinifs", "locofs"])
     def test_mixed_baselines(self, system):
@@ -223,6 +232,14 @@ class TestSimulatedRuns:
             num_clients=6, ops_per_client=15, seed=11)
         tracer = _traced(system, workload)
         assert_folds_match(tracer.spans, dict(tracer.unattributed))
+        assert_op_fold_matches(tracer)
+
+    def test_fig15_shared_dirrename_op_fold(self):
+        (case,) = [case for case in CASES["fig15"]
+                   if case.label == "dirrename-s/infinifs"]
+        tracer = run_case(case, "quick", ("tracer",)).tracer
+        assert tracer.finished > 30_000
+        assert_op_fold_matches(tracer)
 
     def test_tail_keeper_retained_set(self):
         tracer = _traced("mantle", _mkdir_shared(), max_spans=400,

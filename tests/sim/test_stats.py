@@ -10,7 +10,7 @@ from repro.sim.stats import (
     OpContext,
     percentile,
 )
-from repro.sim.trace import SpanIndex, Tracer, aggregate_ops
+from repro.sim.trace import Tracer
 
 
 class TestPercentile:
@@ -128,7 +128,7 @@ class TestOpContext:
         ctx.begin(PHASE_EXECUTION, 130.0)
         ctx.end(PHASE_EXECUTION, 180.0)
         tracer.end(ctx.trace, 180.0)
-        agg = aggregate_ops(SpanIndex(tracer.spans))["mkdir"]
+        agg = tracer.aggregates["mkdir"]
         assert agg.mean_phase_us(PHASE_LOOKUP) == 30.0
         assert agg.mean_phase_us(PHASE_EXECUTION) == 50.0
 
@@ -140,8 +140,7 @@ class TestOpContext:
         ctx.begin(PHASE_LOOKUP, 20.0)
         ctx.end(PHASE_LOOKUP, 25.0)
         tracer.end(ctx.trace, 30.0)
-        assert aggregate_ops(SpanIndex(tracer.spans))["op"].mean_phase_us(
-            PHASE_LOOKUP) == 15.0
+        assert tracer.aggregates["op"].mean_phase_us(PHASE_LOOKUP) == 15.0
 
     def test_end_without_begin_rejected(self):
         ctx = _traced_ctx("op", Tracer())
