@@ -22,7 +22,13 @@ from repro.paths import normalize, split_path
 from repro.sim.host import CostModel
 from repro.sim.stats import PHASE_LOOKUP, OpContext
 from repro.tafdb.cluster import TafDBCluster
-from repro.tafdb.rows import Dirent, attr_key, dirent_key
+from repro.tafdb.rows import (
+    AttrRecord,
+    DirRecord,
+    attr_key,
+    dirent_key,
+    object_record,
+)
 from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AttrMeta, EntryKind, Permission
 
@@ -87,13 +93,13 @@ class StorageMixin:
                 pid, name = self._bulk_parent(path)
                 shard = shard_for(pid)
                 key = dirent_key(pid, name)
-                if shard.read(key) is not None:
+                if key in shard:
                     raise AlreadyExistsError(path)
                 last = self._new_dir_id(path)
-                shard.install(key, Dirent(id=last, kind=EntryKind.DIRECTORY))
-                shard_for(last).install(
-                    attr_key(last),
-                    AttrMeta(id=last, kind=EntryKind.DIRECTORY))
+                shard.install_record(
+                    key, DirRecord(1, last, EntryKind.DIRECTORY))
+                shard_for(last).install_record(
+                    attr_key(last), AttrRecord(1, last, EntryKind.DIRECTORY))
                 links[pid] += 1
                 entries[pid] += 1
                 self._on_bulk_mkdir(pid, name, last, path)
@@ -127,12 +133,10 @@ class StorageMixin:
         """Install one object's dirent (attributes inline); returns its id."""
         shard = self.tafdb.shard_for(pid)
         key = dirent_key(pid, name)
-        if shard.read(key) is not None:
+        if key in shard:
             raise AlreadyExistsError(path)
         obj_id = self.ids.next()
-        shard.install(key, Dirent(
-            id=obj_id, kind=EntryKind.OBJECT,
-            attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT, size=size)))
+        shard.install_record(key, object_record(obj_id, size))
         return obj_id
 
     def _on_bulk_mkdir(self, pid: int, name: str, dir_id: int,

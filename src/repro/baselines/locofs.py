@@ -30,7 +30,7 @@ from repro.errors import (
     NotEmptyError,
     TransactionAbort,
 )
-from repro.indexnode.index_table import IndexTable
+from repro.indexnode.index_table import ChildIndexedTable
 from repro.paths import normalize, split_path
 from repro.raft.group import RaftGroup
 from repro.raft.node import NotLeaderError, RaftConfig
@@ -60,7 +60,7 @@ class LocoDirState:
     tree plus per-directory attributes."""
 
     def __init__(self, _node_id: int = 0):
-        self.table = IndexTable()
+        self.table = ChildIndexedTable()
         self.attrs: Dict[int, AttrMeta] = {
             ROOT_ID: AttrMeta(id=ROOT_ID, kind=EntryKind.DIRECTORY)}
 
@@ -344,8 +344,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
                     continue
                 pid, name = self._bulk_parent(path)
                 if (table.get(pid, name) is not None
-                        or self.tafdb.shard_for(pid).read(
-                            dirent_key(pid, name)) is not None):
+                        or dirent_key(pid, name) in self.tafdb.shard_for(pid)):
                     raise AlreadyExistsError(path)
                 last = self.ids.next()
                 for state in states:

@@ -23,7 +23,7 @@ from repro.sim.core import Simulator
 from repro.sim.host import Host
 from repro.sim.network import Network
 from repro.tafdb.cluster import TafDBCluster
-from repro.types import ROOT_ID
+from repro.types import ROOT_ID, AccessMeta
 
 
 class MantleSystem(ProxyRouted, StorageMixin, MetadataSystem):
@@ -158,6 +158,9 @@ class MantleSystem(ProxyRouted, StorageMixin, MetadataSystem):
 
     def _on_bulk_mkdir(self, pid: int, name: str, dir_id: int,
                        path: str) -> None:
-        """Mirror a bulk-loaded directory into every IndexNode replica."""
+        """Mirror a bulk-loaded directory into every IndexNode replica,
+        all sharing one entry and one key."""
+        meta = AccessMeta(pid=pid, name=name, id=dir_id)
+        key = (pid, name)
         for node in self.index_group.nodes.values():
-            node.state_machine.bulk_insert_dir(pid, name, dir_id)
+            node.state_machine.table.insert(meta, key)

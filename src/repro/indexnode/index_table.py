@@ -36,7 +36,6 @@ class IndexTable:
         self.root_id = root_id
         self._by_key: Dict[Tuple[int, str], AccessMeta] = {}
         self._by_id: Dict[int, Tuple[int, str]] = {}
-        self._children: Dict[int, set] = {}
         # Observability: resolution volume and per-level probe work, the
         # denominator behind cache-efficiency reporting (fig18).
         self.resolve_calls = 0
@@ -55,11 +54,9 @@ class IndexTable:
     def copy(self) -> "IndexTable":
         """Independent table sharing the (frozen) :class:`AccessMeta` rows:
         only the containers are copied, which is what a snapshot needs."""
-        twin = IndexTable(self.root_id)
+        twin = type(self)(self.root_id)
         twin._by_key = dict(self._by_key)
         twin._by_id = dict(self._by_id)
-        twin._children = {pid: set(names)
-                          for pid, names in self._children.items()}
         twin.resolve_calls = self.resolve_calls
         twin.probe_count = self.probe_count
         return twin
@@ -73,34 +70,27 @@ class IndexTable:
     def get(self, pid: int, name: str) -> Optional[AccessMeta]:
         return self._by_key.get((pid, name))
 
-    def insert(self, meta: AccessMeta) -> None:
-        key = (meta.pid, meta.name)
+    def insert(self, meta: AccessMeta,
+               key: Optional[Tuple[int, str]] = None) -> None:
+        """Add a directory.  ``key`` is its ``(pid, name)`` tuple when the
+        caller has one to share (the bulk loader hands every replica the
+        same ``meta`` and ``key``: both are immutable, and every update
+        replaces an entry rather than mutating it)."""
+        if key is None:
+            key = (meta.pid, meta.name)
         if key in self._by_key:
             raise AlreadyExistsError(f"{meta.pid}:{meta.name}")
         if meta.id in self._by_id or meta.id == self.root_id:
             raise AlreadyExistsError(f"directory id {meta.id}")
         self._by_key[key] = meta
         self._by_id[meta.id] = key
-        self._children.setdefault(meta.pid, set()).add(meta.name)
 
     def remove(self, pid: int, name: str) -> AccessMeta:
         meta = self._by_key.pop((pid, name), None)
         if meta is None:
             raise NoSuchPathError(f"{pid}:{name}")
         del self._by_id[meta.id]
-        bucket = self._children.get(pid)
-        if bucket is not None:
-            bucket.discard(name)
-            if not bucket:
-                del self._children[pid]
         return meta
-
-    def children_names(self, pid: int) -> List[str]:
-        """Names of child *directories* under ``pid`` (sorted)."""
-        return sorted(self._children.get(pid, ()))
-
-    def has_child_dirs(self, pid: int) -> bool:
-        return bool(self._children.get(pid))
 
     def replace(self, meta: AccessMeta) -> None:
         """Overwrite an existing entry (permission / lock-bit updates)."""
@@ -231,14 +221,56 @@ class IndexTable:
         if (dst_pid, dst_name) in self._by_key:
             raise AlreadyExistsError(f"{dst_pid}:{dst_name}")
         del self._by_key[(src_pid, src_name)]
-        bucket = self._children.get(src_pid)
-        if bucket is not None:
-            bucket.discard(src_name)
-            if not bucket:
-                del self._children[src_pid]
         moved = dataclasses.replace(meta.without_lock(),
                                     pid=dst_pid, name=dst_name)
         self._by_key[(dst_pid, dst_name)] = moved
         self._by_id[meta.id] = (dst_pid, dst_name)
+        return moved
+
+
+class ChildIndexedTable(IndexTable):
+    """An :class:`IndexTable` that also indexes child directory names per
+    parent, for a service that lists and empties directories from its
+    table (LocoFS's directory server).  Mantle's IndexNode never asks, so
+    its replicas do not pay for the index."""
+
+    def __init__(self, root_id: int = ROOT_ID):
+        super().__init__(root_id)
+        self._children: Dict[int, set] = {}
+
+    def copy(self) -> "ChildIndexedTable":
+        twin = super().copy()
+        twin._children = {pid: set(names)
+                          for pid, names in self._children.items()}
+        return twin
+
+    def insert(self, meta: AccessMeta,
+               key: Optional[Tuple[int, str]] = None) -> None:
+        super().insert(meta, key)
+        self._children.setdefault(meta.pid, set()).add(meta.name)
+
+    def remove(self, pid: int, name: str) -> AccessMeta:
+        meta = super().remove(pid, name)
+        self._unlink(pid, name)
+        return meta
+
+    def rename(self, src_pid: int, src_name: str,
+               dst_pid: int, dst_name: str) -> AccessMeta:
+        moved = super().rename(src_pid, src_name, dst_pid, dst_name)
+        self._unlink(src_pid, src_name)
         self._children.setdefault(dst_pid, set()).add(dst_name)
         return moved
+
+    def _unlink(self, pid: int, name: str) -> None:
+        bucket = self._children.get(pid)
+        if bucket is not None:
+            bucket.discard(name)
+            if not bucket:
+                del self._children[pid]
+
+    def children_names(self, pid: int) -> List[str]:
+        """Names of child *directories* under ``pid`` (sorted)."""
+        return sorted(self._children.get(pid, ()))
+
+    def has_child_dirs(self, pid: int) -> bool:
+        return bool(self._children.get(pid))

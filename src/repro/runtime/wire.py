@@ -9,8 +9,9 @@ table (one dict lookup, field names computed once at registration).
 
 Domain values cross the wire through a tagged encoding:
 
-* registered dataclasses (``RowKey``, ``WriteIntent``, ``Dirent``, ...)
-  become ``{"__w__": "TypeName", "f": {field: value, ...}}``;
+* registered dataclasses (``WriteIntent``, ``Dirent``, ...) and the
+  ``RowKey`` named tuple become
+  ``{"__w__": "TypeName", "f": {field: value, ...}}``;
 * tuples become ``{"__t__": [...]}`` (JSON has no tuple, and shard routing
   and Raft commands rely on tuple identity);
 * :class:`~repro.types.EntryKind` becomes ``{"__k__": "dir"|"obj"}`` and
@@ -110,9 +111,12 @@ def _register_wire_types() -> None:
 
     for cls in (RowKey, Dirent, AttrDelta, AttrMeta, Row, WriteIntent,
                 AccessMeta, StatResult, LookupOutcome, RenamePrep):
+        # RowKey is a NamedTuple: it travels under its field names like
+        # the dataclasses, not as a bare tuple.
+        names = (cls._fields if issubclass(cls, tuple)
+                 else [f.name for f in dataclasses.fields(cls)])
         _WIRE_TYPES[cls.__name__] = cls
-        _ENCODERS[cls] = _dataclass_encoder(
-            cls.__name__, sorted(f.name for f in dataclasses.fields(cls)))
+        _ENCODERS[cls] = _dataclass_encoder(cls.__name__, sorted(names))
 
 
 def _dataclass_encoder(name: str, fields: List[str]):

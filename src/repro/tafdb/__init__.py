@@ -13,6 +13,17 @@ Schema (after Figures 2 and 8 of the paper):
 * objects store their attributes inline in the dirent row (objects have no
   children, so no separate attribute row is needed).
 
+Layout: a shard keeps its rows per directory, as HopsFS partitions inodes
+by parent.  Directory ``pid``'s dirent rows sit in one ``name -> record``
+dict, which is also the readdir index; its attribute record and its
+``ts -> delta record`` dict are held under its id.  No key object is
+stored per row: a :class:`RowKey` is a tuple the API passes in and the
+shard splits.  Each record is one slotted object holding the row's value
+and version — an object's dirent, its inline attributes and its version
+are one record.  Reads build fresh values (:class:`Row`, :class:`Dirent`,
+:class:`~repro.types.AttrMeta`) from the records, so no reader ever holds
+stored state.
+
 Transactions are optimistic: proxies read versioned rows, stage write
 intents with version expectations, and run one-shot single-shard commits or
 two-phase commits across shards.  Version mismatches and lock conflicts

@@ -19,20 +19,34 @@ transaction per round.
 
 Delta records (§5.2.1) sidestep the conflict entirely: each update inserts a
 uniquely-keyed ``(dir_id, '/_ATTR', ts)`` row, and :meth:`ShardState.compact`
-folds deltas into the primary attribute row under a latch.
+folds deltas into the primary attribute row.
+
+Storage is per directory, as HopsFS partitions inodes by parent: a
+directory's dirent rows sit in one ``name -> record`` dict, its attribute
+row and its delta rows are held under its id, and no key object is kept
+per row (see :mod:`repro.tafdb.rows` for the records).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TransactionAbort
-from repro.tafdb.rows import AttrDelta, Dirent, Row, RowKey, RowValue, attr_key
+from repro.paths import ATTR_SENTINEL
+from repro.tafdb.rows import (
+    AttrDelta,
+    AttrRecord,
+    DeltaRecord,
+    Dirent,
+    Record,
+    Row,
+    RowKey,
+    RowValue,
+    attr_key,
+    to_record,
+)
 from repro.types import AttrMeta
-
-#: Lock owner used by the compactor's latch.
-_COMPACTOR = "__compactor__"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,11 +78,17 @@ class ShardState:
 
     def __init__(self, shard_id: int = 0):
         self.shard_id = shard_id
-        self._rows: Dict[RowKey, Row] = {}
-        self._children: Dict[int, Set[str]] = {}
-        self._deltas: Dict[int, Set[int]] = {}
+        #: pid -> {name: dirent record}; a directory without entries has
+        #: no dict.
+        self._entries: Dict[int, Dict[str, Record]] = {}
+        #: dir id -> its attribute record.
+        self._attrs: Dict[int, AttrRecord] = {}
+        #: dir id -> {ts: delta record}, in the order the directories
+        #: gained pending deltas (the compactor's order).
+        self._deltas: Dict[int, Dict[int, DeltaRecord]] = {}
         self._locks: Dict[RowKey, str] = {}
-        self._staged: Dict[str, List[WriteIntent]] = {}
+        #: txn id -> (its intents, the keys its prepare locked).
+        self._staged: Dict[str, Tuple[List[WriteIntent], List[RowKey]]] = {}
         # Counters for the bench harness.
         self.aborts = 0
         self.commits = 0
@@ -77,29 +97,96 @@ class ShardState:
         #: "missing", "version") — surfaced in trace breakdowns.
         self.abort_reasons: Dict[str, int] = {}
 
+    # -- storage ------------------------------------------------------------
+
+    def _get(self, key: RowKey) -> Optional[Record]:
+        pid, name, ts = key
+        if name == ATTR_SENTINEL:
+            if ts:
+                pending = self._deltas.get(pid)
+                return pending.get(ts) if pending is not None else None
+            return self._attrs.get(pid)
+        entries = self._entries.get(pid)
+        if entries is None or ts:
+            return None
+        return entries.get(name)
+
+    def _put(self, key: RowKey, record: Record) -> None:
+        """Store ``record`` under ``key``; a replaced row keeps its place."""
+        pid, name, ts = key
+        if name == ATTR_SENTINEL:
+            if not ts:
+                self._attrs[pid] = record
+                return
+            container = self._deltas
+            slot = ts
+        elif ts:
+            raise ValueError(f"dirent key {key!r} carries a timestamp")
+        else:
+            container = self._entries
+            slot = name
+        rows = container.get(pid)
+        if rows is None:
+            rows = container[pid] = {}
+        rows[slot] = record
+
+    def _pop(self, key: RowKey) -> None:
+        """Remove ``key``'s row (KeyError when absent)."""
+        pid, name, ts = key
+        if name != ATTR_SENTINEL:
+            container = self._entries
+            slot = name
+        elif ts:
+            container = self._deltas
+            slot = ts
+        else:
+            del self._attrs[pid]
+            return
+        rows = container[pid]
+        del rows[slot]
+        if not rows:
+            del container[pid]
+
+    def __contains__(self, key: RowKey) -> bool:
+        return self._get(key) is not None
+
+    def rows(self) -> Iterator[Tuple[RowKey, RowValue, int]]:
+        """Every row as ``(key, value, version)``, in shard order:
+        attribute rows, then each directory's dirents, then each
+        directory's deltas, each in the order it was stored."""
+        for dir_id, record in self._attrs.items():
+            yield attr_key(dir_id), record.value(), record.version
+        for pid, entries in self._entries.items():
+            for name, record in entries.items():
+                yield RowKey(pid, name, 0), record.value(), record.version
+        for dir_id, pending in self._deltas.items():
+            for ts, record in pending.items():
+                yield (RowKey(dir_id, ATTR_SENTINEL, ts), record.value(),
+                       record.version)
+
     # -- reads --------------------------------------------------------------
 
     def read(self, key: RowKey) -> Optional[Row]:
-        row = self._rows.get(key)
-        return row.snapshot() if row is not None else None
+        record = self._get(key)
+        if record is None:
+            return None
+        return Row(key, record.value(), record.version)
 
     def scan_children(self, pid: int, limit: Optional[int] = None,
                       start_after: Optional[str] = None) -> List[Tuple[str, Dirent]]:
         """Ordered page of (name, dirent) under directory ``pid`` (readdir)."""
-        names = sorted(self._children.get(pid, ()))
+        entries = self._entries.get(pid)
+        if entries is None:
+            return []
+        names = sorted(entries)
         if start_after is not None:
             names = [n for n in names if n > start_after]
         if limit is not None:
             names = names[:limit]
-        out = []
-        for name in names:
-            row = self._rows[RowKey(pid, name, 0)]
-            assert isinstance(row.value, Dirent)
-            out.append((name, row.value))
-        return out
+        return [(name, entries[name].value()) for name in names]
 
     def has_children(self, pid: int) -> bool:
-        return bool(self._children.get(pid))
+        return bool(self._entries.get(pid))
 
     def delta_count(self, dir_id: int) -> int:
         return len(self._deltas.get(dir_id, ()))
@@ -110,13 +197,14 @@ class ShardState:
         This is the dirstat read path; its cost grows with the number of
         unfolded deltas — the trade-off §5.2.1 calls out.
         """
-        primary = self._rows.get(attr_key(dir_id))
+        primary = self._attrs.get(dir_id)
         if primary is None:
             return None
-        attrs = primary.value.copy()
-        for ts in sorted(self._deltas.get(dir_id, ())):
-            delta_row = self._rows[RowKey(dir_id, attr_key(dir_id).name, ts)]
-            delta_row.value.apply_to(attrs)
+        attrs = primary.value()
+        pending = self._deltas.get(dir_id)
+        if pending:
+            for ts in sorted(pending):
+                pending[ts].delta.apply_to(attrs)
         return attrs
 
     # -- transactions ---------------------------------------------------------
@@ -129,67 +217,69 @@ class ShardState:
         """
         if txn_id in self._staged:
             raise TransactionAbort("txn already prepared on this shard", None)
+        locks = self._locks
         acquired: List[RowKey] = []
         try:
             for intent in intents:
-                holder = self._locks.get(intent.key)
+                key = intent.key
+                holder = locks.get(key)
                 if holder is not None and holder != txn_id:
-                    raise TransactionAbort("lock held", intent.key)
-                row = self._rows.get(intent.key)
+                    raise TransactionAbort("lock held", key)
+                record = self._get(key)
                 if intent.kind == "insert":
-                    if row is not None:
-                        raise TransactionAbort("exists", intent.key)
+                    if record is not None:
+                        raise TransactionAbort("exists", key)
                 else:
-                    if row is None:
-                        raise TransactionAbort("missing", intent.key)
+                    if record is None:
+                        raise TransactionAbort("missing", key)
                     if (intent.expect_version is not None
-                            and row.version != intent.expect_version):
-                        raise TransactionAbort("version", intent.key)
+                            and record.version != intent.expect_version):
+                        raise TransactionAbort("version", key)
                 if holder is None:
-                    self._locks[intent.key] = txn_id
-                    acquired.append(intent.key)
+                    locks[key] = txn_id
+                    acquired.append(key)
         except TransactionAbort as exc:
             self.aborts += 1
             self.abort_reasons[exc.reason] = \
                 self.abort_reasons.get(exc.reason, 0) + 1
-            for key in acquired:
-                del self._locks[key]
+            self._release(acquired)
             raise
-        self._staged[txn_id] = list(intents)
+        self._staged[txn_id] = (list(intents), acquired)
 
     def commit(self, txn_id: str) -> None:
-        intents = self._staged.pop(txn_id, None)
-        if intents is None:
+        staged = self._staged.pop(txn_id, None)
+        if staged is None:
             raise TransactionAbort("commit of unprepared txn", None)
+        intents, locked = staged
         for intent in intents:
             self._apply(intent)
-        self._release(txn_id)
+        self._release(locked)
         self.commits += 1
 
     def abort(self, txn_id: str) -> None:
-        self._staged.pop(txn_id, None)
-        self._release(txn_id)
+        staged = self._staged.pop(txn_id, None)
+        if staged is not None:
+            self._release(staged[1])
 
     def execute(self, txn_id: str, intents: List[WriteIntent]) -> None:
         """Single-shard one-shot transaction (prepare + commit, one RPC)."""
         self.prepare(txn_id, intents)
         self.commit(txn_id)
 
-    def _release(self, txn_id: str) -> None:
-        for key in [k for k, owner in self._locks.items() if owner == txn_id]:
-            del self._locks[key]
+    def _release(self, keys: List[RowKey]) -> None:
+        """Unlock the keys one prepare locked."""
+        locks = self._locks
+        for key in keys:
+            del locks[key]
 
     def _apply(self, intent: WriteIntent) -> None:
         key = intent.key
         if intent.kind == "delete":
-            del self._rows[key]
-            self._unindex(key)
+            self._pop(key)
             return
-        old = self._rows.get(key)
+        old = self._get(key)
         version = old.version + 1 if old is not None else 1
-        self._rows[key] = Row(key, intent.value, version)
-        if old is None:
-            self._index(key)
+        self._put(key, to_record(intent.value, version))
 
     def install(self, key: RowKey, value: RowValue, version: int = 1) -> None:
         """Put a row in place outside the transaction path (bulk loading).
@@ -199,29 +289,12 @@ class ShardState:
         loader that folds n updates into one install with ``version + n``
         leaves the shard exactly as n transactional updates would.
         """
-        if key not in self._rows:
-            self._index(key)
-        self._rows[key] = Row(key, value, version)
+        self._put(key, to_record(value, version))
 
-    def _index(self, key: RowKey) -> None:
-        if key.is_delta:
-            self._deltas.setdefault(key.pid, set()).add(key.ts)
-        elif not key.is_attr:
-            self._children.setdefault(key.pid, set()).add(key.name)
-
-    def _unindex(self, key: RowKey) -> None:
-        if key.is_delta:
-            bucket = self._deltas.get(key.pid)
-            if bucket is not None:
-                bucket.discard(key.ts)
-                if not bucket:
-                    del self._deltas[key.pid]
-        elif not key.is_attr:
-            bucket = self._children.get(key.pid)
-            if bucket is not None:
-                bucket.discard(key.name)
-                if not bucket:
-                    del self._children[key.pid]
+    def install_record(self, key: RowKey, record: Record) -> None:
+        """:meth:`install` of an already-built record (the bulk loader's
+        path: no row value is built).  The shard owns ``record`` after."""
+        self._put(key, record)
 
     def fold_direct(self, dir_id: int, delta: AttrDelta) -> bool:
         """Apply one attribute delta in place, bypassing the transaction path.
@@ -232,15 +305,13 @@ class ShardState:
         serialise instead of thrashing with retries.  Returns False when an
         in-flight transaction holds the row (caller should retry shortly).
         """
-        key = attr_key(dir_id)
-        row = self._rows.get(key)
-        if row is None:
+        record = self._attrs.get(dir_id)
+        if record is None:
             return False
-        if self._locks.get(key) is not None:
+        if attr_key(dir_id) in self._locks:
             return False
-        attrs = row.value.copy()
-        delta.apply_to(attrs)
-        self._rows[key] = Row(key, attrs, row.version + 1)
+        delta.apply_to(record)
+        record.version += 1
         self.commits += 1
         return True
 
@@ -257,58 +328,53 @@ class ShardState:
     def compact(self, dir_id: int) -> int:
         """Fold every delta of ``dir_id`` into its primary attribute row.
 
-        Takes the compactor latch on the primary row; if an in-flight
-        transaction holds it the compaction is skipped this round (returns 0)
-        — it will catch up on the next pass.  Returns the number of deltas
-        folded.
+        If an in-flight transaction holds the primary row the compaction is
+        skipped this round (returns 0) — it will catch up on the next pass.
+        A compaction runs to completion in one call, so it needs no latch
+        of its own.  Returns the number of deltas folded.
         """
         pending = self._deltas.get(dir_id)
         if not pending:
             return 0
-        primary_key = attr_key(dir_id)
-        primary = self._rows.get(primary_key)
+        primary = self._attrs.get(dir_id)
         if primary is None:
             # Directory was removed; orphaned deltas are garbage-collected.
-            return self._drop_deltas(dir_id)
-        if self._locks.get(primary_key) is not None:
+            return self._drop_deltas(dir_id, pending)
+        if attr_key(dir_id) in self._locks:
             return 0
-        self._locks[primary_key] = _COMPACTOR
-        try:
-            attrs = primary.value.copy()
-            timestamps = sorted(pending)
-            for ts in timestamps:
-                key = RowKey(dir_id, primary_key.name, ts)
-                self._rows[key].value.apply_to(attrs)
-                del self._rows[key]
-                self._unindex(key)
-            self._rows[primary_key] = Row(primary_key, attrs, primary.version + 1)
-            self.compactions += 1
-            return len(timestamps)
-        finally:
-            del self._locks[primary_key]
+        for ts in sorted(pending):
+            pending[ts].delta.apply_to(primary)
+        primary.version += 1
+        del self._deltas[dir_id]
+        self.compactions += 1
+        return len(pending)
 
     def compact_all(self) -> int:
         """Compact every directory with pending deltas; returns deltas folded."""
         folded = 0
-        for dir_id in list(self._deltas.keys()):
+        for dir_id in list(self._deltas):
             folded += self.compact(dir_id)
         return folded
 
-    def _drop_deltas(self, dir_id: int) -> int:
+    def _drop_deltas(self, dir_id: int, pending: Dict[int, DeltaRecord]) -> int:
+        """Drop the deltas of a removed directory that no transaction
+        holds."""
+        locks = self._locks
         dropped = 0
-        for ts in sorted(self._deltas.get(dir_id, set()).copy()):
-            key = RowKey(dir_id, attr_key(dir_id).name, ts)
-            if self._locks.get(key) is None:
-                del self._rows[key]
-                self._unindex(key)
+        for ts in list(pending):
+            if RowKey(dir_id, ATTR_SENTINEL, ts) not in locks:
+                del pending[ts]
                 dropped += 1
+        if not pending:
+            del self._deltas[dir_id]
         return dropped
 
     # -- stats -----------------------------------------------------------------
 
     @property
     def row_count(self) -> int:
-        return len(self._rows)
+        return (len(self._attrs) + self.pending_delta_rows
+                + sum(len(entries) for entries in self._entries.values()))
 
     @property
     def pending_delta_rows(self) -> int:
@@ -316,4 +382,4 @@ class ShardState:
 
     @property
     def dirs_with_deltas(self) -> List[int]:
-        return list(self._deltas.keys())
+        return list(self._deltas)

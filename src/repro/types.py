@@ -41,7 +41,7 @@ class Permission(enum.IntFlag):
     ALL = READ | WRITE | EXECUTE
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class AccessMeta:
     """Access metadata for one directory — the IndexNode's IndexTable row.
 
@@ -65,7 +65,7 @@ class AccessMeta:
         return dataclasses.replace(self, locked=False, lock_owner=None)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class AttrMeta:
     """Attribute metadata stored only in TafDB.
 

@@ -2,8 +2,12 @@
 transactional reference, outside the transaction counters, and strict
 about duplicate names."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.bench import cluster
 from repro.errors import AlreadyExistsError
 from repro.experiments.fig18_cache_k import _BushyLookupWorkload
 from repro.tafdb.rows import attr_key, dirent_key
@@ -39,25 +43,26 @@ def _load(system):
 
 
 def _table(table):
-    return (list(table._by_key.items()), table._by_id, table._children)
+    return list(table._by_key.items()), table._by_id
 
 
 def _state(system):
-    """Every shard's rows (in dict order) and indexes, every replica's
+    """Every shard's rows and per-directory order, every replica's
     tables, the loader's directory map and the next id."""
     shards = {}
     for server in system.tafdb.servers:
         for shard_id, shard in server.shards.items():
-            shards[shard_id] = (
-                [(key, row.value, row.version)
-                 for key, row in shard._rows.items()],
-                shard._children, shard._deltas)
+            # rows() walks the shard directory by directory, so equal
+            # lists mean equal rows, values, versions and per-directory
+            # order; dirs_with_deltas is the compactor's order.
+            shards[shard_id] = (list(shard.rows()), shard.dirs_with_deltas)
     replicas = []
     if system.name == "mantle":
         replicas = [_table(node.state_machine.table)
                     for node in system.index_group.nodes.values()]
     elif system.name == "locofs":
         replicas = [(_table(node.state_machine.table),
+                     node.state_machine.table._children,
                      list(node.state_machine.attrs.items()))
                     for node in system.dir_group.nodes.values()]
     elif system.name == "infinifs":
@@ -140,3 +145,40 @@ def test_locofs_bulk_mkdir_over_an_object_leaves_dir_service_alone():
     assert system.tafdb.shard_for(a).read(dirent_key(a, "x")) is not None
     assert system.tafdb.shard_for(a).read(attr_key(a)) is None
     system.shutdown()
+
+
+def test_mantle_replicas_share_bulk_loaded_entries():
+    system = build_system("mantle")
+    system.bulk_load(["/a", "/a/b"])
+    first, *others = [node.state_machine.table
+                      for node in system.index_group.nodes.values()]
+    assert others
+    for key, meta in first._by_key.items():
+        for table in others:
+            assert table.get(*key) is meta
+            assert table._by_id[meta.id] is first._by_id[meta.id]
+    system.shutdown()
+
+
+#: Live bytes per entry a bulk-loaded namespace may keep (tracemalloc).
+BYTES_PER_ENTRY = {"mantle": 350, "tectonic": 300}
+
+
+@pytest.mark.parametrize("name", sorted(BYTES_PER_ENTRY))
+def test_bulk_loaded_namespace_bytes_per_entry(name):
+    """What a populated namespace keeps live per entry: TafDB records,
+    names, ids, per-directory dicts and (Mantle) the IndexNode replicas."""
+    spec = build_namespace(num_dirs=2000, objects_per_dir=10, seed=11)
+    system = cluster.build_system(name)
+    entries = len(spec.directories) + len(spec.objects)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        populate(system, spec)
+        gc.collect()
+        per_entry = (tracemalloc.get_traced_memory()[0] - before) / entries
+    finally:
+        tracemalloc.stop()
+    system.shutdown()
+    assert per_entry <= BYTES_PER_ENTRY[name], per_entry

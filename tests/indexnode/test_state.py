@@ -200,8 +200,6 @@ def fingerprint(state):
     return {
         "rows": sorted(table.entries(), key=lambda m: m.id),
         "by_id": dict(table._by_id),
-        "children": {pid: sorted(names)
-                     for pid, names in table._children.items()},
         "probes": (table.resolve_calls, table.probe_count),
         "cache": dict(cache._entries),
         "cache_stats": (cache.k, cache.enabled, cache.hits, cache.misses,

@@ -19,6 +19,20 @@ flights.  :func:`request_timeout_hosts` swaps both generators back in, so a
 run inside the block is the generator path end to end: the reference a
 kernel-driven run, traced or not, must equal.
 
+The flat-row shard.  ``ShardState`` stores rows per directory (a
+``name -> record`` dict per parent, attribute and delta records under the
+directory's id, no key object per row), keys are tuples, and the lock
+release walks the keys a prepare took; it claims every read, scan, fold,
+abort (reason and key), lock owner, counter and the compactor's directory
+order are exactly what the flat ``_rows`` dict with its ``_children`` and
+``_deltas`` side indexes gave.  :class:`RefShardState`, with its
+dataclass :class:`RefRowKey` and :class:`RefRow`, is that shard (its code
+unchanged but for the names and trimmed docstrings);
+``tests/tafdb/test_shard_reference.py`` drives both.
+It pins the storage layout's semantics, not its bytes, so it can be
+retired once a change to those semantics (not to the layout) is due, or
+when the shard no longer keeps the transaction machinery it checks.
+
 The per-client Zipf tables.  ``MixedWorkload`` builds one cumulative Zipf
 table per item list and every client's picker draws from it with its own
 RNG, and claims each client's op stream is exactly what it was when every
@@ -50,18 +64,23 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import dataclasses
 import itertools
 import random
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import pytest
 
 from repro.baselines import infinifs, locofs, tectonic
 from repro.baselines.common import StorageMixin
 from repro.core import multitenant, service
-from repro.errors import NoSuchPathError, ServiceUnavailableError
-from repro.paths import normalize, parent_and_name
+from repro.errors import (
+    NoSuchPathError,
+    ServiceUnavailableError,
+    TransactionAbort,
+)
+from repro.paths import ATTR_SENTINEL, normalize, parent_and_name
 from repro.runtime.obs import OpPhases, _fold_kind, _spans_of
 from repro.sim.critpath import UNKNOWN_CULPRIT, BlameMatrix, _queue_resource
 from repro.sim.profile import UNATTRIBUTED_FRAME, CostProfile, _frame
@@ -319,6 +338,266 @@ def transactional_bulk_load():
         patch.setattr(StorageMixin, "bulk_load", _txn_bulk_load)
         patch.setattr(locofs.LocoFSSystem, "bulk_load", _loco_txn_bulk_load)
         yield
+
+
+# ---------------------------------------------------------------------------
+# The flat-row shard (the ShardState before rows were kept per directory)
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class RefRowKey:
+    """Composite primary key: (parent id, name, transaction timestamp)."""
+
+    pid: int
+    name: str
+    ts: int = 0
+
+    @property
+    def is_delta(self) -> bool:
+        return self.name == ATTR_SENTINEL and self.ts != 0
+
+    @property
+    def is_attr(self) -> bool:
+        return self.name == ATTR_SENTINEL
+
+
+def _ref_attr_key(dir_id: int) -> RefRowKey:
+    return RefRowKey(dir_id, ATTR_SENTINEL, 0)
+
+
+@dataclasses.dataclass
+class RefRow:
+    """A stored row: value plus its optimistic-concurrency version."""
+
+    key: RefRowKey
+    value: Any
+    version: int = 1
+
+    def snapshot(self) -> "RefRow":
+        """Copy handed to readers so cached references can't see later writes."""
+        value = self.value
+        if isinstance(value, AttrMeta):
+            value = value.copy()
+        return RefRow(self.key, value, self.version)
+
+
+#: Lock owner used by the compactor's latch.
+_REF_COMPACTOR = "__compactor__"
+
+
+class RefShardState:
+    """In-memory storage and transaction machinery for one shard."""
+
+    def __init__(self, shard_id: int = 0):
+        self.shard_id = shard_id
+        self._rows: Dict[RefRowKey, RefRow] = {}
+        self._children: Dict[int, Set[str]] = {}
+        self._deltas: Dict[int, Set[int]] = {}
+        self._locks: Dict[RefRowKey, str] = {}
+        self._staged: Dict[str, List[WriteIntent]] = {}
+        self.aborts = 0
+        self.commits = 0
+        self.compactions = 0
+        self.abort_reasons: Dict[str, int] = {}
+
+    def read(self, key: RefRowKey) -> Optional[RefRow]:
+        row = self._rows.get(key)
+        return row.snapshot() if row is not None else None
+
+    def scan_children(self, pid: int, limit: Optional[int] = None,
+                      start_after: Optional[str] = None
+                      ) -> List[Tuple[str, Dirent]]:
+        names = sorted(self._children.get(pid, ()))
+        if start_after is not None:
+            names = [n for n in names if n > start_after]
+        if limit is not None:
+            names = names[:limit]
+        out = []
+        for name in names:
+            row = self._rows[RefRowKey(pid, name, 0)]
+            assert isinstance(row.value, Dirent)
+            out.append((name, row.value))
+        return out
+
+    def has_children(self, pid: int) -> bool:
+        return bool(self._children.get(pid))
+
+    def delta_count(self, dir_id: int) -> int:
+        return len(self._deltas.get(dir_id, ()))
+
+    def read_attrs_folded(self, dir_id: int) -> Optional[AttrMeta]:
+        primary = self._rows.get(_ref_attr_key(dir_id))
+        if primary is None:
+            return None
+        attrs = primary.value.copy()
+        for ts in sorted(self._deltas.get(dir_id, ())):
+            delta_row = self._rows[
+                RefRowKey(dir_id, _ref_attr_key(dir_id).name, ts)]
+            delta_row.value.apply_to(attrs)
+        return attrs
+
+    def prepare(self, txn_id: str, intents: List[WriteIntent]) -> None:
+        if txn_id in self._staged:
+            raise TransactionAbort("txn already prepared on this shard", None)
+        acquired: List[RefRowKey] = []
+        try:
+            for intent in intents:
+                holder = self._locks.get(intent.key)
+                if holder is not None and holder != txn_id:
+                    raise TransactionAbort("lock held", intent.key)
+                row = self._rows.get(intent.key)
+                if intent.kind == "insert":
+                    if row is not None:
+                        raise TransactionAbort("exists", intent.key)
+                else:
+                    if row is None:
+                        raise TransactionAbort("missing", intent.key)
+                    if (intent.expect_version is not None
+                            and row.version != intent.expect_version):
+                        raise TransactionAbort("version", intent.key)
+                if holder is None:
+                    self._locks[intent.key] = txn_id
+                    acquired.append(intent.key)
+        except TransactionAbort as exc:
+            self.aborts += 1
+            self.abort_reasons[exc.reason] = \
+                self.abort_reasons.get(exc.reason, 0) + 1
+            for key in acquired:
+                del self._locks[key]
+            raise
+        self._staged[txn_id] = list(intents)
+
+    def commit(self, txn_id: str) -> None:
+        intents = self._staged.pop(txn_id, None)
+        if intents is None:
+            raise TransactionAbort("commit of unprepared txn", None)
+        for intent in intents:
+            self._apply(intent)
+        self._release(txn_id)
+        self.commits += 1
+
+    def abort(self, txn_id: str) -> None:
+        self._staged.pop(txn_id, None)
+        self._release(txn_id)
+
+    def execute(self, txn_id: str, intents: List[WriteIntent]) -> None:
+        self.prepare(txn_id, intents)
+        self.commit(txn_id)
+
+    def _release(self, txn_id: str) -> None:
+        for key in [k for k, owner in self._locks.items() if owner == txn_id]:
+            del self._locks[key]
+
+    def _apply(self, intent: WriteIntent) -> None:
+        key = intent.key
+        if intent.kind == "delete":
+            del self._rows[key]
+            self._unindex(key)
+            return
+        old = self._rows.get(key)
+        version = old.version + 1 if old is not None else 1
+        self._rows[key] = RefRow(key, intent.value, version)
+        if old is None:
+            self._index(key)
+
+    def install(self, key: RefRowKey, value: Any, version: int = 1) -> None:
+        if key not in self._rows:
+            self._index(key)
+        self._rows[key] = RefRow(key, value, version)
+
+    def _index(self, key: RefRowKey) -> None:
+        if key.is_delta:
+            self._deltas.setdefault(key.pid, set()).add(key.ts)
+        elif not key.is_attr:
+            self._children.setdefault(key.pid, set()).add(key.name)
+
+    def _unindex(self, key: RefRowKey) -> None:
+        if key.is_delta:
+            bucket = self._deltas.get(key.pid)
+            if bucket is not None:
+                bucket.discard(key.ts)
+                if not bucket:
+                    del self._deltas[key.pid]
+        elif not key.is_attr:
+            bucket = self._children.get(key.pid)
+            if bucket is not None:
+                bucket.discard(key.name)
+                if not bucket:
+                    del self._children[key.pid]
+
+    def fold_direct(self, dir_id: int, delta) -> bool:
+        key = _ref_attr_key(dir_id)
+        row = self._rows.get(key)
+        if row is None:
+            return False
+        if self._locks.get(key) is not None:
+            return False
+        attrs = row.value.copy()
+        delta.apply_to(attrs)
+        self._rows[key] = RefRow(key, attrs, row.version + 1)
+        self.commits += 1
+        return True
+
+    def is_locked(self, key: RefRowKey) -> bool:
+        return key in self._locks
+
+    def lock_owner(self, key: RefRowKey) -> Optional[str]:
+        return self._locks.get(key)
+
+    def compact(self, dir_id: int) -> int:
+        pending = self._deltas.get(dir_id)
+        if not pending:
+            return 0
+        primary_key = _ref_attr_key(dir_id)
+        primary = self._rows.get(primary_key)
+        if primary is None:
+            return self._drop_deltas(dir_id)
+        if self._locks.get(primary_key) is not None:
+            return 0
+        self._locks[primary_key] = _REF_COMPACTOR
+        try:
+            attrs = primary.value.copy()
+            timestamps = sorted(pending)
+            for ts in timestamps:
+                key = RefRowKey(dir_id, primary_key.name, ts)
+                self._rows[key].value.apply_to(attrs)
+                del self._rows[key]
+                self._unindex(key)
+            self._rows[primary_key] = RefRow(primary_key, attrs,
+                                             primary.version + 1)
+            self.compactions += 1
+            return len(timestamps)
+        finally:
+            del self._locks[primary_key]
+
+    def compact_all(self) -> int:
+        folded = 0
+        for dir_id in list(self._deltas.keys()):
+            folded += self.compact(dir_id)
+        return folded
+
+    def _drop_deltas(self, dir_id: int) -> int:
+        dropped = 0
+        for ts in sorted(self._deltas.get(dir_id, set()).copy()):
+            key = RefRowKey(dir_id, _ref_attr_key(dir_id).name, ts)
+            if self._locks.get(key) is None:
+                del self._rows[key]
+                self._unindex(key)
+                dropped += 1
+        return dropped
+
+    @property
+    def row_count(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pending_delta_rows(self) -> int:
+        return sum(len(v) for v in self._deltas.values())
+
+    @property
+    def dirs_with_deltas(self) -> List[int]:
+        return list(self._deltas.keys())
 
 
 class PerClientZipfPicker:

@@ -6,12 +6,12 @@ from repro.tafdb.partition import Partitioner, pid_hash
 from repro.tafdb.rows import (
     AttrDelta,
     Dirent,
-    Row,
     RowKey,
     attr_key,
     delta_key,
     dirent_key,
 )
+from repro.tafdb.shard import ShardState
 from repro.types import AttrMeta, EntryKind
 
 
@@ -54,12 +54,24 @@ class TestValues:
         AttrDelta(mtime=3.0).apply_to(attrs)
         assert attrs.mtime == 10.0
 
-    def test_row_snapshot_isolates_attr_meta(self):
+    def test_reads_and_writers_never_alias_stored_attrs(self):
+        shard = ShardState()
         attrs = AttrMeta(id=1, kind=EntryKind.DIRECTORY, entry_count=1)
-        row = Row(attr_key(1), attrs)
-        snap = row.snapshot()
+        shard.install(attr_key(1), attrs)
+        shard.install(dirent_key(1, "o"), Dirent(
+            id=3, kind=EntryKind.OBJECT,
+            attrs=AttrMeta(id=3, kind=EntryKind.OBJECT, size=1)))
         attrs.entry_count = 99
-        assert snap.value.entry_count == 1
+        shard.read(attr_key(1)).value.entry_count = 99
+        shard.read(dirent_key(1, "o")).value.attrs.size = 99
+        shard.scan_children(1)[0][1].attrs.size = 99
+        assert shard.read(attr_key(1)).value.entry_count == 1
+        assert shard.read(dirent_key(1, "o")).value.attrs.size == 1
+
+    def test_inline_attrs_describe_the_entry(self):
+        with pytest.raises(ValueError):
+            Dirent(id=3, kind=EntryKind.OBJECT,
+                   attrs=AttrMeta(id=4, kind=EntryKind.OBJECT))
 
     def test_dirent_is_dir(self):
         d = Dirent(id=2, kind=EntryKind.DIRECTORY)
