@@ -116,7 +116,8 @@ class RunRecord:
     system was still up (``verdict``, ``phases``).  Every explanation
     view is a fold over this record; the span folds several views share
     (:attr:`crit` with its blame matrix, :attr:`profile`) are computed
-    once, over one :attr:`index` of the ring.
+    once, over one :attr:`index` of the ring.  The tracer rebuilds span
+    objects on every read, so the folds share one read, :attr:`spans`.
     """
 
     name: str
@@ -127,8 +128,13 @@ class RunRecord:
     phases: Optional[list] = None
 
     @functools.cached_property
+    def spans(self):
+        """The ring's finished spans, read once for every fold."""
+        return self.tracer.spans
+
+    @functools.cached_property
     def index(self):
-        return SpanIndex(self.tracer.spans)
+        return SpanIndex(self.spans)
 
     @functools.cached_property
     def crit(self):

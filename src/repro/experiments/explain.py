@@ -368,13 +368,12 @@ def breakdown_table(runs: Sequence[Run]) -> Table:
         "Span-tree breakdown per case",
         ["case", "spans", "dropped", "category", "count", "total us"])
     for case, record in runs:
-        tracer = record.tracer
-        summary = category_summary(tracer.spans)
+        summary = category_summary(record.spans)
         for i, category in enumerate(sorted(summary)):
             count, total_us = summary[category]
             table.add_row(case.label if i == 0 else "",
-                          len(tracer.spans) if i == 0 else "",
-                          tracer.dropped if i == 0 else "",
+                          len(record.spans) if i == 0 else "",
+                          record.tracer.dropped if i == 0 else "",
                           category, count, round(total_us, 1))
     return table
 
@@ -411,7 +410,7 @@ def fold_trace(request: Request, runs: Sequence[Run]) -> Folded:
     stats = {case.label: trace_stats(record.tracer)
              for case, record in runs}
     payload = export_chrome_trace(
-        [(case.label, record.tracer.spans) for case, record in runs],
+        [(case.label, record.spans) for case, record in runs],
         stats=stats)
     agreement, worst = agreement_table(runs)
     agreement.add_note(f"worst relative error {worst:.2%} "
@@ -872,7 +871,7 @@ def triage_payload(target: str, case: Case,
     phases = record.phases
     last_window = phases[-1].window if phases else (0.0, 0.0)
     primary = primary_phase(phases)
-    index = SpanIndex(record.tracer.retained_spans())
+    index = SpanIndex(record.tracer.retained_spans(record.spans))
     kept = frozenset(tree[-1].span_id
                      for tree in record.tracer.keeper.trees())
     return {

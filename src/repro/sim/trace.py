@@ -22,7 +22,8 @@ Design constraints, in order of importance:
   no-op singleton; instrumentation sites guard on ``tracer.enabled`` so a
   disabled run pays one attribute load and a boolean test per site.
 * **Bounded memory when on** — finished spans land in a fixed-size ring
-  buffer (oldest spans fall out).
+  (oldest spans fall out), stored as rows of typed columns rather than
+  as objects; reads rebuild :class:`Span` objects.
 * **Tail retention** — the ring keeps the most recent spans, so the p999
   stragglers that define SLOs fall out as readily as any other.  A
   :class:`TailKeeper` attached to the tracer
@@ -48,8 +49,9 @@ behind every export validator.
 from __future__ import annotations
 
 import bisect
-import collections
 import math
+from array import array
+from itertools import compress, islice, repeat
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -82,6 +84,10 @@ class Span:
     one cost kind on one host, so the first cost entry lives in two slots
     and a dict is built only when a second distinct key arrives;
     :attr:`costs` reads either form as one read-only mapping.
+
+    A span is written once: :meth:`Tracer.end` closes it, and a second
+    ``end``, an :meth:`annotate` or a cost charge after that raises
+    (the tracer's ring keeps the span's fields, not the object).
     """
 
     __slots__ = ("span_id", "parent_id", "name", "category", "host",
@@ -147,6 +153,8 @@ class Span:
     def add_cost(self, key: Tuple[str, Optional[str]], us: float) -> None:
         """Accumulate ``us`` of cost under ``key`` = (kind, host), kind
         one of cpu/fsync/wire/queue."""
+        if self.end_us is not None:
+            raise _written(self)
         held = self._costs
         if held is None:
             self._costs = key
@@ -162,6 +170,8 @@ class Span:
                            us: float) -> None:
         """Refine a ``queue`` charge by ``key`` = (resource waited on,
         host)."""
+        if self.end_us is not None:
+            raise _written(self)
         res = self.queue_res
         if res is None:
             res = self.queue_res = {}
@@ -170,6 +180,8 @@ class Span:
     def add_blocked(self, key: Tuple[str, str, Optional[str]],
                     us: float) -> None:
         """Accumulate blocked-on time under ``key`` = (cause, kind, host)."""
+        if self.end_us is not None:
+            raise _written(self)
         blocked = self.blocked
         if blocked is None:
             blocked = self.blocked = {}
@@ -179,6 +191,8 @@ class Span:
                                       Optional[str]], us: float) -> None:
         """Tag queue time with ``key`` = (op, tenant, resource, host): the
         occupant that preceded it on that resource."""
+        if self.end_us is not None:
+            raise _written(self)
         by = self.queue_by
         if by is None:
             by = self.queue_by = {}
@@ -192,6 +206,8 @@ class Span:
 
     def annotate(self, **attrs) -> None:
         """Attach free-form attributes (cache outcome, batch size, ...)."""
+        if self.end_us is not None:
+            raise _written(self)
         if self.attrs is None:
             self.attrs = attrs
         else:
@@ -201,6 +217,11 @@ class Span:
         return (f"Span(#{self.span_id} {self.category}/{self.name!r} "
                 f"parent={self.parent_id} host={self.host!r} "
                 f"[{self.start_us}, {self.end_us}] ok={self.ok})")
+
+
+def _written(span: Span) -> RuntimeError:
+    return RuntimeError(f"span #{span.span_id} {span.name!r} has ended; "
+                        f"a span is written once")
 
 
 class _NullSpan:
@@ -281,7 +302,7 @@ class NullTracer:
     def dropped(self) -> int:
         return 0
 
-    def retained_spans(self):
+    def retained_spans(self, ring: Optional[List[Span]] = None):
         return []
 
     def begin(self, name: str, now: float, category: str = "",
@@ -323,9 +344,9 @@ class NullTracer:
 #: Process-wide no-op tracer shared by every untraced simulator.
 NULL_TRACER = NullTracer()
 
-#: Default ring capacity: ~65 MB of spans at ~250 B each (attributes
-#: aside), far above what the quick-scale workloads produce, small enough
-#: to bound long soak runs.
+#: Default ring capacity: ~19 MB of rows at 73 B each (attributes and
+#: multi-key costs aside), far above what the quick-scale workloads
+#: produce, small enough to bound long soak runs.
 DEFAULT_MAX_SPANS = 262_144
 
 #: Default tail-keeper budget: whole trees are evicted (oldest first) once
@@ -547,9 +568,215 @@ class OpAggregate:
             self.phases[phase] = (seen + 1, acc + total)
 
 
+#: Finished spans wait as objects until this many have ended, then move
+#: into the ring's columns in one pass (one array build per field is
+#: cheaper than a write per field per span).  Kept well under the
+#: collector's generation-0 threshold (700 allocations), so the waiting
+#: spans do not by themselves set off collections.
+_BATCH = 256
+
+#: Distinct attribute tuples the ring interns before it starts over
+#: (rows keep the tuples they share; only later sharing is lost), so a
+#: long run's unique ``txn_id`` attributes do not pile up in the table.
+_ATTRS_INTERNED = 8_192
+
+
+class _Atoms(dict):
+    """value -> small int, numbered in first-seen order; ``values[i]`` is
+    the value numbered ``i``.  Holds the few distinct names, categories,
+    hosts and cost keys a run's spans share."""
+
+    __slots__ = ("values",)
+
+    def __init__(self):
+        super().__init__()
+        self.values: List[Any] = []
+
+    def __missing__(self, value: Any) -> int:
+        index = self[value] = len(self.values)
+        self.values.append(value)
+        return index
+
+
+class _Rows:
+    """One batch of finished spans, stored field by field and never
+    edited: a typed array per field every span has (ids, times, ``ok``,
+    and the interned name, category, host and first cost key) and a
+    sparse ``row -> value`` map per rare field (``attrs`` as an interned
+    item tuple, a multi-key cost dict, ``queue_res``, ``blocked``,
+    ``queue_by``; ``None`` when no row has one)."""
+
+    __slots__ = ("ids", "parents", "dyn_parents", "roots", "starts", "ends",
+                 "first_us", "oks", "names", "cats", "hosts", "keys",
+                 "costs", "attrs", "queue_res", "blocked", "queue_by")
+
+    def __init__(self, spans: List[Span], atoms: _Atoms,
+                 interned: Dict[tuple, tuple]):
+        # One comprehension per field: cheaper than a write per field per
+        # span, and it allocates nothing the collector tracks.
+        self.ids = array("q", [span.span_id for span in spans])
+        self.parents = array("q", [span.parent_id for span in spans])
+        self.dyn_parents = array("q", [span.dyn_parent_id for span in spans])
+        self.roots = array("q", [span.root_id for span in spans])
+        self.starts = array("d", [span.start_us for span in spans])
+        self.ends = array("d", [span.end_us for span in spans])
+        self.first_us = array("d", [span._cost_us for span in spans])
+        self.oks = array("b", [span.ok for span in spans])
+        self.names = array("i", [atoms[span.name] for span in spans])
+        self.cats = array("i", [atoms[span.category] for span in spans])
+        self.hosts = array("i", [atoms[span.host] for span in spans])
+        rows = range(len(spans))
+        costs = [span._costs for span in spans]
+        multi = {row: costs[row] for row in
+                 compress(rows, map(isinstance, costs, repeat(dict)))}
+        for row in multi:
+            costs[row] = None
+        self.keys = array("i", [atoms[key] for key in costs])
+        self.costs = multi or None
+        attrs = [span.attrs for span in spans]
+        self.attrs = {row: _share_items(attrs[row], interned)
+                      for row in compress(rows, attrs)} or None
+        self.queue_res = self._sparse(rows, [span.queue_res for span in spans])
+        self.blocked = self._sparse(rows, [span.blocked for span in spans])
+        self.queue_by = self._sparse(rows, [span.queue_by for span in spans])
+
+    @staticmethod
+    def _sparse(rows: range, values: List[Any]) -> Optional[Dict[int, Any]]:
+        return {row: values[row] for row in compress(rows, values)} or None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rebuild(self, out: List[Span], skip: int, atoms: List[Any]
+                ) -> None:
+        """Append a fresh :class:`Span` per row from ``skip`` on; every
+        map it gets is its own copy."""
+        new = Span.__new__
+        none: Dict[int, Any] = {}
+        costs = self.costs or none
+        attrs = self.attrs or none
+        queue_res = self.queue_res or none
+        blocked = self.blocked or none
+        queue_by = self.queue_by or none
+        columns = zip(self.ids, self.parents, self.dyn_parents, self.roots,
+                      self.starts, self.ends, self.first_us, self.oks,
+                      self.names, self.cats, self.hosts, self.keys)
+        for row, (span_id, parent_id, dyn_parent_id, root_id, start_us,
+                  end_us, first_us, ok, name, cat, host, key) in enumerate(
+                      islice(columns, skip, None), skip):
+            span = new(Span)
+            span.span_id = span_id
+            span.parent_id = parent_id
+            span.name = atoms[name]
+            span.category = atoms[cat]
+            span.host = atoms[host]
+            span.start_us = start_us
+            span.end_us = end_us
+            span.ok = ok == 1
+            # An array read boxes a new number each time; where ids are
+            # equal, as they mostly are, the span holds one object, as the
+            # span it was rebuilt from did.
+            span.dyn_parent_id = parent_id \
+                if dyn_parent_id == parent_id else dyn_parent_id
+            span.root_id = span_id if root_id == span_id else \
+                span.dyn_parent_id if root_id == dyn_parent_id else root_id
+            multi = costs.get(row)
+            span._costs = atoms[key] if multi is None else dict(multi)
+            span._cost_us = first_us if first_us else 0.0
+            items = attrs.get(row)
+            span.attrs = None if items is None else dict(items)
+            extra = queue_res.get(row)
+            span.queue_res = None if extra is None else dict(extra)
+            extra = blocked.get(row)
+            span.blocked = None if extra is None else dict(extra)
+            extra = queue_by.get(row)
+            span.queue_by = None if extra is None else dict(extra)
+            out.append(span)
+
+
+def _share_items(attrs: Dict[str, Any], interned: Dict[tuple, tuple]
+                 ) -> tuple:
+    """``attrs`` as an item tuple, the one already stored when an equal
+    one was (values compare by type too: ``True`` is not ``1``)."""
+    items = tuple(attrs.items())
+    key = (items, tuple(map(type, attrs.values())))
+    try:
+        shared = interned.get(key)
+    except TypeError:  # an unhashable value: this row keeps its own
+        return items
+    if shared is None:
+        if len(interned) >= _ATTRS_INTERNED:
+            interned.clear()
+        shared = interned[key] = items
+    return shared
+
+
+class _SpanRing:
+    """The trace ring: the last ``max_spans`` finished spans, oldest first,
+    as blocks of rows; the first ``_skip`` rows of the first block have
+    fallen out, ``_held`` rows remain."""
+
+    __slots__ = ("max_spans", "_blocks", "_skip", "_held", "_atoms",
+                 "_attr_items")
+
+    def __init__(self, max_spans: int):
+        self.max_spans = max_spans
+        self._blocks: List[_Rows] = []
+        self._skip = 0
+        self._held = 0
+        self._atoms = _Atoms()
+        #: (attr items, value types) -> the one stored item tuple.
+        self._attr_items: Dict[tuple, tuple] = {}
+
+    def extend(self, spans: List[Span]) -> None:
+        """Store finished spans (oldest first) as a new block of rows and
+        let the oldest rows fall out past ``max_spans``."""
+        limit = self.max_spans
+        if len(spans) > limit:
+            spans = spans[-limit:]
+        blocks = self._blocks
+        blocks.append(_Rows(spans, self._atoms, self._attr_items))
+        held = self._held + len(spans)
+        while held > limit:
+            room = len(blocks[0]) - self._skip
+            if room <= held - limit:
+                del blocks[0]
+                self._skip = 0
+                held -= room
+            else:
+                self._skip += held - limit
+                held = limit
+        self._held = held
+
+    def read(self) -> List[Span]:
+        """A new list of new ``Span`` objects, one per row, oldest first."""
+        out: List[Span] = []
+        skip = self._skip
+        atoms = self._atoms.values
+        for rows in self._blocks:
+            rows.rebuild(out, skip, atoms)
+            skip = 0
+        return out
+
+    def clear(self) -> None:
+        self._blocks.clear()
+        self._skip = 0
+        self._held = 0
+        self._atoms = _Atoms()
+        self._attr_items.clear()
+
+
 class Tracer:
-    """Collects finished spans into a bounded ring buffer, and folds each
-    ``op`` span into :attr:`aggregates` as it ends.
+    """Collects finished spans into a bounded ring, and folds each ``op``
+    span into :attr:`aggregates` as it ends.
+
+    The ring (:class:`_SpanRing`) stores each finished span as one row of
+    typed columns, not as an object: ``end`` queues the span, and every
+    :data:`_BATCH` spans the queue moves into the ring.  A :class:`Span`
+    object lives only while the span is open, while a pending phase fold
+    or a still-open tail-keep tree holds it, and while a kept tree does;
+    :attr:`spans` and :meth:`retained_spans` rebuild equal objects on
+    every read.
 
     Parameters
     ----------
@@ -561,8 +788,8 @@ class Tracer:
         roots are retained beyond the ring under its budget.
     """
 
-    __slots__ = ("_ring", "_next_id", "started", "finished", "_sim",
-                 "_stacks", "unattributed", "keeper", "_keys",
+    __slots__ = ("_ring", "_batch", "_next_id", "started", "finished",
+                 "_sim", "_stacks", "unattributed", "keeper", "_keys",
                  "_live_trees", "aggregates", "_pending")
 
     enabled = True
@@ -571,7 +798,9 @@ class Tracer:
                  keeper: Optional[TailKeeper] = None):
         if max_spans < 1:
             raise ValueError("max_spans must be >= 1")
-        self._ring: collections.deque = collections.deque(maxlen=max_spans)
+        self._ring = _SpanRing(max_spans)
+        #: Finished spans not yet moved into the ring, oldest first.
+        self._batch: List[Span] = []
         self._next_id = 0
         self.keeper = keeper
         #: Every cost-map key charged so far, mapped to itself: spans share
@@ -609,14 +838,22 @@ class Tracer:
         self._sim = sim
 
     @property
-    def spans(self) -> Sequence[Span]:
-        """Finished spans, oldest first (a snapshot-free live view)."""
-        return self._ring
+    def spans(self) -> List[Span]:
+        """Finished spans, oldest first: a new list of new :class:`Span`
+        objects, rebuilt from the ring's rows on every read."""
+        self._flush()
+        return self._ring.read()
 
     @property
     def dropped(self) -> int:
         """Finished spans that fell out of the ring."""
-        return self.finished - len(self._ring)
+        return max(0, self.finished - self._ring.max_spans)
+
+    def _flush(self) -> None:
+        """Move the queued finished spans into the ring."""
+        if self._batch:
+            self._ring.extend(self._batch)
+            self._batch = []
 
     def begin(self, name: str, now: float, category: str = "",
               parent: Any = None, host: Optional[str] = None) -> Span:
@@ -661,7 +898,10 @@ class Tracer:
         return stack[-1] if stack else None
 
     def end(self, span, now: float, ok: bool = True) -> None:
-        """Close a span and commit it to the ring."""
+        """Close a span and commit it to the ring; raises if it has
+        ended before."""
+        if span.end_us is not None:
+            raise _written(span)
         proc = self._sim._active_process if self._sim is not None else None
         stack = self._stacks.get(proc)
         if stack:
@@ -679,7 +919,10 @@ class Tracer:
         span.end_us = now
         span.ok = ok
         self.finished += 1
-        self._ring.append(span)
+        batch = self._batch
+        batch.append(span)
+        if len(batch) >= _BATCH:
+            self._flush()
         pending = self._pending
         kids = pending.pop(span.span_id, ())
         category = span.category
@@ -830,16 +1073,19 @@ class Tracer:
                     out[(host, kind)] = out.get((host, kind), 0.0) + us
         return out
 
-    def retained_spans(self) -> List[Span]:
+    def retained_spans(self, ring: Optional[List[Span]] = None
+                       ) -> List[Span]:
         """Every span still held: the ring plus kept tail trees, deduped
-        and ordered by span id (creation order, deterministic)."""
+        and ordered by span id (creation order, deterministic).
+
+        ``ring`` is this tracer's :attr:`spans` when the caller has read
+        them already; the kept spans that fell out of the ring are added
+        to a copy of it instead of reading the ring again.
+        """
+        out = self.spans if ring is None else list(ring)
         if self.keeper is None:
-            return list(self._ring)
-        seen = set()
-        out: List[Span] = []
-        for span in self._ring:
-            seen.add(span.span_id)
-            out.append(span)
+            return out
+        seen = {span.span_id for span in out}
         for span in self.keeper.spans():
             if span.span_id not in seen:
                 seen.add(span.span_id)
@@ -850,6 +1096,7 @@ class Tracer:
     def reset(self) -> None:
         """Drop every collected span (counters restart too)."""
         self._ring.clear()
+        self._batch = []
         self._next_id = 0
         self.started = 0
         self.finished = 0
@@ -922,7 +1169,6 @@ def span_from_jsonable(data: Dict[str, Any]) -> Span:
     """Rebuild a :class:`Span` from :func:`span_to_jsonable` output."""
     span = Span(data["id"], data.get("parent", 0), data["name"],
                 data.get("cat", ""), data.get("host"), data["start_us"])
-    span.end_us = data.get("end_us")
     span.ok = bool(data.get("ok", True))
     span.dyn_parent_id = data.get("dyn_parent", 0)
     attrs = data.get("attrs")
@@ -936,6 +1182,7 @@ def span_from_jsonable(data: Dict[str, Any]) -> Span:
         span.add_blocked((cause, kind, host), us)
     for op, tenant, res, host, us in data.get("queue_by", ()):
         span.add_queue_by((op, tenant, res, host), us)
+    span.end_us = data.get("end_us")
     return span
 
 

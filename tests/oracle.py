@@ -58,17 +58,32 @@ The ring fold of phase means.  The tracer folds each op's declared
 claims the result is exactly what folding the finished ring afterwards
 gives when the ring dropped nothing.  :func:`ref_aggregate_ops` is that
 ring fold.
+
+The deque ring.  ``Tracer`` stores each finished span as one row of typed
+columns, refuses a second write to an ended span, and claims every read
+(``spans``, ``retained_spans()``), the kept trees, ``aggregates``,
+``unattributed``, ``open_costs()`` and the ``started``/``finished``/
+``dropped`` counts are exactly what it gave when its ring was a ``deque``
+of the span objects themselves.  :class:`RefTracer` with :class:`RefSpan`
+is that tracer, its keeper hooks included (its code unchanged but for the
+names and trimmed docstrings); ``tests/sim/test_tracer_reference.py``
+drives both.  It pins what the ring keeps, not how, so it can be retired
+once a change to that (the ring's order or bound, or a span's fields) is
+due.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import dataclasses
 import itertools
 import random
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 import pytest
 
@@ -84,7 +99,9 @@ from repro.paths import ATTR_SENTINEL, normalize, parent_and_name
 from repro.runtime.obs import OpPhases, _fold_kind, _spans_of
 from repro.sim.critpath import UNKNOWN_CULPRIT, BlameMatrix, _queue_resource
 from repro.sim.profile import UNATTRIBUTED_FRAME, CostProfile, _frame
-from repro.sim.trace import CAT_OP, CAT_PHASE, CAT_RPC, OpAggregate, Span
+from repro.sim.trace import (CAT_OP, CAT_PHASE, CAT_RPC, OpAggregate,
+                              DEFAULT_MAX_SPANS, RemoteSpanRef, Span,
+                              TailKeeper)
 from repro.sim.core import Simulator, Timeout
 from repro.sim.host import Host
 from repro.sim.network import Network
@@ -1174,3 +1191,379 @@ def ref_phase_breakdown(snapshots: List[Dict[str, Any]]) -> Dict[str, OpPhases]:
                     folded = _fold_kind(kind)
                     agg.phase_us[folded] = agg.phase_us.get(folded, 0.0) + us
     return out
+
+
+# ---------------------------------------------------------------------------
+# The deque ring tracer (pre-column ``Tracer``).
+# ---------------------------------------------------------------------------
+
+class RefSpan:
+    """One timed interval in the simulation, linked into a tree."""
+
+    __slots__ = ("span_id", "parent_id", "name", "category", "host",
+                 "start_us", "end_us", "attrs", "ok", "dyn_parent_id",
+                 "root_id", "_costs", "_cost_us", "queue_res", "blocked",
+                 "queue_by")
+
+    def __init__(self, span_id: int, parent_id: int, name: str,
+                 category: str, host: Optional[str], start_us: float):
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.category = category
+        self.host = host
+        self.start_us = start_us
+        self.end_us: Optional[float] = None
+        self.attrs: Optional[Dict[str, Any]] = None
+        self.ok = True
+        self.dyn_parent_id = 0
+        #: span_id of this span's tail-keep tree root (kept up to date only
+        #: while the tracer has a keeper; a span starts as its own root).
+        self.root_id = span_id
+        #: ``None``, the one (cost-kind, host) key charged so far (its
+        #: microseconds in ``_cost_us``), or a dict once there are two.
+        self._costs: Any = None
+        self._cost_us = 0.0
+        #: (resource, host) -> queue microseconds, refining the ``queue``
+        #: entries in :attr:`costs` by what was waited on (cpu/disk/latch).
+        #: A strict decomposition: summed per host it never exceeds the
+        #: host's ``queue`` cost.  ``None`` until the first tagged charge.
+        self.queue_res: Optional[Dict[Tuple[str, Optional[str]],
+                                      float]] = None
+        #: (cause-frame, cost-kind, host) -> microseconds this span spent
+        #: *blocked on another process's* work (e.g. a Raft commit wait
+        #: decomposed into batch-window queue / leader fsync / replication
+        #: wire).  Unlike :attr:`costs` these are a refinement of the
+        #: span's idle residual, not additional cost — the profiler
+        #: ignores them; the critical-path analyzer consumes them.
+        self.blocked: Optional[Dict[Tuple[str, str, Optional[str]],
+                                    float]] = None
+        #: (culprit-op, culprit-tenant, resource, host) -> queue
+        #: microseconds, refining :attr:`queue_res` by the *occupant* whose
+        #: departure admitted this span's process to the resource — the
+        #: who-delayed-whom tags the blame matrix folds.  Summed per
+        #: (resource, host) it equals the matching :attr:`queue_res` entry
+        #: exactly (unknown occupants land under ``"(unknown)"``).
+        #: ``None`` until the first occupant-tagged charge.
+        self.queue_by: Optional[Dict[Tuple[str, Optional[str], str,
+                                           Optional[str]], float]] = None
+
+    @property
+    def costs(self) -> Optional[Mapping[Tuple[str, Optional[str]], float]]:
+        """(cost-kind, host) -> simulated microseconds charged while this
+        span was innermost, in first-charge order; ``None`` until the first
+        charge. Read-only."""
+        held = self._costs
+        if held is None:
+            return None
+        if type(held) is dict:
+            return MappingProxyType(held)
+        return MappingProxyType({held: self._cost_us})
+
+    def add_cost(self, key: Tuple[str, Optional[str]], us: float) -> None:
+        """Accumulate ``us`` of cost under ``key`` = (kind, host), kind one
+        of cpu/fsync/wire/queue."""
+        held = self._costs
+        if held is None:
+            self._costs = key
+            self._cost_us = 0.0 + us
+        elif type(held) is dict:
+            held[key] = held.get(key, 0.0) + us
+        elif held == key:
+            self._cost_us += us
+        else:
+            self._costs = {held: self._cost_us, key: 0.0 + us}
+
+    def add_queue_resource(self, key: Tuple[str, Optional[str]],
+                           us: float) -> None:
+        """Refine a ``queue`` charge by ``key`` = (resource waited on,
+        host)."""
+        res = self.queue_res
+        if res is None:
+            res = self.queue_res = {}
+        res[key] = res.get(key, 0.0) + us
+
+    def add_blocked(self, key: Tuple[str, str, Optional[str]],
+                    us: float) -> None:
+        """Accumulate blocked-on time under ``key`` = (cause, kind, host)."""
+        blocked = self.blocked
+        if blocked is None:
+            blocked = self.blocked = {}
+        blocked[key] = blocked.get(key, 0.0) + us
+
+    def add_queue_by(self, key: Tuple[str, Optional[str], str,
+                                      Optional[str]], us: float) -> None:
+        """Tag queue time with ``key`` = (op, tenant, resource, host): the
+        occupant that preceded it on that resource."""
+        by = self.queue_by
+        if by is None:
+            by = self.queue_by = {}
+        by[key] = by.get(key, 0.0) + us
+
+    @property
+    def duration_us(self) -> float:
+        if self.end_us is None:
+            return 0.0
+        return self.end_us - self.start_us
+
+    def annotate(self, **attrs) -> None:
+        """Attach free-form attributes (cache outcome, batch size, ...)."""
+        if self.attrs is None:
+            self.attrs = attrs
+        else:
+            self.attrs.update(attrs)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"Span(#{self.span_id} {self.category}/{self.name!r} "
+                f"parent={self.parent_id} host={self.host!r} "
+                f"[{self.start_us}, {self.end_us}] ok={self.ok})")
+
+
+class RefTracer:
+    """Collects finished spans into a bounded ring buffer, and folds each
+    ``op`` span into :attr:`aggregates` as it ends."""
+
+    __slots__ = ("_ring", "_next_id", "started", "finished", "_sim",
+                 "_stacks", "unattributed", "keeper", "_keys",
+                 "_live_trees", "aggregates", "_pending")
+
+    enabled = True
+
+    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS,
+                 keeper: Optional[TailKeeper] = None):
+        if max_spans < 1:
+            raise ValueError("max_spans must be >= 1")
+        self._ring: collections.deque = collections.deque(maxlen=max_spans)
+        self._next_id = 0
+        self.keeper = keeper
+        #: Every cost-map key charged so far, mapped to itself: spans share
+        #: one tuple per distinct key instead of holding one per charge.
+        self._keys: Dict[tuple, tuple] = {}
+        #: root span_id -> finished spans of its still-open tree.
+        self._live_trees: Dict[int, List[RefSpan]] = {}
+        #: op name -> :class:`OpAggregate` of every op span that ended, so
+        #: the phase tables need no ring.
+        self.aggregates: Dict[str, OpAggregate] = {}
+        #: span_id -> the finished ``phase``/``rpc`` spans that declared it
+        #: as parent, folded (``op``) or dropped when it ends; a child that
+        #: ends after its parent is not folded.
+        self._pending: Dict[int, List[RefSpan]] = {}
+        self.started = 0
+        self.finished = 0
+        # Cost attribution.  ``_stacks`` maps the simulator's currently
+        # executing process to its stack of open spans; ``charge`` lands on
+        # the stack top.  An unbound tracer (no ``bind`` call) degrades to a
+        # single shared stack — fine for single-process unit tests, wrong
+        # for concurrent workloads, which is why every assignment site binds.
+        self._sim = None
+        self._stacks: Dict[Any, List[Any]] = {}
+        #: (host, cost-kind) -> us charged while no span was open.  Keeps
+        #: profiler-vs-telemetry reconciliation exact.
+        self.unattributed: Dict[Tuple[Optional[str], str], float] = {}
+
+    def bind(self, sim) -> None:
+        """Attach the simulator whose active process keys the span stacks."""
+        self._sim = sim
+
+    @property
+    def spans(self) -> Sequence[RefSpan]:
+        """Finished spans, oldest first (a snapshot-free live view)."""
+        return self._ring
+
+    @property
+    def dropped(self) -> int:
+        """Finished spans that fell out of the ring."""
+        return self.finished - len(self._ring)
+
+    def begin(self, name: str, now: float, category: str = "",
+              parent: Any = None, host: Optional[str] = None) -> RefSpan:
+        """Open a span."""
+        proc = self._sim._active_process if self._sim is not None else None
+        stack = self._stacks.get(proc)
+        remote = None
+        if isinstance(parent, RemoteSpanRef):
+            remote, parent = parent, None
+        self._next_id += 1
+        self.started += 1
+        span = RefSpan(self._next_id, parent.span_id if parent is not None else 0,
+                    name, category, host, now)
+        if stack:
+            span.dyn_parent_id = stack[-1].span_id
+        if remote is not None:
+            span.annotate(remote_parent_proc=remote.proc,
+                          remote_parent_span=remote.span_id)
+        if self.keeper is not None:
+            # Tree membership follows the opening process's stack: its
+            # bottom span is this process's tree root (the op root for
+            # client work, the fan-out wrapper for spawned legs).
+            if stack:
+                span.root_id = stack[0].root_id
+        if stack is None:
+            self._stacks[proc] = [span]
+        else:
+            stack.append(span)
+        return span
+
+    def current_span(self):
+        """The innermost open span of the currently executing process, or
+        ``None``."""
+        proc = self._sim._active_process if self._sim is not None else None
+        stack = self._stacks.get(proc)
+        return stack[-1] if stack else None
+
+    def end(self, span, now: float, ok: bool = True) -> None:
+        """Close a span and commit it to the ring."""
+        proc = self._sim._active_process if self._sim is not None else None
+        stack = self._stacks.get(proc)
+        if stack:
+            if stack[-1] is span:
+                stack.pop()
+            else:
+                # A child leaked open (exception unwound past its end call):
+                # truncate through it so the stack mirrors reality again.
+                for i in range(len(stack) - 1, -1, -1):
+                    if stack[i] is span:
+                        del stack[i:]
+                        break
+            if not stack:
+                del self._stacks[proc]
+        span.end_us = now
+        span.ok = ok
+        self.finished += 1
+        self._ring.append(span)
+        pending = self._pending
+        kids = pending.pop(span.span_id, ())
+        category = span.category
+        if category == CAT_OP:
+            agg = self.aggregates.get(span.name)
+            if agg is None:
+                agg = self.aggregates[span.name] = OpAggregate(span.name)
+            agg.add(span, kids)
+        elif (category == CAT_PHASE or category == CAT_RPC) \
+                and span.parent_id:
+            siblings = pending.get(span.parent_id)
+            if siblings is None:
+                pending[span.parent_id] = [span]
+            else:
+                siblings.append(span)
+        if self.keeper is not None:
+            root_id = span.root_id
+            tree = self._live_trees.get(root_id)
+            if tree is None:
+                tree = self._live_trees[root_id] = []
+            tree.append(span)
+            if span.span_id == root_id:
+                del self._live_trees[root_id]
+                if span.category == CAT_OP:
+                    self.keeper.offer(span, tree)
+
+    def charge(self, kind: str, us: float, host: Optional[str] = None,
+               resource: Optional[str] = None,
+               by: Optional[Tuple[str, Optional[str]]] = None) -> None:
+        """Attribute ``us`` simulated microseconds of ``kind`` cost."""
+        if us <= 0.0:
+            return
+        proc = self._sim._active_process if self._sim is not None else None
+        stack = self._stacks.get(proc)
+        if stack:
+            top = stack[-1]
+            keys = self._keys
+            key = (kind, host)
+            top.add_cost(keys.setdefault(key, key), us)
+            if resource is not None:
+                key = (resource, host)
+                top.add_queue_resource(keys.setdefault(key, key), us)
+                key = self._queue_by_key(by, resource, host)
+                top.add_queue_by(keys.setdefault(key, key), us)
+            return
+        key = (host, kind)
+        bucket = self.unattributed
+        bucket[key] = bucket.get(key, 0.0) + us
+
+    def charge_blocked(self, cause: str, kind: str, us: float,
+                       host: Optional[str] = None,
+                       resource: Optional[str] = None,
+                       by: Optional[Tuple[str, Optional[str]]] = None
+                       ) -> None:
+        """Attribute ``us`` of blocked-on time to the innermost open span."""
+        if us <= 0.0:
+            return
+        proc = self._sim._active_process if self._sim is not None else None
+        stack = self._stacks.get(proc)
+        if stack:
+            top = stack[-1]
+            keys = self._keys
+            key = (cause, kind, host)
+            top.add_blocked(keys.setdefault(key, key), us)
+            if resource is not None:
+                key = self._queue_by_key(by, resource, host)
+                top.add_queue_by(keys.setdefault(key, key), us)
+
+    @staticmethod
+    def _queue_by_key(by: Optional[Tuple[str, Optional[str]]],
+                      resource: str, host: Optional[str]) -> tuple:
+        """The (op, tenant, resource, host) occupant tag of a charge."""
+        if by is None:
+            return ("(unknown)", None, resource, host)
+        return (by[0], by[1], resource, host)
+
+    def current_op_label(self) -> Optional[Tuple[str, Optional[str]]]:
+        """The ``(op, tenant)`` identity of the currently executing
+        process, for occupant tagging."""
+        proc = self._sim._active_process if self._sim is not None else None
+        stack = self._stacks.get(proc)
+        if not stack:
+            return None
+        root = stack[0]
+        attrs = root.attrs
+        if root.category == CAT_OP:
+            return (root.name, attrs.get("tenant") if attrs else None)
+        if attrs:
+            label = attrs.get("op_label")
+            if label is not None:
+                return (label[0], label[1])
+        return (root.name, None)
+
+    def open_costs(self) -> Dict[Tuple[Optional[str], str], float]:
+        """(host, cost-kind) -> us charged to spans still open: work in
+        flight when the run stopped (a background compaction round, a
+        follower mid-append), which telemetry's busy counters include but
+        no finished span — so no profile — carries."""
+        out: Dict[Tuple[Optional[str], str], float] = {}
+        for stack in self._stacks.values():
+            for span in stack:
+                for (kind, host), us in (span.costs or {}).items():
+                    out[(host, kind)] = out.get((host, kind), 0.0) + us
+        return out
+
+    def retained_spans(self) -> List[RefSpan]:
+        """Every span still held: the ring plus kept tail trees, deduped
+        and ordered by span id (creation order, deterministic)."""
+        if self.keeper is None:
+            return list(self._ring)
+        seen = set()
+        out: List[RefSpan] = []
+        for span in self._ring:
+            seen.add(span.span_id)
+            out.append(span)
+        for span in self.keeper.spans():
+            if span.span_id not in seen:
+                seen.add(span.span_id)
+                out.append(span)
+        out.sort(key=lambda s: s.span_id)
+        return out
+
+    def reset(self) -> None:
+        """Drop every collected span (counters restart too)."""
+        self._ring.clear()
+        self._next_id = 0
+        self.started = 0
+        self.finished = 0
+        self._stacks.clear()
+        self.unattributed.clear()
+        self._keys.clear()
+        self._live_trees.clear()
+        self.aggregates.clear()
+        self._pending.clear()
+        if self.keeper is not None:
+            self.keeper.reset()

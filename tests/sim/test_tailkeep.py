@@ -19,6 +19,7 @@ from repro.sim.trace import (
     CAT_PHASE,
     TailKeeper,
     Tracer,
+    span_to_jsonable,
     trace_stats,
 )
 
@@ -71,8 +72,10 @@ class TestTailKeeperUnderRingPressure:
         for i in range(50):
             _run_op(tracer, f"op-{i}", i * 10.0, 5.0)
         assert keeper.kept_roots == 0
-        assert tracer.retained_spans() == sorted(
-            tracer.spans, key=lambda s: s.span_id)
+        # Reads rebuild fresh Span objects: compare their contents.
+        assert [span_to_jsonable(s) for s in tracer.retained_spans()] == [
+            span_to_jsonable(s)
+            for s in sorted(tracer.spans, key=lambda s: s.span_id)]
 
     def test_errored_ops_are_kept_regardless_of_duration(self):
         keeper = TailKeeper(threshold_us=100.0)
