@@ -23,13 +23,67 @@ SCALES = ("quick", "full")
 
 
 @dataclasses.dataclass(frozen=True)
+class Claim:
+    """One paper claim (its comparison and threshold in ``text``) as an
+    exhibit's tables measured it.  ``deviation`` numbers the EXPERIMENTS.md
+    "Known deviations" entry saying it fails at this scale; such a claim
+    must fail, so a stale record fails the run."""
+
+    text: str
+    measured: Any
+    holds: bool
+    deviation: Optional[int] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.holds == (self.deviation is None)
+
+    @property
+    def verdict(self) -> str:
+        if self.deviation is None:
+            return "holds" if self.holds else "FAILS"
+        return (f"HOLDS, known deviation {self.deviation} is stale"
+                if self.holds else f"fails (known deviation {self.deviation})")
+
+
+def show(value: Any) -> str:
+    """A measured value as one line: ``key value`` pairs, ``a/b`` tuples."""
+    if isinstance(value, dict):
+        return ", ".join(f"{key} {show(v)}" for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return "/".join(show(v) for v in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def claims_table(exp_id: str, scale: str, claims: Sequence[Claim]) -> Table:
+    table = Table(f"{exp_id} claims (scale={scale})",
+                  ["claim", "measured", "verdict"])
+    for claim in claims:
+        table.add_row(claim.text, show(claim.measured), claim.verdict)
+    table.add_note(f"{sum(c.ok for c in claims)}/{len(claims)} pass")
+    return table
+
+
+def rows_by(table: Table, *keys: str) -> Dict[Any, Dict[str, Any]]:
+    """A table's rows as ``header -> value`` dicts, indexed by one column
+    (or by a tuple of several)."""
+    return {row[keys[0]] if len(keys) == 1 else tuple(row[k] for k in keys):
+            row for row in table.as_dicts()}
+
+
+@dataclasses.dataclass(frozen=True)
 class Experiment:
-    """One reproduced exhibit (figure or table)."""
+    """One reproduced exhibit (figure or table) and its paper claims."""
 
     id: str
     title: str
     paper_claim: str
     runner: Callable[..., List[Table]]
+    #: ``claims(tables)`` yields the exhibit's :class:`Claim` s.
+    claims: Callable[[List[Table]], Iterable[Claim]]
+    #: scale -> {claim text: EXPERIMENTS.md known-deviation number}.
+    deviations: Dict[str, Dict[str, int]] = dataclasses.field(
+        default_factory=dict)
     #: Whether ``runner`` takes a ``jobs`` keyword (sweep-style experiments
     #: that can fan per-point simulators across worker processes).
     accepts_jobs: bool = False
@@ -41,12 +95,26 @@ class Experiment:
             return self.runner(scale, jobs=jobs)
         return self.runner(scale)
 
+    def check(self, tables: List[Table], scale: str) -> List[Claim]:
+        """Every claim on ``tables``, with ``scale``'s known deviations."""
+        expected = dict(self.deviations.get(scale, {}))
+        claims = [dataclasses.replace(claim,
+                                      deviation=expected.pop(claim.text, None))
+                  for claim in self.claims(tables)]
+        claims += [Claim(f"known deviation {entry} names a claim: '{text}'",
+                         "no such claim", False)
+                   for text, entry in expected.items()]
+        return claims or [Claim("the exhibit declares a claim", 0, False)]
+
 
 REGISTRY: Dict[str, Experiment] = {}
 
 
-def register(exp_id: str, title: str, paper_claim: str):
-    """Decorator registering a ``run(scale) -> List[Table]`` function.
+def register(exp_id: str, title: str, paper_claim: str,
+             claims: Callable[[List[Table]], Iterable[Claim]],
+             deviations: Optional[Dict[str, Dict[str, int]]] = None):
+    """Decorator registering a ``run(scale) -> List[Table]`` function, its
+    ``claims(tables)`` and, per scale, its known deviations.
 
     Runners may additionally accept a ``jobs`` keyword; the registry
     detects it so ``Experiment.run`` only forwards it where supported.
@@ -55,7 +123,7 @@ def register(exp_id: str, title: str, paper_claim: str):
         if exp_id in REGISTRY:
             raise ValueError(f"duplicate experiment id {exp_id!r}")
         REGISTRY[exp_id] = Experiment(
-            exp_id, title, paper_claim, func,
+            exp_id, title, paper_claim, func, claims, deviations or {},
             accepts_jobs="jobs" in inspect.signature(func).parameters)
         return func
     return decorate

@@ -20,6 +20,9 @@ worker processes; ``all --jobs N`` runs whole experiments concurrently.
 Either way the simulated results are identical to a serial run — only
 wall-clock changes — and output is printed in deterministic registry order.
 
+``run`` and ``all`` print each exhibit's claims table after its tables; a
+failed claim prints one line (exhibit, claim, measured value) and exits 1.
+
 ``explain`` reruns a target — a figure's knee points, a traced exhibit,
 the ``multitenant`` noisy-neighbour scenario or a bare mdtest op —
 instrumented, once per system for all the views named together, and
@@ -40,6 +43,7 @@ A request the registries cannot serve (unknown target, view or system,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -47,7 +51,7 @@ import time
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import print_tables, table_to_jsonable
 from repro.experiments import get_experiment, list_experiments
-from repro.experiments.base import SCALES
+from repro.experiments.base import SCALES, claims_table, show
 from repro.experiments.explain import MULTITENANT, explain, targets
 from repro.experiments.livecmd import add_live_parser, cmd_live
 from repro.experiments.runner import run_experiments, wallclock_table
@@ -61,13 +65,25 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _report(exp_id: str, scale: str, tables, claims, header: str) -> bool:
+    """Print tables and claims; True when every claim passed."""
+    print_tables(list(tables) + [claims_table(exp_id, scale, claims)],
+                 header=header)
+    failed = [claim for claim in claims if not claim.ok]
+    for claim in failed:
+        print(f"{exp_id}: claim '{claim.text}' {claim.verdict}: measured "
+              f"{show(claim.measured)}", file=sys.stderr)
+    return not failed
+
+
 def _cmd_run(args) -> int:
     experiment = get_experiment(args.experiment)
     started = time.time()
     tables = experiment.run(scale=args.scale, jobs=args.jobs)
     header = (f"### {experiment.id}: {experiment.title} "
               f"(scale={args.scale}, {time.time() - started:.1f}s wall)")
-    print_tables(tables, header=header)
+    claims = experiment.check(tables, args.scale)
+    ok = _report(experiment.id, args.scale, tables, claims, header)
     if args.json:
         payload = {
             "experiment": experiment.id,
@@ -75,28 +91,28 @@ def _cmd_run(args) -> int:
             "paper_claim": experiment.paper_claim,
             "scale": args.scale,
             "tables": [table_to_jsonable(t) for t in tables],
+            "claims": [dataclasses.asdict(claim) for claim in claims],
         }
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2, default=str)
         print(f"(wrote {args.json})")
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_all(args) -> int:
     started = time.time()
-
-    def show(outcome) -> None:
+    outcomes = []
+    for outcome in run_experiments(scale=args.scale, jobs=args.jobs):
         header = (f"### {outcome.exp_id}: {outcome.title} "
                   f"(scale={args.scale}, {outcome.wall_s:.1f}s wall)")
-        if outcome.ok:
-            print_tables(outcome.tables, header=header)
+        if outcome.error is None:
+            _report(outcome.exp_id, args.scale, outcome.tables,
+                    outcome.claims, header)
         else:
             print(header)
             print(outcome.error, file=sys.stderr)
         print()
-
-    outcomes = run_experiments(scale=args.scale, jobs=args.jobs,
-                               on_result=show)
+        outcomes.append(outcome)
     # Wall-clock summary, slowest first, so perf regressions are visible
     # without running the ledger (benchmarks/ledger).
     summary = wallclock_table(outcomes)

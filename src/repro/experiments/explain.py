@@ -62,6 +62,9 @@ from repro.experiments.base import (
     mdtest_run,
     pick,
 )
+from repro.experiments import fig12_read_throughput as fig12
+from repro.experiments import fig14_dirmod_throughput as fig14
+from repro.experiments import fig19_scalability as fig19
 from repro.experiments.exportutil import (
     write_export,
     write_json_payload,
@@ -137,7 +140,7 @@ class Case:
     system: str
     op: str
     mode: str = "exclusive"
-    #: (quick, full) budgets — the owning figure's own.
+    #: (quick, full) budgets.
     clients: Tuple[int, int] = (32, 128)
     items: Tuple[int, int] = (10, 30)
     #: A non-default deployment (mantle only).
@@ -157,38 +160,39 @@ def _suffix(mode: str) -> str:
     return "-s" if mode == "shared" else "-e"
 
 
-#: The four directory-modification cases of Figs. 14/15.
-DIRMOD_CASES = (("mkdir", "exclusive"), ("mkdir", "shared"),
-                ("dirrename", "exclusive"), ("dirrename", "shared"))
-
 #: The one-case target of the two-namespace interference scenario.
 MULTITENANT = "multitenant"
 
+#: Fig 19b's knee: its top client count at each scale.
+_FIG19_KNEE = {"clients": tuple(c[-1] for c in fig19.CLIENT_COUNTS),
+               "items": fig19.ITEMS}
+
 #: target -> ordered cases.  Whole-target views run them all and export
-#: the first; per-system views run the non-contrast ones.
+#: the first; per-system views run the non-contrast ones.  A figure's
+#: cases run at the figure's own budgets; fig15, table1 and multitenant
+#: are defined here alone.
 CASES: Dict[str, Tuple[Case, ...]] = {
     # Fig 12 knee: stat scaling — baselines pin their shard servers' CPU
     # on per-level resolution RPCs, Mantle resolves server-side in one hop.
     "fig12": _knee(("tectonic", "mantle", "infinifs"), "objstat",
-                   clients=(64, 192), items=(12, 30)),
+                   **fig12.BUDGET),
     # Fig 14 knee: shared-directory mkdir flips baselines from hardware
     # saturation to transaction conflicts.
     "fig14": _knee(("tectonic", "mantle"), "mkdir", "-s", mode="shared",
-                   clients=(64, 160), items=(10, 24)),
+                   **fig14.BUDGET),
     # Fig 19b knee at the top client count: create rides the TafDB commit
     # fsync floor; leader-only objstat (the contrast) saturates the
     # leader IndexNode's CPU.
     "fig19": (
         Case("objstat leader-only", "mantle", "objstat",
-             clients=(320, 640), items=(10, 20),
-             config=MantleConfig(enable_follower_read=False), contrast=True),
-        Case("create", "mantle", "create",
-             clients=(320, 640), items=(10, 20)),
+             config=MantleConfig(enable_follower_read=False), contrast=True,
+             **_FIG19_KNEE),
+        Case("create", "mantle", "create", **_FIG19_KNEE),
     ),
     "fig15": tuple(
         Case(f"{op}{_suffix(mode)}/{system}", system, op, mode=mode,
              clients=(48, 128), items=(8, 20))
-        for op, mode in DIRMOD_CASES for system in SYSTEMS),
+        for op, mode in fig14.DIRMOD_CASES for system in SYSTEMS),
     "table1": tuple(
         Case(f"objstat/{system}", system, "objstat",
              clients=(32, 96), items=(10, 24)) for system in SYSTEMS),

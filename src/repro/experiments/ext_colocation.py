@@ -18,7 +18,7 @@ from typing import List
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
 from repro.core.multitenant import MantleDeployment
-from repro.experiments.base import pick, register
+from repro.experiments.base import Claim, pick, register, rows_by
 from repro.sim.stats import MetricSet
 from repro.ops import make_op
 
@@ -55,9 +55,22 @@ def _measure(colocate: bool, victim_clients: int, neighbor_clients: int,
         deployment.shutdown()
 
 
+def claims(tables):
+    latency = {key: row["victim mean latency us"] for key, row in
+               rows_by(tables[0], "placement", "neighbour load").items()}
+    a, b = (latency[("dedicated hosts", load)]
+            for load in ("96 clients", "idle"))
+    yield Claim("dedicated hosts: victim latency at 96 clients <= 1.02x "
+                "idle", (a, b), a <= 1.02 * b)
+    a, b = (latency[("shared pool", load)] for load in ("96 clients", "idle"))
+    yield Claim("shared pool: victim latency at 96 clients > 1.05x idle",
+                (a, b), a > 1.05 * b)
+
+
 @register("ext-coloc", "IndexNode co-location trade-off (extension)",
           "sharing a host pool is free at light load; a noisy neighbour "
-          "inflates the victim's latency, motivating leader rebalancing")
+          "inflates the victim's latency, motivating leader rebalancing",
+          claims)
 def run(scale: str = "quick") -> List[Table]:
     ops = pick(scale, 15, 30)
     table = Table(

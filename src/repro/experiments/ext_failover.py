@@ -21,7 +21,7 @@ from typing import List
 from repro.bench.cluster import build_system
 from repro.bench.report import Table
 from repro.errors import MetadataError
-from repro.experiments.base import instrumented_run, pick, register
+from repro.experiments.base import Claim, instrumented_run, pick, register
 from repro.sim.critpath import build_critpath
 from repro.sim.stats import MetricSet, OpContext
 from repro.sim.trace import CAT_RAFT
@@ -30,9 +30,25 @@ from repro.ops import make_op
 _WINDOW_US = 25_000.0
 
 
+def claims(tables):
+    rows = tables[0].as_dicts()
+    phases = [r["phase"] for r in rows]
+    yield Claim("the first window is 'before crash'", phases[0],
+                phases[0] == "before crash")
+    dips = phases.count("election window")
+    yield Claim("an election window shows", dips, "election window" in phases)
+    yield Claim("the last window is 'recovered'", phases[-1],
+                phases[-1] == "recovered")
+    pair = tuple(max((r["ok ops"] for r in rows if r["phase"] == phase),
+                     default=0) for phase in ("recovered", "before crash"))
+    yield Claim("recovered ok ops > 0.6x before crash (best windows)", pair,
+                pair[0] > 0.6 * pair[1])
+    yield Claim("election windows <= 8", dips, dips <= 8)
+
+
 @register("ext-failover", "Availability through leader failover (extension)",
           "lookups dip only for the election window after a leader crash, "
-          "then recover fully")
+          "then recover fully", claims)
 def run(scale: str = "quick") -> List[Table]:
     clients = pick(scale, 24, 64)
     duration_us = 400_000.0

@@ -17,7 +17,8 @@ from typing import List
 
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
-from repro.experiments.base import mdtest_metrics, pick, register
+from repro.experiments.base import (Claim, mdtest_metrics, pick, register,
+                                    rows_by)
 from repro.sim.host import CostModel
 
 
@@ -27,9 +28,18 @@ def _throughput(costs: CostModel, clients: int, items: int) -> float:
                           config=config, costs=costs).throughput_kops()
 
 
+def claims(tables):
+    rdma, tcp = (rows_by(tables[0], "rpc framework")[name]
+                 for name in ("rdma", "tcp"))
+    yield Claim("rdma speedup > 1.4", rdma["speedup"], rdma["speedup"] > 1.4)
+    a, b = (row["lookup throughput Kop/s"] for row in (rdma, tcp))
+    yield Claim("lookup Kop/s: rdma > tcp", (a, b), a > b)
+
+
 @register("ext-rdma", "RDMA RPC proof of concept (extension)",
           "RDMA halves IndexNode CPU per lookup, ~doubling per-node "
-          "resolution throughput (500K -> 1M ops/s in the paper's PoC)")
+          "resolution throughput (500K -> 1M ops/s in the paper's PoC)",
+          claims)
 def run(scale: str = "quick") -> List[Table]:
     clients = pick(scale, 160, 384)
     items = pick(scale, 10, 20)

@@ -14,12 +14,28 @@ from __future__ import annotations
 from typing import List
 
 from repro.bench.report import Table
-from repro.experiments.base import pick, register
+from repro.experiments.base import Claim, pick, register, rows_by
 from repro.workloads.profiles import FIGURE3_PROFILES, depth_cdf
 
 
+def claims(tables):
+    shape, depths = (rows_by(table, "namespace") for table in tables)
+    yield Claim("the namespaces are ns1-ns5", sorted(shape),
+                set(shape) == {"ns1", "ns2", "ns3", "ns4", "ns5"})
+    share = {ns: row["object %"] for ns, row in shape.items()}
+    yield Claim("75 <= object % <= 95 in every namespace", share,
+                all(75.0 <= v <= 95.0 for v in share.values()))
+    mean = {ns: row["synth avg depth"] for ns, row in depths.items()}
+    yield Claim("8 <= synth avg depth <= 17 in every namespace", mean,
+                all(8.0 <= v <= 17.0 for v in mean.values()))
+    deepest = {ns: row["max depth"] for ns, row in depths.items()}
+    yield Claim("max depth >= 15 in every namespace", deepest,
+                all(v >= 15 for v in deepest.values()))
+
+
 @register("fig03", "Namespace characteristics (ns1-ns5)",
-          "billion-scale namespaces, 82-92% objects, average depth ~11")
+          "billion-scale namespaces, 82-92% objects, average depth ~11",
+          claims)
 def run(scale: str = "quick") -> List[Table]:
     entries = pick(scale, 2000, 20000)
     shape = Table(

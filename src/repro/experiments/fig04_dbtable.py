@@ -11,18 +11,35 @@ from typing import List
 
 from repro.bench.report import Table, ratio
 from repro.experiments.base import (
+    Claim,
     mdtest_metrics,
     mdtest_run,
     op_aggregate,
     pick,
     register,
+    rows_by,
 )
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP
 
 
+def claims(tables):
+    share = {op: row["lookup share %"]
+             for op, row in rows_by(tables[0], "operation").items()}
+    for op, bound in (("objstat", 80), ("dirstat", 80), ("delete", 45)):
+        yield Claim(f"{op} lookup share % > {bound}", share[op],
+                    share[op] > bound)
+    rows = rows_by(tables[1], "operation")
+    drop = {op: row["throughput drop %"] for op, row in rows.items()}
+    yield Claim("throughput drop % > 60 on every op", drop,
+                all(v > 60 for v in drop.values()))
+    retries = {op: row["retries under conflict"] for op, row in rows.items()}
+    yield Claim("retries under conflict > 0 on every op", retries,
+                all(v > 0 for v in retries.values()))
+
+
 @register("fig04", "DBtable-based service bottlenecks",
           "lookup dominates (63-91% of latency); contention collapses "
-          "throughput by ~99%")
+          "throughput by ~99%", claims)
 def run(scale: str = "quick") -> List[Table]:
     clients = pick(scale, 64, 192)
     items = pick(scale, 10, 24)

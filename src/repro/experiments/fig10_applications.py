@@ -17,7 +17,7 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import app_metrics, pick, register
+from repro.experiments.base import Claim, app_metrics, pick, register
 from repro.workloads.audio import AudioPreprocessWorkload
 from repro.workloads.spark import SparkAnalyticsWorkload
 
@@ -33,9 +33,22 @@ def _workloads(scale: str):
     }
 
 
+def claims(tables):
+    vs_best, holds = {}, True
+    for figure, table in zip(("10a", "10b"), tables):
+        for workload in ("analytics", "audio"):
+            times = {r["system"]: r["completion ms"] for r in table.as_dicts()
+                     if r["workload"] == workload}
+            best = min(v for k, v in times.items() if k != "mantle")
+            vs_best[f"{figure} {workload}"] = round(times["mantle"] / best, 3)
+            holds = holds and times["mantle"] <= best * 1.05
+    yield Claim("mantle completion <= 1.05x the best baseline's in every "
+                "cell", vs_best, holds)
+
+
 @register("fig10", "Application completion time (Analytics + Audio)",
           "Mantle cuts completion by 63.3-93.3% (Analytics) and "
-          "38.5-47.7% (Audio) vs baselines")
+          "38.5-47.7% (Audio) vs baselines", claims)
 def run(scale: str = "quick") -> List[Table]:
     tables = []
     for data_access, label in ((False, "Figure 10a: metadata only"),

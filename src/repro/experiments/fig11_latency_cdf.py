@@ -12,16 +12,32 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table
-from repro.experiments.base import app_metrics, pick, register
+from repro.experiments.base import Claim, app_metrics, pick, register, rows_by
 from repro.workloads.audio import AudioPreprocessWorkload
 from repro.workloads.spark import SparkAnalyticsWorkload
 
 _PERCENTILES = (50, 90, 99, 100)
 
 
+def claims(tables):
+    spark, audio = (rows_by(table, "op", "system") for table in tables)
+    tail = {system: row["frac > 10x median"]
+            for (op, system), row in spark.items() if op == "dirrename"}
+    worst = max(v for k, v in tail.items() if k != "mantle")
+    yield Claim("worst baseline dirrename frac > 10x median > mantle's",
+                tail, worst > tail["mantle"])
+    yield Claim("mantle dirrename frac > 10x median <= 0.05",
+                tail["mantle"], tail["mantle"] <= 0.05)
+    p50 = {system: row["p50"]
+           for (op, system), row in audio.items() if op == "objstat"}
+    for other in ("tectonic", "infinifs"):
+        yield Claim(f"objstat p50: mantle <= {other}",
+                    (p50["mantle"], p50[other]), p50["mantle"] <= p50[other])
+
+
 @register("fig11", "Latency CDFs of application metadata operations",
           "contended dirrename has extreme tails in baselines; Mantle's "
-          "distributions are tight")
+          "distributions are tight", claims)
 def run(scale: str = "quick") -> List[Table]:
     clients = pick(scale, 24, 64)
     tables = []

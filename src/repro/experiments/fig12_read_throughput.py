@@ -13,9 +13,15 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import map_points, mdtest_run, pick, register
+from repro.experiments.base import (Claim, map_points, mdtest_run, pick,
+                                    register, rows_by)
 
 OPS = ("create", "delete", "objstat", "dirstat")
+
+#: (quick, full) budgets; fig13 and ``explain fig12`` run the same points.
+BUDGET = {"clients": (64, 192), "items": (12, 30)}
+
+ORDERING = "tectonic < infinifs < mantle on every op"
 
 
 def _throughput_point(point):
@@ -31,12 +37,25 @@ def _throughput_point(point):
     return record.metrics.throughput_kops(), record.verdict.label
 
 
+def claims(tables):
+    by_op = rows_by(tables[0], "op")
+    order = {op: (row["tectonic"], row["infinifs"], row["mantle"])
+             for op, row in by_op.items()}
+    yield Claim(ORDERING, order, all(t < i < m for t, i, m in order.values()))
+    speedup = {op: row["mantle/tectonic"] for op, row in by_op.items()}
+    yield Claim("mantle/tectonic > 2.0 on every op", speedup,
+                all(v > 2.0 for v in speedup.values()))
+    for op, bound in (("objstat", 1.0), ("dirstat", 1.0), ("create", 0.8)):
+        value = by_op[op]["mantle/locofs"]
+        yield Claim(f"{op} mantle/locofs > {bound}", value, value > bound)
+
+
 @register("fig12", "Throughput of object ops and directory reads",
           "Tectonic < InfiniFS < LocoFS < Mantle; Mantle 2.49-4.30x over "
-          "Tectonic")
+          "Tectonic", claims, deviations={"full": {ORDERING: 6}})
 def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
-    clients = pick(scale, 64, 192)
-    items = pick(scale, 12, 30)
+    clients = pick(scale, *BUDGET["clients"])
+    items = pick(scale, *BUDGET["items"])
     table = Table(
         "Figure 12: throughput (Kop/s), depth-10 paths",
         ["op"] + list(SYSTEMS) + ["mantle/tectonic", "mantle/infinifs",

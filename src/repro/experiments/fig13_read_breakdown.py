@@ -16,17 +16,31 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import mdtest_run, op_aggregate, pick, register
+from repro.experiments.base import (Claim, mdtest_run, op_aggregate, pick,
+                                    register, rows_by)
+from repro.experiments.fig12_read_throughput import BUDGET, OPS
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP
 
-OPS = ("create", "delete", "objstat", "dirstat")
+
+def claims(tables):
+    lookup = {key: row["lookup"]
+              for key, row in rows_by(tables[0], "op", "system").items()}
+    for other in ("tectonic", "infinifs"):
+        pairs = {op: (lookup[(op, "mantle")], lookup[(op, other)])
+                 for op in OPS}
+        yield Claim(f"lookup: mantle <= {other} on every op", pairs,
+                    all(ours <= theirs for ours, theirs in pairs.values()))
+    cut = {op: r["vs tectonic"] for op, r in rows_by(tables[1], "op").items()}
+    yield Claim("lookup reduction vs tectonic >= 70% on every op", cut,
+                all(v >= 70 for v in cut.values()))
+
 
 @register("fig13", "Latency breakdown of object ops and directory reads",
           "Mantle's lookup latency 83.9-89.0%/80.0-84.2%/16.4-74.5% lower "
-          "than Tectonic/InfiniFS/LocoFS")
+          "than Tectonic/InfiniFS/LocoFS", claims)
 def run(scale: str = "quick") -> List[Table]:
-    clients = pick(scale, 64, 192)
-    items = pick(scale, 12, 30)
+    clients = pick(scale, *BUDGET["clients"])
+    items = pick(scale, *BUDGET["items"])
     table = Table(
         "Figure 13: mean per-phase latency (us)",
         ["op", "system", "lookup", "execution", "total"])

@@ -15,8 +15,15 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import map_points, mdtest_run, pick, register
-from repro.experiments.explain import DIRMOD_CASES
+from repro.experiments.base import (Claim, map_points, mdtest_run, pick,
+                                    register, rows_by)
+
+#: The four directory-modification cases of Figs. 14/15.
+DIRMOD_CASES = (("mkdir", "exclusive"), ("mkdir", "shared"),
+                ("dirrename", "exclusive"), ("dirrename", "shared"))
+
+#: (quick, full) budgets; ``explain fig14`` runs the mkdir-s knee with them.
+BUDGET = {"clients": (64, 160), "items": (10, 24)}
 
 
 def _dirmod_point(point):
@@ -28,12 +35,30 @@ def _dirmod_point(point):
     return metrics.throughput_kops(), metrics.retries, record.verdict.label
 
 
+def claims(tables):
+    by_case = rows_by(tables[0], "case")
+    vs_best = {case: (row["mantle"],
+                      max(row["tectonic"], row["infinifs"], row["locofs"]))
+               for case, row in by_case.items()}
+    yield Claim("mantle >= 0.95x the best baseline in every case", vs_best,
+                all(ours >= best * 0.95 for ours, best in vs_best.values()))
+    excl, shared = by_case["mkdir-e"], by_case["mkdir-s"]
+    a, b = shared["tectonic"], excl["tectonic"]
+    yield Claim("tectonic: mkdir-s < 0.3x mkdir-e", (a, b), a < 0.3 * b)
+    a, b = shared["mantle"], shared["infinifs"]
+    yield Claim("mkdir-s: mantle > 1.5x infinifs", (a, b), a > 1.5 * b)
+    a, b = by_case["dirrename-s"]["mantle"], by_case["dirrename-s"]["tectonic"]
+    yield Claim("dirrename-s: mantle > 2x tectonic", (a, b), a > 2 * b)
+    a, b = excl["locofs"], excl["tectonic"]
+    yield Claim("mkdir-e: locofs < tectonic", (a, b), a < b)
+
+
 @register("fig14", "Throughput of directory modifications",
           "Mantle highest in all four cases; delta records rescue the "
-          "shared-directory cases")
+          "shared-directory cases", claims)
 def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
-    clients = pick(scale, 64, 160)
-    items = pick(scale, 10, 24)
+    clients = pick(scale, *BUDGET["clients"])
+    items = pick(scale, *BUDGET["items"])
     table = Table(
         "Figure 14: directory-modification throughput (Kop/s)",
         ["case"] + list(SYSTEMS) +

@@ -14,23 +14,50 @@ exports the same runs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List
 
 from repro.bench.report import Table
-from repro.experiments.base import op_aggregate, register
-from repro.experiments.explain import CASES, Case, run_case
+from repro.experiments.base import Claim, op_aggregate, register, rows_by
+from repro.experiments.explain import CASES, run_case
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, PHASE_LOOP_DETECT
-from repro.sim.trace import OpAggregate
 
 
-def span_table(aggs: Iterable[Tuple[Case, OpAggregate]]) -> Table:
-    """The figure's table from the op aggregates of its registry cases'
-    traced runs (the runs ``mantle-exp explain fig15 --view trace``
-    exports)."""
+def claims(tables):
+    cell = rows_by(tables[0], "case", "system")
+
+    def column(header, system):
+        return {case: cell[(case, system)][header]
+                for case in ("dirrename-e", "dirrename-s")}
+
+    lookup = column("lookup", "mantle")
+    yield Claim("mantle dirrename lookup == 0", lookup,
+                all(v == 0 for v in lookup.values()))
+    loop = column("loop detect", "mantle")
+    yield Claim("mantle dirrename loop detect > 0", loop,
+                all(v > 0 for v in loop.values()))
+    loop = column("loop detect", "tectonic")
+    yield Claim("tectonic dirrename loop detect == 0", loop,
+                all(v == 0 for v in loop.values()))
+    value = cell[("dirrename-e", "infinifs")]["loop detect"]
+    yield Claim("infinifs dirrename-e loop detect > 0", value, value > 0)
+    loop = {system: cell[("mkdir-e", system)]["loop detect"]
+            for system in ("tectonic", "infinifs", "locofs", "mantle")}
+    yield Claim("mkdir-e loop detect == 0 on every system", loop,
+                all(v == 0 for v in loop.values()))
+    a, b = (cell[(case, "tectonic")]["execution"]
+            for case in ("mkdir-s", "mkdir-e"))
+    yield Claim("tectonic execution: mkdir-s > 3x mkdir-e", (a, b), a > 3 * b)
+
+
+@register("fig15", "Latency breakdown of directory modifications",
+          "loop detection only for renames (not Tectonic); Mantle merges "
+          "rename lookup into loop detection", claims)
+def run(scale: str = "quick") -> List[Table]:
     table = Table(
         "Figure 15: mean per-phase latency (us, span-derived)",
         ["case", "system", "lookup", "loop detect", "execution", "total"])
-    for case, agg in aggs:
+    for case in CASES["fig15"]:
+        agg = op_aggregate(run_case(case, scale, ("tracer",)), case.op)
         table.add_row(
             case.label.split("/")[0], case.system,
             round(agg.mean_phase_us(PHASE_LOOKUP), 1),
@@ -40,13 +67,4 @@ def span_table(aggs: Iterable[Tuple[Case, OpAggregate]]) -> Table:
     table.add_note("Mantle dirrename: lookup column is 0 by construction "
                    "(merged with loop detection); Tectonic has no loop "
                    "detection (relaxed consistency)")
-    return table
-
-
-@register("fig15", "Latency breakdown of directory modifications",
-          "loop detection only for renames (not Tectonic); Mantle merges "
-          "rename lookup into loop detection")
-def run(scale: str = "quick") -> List[Table]:
-    return [span_table(
-        [(case, op_aggregate(run_case(case, scale, ("tracer",)), case.op))
-         for case in CASES["fig15"]])]
+    return [table]

@@ -14,15 +14,19 @@ from typing import List
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
 from repro.experiments.base import (
+    Claim,
     map_points,
     mdtest_run,
     op_aggregate,
     pick,
     register,
+    rows_by,
 )
 from repro.sim.stats import PHASE_LOOKUP
 
 DEPTHS = (2, 4, 6, 8, 10)
+
+TECTONIC_GROWS = "tectonic depth10 / depth2 > 3.0"
 
 
 def _lookup_point(point) -> float:
@@ -33,9 +37,22 @@ def _lookup_point(point) -> float:
     return op_aggregate(record, "objstat").mean_phase_us(PHASE_LOOKUP)
 
 
+def claims(tables):
+    by_system = rows_by(tables[0], "system")
+    growth = {s: row["depth10 / depth2"] for s, row in by_system.items()}
+    yield Claim(TECTONIC_GROWS, growth["tectonic"], growth["tectonic"] > 3.0)
+    yield Claim("mantle depth10 / depth2 < 1.4", growth["mantle"],
+                growth["mantle"] < 1.4)
+    yield Claim("mantle depth10 / depth2 is the flattest", growth,
+                all(growth["mantle"] <= v for v in growth.values()))
+    lookups = [by_system["tectonic"][f"depth {d}"] for d in DEPTHS]
+    yield Claim("tectonic lookup grows monotonically with depth", lookups,
+                lookups == sorted(lookups))
+
+
 @register("fig17", "Impact of depth on path resolution",
           "Tectonic grows linearly with depth (6.82x at 10); Mantle stays "
-          "flat (1.09x)")
+          "flat (1.09x)", claims, deviations={"full": {TECTONIC_GROWS: 7}})
 def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
     clients = pick(scale, 48, 128)
     items = pick(scale, 10, 24)

@@ -22,7 +22,7 @@ from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
-from repro.experiments.base import pick, register
+from repro.experiments.base import Claim, pick, register, rows_by
 from repro.paths import truncate_prefix
 from repro.workloads.namespace import ensure_chain
 from repro.workloads.profiles import profile_by_name
@@ -91,9 +91,23 @@ def _ns4_coverage(k: int) -> float:
     return len(cacheable) / max(1, len(spec.directories))
 
 
+def claims(tables):
+    by_k = rows_by(tables[0], "k")
+    latencies = [by_k[k]["latency us"] for k in (1, 2, 3, 4, 5)]
+    yield Claim("latency grows with k", latencies,
+                latencies == sorted(latencies))
+    for header, bound in (("memory vs k=1", 0.35),
+                          ("normalised to base", 0.8), ("vs k=1", 1.6)):
+        yield Claim(f"k=3 {header} < {bound}", by_k[3][header],
+                    by_k[3][header] < bound)
+    coverage = [by_k[k]["ns4 coverage"] for k in (1, 3, 5)]
+    yield Claim("ns4 coverage: k=1 >= k=3 >= k=5", coverage,
+                coverage[0] >= coverage[1] >= coverage[2])
+
+
 @register("fig18", "Impact of k in TopDirPathCache",
           "latency grows with k, memory shrinks ~88% from k=1 to k=3; "
-          "k=3 is the production balance point")
+          "k=3 is the production balance point", claims)
 def run(scale: str = "quick") -> List[Table]:
     clients = pick(scale, 112, 256)
     items = pick(scale, 12, 24)

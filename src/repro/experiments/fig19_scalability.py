@@ -16,6 +16,7 @@ from repro.bench.harness import run_workload
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
 from repro.experiments.base import (
+    Claim,
     instrumented_run,
     map_points,
     pick,
@@ -23,6 +24,11 @@ from repro.experiments.base import (
 )
 from repro.workloads.mdtest import MdtestWorkload
 from repro.workloads.namespace import build_namespace, populate
+
+#: (quick, full) ops per client, and fig19b's client counts; ``explain
+#: fig19`` runs the knee at the top count.
+ITEMS = (10, 20)
+CLIENT_COUNTS = ((32, 128, 320), (64, 256, 640))
 
 
 def _run(config: MantleConfig, op: str, clients: int, items: int,
@@ -51,11 +57,29 @@ def _scal_point(point):
     return _run(config, op, clients, items, prefill)
 
 
+def claims(tables):
+    sizes = {column: tables[0].column(column)
+             for column in ("objstat", "create")}
+    yield Claim("objstat and create max <= 1.15x min across sizes", sizes,
+                all(max(v) <= 1.15 * min(v) for v in sizes.values()))
+    rows = tables[1].as_dicts()
+    top = max(rows, key=lambda r: r["clients"])
+    low = min(rows, key=lambda r: r["clients"])
+    value = top["learners/no-follower speedup"]
+    yield Claim("top client count: learners/no-follower speedup > 1.5",
+                value, value > 1.5)
+    a, b = top["objstat +learners"], top["objstat +followers"]
+    yield Claim("top client count: +learners > 0.9x +followers", (a, b),
+                a > b * 0.9)
+    a, b = top["create"], low["create"]
+    yield Claim("create: top client count > lowest", (a, b), a > b)
+
+
 @register("fig19", "Scalability: namespace size and client count",
           "flat throughput up to 10B-entry namespaces; follower/learner "
-          "reads scale lookups ~5x past a single node")
+          "reads scale lookups ~5x past a single node", claims)
 def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
-    items = pick(scale, 10, 20)
+    items = pick(scale, *ITEMS)
     clients = pick(scale, 48, 96)
 
     size_table = Table(
@@ -82,7 +106,7 @@ def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
     leader_only = MantleConfig(enable_follower_read=False)
     followers = MantleConfig(enable_follower_read=True)
     learners = MantleConfig(enable_follower_read=True, num_learners=2)
-    counts = pick(scale, (32, 128, 320), (64, 256, 640))
+    counts = pick(scale, *CLIENT_COUNTS)
     client_points = []
     for count in counts:
         client_points += [

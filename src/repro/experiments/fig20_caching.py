@@ -14,7 +14,7 @@ from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
-from repro.experiments.base import pick, register
+from repro.experiments.base import Claim, pick, register, rows_by
 from repro.workloads.audio import AudioPreprocessWorkload
 from repro.workloads.spark import SparkAnalyticsWorkload
 
@@ -50,9 +50,19 @@ def _completion_ms(system_name: str, cached: bool, workload):
         system.shutdown()
 
 
+def claims(tables):
+    gain = {key: row["improvement %"]
+            for key, row in rows_by(tables[0], "workload", "system").items()}
+    a, b = gain[("audio", "infinifs")], gain[("audio", "mantle")]
+    yield Claim("audio: infinifs improvement % > 15", a, a > 15)
+    yield Claim("audio improvement %: infinifs > mantle", (a, b), a > b)
+    value = gain[("analytics", "mantle")]
+    yield Claim("analytics: mantle improvement % < 20", value, value < 20)
+
+
 @register("fig20", "Impact of adding metadata caching",
           "caching transforms InfiniFS on read-heavy Audio but yields "
-          "little for Mantle (single-RPC lookups) or for Analytics")
+          "little for Mantle (single-RPC lookups) or for Analytics", claims)
 def run(scale: str = "quick") -> List[Table]:
     clients = pick(scale, 24, 64)
     table = Table(

@@ -6,6 +6,8 @@ experiments are embarrassingly parallel: this module fans them out over a
 the output is byte-identical no matter how many workers ran or in which
 order they finished.  Simulated results are unaffected by parallelism by
 construction — each worker runs exactly the code the serial path runs.
+Each worker also evaluates its experiment's paper claims on the tables it
+made (:meth:`repro.experiments.base.Experiment.check`).
 
 Sweep-style experiments additionally fan their per-point simulators across
 workers via :func:`repro.experiments.base.map_points` when invoked with
@@ -17,94 +19,73 @@ from __future__ import annotations
 import dataclasses
 import time
 import traceback
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.bench.report import Table
-from repro.experiments.base import get_experiment, list_experiments
+from repro.experiments.base import Claim, get_experiment, list_experiments
 
 
 @dataclasses.dataclass
 class ExperimentOutcome:
-    """Result of one experiment run: tables plus wall-clock accounting."""
+    """One experiment's tables, evaluated claims and wall-clock."""
 
     exp_id: str
     title: str
     wall_s: float
     tables: List[Table]
+    claims: List[Claim] = dataclasses.field(default_factory=list)
     error: Optional[str] = None
 
     @property
+    def status(self) -> str:
+        failed = sum(not claim.ok for claim in self.claims)
+        if self.error is not None:
+            return "ERROR"
+        return f"claims failed: {failed}" if failed else "ok"
+
+    @property
     def ok(self) -> bool:
-        return self.error is None
+        return self.status == "ok"
 
 
 def _run_worker(args) -> ExperimentOutcome:
     """Pool worker: run one experiment and time it (module-level for
     pickling)."""
-    exp_id, scale, jobs = args
+    exp_id, scale = args
     # Imported for its side effect: populates the registry in freshly
     # spawned workers (fork inherits it, spawn does not).
     import repro.experiments  # noqa: F401
     experiment = get_experiment(exp_id)
     started = time.perf_counter()
     try:
-        tables = experiment.run(scale=scale, jobs=jobs)
+        tables = experiment.run(scale=scale)
+        wall_s = time.perf_counter() - started
+        claims = experiment.check(tables, scale)
     except Exception:  # noqa: BLE001 - reported to the merge step
         return ExperimentOutcome(exp_id, experiment.title,
                                  time.perf_counter() - started, [],
                                  error=traceback.format_exc())
-    return ExperimentOutcome(exp_id, experiment.title,
-                             time.perf_counter() - started, tables)
+    return ExperimentOutcome(exp_id, experiment.title, wall_s, tables,
+                             claims)
 
 
-def resolve_ids(exp_ids: Optional[Sequence[str]]) -> List[str]:
-    """Normalise a user-supplied id list to registry order (deterministic
-    merge order); ``None`` means every registered experiment."""
-    if exp_ids is None:
-        return [e.id for e in list_experiments()]
-    known = {e.id for e in list_experiments()}
-    ordered = [e.id for e in list_experiments() if e.id in set(exp_ids)]
-    unknown = [i for i in exp_ids if i not in known]
-    if unknown:
-        raise KeyError(f"unknown experiments: {', '.join(unknown)}")
-    return ordered
-
-
-def run_experiments(exp_ids: Optional[Sequence[str]] = None,
-                    scale: str = "quick", jobs: int = 1,
-                    sweep_jobs: int = 1, quiet: bool = False,
-                    on_result=None) -> List[ExperimentOutcome]:
-    """Run experiments, optionally across ``jobs`` worker processes.
-
-    Results are always returned (and streamed to ``on_result``) in registry
-    order regardless of completion order.  ``sweep_jobs`` is forwarded to
-    each experiment's own point-level fan-out and should stay 1 when
-    ``jobs > 1`` to avoid nested pools.
-    """
-    ids = resolve_ids(exp_ids)
-    outcomes: List[ExperimentOutcome] = []
-
-    def emit(outcome: ExperimentOutcome) -> None:
-        outcomes.append(outcome)
-        if on_result is not None and not quiet:
-            on_result(outcome)
-
-    if jobs <= 1 or len(ids) <= 1:
-        for exp_id in ids:
-            emit(_run_worker((exp_id, scale, sweep_jobs)))
-        return outcomes
+def run_experiments(scale: str = "quick",
+                    jobs: int = 1) -> Iterator[ExperimentOutcome]:
+    """Run every experiment, optionally across ``jobs`` worker processes,
+    yielding outcomes in registry order regardless of completion order."""
+    tasks = [(experiment.id, scale) for experiment in list_experiments()]
+    if jobs <= 1:
+        yield from map(_run_worker, tasks)
+        return
 
     import multiprocessing as mp
 
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
-    tasks = [(exp_id, scale, sweep_jobs) for exp_id in ids]
-    with ctx.Pool(min(jobs, len(ids))) as pool:
+    with ctx.Pool(min(jobs, len(tasks))) as pool:
         # imap (not imap_unordered): completion order may vary, delivery
         # order is registry order — deterministic merge for free.
-        for outcome in pool.imap(_run_worker, tasks):
-            emit(outcome)
-    return outcomes
+        yield from pool.imap(_run_worker, tasks)
 
 
 def wallclock_table(outcomes: Sequence[ExperimentOutcome]) -> Table:
@@ -117,6 +98,6 @@ def wallclock_table(outcomes: Sequence[ExperimentOutcome]) -> Table:
             outcome.exp_id,
             round(outcome.wall_s, 2),
             round(100.0 * outcome.wall_s / total, 1) if total > 0 else 0.0,
-            "ok" if outcome.ok else "ERROR")
+            outcome.status)
     table.add_note(f"total {total:.1f}s across {len(outcomes)} experiments")
     return table

@@ -14,13 +14,12 @@ span-derived mean RPCs and latency against the ``MetricSet`` within 1%.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List
 
 from repro.bench.report import Table
-from repro.experiments.base import op_aggregate, register
-from repro.experiments.explain import CASES, Case, run_case
+from repro.experiments.base import Claim, op_aggregate, register, rows_by
+from repro.experiments.explain import CASES, run_case
 from repro.sim.stats import PHASE_LOOKUP
-from repro.sim.trace import OpAggregate
 
 #: The paper's analytic RTT count for a depth-`n` lookup.
 ANALYTIC = {
@@ -31,30 +30,34 @@ ANALYTIC = {
 }
 
 
-def span_table(aggs: Iterable[Tuple[Case, OpAggregate]]) -> Table:
-    """The table from the op aggregates of its registry cases' traced
-    runs (the runs ``mantle-exp explain table1 --view trace`` exports)."""
+def claims(tables):
+    by_system = rows_by(tables[0], "system")
+    rpcs = {s: row["mean RPCs (whole op)"] for s, row in by_system.items()}
+    yield Claim("tectonic mean RPCs >= 9.5", rpcs["tectonic"],
+                rpcs["tectonic"] >= 9.5)
+    for system in ("mantle", "locofs"):
+        yield Claim(f"{system} mean RPCs <= 2.5", rpcs[system],
+                    rpcs[system] <= 2.5)
+    value = by_system["tectonic"]["lookup-phase share of latency"]
+    yield Claim("tectonic lookup-phase share > 0.8", value, value > 0.8)
+
+
+@register("table1", "RTT rounds per lookup",
+          "pathlen RTTs for DBtable, single RTT for tiering and Mantle",
+          claims)
+def run(scale: str = "quick") -> List[Table]:
     table = Table(
         "Table 1: measured RPC rounds for a depth-10 objstat (span-derived)",
         ["system", "mean RPCs (whole op)", "lookup-phase share of latency",
          "paper analytic"])
-    for case, agg in aggs:
+    for case in CASES["table1"]:
+        agg = op_aggregate(run_case(case, scale, ("tracer",)), case.op)
         lookup = agg.mean_phase_us(PHASE_LOOKUP)
         total = agg.mean_latency_us
-        table.add_row(
-            case.system,
-            round(agg.mean_rpcs, 1),
-            round(lookup / total, 2) if total else 0,
-            ANALYTIC[case.system])
+        table.add_row(case.system, round(agg.mean_rpcs, 1),
+                      round(lookup / total, 2) if total else 0,
+                      ANALYTIC[case.system])
     table.add_note("InfiniFS issues its per-level reads in ONE parallel "
                    "round, so rounds != RPC count; Mantle/LocoFS pay one "
                    "resolution RPC plus the execution-phase DB read")
-    return table
-
-
-@register("table1", "RTT rounds per lookup",
-          "pathlen RTTs for DBtable, single RTT for tiering and Mantle")
-def run(scale: str = "quick") -> List[Table]:
-    return [span_table(
-        [(case, op_aggregate(run_case(case, scale, ("tracer",)), case.op))
-         for case in CASES["table1"]])]
+    return [table]

@@ -15,13 +15,29 @@ from __future__ import annotations
 from typing import List
 
 from repro.bench.report import Table
-from repro.experiments.base import mdtest_metrics, pick, register
+from repro.experiments.base import (Claim, mdtest_metrics, pick, register,
+                                    rows_by)
 from repro.workloads.profiles import TABLE3_PROFILES
+
+
+def claims(tables):
+    by_name = rows_by(tables[0], "name")
+    yield Claim("the namespaces are C1-C5", sorted(by_name),
+                set(by_name) == {"C1", "C2", "C3", "C4", "C5"})
+    for op, low, high in (("lookup", 175, 400), ("mkdir", 9, 24)):
+        peaks = {name: row[f"peak {op} Kop/s"]
+                 for name, row in by_name.items()}
+        yield Claim(f"{low} <= peak {op} Kop/s <= {high} everywhere", peaks,
+                    all(low <= v <= high for v in peaks.values()))
+    by_metric = rows_by(tables[1], "metric")
+    for metric in ("lookup", "mkdir"):
+        value = by_metric[metric]["headroom x (vs scaled peak)"]
+        yield Claim(f"{metric} headroom x > 1.0", value, value > 1.0)
 
 
 @register("table3", "Production namespaces (Cluster C)",
           "peaks of 175-400 Kop/s lookup and 9-24 Kop/s mkdir leave "
-          "Mantle significant headroom")
+          "Mantle significant headroom", claims)
 def run(scale: str = "quick") -> List[Table]:
     profiles = Table(
         "Table 3: namespace characteristics (published data)",

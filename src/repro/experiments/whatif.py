@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.report import Table
 from repro.core.config import MantleConfig
-from repro.experiments.base import mdtest_metrics, pick
+from repro.experiments.base import RunRecord, mdtest_metrics, pick
 from repro.experiments.explain import Case, resolve_cases, run_case
-from repro.sim.critpath import predict_speedup_corrected
+from repro.sim.critpath import CorrectedPrediction, predict_speedup_corrected
 from repro.sim.host import CostModel, CostOverrides, parse_speedup_args
 
 #: ``--max-error``: predicted and measured deltas within this many
@@ -102,6 +102,14 @@ class WhatIfResult:
                 f"{verdict} --max-error {max_error:.0%}")
 
 
+def predict(record: RunRecord, overrides: CostOverrides,
+            clients: int) -> CorrectedPrediction:
+    """The one what-if prediction (slack floored by the bottleneck law) from
+    a traced, telemetered run of ``clients``; fig16's note makes it too."""
+    return predict_speedup_corrected(record.crit, overrides, record.profile,
+                                     record.telemetry, clients)
+
+
 def _rerun_with_overrides(case: Case, overrides: CostOverrides,
                           clients: int, items: int):
     """Measured leg: the same point, uninstrumented, overrides applied.
@@ -134,8 +142,7 @@ def run_whatif(target: str, speedups: Sequence[str],
 
     record = run_case(case, scale, ("tracer", "telemetry"), clients, items)
     metrics, crit = record.metrics, record.crit
-    prediction = predict_speedup_corrected(crit, overrides, record.profile,
-                                           record.telemetry, clients)
+    prediction = predict(record, overrides, clients)
     bottleneck = prediction.bottleneck()
     measured = _rerun_with_overrides(case, overrides, clients, items)
     result = WhatIfResult(

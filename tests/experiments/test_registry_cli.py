@@ -1,6 +1,8 @@
-"""Tests for the experiment registry and CLI (fast experiments only —
-the heavy figure runs are exercised by the benchmark suite)."""
+"""Tests for the experiment registry, its claims and the CLI (fast
+experiments only — ``mantle-exp all`` runs the heavy figures and gates
+on their claims)."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -11,7 +13,9 @@ import pytest
 import repro
 from repro.bench.report import Table
 from repro.experiments import REGISTRY, get_experiment, list_experiments
+from repro.experiments.base import Claim
 from repro.experiments.cli import main
+from repro.experiments.runner import ExperimentOutcome, wallclock_table
 
 
 EXPECTED_IDS = {
@@ -48,6 +52,92 @@ class TestRegistry:
         assert len(tables) == 2
         assert all(isinstance(t, Table) for t in tables)
         assert all(t.rows for t in tables)
+
+
+def _swap(monkeypatch, exp_id, doctor=None, deviations=None):
+    """Re-register ``exp_id`` with its tables doctored and/or known
+    deviations declared at quick scale."""
+    experiment = REGISTRY[exp_id]
+
+    def runner(scale):
+        tables = experiment.runner(scale)
+        if doctor is not None:
+            doctor(tables)
+        return tables
+
+    monkeypatch.setitem(REGISTRY, exp_id, dataclasses.replace(
+        experiment, runner=runner,
+        deviations={"quick": deviations or {}}))
+
+
+def _halve_ns4_objects(tables):
+    shape = tables[0]
+    shape.rows = [tuple(50.0 if row[0] == "ns4" and header == "object %"
+                        else value
+                        for header, value in zip(shape.headers, row))
+                  for row in shape.rows]
+
+
+class TestClaims:
+    OBJECTS = "75 <= object % <= 95 in every namespace"
+
+    def test_every_exhibit_declares_claims(self):
+        for experiment in list_experiments():
+            assert callable(experiment.claims), experiment.id
+            for entries in experiment.deviations.values():
+                assert all(isinstance(n, int) for n in entries.values())
+
+    def test_an_exhibit_without_claims_fails(self):
+        experiment = dataclasses.replace(get_experiment("fig03"),
+                                         claims=lambda tables: ())
+        (claim,) = experiment.check([], "quick")
+        assert not claim.ok
+
+    @pytest.mark.parametrize("exp_id", ["fig03", "table3"])
+    def test_run_prints_passing_claims_table(self, capsys, exp_id):
+        assert main(["run", exp_id]) == 0
+        captured = capsys.readouterr()
+        assert f"== {exp_id} claims (scale=quick) ==" in captured.out
+        assert "holds" in captured.out and "FAILS" not in captured.out
+        assert captured.err == ""
+
+    def test_doctored_table_fails_naming_claim_and_value(self, capsys,
+                                                         monkeypatch):
+        _swap(monkeypatch, "fig03", doctor=_halve_ns4_objects)
+        assert main(["run", "fig03"]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("fig03: ")
+        assert self.OBJECTS in line and "ns4 50" in line
+        # Every other claim was still evaluated and printed.
+        assert captured.out.count("holds") == 3
+
+    def test_known_deviation_passes_by_failing(self, capsys, monkeypatch):
+        _swap(monkeypatch, "fig03", doctor=_halve_ns4_objects,
+              deviations={self.OBJECTS: 9})
+        assert main(["run", "fig03"]) == 0
+        assert "fails (known deviation 9)" in capsys.readouterr().out
+
+    def test_known_deviation_that_holds_fails_the_run(self, capsys,
+                                                      monkeypatch):
+        _swap(monkeypatch, "fig03", deviations={self.OBJECTS: 9})
+        assert main(["run", "fig03"]) == 1
+        err = capsys.readouterr().err
+        assert "fig03: " in err and "known deviation 9 is stale" in err
+
+    def test_deviation_naming_no_claim_fails(self):
+        experiment = dataclasses.replace(
+            get_experiment("fig03"), deviations={"quick": {"no such": 3}})
+        tables = experiment.run("quick")
+        failed = [c for c in experiment.check(tables, "quick") if not c.ok]
+        assert [c.measured for c in failed] == ["no such claim"]
+
+    def test_failed_claims_show_in_the_wallclock_status(self):
+        outcome = ExperimentOutcome(
+            "fig03", "t", 1.0, [], [Claim("x > 1", 0.5, False),
+                                    Claim("y > 1", 2.0, True)])
+        assert not outcome.ok
+        assert wallclock_table([outcome]).rows[0][-1] == "claims failed: 1"
 
 
 class TestCli:
