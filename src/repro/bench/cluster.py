@@ -34,13 +34,15 @@ def build_system(name: str, scale: str = "quick",
 
     ``overrides`` are forwarded to the system constructor (baselines) or
     applied to the MantleConfig (mantle), so experiments can toggle
-    individual features (learners, AM-Cache, delta records...).
+    individual features (learners, AM-Cache, delta records...).  Without
+    ``costs``, Mantle keeps its config's cost model and baselines get the
+    default one.
     """
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}")
     db_servers, db_shards, db_cores, proxies, proxy_cores, index_cores = \
         _SCALES[scale]
-    costs = costs or CostModel()
+    costs = costs or (config.costs if config else CostModel())
 
     if name == "mantle":
         cfg = config or MantleConfig()

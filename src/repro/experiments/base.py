@@ -5,21 +5,52 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.bench.analyze import classify_run, segment_run
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
 from repro.bench.report import Table
+from repro.core.config import MantleConfig
 from repro.sim.critpath import build_critpath
+from repro.sim.host import CostModel, CostOverrides
 from repro.sim.profile import build_profile
 from repro.sim.stats import MetricSet
 from repro.sim.telemetry import Telemetry
 from repro.sim.trace import OpAggregate, SpanIndex, TailKeeper, Tracer
 from repro.workloads.mdtest import MdtestWorkload
+from repro.workloads.namespace import build_namespace, populate
 
-#: Per-experiment client/item budgets by scale.
+#: The scales every exhibit runs at; a :class:`Case` budget is a
+#: ``(quick, full)`` pair.
 SCALES = ("quick", "full")
+
+
+@dataclasses.dataclass(frozen=True)
+class Case:
+    """One mdtest sweep point: a system, an op, its (quick, full) budgets.
+
+    Exhibits declare their sweeps as tuples of these and run each with
+    :func:`run_case`; ``register(knee=...)`` names the ones ``explain``
+    and ``whatif`` run.
+    """
+
+    label: str
+    system: str
+    op: str
+    mode: str = "exclusive"
+    clients: Tuple[int, int] = (32, 128)
+    items: Tuple[int, int] = (10, 30)
+    depth: int = 10
+    #: A non-default deployment (mantle only).
+    config: Optional[MantleConfig] = None
+    #: Directories (10 objects each) bulk-loaded under ``/bulk`` first.
+    prefill: Tuple[int, int] = (0, 0)
+    #: A contrasting point only explain's whole-target views (trace,
+    #: telemetry) run; per-system views export one file per system and
+    #: skip it.
+    contrast: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,6 +118,9 @@ class Experiment:
     #: Whether ``runner`` takes a ``jobs`` keyword (sweep-style experiments
     #: that can fan per-point simulators across worker processes).
     accepts_jobs: bool = False
+    #: The cases ``explain``/``whatif`` run for this exhibit (its target);
+    #: empty when it is not one.
+    knee: Tuple[Case, ...] = ()
 
     def run(self, scale: str = "quick", jobs: int = 1) -> List[Table]:
         if scale not in SCALES:
@@ -112,9 +146,11 @@ REGISTRY: Dict[str, Experiment] = {}
 
 def register(exp_id: str, title: str, paper_claim: str,
              claims: Callable[[List[Table]], Iterable[Claim]],
-             deviations: Optional[Dict[str, Dict[str, int]]] = None):
+             deviations: Optional[Dict[str, Dict[str, int]]] = None,
+             knee: Sequence[Case] = ()):
     """Decorator registering a ``run(scale) -> List[Table]`` function, its
-    ``claims(tables)`` and, per scale, its known deviations.
+    ``claims(tables)``, per scale its known deviations and, for an
+    ``explain`` target, the ``knee`` cases it names.
 
     Runners may additionally accept a ``jobs`` keyword; the registry
     detects it so ``Experiment.run`` only forwards it where supported.
@@ -124,7 +160,8 @@ def register(exp_id: str, title: str, paper_claim: str,
             raise ValueError(f"duplicate experiment id {exp_id!r}")
         REGISTRY[exp_id] = Experiment(
             exp_id, title, paper_claim, func, claims, deviations or {},
-            accepts_jobs="jobs" in inspect.signature(func).parameters)
+            accepts_jobs="jobs" in inspect.signature(func).parameters,
+            knee=tuple(knee))
         return func
     return decorate
 
@@ -260,25 +297,55 @@ def instrumented_run(build: Callable[[], Any],
         system.shutdown()
 
 
-def mdtest_run(system_name: str, op: str, needs: Iterable[str] = (),
-               mode: str = "exclusive", clients: int = 32, items: int = 10,
-               depth: int = 10, window_us: Optional[float] = None,
-               **build_overrides) -> RunRecord:
-    """:func:`instrumented_run` bound to one mdtest workload on one of
-    the four systems (``build_overrides`` go to
-    :func:`~repro.bench.cluster.build_system`)."""
-    workload = MdtestWorkload(op, mode=mode, depth=depth, items=items,
-                              num_clients=clients)
-    return instrumented_run(
-        lambda: build_system(system_name, "quick", **build_overrides),
-        lambda system: run_workload(system, workload),
-        needs, window_us=window_us, name=f"{system_name} {op}")
+def run_case(case: Case, scale: str, needs: Iterable[str] = (), *,
+             clients: Optional[int] = None, items: Optional[int] = None,
+             window_us: Optional[float] = None,
+             overrides: Optional[CostOverrides] = None) -> RunRecord:
+    """:func:`instrumented_run` of one mdtest :class:`Case` at ``scale``.
+
+    ``clients``/``items`` override the case's budgets (as on the
+    ``explain`` command line).  ``overrides`` reruns the point with a
+    what-if speedup applied: through the deployment's config for Mantle,
+    as a pre-scaled cost model for the baselines (they have no config).
+    The record is named ``"<system> <op>"``.
+    """
+    config, costs = case.config, None
+    if overrides:
+        if case.system == "mantle":
+            config = (config or MantleConfig()).copy(overrides=overrides)
+        else:
+            costs = overrides.apply(CostModel())
+    prefill = pick(scale, *case.prefill)
+
+    def build():
+        # Prefilled before the rig attaches, so the saturation window
+        # reflects the measured workload, not bulk loading.
+        system = build_system(case.system, "quick", config=config,
+                              costs=costs)
+        if prefill:
+            populate(system, build_namespace(num_dirs=prefill,
+                                             objects_per_dir=10, seed=5,
+                                             root="/bulk"))
+        return system
+
+    workload = MdtestWorkload(
+        case.op, mode=case.mode, depth=case.depth,
+        items=items or pick(scale, *case.items),
+        num_clients=clients or pick(scale, *case.clients))
+    return instrumented_run(build,
+                            lambda system: run_workload(system, workload),
+                            needs, window_us=window_us,
+                            name=f"{case.system} {case.op}")
 
 
-def mdtest_metrics(system_name: str, op: str, **run_kwargs) -> MetricSet:
-    """Build a system, run one mdtest workload uninstrumented, tear down,
-    return the metrics (keywords as for :func:`mdtest_run`)."""
-    return mdtest_run(system_name, op, **run_kwargs).metrics
+def saturation_point(point) -> Tuple[float, int, str]:
+    """Pool worker for a throughput sweep (module level for pickling): one
+    ``(case, scale)`` cell under the saturation analyzer -> ``(Kop/s,
+    retries, bottleneck label)``.  The analyzer's telemetry is pure
+    bookkeeping, so throughput equals an uninstrumented run's."""
+    record = run_case(*point, ("verdict",))
+    metrics = record.metrics
+    return metrics.throughput_kops(), metrics.retries, record.verdict.label
 
 
 def op_aggregate(record: RunRecord, op: str) -> OpAggregate:

@@ -1,12 +1,13 @@
 """``mantle-exp explain <target> --view a,b,c`` — one instrumented run,
 every explanation a fold over it.
 
-A *target* names an ordered set of :class:`Case` s in the one registry
-(:data:`CASES`): a figure's knee points (``fig12``/``fig14``/``fig19``),
-the traced exhibits (``fig15``/``table1``), the two-namespace
-``multitenant`` interference scenario, or any bare mdtest op.  Each case
+A *target* names an ordered set of :class:`~repro.experiments.base.Case` s:
+the ``knee`` cases an exhibit registers with the experiment registry (a
+figure's knee points for ``fig12``/``fig14``/``fig19``, every case of the
+traced exhibits ``fig15``/``table1``), the two-namespace ``multitenant``
+interference scenario (:data:`CASES`), or any bare mdtest op.  Each case
 runs **once** per invocation under the union rig its requested views need
-(:func:`repro.experiments.base.instrumented_run`), and each *view* is a
+(:func:`repro.experiments.base.run_case`), and each *view* is a
 pure fold ``run records -> (tables, lines, exports)``:
 
 ========= ================================================================
@@ -52,19 +53,17 @@ from repro.bench.analyze import (
     primary_phase,
     utilization_series,
 )
-from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, latency_summary_table
 from repro.core.config import MantleConfig
 from repro.core.multitenant import MantleDeployment
 from repro.experiments.base import (
+    REGISTRY,
+    Case,
     RunRecord,
     instrumented_run,
-    mdtest_run,
     pick,
+    run_case,
 )
-from repro.experiments import fig12_read_throughput as fig12
-from repro.experiments import fig14_dirmod_throughput as fig14
-from repro.experiments import fig19_scalability as fig19
 from repro.experiments.exportutil import (
     write_export,
     write_json_payload,
@@ -129,77 +128,18 @@ EXPORT_TOP = 8
 
 
 # ---------------------------------------------------------------------------
-# The case registry.
+# Targets: an exhibit's knee cases, a scenario, or a bare op.
 # ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class Case:
-    """One instrumented sweep point: a system, an op, its budgets."""
-
-    label: str
-    system: str
-    op: str
-    mode: str = "exclusive"
-    #: (quick, full) budgets.
-    clients: Tuple[int, int] = (32, 128)
-    items: Tuple[int, int] = (10, 30)
-    #: A non-default deployment (mantle only).
-    config: Optional[MantleConfig] = None
-    #: A contrasting point only the whole-target views (trace, telemetry)
-    #: run; per-system views export one file per system and skip it.
-    contrast: bool = False
-
-
-def _knee(systems: Sequence[str], op: str, suffix: str = "",
-          **budgets) -> Tuple[Case, ...]:
-    return tuple(Case(f"{system} {op}{suffix}", system, op, **budgets)
-                 for system in systems)
-
-
-def _suffix(mode: str) -> str:
-    return "-s" if mode == "shared" else "-e"
-
 
 #: The one-case target of the two-namespace interference scenario.
 MULTITENANT = "multitenant"
 
-#: Fig 19b's knee: its top client count at each scale.
-_FIG19_KNEE = {"clients": tuple(c[-1] for c in fig19.CLIENT_COUNTS),
-               "items": fig19.ITEMS}
-
-#: target -> ordered cases.  Whole-target views run them all and export
-#: the first; per-system views run the non-contrast ones.  A figure's
-#: cases run at the figure's own budgets; fig15, table1 and multitenant
-#: are defined here alone.
+#: Targets that are not exhibits -> their cases.  A "storm" namespace
+#: floods shared-directory mkdirs next to a light "victim" doing objstats,
+#: over one shared TafDB and a co-located IndexNode pool (the §7.2
+#: noisy-neighbour setup); budgets are the storm's, the victim's are
+#: _MT_VICTIM_*.
 CASES: Dict[str, Tuple[Case, ...]] = {
-    # Fig 12 knee: stat scaling — baselines pin their shard servers' CPU
-    # on per-level resolution RPCs, Mantle resolves server-side in one hop.
-    "fig12": _knee(("tectonic", "mantle", "infinifs"), "objstat",
-                   **fig12.BUDGET),
-    # Fig 14 knee: shared-directory mkdir flips baselines from hardware
-    # saturation to transaction conflicts.
-    "fig14": _knee(("tectonic", "mantle"), "mkdir", "-s", mode="shared",
-                   **fig14.BUDGET),
-    # Fig 19b knee at the top client count: create rides the TafDB commit
-    # fsync floor; leader-only objstat (the contrast) saturates the
-    # leader IndexNode's CPU.
-    "fig19": (
-        Case("objstat leader-only", "mantle", "objstat",
-             config=MantleConfig(enable_follower_read=False), contrast=True,
-             **_FIG19_KNEE),
-        Case("create", "mantle", "create", **_FIG19_KNEE),
-    ),
-    "fig15": tuple(
-        Case(f"{op}{_suffix(mode)}/{system}", system, op, mode=mode,
-             clients=(48, 128), items=(8, 20))
-        for op, mode in fig14.DIRMOD_CASES for system in SYSTEMS),
-    "table1": tuple(
-        Case(f"objstat/{system}", system, "objstat",
-             clients=(32, 96), items=(10, 24)) for system in SYSTEMS),
-    # A "storm" namespace floods shared-directory mkdirs next to a light
-    # "victim" doing objstats, over one shared TafDB and a co-located
-    # IndexNode pool (the §7.2 noisy-neighbour setup); budgets are the
-    # storm's, the victim's are _MT_VICTIM_*.
     MULTITENANT: (Case("multitenant storm+victim", MULTITENANT,
                        "storm+victim", clients=(48, 96), items=(6, 10)),),
 }
@@ -208,10 +148,18 @@ _MT_VICTIM_CLIENTS = (6, 12)
 _MT_VICTIM_OPS = (24, 48)
 
 
+def _target_cases() -> Dict[str, Tuple[Case, ...]]:
+    """target -> ordered cases: every exhibit registered with ``knee``
+    cases, then :data:`CASES`.  Whole-target views run them all and export
+    the first; per-system views run the non-contrast ones."""
+    knees = {exp.id: exp.knee for exp in REGISTRY.values() if exp.knee}
+    return {**knees, **CASES}
+
+
 def targets() -> List[str]:
-    """Every accepted target: registered figures/scenarios, then every op
+    """Every accepted target: exhibits and scenarios, then every op
     :mod:`repro.workloads.mdtest` runs."""
-    return sorted(CASES) + list(OPS)
+    return sorted(_target_cases()) + list(OPS)
 
 
 def resolve_cases(target: str,
@@ -225,12 +173,12 @@ def resolve_cases(target: str,
     if target in OPS:
         return [Case(f"{system} {target}", system, target)
                 for system in (systems or ("mantle", "tectonic"))]
-    if target not in CASES:
+    cases = _target_cases().get(target)
+    if cases is None:
         raise ValueError(f"nothing to explain for {target!r}; choose from "
                          + ", ".join(targets()))
-    cases = list(CASES[target])
     if not systems or target == MULTITENANT:
-        return cases
+        return list(cases)
     knee = next(case for case in cases if not case.contrast)
     out: List[Case] = []
     for system in systems:
@@ -279,22 +227,20 @@ def _multitenant_drive(deployment, scale: str, storm_clients: int,
     return metrics
 
 
-def run_case(case: Case, scale: str, needs: Sequence[str],
-             clients: Optional[int] = None, items: Optional[int] = None,
-             window_us: Optional[float] = None) -> RunRecord:
+def _run(case: Case, scale: str, needs, clients: Optional[int],
+         items: Optional[int], window_us: Optional[float]) -> RunRecord:
     """One instrumented run of ``case`` at ``scale`` (budget overrides as
     on the command line)."""
+    if case.system != MULTITENANT:
+        return run_case(case, scale, needs, clients=clients, items=items,
+                        window_us=window_us)
     clients = clients or pick(scale, *case.clients)
     items = items or pick(scale, *case.items)
-    if case.system == MULTITENANT:
-        return instrumented_run(
-            _multitenant_build,
-            lambda deployment: _multitenant_drive(deployment, scale,
-                                                  clients, items),
-            needs, window_us=window_us, name=case.label)
-    return mdtest_run(case.system, case.op, needs, mode=case.mode,
-                      clients=clients, items=items, window_us=window_us,
-                      config=case.config)
+    return instrumented_run(
+        _multitenant_build,
+        lambda deployment: _multitenant_drive(deployment, scale, clients,
+                                              items),
+        needs, window_us=window_us, name=case.label)
 
 
 # ---------------------------------------------------------------------------
@@ -1114,7 +1060,7 @@ def explain(target: str, views: Sequence[str], scale: str = "quick",
         window = (window_us or pick(scale, *TELEMETRY_WINDOW_US)) \
             if fine else None
         whole = any(VIEWS[view].whole_target for view in group)
-        ran = [(case, run_case(case, scale, needs, clients, items, window))
+        ran = [(case, _run(case, scale, needs, clients, items, window))
                for case in (cases if whole else knees)]
         for view in group:
             runs[view] = ran if VIEWS[view].whole_target else \

@@ -17,15 +17,18 @@ from typing import List
 
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
-from repro.experiments.base import (Claim, mdtest_metrics, pick, register,
-                                    rows_by)
+from repro.experiments.base import Case, Claim, register, rows_by, run_case
 from repro.sim.host import CostModel
 
-
-def _throughput(costs: CostModel, clients: int, items: int) -> float:
-    config = MantleConfig(enable_follower_read=False, costs=costs)
-    return mdtest_metrics("mantle", "objstat", clients=clients, items=items,
-                          config=config, costs=costs).throughput_kops()
+#: Leader-only lookups at saturation over each RPC framework, TCP first.
+#: Kernel-bypass RPC: most of the request-handling CPU disappears and the
+#: wire latency drops.
+CASES = tuple(
+    Case(name, "mantle", "objstat", clients=(160, 384), items=(10, 20),
+         config=MantleConfig(enable_follower_read=False, costs=costs))
+    for name, costs in (("tcp", CostModel()),
+                        ("rdma", CostModel(index_rpc_overhead_us=4.0,
+                                           net_one_way_us=15.0))))
 
 
 def claims(tables):
@@ -41,21 +44,16 @@ def claims(tables):
           "resolution throughput (500K -> 1M ops/s in the paper's PoC)",
           claims)
 def run(scale: str = "quick") -> List[Table]:
-    clients = pick(scale, 160, 384)
-    items = pick(scale, 10, 20)
-    baseline = CostModel()
-    # Kernel-bypass RPC: most of the request-handling CPU disappears and
-    # the wire latency drops.
-    rdma = baseline.copy(index_rpc_overhead_us=4.0, net_one_way_us=15.0)
     table = Table(
         "Extension: leader-only lookup throughput, TCP RPC vs RDMA RPC",
         ["rpc framework", "rpc overhead us", "one-way us",
          "lookup throughput Kop/s", "speedup"])
-    tcp_kops = _throughput(baseline, clients, items)
-    rdma_kops = _throughput(rdma, clients, items)
-    table.add_row("tcp", baseline.index_rpc_overhead_us,
-                  baseline.net_one_way_us, round(tcp_kops, 1), 1.0)
-    table.add_row("rdma", rdma.index_rpc_overhead_us, rdma.net_one_way_us,
-                  round(rdma_kops, 1), round(ratio(rdma_kops, tcp_kops), 2))
+    kops = [run_case(case, scale).metrics.throughput_kops()
+            for case in CASES]
+    for case, value in zip(CASES, kops):
+        costs = case.config.costs
+        table.add_row(case.label, costs.index_rpc_overhead_us,
+                      costs.net_one_way_us, round(value, 1),
+                      round(ratio(value, kops[0]), 2))
     table.add_note("paper PoC: 500K -> 1M ops/s per node (2.0x)")
     return [table]

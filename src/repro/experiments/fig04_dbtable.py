@@ -10,16 +10,22 @@ from __future__ import annotations
 from typing import List
 
 from repro.bench.report import Table, ratio
-from repro.experiments.base import (
-    Claim,
-    mdtest_metrics,
-    mdtest_run,
-    op_aggregate,
-    pick,
-    register,
-    rows_by,
-)
+from repro.experiments.base import (Case, Claim, op_aggregate, register,
+                                    rows_by, run_case)
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP
+
+_BUDGETS = {"clients": (64, 192), "items": (10, 24)}
+
+#: Fig 4a: the traced Tectonic ops whose latency lookup dominates.
+BREAKDOWN = tuple(Case(f"tectonic {op}", "tectonic", op, **_BUDGETS)
+                  for op in ("objstat", "dirstat", "delete"))
+
+#: Fig 4b: each directory op without (exclusive) and with (shared) a
+#: contended parent.
+CONTENTION = tuple(Case(f"tectonic {op}-{mode[0]}", "tectonic", op, mode,
+                        **_BUDGETS)
+                   for op in ("mkdir", "dirrename")
+                   for mode in ("exclusive", "shared"))
 
 
 def claims(tables):
@@ -41,38 +47,33 @@ def claims(tables):
           "lookup dominates (63-91% of latency); contention collapses "
           "throughput by ~99%", claims)
 def run(scale: str = "quick") -> List[Table]:
-    clients = pick(scale, 64, 192)
-    items = pick(scale, 10, 24)
-
     breakdown = Table(
         "Figure 4a: latency breakdown of the DBtable-based service",
         ["operation", "lookup us", "execution us", "total us",
          "lookup share %", "paper share %"])
     paper_share = {"objstat": 89.9, "dirstat": 91.2, "delete": 63.1}
-    for op in ("objstat", "dirstat", "delete"):
-        record = mdtest_run("tectonic", op, ("tracer",), clients=clients,
-                            items=items)
-        agg = op_aggregate(record, op)
+    for case in BREAKDOWN:
+        record = run_case(case, scale, ("tracer",))
+        agg = op_aggregate(record, case.op)
         lookup = agg.mean_phase_us(PHASE_LOOKUP)
-        total = record.metrics.mean_latency_us(op)
+        total = record.metrics.mean_latency_us(case.op)
         breakdown.add_row(
-            op,
+            case.op,
             round(lookup, 1),
             round(agg.mean_phase_us(PHASE_EXECUTION), 1),
             round(total, 1),
             round(100 * lookup / total, 1) if total else 0,
-            paper_share[op])
+            paper_share[case.op])
 
     contention = Table(
         "Figure 4b: directory contention collapse",
         ["operation", "no conflict Kop/s", "all conflict Kop/s",
          "throughput drop %", "paper drop %", "retries under conflict"])
     paper_drop = {"mkdir": 99.7, "dirrename": 99.4}
-    for op in ("mkdir", "dirrename"):
-        free = mdtest_metrics("tectonic", op, mode="exclusive",
-                              clients=clients, items=items)
-        hot = mdtest_metrics("tectonic", op, mode="shared",
-                             clients=clients, items=items)
+    for free_case, hot_case in zip(CONTENTION[::2], CONTENTION[1::2]):
+        op = free_case.op
+        free = run_case(free_case, scale).metrics
+        hot = run_case(hot_case, scale).metrics
         drop = 100 * (1 - ratio(hot.throughput_kops(), free.throughput_kops()))
         contention.add_row(
             op,

@@ -13,28 +13,21 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import (Claim, map_points, mdtest_run, pick,
-                                    register, rows_by)
+from repro.experiments.base import (Case, Claim, map_points, register,
+                                    rows_by, saturation_point)
 
 OPS = ("create", "delete", "objstat", "dirstat")
 
-#: (quick, full) budgets; fig13 and ``explain fig12`` run the same points.
-BUDGET = {"clients": (64, 192), "items": (12, 30)}
+#: Every (op, system) point, op-major; fig13 runs the same points.
+CASES = tuple(Case(f"{system} {op}", system, op, clients=(64, 192),
+                   items=(12, 30)) for op in OPS for system in SYSTEMS)
+
+#: ``explain fig12``: stat scaling — baselines pin their shard servers'
+#: CPU on per-level resolution RPCs, Mantle resolves server-side in one hop.
+KNEE = tuple(case for system in ("tectonic", "mantle", "infinifs")
+             for case in CASES if case.label == f"{system} objstat")
 
 ORDERING = "tectonic < infinifs < mantle on every op"
-
-
-def _throughput_point(point):
-    """One (system, op) sweep cell; each runs its own Simulator.
-
-    Returns ``(Kop/s, bottleneck label)`` — telemetry is attached per
-    point so the saturation analyzer can attribute the knee, and it is
-    pure bookkeeping, so throughput is identical to an unmetered run.
-    """
-    system_name, op, clients, items = point
-    record = mdtest_run(system_name, op, ("verdict",), clients=clients,
-                        items=items)
-    return record.metrics.throughput_kops(), record.verdict.label
 
 
 def claims(tables):
@@ -52,10 +45,9 @@ def claims(tables):
 
 @register("fig12", "Throughput of object ops and directory reads",
           "Tectonic < InfiniFS < LocoFS < Mantle; Mantle 2.49-4.30x over "
-          "Tectonic", claims, deviations={"full": {ORDERING: 6}})
+          "Tectonic", claims, deviations={"full": {ORDERING: 6}},
+          knee=KNEE)
 def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
-    clients = pick(scale, *BUDGET["clients"])
-    items = pick(scale, *BUDGET["items"])
     table = Table(
         "Figure 12: throughput (Kop/s), depth-10 paths",
         ["op"] + list(SYSTEMS) + ["mantle/tectonic", "mantle/infinifs",
@@ -64,13 +56,12 @@ def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
         "Figure 12 bottleneck attribution (saturation analyzer, "
         "steady-state window)",
         ["op"] + list(SYSTEMS))
-    points = [(system_name, op, clients, items)
-              for op in OPS for system_name in SYSTEMS]
-    results = map_points(_throughput_point, points, jobs=jobs)
+    results = map_points(saturation_point,
+                         [(case, scale) for case in CASES], jobs=jobs)
     for i, op in enumerate(OPS):
         row = results[i * len(SYSTEMS):(i + 1) * len(SYSTEMS)]
-        throughput = dict(zip(SYSTEMS, [kops for kops, _label in row]))
-        labels = dict(zip(SYSTEMS, [label for _kops, label in row]))
+        throughput = dict(zip(SYSTEMS, [kops for kops, _, _ in row]))
+        labels = dict(zip(SYSTEMS, [label for _, _, label in row]))
         table.add_row(
             op,
             *[round(throughput[s], 1) for s in SYSTEMS],

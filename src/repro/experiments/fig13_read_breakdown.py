@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import (Claim, mdtest_run, op_aggregate, pick,
-                                    register, rows_by)
-from repro.experiments.fig12_read_throughput import BUDGET, OPS
+from repro.experiments.base import (Claim, op_aggregate, register, rows_by,
+                                    run_case)
+from repro.experiments.fig12_read_throughput import CASES, OPS
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP
 
 
@@ -39,23 +38,19 @@ def claims(tables):
           "Mantle's lookup latency 83.9-89.0%/80.0-84.2%/16.4-74.5% lower "
           "than Tectonic/InfiniFS/LocoFS", claims)
 def run(scale: str = "quick") -> List[Table]:
-    clients = pick(scale, *BUDGET["clients"])
-    items = pick(scale, *BUDGET["items"])
     table = Table(
         "Figure 13: mean per-phase latency (us)",
         ["op", "system", "lookup", "execution", "total"])
     lookup_by = {}
-    for op in OPS:
-        for system_name in SYSTEMS:
-            record = mdtest_run(system_name, op, ("tracer",),
-                                clients=clients, items=items)
-            agg = op_aggregate(record, op)
-            lookup = lookup_by[(op, system_name)] = \
-                agg.mean_phase_us(PHASE_LOOKUP)
-            table.add_row(op, system_name,
-                          round(lookup, 1),
-                          round(agg.mean_phase_us(PHASE_EXECUTION), 1),
-                          round(record.metrics.mean_latency_us(op), 1))
+    for case in CASES:
+        record = run_case(case, scale, ("tracer",))
+        agg = op_aggregate(record, case.op)
+        lookup = lookup_by[(case.op, case.system)] = \
+            agg.mean_phase_us(PHASE_LOOKUP)
+        table.add_row(case.op, case.system,
+                      round(lookup, 1),
+                      round(agg.mean_phase_us(PHASE_EXECUTION), 1),
+                      round(record.metrics.mean_latency_us(case.op), 1))
     reductions = Table(
         "Figure 13 (derived): Mantle lookup-latency reduction (%)",
         ["op", "vs tectonic", "vs infinifs", "vs locofs"])

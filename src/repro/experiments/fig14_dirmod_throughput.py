@@ -15,24 +15,25 @@ from typing import List
 
 from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table, ratio
-from repro.experiments.base import (Claim, map_points, mdtest_run, pick,
-                                    register, rows_by)
+from repro.experiments.base import (Case, Claim, map_points, register,
+                                    rows_by, saturation_point)
 
-#: The four directory-modification cases of Figs. 14/15.
-DIRMOD_CASES = (("mkdir", "exclusive"), ("mkdir", "shared"),
-                ("dirrename", "exclusive"), ("dirrename", "shared"))
+#: The four directory-modification workloads of Figs. 14/15, by name.
+DIRMOD_CASES = {"mkdir-e": ("mkdir", "exclusive"),
+                "mkdir-s": ("mkdir", "shared"),
+                "dirrename-e": ("dirrename", "exclusive"),
+                "dirrename-s": ("dirrename", "shared")}
 
-#: (quick, full) budgets; ``explain fig14`` runs the mkdir-s knee with them.
-BUDGET = {"clients": (64, 160), "items": (10, 24)}
+#: Every (workload, system) point, workload-major.
+CASES = tuple(Case(f"{system} {name}", system, op, mode, clients=(64, 160),
+                   items=(10, 24))
+              for name, (op, mode) in DIRMOD_CASES.items()
+              for system in SYSTEMS)
 
-
-def _dirmod_point(point):
-    """One (case, system) sweep cell -> (throughput, retries, bottleneck)."""
-    system_name, op, mode, clients, items = point
-    record = mdtest_run(system_name, op, ("verdict",), mode=mode,
-                        clients=clients, items=items)
-    metrics = record.metrics
-    return metrics.throughput_kops(), metrics.retries, record.verdict.label
+#: ``explain fig14``: shared-directory mkdir flips baselines from hardware
+#: saturation to transaction conflicts.
+KNEE = tuple(case for case in CASES if case.label in ("tectonic mkdir-s",
+                                                      "mantle mkdir-s"))
 
 
 def claims(tables):
@@ -55,10 +56,8 @@ def claims(tables):
 
 @register("fig14", "Throughput of directory modifications",
           "Mantle highest in all four cases; delta records rescue the "
-          "shared-directory cases", claims)
+          "shared-directory cases", claims, knee=KNEE)
 def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
-    clients = pick(scale, *BUDGET["clients"])
-    items = pick(scale, *BUDGET["items"])
     table = Table(
         "Figure 14: directory-modification throughput (Kop/s)",
         ["case"] + list(SYSTEMS) +
@@ -67,23 +66,20 @@ def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
         "Figure 14 bottleneck attribution (saturation analyzer, "
         "steady-state window)",
         ["case"] + list(SYSTEMS))
-    points = [(system_name, op, mode, clients, items)
-              for op, mode in DIRMOD_CASES for system_name in SYSTEMS]
-    results = map_points(_dirmod_point, points, jobs=jobs)
-    for i, (op, mode) in enumerate(DIRMOD_CASES):
-        suffix = "-s" if mode == "shared" else "-e"
+    results = map_points(saturation_point,
+                         [(case, scale) for case in CASES], jobs=jobs)
+    for i, name in enumerate(DIRMOD_CASES):
         row = results[i * len(SYSTEMS):(i + 1) * len(SYSTEMS)]
         throughput = {s: r[0] for s, r in zip(SYSTEMS, row)}
         retries = {s: r[1] for s, r in zip(SYSTEMS, row)}
         labels = {s: r[2] for s, r in zip(SYSTEMS, row)}
         best_baseline = max(throughput[s] for s in SYSTEMS if s != "mantle")
         table.add_row(
-            f"{op}{suffix}",
+            name,
             *[round(throughput[s], 2) for s in SYSTEMS],
             round(ratio(throughput["mantle"], best_baseline), 2),
             max(retries[s] for s in SYSTEMS if s != "mantle"))
-        bottleneck_table.add_row(f"{op}{suffix}",
-                                 *[labels[s] for s in SYSTEMS])
+        bottleneck_table.add_row(name, *[labels[s] for s in SYSTEMS])
     table.add_note("paper: mkdir-s Mantle/InfiniFS = 1.96x; '-s' collapses "
                    "Tectonic via aborts and InfiniFS renames via 2PC "
                    "retries; LocoFS pinned to its per-op Raft fsync floor")

@@ -16,10 +16,19 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table
-from repro.experiments.base import Claim, op_aggregate, register, rows_by
-from repro.experiments.explain import CASES, run_case
+from repro.experiments.base import (Case, Claim, op_aggregate, register,
+                                    rows_by, run_case)
+from repro.experiments.fig14_dirmod_throughput import DIRMOD_CASES
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, PHASE_LOOP_DETECT
+
+#: Every (workload, system) point, workload-major; ``explain fig15`` runs
+#: them all.
+CASES = tuple(Case(f"{name}/{system}", system, op, mode, clients=(48, 128),
+                   items=(8, 20))
+              for name, (op, mode) in DIRMOD_CASES.items()
+              for system in SYSTEMS)
 
 
 def claims(tables):
@@ -51,12 +60,12 @@ def claims(tables):
 
 @register("fig15", "Latency breakdown of directory modifications",
           "loop detection only for renames (not Tectonic); Mantle merges "
-          "rename lookup into loop detection", claims)
+          "rename lookup into loop detection", claims, knee=CASES)
 def run(scale: str = "quick") -> List[Table]:
     table = Table(
         "Figure 15: mean per-phase latency (us, span-derived)",
         ["case", "system", "lookup", "loop detect", "execution", "total"])
-    for case in CASES["fig15"]:
+    for case in CASES:
         agg = op_aggregate(run_case(case, scale, ("tracer",)), case.op)
         table.add_row(
             case.label.split("/")[0], case.system,

@@ -21,30 +21,40 @@ from typing import List
 
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
-from repro.experiments.base import (Claim, mdtest_metrics, mdtest_run, pick,
-                                    register, rows_by)
+from repro.experiments.base import (Case, Claim, pick, register, rows_by,
+                                    run_case)
 from repro.experiments.whatif import predict
 from repro.sim.critpath import component_of
 from repro.sim.host import CostOverrides
 
-#: (label, cumulative config overrides) in the paper's enabling order.
-STEPS = (
-    ("mantle-base", {}),
-    ("+pathcache", {"enable_path_cache": True}),
-    ("+raftlogbatch", {"enable_raft_batching": True}),
-    ("+delta record", {"enable_delta_records": True}),
-    ("+follower read", {"enable_follower_read": True}),
-)
 
-WORKLOADS = (("dirstat", "exclusive"), ("mkdir", "exclusive"),
-             ("dirrename", "shared"))
+def _steps():
+    """(label, cumulative config) in the paper's enabling order."""
+    config = MantleConfig.base()
+    yield "mantle-base", config
+    for label, feature in (("+pathcache", "enable_path_cache"),
+                           ("+raftlogbatch", "enable_raft_batching"),
+                           ("+delta record", "enable_delta_records"),
+                           ("+follower read", "enable_follower_read")):
+        config = config.copy(**{feature: True})
+        yield label, config
 
 
-def _config_for(step_index: int) -> MantleConfig:
-    merged = {}
-    for _label, overrides in STEPS[:step_index + 1]:
-        merged.update(overrides)
-    return MantleConfig.base().copy(**merged)
+STEPS = tuple(_steps())
+
+#: The measured workloads, by column name.
+WORKLOADS = {"dirstat-e": ("dirstat", "exclusive"),
+             "mkdir-e": ("mkdir", "exclusive"),
+             "dirrename-s": ("dirrename", "shared")}
+
+#: Every (step, workload) point, step-major.  Saturation matters here:
+#: the path cache and follower reads pay off by multiplying the
+#: IndexNode's CPU capacity, which only shows once the leader is CPU-bound
+#: (the paper drives 512 mdtest threads).
+CASES = tuple(Case(f"{label} {name}", "mantle", op, mode, clients=(112, 256),
+                   items=(10, 20), config=config)
+              for label, config in STEPS
+              for name, (op, mode) in WORKLOADS.items())
 
 
 def _top_gate(crit):
@@ -59,13 +69,11 @@ def _top_gate(crit):
             component_of(host, frame, kind))
 
 
-def _whatif_note(record, component, config, clients, items):
+def _whatif_note(record, component, case, scale):
     """Cross-check the final step's gate: predict 2x, rerun, compare."""
     overrides = CostOverrides.of(**{component: 2.0})
-    prediction = predict(record, overrides, clients)
-    measured = mdtest_metrics(
-        "mantle", "dirstat", mode="exclusive", clients=clients,
-        items=items, config=config.copy(overrides=overrides))
+    prediction = predict(record, overrides, pick(scale, *case.clients))
+    measured = run_case(case, scale, overrides=overrides).metrics
     baseline = record.crit.mean_latency_us
     predicted_frac = 1.0 - prediction.predicted_mean_us / baseline
     measured_frac = 1.0 - measured.mean_latency_us("dirstat") / baseline
@@ -99,48 +107,33 @@ def claims(tables):
           "records rescue dirrename-s; follower read adds lookup headroom",
           claims)
 def run(scale: str = "quick") -> List[Table]:
-    # Saturation matters here: the path cache and follower reads pay off by
-    # multiplying the IndexNode's CPU capacity, which only shows once the
-    # leader is CPU-bound (the paper drives 512 mdtest threads).
-    clients = pick(scale, 112, 256)
-    items = pick(scale, 10, 20)
     table = Table(
         "Figure 16: throughput normalised to Mantle-base",
-        ["configuration"] + [f"{op}{'-s' if mode == 'shared' else '-e'}"
-                             for op, mode in WORKLOADS]
-        + ["dirstat-e gated by"])
-    raw = Table(
-        "Figure 16 (raw): throughput (Kop/s)",
-        ["configuration"] + [f"{op}{'-s' if mode == 'shared' else '-e'}"
-                             for op, mode in WORKLOADS])
+        ["configuration"] + list(WORKLOADS) + ["dirstat-e gated by"])
+    raw = Table("Figure 16 (raw): throughput (Kop/s)",
+                ["configuration"] + list(WORKLOADS))
     baseline = {}
     final = None
-    for step_index, (label, _overrides) in enumerate(STEPS):
-        row_norm = [label]
-        row_raw = [label]
-        gate_label = "-"
-        last = step_index == len(STEPS) - 1
-        for op, mode in WORKLOADS:
-            config = _config_for(step_index)
+    for i, (label, _config) in enumerate(STEPS):
+        row_norm, row_raw, gate_label = [label], [label], "-"
+        last = i == len(STEPS) - 1
+        step = CASES[i * len(WORKLOADS):(i + 1) * len(WORKLOADS)]
+        for name, case in zip(WORKLOADS, step):
             # The dirstat run is instrumented: tracing is pure
             # bookkeeping, so the throughput is bit-identical — one run
             # feeds both the column and the gating label (and, at the
             # final step, with telemetry, the what-if prediction).
             needs = ()
-            if op == "dirstat":
+            if case.op == "dirstat":
                 needs = ("tracer", "telemetry") if last else ("tracer",)
-            record = mdtest_run("mantle", op, needs, mode=mode, depth=10,
-                                items=items, clients=clients, config=config)
-            metrics = record.metrics
-            if op == "dirstat":
+            record = run_case(case, scale, needs)
+            if case.op == "dirstat":
                 gate_label, component = _top_gate(record.crit)
                 if last and component is not None:
-                    final = (record, component)
-            kops = metrics.throughput_kops()
-            key = (op, mode)
-            if step_index == 0:
-                baseline[key] = kops
-            row_norm.append(round(ratio(kops, baseline[key]), 2))
+                    final = (record, component, case)
+            kops = record.metrics.throughput_kops()
+            baseline.setdefault(name, kops)
+            row_norm.append(round(ratio(kops, baseline[name]), 2))
             row_raw.append(round(kops, 2))
         table.add_row(*(row_norm + [gate_label]))
         raw.add_row(*row_raw)
@@ -150,6 +143,5 @@ def run(scale: str = "quick") -> List[Table]:
                    "run (share of end-to-end latency it gates); each "
                    "optimisation removes the previous step's gate")
     if final is not None:
-        table.add_note(_whatif_note(*final, _config_for(len(STEPS) - 1),
-                                    clients, items))
+        table.add_note(_whatif_note(*final, scale))
     return [table, raw]

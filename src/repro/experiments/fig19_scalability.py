@@ -11,50 +11,46 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.bench.cluster import build_system
-from repro.bench.harness import run_workload
 from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
 from repro.experiments.base import (
+    Case,
     Claim,
-    instrumented_run,
     map_points,
     pick,
     register,
+    saturation_point,
 )
-from repro.workloads.mdtest import MdtestWorkload
-from repro.workloads.namespace import build_namespace, populate
 
-#: (quick, full) ops per client, and fig19b's client counts; ``explain
-#: fig19`` runs the knee at the top count.
+#: (quick, full) ops per client.
 ITEMS = (10, 20)
-CLIENT_COUNTS = ((32, 128, 320), (64, 256, 640))
 
+#: Fig 19a: objstat and create over ever larger pre-filled namespaces.
+SIZE_CASES = tuple(Case(f"{op} prefill", "mantle", op, clients=(48, 96),
+                        items=ITEMS, prefill=prefill)
+                   for prefill in ((0, 0), (2000, 10000), (8000, 50000))
+                   for op in ("objstat", "create"))
 
-def _run(config: MantleConfig, op: str, clients: int, items: int,
-         prefill_dirs: int = 0):
-    def build():
-        # Prefilled before the rig attaches, so the saturation window
-        # reflects the measured workload, not bulk loading.
-        system = build_system("mantle", "quick", config=config)
-        if prefill_dirs:
-            populate(system, build_namespace(num_dirs=prefill_dirs,
-                                             objects_per_dir=10, seed=5,
-                                             root="/bulk"))
-        return system
+#: Fig 19b: create and three read configurations at each client count,
+#: count-major.
+CLIENT_CASES = tuple(
+    Case(label, "mantle", op, clients=count, items=ITEMS, config=config,
+         contrast=label == "objstat leader-only")
+    for count in ((32, 64), (128, 256), (320, 640))
+    for label, op, config in (
+        ("create", "create", None),
+        ("objstat leader-only", "objstat",
+         MantleConfig(enable_follower_read=False)),
+        ("objstat +followers", "objstat",
+         MantleConfig(enable_follower_read=True)),
+        ("objstat +learners", "objstat",
+         MantleConfig(enable_follower_read=True, num_learners=2))))
 
-    workload = MdtestWorkload(op, depth=10, items=items,
-                              num_clients=clients)
-    record = instrumented_run(
-        build, lambda system: run_workload(system, workload), ("verdict",))
-    return record.metrics.throughput_kops(), record.verdict.label
-
-
-def _scal_point(point):
-    """One sweep cell: (config, op, clients, items, prefill) ->
-    (Kop/s, bottleneck label)."""
-    config, op, clients, items, prefill = point
-    return _run(config, op, clients, items, prefill)
+#: ``explain fig19``: the top client count, where create rides the TafDB
+#: commit fsync floor and leader-only objstat (the contrast) saturates the
+#: leader IndexNode's CPU.
+KNEE = tuple(case for label in ("objstat leader-only", "create")
+             for case in CLIENT_CASES[-4:] if case.label == label)
 
 
 def claims(tables):
@@ -77,23 +73,20 @@ def claims(tables):
 
 @register("fig19", "Scalability: namespace size and client count",
           "flat throughput up to 10B-entry namespaces; follower/learner "
-          "reads scale lookups ~5x past a single node", claims)
+          "reads scale lookups ~5x past a single node", claims, knee=KNEE)
 def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
-    items = pick(scale, *ITEMS)
-    clients = pick(scale, 48, 96)
-
     size_table = Table(
         "Figure 19a: throughput vs namespace size (Kop/s)",
         ["pre-filled entries", "objstat", "create"])
-    prefills = pick(scale, (0, 2000, 8000), (0, 10000, 50000))
-    size_points = [(MantleConfig(), op, clients, items, prefill)
-                   for prefill in prefills for op in ("objstat", "create")]
-    size_results = map_points(_scal_point, size_points, jobs=jobs)
-    for i, prefill in enumerate(prefills):
+    size_results = map_points(saturation_point,
+                              [(case, scale) for case in SIZE_CASES],
+                              jobs=jobs)
+    for i in range(0, len(SIZE_CASES), 2):
+        prefill = pick(scale, *SIZE_CASES[i].prefill)
         size_table.add_row(
-            prefill * 11 if prefill else 0,  # dirs + 10 objects each
-            round(size_results[2 * i][0], 1),
-            round(size_results[2 * i + 1][0], 1))
+            prefill * 11,  # dirs + 10 objects each
+            round(size_results[i][0], 1),
+            round(size_results[i + 1][0], 1))
     size_table.add_note("paper sweeps 1B-10B entries; hash-partitioned "
                         "shards and hash caches are size-invariant, which "
                         "is the property under test")
@@ -103,26 +96,17 @@ def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
         ["clients", "create", "objstat (no follower read)",
          "objstat +followers", "objstat +learners",
          "learners/no-follower speedup"])
-    leader_only = MantleConfig(enable_follower_read=False)
-    followers = MantleConfig(enable_follower_read=True)
-    learners = MantleConfig(enable_follower_read=True, num_learners=2)
-    counts = pick(scale, *CLIENT_COUNTS)
-    client_points = []
-    for count in counts:
-        client_points += [
-            (MantleConfig(), "create", count, items, 0),
-            (leader_only, "objstat", count, items, 0),
-            (followers, "objstat", count, items, 0),
-            (learners, "objstat", count, items, 0),
-        ]
     bottleneck_table = Table(
         "Figure 19b bottleneck attribution (saturation analyzer, "
         "steady-state window)",
         ["clients", "create", "objstat (no follower read)",
          "objstat +followers", "objstat +learners"])
-    client_results = map_points(_scal_point, client_points, jobs=jobs)
-    for i, count in enumerate(counts):
-        cells = client_results[4 * i:4 * i + 4]
+    client_results = map_points(saturation_point,
+                                [(case, scale) for case in CLIENT_CASES],
+                                jobs=jobs)
+    for i in range(0, len(CLIENT_CASES), 4):
+        count = pick(scale, *CLIENT_CASES[i].clients)
+        cells = client_results[i:i + 4]
         create_kops, solo, with_followers, with_learners = (
             c[0] for c in cells)
         client_table.add_row(
@@ -132,7 +116,7 @@ def run(scale: str = "quick", jobs: int = 1) -> List[Table]:
             round(with_followers, 1),
             round(with_learners, 1),
             round(ratio(with_learners, solo), 2))
-        bottleneck_table.add_row(count, *[c[1] for c in cells])
+        bottleneck_table.add_row(count, *[c[2] for c in cells])
     client_table.add_note("paper: leader-only objstat levels at ~376 Kop/s, "
                           "+2 followers 1288, +2 learners 1894 (2048 "
                           "threads); create caps at TafDB capacity")

@@ -16,10 +16,15 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.bench.cluster import SYSTEMS
 from repro.bench.report import Table
-from repro.experiments.base import Claim, op_aggregate, register, rows_by
-from repro.experiments.explain import CASES, run_case
+from repro.experiments.base import (Case, Claim, op_aggregate, register,
+                                    rows_by, run_case)
 from repro.sim.stats import PHASE_LOOKUP
+
+#: One depth-10 objstat point per system; ``explain table1`` runs them all.
+CASES = tuple(Case(f"objstat/{system}", system, "objstat", clients=(32, 96),
+                   items=(10, 24)) for system in SYSTEMS)
 
 #: The paper's analytic RTT count for a depth-`n` lookup.
 ANALYTIC = {
@@ -44,13 +49,13 @@ def claims(tables):
 
 @register("table1", "RTT rounds per lookup",
           "pathlen RTTs for DBtable, single RTT for tiering and Mantle",
-          claims)
+          claims, knee=CASES)
 def run(scale: str = "quick") -> List[Table]:
     table = Table(
         "Table 1: measured RPC rounds for a depth-10 objstat (span-derived)",
         ["system", "mean RPCs (whole op)", "lookup-phase share of latency",
          "paper analytic"])
-    for case in CASES["table1"]:
+    for case in CASES:
         agg = op_aggregate(run_case(case, scale, ("tracer",)), case.op)
         lookup = agg.mean_phase_us(PHASE_LOOKUP)
         total = agg.mean_latency_us

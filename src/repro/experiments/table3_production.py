@@ -15,9 +15,12 @@ from __future__ import annotations
 from typing import List
 
 from repro.bench.report import Table
-from repro.experiments.base import (Claim, mdtest_metrics, pick, register,
-                                    rows_by)
+from repro.experiments.base import Case, Claim, register, rows_by, run_case
 from repro.workloads.profiles import TABLE3_PROFILES
+
+#: Mantle's lookup and mkdir capacity at bench scale.
+CASES = tuple(Case(metric, "mantle", op, clients=(64, 160), items=(12, 24))
+              for metric, op in (("lookup", "objstat"), ("mkdir", "mkdir")))
 
 
 def claims(tables):
@@ -54,10 +57,7 @@ def run(scale: str = "quick") -> List[Table]:
                          round(100 * profile.small_object_fraction, 1),
                          profile.peak_lookup_kops, profile.peak_mkdir_kops)
 
-    clients = pick(scale, 64, 160)
-    items = pick(scale, 12, 24)
-    lookup = mdtest_metrics("mantle", "objstat", clients=clients, items=items)
-    mkdir = mdtest_metrics("mantle", "mkdir", clients=clients, items=items)
+    lookup, mkdir = (run_case(case, scale).metrics for case in CASES)
     capacity = Table(
         "Table 3 (derived): measured Mantle capacity at bench scale",
         ["metric", "measured Kop/s", "max production peak (paper)",

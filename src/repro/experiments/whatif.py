@@ -19,11 +19,10 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.report import Table
-from repro.core.config import MantleConfig
-from repro.experiments.base import RunRecord, mdtest_metrics, pick
-from repro.experiments.explain import Case, resolve_cases, run_case
+from repro.experiments.base import RunRecord, pick, run_case
+from repro.experiments.explain import resolve_cases
 from repro.sim.critpath import CorrectedPrediction, predict_speedup_corrected
-from repro.sim.host import CostModel, CostOverrides, parse_speedup_args
+from repro.sim.host import CostOverrides, parse_speedup_args
 
 #: ``--max-error``: predicted and measured deltas within this many
 #: percentage points of baseline latency count as "both approximately
@@ -110,22 +109,6 @@ def predict(record: RunRecord, overrides: CostOverrides,
                                      record.telemetry, clients)
 
 
-def _rerun_with_overrides(case: Case, overrides: CostOverrides,
-                          clients: int, items: int):
-    """Measured leg: the same point, uninstrumented, overrides applied.
-
-    Mantle threads them through ``MantleConfig.overrides`` (the exact
-    machinery a config change would use); baselines take a pre-scaled
-    :class:`CostModel` since they have no config object.
-    """
-    if case.system == "mantle":
-        applied = {"config": MantleConfig(overrides=overrides)}
-    else:
-        applied = {"costs": overrides.apply(CostModel())}
-    return mdtest_metrics(case.system, case.op, mode=case.mode,
-                          clients=clients, items=items, **applied)
-
-
 def run_whatif(target: str, speedups: Sequence[str],
                system: str = "mantle", scale: str = "quick",
                clients: Optional[int] = None,
@@ -140,11 +123,14 @@ def run_whatif(target: str, speedups: Sequence[str],
     clients = clients or pick(scale, *case.clients)
     items = items or pick(scale, *case.items)
 
-    record = run_case(case, scale, ("tracer", "telemetry"), clients, items)
+    record = run_case(case, scale, ("tracer", "telemetry"), clients=clients,
+                      items=items)
     metrics, crit = record.metrics, record.crit
     prediction = predict(record, overrides, clients)
     bottleneck = prediction.bottleneck()
-    measured = _rerun_with_overrides(case, overrides, clients, items)
+    # Measured leg: the same point, uninstrumented, overrides applied.
+    measured = run_case(case, scale, clients=clients, items=items,
+                        overrides=overrides).metrics
     result = WhatIfResult(
         system=system, op=case.op, overrides=overrides,
         baseline_mean_us=crit.mean_latency_us,

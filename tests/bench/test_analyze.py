@@ -94,10 +94,10 @@ class TestSeriesHelpers:
 
 class TestClassifyRun:
     def test_tiny_real_run_produces_verdict(self):
-        from repro.experiments.base import mdtest_run
+        from repro.experiments.base import Case, run_case
 
-        record = mdtest_run("mantle", "objstat", ("verdict",), clients=8,
-                            items=4)
+        record = run_case(Case("objstat", "mantle", "objstat"), "quick",
+                          ("verdict",), clients=8, items=4)
         metrics, telemetry, verdict = \
             record.metrics, record.telemetry, record.verdict
         assert verdict.label in set(LABELS.values()) | {UNDERLOADED}
@@ -109,14 +109,15 @@ class TestClassifyRun:
         assert "=" in verdict.describe()
 
     def test_saturated_run_is_cpu_bound(self):
-        from repro.experiments.base import mdtest_run
+        from repro.experiments.base import Case, run_case
 
         # Leader-only objstat at high client count pins the leader
         # IndexNode's CPU (the fig19b knee).
         from repro.core.config import MantleConfig
 
-        verdict = mdtest_run(
-            "mantle", "objstat", ("verdict",), clients=320, items=10,
-            config=MantleConfig(enable_follower_read=False)).verdict
+        leader_only = Case("objstat", "mantle", "objstat",
+                           config=MantleConfig(enable_follower_read=False))
+        verdict = run_case(leader_only, "quick", ("verdict",), clients=320,
+                           items=10).verdict
         assert verdict.label == "cpu-bound"
         assert verdict.hotspots["cpu"].startswith("default-indexnode")

@@ -9,6 +9,8 @@ from repro.bench.inspect import (
     host_utilization_table,
     subsystem_counters_table,
 )
+from repro.core.config import MantleConfig
+from repro.sim.host import CostModel
 from repro.workloads.mdtest import MdtestWorkload
 
 
@@ -31,6 +33,19 @@ class TestClusterBuilder:
         system = build_system("mantle", "quick", num_learners=2)
         assert system.config.num_learners == 2
         assert len(system.index_group.learner_ids()) == 2
+        system.shutdown()
+
+    def test_mantle_keeps_its_configs_cost_model(self):
+        fast_wire = CostModel().copy(net_one_way_us=15.0)
+        system = build_system("mantle", "quick",
+                              config=MantleConfig(costs=fast_wire))
+        assert system.costs.net_one_way_us == 15.0
+        system.shutdown()
+        # An explicit cost model still wins over the config's.
+        system = build_system("mantle", "quick",
+                              config=MantleConfig(costs=fast_wire),
+                              costs=CostModel())
+        assert system.costs.net_one_way_us == CostModel().net_one_way_us
         system.shutdown()
 
     def test_tectonic_gets_extra_db_servers(self):

@@ -18,7 +18,7 @@ from repro.bench.analyze import (
     primary_phase,
     segment_run,
 )
-from repro.experiments.base import mdtest_run
+from repro.experiments.base import Case, run_case
 from repro.sim.telemetry import DIGEST_ALPHA, latency_digests
 from tests.oracle import AllHeapSimulator
 
@@ -27,9 +27,9 @@ import math
 
 def _storm(clients: int = 48, items: int = 8):
     """A shared-directory mkdir storm — the fig14 '-s' regime."""
-    record = mdtest_run("mantle", "mkdir",
-                        ("tracer", "keeper", "telemetry", "phases"),
-                        mode="shared", clients=clients, items=items)
+    record = run_case(Case("mkdir-s", "mantle", "mkdir", "shared"), "quick",
+                      ("tracer", "keeper", "telemetry", "phases"),
+                      clients=clients, items=items)
     return record.metrics, record.tracer, record.telemetry, record.phases
 
 
@@ -118,12 +118,10 @@ class TestSegmentationKernelIndependence:
         assert _phase_dump(product) == _phase_dump(oracle)
 
     def test_digests_do_not_change_simulated_results(self, monkeypatch):
-        from repro.experiments.base import mdtest_metrics
-
         monkeypatch.delenv("MANTLE_TELEMETRY", raising=False)
         monkeypatch.delenv("MANTLE_TRACE", raising=False)
-        plain = mdtest_metrics("mantle", "mkdir", mode="shared",
-                               clients=24, items=6)
+        plain = run_case(Case("mkdir-s", "mantle", "mkdir", "shared"),
+                         "quick", clients=24, items=6).metrics
         instrumented, _tracer, _tel, _phases = _storm(clients=24, items=6)
         assert instrumented.ops_completed == plain.ops_completed
         assert instrumented.retries == plain.retries

@@ -17,7 +17,6 @@ from repro.experiments.exportutil import (
     write_json_payload,
 )
 from repro.experiments.explain import (
-    CASES,
     diff_table,
     explain,
     reconcile_cpu,
@@ -63,11 +62,11 @@ class TestCaseResolution:
             resolve_cases("fig99")
 
     def test_every_case_op_is_a_real_mdtest_op(self):
-        from repro.experiments.explain import MULTITENANT
+        from repro.experiments.explain import MULTITENANT, targets
         from repro.workloads.mdtest import OPS
 
-        for target, cases in CASES.items():
-            for case in cases:
+        for target in targets():
+            for case in resolve_cases(target):
                 assert case.op in OPS or target == MULTITENANT
 
     def test_systems_narrow_and_order_a_figures_cases(self):

@@ -13,8 +13,18 @@ import pytest
 import repro
 from repro.bench.report import Table
 from repro.experiments import REGISTRY, get_experiment, list_experiments
-from repro.experiments.base import Claim
+from repro.core.config import MantleConfig
+from repro.experiments import (
+    fig12_read_throughput as fig12,
+    fig14_dirmod_throughput as fig14,
+    fig15_dirmod_breakdown as fig15,
+    fig19_scalability as fig19,
+    table1_rtts as table1,
+)
+from repro.experiments.base import (Case, Claim, map_points,
+                                    saturation_point)
 from repro.experiments.cli import main
+from repro.experiments.explain import resolve_cases, targets
 from repro.experiments.runner import ExperimentOutcome, wallclock_table
 
 
@@ -138,6 +148,41 @@ class TestClaims:
                                     Claim("y > 1", 2.0, True)])
         assert not outcome.ok
         assert wallclock_table([outcome]).rows[0][-1] == "claims failed: 1"
+
+
+class TestCases:
+    """Sweep points are data: each exhibit declares its ``Case`` s once and
+    ``explain``/``whatif`` find a figure's cases through the registry."""
+
+    def test_targets(self):
+        assert targets() == [
+            "fig12", "fig14", "fig15", "fig19", "multitenant", "table1",
+            "create", "delete", "objstat", "dirstat", "readdir", "mkdir",
+            "rmdir", "dirrename"]
+
+    @pytest.mark.parametrize("target, cases", [
+        ("fig12", fig12.CASES), ("fig14", fig14.CASES),
+        ("fig19", fig19.CLIENT_CASES)])
+    def test_a_figures_knee_is_some_of_its_cases(self, target, cases):
+        knee = resolve_cases(target)
+        assert knee and all(case in cases for case in knee)
+        assert len(knee) < len(cases)
+
+    @pytest.mark.parametrize("target, cases", [
+        ("fig15", fig15.CASES), ("table1", table1.CASES)])
+    def test_a_traced_exhibit_explains_every_case(self, target, cases):
+        assert tuple(resolve_cases(target)) == cases
+
+    def test_map_points_pool_matches_serial(self):
+        """Cases (one carrying a config) cross the worker pool intact."""
+        points = [(Case("tectonic objstat", "tectonic", "objstat",
+                        clients=(6, 6), items=(3, 3)), "quick"),
+                  (Case("mantle objstat", "mantle", "objstat",
+                        clients=(6, 6), items=(3, 3),
+                        config=MantleConfig(enable_follower_read=False)),
+                   "quick")]
+        serial = map_points(saturation_point, points)
+        assert map_points(saturation_point, points, jobs=2) == serial
 
 
 class TestCli:

@@ -6,11 +6,10 @@ import json
 
 import pytest
 
-from repro.experiments.base import RunRecord, mdtest_run, op_aggregate
+from repro.experiments.base import Case, RunRecord, op_aggregate, run_case
 from repro.experiments.cli import main as cli_main
 from repro.experiments.explain import (
     AGREEMENT_TOLERANCE,
-    Case,
     agreement_table,
     breakdown_table,
 )
@@ -45,15 +44,14 @@ PINNED_PHASE_MEANS = {
 }
 
 
-def _artifact(system, op, **kwargs):
-    return (Case(f"{op}/{system}", system, op),
-            mdtest_run(system, op, ("tracer",), **kwargs))
+def _artifact(case):
+    return case, run_case(case, "quick", ("tracer",), clients=8, items=4)
 
 
 def test_span_and_metric_derivations_agree_within_tolerance():
     artifacts = [
-        _artifact("mantle", "mkdir", clients=8, items=4),
-        _artifact("infinifs", "objstat", clients=8, items=4, depth=6),
+        _artifact(Case("mkdir/mantle", "mantle", "mkdir")),
+        _artifact(Case("objstat/infinifs", "infinifs", "objstat", depth=6)),
     ]
     table, worst = agreement_table(artifacts)
     assert worst <= AGREEMENT_TOLERANCE
@@ -80,8 +78,8 @@ def test_cli_trace_subcommand_writes_valid_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("system, op, depth", list(PINNED_PHASE_MEANS))
 def test_phase_means_match_the_pinned_values(system, op, depth):
-    record = mdtest_run(system, op, ("tracer",), clients=8, items=3,
-                        depth=depth)
+    record = run_case(Case(op, system, op, depth=depth), "quick",
+                      ("tracer",), clients=8, items=3)
     agg = op_aggregate(record, op)
     assert (agg.mean_phase_us(PHASE_LOOKUP),
             agg.mean_phase_us(PHASE_EXECUTION)) == \

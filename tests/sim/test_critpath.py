@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.experiments.base import mdtest_metrics, mdtest_run
+from repro.experiments.base import Case, run_case
 from repro.sim.core import Simulator
 from repro.sim.critpath import (
     UNKNOWN_CULPRIT,
@@ -380,11 +380,9 @@ class TestPayloadAndValidator:
         assert any("centers" in p for p in validate_critpath(payload))
 
 
-def _traced_run(op="mkdir", **kw):
-    kw.setdefault("mode", "shared")
-    kw.setdefault("clients", 8)
-    kw.setdefault("items", 4)
-    record = mdtest_run("mantle", op, ("tracer", "telemetry"), **kw)
+def _traced_run(op="mkdir", mode="shared", clients=8, items=4, depth=10):
+    record = run_case(Case(op, "mantle", op, mode, depth=depth), "quick",
+                      ("tracer", "telemetry"), clients=clients, items=items)
     return record.metrics, record.tracer, record.telemetry
 
 
@@ -441,8 +439,8 @@ class TestClusterInvariants:
         assert product == oracle
 
     def test_tracing_is_pure_bookkeeping(self):
-        plain = mdtest_metrics("mantle", "mkdir", mode="shared",
-                               clients=8, items=4)
+        plain = run_case(Case("mkdir", "mantle", "mkdir", "shared"),
+                         "quick", clients=8, items=4).metrics
         traced, _tracer, _t = _traced_run()
         assert plain.mean_latency_us("mkdir") == \
             traced.mean_latency_us("mkdir")

@@ -19,7 +19,7 @@ import pytest
 
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
-from repro.experiments.base import mdtest_metrics, mdtest_run
+from repro.experiments.base import Case, run_case
 from repro.sim.profile import (
     UNATTRIBUTED_FRAME,
     build_profile,
@@ -205,8 +205,9 @@ class TestDiffProfiles:
 
 
 def _profiled_run(clients=8, items=4, depth=6):
-    record = mdtest_run("mantle", "objstat", ("tracer", "telemetry"),
-                        clients=clients, items=items, depth=depth)
+    record = run_case(Case("objstat", "mantle", "objstat", depth=depth),
+                      "quick", ("tracer", "telemetry"), clients=clients,
+                      items=items)
     return record.metrics, record.tracer, record.telemetry
 
 
@@ -254,8 +255,8 @@ def _fingerprint(metrics):
 
 class TestProfilingIsPureBookkeeping:
     def test_results_bit_identical_profiling_on_vs_off(self):
-        plain = mdtest_metrics("mantle", "objstat", clients=8, items=4,
-                               depth=6)
+        plain = run_case(Case("objstat", "mantle", "objstat", depth=6),
+                         "quick", clients=8, items=4).metrics
         profiled, _tracer, _telemetry = _profiled_run()
         assert _fingerprint(plain) == _fingerprint(profiled)
 
@@ -274,7 +275,7 @@ class TestProfilingIsPureBookkeeping:
         finally:
             system.shutdown()
         monkeypatch.delenv("MANTLE_TRACE")
-        plain = mdtest_metrics("mantle", "objstat", clients=8, items=4,
-                               depth=6)
+        plain = run_case(Case("objstat", "mantle", "objstat", depth=6),
+                         "quick", clients=8, items=4).metrics
         assert _fingerprint(metrics) == _fingerprint(plain)
         assert profile.conservation_error() < 1e-12

@@ -22,7 +22,8 @@ import pytest
 
 from repro.bench.cluster import build_system
 from repro.bench.harness import run_workload
-from repro.experiments.explain import CASES, run_case
+from repro.experiments.base import run_case
+from repro.experiments.fig15_dirmod_breakdown import CASES
 from repro.runtime import obs
 from repro.runtime.client import LiveClient
 from repro.runtime.live import InProcessCluster
@@ -235,7 +236,7 @@ class TestSimulatedRuns:
         assert_op_fold_matches(tracer)
 
     def test_fig15_shared_dirrename_op_fold(self):
-        (case,) = [case for case in CASES["fig15"]
+        (case,) = [case for case in CASES
                    if case.label == "dirrename-s/infinifs"]
         tracer = run_case(case, "quick", ("tracer",)).tracer
         assert tracer.finished > 30_000
