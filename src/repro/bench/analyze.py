@@ -21,13 +21,13 @@ Scores, all in [0, 1]:
 * ``contention`` — max of the TafDB abort ratio (aborts / outcomes, from
   the per-window ``tafdb.*`` counters) and the op retry ratio.
 
-Since PR 10 a run is no longer scored as one homogeneous blob: when
-windowed telemetry exists, :func:`segment_run` change-point-segments the
-busy-fraction / latency-digest timelines into labeled phases (warmup /
-steady / burst / saturated / drain), each with its own Verdict, and
-:func:`classify_run` reports the *primary* phase (longest saturated,
-else longest steady, ...).  The fixed middle-half :func:`steady_window`
-survives only as the fallback for runs without windowed telemetry.
+A run with windowed telemetry is not scored as one homogeneous blob:
+:func:`segment_run` change-point-segments the busy-fraction /
+latency-digest timelines into labeled phases (warmup / steady / burst /
+saturated / drain), each with its own Verdict, and :func:`classify_run`
+reports the *primary* phase (longest saturated, else longest steady,
+...).  A run without windowed telemetry is scored over the fixed
+middle-half :func:`steady_window`.
 
 The classifier itself is pure arithmetic over these numbers, so it is
 unit-testable on synthetic timelines and bit-deterministic across
@@ -37,9 +37,9 @@ kernels (every input derives from simulated time only).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.sim.telemetry import _bucket_quantile, latency_digests
+from repro.sim.telemetry import Sketch, latency_digests, window_sketches
 
 #: A score must clear this to pin the run on one resource.
 DEFAULT_THRESHOLD = 0.5
@@ -204,9 +204,9 @@ def classify_run(system, metrics, telemetry=None,
 
     When windowed telemetry exists the run is phase-segmented
     (:func:`segment_run`) and the verdict of the :func:`primary_phase`
-    is returned — so a burst tacked onto a quiet run no longer dilutes
-    (or is diluted by) the steady state.  Without windowed telemetry
-    the legacy fixed middle-half window applies.
+    is returned — so a burst tacked onto a quiet run does not dilute (or
+    get diluted by) the steady state.  Without windowed telemetry the
+    run is scored over the middle-half :func:`steady_window`.
     """
     if telemetry is None:
         telemetry = system.sim.telemetry
@@ -219,7 +219,7 @@ def classify_run(system, metrics, telemetry=None,
     return _verdict_over(system, metrics, telemetry, lo, hi, threshold)
 
 
-# -- phase segmentation (PR 10) ---------------------------------------------
+# -- phase segmentation -----------------------------------------------------
 #
 # A run's telemetry windows are summarised into one feature vector per
 # window -- (max host busy-fraction, op completion rate, p99 latency) --
@@ -279,16 +279,18 @@ class Phase:
                 f"busy={self.busy:.2f} -> {self.verdict.describe()}")
 
 
-def phase_features(telemetry, started_us: float,
+def phase_features(telemetry, sketches: Dict[int, Sketch],
+                   started_us: float,
                    finished_us: float) -> List[Dict[str, float]]:
     """One feature row per telemetry window overlapping the run.
 
     Rows are ``{"lo", "hi", "busy", "rate", "p99"}`` with lo/hi clipped
     to ``[started_us, finished_us)``; ``busy`` is the max over hosts and
     over cpu/disk of the busy fraction, ``rate`` is op completions per
-    microsecond (from the latency digests), ``p99`` the merged-digest
-    per-window p99.  Empty when the registry has no windowed data (the
-    caller falls back to the middle-half window).
+    microsecond and ``p99`` the per-window p99, both from ``sketches``
+    (the latency digests merged per window).  Empty when the registry
+    has no windowed data (the caller falls back to the middle-half
+    window).
     """
     w = float(getattr(telemetry, "window_us", 0.0) or 0.0)
     if w <= 0 or finished_us <= started_us:
@@ -297,8 +299,7 @@ def phase_features(telemetry, started_us: float,
     for metric in ("host.cpu_busy_us", "host.disk_busy_us"):
         for host in telemetry.hosts(metric):
             busy_counters.append(telemetry.counter(metric, host))
-    digests = [digest for _op, digest in latency_digests(telemetry)]
-    if not busy_counters and not digests:
+    if not busy_counters and not sketches:
         return []
     rows: List[Dict[str, float]] = []
     for idx in range(int(started_us // w), int(finished_us // w) + 1):
@@ -313,21 +314,13 @@ def phase_features(telemetry, started_us: float,
             frac = min(1.0, value / ((hi - lo) * capacity))
             if frac > busy:
                 busy = frac
-        count = 0
-        merged: Dict[int, int] = {}
-        for digest in digests:
-            cell = digest.windows.get(idx)
-            if cell is None:
-                continue
-            count += cell[1]
-            for b, c in cell[0].items():
-                merged[b] = merged.get(b, 0) + c
+        sketch = sketches.get(idx) or Sketch()
         rows.append({
             "lo": lo,
             "hi": hi,
             "busy": busy,
-            "rate": count / (hi - lo),
-            "p99": _bucket_quantile(merged, 0.99) if merged else 0.0,
+            "rate": sketch.total / (hi - lo),
+            "p99": sketch.quantile(0.99),
         })
     return rows
 
@@ -449,7 +442,9 @@ def segment_run(system, metrics, telemetry=None,
     if telemetry is None:
         telemetry = system.sim.telemetry
     telemetry.finalize(system.sim.now)
-    feats = phase_features(telemetry, metrics.started_at,
+    sketches = window_sketches(
+        digest for _op, digest in latency_digests(telemetry))
+    feats = phase_features(telemetry, sketches, metrics.started_at,
                            metrics.finished_at)
     if not feats:
         return []
@@ -475,20 +470,17 @@ def segment_run(system, metrics, telemetry=None,
             if weights > 0 else 0.0)
         op_counts.append(int(round(ops)))
     labels = _label_segments(busy_means, rate_means, p99_means)
-    digests = [digest for _op, digest in latency_digests(telemetry)]
+    w = telemetry.window_us
     phases: List[Phase] = []
     for seg, label, busy, rate, ops in zip(bounds, labels, busy_means,
                                            rate_means, op_counts):
         i, j = seg
         lo = feats[i]["lo"]
         hi = feats[j - 1]["hi"]
-        merged: Dict[int, int] = {}
-        for digest in digests:
-            w = digest.window_us
-            for idx, cell in digest.windows.items():
-                if idx * w + w > lo and idx * w < hi:
-                    for b, c in cell[0].items():
-                        merged[b] = merged.get(b, 0) + c
+        merged = Sketch()
+        for idx, sketch in sketches.items():
+            if idx * w + w > lo and idx * w < hi:
+                merged.merge(sketch)
         phases.append(Phase(
             label=label,
             window=(lo, hi),
@@ -496,7 +488,7 @@ def segment_run(system, metrics, telemetry=None,
                                   threshold),
             busy=busy,
             rate_per_s=rate * 1e6,
-            p99_us=_bucket_quantile(merged, 0.99) if merged else 0.0,
+            p99_us=merged.quantile(0.99),
             ops=ops,
         ))
     return phases
@@ -534,18 +526,10 @@ def utilization_series(counter) -> list:
 def latency_p99_series(telemetry, q: float = 0.99) -> list:
     """``[(window_start_us, p-quantile latency us)]`` merged across every
     per-op completion-latency digest in the registry."""
-    merged: Dict[int, Dict[int, int]] = {}
-    w = None
-    for _op, digest in latency_digests(telemetry):
-        w = digest.window_us
-        for idx, cell in digest.windows.items():
-            bucket = merged.setdefault(idx, {})
-            for b, c in cell[0].items():
-                bucket[b] = bucket.get(b, 0) + c
-    if w is None:
-        return []
-    return [(idx * w, _bucket_quantile(merged[idx], q))
-            for idx in sorted(merged)]
+    sketches = window_sketches(
+        digest for _op, digest in latency_digests(telemetry))
+    w = telemetry.window_us
+    return [(idx * w, sketches[idx].quantile(q)) for idx in sorted(sketches)]
 
 
 def hit_ratio_series(telemetry, hits_metric: str = "index.cache_hits",

@@ -92,15 +92,13 @@ from repro.sim.profile import (
 from repro.sim.stats import MetricSet
 from repro.sim.telemetry import sparkline, validate_rows
 from repro.sim.trace import (
-    NONEMPTY,
     SpanIndex,
     category_summary,
-    check_shape,
     export_chrome_trace,
-    shape_items,
     trace_stats,
     validate_chrome_trace,
 )
+from repro.tools.shape import NONEMPTY, check_shape, shape_items
 from repro.workloads.mdtest import OPS
 
 #: Max relative disagreement between span-derived and metric-derived

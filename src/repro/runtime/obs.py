@@ -45,12 +45,12 @@ from repro.sim.trace import (
     EDGE_REMOTE,
     Span,
     SpanIndex,
-    check_shape,
     chrome_trace_events,
     span_from_jsonable,
     span_to_jsonable,
     trace_stats,
 )
+from repro.tools.shape import check_shape
 
 #: Snapshot schema version; bump on incompatible payload changes.
 SNAPSHOT_VERSION = 1

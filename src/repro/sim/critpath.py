@@ -73,7 +73,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.sim.host import COMPONENT_FIELDS, CostOverrides
-from repro.sim.trace import CAT_OP, Span, SpanIndex, check_shape, shape_items
+from repro.sim.trace import CAT_OP, Span, SpanIndex
+from repro.tools.shape import check_shape, shape_items
 
 #: Occupant tag used when a queue segment carries no ``queue_by`` entry
 #: (unlabelled holder, float-dust residuals).

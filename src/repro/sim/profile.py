@@ -34,13 +34,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.trace import (
-    CAT_OP,
-    NONEMPTY,
-    SpanIndex,
-    check_shape,
-    shape_items,
-)
+from repro.sim.trace import CAT_OP, SpanIndex
+from repro.tools.shape import NONEMPTY, check_shape, shape_items
 
 #: Every cost kind a charge can carry, plus the derived residual.
 COST_KINDS = ("cpu", "fsync", "wire", "queue", "idle")

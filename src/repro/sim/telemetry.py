@@ -15,11 +15,13 @@ into fixed windows of simulated microseconds (default 10 ms sim):
   exact regardless of how irregularly the value changes.
 * :class:`Histogram` — per-window count/sum/max of point samples (Raft
   batch sizes, apply lag, RPC latency, resource queue waits).
-* :class:`Digest` — a per-window mergeable quantile sketch (log-spaced
-  buckets, DDSketch layout) of point samples, used for per-op-type
-  completion latencies: p50/p99/p999 are recoverable per window, over
-  any window range, or across processes after :meth:`Digest.merge`,
-  with relative error bounded by :data:`DIGEST_ALPHA`.
+* :class:`Digest` — a histogram whose windows also keep a mergeable
+  quantile :class:`Sketch` (log-spaced buckets, DDSketch layout), used
+  for per-op-type completion latencies: p50/p99/p999 are recoverable per
+  window, across the digests :func:`window_sketches` merges, or across
+  processes after :meth:`Digest.merge`, with relative error bounded by
+  :data:`DIGEST_ALPHA`.  The same :class:`Sketch` backs the tracer's
+  tail-keep thresholds.
 
 Mirroring the tracer's on/off design, the disabled registry is a shared
 no-op singleton (:data:`NULL_TELEMETRY`); every instrumentation site
@@ -38,12 +40,13 @@ with ``MANTLE_TELEMETRY=1``, or attach to a live simulator::
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.trace import check_shape
+from repro.tools.shape import check_shape
 
 #: Default sampling window: 10 ms of simulated time.
 DEFAULT_WINDOW_US = 10_000.0
@@ -132,19 +135,6 @@ class Counter:
         w = self.window_us
         return [(idx * w, self.windows[idx]) for idx in sorted(self.windows)]
 
-    def sum_over(self, lo: Optional[float] = None,
-                 hi: Optional[float] = None) -> float:
-        """Total over windows intersecting ``[lo, hi)`` (whole run if None)."""
-        if lo is None and hi is None:
-            return self.total
-        w = self.window_us
-        total = 0.0
-        for idx, val in self.windows.items():
-            start = idx * w
-            if (lo is None or start + w > lo) and (hi is None or start < hi):
-                total += val
-        return total
-
     def sum_clipped(self, lo: float, hi: float) -> float:
         """Total over ``[lo, hi)``, prorating windows that only partially
         overlap (assumes increments are uniform within a window)."""
@@ -166,7 +156,7 @@ class Gauge:
     kind = "gauge"
 
     __slots__ = ("name", "host", "capacity", "window_us", "windows",
-                 "value", "peak", "_last_us")
+                 "value", "_last_us")
 
     def __init__(self, name: str, host: Optional[str], window_us: float,
                  capacity: float = 0.0):
@@ -177,7 +167,6 @@ class Gauge:
         #: window index -> [value*dt integral, observed dt, max value].
         self.windows: Dict[int, List[float]] = {}
         self.value = 0.0
-        self.peak = 0.0
         self._last_us: Optional[float] = None
 
     def _observe(self, idx: int, vdt: float, dt: float, level: float) -> None:
@@ -189,8 +178,6 @@ class Gauge:
             cell[1] += dt
             if level > cell[2]:
                 cell[2] = level
-        if level > self.peak:
-            self.peak = level
 
     def _advance(self, now: float) -> None:
         last = self._last_us
@@ -252,8 +239,7 @@ class Histogram:
 
     kind = "histogram"
 
-    __slots__ = ("name", "host", "capacity", "window_us", "windows",
-                 "total_count", "total_sum", "max_value")
+    __slots__ = ("name", "host", "capacity", "window_us", "windows")
 
     def __init__(self, name: str, host: Optional[str], window_us: float,
                  capacity: float = 0.0):
@@ -262,10 +248,7 @@ class Histogram:
         self.capacity = capacity
         self.window_us = window_us
         #: window index -> [count, sum, max].
-        self.windows: Dict[int, List[float]] = {}
-        self.total_count = 0
-        self.total_sum = 0.0
-        self.max_value = 0.0
+        self.windows: Dict[int, List[Any]] = {}
 
     def record(self, now: float, value: float) -> None:
         idx = int(now // self.window_us)
@@ -277,37 +260,6 @@ class Histogram:
             cell[1] += value
             if value > cell[2]:
                 cell[2] = value
-        self.total_count += 1
-        self.total_sum += value
-        if value > self.max_value:
-            self.max_value = value
-
-    @property
-    def mean(self) -> float:
-        return self.total_sum / self.total_count if self.total_count else 0.0
-
-    def series(self) -> List[Tuple[float, float, int]]:
-        """``[(window_start_us, per-window mean, count)]``."""
-        w = self.window_us
-        out = []
-        for idx in sorted(self.windows):
-            count, total, _mx = self.windows[idx]
-            out.append((idx * w, total / count if count else 0.0, int(count)))
-        return out
-
-    def stats_over(self, lo: Optional[float] = None,
-                   hi: Optional[float] = None) -> Tuple[int, float, float]:
-        """``(count, sum, max)`` over windows intersecting ``[lo, hi)``."""
-        w = self.window_us
-        count, total, mx = 0, 0.0, 0.0
-        for idx, (c, s, m) in self.windows.items():
-            start = idx * w
-            if (lo is None or start + w > lo) and (hi is None or start < hi):
-                count += int(c)
-                total += s
-                if m > mx:
-                    mx = m
-        return count, total, mx
 
 
 def digest_bucket(value: float) -> int:
@@ -337,120 +289,110 @@ def digest_bucket_value(index: int) -> float:
         / (_DIGEST_GAMMA + 1.0)
 
 
-def _bucket_quantile(buckets: Dict[int, int], q: float) -> float:
-    """Quantile over one bucket->count map (integer-rank walk)."""
-    n = sum(buckets.values())
-    if n == 0:
-        return 0.0
-    rank = max(0, int(math.ceil(q * n)) - 1)
-    cum = 0
-    for idx in sorted(buckets):
-        cum += buckets[idx]
-        if cum > rank:
-            return digest_bucket_value(idx)
-    return digest_bucket_value(max(buckets))
+class Sketch:
+    """Sample counts per :func:`digest_bucket` — the one bucket map behind
+    the latency digests, the phase p99s and the tracer's tail-keep
+    thresholds.
+
+    Merging is bucket-count addition: associative, commutative and exactly
+    order-independent.  Keys stay sorted, so :meth:`items` is the
+    ascending wire form and :meth:`quantile` walks down from the largest
+    bucket: a tail quantile is a few steps from the top, and the keeper
+    asks for one per finished root.
+    """
+
+    __slots__ = ("counts", "keys", "total")
+
+    def __init__(self, items: Iterable[Tuple[int, int]] = ()):
+        counts: Dict[int, int] = {}
+        for bucket, count in items:
+            counts[bucket] = counts.get(bucket, 0) + count
+        #: bucket index -> samples in it.
+        self.counts = counts
+        #: the bucket indexes in ``counts``, ascending.
+        self.keys = sorted(counts)
+        self.total = sum(counts.values())
+
+    def record(self, value: float) -> None:
+        bucket = digest_bucket(value)
+        count = self.counts.get(bucket)
+        if count is None:
+            self.counts[bucket] = 1
+            bisect.insort(self.keys, bucket)
+        else:
+            self.counts[bucket] = count + 1
+        self.total += 1
+
+    def merge(self, other: "Sketch") -> None:
+        """Add another sketch's bucket counts to this one."""
+        counts = self.counts
+        for bucket, count in other.counts.items():
+            counts[bucket] = counts.get(bucket, 0) + count
+        self.keys = sorted(counts)
+        self.total += other.total
+
+    def items(self) -> List[Tuple[int, int]]:
+        """``[(bucket, count)]`` in ascending bucket order."""
+        counts = self.counts
+        return [(bucket, counts[bucket]) for bucket in self.keys]
+
+    def quantile(self, q: float) -> float:
+        """The sample at integer rank ``ceil(q * total) - 1``, within
+        :data:`DIGEST_ALPHA` of the true one; 0.0 when empty."""
+        total = self.total
+        if not total:
+            return 0.0
+        # The lowest bucket whose cumulative count exceeds the rank is the
+        # lowest one with fewer than ``total - rank`` samples above it.
+        need = total - max(0, int(math.ceil(q * total)) - 1)
+        above = 0
+        counts = self.counts
+        keys = self.keys
+        i = len(keys) - 1
+        while i > 0 and above + counts[keys[i]] < need:
+            above += counts[keys[i]]
+            i -= 1
+        return digest_bucket_value(keys[i])
 
 
-class Digest:
-    """Per-window mergeable quantile sketch of point samples.
+class Digest(Histogram):
+    """A :class:`Histogram` whose windows also keep a :class:`Sketch`.
 
-    Samples land in log-spaced buckets (:func:`digest_bucket`), so any
-    quantile is recoverable per window — or over any union of windows,
-    or across digests merged from other processes — with relative error
-    at most :data:`DIGEST_ALPHA`.  Merging is bucket-count addition:
-    associative, commutative, and exactly order-independent, which is
-    what makes p50/p99/p999 timelines export byte-identically however
-    the windows were accumulated.
+    A window is ``[sketch, sum, max]``; the sketch carries its count.
+    Any quantile is recoverable per window, or across digests merged
+    here or from other processes, with relative error at most
+    :data:`DIGEST_ALPHA`; bucket addition makes p50/p99/p999 timelines
+    export byte-identically however the windows were accumulated.
     """
 
     kind = "digest"
 
-    __slots__ = ("name", "host", "capacity", "window_us", "windows",
-                 "total_count", "total_sum", "max_value")
-
-    def __init__(self, name: str, host: Optional[str], window_us: float,
-                 capacity: float = 0.0):
-        self.name = name
-        self.host = host
-        self.capacity = capacity
-        self.window_us = window_us
-        #: window index -> [bucket->count map, count, sum, max].
-        self.windows: Dict[int, List[Any]] = {}
-        self.total_count = 0
-        self.total_sum = 0.0
-        self.max_value = 0.0
+    __slots__ = ()
 
     def record(self, now: float, value: float) -> None:
         idx = int(now // self.window_us)
         cell = self.windows.get(idx)
         if cell is None:
-            cell = self.windows[idx] = [{}, 0, 0.0, 0.0]
-        buckets = cell[0]
-        b = digest_bucket(value)
-        buckets[b] = buckets.get(b, 0) + 1
-        cell[1] += 1
-        cell[2] += value
-        if value > cell[3]:
-            cell[3] = value
-        self.total_count += 1
-        self.total_sum += value
-        if value > self.max_value:
-            self.max_value = value
+            cell = self.windows[idx] = [Sketch(), 0.0, value]
+        elif value > cell[2]:
+            cell[2] = value
+        cell[0].record(value)
+        cell[1] += value
 
     def merge(self, other: "Digest") -> None:
         """Fold another digest's windows into this one (bucket addition)."""
-        for idx, (buckets, count, total, mx) in other.windows.items():
+        for idx, (sketch, total, mx) in other.windows.items():
             cell = self.windows.get(idx)
             if cell is None:
-                cell = self.windows[idx] = [{}, 0, 0.0, 0.0]
-            mine = cell[0]
-            for b, c in buckets.items():
-                mine[b] = mine.get(b, 0) + c
-            cell[1] += count
-            cell[2] += total
-            if mx > cell[3]:
-                cell[3] = mx
-        self.total_count += other.total_count
-        self.total_sum += other.total_sum
-        if other.max_value > self.max_value:
-            self.max_value = other.max_value
+                cell = self.windows[idx] = [Sketch(), 0.0, mx]
+            elif mx > cell[2]:
+                cell[2] = mx
+            cell[0].merge(sketch)
+            cell[1] += total
 
-    def quantile(self, q: float, lo: Optional[float] = None,
-                 hi: Optional[float] = None) -> float:
-        """Quantile over windows intersecting ``[lo, hi)`` (whole run if
-        None), within :data:`DIGEST_ALPHA` of the true sample quantile."""
-        if lo is None and hi is None and len(self.windows) == 1:
-            # One window needs no merged copy (a TailKeeper asks per op).
-            (cell,) = self.windows.values()
-            return _bucket_quantile(cell[0], q)
-        w = self.window_us
-        merged: Dict[int, int] = {}
-        for idx, (buckets, _c, _s, _m) in self.windows.items():
-            start = idx * w
-            if (lo is None or start + w > lo) and (hi is None or start < hi):
-                for b, c in buckets.items():
-                    merged[b] = merged.get(b, 0) + c
-        return _bucket_quantile(merged, q)
-
-    def count_over(self, lo: Optional[float] = None,
-                   hi: Optional[float] = None) -> int:
-        """Sample count over windows intersecting ``[lo, hi)``."""
-        if lo is None and hi is None:
-            return self.total_count
-        w = self.window_us
-        count = 0
-        for idx, (_b, c, _s, _m) in self.windows.items():
-            start = idx * w
-            if (lo is None or start + w > lo) and (hi is None or start < hi):
-                count += c
-        return count
-
-    def series(self, q: float = 0.99) -> List[Tuple[float, float, int]]:
-        """``[(window_start_us, per-window quantile, count)]``."""
-        w = self.window_us
-        return [(idx * w, _bucket_quantile(self.windows[idx][0], q),
-                 int(self.windows[idx][1]))
-                for idx in sorted(self.windows)]
+    @property
+    def total_count(self) -> int:
+        return sum(cell[0].total for cell in self.windows.values())
 
     def to_jsonable(self) -> Dict[str, Any]:
         """Wire form for cross-process aggregation (obs snapshots)."""
@@ -462,9 +404,9 @@ class Digest:
             "min_value_us": DIGEST_MIN_VALUE_US,
             "windows": [
                 {"window_start_us": idx * self.window_us,
-                 "count": int(cell[1]), "sum": cell[2], "max": cell[3],
-                 "buckets": [[b, cell[0][b]] for b in sorted(cell[0])]}
-                for idx, cell in sorted(self.windows.items())],
+                 "count": sketch.total, "sum": total, "max": mx,
+                 "buckets": [[b, c] for b, c in sketch.items()]}
+                for idx, (sketch, total, mx) in sorted(self.windows.items())],
         }
 
 
@@ -473,17 +415,26 @@ def digest_from_jsonable(data: Dict[str, Any]) -> Digest:
     digest = Digest(data["metric"], data.get("host") or None,
                     float(data["window_us"]))
     for window in data.get("windows", ()):
-        idx = int(float(window["window_start_us"]) // digest.window_us)
-        buckets = {int(b): int(c) for b, c in window.get("buckets", ())}
-        count = int(window.get("count", 0))
-        total = float(window.get("sum", 0.0))
-        mx = float(window.get("max", 0.0))
-        digest.windows[idx] = [buckets, count, total, mx]
-        digest.total_count += count
-        digest.total_sum += total
-        if mx > digest.max_value:
-            digest.max_value = mx
+        # Round, not floor: ``idx * window_us / window_us`` can land just
+        # below ``idx`` (window 5 of a 333.3 us digest reads 4.999...).
+        idx = round(float(window["window_start_us"]) / digest.window_us)
+        sketch = Sketch((int(b), int(c)) for b, c in window.get("buckets", ()))
+        digest.windows[idx] = [sketch, float(window.get("sum", 0.0)),
+                               float(window.get("max", 0.0))]
     return digest
+
+
+def window_sketches(digests: Iterable[Digest]) -> Dict[int, Sketch]:
+    """Window index -> one sketch of every digest's samples in that window
+    (the digests share one window length)."""
+    merged: Dict[int, Sketch] = {}
+    for digest in digests:
+        for idx, cell in digest.windows.items():
+            sketch = merged.get(idx)
+            if sketch is None:
+                sketch = merged[idx] = Sketch()
+            sketch.merge(cell[0])
+    return merged
 
 
 def latency_digests(telemetry) -> List[Tuple[str, Digest]]:
@@ -574,10 +525,11 @@ class Telemetry:
     def export_rows(self, now: Optional[float] = None) -> List[Dict[str, Any]]:
         """One dict per (instrument, window), columns :data:`EXPORT_COLUMNS`.
 
-        ``value`` is the window sum (counter), time-weighted mean (gauge)
-        or sample mean (histogram); ``count`` is the observed microseconds
-        (gauge) or sample count (histogram); ``capacity`` is the
-        normalisation constant (cores for CPU busy counters) or 0.
+        ``value`` is the window sum (counter), time-weighted mean (gauge),
+        sample mean (histogram) or p99 (digest); ``count`` is the observed
+        microseconds (gauge) or sample count (histogram, digest);
+        ``capacity`` is the normalisation constant (cores for CPU busy
+        counters) or 0.
         """
         if now is not None:
             self.finalize(now)
@@ -593,8 +545,8 @@ class Telemetry:
                            for idx, c in sorted(inst.windows.items())]
             elif inst.kind == "digest":
                 w = inst.window_us
-                triples = [(idx * w, _bucket_quantile(c[0], 0.99),
-                            float(c[1]), c[3])
+                triples = [(idx * w, c[0].quantile(0.99),
+                            float(c[0].total), c[2])
                            for idx, c in sorted(inst.windows.items())]
             else:
                 w = inst.window_us

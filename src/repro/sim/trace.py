@@ -42,19 +42,19 @@ children into :class:`OpAggregate` as the op ends — the paper's per-phase
 tables, which need no ring (phases are recorded nowhere else).  The module
 also ships :class:`SpanIndex` — the one place span-tree edges are built,
 which every other fold reads — a Chrome-trace (``chrome://tracing`` /
-Perfetto JSON) exporter and :func:`check_shape`, the declarative checker
-behind every export validator.
+Perfetto JSON) exporter and its validator.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 from array import array
 from itertools import compress, islice, repeat
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
+
+from repro.sim.telemetry import Sketch
+from repro.tools.shape import check_shape, shape_items
 
 #: Span categories used by the built-in instrumentation.
 CAT_OP = "op"              #: one client-visible metadata operation (root)
@@ -362,50 +362,6 @@ DEFAULT_KEEP_QUANTILE = 0.99
 DEFAULT_KEEP_MIN_SAMPLES = 64
 
 
-class _DurationBuckets:
-    """One op type's root durations in :class:`~repro.sim.telemetry.Digest`
-    buckets, keys kept sorted as they first appear.
-
-    :meth:`quantile` equals ``Digest.quantile`` over the same samples (one
-    window), but walks down from the largest bucket instead of summing
-    and sorting every bucket: a tail quantile is a few steps from the top,
-    and the keeper asks for one per finished root.
-    """
-
-    __slots__ = ("counts", "keys", "total")
-
-    def __init__(self):
-        #: bucket index -> samples in it.
-        self.counts: Dict[int, int] = {}
-        #: the bucket indexes in ``counts``, ascending.
-        self.keys: List[int] = []
-        self.total = 0
-
-    def record(self, value: float) -> None:
-        b = _telemetry.digest_bucket(value)
-        count = self.counts.get(b)
-        if count is None:
-            self.counts[b] = 1
-            bisect.insort(self.keys, b)
-        else:
-            self.counts[b] = count + 1
-        self.total += 1
-
-    def quantile(self, q: float) -> float:
-        # The lowest bucket whose cumulative count exceeds the rank is the
-        # lowest one with fewer than ``total - rank`` samples above it.
-        rank = max(0, int(math.ceil(q * self.total)) - 1)
-        need = self.total - rank
-        above = 0
-        counts = self.counts
-        keys = self.keys
-        i = len(keys) - 1
-        while i > 0 and above + counts[keys[i]] < need:
-            above += counts[keys[i]]
-            i -= 1
-        return _telemetry.digest_bucket_value(keys[i])
-
-
 class TailKeeper:
     """Keep policy retaining whole span trees for tail/error exemplars.
 
@@ -413,8 +369,8 @@ class TailKeeper:
     root the keeper decides: keep the tree if the root errored, or if its
     duration reaches the op type's threshold — ``threshold_us`` when
     fixed, else the :data:`DEFAULT_KEEP_QUANTILE` of the op's own
-    durations in :class:`~repro.sim.telemetry.Digest` buckets (one
-    run-long window, so the threshold inherits the digest's error bound).
+    durations in one run-long :class:`~repro.sim.telemetry.Sketch`, so
+    the threshold inherits the latency digests' error bound.
     Until an op type has ``min_samples`` observations its roots are all
     kept — early stragglers are exactly the ones worth keeping, and the
     span ``budget`` bounds memory either way: once exceeded, the oldest
@@ -452,7 +408,7 @@ class TailKeeper:
         self._trees: Dict[int, List[Span]] = {}
         self._span_count = 0
         #: op name -> root durations feeding the adaptive thresholds.
-        self._durations: Dict[str, _DurationBuckets] = {}
+        self._durations: Dict[str, Sketch] = {}
 
     def op_threshold_us(self, op: str) -> Optional[float]:
         """Current keep threshold for an op type; ``None`` = keep all
@@ -472,7 +428,7 @@ class TailKeeper:
         if self.threshold_us is None:
             durations = self._durations.get(root.name)
             if durations is None:
-                durations = self._durations[root.name] = _DurationBuckets()
+                durations = self._durations[root.name] = Sketch()
             durations.record(root.duration_us)
         if not keep:
             return False
@@ -1489,104 +1445,6 @@ def export_chrome_trace(sections: Sequence[Tuple[str, Iterable[Span]]],
     return payload
 
 
-# ---------------------------------------------------------------------------
-# Export shape checking — the one declarative checker every ``validate_*``
-# in the repo calls; each format keeps only its invariants as code.
-# ---------------------------------------------------------------------------
-
-#: Marker in a list spec: the array must not be empty.
-NONEMPTY = "+"
-
-#: scalar spec -> (predicate, problem template over ``name``/``value``).
-_SCALAR_SHAPES = {
-    "any": (lambda v: v is not None, "missing {name}"),
-    "str": (lambda v: isinstance(v, str) and bool(v), "missing {name}"),
-    "text": (lambda v: isinstance(v, str), "missing {name}"),
-    "str?": (lambda v: v is None or isinstance(v, str),
-             "{name} must be a string or null"),
-    "int": (lambda v: isinstance(v, int), "{name} must be an int"),
-    "int>=0": (lambda v: isinstance(v, int) and v >= 0,
-               "{name} must be a non-negative int"),
-    "num": (lambda v: isinstance(v, (int, float)),
-            "bad {name} {value!r} (want a number)"),
-    "num>=0": (lambda v: isinstance(v, (int, float)) and v >= 0,
-               "bad {name} {value!r} (want a non-negative number)"),
-    "share": (lambda v: isinstance(v, (int, float)) and 0 <= v <= 1,
-              "bad {name} {value!r} (want a number in [0, 1])"),
-}
-
-
-def check_shape(value: Any, spec: Any,
-                what: str = "payload is not a JSON object",
-                where: str = "", name: str = "") -> List[str]:
-    """Check ``value`` against a declarative ``spec``; returns problems.
-
-    A spec is one of
-
-    * a dict ``{field: spec}`` — an object with at least those fields
-      (``"field?"`` is checked only when present; ``{}`` is any object),
-    * a list ``[spec]`` — an array of ``spec`` (``[]`` is any array;
-      :data:`NONEMPTY` as an extra element forbids the empty array),
-    * ``("enum", values[, word])`` / ``("enum?", values)`` — one of
-      ``values`` (or null); ``word`` replaces "unknown" in the problem,
-    * ``("const", value, problem)`` — exactly ``value``,
-    * a scalar name: ``any`` (present), ``str`` (non-empty), ``text``,
-      ``str?`` (string or null), ``int``, ``int>=0``, ``num``, ``num>=0``,
-      ``share`` (a number in [0, 1]).
-
-    ``what`` is the problem reported when the root is not an object.
-    Problems read ``<where>: <problem>`` where ``where`` is the enclosing
-    array element (``centers[3]``) and field names are dotted from there.
-    """
-    at = f"{where}: " if where else ""
-    if isinstance(spec, dict):
-        if not isinstance(value, dict):
-            return [f"{at}{name} must be an object" if name
-                    else f"{at}not an object" if where else what]
-        problems: List[str] = []
-        for field, sub in spec.items():
-            key = field.rstrip("?")
-            if key != field and key not in value:
-                continue
-            problems += check_shape(value.get(key), sub, what, where,
-                                    f"{name}.{key}" if name else key)
-        return problems
-    if isinstance(spec, list):
-        if not isinstance(value, list) or (NONEMPTY in spec and not value):
-            return [f"{at}missing {name} array" if name
-                    else f"{at}not a non-empty array"]
-        if not spec or spec[0] == NONEMPTY:
-            return []
-        inner = f"{where}.{name}" if where and name else where or name
-        return [problem for i, item in enumerate(value)
-                for problem in check_shape(item, spec[0], what,
-                                           f"{inner}[{i}]")]
-    label = name or "value"
-    if isinstance(spec, tuple):
-        kind, expected = spec[0], spec[1]
-        if kind == "const":
-            return [] if value == expected else [at + spec[2]]
-        if value in expected or (kind == "enum?" and value is None):
-            return []
-        word = spec[2] if len(spec) > 2 else "unknown"
-        return [f"{at}{word} {label} {value!r}"]
-    accepts, template = _SCALAR_SHAPES[spec]
-    if accepts(value):
-        return []
-    return [at + template.format(name=label, value=value)]
-
-
-def shape_items(payload: Any, field: str) -> List[Tuple[str, dict]]:
-    """``(where, element)`` per object in ``payload[field]`` — the walk
-    invariant checks share; whatever is not an object there has already
-    been reported by :func:`check_shape`."""
-    items = payload.get(field) if isinstance(payload, dict) else None
-    if not isinstance(items, list):
-        return []
-    return [(f"{field}[{i}]", item) for i, item in enumerate(items)
-            if isinstance(item, dict)]
-
-
 #: What ``chrome://tracing`` / Perfetto actually require: a ``traceEvents``
 #: array of objects with ``name``/``ph``/``pid``/``tid`` and ``args``
 #: objects where present ...
@@ -1609,9 +1467,3 @@ def validate_chrome_trace(payload: dict) -> List[str]:
             problems += check_shape(event, _COMPLETE_EVENT_SHAPE,
                                     where=where)
     return problems
-
-
-# Bottom import: telemetry imports this module's ``check_shape``, so it can
-# only load once everything above exists (``TailKeeper`` reads the digest
-# buckets at call time).
-from repro.sim import telemetry as _telemetry  # noqa: E402

@@ -70,6 +70,12 @@ names and trimmed docstrings); ``tests/sim/test_tracer_reference.py``
 drives both.  It pins what the ring keeps, not how, so it can be retired
 once a change to that (the ring's order or bound, or a span's fields) is
 due.
+
+The ascending bucket walk.  ``Sketch.quantile`` walks down from the
+largest bucket and claims it picks exactly the bucket the integer-rank
+walk up from the smallest one picks.  :func:`ref_bucket_quantile` is that
+walk; ``tests/sim/test_digest.py`` and the keeper's threshold test in
+``tests/sim/test_tailkeep.py`` are held to it.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ import collections
 import contextlib
 import dataclasses
 import itertools
+import math
 import random
 from heapq import heappop, heappush
 from types import MappingProxyType
@@ -105,6 +112,7 @@ from repro.sim.trace import (CAT_OP, CAT_PHASE, CAT_RPC, OpAggregate,
 from repro.sim.core import Simulator, Timeout
 from repro.sim.host import Host
 from repro.sim.network import Network
+from repro.sim.telemetry import digest_bucket_value
 from repro.tafdb.rows import Dirent, attr_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import AccessMeta, AttrMeta, EntryKind
@@ -1567,3 +1575,22 @@ class RefTracer:
         self._pending.clear()
         if self.keeper is not None:
             self.keeper.reset()
+
+
+# ---------------------------------------------------------------------------
+# The ascending integer-rank bucket walk (pre-``Sketch`` quantile).
+# ---------------------------------------------------------------------------
+
+def ref_bucket_quantile(counts: Dict[int, int], q: float) -> float:
+    """The first bucket, ascending, whose cumulative count exceeds rank
+    ``ceil(q * n) - 1``; 0.0 for an empty map."""
+    n = sum(counts.values())
+    if n == 0:
+        return 0.0
+    rank = max(0, int(math.ceil(q * n)) - 1)
+    cum = 0
+    for bucket in sorted(counts):
+        cum += counts[bucket]
+        if cum > rank:
+            return digest_bucket_value(bucket)
+    return digest_bucket_value(max(counts))

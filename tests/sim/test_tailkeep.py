@@ -8,12 +8,11 @@ trees, no matter how small the ring is, and that every keep/drop is
 accounted for in :func:`~repro.sim.trace.trace_stats`.
 """
 
-import math
 import random
 
 import pytest
 
-from repro.sim.telemetry import Digest
+from repro.sim.telemetry import digest_bucket
 from repro.sim.trace import (
     CAT_OP,
     CAT_PHASE,
@@ -22,6 +21,7 @@ from repro.sim.trace import (
     span_to_jsonable,
     trace_stats,
 )
+from tests.oracle import ref_bucket_quantile
 
 
 def _run_op(tracer: Tracer, name: str, start: float, duration: float,
@@ -137,9 +137,10 @@ class TestAdaptiveThreshold:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("quantile", [0.5, 0.99, 0.999])
     def test_threshold_equals_the_digest_quantile(self, seed, quantile):
-        """The keeper's incremental bucket walk reads exactly what
-        ``Digest.quantile`` reads over the same durations, per op type,
-        from the first root through the ``min_samples`` warm-up."""
+        """The keeper's threshold is exactly the integer-rank quantile of
+        the op type's digest buckets (the ascending reference walk), per
+        op type, from the first root through the ``min_samples``
+        warm-up."""
         rng = random.Random(seed)
         draws = {
             "objstat": lambda: rng.lognormvariate(5.0, 0.6),
@@ -149,21 +150,22 @@ class TestAdaptiveThreshold:
         }
         keeper = TailKeeper(quantile=quantile, min_samples=16)
         tracer = Tracer(max_spans=64, keeper=keeper)
-        digests = {op: Digest(op, None, math.inf) for op in draws}
+        buckets = {op: {} for op in draws}
         now = 0.0
         for _ in range(600):
             op = rng.choice(sorted(draws))
-            digest = digests[op]
-            want = (None if digest.total_count < keeper.min_samples
-                    else digest.quantile(quantile))
+            counts = buckets[op]
+            want = (None if sum(counts.values()) < keeper.min_samples
+                    else ref_bucket_quantile(counts, quantile))
             assert keeper.op_threshold_us(op) == want
             _run_op(tracer, op, now, draws[op](), children=0)
-            root = tracer.spans[-1]
-            digest.record(root.end_us, root.duration_us)
+            bucket = digest_bucket(tracer.spans[-1].duration_us)
+            counts[bucket] = counts.get(bucket, 0) + 1
             now += 5_000.0
-        for op, digest in digests.items():
-            assert digest.total_count > keeper.min_samples
-            assert keeper.op_threshold_us(op) == digest.quantile(quantile)
+        for op, counts in buckets.items():
+            assert sum(counts.values()) > keeper.min_samples
+            assert keeper.op_threshold_us(op) == \
+                ref_bucket_quantile(counts, quantile)
 
     def test_reset_clears_keeper_state(self):
         keeper = TailKeeper(threshold_us=1.0)

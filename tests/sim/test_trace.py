@@ -10,9 +10,6 @@ from repro.core.api import MantleClient
 from repro.core.config import MantleConfig
 from repro.errors import MetadataError
 from repro.sim.trace import (
-    NONEMPTY,
-    check_shape,
-    shape_items,
     NULL_SPAN,
     NULL_TRACER,
     OpAggregate,
@@ -22,6 +19,7 @@ from repro.sim.trace import (
     export_chrome_trace,
     validate_chrome_trace,
 )
+from repro.tools.shape import NONEMPTY, check_shape, shape_items
 from repro.workloads import MixedWorkload, build_namespace
 
 
