@@ -7,12 +7,12 @@ mutation workloads die of transaction conflicts rather than of any
 hardware limit.  This module turns a run's telemetry + metrics into that
 attribution automatically: each run is classified as **cpu-bound**,
 **fsync-bound**, **rpc-bound** or **contention-bound** when the dominant
-score clears a threshold in the steady-state window, else
+score clears a threshold over the scored window, else
 **underloaded**.
 
 Scores, all in [0, 1]:
 
-* ``cpu`` — max per-host CPU busy-fraction (time-clipped to the steady
+* ``cpu`` — max per-host CPU busy-fraction (time-clipped to the scored
   window, from the ``host.cpu_busy_us`` telemetry counter);
 * ``fsync`` — max per-host disk busy-fraction (``host.disk_busy_us``);
 * ``rpc`` — fraction of completed-op latency spent as network flight
@@ -21,13 +21,12 @@ Scores, all in [0, 1]:
 * ``contention`` — max of the TafDB abort ratio (aborts / outcomes, from
   the per-window ``tafdb.*`` counters) and the op retry ratio.
 
-A run with windowed telemetry is not scored as one homogeneous blob:
-:func:`segment_run` change-point-segments the busy-fraction /
-latency-digest timelines into labeled phases (warmup / steady / burst /
-saturated / drain), each with its own Verdict, and :func:`classify_run`
-reports the *primary* phase (longest saturated, else longest steady,
-...).  A run without windowed telemetry is scored over the fixed
-middle-half :func:`steady_window`.
+A run is not scored as one homogeneous blob: :func:`segment_run`
+change-point-segments the busy-fraction / latency-digest timelines into
+labeled phases (warmup / steady / burst / saturated / drain), each with
+its own Verdict, and :func:`classify_run` reports the *primary* phase
+(longest saturated, else longest steady, ...).  Both need windowed
+telemetry attached before the run.
 
 The classifier itself is pure arithmetic over these numbers, so it is
 unit-testable on synthetic timelines and bit-deterministic across
@@ -43,9 +42,6 @@ from repro.sim.telemetry import Sketch, latency_digests, window_sketches
 
 #: A score must clear this to pin the run on one resource.
 DEFAULT_THRESHOLD = 0.5
-
-#: Fraction of the run treated as steady state (the middle half).
-STEADY_FRACTION = 0.5
 
 #: Score key -> verdict label.
 LABELS = {
@@ -73,18 +69,6 @@ class Verdict:
         hot = self.hotspots.get(self.label.split("-")[0], "")
         suffix = f" @{hot}" if hot else ""
         return f"{self.label}{suffix} ({', '.join(parts)})"
-
-
-def steady_window(started_us: float, finished_us: float,
-                  fraction: float = STEADY_FRACTION) -> Tuple[float, float]:
-    """The middle ``fraction`` of ``[started_us, finished_us]`` — clear of
-    warm-up (empty caches, cold Raft pipeline) and drain (stragglers)."""
-    span = finished_us - started_us
-    if span <= 0:
-        return started_us, started_us
-    mid = started_us + span / 2.0
-    half = span * fraction / 2.0
-    return mid - half, mid + half
 
 
 #: Scores that measure distance to a hard ceiling (utilizations/ratios).
@@ -150,7 +134,7 @@ def rpc_wire_fraction(system, metrics) -> float:
 
 
 def contention_score(metrics, telemetry, lo: float, hi: float) -> float:
-    """Max of the steady-window TafDB abort ratio and the retry ratio."""
+    """Max of the windowed TafDB abort ratio and the retry ratio."""
     aborts = 0.0
     commits = 0.0
     for inst in telemetry.instruments():
@@ -199,24 +183,19 @@ def classify_run(system, metrics, telemetry=None,
     """Score and classify one finished benchmark run.
 
     ``telemetry`` defaults to the system simulator's registry; it must
-    have been enabled for the run for the cpu/fsync/contention scores to
-    be meaningful (they fall back to 0 otherwise).
-
-    When windowed telemetry exists the run is phase-segmented
+    have been attached before the run.  The run is phase-segmented
     (:func:`segment_run`) and the verdict of the :func:`primary_phase`
     is returned — so a burst tacked onto a quiet run does not dilute (or
-    get diluted by) the steady state.  Without windowed telemetry the
-    run is scored over the middle-half :func:`steady_window`.
+    get diluted by) the steady state.  Raises :class:`ValueError` when
+    the registry holds no windowed busy counters or latency digests.
     """
-    if telemetry is None:
-        telemetry = system.sim.telemetry
-    telemetry.finalize(system.sim.now)
     phases = segment_run(system, metrics, telemetry, threshold)
     primary = primary_phase(phases)
-    if primary is not None:
-        return primary.verdict
-    lo, hi = steady_window(metrics.started_at, metrics.finished_at)
-    return _verdict_over(system, metrics, telemetry, lo, hi, threshold)
+    if primary is None:
+        raise ValueError(
+            "classify_run needs windowed telemetry (host.*_busy_us "
+            "counters and latency digests) attached before the run")
+    return primary.verdict
 
 
 # -- phase segmentation -----------------------------------------------------
@@ -289,8 +268,7 @@ def phase_features(telemetry, sketches: Dict[int, Sketch],
     over cpu/disk of the busy fraction, ``rate`` is op completions per
     microsecond and ``p99`` the per-window p99, both from ``sketches``
     (the latency digests merged per window).  Empty when the registry
-    has no windowed data (the caller falls back to the middle-half
-    window).
+    has no windowed data.
     """
     w = float(getattr(telemetry, "window_us", 0.0) or 0.0)
     if w <= 0 or finished_us <= started_us:
@@ -435,9 +413,8 @@ def segment_run(system, metrics, telemetry=None,
     """Change-point-segment one finished run into labeled phases.
 
     Returns ``[]`` when the registry has no windowed busy counters or
-    latency digests (callers then fall back to the middle-half window).
-    Each phase carries its own :class:`Verdict` scored over the phase
-    window only.
+    latency digests.  Each phase carries its own :class:`Verdict` scored
+    over the phase window only.
     """
     if telemetry is None:
         telemetry = system.sim.telemetry

@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.errors import MetadataError
 from repro.ops import make_op
-from repro.sim.stats import MetricSet, OpContext
+from repro.sim.stats import MetricSet
 
 
 def run_workload(system, workload, num_clients: Optional[int] = None,
@@ -45,10 +45,3 @@ def run_workload(system, workload, num_clients: Optional[int] = None,
         raise RuntimeError("workload deadlocked: clients never finished")
     metrics.finished_at = sim.now
     return metrics
-
-
-def run_single_op(system, op: str, *args) -> OpContext:
-    """Run one operation and return its context (latency, phases, RPCs)."""
-    ctx = OpContext(op)
-    system.sim.run_process(system.perform(make_op(op, *args), ctx))
-    return ctx

@@ -1,9 +1,8 @@
 """Cluster introspection: where did the simulated time and CPU go?
 
-After a workload run, :func:`cluster_report` summarises every host's CPU
-utilisation, fsync counts, and subsystem counters (transaction aborts,
-cache hit rates, Raft batching efficiency).  Used by examples and by
-anyone debugging why a configuration under- or over-performs.
+After a workload run, :func:`host_utilization_table` summarises every
+host's CPU utilisation and fsync counts, and :func:`bottleneck` names the
+busiest host.
 """
 
 from __future__ import annotations
@@ -47,35 +46,6 @@ def host_utilization_table(system, elapsed_us: float) -> Table:
             round(host.cpu_busy_us / 1000, 2),
             round(100 * host.utilization(elapsed_us), 1),
             host.fsync_count)
-    return table
-
-
-def subsystem_counters_table(system) -> Table:
-    """Aborts, commits, cache statistics and Raft batching efficiency."""
-    table = Table(f"subsystem counters ({getattr(system, 'name', 'system')})",
-                  ["counter", "value"])
-    tafdb = getattr(system, "tafdb", None)
-    if tafdb is not None:
-        table.add_row("tafdb.commits", tafdb.total_commits)
-        table.add_row("tafdb.aborts", tafdb.total_aborts)
-        table.add_row("tafdb.rows", tafdb.total_rows)
-        table.add_row("tafdb.delta_mode_dirs", tafdb.contention.active_count)
-    group = getattr(system, "index_group", None)
-    if group is not None:
-        leader = group.current_leader()
-        if leader is not None:
-            table.add_row("raft.proposals", leader.proposals)
-            table.add_row("raft.batches", leader.batches_flushed)
-            if leader.batches_flushed:
-                table.add_row(
-                    "raft.mean_batch",
-                    round(leader.entries_flushed / leader.batches_flushed, 2))
-            cache = leader.state_machine.cache
-            table.add_row("pathcache.entries", len(cache))
-            table.add_row("pathcache.hit_rate", round(cache.hit_rate, 3))
-            table.add_row("pathcache.memory_bytes", cache.memory_bytes)
-            invalidator = leader.state_machine.invalidator
-            table.add_row("invalidator.purged", invalidator.purged_entries)
     return table
 
 

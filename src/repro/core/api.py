@@ -183,8 +183,8 @@ class MantleClient(ClientOps):
     config:
         Cluster shape and optimisation toggles; defaults to
         :meth:`MantleConfig.small`, a three-replica deployment suitable for
-        examples and tests (:meth:`MantleConfig.paper_scale` builds the
-        Table 2 shape).
+        examples and tests (the dataclass defaults, ``MantleConfig()``, are
+        the Table 2 shape).
 
     The client is a context manager: ``with MantleClient() as c: ...`` shuts
     the simulated cluster down on exit.
@@ -243,26 +243,6 @@ class MantleClient(ClientOps):
                      start_after: Optional[str] = None) -> List[str]:
         """One page of directory entries (S3-style continuation listing)."""
         return self.perform(_ReadDirPage(path, limit, start_after))
-
-    def walk(self, path: str = "/", page_size: int = 64):
-        """Iterate every entry under ``path`` breadth-first (paged)."""
-        pending = [paths_normalize(path)]
-        while pending:
-            current = pending.pop(0)
-            start_after = None
-            while True:
-                page = self.listdir_page(current, page_size, start_after)
-                for name in page:
-                    child = current.rstrip("/") + "/" + name
-                    yield child
-                    try:
-                        if self.dirstat(child).is_dir:
-                            pending.append(child)
-                    except MetadataError:
-                        pass  # an object, or raced with a delete
-                if len(page) < page_size:
-                    break
-                start_after = page[-1]
 
     # -- observability --------------------------------------------------------------
 

@@ -135,11 +135,6 @@ class MantleConfig:
                    index_replicas=3, num_learners=0,
                    index_cores=8, db_cores=8, proxy_cores=8).copy(**overrides)
 
-    @classmethod
-    def paper_scale(cls, **overrides) -> "MantleConfig":
-        """The paper's Table 2 deployment shape (the dataclass defaults)."""
-        return cls().copy(**overrides)
-
     def effective_costs(self) -> CostModel:
         """The cost model a built system actually runs with: ``costs``
         with any what-if ``overrides`` applied."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-from repro.paths import split_path
 from repro.types import Permission
 
 
@@ -69,13 +68,6 @@ class TopDirPathCache:
         if not self.enabled:
             return 0
         return max(0, depth - self.k)
-
-    def cacheable_prefix(self, path: str) -> Optional[str]:
-        """The prefix of ``path`` this cache would serve, or None when the
-        path is too shallow (within k levels of the root)."""
-        parts = split_path(path)
-        keep = self.prefix_depth(len(parts))
-        return "/" + "/".join(parts[:keep]) if keep else None
 
     def probe(self, prefix: str) -> Optional[CacheEntry]:
         entry = self._entries.get(prefix)

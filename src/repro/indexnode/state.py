@@ -223,16 +223,3 @@ class IndexNodeState:
     def _copied(table, cache, invalidator, applied):
         cache = cache.copy()
         return table.copy(), cache, invalidator.copy(cache), applied
-
-    # -- bulk loading (benchmark setup backdoor) --------------------------------------
-
-    def bulk_insert_dir(self, pid: int, name: str, dir_id: int,
-                        permission: Permission = Permission.ALL) -> None:
-        """Install a directory without going through Raft (namespace
-        pre-population before timed runs, mirroring the paper's mdtest
-        pre-fill)."""
-        self.table.insert(AccessMeta(pid=pid, name=name, id=dir_id,
-                                     permission=permission))
-
-    def resolve_path_of(self, dir_id: int) -> str:
-        return self.table.path_of(dir_id)

@@ -78,23 +78,6 @@ def parent_and_name(path: str) -> Tuple[str, str]:
     return "/" + "/".join(parts[:-1]), parts[-1]
 
 
-def join(base: str, *names: str) -> str:
-    """Join components onto a base path.
-
-    >>> join("/A", "C", "E")
-    '/A/C/E'
-    """
-    parts = split_path(base)
-    for name in names:
-        parts.extend(split_path("/" + name))
-    return "/" + "/".join(parts)
-
-
-def depth(path: str) -> int:
-    """Number of components in ``path`` (root is depth 0)."""
-    return len(split_path(path))
-
-
 def is_prefix(prefix: str, path: str) -> bool:
     """True when ``prefix`` names ``path`` itself or one of its ancestors.
 
@@ -137,31 +120,3 @@ def truncate_prefix(path: str, k: int) -> str:
     if keep <= 0:
         return "/"
     return "/" + "/".join(parts[:keep])
-
-
-def common_ancestor(a: str, b: str) -> str:
-    """Least common ancestor of two paths (used by rename loop detection).
-
-    >>> common_ancestor("/A/C/E", "/A/C/F/G")
-    '/A/C'
-    """
-    pa, pb = split_path(a), split_path(b)
-    out = []
-    for x, y in zip(pa, pb):
-        if x != y:
-            break
-        out.append(x)
-    return "/" + "/".join(out) if out else "/"
-
-
-def rewrite_prefix(path: str, old_prefix: str, new_prefix: str) -> str:
-    """Replace the ``old_prefix`` ancestor of ``path`` with ``new_prefix``.
-
-    Used when a dirrename moves a subtree: descendants' cached full paths
-    are rewritten from the source to the destination prefix.
-    """
-    if not is_prefix(old_prefix, path):
-        raise ValueError(f"{old_prefix!r} is not a prefix of {path!r}")
-    suffix = split_path(path)[len(split_path(old_prefix)):]
-    base = split_path(new_prefix)
-    return "/" + "/".join(base + suffix)

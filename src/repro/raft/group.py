@@ -133,7 +133,3 @@ class RaftGroup:
         node = self.nodes[node_id]
         node.host.crash()
         node.stop()
-
-    @property
-    def total_fsyncs(self) -> int:
-        return sum(n.host.fsync_count for n in self.nodes.values())

@@ -32,10 +32,6 @@ class AppendEntries:
     entries: Tuple[LogEntry, ...]
     leader_commit: int
 
-    @property
-    def is_heartbeat(self) -> bool:
-        return not self.entries
-
 
 @dataclasses.dataclass(frozen=True)
 class AppendReply:

@@ -34,7 +34,7 @@ from repro.runtime.live import ROLE_ORDER, LiveRole, ProcessCluster
 
 #: ``--config`` presets.
 CONFIGS = {"small": MantleConfig.small, "base": MantleConfig.base,
-           "paper": MantleConfig.paper_scale, "default": MantleConfig}
+           "paper": MantleConfig}
 
 
 async def _serve_role(args) -> int:

@@ -202,10 +202,6 @@ class Process(Event):
         # Kick off at the current simulation time.
         sim._micro.append((self._cb, _INIT))
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._value is not _PENDING:
@@ -471,9 +467,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 

@@ -155,12 +155,6 @@ class CritPath:
                         key=lambda kv: (-kv[1], _center_sort_key(kv[0])))
         return ranked[:n]
 
-    def gated_by_kind(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for (_host, _frame, kind), us in self.gated.items():
-            out[kind] = out.get(kind, 0.0) + us
-        return out
-
     def conservation_error(self) -> float:
         """Relative |sum(gated) - sum(root durations)|; float dust only."""
         gated = sum(self.gated.values())
@@ -333,11 +327,6 @@ def build_critpath(index: SpanIndex, name: str = "",
     blame.ops = crit.ops
     blame.total_us = crit.total_us
     return crit
-
-
-def critpath_from_tracer(tracer, name: str = "") -> CritPath:
-    """Fold one tracer's finished spans into a gating profile."""
-    return build_critpath(SpanIndex(tracer.spans), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -633,22 +622,6 @@ class Prediction:
     @property
     def predicted_mean_us(self) -> float:
         return max(0.0, self.baseline_mean_us - self.gain_us_per_op)
-
-    @property
-    def predicted_latency_delta_frac(self) -> float:
-        """Predicted relative latency reduction (0.31 = 31% faster)."""
-        if self.baseline_mean_us <= 0.0:
-            return 0.0
-        return self.gain_us_per_op / self.baseline_mean_us
-
-    @property
-    def predicted_throughput_ratio(self) -> float:
-        """Closed-loop throughput multiplier: clients are latency-bound,
-        so throughput scales inversely with mean latency."""
-        predicted = self.predicted_mean_us
-        if predicted <= 0.0:
-            return float("inf")
-        return self.baseline_mean_us / predicted
 
 
 def predict_speedup(crit: CritPath, overrides: CostOverrides) -> Prediction:

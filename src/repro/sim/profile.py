@@ -204,12 +204,6 @@ def build_profile(index: SpanIndex,
     return profile
 
 
-def profile_from_tracer(tracer, name: str = "") -> CostProfile:
-    """Fold one tracer's ring (and unattributed bucket) into a profile."""
-    return build_profile(SpanIndex(tracer.spans), dict(tracer.unattributed),
-                         name=name)
-
-
 # ---------------------------------------------------------------------------
 # Collapsed-stack (flamegraph.pl) export.
 # ---------------------------------------------------------------------------

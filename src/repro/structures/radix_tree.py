@@ -128,19 +128,6 @@ class PrefixTree:
             self.remove(victim)
         return victims
 
-    def has_descendant(self, prefix: str) -> bool:
-        """True if any stored path lies at or under ``prefix``."""
-        node = self._walk(prefix)
-        if node is None:
-            return False
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.terminal:
-                return True
-            stack.extend(current.children.values())
-        return False
-
     def paths(self) -> Iterator[str]:
         """Iterate every stored path (lexicographic component order)."""
         return self.descendants("/")

@@ -39,8 +39,5 @@ class Partitioner:
             raise ValueError(f"shard {shard_id} out of range")
         return shard_id % self.num_servers
 
-    def server_of(self, pid: int) -> int:
-        return self.server_of_shard(self.shard_of(pid))
-
     def shards_on_server(self, server_id: int) -> List[int]:
         return [s for s in range(self.num_shards) if s % self.num_servers == server_id]

@@ -125,10 +125,3 @@ class MdtestWorkload:
     def describe(self) -> str:
         suffix = "-s" if self.mode == "shared" else "-e"
         return f"mdtest {self.op}{suffix} depth={self.depth} items={self.items}"
-
-
-def lookup_only_workload(depth: int, items: int, num_clients: int,
-                         root: str = "/lk"):
-    """objstat at an exact path depth — the Figure 17/18 lookup probe."""
-    return MdtestWorkload("objstat", mode="exclusive", depth=depth,
-                          items=items, num_clients=num_clients, root=root)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 
 @dataclasses.dataclass
@@ -145,20 +145,3 @@ def ensure_chain(system, root: str, depth: int, prefix: str = "l") -> str:
     paths += deep_chain(root if root != "/" else "", depth, prefix)
     system.bulk_load(paths)
     return paths[-1] if paths else "/"
-
-
-def client_paths(spec: NamespaceSpec, num_clients: int,
-                 per_client: int, seed: int = 99) -> List[Sequence[str]]:
-    """Deterministically assign object paths to clients (round-robin over a
-    shuffled list), for read-heavy workloads."""
-    rng = random.Random(seed)
-    objects = list(spec.objects)
-    rng.shuffle(objects)
-    if not objects:
-        raise ValueError("namespace has no objects")
-    out = []
-    for cid in range(num_clients):
-        picks = [objects[(cid * per_client + i) % len(objects)]
-                 for i in range(per_client)]
-        out.append(picks)
-    return out

@@ -13,7 +13,7 @@ interleaving is up to the simulator (as in any real system).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, TextIO, Tuple
+from typing import Dict, Iterator, List, TextIO, Tuple
 
 from repro.ops import OP_NAMES
 
@@ -85,86 +85,3 @@ class TraceWorkload:
     def describe(self) -> str:
         return (f"trace clients={len(self._per_client)} "
                 f"ops={self.total_ops}")
-
-
-# -- typed replay (the sim-vs-live agreement harness) ------------------------
-#
-# A trace replayed *sequentially* through two deployments of the same system
-# must agree op by op: same successes, same error types, same allocated ids.
-# These helpers run one (op, args) list through anything with the
-# MantleClient surface — the simulated client or the live TCP client — and
-# normalise each outcome so the two transcripts are directly comparable
-# (wallclock timestamps and latencies are excluded; they legitimately
-# differ between a simulated clock and a real one).
-
-def typed_ops(records: List[Tuple[str, tuple]]):
-    """Convert ``(op_name, args)`` trace records into typed Ops."""
-    from repro.ops import make_op
-
-    return [make_op(name, *args) for name, args in records]
-
-
-def normalize_outcome(value: Any) -> Any:
-    """Reduce an op result to its time-independent observable content."""
-    from repro.types import OpResult, StatResult
-
-    if isinstance(value, OpResult):
-        return {"inode_id": value.inode_id}
-    if isinstance(value, StatResult):
-        return {"path": value.path, "id": value.id,
-                "kind": value.kind.value, "size": value.size,
-                "link_count": value.link_count,
-                "entry_count": value.entry_count,
-                "permission": int(value.permission)}
-    if isinstance(value, list):
-        return [normalize_outcome(v) for v in value]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return {"inode_id": value}
-    return value
-
-
-def replay_typed(client, ops) -> List[Dict[str, Any]]:
-    """Run typed ops sequentially through a client; never raises.
-
-    Returns one record per op: ``{"op", "ok", "result"}`` on success or
-    ``{"op", "ok": False, "error": <exception class name>}`` on failure.
-    """
-    from repro.errors import MetadataError
-
-    transcript: List[Dict[str, Any]] = []
-    for op in ops:
-        try:
-            result = client.perform(op)
-        except MetadataError as exc:
-            transcript.append({"op": op.name, "ok": False,
-                               "error": type(exc).__name__})
-        else:
-            transcript.append({"op": op.name, "ok": True,
-                               "result": normalize_outcome(result)})
-    return transcript
-
-
-def snapshot_namespace(client, root: str = "/") -> Dict[str, Any]:
-    """Walk the namespace through the client API into a comparable map.
-
-    Keys are absolute paths; values are the normalised stat of each entry.
-    Two deployments that processed the same trace must produce identical
-    snapshots (ids included — both allocate sequentially from the root id).
-    """
-    from repro.errors import MetadataError
-
-    snapshot: Dict[str, Any] = {}
-    stack = [root]
-    while stack:
-        directory = stack.pop()
-        for name in sorted(client.listdir(directory)):
-            path = directory.rstrip("/") + "/" + name
-            try:
-                stat = client.stat(path)
-            except MetadataError as exc:
-                snapshot[path] = {"error": type(exc).__name__}
-                continue
-            snapshot[path] = normalize_outcome(stat)
-            if stat.kind.value == "dir":
-                stack.append(path)
-    return snapshot

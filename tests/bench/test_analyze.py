@@ -14,7 +14,6 @@ from repro.bench.analyze import (
     UNDERLOADED,
     classify,
     hit_ratio_series,
-    steady_window,
     utilization_series,
 )
 from repro.sim.telemetry import Telemetry
@@ -57,16 +56,6 @@ class TestClassify:
     def test_label_tables_consistent(self):
         assert set(SATURATION_KEYS) < set(LABELS)
         assert all(label.endswith("-bound") for label in LABELS.values())
-
-
-class TestSteadyWindow:
-    def test_middle_half(self):
-        assert steady_window(0.0, 100.0) == (25.0, 75.0)
-        assert steady_window(100.0, 300.0, fraction=0.25) == (175.0, 225.0)
-
-    def test_degenerate_run(self):
-        assert steady_window(50.0, 50.0) == (50.0, 50.0)
-        assert steady_window(50.0, 40.0) == (50.0, 50.0)
 
 
 class TestSeriesHelpers:

@@ -7,7 +7,6 @@ from repro.bench.harness import run_workload
 from repro.bench.inspect import (
     bottleneck,
     host_utilization_table,
-    subsystem_counters_table,
 )
 from repro.core.config import MantleConfig
 from repro.sim.host import CostModel
@@ -75,10 +74,9 @@ class TestInspection:
 
     def test_subsystem_counters(self):
         system, _metrics = self._run()
-        table = subsystem_counters_table(system)
-        counters = dict(zip(table.column("counter"), table.column("value")))
-        assert counters["tafdb.commits"] > 0
-        assert counters["raft.proposals"] == 40  # 8 clients x 5 mkdirs
+        assert system.tafdb.total_commits > 0
+        leader = system.index_group.current_leader()
+        assert leader.proposals == 40  # 8 clients x 5 mkdirs
         system.shutdown()
 
     def test_bottleneck_names_a_host(self):

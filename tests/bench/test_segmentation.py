@@ -1,8 +1,7 @@
 """Phase segmentation: labels, kernel-independence, digest agreement.
 
-``segment_run`` replaces the fixed middle-half analysis window with
-change-point segmentation over the busy-fraction and latency-digest
-timelines.  Everything it consumes is simulated-time bookkeeping, so a
+``segment_run`` scores a run by change-point segmentation over the
+busy-fraction and latency-digest timelines.  Everything it consumes is simulated-time bookkeeping, so a
 segmented run must produce byte-identical phases on the product scheduler
 and the all-heap oracle — and the per-phase p99s it reads from the merged
 digests must agree with the exact :class:`~repro.sim.stats.LatencyRecorder`
@@ -136,11 +135,10 @@ class TestSegmentationKernelIndependence:
             assert instrumented.latency[op].mean == plain.latency[op].mean
 
 
-class TestClassifyRunFallback:
-    def test_classify_run_without_digests_still_verdicts(self):
-        # classify_run must degrade to the middle-half window when the
-        # telemetry has no features to segment (e.g. a NullTelemetry-like
-        # registry populated with nothing).
+class TestClassifyRunNeedsTelemetry:
+    def test_classify_run_without_digests_raises(self):
+        # A registry that saw none of the run has nothing to segment, so
+        # there is no verdict to give.
         from repro.bench.analyze import classify_run
         from repro.bench.cluster import build_system
         from repro.bench.harness import run_workload
@@ -151,9 +149,7 @@ class TestClassifyRunFallback:
         try:
             metrics = run_workload(system, MdtestWorkload(
                 "objstat", depth=6, items=4, num_clients=8))
-            verdict = classify_run(system, metrics, Telemetry())
+            with pytest.raises(ValueError, match="windowed telemetry"):
+                classify_run(system, metrics, Telemetry())
         finally:
             system.shutdown()
-        assert verdict.label
-        lo, hi = verdict.window
-        assert metrics.started_at <= lo < hi <= metrics.finished_at

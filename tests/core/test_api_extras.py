@@ -1,4 +1,4 @@
-"""Tests for the client facade's paging and walking helpers."""
+"""Tests for the client facade's paged listing."""
 
 import pytest
 
@@ -39,21 +39,3 @@ class TestPagedListing:
         client.mkdir("/empty")
         assert client.listdir_page("/empty", limit=5) == []
 
-
-class TestWalk:
-    def test_walk_visits_every_entry(self, client):
-        client.mkdir("/tree")
-        client.mkdir("/tree/a")
-        client.mkdir("/tree/a/b")
-        client.create("/tree/a/b/leaf.bin")
-        client.create("/tree/top.bin")
-        visited = set(client.walk("/tree"))
-        assert visited == {"/tree/a", "/tree/a/b", "/tree/a/b/leaf.bin",
-                           "/tree/top.bin"}
-
-    def test_walk_pages_through_wide_directories(self, client):
-        client.mkdir("/wide")
-        for i in range(15):
-            client.create(f"/wide/o{i:02d}")
-        visited = list(client.walk("/wide", page_size=4))
-        assert len(visited) == 15

@@ -25,7 +25,7 @@ from repro.types import OpResult, Permission
 #: statistics and instrumentation handles.
 TRANSPORT_ONLY = frozenset((
     "call", "ping", "trace_snapshot", "now_us", "PROCESS_NAME",
-    "listdir_page", "walk", "cache_stats", "simulated_time_us", "tracer",
+    "listdir_page", "cache_stats", "simulated_time_us", "tracer",
     "telemetry"))
 
 
@@ -77,12 +77,8 @@ class TestConfigPresets:
         assert config.num_proxies == 2
         assert config.tracing is False
 
-    def test_paper_scale_matches_defaults(self):
-        assert MantleConfig.paper_scale() == MantleConfig()
-
     def test_presets_take_overrides(self):
         assert MantleConfig.small(tracing=True).tracing is True
-        assert MantleConfig.paper_scale(num_proxies=7).num_proxies == 7
 
 
 class TestClientSurface:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MetadataError
 from repro.indexnode.state import IndexNodeState
-from repro.types import ROOT_ID, Permission
+from repro.types import ROOT_ID, AccessMeta, Permission
 
 
 def grow_tree(state: IndexNodeState, rng: random.Random, num_dirs: int):
@@ -26,7 +26,8 @@ def grow_tree(state: IndexNodeState, rng: random.Random, num_dirs: int):
         child = (parent.rstrip("/") or "") + "/" + name
         perm = rng.choice([Permission.ALL,
                            Permission.READ | Permission.EXECUTE])
-        state.bulk_insert_dir(paths[parent], name, next_id, permission=perm)
+        state.table.insert(AccessMeta(pid=paths[parent], name=name,
+                                      id=next_id, permission=perm))
         paths[child] = next_id
         next_id += 1
     return paths

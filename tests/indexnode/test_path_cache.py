@@ -13,18 +13,18 @@ def test_k_validation():
 
 def test_cacheable_prefix_truncates_k_levels():
     cache = TopDirPathCache(k=3)
-    assert cache.cacheable_prefix("/A/C/E/G/H") == "/A/C"
+    assert cache.prefix_depth(5) == 2  # "/A/C/E/G/H" is served by "/A/C"
 
 
 def test_shallow_paths_not_cacheable():
     cache = TopDirPathCache(k=3)
-    assert cache.cacheable_prefix("/A/C/E") is None
-    assert cache.cacheable_prefix("/A") is None
+    assert cache.prefix_depth(3) == 0
+    assert cache.prefix_depth(1) == 0
 
 
 def test_disabled_cache_never_offers_prefix():
     cache = TopDirPathCache(k=3, enabled=False)
-    assert cache.cacheable_prefix("/A/B/C/D/E") is None
+    assert cache.prefix_depth(5) == 0
     cache.insert("/A/B", 7, Permission.ALL)
     assert len(cache) == 0
 

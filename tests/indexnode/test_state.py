@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import InvalidPathError, NoSuchPathError
 from repro.indexnode.state import IndexNodeState
-from repro.types import ROOT_ID, Permission
+from repro.types import ROOT_ID, AccessMeta, Permission
 
 
 def build_state(k=2, cache_enabled=True, depth=5):
@@ -13,7 +13,7 @@ def build_state(k=2, cache_enabled=True, depth=5):
     pid = ROOT_ID
     for level in range(1, depth + 1):
         dir_id = level + 1
-        state.bulk_insert_dir(pid, f"d{level}", dir_id)
+        state.table.insert(AccessMeta(pid=pid, name=f"d{level}", id=dir_id))
         pid = dir_id
     return state
 
@@ -84,7 +84,7 @@ class TestLookup:
 
     def test_shared_prefix_across_siblings(self):
         state = build_state(k=1, depth=3)
-        state.bulk_insert_dir(3, "sib", 99)  # /d1/d2/sib
+        state.table.insert(AccessMeta(pid=3, name="sib", id=99))  # /d1/d2/sib
         state.lookup("/d1/d2/d3", want="dir")
         out = state.lookup("/d1/d2/sib", want="dir")
         assert out.cache_hit  # both share prefix /d1/d2
@@ -97,9 +97,10 @@ class TestLookup:
 
     def test_permission_aggregation_through_cache(self):
         state = IndexNodeState(cache_k=1)
-        state.bulk_insert_dir(ROOT_ID, "a", 2,
-                              permission=Permission.READ | Permission.EXECUTE)
-        state.bulk_insert_dir(2, "b", 3)
+        state.table.insert(AccessMeta(
+            pid=ROOT_ID, name="a", id=2,
+            permission=Permission.READ | Permission.EXECUTE))
+        state.table.insert(AccessMeta(pid=2, name="b", id=3))
         state.lookup("/a/b", want="dir")
         out = state.lookup("/a/b", want="dir")
         assert out.cache_hit
@@ -135,7 +136,7 @@ class TestApply:
 
     def test_rename_lock_then_commit(self):
         state = build_state(depth=3)
-        state.bulk_insert_dir(ROOT_ID, "dst", 90)
+        state.table.insert(AccessMeta(pid=ROOT_ID, name="dst", id=90))
         assert state.apply(("rename_lock", 3, "d3", "u1", "/d1/d2/d3"))[0] == "ok"
         assert state.table.get(3, "d3").locked
         # Lookups under the locked subtree bypass the cache.
@@ -167,7 +168,7 @@ class TestApply:
         state = build_state(k=1, depth=4)
         state.lookup("/d1/d2/d3/d4", want="dir")
         assert "/d1/d2/d3" in state.cache
-        state.bulk_insert_dir(ROOT_ID, "dst", 90)
+        state.table.insert(AccessMeta(pid=ROOT_ID, name="dst", id=90))
         state.apply(("rename_lock", 2, "d2", "u1", "/d1/d2"))
         state.apply(("rename_commit", 2, "d2", 90, "d2"))
         # Before the purge, lookups bypass the cache (RemovalList mark).
@@ -218,7 +219,7 @@ class TestSnapshot:
 
     def _busy_state(self):
         state = build_state(k=1, depth=5)
-        state.bulk_insert_dir(ROOT_ID, "dst", 90)
+        state.table.insert(AccessMeta(pid=ROOT_ID, name="dst", id=90))
         state.lookup("/d1/d2/d3/d4", want="dir")         # cache fill
         state.apply(("setperm", 3, "d3", int(Permission.READ),
                      "/d1/d2/d3"))                       # pending removal

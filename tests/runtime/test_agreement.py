@@ -17,17 +17,17 @@ Wallclock fields (latency, timestamps) are excluded by
 simulated clock and a real one.
 """
 
+from typing import Any, Dict, List
+
 import pytest
 
 from repro.core.api import MantleClient
 from repro.core.config import MantleConfig
+from repro.errors import MetadataError
+from repro.ops import make_op
 from repro.runtime.client import LiveClient
 from repro.runtime.live import InProcessCluster
-from repro.workloads.trace import (
-    replay_typed,
-    snapshot_namespace,
-    typed_ops,
-)
+from repro.types import OpResult, StatResult
 
 #: The agreement trace: a namespace build-out plus every op type, including
 #: ops that must *fail* identically (ENOENT, EEXIST, non-empty rmdir,
@@ -61,9 +61,70 @@ TRACE = [
 ]
 
 
+def normalize_outcome(value: Any) -> Any:
+    """Reduce an op result to its time-independent observable content."""
+    if isinstance(value, OpResult):
+        return {"inode_id": value.inode_id}
+    if isinstance(value, StatResult):
+        return {"path": value.path, "id": value.id,
+                "kind": value.kind.value, "size": value.size,
+                "link_count": value.link_count,
+                "entry_count": value.entry_count,
+                "permission": int(value.permission)}
+    if isinstance(value, list):
+        return [normalize_outcome(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return {"inode_id": value}
+    return value
+
+
+def replay_typed(client) -> List[Dict[str, Any]]:
+    """Run :data:`TRACE` sequentially through a client; never raises.
+
+    Returns one record per op: ``{"op", "ok", "result"}`` on success or
+    ``{"op", "ok": False, "error": <exception class name>}`` on failure.
+    """
+    transcript: List[Dict[str, Any]] = []
+    for name, args in TRACE:
+        op = make_op(name, *args)
+        try:
+            result = client.perform(op)
+        except MetadataError as exc:
+            transcript.append({"op": op.name, "ok": False,
+                               "error": type(exc).__name__})
+        else:
+            transcript.append({"op": op.name, "ok": True,
+                               "result": normalize_outcome(result)})
+    return transcript
+
+
+def snapshot_namespace(client) -> Dict[str, Any]:
+    """Walk the namespace through the client API into a comparable map.
+
+    Keys are absolute paths; values are the normalised stat of each entry.
+    Two deployments that processed the same trace must produce identical
+    snapshots (ids included — both allocate sequentially from the root id).
+    """
+    snapshot: Dict[str, Any] = {}
+    stack = ["/"]
+    while stack:
+        directory = stack.pop()
+        for name in sorted(client.listdir(directory)):
+            path = directory.rstrip("/") + "/" + name
+            try:
+                stat = client.stat(path)
+            except MetadataError as exc:
+                snapshot[path] = {"error": type(exc).__name__}
+                continue
+            snapshot[path] = normalize_outcome(stat)
+            if stat.kind.value == "dir":
+                stack.append(path)
+    return snapshot
+
+
 def _sim_transcript_and_snapshot():
     with MantleClient(MantleConfig.small()) as client:
-        transcript = replay_typed(client, typed_ops(TRACE))
+        transcript = replay_typed(client)
         snapshot = snapshot_namespace(client)
     return transcript, snapshot
 
@@ -71,7 +132,7 @@ def _sim_transcript_and_snapshot():
 def _live_transcript_and_snapshot():
     with InProcessCluster() as cluster:
         with LiveClient(cluster.proxy_endpoint) as client:
-            transcript = replay_typed(client, typed_ops(TRACE))
+            transcript = replay_typed(client)
             snapshot = snapshot_namespace(client)
     return transcript, snapshot
 

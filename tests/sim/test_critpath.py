@@ -28,7 +28,6 @@ from repro.sim.critpath import (
     collapse_kind,
     component_of,
     contrast_with_profile,
-    critpath_from_tracer,
     gating_walk,
     predict_speedup,
     predict_speedup_corrected,
@@ -39,7 +38,7 @@ from repro.sim.critpath import (
     validate_critpath,
 )
 from repro.sim.host import CostOverrides
-from repro.sim.profile import profile_from_tracer
+from repro.sim.profile import build_profile
 from repro.sim.telemetry import Telemetry
 from repro.sim.trace import (CAT_OP, CAT_PHASE, CAT_RPC, SpanIndex, Tracer,
                              _fold_children)
@@ -124,10 +123,11 @@ class TestSyntheticExtraction:
         tracer.charge_blocked("tafdb.group_commit", "fsync", 20.0,
                               "tafdb-0")
         tracer.end(root, 100.0)
-        crit = critpath_from_tracer(tracer)
+        index = SpanIndex(tracer.spans)
+        crit = build_critpath(index)
         assert crit.gated[("tafdb-0", "tafdb.group_commit", "fsync")] == 20.0
-        (row,) = [row for row in contrast_with_profile(
-                      crit, profile_from_tracer(tracer))
+        profile = build_profile(index, dict(tracer.unattributed))
+        (row,) = [row for row in contrast_with_profile(crit, profile)
                   if (row.host, row.kind) == ("tafdb-0", "fsync")]
         assert row.gated_us == row.total_us == 30.0
 
@@ -216,8 +216,6 @@ class TestPredictSpeedup:
         pred = predict_speedup(crit, CostOverrides.of(**{"tafdb.fsync": 2.0}))
         assert pred.gain_us_per_op == pytest.approx(20.0)
         assert pred.predicted_mean_us == pytest.approx(80.0)
-        assert pred.predicted_latency_delta_frac == pytest.approx(0.20)
-        assert pred.predicted_throughput_ratio == pytest.approx(100 / 80)
         assert pred.matched_us_per_op == {"tafdb.fsync": 40.0}
 
     def test_off_path_override_predicts_zero(self):
@@ -381,17 +379,15 @@ class TestPayloadAndValidator:
 
 
 def _traced_run(op="mkdir", mode="shared", clients=8, items=4, depth=10):
-    record = run_case(Case(op, "mantle", op, mode, depth=depth), "quick",
-                      ("tracer", "telemetry"), clients=clients, items=items)
-    return record.metrics, record.tracer, record.telemetry
+    return run_case(Case(op, "mantle", op, mode, depth=depth), "quick",
+                    ("tracer", "telemetry"), clients=clients, items=items)
 
 
 class TestClusterInvariants:
     """The load-bearing invariants on a real traced cluster."""
 
     def test_paths_conserve_op_latency(self):
-        _m, tracer, _t = _traced_run()
-        crit = critpath_from_tracer(tracer)
+        crit = _traced_run().crit
         assert crit.ops > 0
         assert crit.conservation_error() < 1e-9
         for root, path_us in crit.root_paths:
@@ -400,10 +396,9 @@ class TestClusterInvariants:
         assert sum(shares.values()) == pytest.approx(1.0, rel=1e-9)
 
     def test_write_path_sees_fsync_and_fanout(self):
-        _m, tracer, _t = _traced_run()
-        crit = critpath_from_tracer(tracer)
-        kinds = crit.gated_by_kind()
-        assert kinds.get("fsync", 0.0) > 0.0
+        crit = _traced_run().crit
+        assert sum(us for (_host, _frame, kind), us in crit.gated.items()
+                   if kind == "fsync") > 0.0
         # 2PC legs join the tree via join_to edges; every fan-out group
         # folds to exactly one gating leg per disjoint time interval.
         folded = [span for root, _us in crit.root_paths
@@ -412,10 +407,8 @@ class TestClusterInvariants:
         assert folded, "no fan-out legs folded into any op tree"
 
     def test_gated_never_exceeds_attributed_total(self):
-        _m, tracer, _t = _traced_run()
-        crit = critpath_from_tracer(tracer)
-        contrast = contrast_with_profile(
-            crit, profile_from_tracer(tracer))
+        record = _traced_run()
+        contrast = contrast_with_profile(record.crit, record.profile)
         assert contrast
         for row in contrast:
             assert row.gated_us <= row.total_us * (1 + 1e-9) + 1e-6
@@ -425,12 +418,10 @@ class TestClusterInvariants:
 
     def test_export_byte_identical_across_kernels(self, all_heap):
         def export(sim_type):
-            _m, tracer, _t = _traced_run()
-            assert type(tracer._sim) is sim_type
-            crit = critpath_from_tracer(tracer, name="kernel-check")
-            contrast = contrast_with_profile(
-                crit, profile_from_tracer(tracer))
-            return json.dumps(to_critpath_payload(crit, contrast),
+            record = _traced_run()
+            assert type(record.tracer._sim) is sim_type
+            contrast = contrast_with_profile(record.crit, record.profile)
+            return json.dumps(to_critpath_payload(record.crit, contrast),
                               sort_keys=True)
 
         product = export(Simulator)
@@ -441,7 +432,7 @@ class TestClusterInvariants:
     def test_tracing_is_pure_bookkeeping(self):
         plain = run_case(Case("mkdir", "mantle", "mkdir", "shared"),
                          "quick", clients=8, items=4).metrics
-        traced, _tracer, _t = _traced_run()
+        traced = _traced_run().metrics
         assert plain.mean_latency_us("mkdir") == \
             traced.mean_latency_us("mkdir")
         assert plain.ops_completed == traced.ops_completed
@@ -450,8 +441,7 @@ class TestClusterInvariants:
         """The quorum wait decomposes: the follower's durable flush and
         apply are attributed to the *follower's* host, and what remains on
         raft.replicate is pure wire time."""
-        _m, tracer, _t = _traced_run()
-        crit = critpath_from_tracer(tracer)
+        crit = _traced_run().crit
         follower_flush = [(c, us) for c, us in crit.gated.items()
                           if c[1] == "raft.follower_flush"]
         assert follower_flush, "no follower flush gating recorded"
@@ -465,9 +455,8 @@ class TestClusterInvariants:
     def test_replica_reads_charge_the_read_barrier(self):
         """Follower lookups must not show the commitIndex round trip as
         idle — the raft.read_barrier wire edge owns it."""
-        _m, tracer, _t = _traced_run(op="objstat", mode="exclusive",
-                                     clients=32, items=4, depth=6)
-        crit = critpath_from_tracer(tracer)
+        crit = _traced_run(op="objstat", mode="exclusive", clients=32,
+                           items=4, depth=6).crit
         barrier = [(c, us) for c, us in crit.gated.items()
                    if c[1] == "raft.read_barrier"]
         assert barrier, "no read-barrier gating recorded"

@@ -24,7 +24,6 @@ from repro.sim.profile import (
     UNATTRIBUTED_FRAME,
     build_profile,
     diff_profiles,
-    profile_from_tracer,
     to_folded,
     to_speedscope,
     validate_folded,
@@ -33,6 +32,11 @@ from repro.sim.profile import (
 from repro.sim.trace import CAT_OP, CAT_PHASE, CAT_RPC, SpanIndex, Tracer
 from repro.workloads.mdtest import MdtestWorkload
 from tests.oracle import AllHeapSimulator
+
+
+def _profile_of(tracer):
+    """Fold one tracer's ring and unattributed bucket into a profile."""
+    return build_profile(SpanIndex(tracer.spans), dict(tracer.unattributed))
 
 
 def _tree_tracer():
@@ -55,7 +59,7 @@ def _tree_tracer():
 
 class TestSelfTimeConservation:
     def test_synthetic_tree_telescopes_exactly(self):
-        profile = profile_from_tracer(_tree_tracer())
+        profile = _profile_of(_tree_tracer())
         assert profile.total_root_us == 100.0
         assert profile.total_self_us == 100.0
         assert profile.conservation_error() == 0.0
@@ -75,7 +79,7 @@ class TestSelfTimeConservation:
         tracer.end(rpc, 3.0)
         tracer.end(phase, 4.0)
         tracer.end(root, 5.0)
-        profile = profile_from_tracer(tracer)
+        profile = _profile_of(tracer)
         assert profile.conservation_error() == 0.0
         assert ("mkdir", "lookup", "rpc:lookup") in \
             {stack for stack, _kind in profile.stacks}
@@ -89,7 +93,7 @@ class TestSelfTimeConservation:
         follow_up = tracer.begin("create", 20.0, CAT_OP)
         assert follow_up.dyn_parent_id == 0  # stack healed, new root
         tracer.end(follow_up, 25.0)
-        profile = profile_from_tracer(tracer)
+        profile = _profile_of(tracer)
         assert profile.ops == 1 and profile.op_failures == 1
         assert profile.conservation_error() == 0.0
 
@@ -106,7 +110,7 @@ class TestChargeAttribution:
         tracer.end(root, 20.0)
         assert inner.costs == {("cpu", "index0"): 5.0}
         assert root.costs == {("wire", "index0"): 3.0}
-        profile = profile_from_tracer(tracer)
+        profile = _profile_of(tracer)
         kinds = profile.cost_by_kind()
         assert kinds["cpu"] == 5.0 and kinds["wire"] == 3.0
         # idle residual fills the rest of the tree's 20us exactly.
@@ -116,7 +120,7 @@ class TestChargeAttribution:
         tracer = Tracer()
         tracer.charge("cpu", 7.0, "bg0")
         assert tracer.unattributed == {("bg0", "cpu"): 7.0}
-        profile = profile_from_tracer(tracer)
+        profile = _profile_of(tracer)
         assert profile.centers[("bg0", UNATTRIBUTED_FRAME, "cpu")] == 7.0
 
     def test_zero_and_negative_charges_ignored(self):
@@ -130,7 +134,7 @@ class TestExports:
     def test_folded_lines_pass_validator(self):
         tracer = _tree_tracer()
         tracer.charge("cpu", 1.0, "h0")  # unattributed tail line too
-        profile = profile_from_tracer(tracer)
+        profile = _profile_of(tracer)
         lines = to_folded(profile)
         assert lines and validate_folded(lines) == []
         assert lines == sorted(lines)
@@ -148,24 +152,24 @@ class TestExports:
         assert len(problems) == 5
 
     def test_speedscope_payload_passes_validator(self):
-        payload = to_speedscope(profile_from_tracer(_tree_tracer()))
+        payload = to_speedscope(_profile_of(_tree_tracer()))
         assert validate_speedscope(payload) == []
         prof = payload["profiles"][0]
         assert prof["endValue"] == sum(prof["weights"])
 
     def test_speedscope_validator_flags_corruption(self):
-        payload = to_speedscope(profile_from_tracer(_tree_tracer()))
+        payload = to_speedscope(_profile_of(_tree_tracer()))
         assert validate_speedscope({"nope": 1})
-        broken = to_speedscope(profile_from_tracer(_tree_tracer()))
+        broken = to_speedscope(_profile_of(_tree_tracer()))
         broken["$schema"] = "https://elsewhere.example/schema.json"
         assert validate_speedscope(broken)
-        broken = to_speedscope(profile_from_tracer(_tree_tracer()))
+        broken = to_speedscope(_profile_of(_tree_tracer()))
         broken["profiles"][0]["weights"].append(1)
         assert validate_speedscope(broken)
-        broken = to_speedscope(profile_from_tracer(_tree_tracer()))
+        broken = to_speedscope(_profile_of(_tree_tracer()))
         broken["profiles"][0]["samples"][0][0] = 10_000
         assert validate_speedscope(broken)
-        broken = to_speedscope(profile_from_tracer(_tree_tracer()))
+        broken = to_speedscope(_profile_of(_tree_tracer()))
         broken["profiles"][0]["weights"][0] = -5
         assert validate_speedscope(broken)
         assert validate_speedscope(payload) == []  # untouched copy still ok
@@ -182,7 +186,7 @@ class TestDiffProfiles:
                 tracer.charge("wire", wire_each, "h1")
             tracer.end(root, at + cpu_each + wire_each)
             at += 1000.0
-        return profile_from_tracer(tracer)
+        return _profile_of(tracer)
 
     def test_aligned_per_op_deltas(self):
         base = self._profile(roots=1, cpu_each=100.0)
@@ -214,14 +218,14 @@ def _profiled_run(clients=8, items=4, depth=6):
 class TestProfiledRunInvariants:
     def test_real_run_conserves_self_time(self):
         _metrics, tracer, _telemetry = _profiled_run()
-        profile = profile_from_tracer(tracer)
+        profile = _profile_of(tracer)
         assert profile.span_count > 0 and profile.ops > 0
         assert profile.conservation_error() < 1e-12
         assert all(fc.self_us >= 0.0 for fc in profile.frames.values())
 
     def test_cpu_reconciles_with_telemetry_exactly(self):
         _metrics, tracer, telemetry = _profiled_run()
-        profile = profile_from_tracer(tracer)
+        profile = _profile_of(tracer)
         by_host = profile.cpu_by_host()
         hosts = telemetry.hosts("host.cpu_busy_us")
         assert hosts  # the workload must have burned CPU somewhere
@@ -232,11 +236,11 @@ class TestProfiledRunInvariants:
 
     def test_folded_output_identical_across_kernels(self, all_heap):
         _m, tracer, _t = _profiled_run()
-        fast = to_folded(profile_from_tracer(tracer))
+        fast = to_folded(_profile_of(tracer))
         with all_heap():
             _m, tracer, _t = _profiled_run()
         assert type(tracer._sim) is AllHeapSimulator
-        legacy = to_folded(profile_from_tracer(tracer))
+        legacy = to_folded(_profile_of(tracer))
         assert fast == legacy
         assert validate_folded(fast) == []
 

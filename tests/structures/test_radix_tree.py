@@ -88,14 +88,6 @@ class TestDescendants:
         assert len(t) == 1
         assert "/other" in t
 
-    def test_has_descendant(self):
-        t = PrefixTree()
-        t.insert("/a/b/c")
-        assert t.has_descendant("/a")
-        assert t.has_descendant("/a/b/c")
-        assert not t.has_descendant("/a/b/c/d")
-        assert not t.has_descendant("/x")
-
 
 class TestProperties:
     @settings(max_examples=100, deadline=None)

@@ -5,13 +5,9 @@ import pytest
 from repro.errors import InvalidPathError
 from repro.paths import (
     ancestors,
-    common_ancestor,
-    depth,
     is_prefix,
-    join,
     normalize,
     parent_and_name,
-    rewrite_prefix,
     split_path,
     truncate_prefix,
 )
@@ -67,14 +63,6 @@ class TestManipulation:
         with pytest.raises(InvalidPathError):
             parent_and_name("/")
 
-    def test_join(self):
-        assert join("/A", "C", "E") == "/A/C/E"
-        assert join("/", "A") == "/A"
-
-    def test_depth(self):
-        assert depth("/") == 0
-        assert depth("/A/B/C") == 3
-
 
 class TestPrefixLogic:
     def test_is_prefix_true_cases(self):
@@ -92,11 +80,6 @@ class TestPrefixLogic:
         assert ancestors("/A/C/E") == ["/", "/A", "/A/C"]
         assert ancestors("/A") == ["/"]
 
-    def test_common_ancestor(self):
-        assert common_ancestor("/A/C/E", "/A/C/F/G") == "/A/C"
-        assert common_ancestor("/A", "/B") == "/"
-        assert common_ancestor("/A/B", "/A/B") == "/A/B"
-
     def test_truncate_prefix(self):
         assert truncate_prefix("/A/C/E/G/H", 3) == "/A/C"
         assert truncate_prefix("/A/C", 3) == "/"
@@ -105,11 +88,3 @@ class TestPrefixLogic:
     def test_truncate_prefix_negative_rejected(self):
         with pytest.raises(ValueError):
             truncate_prefix("/A", -1)
-
-    def test_rewrite_prefix(self):
-        assert rewrite_prefix("/A/B/C", "/A/B", "/X/Y") == "/X/Y/C"
-        assert rewrite_prefix("/A/B", "/A/B", "/Z") == "/Z"
-
-    def test_rewrite_prefix_requires_prefix(self):
-        with pytest.raises(ValueError):
-            rewrite_prefix("/A/B", "/C", "/Z")

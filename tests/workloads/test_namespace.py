@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.paths import parent_and_name
 from repro.workloads.namespace import (
-    NamespaceSpec,
     build_namespace,
-    client_paths,
     deep_chain,
     ensure_chain,
 )
@@ -74,18 +72,6 @@ class TestBuildNamespace:
 class TestHelpers:
     def test_deep_chain(self):
         assert deep_chain("/r", 3) == ["/r/l1", "/r/l1/l2", "/r/l1/l2/l3"]
-
-    def test_client_paths_deterministic(self):
-        spec = build_namespace(num_dirs=30, seed=1)
-        a = client_paths(spec, 4, 5, seed=2)
-        b = client_paths(spec, 4, 5, seed=2)
-        assert a == b
-        assert len(a) == 4 and all(len(c) == 5 for c in a)
-
-    def test_client_paths_requires_objects(self):
-        empty = NamespaceSpec(directories=["/x"], objects=[], seed=0)
-        with pytest.raises(ValueError):
-            client_paths(empty, 2, 2)
 
     def test_ensure_chain_populates_system(self):
         from repro.core.config import MantleConfig

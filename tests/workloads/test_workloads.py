@@ -3,9 +3,11 @@
 import pytest
 
 from repro.bench.cluster import build_system
-from repro.bench.harness import run_single_op, run_workload
+from repro.bench.harness import run_workload
+from repro.ops import ObjStat
+from repro.sim.stats import OpContext
 from repro.workloads.audio import AudioPreprocessWorkload
-from repro.workloads.mdtest import MdtestWorkload, lookup_only_workload
+from repro.workloads.mdtest import MdtestWorkload
 from repro.workloads.spark import SparkAnalyticsWorkload
 
 
@@ -72,11 +74,6 @@ class TestMdtestWorkload:
         assert metrics.ops_failed == 0
         assert metrics.ops_completed == 12
         system.shutdown()
-
-    def test_lookup_only_factory(self):
-        w = lookup_only_workload(depth=8, items=2, num_clients=2)
-        assert w.op == "objstat"
-        assert w.depth == 8
 
 
 class TestSparkWorkload:
@@ -178,7 +175,8 @@ class TestHarness:
         system = tiny_system()
         system.bulk_mkdir("/x")
         system.bulk_create("/x/o")
-        ctx = run_single_op(system, "objstat", "/x/o")
+        ctx = OpContext("objstat")
+        system.sim.run_process(system.perform(ObjStat("/x/o"), ctx))
         assert ctx.latency > 0
         assert ctx.rpcs >= 1
         system.shutdown()
