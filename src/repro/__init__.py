@@ -27,39 +27,38 @@ paper-versus-measured record of every reproduced table and figure, and
 ``docs/observability.md`` for the tracing layer.
 """
 
-from repro.core.api import BatchResult, MantleClient
-from repro.core.config import MantleConfig
-from repro.errors import (
-    AlreadyExistsError,
-    MetadataError,
-    NoSuchPathError,
-    NotADirectoryError,
-    NotEmptyError,
-    PermissionDeniedError,
-    RenameLoopError,
-    TransactionAbort,
-)
-from repro.ops import OP_NAMES, Op, make_op
-from repro.types import OpResult, StatResult
+import importlib
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "MantleClient",
-    "MantleConfig",
-    "BatchResult",
-    "Op",
-    "OP_NAMES",
-    "make_op",
-    "OpResult",
-    "StatResult",
-    "MetadataError",
-    "NoSuchPathError",
-    "AlreadyExistsError",
-    "NotADirectoryError",
-    "NotEmptyError",
-    "PermissionDeniedError",
-    "RenameLoopError",
-    "TransactionAbort",
-    "__version__",
-]
+#: Each public name -> the module that defines it.  They resolve on first
+#: use (PEP 562), so importing one subsystem (``repro.runtime.serve``, a
+#: live role) does not load the client API or every baseline behind it.
+_EXPORTS = {
+    "MantleClient": "repro.core.api",
+    "BatchResult": "repro.core.api",
+    "MantleConfig": "repro.core.config",
+    "Op": "repro.ops",
+    "OP_NAMES": "repro.ops",
+    "make_op": "repro.ops",
+    "OpResult": "repro.types",
+    "StatResult": "repro.types",
+    **{name: "repro.errors" for name in (
+        "MetadataError", "NoSuchPathError", "AlreadyExistsError",
+        "NotADirectoryError", "NotEmptyError", "PermissionDeniedError",
+        "RenameLoopError", "TransactionAbort")},
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

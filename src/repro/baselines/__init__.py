@@ -16,14 +16,27 @@ All of them implement :class:`repro.baselines.base.MetadataSystem`, the same
 interface Mantle exposes, so workloads and benchmarks are system-agnostic.
 """
 
-from repro.baselines.base import MetadataSystem
-from repro.baselines.tectonic import TectonicSystem
-from repro.baselines.infinifs import InfiniFSSystem
-from repro.baselines.locofs import LocoFSSystem
+import importlib
 
-__all__ = [
-    "MetadataSystem",
-    "TectonicSystem",
-    "InfiniFSSystem",
-    "LocoFSSystem",
-]
+#: Each system -> its module, imported on first use (PEP 562): a live role
+#: needs ``baselines.base`` only, not the three baselines' code.
+_EXPORTS = {
+    "MetadataSystem": "repro.baselines.base",
+    "TectonicSystem": "repro.baselines.tectonic",
+    "InfiniFSSystem": "repro.baselines.infinifs",
+    "LocoFSSystem": "repro.baselines.locofs",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

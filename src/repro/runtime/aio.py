@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import socket
 import time
 from typing import Any, Dict, Iterable, Optional, Set
 
@@ -431,17 +432,26 @@ class WireServer:
     """
 
     def __init__(self, runtime: AsyncioRuntime, dispatcher,
-                 host: str = "127.0.0.1", port: int = 0):
+                 host: str = "127.0.0.1", port: int = 0,
+                 sock: Optional[socket.socket] = None):
         self.runtime = runtime
         self.dispatcher = dispatcher
         self.host = host
         self.port = port
+        #: A listening socket bound before the server existed (inherited
+        #: from a cluster parent); served instead of binding host:port.
+        self.sock = sock
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set["_ServerConnection"] = set()
 
     async def start(self) -> int:
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _ServerConnection(self), self.host, self.port)
+        loop = asyncio.get_running_loop()
+        if self.sock is not None:
+            self._server = await loop.create_server(
+                lambda: _ServerConnection(self), sock=self.sock)
+        else:
+            self._server = await loop.create_server(
+                lambda: _ServerConnection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 

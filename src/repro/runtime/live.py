@@ -21,7 +21,8 @@ processes:
   ``mantle-serve <role>`` runs one per process; :class:`InProcessCluster`
   runs all three on one event loop (real localhost TCP) for tests, and
   :class:`ProcessCluster` spawns them as ``mantle-serve`` processes with a
-  READY handshake.
+  READY handshake.  Both clusters bind every role's listening socket first
+  and then start the three roles together.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ import asyncio
 import itertools
 import json
 import os
+import selectors
+import shutil
+import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import traceback
@@ -53,8 +58,12 @@ from repro.tafdb.rows import attr_key
 from repro.types import ROOT_ID, AttrMeta, EntryKind
 
 
-#: The roles of a live cluster, in start order (stopped in reverse).
+#: The roles of a live cluster.  They start together; they stop in
+#: reverse of this order, proxy first.
 ROLE_ORDER = ("tafdb", "indexnode", "proxy")
+
+#: Where a cluster's roles listen.
+CLUSTER_HOST = "127.0.0.1"
 
 #: How long a cluster waits for its roles to come up, and to go down.
 START_TIMEOUT_S = 30.0
@@ -429,14 +438,17 @@ class LiveRole:
     ``metrics_port``, a :class:`~repro.runtime.obs.MetricsServer`.
     :meth:`stop` undoes all of it.  ``mantle-serve <role>`` runs one per
     process; :class:`InProcessCluster` runs one per role on a shared loop.
-    ``tafdb``/``indexnode`` are the proxy's backend endpoints.
+    ``tafdb``/``indexnode`` are the proxy's backend endpoints.  Given
+    ``sock``, an already listening socket, the role serves it instead of
+    binding ``host:port``, and owns it from then on.
     """
 
     def __init__(self, role: str, config: MantleConfig, *,
                  trace: bool = False, telemetry: bool = False,
                  wal_dir: Optional[str] = None, host: str = "127.0.0.1",
                  port: int = 0, metrics_port: Optional[int] = None,
-                 tafdb: str = "", indexnode: str = ""):
+                 tafdb: str = "", indexnode: str = "",
+                 sock: Optional[socket.socket] = None):
         tracer, registry = build_observability(config, trace, telemetry)
         self.runtime = AsyncioRuntime(tracer=tracer, telemetry=registry,
                                       process_name=role)
@@ -446,6 +458,7 @@ class LiveRole:
         self.host = host
         #: The bound ports once started.
         self.port = port
+        self._sock = sock
         self.metrics_port = metrics_port
         self._backends = {"tafdb": tafdb, "indexnode": indexnode} \
             if role == "proxy" else {}
@@ -454,10 +467,6 @@ class LiveRole:
         self._loops: List[asyncio.Future] = []
         self._close = None
 
-    @property
-    def endpoint(self) -> str:
-        return f"{self.host}:{self.port}"
-
     async def start(self) -> int:
         """Assemble and bind the role; returns its wire port."""
         dispatcher, loops, self._close = _ROLE_BUILDERS[self.role](
@@ -465,7 +474,7 @@ class LiveRole:
         self._loops = [asyncio.ensure_future(self.runtime.drive(loop))
                        for loop in loops]
         self._server = WireServer(self.runtime, dispatcher, host=self.host,
-                                  port=self.port)
+                                  port=self.port, sock=self._sock)
         self.port = await self._server.start()
         if self.metrics_port is not None:
             from repro.runtime.obs import MetricsServer
@@ -486,6 +495,8 @@ class LiveRole:
             await self._metrics.stop()
         if self._server is not None:
             await self._server.stop()
+        if self._sock is not None:  # closed with the server, unless the
+            self._sock.close()      # role failed before serving it
         if self._close is not None:
             self._close()
         for outcome in ended:
@@ -496,9 +507,17 @@ class LiveRole:
 # -- clusters ----------------------------------------------------------------
 
 class _Cluster:
-    """What both cluster flavours share: the role order, the
-    instrumentation switches, and where the running roles can be reached
-    (``obs.collect_snapshots(cluster.endpoints, ...)`` reads either)."""
+    """What both cluster flavours share: the start rule, the stop order,
+    the instrumentation switches, and where the running roles can be
+    reached (``obs.collect_snapshots(cluster.endpoints, ...)`` reads
+    either).
+
+    The start rule: :meth:`_bind_listeners` binds every role's listening
+    socket before any role starts, so every endpoint (the proxy's backends
+    included) is known up front and the three roles start together.  A
+    peer that connects before its target accepts waits in the listen
+    backlog, so no role waits for another to come up.
+    """
 
     ROLE_ORDER = ROLE_ORDER
 
@@ -523,6 +542,15 @@ class _Cluster:
 
     def _role_wal_dir(self, role: str) -> Optional[str]:
         return os.path.join(self.wal_dir, role) if self.wal_dir else None
+
+    def _bind_listeners(self) -> Dict[str, socket.socket]:
+        """One listening socket per role; publishes :attr:`endpoints`."""
+        listeners = {role: socket.create_server((CLUSTER_HOST, 0))
+                     for role in ROLE_ORDER}
+        self.endpoints = {role: f"{CLUSTER_HOST}:{sock.getsockname()[1]}"
+                          for role, sock in listeners.items()}
+        self.proxy_endpoint = self.endpoints["proxy"]
+        return listeners
 
 
 class InProcessCluster(_Cluster):
@@ -576,19 +604,23 @@ class InProcessCluster(_Cluster):
         return self.proxy_endpoint
 
     async def _start_roles(self) -> None:
-        for role in self.ROLE_ORDER:
-            runner = LiveRole(
-                role, self.config, trace=self.trace,
-                telemetry=self.telemetry, wal_dir=self._role_wal_dir(role),
-                metrics_port=0 if self.metrics else None,
-                tafdb=self.endpoints.get("tafdb", ""),
-                indexnode=self.endpoints.get("indexnode", ""))
-            self._roles.append(runner)
-            await runner.start()
-            self.endpoints[role] = runner.endpoint
-            if self.metrics:
-                self.metrics_ports[role] = runner.metrics_port
-        self.proxy_endpoint = self.endpoints["proxy"]
+        self._roles = [
+            LiveRole(role, self.config, trace=self.trace,
+                     telemetry=self.telemetry,
+                     wal_dir=self._role_wal_dir(role),
+                     metrics_port=0 if self.metrics else None,
+                     tafdb=self.endpoints["tafdb"],
+                     indexnode=self.endpoints["indexnode"], sock=sock)
+            for role, sock in self._bind_listeners().items()]
+        outcomes = await asyncio.gather(
+            *(runner.start() for runner in self._roles),
+            return_exceptions=True)
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        if self.metrics:
+            self.metrics_ports = {runner.role: runner.metrics_port
+                                  for runner in self._roles}
 
     async def _stop_roles(self) -> None:
         for runner in reversed(self._roles):
@@ -612,13 +644,27 @@ class InProcessCluster(_Cluster):
                 for runner in reversed(self._roles)}
 
 
+def _ready_fields(output: bytes) -> Optional[Dict[str, str]]:
+    """The fields of the first complete ``MANTLE-SERVE READY port=N
+    [metrics=M]`` line in a role's output, or None before there is one."""
+    for line in output.split(b"\n")[:-1]:
+        if line.startswith(b"MANTLE-SERVE READY"):
+            return dict(token.split("=", 1)
+                        for token in line.decode().split()[2:]
+                        if "=" in token)
+    return None
+
+
 class ProcessCluster(_Cluster):
     """Real OS processes: one ``mantle-serve`` per role.
 
-    Startup is a READY handshake — each child prints
-    ``MANTLE-SERVE READY port=<port>`` once its listener is bound; shutdown
-    is SIGTERM, which each role traps for a clean exit 0 (the contract the
-    CI ``live-smoke`` job asserts).
+    :meth:`start` binds the three listening sockets, spawns the three roles
+    at once, each inheriting its socket (``--listen-fd``), and waits for
+    every role's ``MANTLE-SERVE READY port=<port>`` line against one
+    deadline.  Each role's stderr goes to ``<wal_dir>/<role>.log`` (a
+    temporary file, removed at :meth:`stop`, without a WAL dir); a failed
+    start quotes its tail.  Shutdown is SIGTERM, which each role traps for
+    a clean exit 0 (the contract the CI ``live-smoke`` job asserts).
     """
 
     def __init__(self, config_name: str = "small",
@@ -627,14 +673,11 @@ class ProcessCluster(_Cluster):
         super().__init__(wal_dir, trace, telemetry, metrics)
         self.config_name = config_name
         self.processes: Dict[str, subprocess.Popen] = {}
+        self._log_dir: Optional[str] = None
 
-    def _spawn(self, role: str) -> subprocess.Popen:
-        env = dict(os.environ)
-        src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    def _command(self, role: str, fd: int) -> List[str]:
         argv = [sys.executable, "-m", "repro.runtime.serve", role,
-                "--config", self.config_name, "--port", "0"]
+                "--config", self.config_name, "--listen-fd", str(fd)]
         if role == "proxy":
             argv += ["--tafdb", self.endpoints["tafdb"],
                      "--indexnode", self.endpoints["indexnode"]]
@@ -646,36 +689,89 @@ class ProcessCluster(_Cluster):
             argv.append("--telemetry")
         if self.metrics:
             argv += ["--metrics-port", "0"]
-        return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True)
+        return argv
 
-    def _await_ready(self, role: str, proc: subprocess.Popen) -> int:
-        """Parse the READY line; returns the wire port and records any
-        advertised metrics port (``MANTLE-SERVE READY port=N [metrics=M]``).
-        """
+    def _log_path(self, role: str) -> str:
+        return os.path.join(self._log_dir, f"{role}.log")
+
+    def _spawn(self, role: str, sock: socket.socket) -> subprocess.Popen:
+        env = dict(os.environ)
+        src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        with open(self._log_path(role), "wb") as log:
+            return subprocess.Popen(
+                self._command(role, sock.fileno()), env=env,
+                stdout=subprocess.PIPE, stderr=log,
+                pass_fds=(sock.fileno(),))
+
+    def _log_tail(self, role: str, limit: int = 2000) -> str:
+        with open(self._log_path(role), "rb") as log:
+            log.seek(max(0, log.seek(0, os.SEEK_END) - limit))
+            return log.read().decode(errors="replace")
+
+    def _await_ready(self) -> Dict[str, str]:
+        """Read every role's stdout until its READY line, all against one
+        deadline.  Returns ``{role: why it failed}``, empty when all three
+        came up."""
         deadline = time.monotonic() + START_TIMEOUT_S
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            line = line.strip()
-            if line.startswith("MANTLE-SERVE READY"):
-                fields = dict(token.split("=", 1)
-                              for token in line.split()[2:] if "=" in token)
-                if "metrics" in fields:
-                    self.metrics_ports[role] = int(fields["metrics"])
-                return int(fields["port"])
-        stderr = proc.stderr.read() if proc.stderr else ""
-        self.stop()
-        raise RuntimeError(
-            f"{role} never reported READY (rc={proc.poll()}): {stderr[-2000:]}")
+        output = dict.fromkeys(self.processes, b"")
+        failures: Dict[str, str] = {}
+        with selectors.DefaultSelector() as selector:
+            for role, proc in self.processes.items():
+                selector.register(proc.stdout, selectors.EVENT_READ, role)
+            while selector.get_map() and not failures:
+                events = selector.select(max(0.0, deadline - time.monotonic()))
+                if not events:  # the deadline passed
+                    for key in selector.get_map().values():
+                        failures[key.data] = ("never reported READY in "
+                                              f"{START_TIMEOUT_S:g}s")
+                for key, _ in events:
+                    role = key.data
+                    chunk = os.read(key.fd, 4096)
+                    output[role] += chunk
+                    fields = _ready_fields(output[role])
+                    if fields is None and chunk:
+                        continue
+                    selector.unregister(key.fileobj)
+                    why = ("exited before reporting READY" if fields is None
+                           else self._ready(role, fields))
+                    if why:
+                        failures[role] = why
+        return failures
+
+    def _ready(self, role: str, fields: Dict[str, str]) -> Optional[str]:
+        """Record a READY line's metrics port; returns what is wrong with
+        the line, if anything is."""
+        if "metrics" in fields:
+            self.metrics_ports[role] = int(fields["metrics"])
+        listening = self.endpoints[role].rsplit(":", 1)[1]
+        if fields.get("port") != listening:
+            return (f"reported port {fields.get('port')}, not its inherited "
+                    f"listener's {listening}")
+        return None
 
     def start(self) -> str:
-        for role in self.ROLE_ORDER:
-            proc = self.processes[role] = self._spawn(role)
-            self.endpoints[role] = \
-                f"127.0.0.1:{self._await_ready(role, proc)}"
-        self.proxy_endpoint = self.endpoints["proxy"]
+        listeners = self._bind_listeners()
+        try:
+            self._log_dir = self.wal_dir or tempfile.mkdtemp(
+                prefix="mantle-cluster-")
+            os.makedirs(self._log_dir, exist_ok=True)
+            for role, sock in listeners.items():
+                self.processes[role] = self._spawn(role, sock)
+        except BaseException:
+            self.stop()
+            raise
+        finally:
+            for sock in listeners.values():
+                sock.close()  # each role holds its own copy
+        failures = self._await_ready()
+        if failures:
+            tails = {role: self._log_tail(role) for role in failures}
+            codes = self.stop()
+            raise RuntimeError("; ".join(
+                f"{role} {why} (rc={codes.get(role)}): {tails[role]}"
+                for role, why in failures.items()))
         return self.proxy_endpoint
 
     def stop(self) -> Dict[str, int]:
@@ -694,5 +790,7 @@ class ProcessCluster(_Cluster):
                 proc.kill()
                 exit_codes[role] = proc.wait()
             proc.stdout.close()
-            proc.stderr.close()
+        if self._log_dir is not None and not self.wal_dir:
+            shutil.rmtree(self._log_dir, ignore_errors=True)
+        self._log_dir = None
         return exit_codes

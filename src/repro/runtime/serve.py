@@ -7,11 +7,14 @@ Each invocation hosts one service over the live wire protocol::
     mantle-serve proxy     --port 7400 \\
         --tafdb 127.0.0.1:7401 --indexnode 127.0.0.1:7402
 
-Once the listener is bound the process prints ``MANTLE-SERVE READY
-port=<port>`` on stdout (the handshake :class:`~repro.runtime.live
-.ProcessCluster` waits for; with ``--metrics-port`` the line also carries
-``metrics=<port>``) and serves until SIGTERM/SIGINT, which it traps for a
-clean exit 0.  ``--trace``/``--telemetry`` turn on the wall-clock
+``--listen-fd N`` serves an inherited socket that is already listening
+instead of binding ``--host``/``--port``: that is how
+:class:`~repro.runtime.live.ProcessCluster` starts its roles, all at once,
+with every endpoint known before any of them runs.  Once the listener is
+bound the process prints ``MANTLE-SERVE READY port=<port>`` on stdout (the
+handshake the cluster waits for; with ``--metrics-port`` the line also
+carries ``metrics=<port>``) and serves until SIGTERM/SIGINT, which it
+traps for a clean exit 0.  ``--trace``/``--telemetry`` turn on the wall-clock
 instrumentation; every role then answers ``obs.trace_snapshot`` /
 ``obs.metrics_snapshot`` control RPCs on its wire port.
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import signal
+import socket
 import sys
 from typing import Optional
 
@@ -40,22 +44,25 @@ CONFIGS = {"small": MantleConfig.small, "base": MantleConfig.base,
 async def _serve_role(args) -> int:
     config = CONFIGS[args.config]()
     config.validate()
+    sock = None if args.listen_fd is None else socket.socket(
+        fileno=args.listen_fd)
     role = LiveRole(args.role, config, trace=args.trace,
                     telemetry=args.telemetry, wal_dir=args.wal_dir,
                     host=args.host, port=args.port,
                     metrics_port=args.metrics_port,
                     tafdb=getattr(args, "tafdb", ""),
-                    indexnode=getattr(args, "indexnode", ""))
+                    indexnode=getattr(args, "indexnode", ""), sock=sock)
     await role.start()
-    ready = f"MANTLE-SERVE READY port={role.port}"
-    if role.metrics_port is not None:
-        ready += f" metrics={role.metrics_port}"
-    print(ready, flush=True)
-
+    # Trap the stop signals before announcing READY: a cluster may stop a
+    # role the moment its READY line arrives.
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(sig, stop.set)
+    ready = f"MANTLE-SERVE READY port={role.port}"
+    if role.metrics_port is not None:
+        ready += f" metrics={role.metrics_port}"
+    print(ready, flush=True)
     await stop.wait()
     await role.stop()
     return 0
@@ -102,6 +109,10 @@ def main(argv: Optional[list] = None) -> int:
         p.add_argument("--host", default="127.0.0.1")
         p.add_argument("--port", type=int, default=0,
                        help="listen port (0 = ephemeral)")
+        p.add_argument("--listen-fd", type=int, default=None,
+                       help="serve this inherited, already listening "
+                            "socket instead of binding --host/--port "
+                            "(how mantle-serve cluster starts its roles)")
         p.add_argument("--metrics-port", type=int, default=None,
                        help="serve a JSON metrics snapshot over HTTP on "
                             "this port (0 = ephemeral; advertised on the "
