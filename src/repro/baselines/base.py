@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.errors import MetadataError
 from repro.ops import Op
 from repro.sim.core import Simulator
+from repro.sim.host import CostModel
 from repro.sim.network import Network
 from repro.sim.stats import MetricSet, OpContext
 from repro.sim.telemetry import OP_LATENCY_DIGEST_PREFIX
@@ -40,6 +41,9 @@ class MetadataSystem:
     #: blame groups victims/culprits by it).  ``None`` = single-tenant;
     #: multi-namespace deployments set it to the namespace name.
     tenant: Optional[str] = None
+
+    #: The deployment's one cost model; every system sets it when built.
+    costs: CostModel
 
     def __init__(self, sim: Simulator, network: Network):
         self.sim = sim
@@ -157,10 +161,9 @@ class MetadataSystem:
     def data_access(self, ctx: OpContext):
         """One small-object data-service access: a single RPC plus tens of
         microseconds of SSD device time (§3)."""
-        costs = getattr(self, "costs", None)
-        one_way = costs.net_one_way_us if costs else 50.0
-        device = costs.data_io_small_us if costs else 80.0
-        yield self.sim.timeout(2 * one_way + device)
+        costs = self.costs
+        yield self.sim.timeout(2 * costs.net_one_way_us
+                               + costs.data_io_small_us)
 
 
 class IdAllocator:

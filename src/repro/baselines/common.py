@@ -21,6 +21,7 @@ from repro.errors import (
 from repro.paths import normalize, split_path
 from repro.sim.host import CostModel
 from repro.sim.stats import PHASE_LOOKUP, OpContext
+from repro.tafdb.client import MAX_RETRIES
 from repro.tafdb.cluster import TafDBCluster
 from repro.tafdb.rows import (
     AttrRecord,
@@ -180,8 +181,7 @@ class StorageMixin:
     # -- parent attribute read-modify-write with retries ------------------------------
 
     def update_parent_attrs(self, db, parent_id: int, link_delta: int,
-                            entry_delta: int, ctx: OpContext,
-                            max_retries: int = 64):
+                            entry_delta: int, ctx: OpContext):
         """The contended in-place parent update of the DBtable approach.
 
         Optimistic read-modify-write with version expectation; conflicts
@@ -204,7 +204,7 @@ class StorageMixin:
             except TransactionAbort:
                 ctx.retries += 1
                 attempt += 1
-                if attempt > max_retries:
+                if attempt > MAX_RETRIES:
                     raise
                 yield self.sim.timeout(db.backoff_us(attempt))
 

@@ -48,6 +48,7 @@ from repro.sim.stats import (
     OpContext,
 )
 from repro.structures.lru import LRUCache
+from repro.tafdb.client import MAX_RETRIES
 from repro.tafdb.rows import Dirent, attr_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AccessMeta, AttrMeta, EntryKind, Permission, make_stat
@@ -467,7 +468,7 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
 
         ctx.begin(PHASE_LOOP_DETECT, self.sim.now)
         prep = None
-        for attempt in range(64):
+        for attempt in range(MAX_RETRIES):
             try:
                 prep = yield from self.network.rpc(
                     self.coordinator, "rename_prepare", src, dst, owner,

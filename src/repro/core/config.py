@@ -2,16 +2,30 @@
 
 Every optimisation in §5 is an independent toggle so the Figure 16 ablation
 (`Mantle-base`, `+pathcache`, `+raftlogbatch`, `+delta record`,
-`+follower read`) can be expressed as configurations.
+`+follower read`) can be expressed as configurations.  Beside the toggles a
+config holds the cluster shape, two thresholds tests lower to reach delta
+mode and Raft snapshots in a few ops, the observability switches and
+``costs``.
+
+Timings no experiment varies are not fields here: the invalidator and
+compaction periods, the delta-activation window and the Raft batch window
+and size are the defaults of the component that owns them
+(:class:`~repro.indexnode.server.IndexNodeService`,
+:class:`~repro.tafdb.cluster.TafDBCluster`,
+:class:`~repro.tafdb.contention.ContentionRegistry`,
+:class:`~repro.raft.node.RaftConfig`).  Permissions are always enforced.
+
+``costs`` is the one cost model every component of a deployment runs with
+(hosts, network, Raft, TafDB, IndexNodes, proxies).  A what-if rerun builds
+the system from a scaled copy of it
+(:meth:`~repro.sim.host.CostOverrides.apply`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from typing import Optional
-
-from repro.sim.host import CostModel, CostOverrides
+from repro.sim.host import CostModel
 
 
 @dataclasses.dataclass
@@ -27,9 +41,9 @@ class MantleConfig:
       (§5.1.3, '+follower read', Figure 19b '+learners').
     * ``enable_delta_records`` — out-of-place attribute updates (§5.2.1).
     * ``delta_activation_threshold`` — delta records activate only under
-      sustained contention: this many aborts on one directory within
-      ``delta_activation_window_us`` flips the directory to delta mode.
-    * ``enable_raft_batching`` / ``raft_batch_window_us`` — §5.2.3.
+      sustained contention: this many aborts on one directory within the
+      contention registry's window flips the directory to delta mode.
+    * ``enable_raft_batching`` — Raft log batching (§5.2.3).
     """
 
     # --- cluster shape (Table 2) -----------------------------------------
@@ -46,19 +60,12 @@ class MantleConfig:
     enable_path_cache: bool = True
     path_cache_k: int = 3
     enable_follower_read: bool = True
-    #: Invalidator poll period for draining RemovalList into cache removals.
-    invalidator_period_us: float = 200.0
 
     # --- §5.2 directory modification optimisations ------------------------
     enable_delta_records: bool = True
     #: Aborts-per-directory within the window that activate delta mode.
     delta_activation_threshold: int = 3
-    delta_activation_window_us: float = 1_000_000.0
-    #: Background compaction period for delta records.
-    compaction_period_us: float = 5_000.0
     enable_raft_batching: bool = True
-    raft_batch_window_us: float = 100.0
-    raft_max_batch: int = 64
     #: Snapshot + compact the IndexNode Raft log every N applied entries
     #: (keeps long-lived namespaces' logs bounded; 0 disables).
     raft_snapshot_threshold: int = 1024
@@ -68,17 +75,6 @@ class MantleConfig:
     #: default: the paper's point is that Mantle's single-RPC lookups leave
     #: little for client caching to win (§6.5 "Adding metadata caching").
     client_cache_capacity: int = 0
-
-    # --- permissions --------------------------------------------------------
-    #: Enforce Lazy-Hybrid aggregated path permissions: traversal requires
-    #: EXECUTE along the whole prefix, mutations additionally require WRITE
-    #: on the parent.  The aggregation itself (§5.1.1) always happens; this
-    #: flag controls whether the proxy rejects on it.
-    enforce_permissions: bool = True
-
-    # --- retry policy ------------------------------------------------------
-    max_txn_retries: int = 64
-    max_rename_retries: int = 64
 
     # --- observability ------------------------------------------------------
     #: Attach a span tracer (:mod:`repro.sim.trace`) to this deployment's
@@ -100,11 +96,6 @@ class MantleConfig:
 
     # --- costs -------------------------------------------------------------
     costs: CostModel = dataclasses.field(default_factory=CostModel)
-    #: What-if cost overrides (:class:`~repro.sim.host.CostOverrides`):
-    #: per-component speedup factors applied to ``costs`` when the system
-    #: is built.  ``None`` (or empty) leaves the cost model untouched.
-    #: ``mantle-exp whatif --speedup raft.fsync=2x`` reruns through this.
-    overrides: Optional[CostOverrides] = None
 
     def copy(self, **overrides) -> "MantleConfig":
         dup = dataclasses.replace(self)
@@ -134,13 +125,6 @@ class MantleConfig:
         return cls(num_db_servers=3, num_db_shards=6, num_proxies=2,
                    index_replicas=3, num_learners=0,
                    index_cores=8, db_cores=8, proxy_cores=8).copy(**overrides)
-
-    def effective_costs(self) -> CostModel:
-        """The cost model a built system actually runs with: ``costs``
-        with any what-if ``overrides`` applied."""
-        if self.overrides:
-            return self.overrides.apply(self.costs)
-        return self.costs
 
     def validate(self) -> None:
         if self.path_cache_k < 0:

@@ -19,11 +19,10 @@ from typing import Dict, List, Optional
 
 from repro.baselines.base import IdAllocator
 from repro.core.config import MantleConfig
-from repro.core.service import MantleSystem
+from repro.core.service import MantleSystem, build_tafdb
 from repro.sim.core import Simulator
 from repro.sim.host import Host
 from repro.sim.network import Network
-from repro.tafdb.cluster import TafDBCluster
 
 
 class MantleDeployment:
@@ -41,16 +40,7 @@ class MantleDeployment:
         self.sim = Simulator()
         self.network = Network(self.sim,
                                one_way_us=self.config.costs.net_one_way_us)
-        self.tafdb = TafDBCluster(
-            self.sim, self.network,
-            num_servers=self.config.num_db_servers,
-            num_shards=self.config.num_db_shards,
-            cores=self.config.db_cores,
-            costs=self.config.costs,
-            compaction_period_us=self.config.compaction_period_us,
-            delta_threshold=self.config.delta_activation_threshold,
-            delta_window_us=self.config.delta_activation_window_us,
-            deltas_enabled=self.config.enable_delta_records)
+        self.tafdb = build_tafdb(self.sim, self.network, self.config)
         self.ids = IdAllocator(start=2)
         self.namespaces: Dict[str, MantleSystem] = {}
         self._pool: List[Host] = [

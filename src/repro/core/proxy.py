@@ -40,6 +40,7 @@ from repro.sim.stats import (
     PHASE_LOOP_DETECT,
     OpContext,
 )
+from repro.tafdb.client import MAX_RETRIES
 from repro.tafdb.rows import AttrDelta, Dirent, attr_key, delta_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import AttrMeta, EntryKind, Permission, make_stat
@@ -62,7 +63,7 @@ class MantleProxy:
         self.sim = service.sim
         self.network = service.network
         self.config = service.config
-        self.costs = service.config.costs
+        self.costs = service.costs
         #: Execution environment (RPC, clock, host work): the system's
         #: SimRuntime in a simulated deployment, an AsyncioRuntime inside a
         #: ``mantle-serve`` proxy process.  Every op_* generator below goes
@@ -166,8 +167,6 @@ class MantleProxy:
         pre-intersected from the IndexNode (or its caches), so enforcement
         is a single AND here.
         """
-        if not self.config.enforce_permissions:
-            return
         permission = outcome.permission
         if permission is Permission.ALL:  # skip IntFlag.__and__
             return
@@ -235,7 +234,7 @@ class MantleProxy:
                     registry.note_abort(exc.key.pid, self.runtime.now)
                 ctx.retries += 1
                 attempt += 1
-                if attempt > self.config.max_txn_retries:
+                if attempt > MAX_RETRIES:
                     raise
                 yield from self.runtime.sleep(self.db.backoff_us(attempt))
 
@@ -433,7 +432,7 @@ class MantleProxy:
         # whole preparation is accounted to the loop-detection phase.
         ctx.begin(PHASE_LOOP_DETECT, self.runtime.now)
         prep = None
-        for attempt in range(self.config.max_rename_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             try:
                 service = self._leader_service()
                 prep = yield from self.runtime.rpc(
@@ -448,13 +447,12 @@ class MantleProxy:
         ctx.end(PHASE_LOOP_DETECT, self.runtime.now)
         if prep is None:
             raise RenameLockConflict(src)
-        if self.config.enforce_permissions:
-            needed = Permission.EXECUTE | Permission.WRITE
-            if (prep.permission & needed) != needed:
-                yield from self._index_mutate(
-                    ("rename_abort", prep.src_pid, prep.src_name, owner,
-                     prep.src_path), ctx)
-                raise PermissionDeniedError(src, needed)
+        needed = Permission.EXECUTE | Permission.WRITE
+        if (prep.permission & needed) != needed:
+            yield from self._index_mutate(
+                ("rename_abort", prep.src_pid, prep.src_name, owner,
+                 prep.src_path), ctx)
+            raise PermissionDeniedError(src, needed)
 
         ctx.begin(PHASE_EXECUTION, self.runtime.now)
         src_key = dirent_key(prep.src_pid, prep.src_name)

@@ -26,6 +26,21 @@ from repro.tafdb.cluster import TafDBCluster
 from repro.types import ROOT_ID, AccessMeta
 
 
+def build_tafdb(sim: Simulator, network: Network,
+                config: MantleConfig) -> TafDBCluster:
+    """The TafDB cluster of a deployment configured by ``config``: one per
+    :class:`MantleSystem`, or one shared by a
+    :class:`~repro.core.multitenant.MantleDeployment`'s namespaces."""
+    return TafDBCluster(
+        sim, network,
+        num_servers=config.num_db_servers,
+        num_shards=config.num_db_shards,
+        cores=config.db_cores,
+        costs=config.costs,
+        delta_threshold=config.delta_activation_threshold,
+        deltas_enabled=config.enable_delta_records)
+
+
 class MantleSystem(ProxyRouted, StorageMixin, MetadataSystem):
     """A full simulated Mantle deployment for one namespace."""
 
@@ -51,11 +66,9 @@ class MantleSystem(ProxyRouted, StorageMixin, MetadataSystem):
         """
         self.config = config or MantleConfig()
         self.config.validate()
-        # What-if overrides scale the cost model once, here; the scaled
-        # model then threads through hosts, network, Raft and TafDB like
-        # any other CostModel, so an override rerun exercises the exact
-        # machinery of a hand-calibrated deployment.
-        costs = self.config.effective_costs()
+        # The one cost model: hosts, network, Raft, TafDB, IndexNodes and
+        # proxies all read it (a what-if rerun passes a scaled copy).
+        costs = self.config.costs
         sim = sim or Simulator()
         if self.config.tracing and not sim.tracer.enabled:
             from repro.sim.trace import Tracer
@@ -73,22 +86,11 @@ class MantleSystem(ProxyRouted, StorageMixin, MetadataSystem):
             self.tenant = namespace
         self.root_id = root_id
 
-        self.tafdb = tafdb or TafDBCluster(
-            sim, network,
-            num_servers=self.config.num_db_servers,
-            num_shards=self.config.num_db_shards,
-            cores=self.config.db_cores,
-            costs=costs,
-            compaction_period_us=self.config.compaction_period_us,
-            delta_threshold=self.config.delta_activation_threshold,
-            delta_window_us=self.config.delta_activation_window_us,
-            deltas_enabled=self.config.enable_delta_records)
+        self.tafdb = tafdb or build_tafdb(sim, network, self.config)
         self._owns_tafdb = tafdb is None
 
         raft_config = RaftConfig(
             batching_enabled=self.config.enable_raft_batching,
-            batch_window_us=self.config.raft_batch_window_us,
-            max_batch=self.config.raft_max_batch,
             snapshot_threshold=self.config.raft_snapshot_threshold)
         replicas = self.config.index_replicas + self.config.num_learners
         if index_hosts is None:
@@ -109,9 +111,7 @@ class MantleSystem(ProxyRouted, StorageMixin, MetadataSystem):
             num_learners=self.config.num_learners,
             config=raft_config, costs=costs, seed=seed)
         self.index_services: Dict[int, IndexNodeService] = {
-            nid: IndexNodeService(
-                node.host, node, node.state_machine, costs,
-                purge_period_us=self.config.invalidator_period_us)
+            nid: IndexNodeService(node.host, node, node.state_machine, costs)
             for nid, node in self.index_group.nodes.items()
         }
 

@@ -300,21 +300,17 @@ def instrumented_run(build: Callable[[], Any],
 def run_case(case: Case, scale: str, needs: Iterable[str] = (), *,
              clients: Optional[int] = None, items: Optional[int] = None,
              window_us: Optional[float] = None,
-             overrides: Optional[CostOverrides] = None) -> RunRecord:
+             overrides: CostOverrides = CostOverrides()) -> RunRecord:
     """:func:`instrumented_run` of one mdtest :class:`Case` at ``scale``.
 
     ``clients``/``items`` override the case's budgets (as on the
     ``explain`` command line).  ``overrides`` reruns the point with a
-    what-if speedup applied: through the deployment's config for Mantle,
-    as a pre-scaled cost model for the baselines (they have no config).
-    The record is named ``"<system> <op>"``.
+    what-if speedup applied to the cost model the system is built with,
+    the same way for every system.  The record is named
+    ``"<system> <op>"``.
     """
-    config, costs = case.config, None
-    if overrides:
-        if case.system == "mantle":
-            config = (config or MantleConfig()).copy(overrides=overrides)
-        else:
-            costs = overrides.apply(CostModel())
+    config = case.config
+    costs = overrides.apply(config.costs if config else CostModel())
     prefill = pick(scale, *case.prefill)
 
     def build():

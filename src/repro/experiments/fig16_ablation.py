@@ -23,7 +23,7 @@ from repro.bench.report import Table, ratio
 from repro.core.config import MantleConfig
 from repro.experiments.base import (Case, Claim, pick, register, rows_by,
                                     run_case)
-from repro.experiments.whatif import predict
+from repro.experiments.whatif import predict, signed
 from repro.sim.critpath import component_of
 from repro.sim.host import CostOverrides
 
@@ -78,9 +78,9 @@ def _whatif_note(record, component, case, scale):
     predicted_frac = 1.0 - prediction.predicted_mean_us / baseline
     measured_frac = 1.0 - measured.mean_latency_us("dirstat") / baseline
     return (f"what-if cross-check on the final gate: {component}=2x "
-            f"predicts {-predicted_frac:+.1%} dirstat-e latency (slack "
+            f"predicts {signed(predicted_frac)} dirstat-e latency (slack "
             f"floored by the bottleneck law); measured rerun "
-            f"{-measured_frac:+.1%}")
+            f"{signed(measured_frac)}")
 
 
 def claims(tables):

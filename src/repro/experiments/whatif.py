@@ -3,14 +3,15 @@
 The validated virtual-speedup loop: predict the effect of a
 ``--speedup component=FACTORx`` set from the critical-path slack of one
 instrumented run (the same run record ``mantle-exp explain`` folds), then
-*rerun the simulation with the override actually applied*
-(:class:`~repro.core.config.MantleConfig` ``overrides``) and print
-predicted vs measured with the prediction error.  The prediction is the
-slack model floored by the queueing-aware bottleneck law, so it equals
-the slack model wherever the floor does not bind (knee points) and
-removes its open-loop optimism deep in saturation.  ``--max-error`` turns
-the comparison into a gate (CI runs it), with an absolute-delta floor so
-a correctly-predicted "this changes nothing" also passes.
+*rerun the simulation with the override actually applied* (to the cost
+model the system is built with, :func:`~repro.experiments.base.run_case`)
+and print predicted vs measured with the prediction error.  The
+prediction is the slack model floored by the queueing-aware bottleneck
+law, so it equals the slack model wherever the floor does not bind (knee
+points) and removes its open-loop optimism deep in saturation.
+``--max-error`` turns the comparison into a gate (CI runs it), with an
+absolute-delta floor so a correctly-predicted "this changes nothing" also
+passes.
 """
 
 from __future__ import annotations
@@ -88,17 +89,30 @@ class WhatIfResult:
             return True
         return self.error_frac <= max_error
 
+    @property
+    def phantom(self) -> str:
+        """What an infinite error means: the change the prediction claims
+        and the rerun does not show."""
+        change = "gain" if self.predicted_delta_frac > 0.0 else "slowdown"
+        return f"a {change} where measurement shows none"
+
     def failure_report(self, max_error: float) -> str:
         """The ``--max-error`` verdict as one line: predicted vs measured
         delta and the error between them."""
         err = self.error_frac
-        err_text = ("inf (predicted a gain where measurement shows none)"
+        err_text = (f"inf (predicted {self.phantom})"
                     if err == float("inf")
                     else f"{err:.1%} of the measured delta")
         verdict = "within" if self.within(max_error) else "EXCEEDS"
-        return (f"predicted -{self.predicted_delta_frac:.1%} vs measured "
-                f"-{self.measured_delta_frac:.1%} -> error {err_text}; "
+        return (f"predicted {signed(self.predicted_delta_frac)} vs measured "
+                f"{signed(self.measured_delta_frac)} -> error {err_text}; "
                 f"{verdict} --max-error {max_error:.0%}")
+
+
+def signed(delta_frac: float) -> str:
+    """A latency delta as a signed change: ``-2.1%`` faster, ``+2.1%``
+    slower (fig16's what-if note prints the same way)."""
+    return f"{-delta_frac:+.1%}"
 
 
 def predict(record: RunRecord, overrides: CostOverrides,
@@ -156,9 +170,9 @@ def run_whatif(target: str, speedups: Sequence[str],
                   round(result.predicted_mean_us, 1),
                   round(result.measured_mean_us, 1))
     table.add_row("latency delta", "-",
-                  f"-{result.slack_delta_frac:.1%}",
-                  f"-{result.predicted_delta_frac:.1%}",
-                  f"-{result.measured_delta_frac:.1%}")
+                  signed(result.slack_delta_frac),
+                  signed(result.predicted_delta_frac),
+                  signed(result.measured_delta_frac))
     table.add_row("throughput (Kop/s)",
                   round(result.baseline_kops, 2), "-", "-",
                   round(result.measured_kops, 2))
@@ -166,7 +180,7 @@ def run_whatif(target: str, speedups: Sequence[str],
         table.add_row(f"gated by {component} (us/op)",
                       round(us, 1), "-", "-", "-")
     if result.error_frac == float("inf"):
-        table.add_note("prediction: a gain where measurement shows none")
+        table.add_note(f"prediction: {result.phantom}")
     else:
         table.add_note(f"prediction error {result.error_frac:.1%} of the "
                        "measured delta")

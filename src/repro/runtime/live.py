@@ -70,8 +70,8 @@ START_TIMEOUT_S = 30.0
 STOP_TIMEOUT_S = 15.0
 
 #: How often a live IndexNode drains its RemovalList (§5.1.2).  The
-#: simulator's ``invalidator_period_us`` (200 us) would wake a real process
-#: 5,000 times a second.
+#: simulator's invalidator period (200 us) would wake a real process 5,000
+#: times a second.
 LIVE_PURGE_PERIOD_US = 50_000.0
 
 
@@ -240,7 +240,7 @@ class SoloRaft:
 def build_tafdb_role(config: MantleConfig, runtime: AsyncioRuntime,
                      wal_dir: Optional[str] = None):
     """One live TafDB server process holding every shard, compacting delta
-    rows (§5.2.1) at the configured period.
+    rows (§5.2.1) at the simulator's period.
 
     The live smoke cluster maps all shards onto one server; shard *count*
     (and therefore 1PC-vs-2PC routing) still matches the simulated
@@ -249,17 +249,15 @@ def build_tafdb_role(config: MantleConfig, runtime: AsyncioRuntime,
     from repro.tafdb.server import DBServer
 
     facade = LiveSimFacade(runtime)
-    costs = config.effective_costs()
     host = LiveHost(facade, "tafdb-0", wal_dir=wal_dir)
     partitioner = Partitioner(config.num_db_shards, 1)
-    server = DBServer(host, partitioner.shards_on_server(0), costs)
+    server = DBServer(host, partitioner.shards_on_server(0), config.costs)
     # Bootstrap the namespace root exactly as StorageMixin._init_bulk
     # does for the simulated deployment.
     root_shard = partitioner.shard_of(ROOT_ID)
     server.shard(root_shard).install(
         attr_key(ROOT_ID), AttrMeta(id=ROOT_ID, kind=EntryKind.DIRECTORY))
-    return (server, [server.compactor_loop(config.compaction_period_us)],
-            host.close)
+    return server, [server.compactor_loop()], host.close
 
 
 def build_indexnode_role(config: MantleConfig, runtime: AsyncioRuntime,
@@ -271,7 +269,6 @@ def build_indexnode_role(config: MantleConfig, runtime: AsyncioRuntime,
     from repro.indexnode.state import IndexNodeState
 
     facade = LiveSimFacade(runtime)
-    costs = config.effective_costs()
     host = LiveHost(facade, "indexnode-0", wal_dir=wal_dir)
     state = IndexNodeState(cache_k=config.path_cache_k,
                            cache_enabled=config.enable_path_cache,
@@ -280,7 +277,7 @@ def build_indexnode_role(config: MantleConfig, runtime: AsyncioRuntime,
     if wal_dir is not None:
         log_path = os.path.join(wal_dir, "indexnode-raft.jsonl")
     node = SoloRaft(host, state, log_path=log_path)
-    service = IndexNodeService(host, node, state, costs,
+    service = IndexNodeService(host, node, state, config.costs,
                                purge_period_us=LIVE_PURGE_PERIOD_US,
                                start_purger=False)
 
@@ -299,12 +296,11 @@ class LiveTafDB:
     def __init__(self, facade: LiveSimFacade, config: MantleConfig,
                  services: List[RemoteService]):
         self._facade = facade
-        self.costs = config.effective_costs()
+        self.costs = config.costs
         self.partitioner = Partitioner(config.num_db_shards, len(services))
         self.services = services
         self.contention = ContentionRegistry(
             threshold=config.delta_activation_threshold,
-            window_us=config.delta_activation_window_us,
             enabled=config.enable_delta_records)
         self._client_ids = itertools.count(1)
 
@@ -334,7 +330,7 @@ class LiveMantleService(ProxyRouted, MetadataSystem):
         facade = LiveSimFacade(runtime)
         super().__init__(facade, None)  # resolves runtime from the facade
         self.config = config
-        self.costs = config.effective_costs()
+        self.costs = config.costs
         self.namespace = "default"
         self.root_id = ROOT_ID
         self._wal_dir = wal_dir

@@ -48,7 +48,8 @@ What-if
 computes the first-order gain ``gated_us * (1 - 1/factor)`` of a
 :class:`~repro.sim.host.CostOverrides` set.  Uniquely, because the cluster
 is a deterministic DES, the prediction is *checkable*: rerun the sim with
-the overrides actually applied (``MantleConfig.overrides``) and compare.
+the overrides applied to its cost model (``CostOverrides.apply``) and
+compare.
 ``mantle-exp whatif`` automates exactly that loop.
 
 Known first-order limits (documented, and why validation picks the probes

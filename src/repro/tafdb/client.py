@@ -10,7 +10,7 @@ partitioner and executes transactions:
 
 Aborts surface as :class:`~repro.errors.TransactionAbort`; retry policy
 belongs to the operation layer, but :meth:`backoff_us` provides the shared
-exponential-backoff schedule.
+exponential-backoff schedule and :data:`MAX_RETRIES` the shared limit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from repro.tafdb.partition import Partitioner
 from repro.tafdb.rows import RowKey
 from repro.tafdb.server import DBServer
 from repro.tafdb.shard import WriteIntent
+
+#: Retries after which an operation gives up on a contended transaction or
+#: rename lock and raises (every system's retry loops share this limit).
+MAX_RETRIES = 64
 
 
 class TafDBClient:

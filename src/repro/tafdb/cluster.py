@@ -11,7 +11,7 @@ from repro.sim.network import Network
 from repro.tafdb.client import TafDBClient
 from repro.tafdb.contention import ContentionRegistry
 from repro.tafdb.partition import Partitioner
-from repro.tafdb.server import DBServer
+from repro.tafdb.server import COMPACTION_PERIOD_US, DBServer
 from repro.tafdb.shard import ShardState
 
 
@@ -27,9 +27,8 @@ class TafDBCluster:
     def __init__(self, sim: Simulator, network: Network,
                  num_servers: int = 18, num_shards: int = 72,
                  cores: int = 32, costs: Optional[CostModel] = None,
-                 compaction_period_us: float = 5_000.0,
+                 compaction_period_us: float = COMPACTION_PERIOD_US,
                  delta_threshold: int = 3,
-                 delta_window_us: float = 1_000_000.0,
                  deltas_enabled: bool = True,
                  start_compactors: bool = True):
         self.sim = sim
@@ -47,9 +46,8 @@ class TafDBCluster:
         self._shards: List[ShardState] = [
             self.servers[self.partitioner.server_of_shard(shard_id)].shard(
                 shard_id) for shard_id in range(num_shards)]
-        self.contention = ContentionRegistry(
-            threshold=delta_threshold, window_us=delta_window_us,
-            enabled=deltas_enabled)
+        self.contention = ContentionRegistry(threshold=delta_threshold,
+                                             enabled=deltas_enabled)
         self._client_ids = itertools.count(1)
         self._compactors = []
         if start_compactors:

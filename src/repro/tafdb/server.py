@@ -16,6 +16,9 @@ from repro.sim.resources import Resource
 from repro.tafdb.rows import AttrDelta, RowKey, attr_key
 from repro.tafdb.shard import ShardState, WriteIntent
 
+#: How often each server's compactor folds delta rows (§5.2.1).
+COMPACTION_PERIOD_US = 5_000.0
+
 
 class DBServer(Server):
     """RPC wrapper over the shards placed on one host."""
@@ -135,7 +138,7 @@ class DBServer(Server):
 
     # -- maintenance --------------------------------------------------------------
 
-    def compactor_loop(self, period_us: float):
+    def compactor_loop(self, period_us: float = COMPACTION_PERIOD_US):
         """Background process folding delta rows into primary attribute rows.
 
         Written against the runtime seam, so the simulator spawns it with

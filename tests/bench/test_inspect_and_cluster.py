@@ -39,6 +39,11 @@ class TestClusterBuilder:
         system = build_system("mantle", "quick",
                               config=MantleConfig(costs=fast_wire))
         assert system.costs.net_one_way_us == 15.0
+        # Every component reads that one model.
+        assert system.tafdb.costs is system.costs
+        assert all(proxy.costs is system.costs for proxy in system.proxies)
+        assert all(service.costs is system.costs
+                   for service in system.index_services.values())
         system.shutdown()
         # An explicit cost model still wins over the config's.
         system = build_system("mantle", "quick",

@@ -63,12 +63,6 @@ class TestEnforcement:
             client.mkdir("/dst2")
             assert client.rename("/src/victim", "/dst2/moved") > 0
 
-    def test_enforcement_can_be_disabled(self):
-        with small(enforce_permissions=False) as client:
-            client.mkdir("/ro")
-            client.setattr("/ro", Permission.READ)
-            assert client.create("/ro/anyway.bin") > 0
-
 
 class TestAggregationThroughCaches:
     def test_cached_prefix_carries_permission(self):

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.experiments.base import Case, run_case
 from repro.experiments.cli import main
 from repro.experiments.explain import explain
 from repro.experiments.whatif import (
@@ -23,7 +24,7 @@ from repro.experiments.whatif import (
     run_whatif,
 )
 from repro.sim.critpath import validate_critpath
-from repro.sim.host import CostOverrides
+from repro.sim.host import CostModel, CostOverrides
 
 
 class TestRunCritpath:
@@ -102,6 +103,26 @@ class TestWhatIfResultLogic:
         result = self._result(predicted=800.0, measured=1000.0)
         assert "predicted a gain where measurement shows none" in \
             result.failure_report(0.15)
+        # A predicted slowdown prints its sign once, and says so.
+        line = self._result(predicted=1200.0, measured=1000.0
+                            ).failure_report(0.15)
+        assert "predicted +20.0% vs measured -0.0%" in line
+        assert "predicted a slowdown where measurement shows none" in line
+
+
+class TestOverrideRerun:
+    def test_proxy_override_moves_latency_by_the_proxy_cost(self):
+        """A what-if rerun builds the system from the scaled cost model,
+        so the proxies see it too.  objstat spends one proxy_overhead_us
+        per op on an idle proxy host: at 0.25x that is 3 more per op."""
+        case = Case("objstat", "mantle", "objstat")
+        slowdown = CostOverrides.of(**{"proxy.cpu": 0.25})
+        base, slow = (
+            run_case(case, "quick", clients=6, items=3,
+                     overrides=overrides).metrics.mean_latency_us("objstat")
+            for overrides in (CostOverrides(), slowdown))
+        assert slow - base == pytest.approx(
+            3 * CostModel().proxy_overhead_us)
 
 
 @pytest.mark.slow
