@@ -1,8 +1,7 @@
 """Cluster introspection: where did the simulated time and CPU go?
 
 After a workload run, :func:`host_utilization_table` summarises every
-host's CPU utilisation and fsync counts, and :func:`bottleneck` names the
-busiest host.
+host's CPU utilisation and fsync counts.
 """
 
 from __future__ import annotations
@@ -48,11 +47,3 @@ def host_utilization_table(system, elapsed_us: float) -> Table:
             host.fsync_count)
     return table
 
-
-def bottleneck(system, elapsed_us: float) -> str:
-    """Name of the busiest host — the first place to look when saturated."""
-    hosts = _hosts_of(system)
-    if not hosts or elapsed_us <= 0:
-        return "unknown"
-    busiest = max(hosts, key=lambda h: h.utilization(elapsed_us))
-    return busiest.name

@@ -54,17 +54,20 @@ class MantleDeployment:
     # -- namespace management ---------------------------------------------------
 
     def create_namespace(self, name: str, colocate: bool = False,
-                         **config_overrides) -> MantleSystem:
+                         index_replicas: Optional[int] = None
+                         ) -> MantleSystem:
         """Provision one namespace: a fresh root id and IndexNode group.
 
         ``colocate=True`` places this namespace's replicas on the shared
         host pool (several namespaces then compete for the same CPUs,
-        which is the §7.2 trade-off worth measuring).
+        which is the §7.2 trade-off worth measuring).  ``index_replicas``
+        sizes this namespace's IndexNode group; everything else, its cost
+        model included, is the deployment's.
         """
         if name in self.namespaces:
             raise ValueError(f"namespace {name!r} already exists")
-        config = self.config.copy(**config_overrides) \
-            if config_overrides else self.config
+        config = self.config if index_replicas is None else \
+            self.config.copy(index_replicas=index_replicas)
         index_hosts = None
         if colocate:
             if not self._pool:

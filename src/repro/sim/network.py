@@ -352,21 +352,3 @@ class Server:
             result = yield from handler(*args, **kwargs)
         return result
 
-
-class LoadBalancer:
-    """Round-robin picker over a set of peer servers (the stateless proxy
-    fleet, or DB shard replicas)."""
-
-    def __init__(self, servers):
-        self._servers = list(servers)
-        if not self._servers:
-            raise ValueError("load balancer needs at least one server")
-        self._next = 0
-
-    def pick(self) -> Any:
-        server = self._servers[self._next % len(self._servers)]
-        self._next += 1
-        return server
-
-    def all(self):
-        return list(self._servers)

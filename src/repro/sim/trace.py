@@ -22,7 +22,7 @@ Design constraints, in order of importance:
   no-op singleton; instrumentation sites guard on ``tracer.enabled`` so a
   disabled run pays one attribute load and a boolean test per site.
 * **Bounded memory when on** — finished spans land in a fixed-size ring
-  (oldest spans fall out), stored as rows of typed columns rather than
+  (oldest spans fall out), stored as rows of packed columns rather than
   as objects; reads rebuild :class:`Span` objects.
 * **Tail retention** — the ring keeps the most recent spans, so the p999
   stragglers that define SLOs fall out as readily as any other.  A
@@ -30,8 +30,9 @@ Design constraints, in order of importance:
   additionally retains the full span tree of any root op that errored or
   whose duration clears a per-op-type adaptive threshold (a quantile of
   the op's own duration digest), under a bounded span budget with whole-
-  tree eviction — so slow-op exemplars survive ring pressure.  The keep
-  decision depends only on simulated durations, so it is deterministic.
+  tree eviction — so slow-op exemplars survive ring pressure.  Kept trees
+  are rows in the ring's format.  The keep decision depends only on
+  simulated durations, so it is deterministic.
 
 Enable tracing with ``MANTLE_TRACE=1`` (every :class:`~repro.sim.core.Simulator`
 constructed in the process gets a live tracer), ``MantleConfig(tracing=True)``
@@ -48,10 +49,12 @@ Perfetto JSON) exporter and its validator.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from itertools import compress, islice, repeat
+from operator import sub
 from types import MappingProxyType
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.sim.telemetry import Sketch
 from repro.tools.shape import check_shape, shape_items
@@ -344,8 +347,8 @@ class NullTracer:
 #: Process-wide no-op tracer shared by every untraced simulator.
 NULL_TRACER = NullTracer()
 
-#: Default ring capacity: ~19 MB of rows at 73 B each (attributes and
-#: multi-key costs aside), far above what the quick-scale workloads
+#: Default ring capacity: ~10 MB of rows at ~37 B each (attributes and
+#: the sparse cost maps aside), far above what the quick-scale workloads
 #: produce, small enough to bound long soak runs.
 DEFAULT_MAX_SPANS = 262_144
 
@@ -379,11 +382,17 @@ class TailKeeper:
     Decisions read only simulated durations and integer counts, never the
     wall clock or an RNG — identical traffic keeps identical trees on
     every kernel.
+
+    Kept trees are stored as rows in the trace ring's format (a
+    :class:`_SpanStore`, one tree after another, oldest first): a kept
+    tree's spans wait as objects until :data:`_BATCH` of them have been
+    kept, then move into the store's columns.  :meth:`trees` and
+    :meth:`spans` rebuild equal :class:`Span` objects on every read.
     """
 
     __slots__ = ("quantile", "threshold_us", "min_samples", "budget",
-                 "kept_roots", "kept_errors", "evicted_roots", "_trees",
-                 "_span_count", "_durations")
+                 "kept_roots", "kept_errors", "evicted_roots", "_rows",
+                 "_waiting", "_sizes", "_span_count", "_durations")
 
     def __init__(self, quantile: float = DEFAULT_KEEP_QUANTILE,
                  threshold_us: Optional[float] = None,
@@ -403,9 +412,14 @@ class TailKeeper:
         self.kept_errors = 0
         #: kept trees evicted whole to stay under budget.
         self.evicted_roots = 0
-        #: root span_id -> that root's full finished tree (insertion-ordered
-        #: by root finish time, which is what eviction walks).
-        self._trees: Dict[int, List[Span]] = {}
+        #: Kept trees' rows, oldest first; eviction drops them from the
+        #: front.  A tree moves in whole, so the oldest trees are rows and
+        #: the newest may still be waiting.
+        self._rows = _SpanStore()
+        #: Spans of the newest kept trees not yet moved into rows.
+        self._waiting: List[Span] = []
+        #: Spans per kept tree, oldest first (root finish order).
+        self._sizes: Deque[int] = deque()
         self._span_count = 0
         #: op name -> root durations feeding the adaptive thresholds.
         self._durations: Dict[str, Sketch] = {}
@@ -435,13 +449,27 @@ class TailKeeper:
         self.kept_roots += 1
         if not root.ok:
             self.kept_errors += 1
-        self._trees[root.span_id] = tree
+        waiting = self._waiting
+        waiting += tree
+        sizes = self._sizes
+        sizes.append(len(tree))
         self._span_count += len(tree)
-        while self._span_count > self.budget and len(self._trees) > 1:
-            oldest = next(iter(self._trees))
-            self._span_count -= len(self._trees.pop(oldest))
+        while self._span_count > self.budget and len(sizes) > 1:
+            size = sizes.popleft()
+            self._span_count -= size
             self.evicted_roots += 1
+            if self._rows.held:
+                self._rows.drop(size)
+            else:
+                del waiting[:size]
+        if len(waiting) >= _BATCH:
+            self._store()
         return True
+
+    def _store(self) -> None:
+        """Move the waiting kept spans into rows."""
+        self._rows.extend(self._waiting)
+        self._waiting = []
 
     @property
     def kept_spans(self) -> int:
@@ -449,21 +477,29 @@ class TailKeeper:
         return self._span_count
 
     def trees(self) -> List[List[Span]]:
-        """Kept trees, oldest root first."""
-        return list(self._trees.values())
+        """Kept trees, oldest root first, each in tree order (root
+        last): new :class:`Span` objects on every read."""
+        spans = self.spans()
+        out: List[List[Span]] = []
+        at = 0
+        for size in self._sizes:
+            out.append(spans[at:at + size])
+            at += size
+        return out
 
     def spans(self) -> List[Span]:
-        """Every retained span, flattened (tree order, root last)."""
-        out: List[Span] = []
-        for tree in self._trees.values():
-            out.extend(tree)
-        return out
+        """Every retained span, flattened (tree order, root last): new
+        :class:`Span` objects on every read."""
+        self._store()
+        return self._rows.read()
 
     def reset(self) -> None:
         self.kept_roots = 0
         self.kept_errors = 0
         self.evicted_roots = 0
-        self._trees.clear()
+        self._rows.clear()
+        self._waiting = []
+        self._sizes.clear()
         self._span_count = 0
         self._durations.clear()
 
@@ -525,16 +561,41 @@ class OpAggregate:
 
 
 #: Finished spans wait as objects until this many have ended, then move
-#: into the ring's columns in one pass (one array build per field is
+#: into a store's columns in one pass (one array build per field is
 #: cheaper than a write per field per span).  Kept well under the
 #: collector's generation-0 threshold (700 allocations), so the waiting
 #: spans do not by themselves set off collections.
 _BATCH = 256
 
-#: Distinct attribute tuples the ring interns before it starts over
+#: Distinct attribute tuples a store interns before it starts over
 #: (rows keep the tuples they share; only later sharing is lost), so a
 #: long run's unique ``txn_id`` attributes do not pile up in the table.
 _ATTRS_INTERNED = 8_192
+
+#: The narrowest integer typecode by the bit length of the largest value
+#: it must hold: unsigned for a column with no negative value, signed
+#: (one bit more) otherwise.
+_UNSIGNED = "B" * 9 + "H" * 8 + "I" * 16 + "Q" * 32
+_SIGNED = "b" * 8 + "h" * 8 + "i" * 16 + "q" * 32
+
+#: The :class:`Span` slots of the sparse maps, in the order a block
+#: stores their entries.
+_EXTRA_SLOTS = ("_costs", "queue_res", "blocked", "queue_by")
+
+
+def _packed(values: Sequence[int], top: Optional[int] = None) -> array:
+    """``values`` in the narrowest integer array that holds every one;
+    ``top`` is their maximum when the caller knows it."""
+    if not values:
+        return array("B")
+    if top is None:
+        top = max(values)
+    try:
+        # Unsigned, unless a value is negative (the array build raises).
+        return array(_UNSIGNED[top.bit_length()], values)
+    except OverflowError:
+        return array(_SIGNED[max(top, -1 - min(values)).bit_length()],
+                     values)
 
 
 class _Atoms(dict):
@@ -556,49 +617,108 @@ class _Atoms(dict):
 
 class _Rows:
     """One batch of finished spans, stored field by field and never
-    edited: a typed array per field every span has (ids, times, ``ok``,
-    and the interned name, category, host and first cost key) and a
-    sparse ``row -> value`` map per rare field (``attrs`` as an interned
-    item tuple, a multi-key cost dict, ``queue_res``, ``blocked``,
-    ``queue_by``; ``None`` when no row has one)."""
+    edited.
 
-    __slots__ = ("ids", "parents", "dyn_parents", "roots", "starts", "ends",
-                 "first_us", "oks", "names", "cats", "hosts", "keys",
-                 "costs", "attrs", "queue_res", "blocked", "queue_by")
+    Every span has a row in the dense columns: its id as an offset from
+    the block's ``base``; its parent, dynamic-parent and root ids as
+    links back from its own id (0 is "none" for a parent and "self" for
+    a root; a parent at or after the span's own id, which only a span
+    opened before a ``reset`` can be, links one further out, so no
+    parent reads as "none"); the start, end and first-cost times
+    (``d``); ``ok``; and the interned name, category, host and first
+    cost key.  Each integer column takes the narrowest typecode that
+    holds this block's values (:func:`_packed`).
+
+    The rare fields are flat columns over the rows that have them (each
+    ``None`` when no row does): ``attrs`` as a row and an index into the
+    block's tuple of shared item tuples, and every other map entry as a
+    row, an interned key and its microseconds.  Those entries run field
+    by field (the costs after a row's first, then ``queue_res``,
+    ``blocked``, ``queue_by``; ``extra_ends`` marks where each field's
+    end), each map's in its own order."""
+
+    __slots__ = ("base", "ids", "parents", "dyn_parents", "roots", "starts",
+                 "ends", "first_us", "oks", "names", "cats", "hosts", "keys",
+                 "attr_rows", "attr_index", "attr_items", "extra_rows",
+                 "extra_keys", "extra_us", "extra_ends")
 
     def __init__(self, spans: List[Span], atoms: _Atoms,
                  interned: Dict[tuple, tuple]):
         # One comprehension per field: cheaper than a write per field per
         # span, and it allocates nothing the collector tracks.
-        self.ids = array("q", [span.span_id for span in spans])
-        self.parents = array("q", [span.parent_id for span in spans])
-        self.dyn_parents = array("q", [span.dyn_parent_id for span in spans])
-        self.roots = array("q", [span.root_id for span in spans])
+        ids = [span.span_id for span in spans]
+        base = self.base = min(ids)
+        self.ids = _packed([span_id - base for span_id in ids],
+                           max(ids) - base)
+        self.parents = _packed([
+            0 if not (link := span.parent_id) else span_id - link
+            if link < span_id else span_id - link - 1
+            for span_id, span in zip(ids, spans)])
+        self.dyn_parents = _packed([
+            0 if not (link := span.dyn_parent_id) else span_id - link
+            if link < span_id else span_id - link - 1
+            for span_id, span in zip(ids, spans)])
+        self.roots = _packed(list(map(sub, ids, [span.root_id
+                                                 for span in spans])))
         self.starts = array("d", [span.start_us for span in spans])
         self.ends = array("d", [span.end_us for span in spans])
-        self.first_us = array("d", [span._cost_us for span in spans])
         self.oks = array("b", [span.ok for span in spans])
-        self.names = array("i", [atoms[span.name] for span in spans])
-        self.cats = array("i", [atoms[span.category] for span in spans])
-        self.hosts = array("i", [atoms[span.host] for span in spans])
+        self.names = _packed([atoms[span.name] for span in spans])
+        self.cats = _packed([atoms[span.category] for span in spans])
+        self.hosts = _packed([atoms[span.host] for span in spans])
         rows = range(len(spans))
         costs = [span._costs for span in spans]
-        multi = {row: costs[row] for row in
-                 compress(rows, map(isinstance, costs, repeat(dict)))}
-        for row in multi:
-            costs[row] = None
-        self.keys = array("i", [atoms[key] for key in costs])
-        self.costs = multi or None
-        attrs = [span.attrs for span in spans]
-        self.attrs = {row: _share_items(attrs[row], interned)
-                      for row in compress(rows, attrs)} or None
-        self.queue_res = self._sparse(rows, [span.queue_res for span in spans])
-        self.blocked = self._sparse(rows, [span.blocked for span in spans])
-        self.queue_by = self._sparse(rows, [span.queue_by for span in spans])
+        first_us = [span._cost_us for span in spans]
+        # The sparse entries, field by field (each map's in its order).
+        extra_rows: List[int] = []
+        extra_keys: List[int] = []
+        extra_us: List[float] = []
+        extra_ends: List[int] = []
+        intern = atoms.__getitem__
+        for row in compress(rows, map(isinstance, costs, repeat(dict))):
+            # The first entry fills the dense columns, the rest go sparse.
+            held = costs[row]
+            costs[row], first_us[row] = next(iter(held.items()))
+            extra_rows += repeat(row, len(held) - 1)
+            extra_keys += map(intern, islice(held, 1, None))
+            extra_us += islice(held.values(), 1, None)
+        extra_ends.append(len(extra_rows))
+        self.keys = _packed([atoms[key] for key in costs])
+        self.first_us = array("d", first_us)
+        for maps in ([span.queue_res for span in spans],
+                     [span.blocked for span in spans],
+                     [span.queue_by for span in spans]):
+            for row in compress(rows, maps):
+                held = maps[row]
+                extra_rows += repeat(row, len(held))
+                extra_keys += map(intern, held)
+                extra_us += held.values()
+            extra_ends.append(len(extra_rows))
+        if extra_rows:
+            self.extra_rows = _packed(extra_rows)
+            self.extra_keys = _packed(extra_keys)
+            self.extra_us = array("d", extra_us)
+            self.extra_ends = tuple(extra_ends)
+        else:
+            self.extra_rows = self.extra_keys = self.extra_us = None
+            self.extra_ends = None
+        self._pack_attrs(rows, [span.attrs for span in spans], interned)
 
-    @staticmethod
-    def _sparse(rows: range, values: List[Any]) -> Optional[Dict[int, Any]]:
-        return {row: values[row] for row in compress(rows, values)} or None
+    def _pack_attrs(self, rows: range, attrs: List[Any],
+                    interned: Dict[tuple, tuple]) -> None:
+        with_attrs = list(compress(rows, attrs))
+        if not with_attrs:
+            self.attr_rows = self.attr_index = self.attr_items = None
+            return
+        shared = [_share_items(attrs[row], interned) for row in with_attrs]
+        # The block's distinct item tuples, in first-seen order, told
+        # apart by identity: equal attribute sets share one interned tuple.
+        table: Dict[int, int] = {}
+        index = [table.setdefault(id(items), len(table)) for items in shared]
+        self.attr_rows = _packed(with_attrs, with_attrs[-1])
+        self.attr_index = _packed(index, len(table) - 1)
+        self.attr_items = tuple({id(items): items
+                                 for items in shared}.values())
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -608,46 +728,55 @@ class _Rows:
         """Append a fresh :class:`Span` per row from ``skip`` on; every
         map it gets is its own copy."""
         new = Span.__new__
-        none: Dict[int, Any] = {}
-        costs = self.costs or none
-        attrs = self.attrs or none
-        queue_res = self.queue_res or none
-        blocked = self.blocked or none
-        queue_by = self.queue_by or none
+        first = len(out) - skip
+        base = self.base
         columns = zip(self.ids, self.parents, self.dyn_parents, self.roots,
                       self.starts, self.ends, self.first_us, self.oks,
                       self.names, self.cats, self.hosts, self.keys)
-        for row, (span_id, parent_id, dyn_parent_id, root_id, start_us,
-                  end_us, first_us, ok, name, cat, host, key) in enumerate(
-                      islice(columns, skip, None), skip):
+        for (offset, parent, dyn_parent, root, start_us, end_us, first_us,
+             ok, name, cat, host, key) in islice(columns, skip, None):
             span = new(Span)
-            span.span_id = span_id
-            span.parent_id = parent_id
+            span.span_id = span_id = base + offset
+            span.parent_id = parent_id = 0 if not parent else \
+                span_id - parent if parent > 0 else span_id - parent - 1
             span.name = atoms[name]
             span.category = atoms[cat]
             span.host = atoms[host]
             span.start_us = start_us
             span.end_us = end_us
             span.ok = ok == 1
-            # An array read boxes a new number each time; where ids are
-            # equal, as they mostly are, the span holds one object, as the
-            # span it was rebuilt from did.
-            span.dyn_parent_id = parent_id \
-                if dyn_parent_id == parent_id else dyn_parent_id
-            span.root_id = span_id if root_id == span_id else \
-                span.dyn_parent_id if root_id == dyn_parent_id else root_id
-            multi = costs.get(row)
-            span._costs = atoms[key] if multi is None else dict(multi)
+            # Where ids are equal, as they mostly are, the span holds one
+            # int object, as the span it was rebuilt from did.
+            span.dyn_parent_id = dyn_parent_id = parent_id \
+                if dyn_parent == parent else 0 if not dyn_parent else \
+                span_id - dyn_parent if dyn_parent > 0 \
+                else span_id - dyn_parent - 1
+            root_id = span_id - root
+            span.root_id = span_id if not root else dyn_parent_id \
+                if root_id == dyn_parent_id else root_id
+            span._costs = atoms[key]
             span._cost_us = first_us if first_us else 0.0
-            items = attrs.get(row)
-            span.attrs = None if items is None else dict(items)
-            extra = queue_res.get(row)
-            span.queue_res = None if extra is None else dict(extra)
-            extra = blocked.get(row)
-            span.blocked = None if extra is None else dict(extra)
-            extra = queue_by.get(row)
-            span.queue_by = None if extra is None else dict(extra)
+            span.attrs = span.queue_res = span.blocked = span.queue_by = None
             out.append(span)
+        if self.attr_rows is not None:
+            items_of = self.attr_items
+            for row, at in zip(self.attr_rows, self.attr_index):
+                if row >= skip:
+                    out[first + row].attrs = dict(items_of[at])
+        if self.extra_rows is not None:
+            entries = zip(self.extra_rows, self.extra_keys, self.extra_us)
+            ends = self.extra_ends
+            for slot, start, end in zip(_EXTRA_SLOTS, (0,) + ends, ends):
+                for row, key, us in islice(entries, end - start):
+                    if row >= skip:
+                        span = out[first + row]
+                        held = getattr(span, slot)
+                        if type(held) is not dict:
+                            # A cost map starts from the row's first key.
+                            held = {} if held is None else \
+                                {held: span._cost_us}
+                            setattr(span, slot, held)
+                        held[atoms[key]] = us
 
 
 def _share_items(attrs: Dict[str, Any], interned: Dict[tuple, tuple]
@@ -667,42 +796,41 @@ def _share_items(attrs: Dict[str, Any], interned: Dict[tuple, tuple]
     return shared
 
 
-class _SpanRing:
-    """The trace ring: the last ``max_spans`` finished spans, oldest first,
-    as blocks of rows; the first ``_skip`` rows of the first block have
-    fallen out, ``_held`` rows remain."""
+class _SpanStore:
+    """Finished spans as blocks of rows, oldest first: the store behind
+    both the trace ring and the tail keeper, which differ only in what
+    they let fall out.  The first ``_skip`` rows of the first block have
+    been dropped; ``held`` rows remain."""
 
-    __slots__ = ("max_spans", "_blocks", "_skip", "_held", "_atoms",
-                 "_attr_items")
+    __slots__ = ("_blocks", "_skip", "held", "_atoms", "_attr_items")
 
-    def __init__(self, max_spans: int):
-        self.max_spans = max_spans
+    def __init__(self):
         self._blocks: List[_Rows] = []
         self._skip = 0
-        self._held = 0
+        self.held = 0
         self._atoms = _Atoms()
         #: (attr items, value types) -> the one stored item tuple.
         self._attr_items: Dict[tuple, tuple] = {}
 
     def extend(self, spans: List[Span]) -> None:
-        """Store finished spans (oldest first) as a new block of rows and
-        let the oldest rows fall out past ``max_spans``."""
-        limit = self.max_spans
-        if len(spans) > limit:
-            spans = spans[-limit:]
+        """Store finished spans, oldest first, as a new block of rows."""
+        if spans:
+            self._blocks.append(_Rows(spans, self._atoms, self._attr_items))
+            self.held += len(spans)
+
+    def drop(self, count: int) -> None:
+        """Let the oldest ``count`` rows fall out."""
         blocks = self._blocks
-        blocks.append(_Rows(spans, self._atoms, self._attr_items))
-        held = self._held + len(spans)
-        while held > limit:
+        self.held -= count
+        while count:
             room = len(blocks[0]) - self._skip
-            if room <= held - limit:
+            if room <= count:
                 del blocks[0]
                 self._skip = 0
-                held -= room
+                count -= room
             else:
-                self._skip += held - limit
-                held = limit
-        self._held = held
+                self._skip += count
+                count = 0
 
     def read(self) -> List[Span]:
         """A new list of new ``Span`` objects, one per row, oldest first."""
@@ -717,7 +845,7 @@ class _SpanRing:
     def clear(self) -> None:
         self._blocks.clear()
         self._skip = 0
-        self._held = 0
+        self.held = 0
         self._atoms = _Atoms()
         self._attr_items.clear()
 
@@ -726,13 +854,14 @@ class Tracer:
     """Collects finished spans into a bounded ring, and folds each ``op``
     span into :attr:`aggregates` as it ends.
 
-    The ring (:class:`_SpanRing`) stores each finished span as one row of
-    typed columns, not as an object: ``end`` queues the span, and every
-    :data:`_BATCH` spans the queue moves into the ring.  A :class:`Span`
-    object lives only while the span is open, while a pending phase fold
-    or a still-open tail-keep tree holds it, and while a kept tree does;
-    :attr:`spans` and :meth:`retained_spans` rebuild equal objects on
-    every read.
+    The ring (a :class:`_SpanStore`) stores each finished span as one row
+    of packed columns, not as an object: ``end`` queues the span, and
+    every :data:`_BATCH` spans the queue moves into the ring.  A kept
+    tail tree is rows in the same format, in the keeper's own store.  A
+    :class:`Span` object lives only while the span is open, while a
+    pending phase fold or a still-open tail-keep tree holds it, and until
+    the next batch moves it into rows; :attr:`spans` and
+    :meth:`retained_spans` rebuild equal objects on every read.
 
     Parameters
     ----------
@@ -744,9 +873,9 @@ class Tracer:
         roots are retained beyond the ring under its budget.
     """
 
-    __slots__ = ("_ring", "_batch", "_next_id", "started", "finished",
-                 "_sim", "_stacks", "unattributed", "keeper", "_keys",
-                 "_live_trees", "aggregates", "_pending")
+    __slots__ = ("max_spans", "_ring", "_batch", "_next_id", "started",
+                 "finished", "_sim", "_stacks", "unattributed", "keeper",
+                 "_keys", "_live_trees", "aggregates", "_pending")
 
     enabled = True
 
@@ -754,7 +883,8 @@ class Tracer:
                  keeper: Optional[TailKeeper] = None):
         if max_spans < 1:
             raise ValueError("max_spans must be >= 1")
-        self._ring = _SpanRing(max_spans)
+        self.max_spans = max_spans
+        self._ring = _SpanStore()
         #: Finished spans not yet moved into the ring, oldest first.
         self._batch: List[Span] = []
         self._next_id = 0
@@ -803,13 +933,19 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Finished spans that fell out of the ring."""
-        return max(0, self.finished - self._ring.max_spans)
+        return max(0, self.finished - self.max_spans)
 
     def _flush(self) -> None:
-        """Move the queued finished spans into the ring."""
-        if self._batch:
-            self._ring.extend(self._batch)
+        """Move the queued finished spans into the ring and let the
+        oldest rows fall out past ``max_spans``."""
+        batch = self._batch
+        if batch:
+            ring = self._ring
+            limit = self.max_spans
+            ring.extend(batch if len(batch) <= limit else batch[-limit:])
             self._batch = []
+            if ring.held > limit:
+                ring.drop(ring.held - limit)
 
     def begin(self, name: str, now: float, category: str = "",
               parent: Any = None, host: Optional[str] = None) -> Span:

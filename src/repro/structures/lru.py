@@ -39,10 +39,6 @@ class LRUCache:
         self.misses += 1
         return default
 
-    def peek(self, key: Any, default: Any = None) -> Any:
-        """Read without touching recency or hit counters."""
-        return self._data.get(key, default)
-
     def put(self, key: Any, value: Any) -> Optional[Tuple[Any, Any]]:
         """Insert/update; returns the evicted (key, value) pair if any."""
         evicted = None

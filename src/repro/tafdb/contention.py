@@ -58,11 +58,6 @@ class ContentionRegistry:
             return False
         return True
 
-    def force_delta_mode(self, dir_id: int, now: float,
-                         duration_us: float = float("inf")) -> None:
-        """Pin a directory into delta mode (tests and ablation studies)."""
-        self._active_until[dir_id] = now + duration_us
-
     @property
     def active_count(self) -> int:
         return len(self._active_until)

@@ -51,11 +51,6 @@ class NamespaceSpec:
             return 0
         return max(p.count("/") for p in self.directories + self.objects)
 
-    def leaf_directories(self) -> List[str]:
-        """Directories that have objects directly under them."""
-        parents = {p.rsplit("/", 1)[0] for p in self.objects}
-        return sorted(parents)
-
 
 def _sample_depth(rng: random.Random, mean_depth: float, max_depth: int) -> int:
     """Clipped lognormal depth sample centred on ``mean_depth``."""

@@ -4,10 +4,7 @@ import pytest
 
 from repro.bench.cluster import SYSTEMS, build_system
 from repro.bench.harness import run_workload
-from repro.bench.inspect import (
-    bottleneck,
-    host_utilization_table,
-)
+from repro.bench.inspect import host_utilization_table
 from repro.core.config import MantleConfig
 from repro.sim.host import CostModel
 from repro.workloads.mdtest import MdtestWorkload
@@ -82,12 +79,6 @@ class TestInspection:
         assert system.tafdb.total_commits > 0
         leader = system.index_group.current_leader()
         assert leader.proposals == 40  # 8 clients x 5 mkdirs
-        system.shutdown()
-
-    def test_bottleneck_names_a_host(self):
-        system, metrics = self._run()
-        name = bottleneck(system, metrics.duration_us)
-        assert isinstance(name, str) and name != "unknown"
         system.shutdown()
 
     def test_inspection_works_for_baselines(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import MantleConfig
 from repro.core.multitenant import MantleDeployment
 from repro.errors import NoSuchPathError
+from repro.sim.host import CostModel
 from repro.sim.stats import OpContext
 from repro.ops import make_op
 
@@ -48,6 +49,13 @@ class TestNamespaceIsolation:
         deployment.create_namespace("dup")
         with pytest.raises(ValueError):
             deployment.create_namespace("dup")
+
+    def test_a_namespace_cannot_carry_its_own_costs(self, deployment):
+        """One cost model per deployment: the shared TafDB and network
+        were built from it, so a namespace cannot bring another."""
+        with pytest.raises(TypeError):
+            deployment.create_namespace("x", costs=CostModel())
+        assert "x" not in deployment.namespaces
 
     def test_unknown_namespace_rejected(self, deployment):
         with pytest.raises(KeyError):

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ServiceUnavailableError
 from repro.sim.core import Interrupt, Simulator
 from repro.sim.host import CostModel, Host
-from repro.sim.network import LoadBalancer, Network, Server
+from repro.sim.network import Network, Server
 from repro.sim.stats import OpContext
 
 
@@ -207,18 +207,6 @@ def test_network_jitter_stays_positive_and_varies():
     samples = {net._sample_one_way() for _ in range(50)}
     assert len(samples) > 1
     assert all(s >= 1.0 for s in samples)
-
-
-def test_load_balancer_round_robin():
-    lb = LoadBalancer(["a", "b", "c"])
-    picks = [lb.pick() for _ in range(7)]
-    assert picks == ["a", "b", "c", "a", "b", "c", "a"]
-    assert lb.all() == ["a", "b", "c"]
-
-
-def test_load_balancer_empty_rejected():
-    with pytest.raises(ValueError):
-        LoadBalancer([])
 
 
 def test_cost_model_copy_overrides():

@@ -97,6 +97,26 @@ class TestTailKeeperUnderRingPressure:
         assert survivors == [f"op-{i}" for i in
                              range(10 - len(survivors), 10)]
 
+    def test_eviction_takes_the_oldest_tree_from_rows_or_waiting(self):
+        """Kept trees move into rows every 256 kept spans and at a read;
+        the newest wait as objects.  Eviction drops the oldest tree
+        whole, from whichever side it is on."""
+        keeper = TailKeeper(threshold_us=1.0, budget=300)  # 100 trees
+        tracer = Tracer(max_spans=4, keeper=keeper)
+        for i in range(500):
+            _run_op(tracer, f"op-{i}", i * 100.0, 50.0)
+            if i % 37 == 0:
+                keeper.spans()
+        trees = keeper.trees()
+        assert [t[-1].name for t in trees] == [
+            f"op-{i}" for i in range(400, 500)]
+        for tree in trees:
+            name = tree[-1].name
+            assert [s.name for s in tree] == [
+                f"{name}.phase0", f"{name}.phase1", name]
+        assert keeper.kept_spans == 300
+        assert keeper.evicted_roots == 400
+
     def test_retained_spans_dedupes_ring_and_keeper(self):
         keeper = TailKeeper(threshold_us=100.0)
         tracer = Tracer(max_spans=1_000, keeper=keeper)

@@ -13,6 +13,7 @@ from repro.sim.trace import (
     NULL_SPAN,
     NULL_TRACER,
     OpAggregate,
+    TailKeeper,
     Tracer,
     category_summary,
     chrome_trace_events,
@@ -370,22 +371,26 @@ class TestCheckShape:
 
 
 #: Live bytes a finished span may add to a traced run (tracemalloc): the
-#: measured 134 B on Python 3.11-3.13 plus 15%.  A ring of span objects
-#: read ~318 B here.
-BYTES_PER_SPAN = 154
+#: measured 66.6 B on Python 3.11 plus 15%.  A ring of span objects read
+#: ~318 B here, and rows of fixed-width columns with sparse maps 134 B.
+BYTES_PER_SPAN = 77
+
+#: Live bytes the tail keeper may hold per kept span (tracemalloc): the
+#: measured 64.5 B on Python 3.11 plus 15%.  Kept trees held as ``Span``
+#: objects read ~313 B.
+BYTES_PER_KEPT_SPAN = 75
 
 
-def _live_growth(traced: bool):
-    """Live bytes one small mixed-workload run leaves behind, and its
-    tracer (``None`` untraced)."""
+def _live_growth(tracer=None):
+    """Live bytes one small mixed-workload run leaves behind with
+    ``tracer`` attached (none: untraced)."""
     spec = build_namespace(num_dirs=200, objects_per_dir=10, seed=11)
     system = build_system("mantle", "quick")
     workload = MixedWorkload(spec, num_clients=32, ops_per_client=40,
                              seed=11)
     workload.setup(system)
-    tracer = None
-    if traced:
-        tracer = system.sim.tracer = Tracer()
+    if tracer is not None:
+        system.sim.tracer = tracer
         tracer.bind(system.sim)
     gc.collect()
     before = tracemalloc.get_traced_memory()[0]
@@ -393,18 +398,37 @@ def _live_growth(traced: bool):
     gc.collect()
     grown = tracemalloc.get_traced_memory()[0] - before
     system.shutdown()
-    return grown, tracer
+    return grown
 
 
 def test_ring_bytes_per_finished_span():
     """What tracing keeps live per finished span, over the untraced run:
     the ring's row and whatever the tracer holds beside it."""
+    tracer = Tracer()
     tracemalloc.start()
     try:
-        plain, _ = _live_growth(traced=False)
-        traced, tracer = _live_growth(traced=True)
+        plain = _live_growth()
+        traced = _live_growth(tracer)
     finally:
         tracemalloc.stop()
     assert tracer.finished > 10_000
     per_span = (traced - plain) / tracer.finished
     assert per_span <= BYTES_PER_SPAN, per_span
+
+
+def test_keeper_bytes_per_kept_span():
+    """What the tail keeper holds per kept span: a keeper that keeps every
+    op tree, over the same run with a keeper that keeps none (both beside
+    a one-span ring, so the ring's rows do not count)."""
+    keeping = Tracer(max_spans=1, keeper=TailKeeper(threshold_us=0.0))
+    tracemalloc.start()
+    try:
+        none_kept = _live_growth(Tracer(
+            max_spans=1, keeper=TailKeeper(threshold_us=float("inf"))))
+        kept = _live_growth(keeping)
+    finally:
+        tracemalloc.stop()
+    spans = keeping.keeper.kept_spans
+    assert spans > 10_000
+    per_span = (kept - none_kept) / spans
+    assert per_span <= BYTES_PER_KEPT_SPAN, per_span

@@ -230,3 +230,110 @@ def test_batches_larger_than_the_ring_keep_its_bound():
         pair.end()
     assert_same(pair)
     assert pair.new.dropped == 2_000 - 300
+
+
+class TestWideColumns:
+    """Blocks whose columns need the wide typecodes, which the quick
+    workloads never reach, rebuild exactly; so does a ring that wraps in
+    the middle of a block.  Every op tree is kept, so the keeper's rows
+    take the same paths."""
+
+    @staticmethod
+    def _pair(max_spans: int) -> _Pair:
+        pair = _Pair(random.Random(0))
+        keepers = [TailKeeper(threshold_us=0.0, budget=1_000_000)
+                   for _ in range(2)]
+        pair.new = Tracer(max_spans=max_spans, keeper=keepers[0])
+        pair.ref = oracle.RefTracer(max_spans=max_spans, keeper=keepers[1])
+        pair.new.bind(pair.sim)
+        pair.ref.bind(pair.sim)
+        return pair
+
+    @staticmethod
+    def _begin(pair: _Pair, name: str, category: str = "op",
+               parent: Optional[tuple] = None,
+               host: Optional[str] = None) -> tuple:
+        pair.now += 1.5
+        return tuple(tracer.begin(name, pair.now, category=category,
+                                  parent=None if parent is None else span,
+                                  host=host)
+                     for tracer, span in zip((pair.new, pair.ref),
+                                             parent or (None, None)))
+
+    @staticmethod
+    def _end(pair: _Pair, spans: tuple, ok: bool = True) -> None:
+        pair.now += 0.25
+        pair.new.end(spans[0], pair.now, ok=ok)
+        pair.ref.end(spans[1], pair.now, ok=ok)
+
+    @staticmethod
+    def _typecodes(pair: _Pair, column: str) -> set:
+        stores = (pair.new._ring, pair.new.keeper._rows)
+        pair.new.keeper.spans()  # moves the waiting kept spans into rows
+        return {getattr(block, column).typecode
+                for store in stores for block in store._blocks}
+
+    def test_more_than_255_atoms(self):
+        pair = self._pair(max_spans=1_000)
+        for i in range(300):
+            root = self._begin(pair, f"op-{i}", host=f"host-{i}")
+            child = self._begin(pair, f"phase-{i}", "phase", root)
+            self._end(pair, child)
+            self._end(pair, root)
+        assert_same(pair)
+        assert "H" in self._typecodes(pair, "names")
+        assert "H" in self._typecodes(pair, "hosts")
+
+    def test_a_parent_more_than_65535_ids_back(self):
+        pair = self._pair(max_spans=300)
+        root = self._begin(pair, "mkdir")
+        pair.sim._active_process = "other"
+        for _ in range(70_000):
+            self._end(pair, self._begin(pair, "raft.flush", "raft"))
+        pair.sim._active_process = None
+        child = self._begin(pair, "lookup", "phase", root)
+        self._end(pair, child)
+        self._end(pair, root)
+        assert child[0].span_id - root[0].span_id > 65_535
+        assert_same(pair)
+        for column in ("parents", "dyn_parents", "roots"):
+            assert "I" in self._typecodes(pair, column)
+
+    def test_a_multi_key_cost_on_every_row_in_a_ring_that_wraps(self):
+        """600 spans in blocks of 256 through a ring of 300: the first
+        block the ring keeps is cut in its middle."""
+        pair = self._pair(max_spans=300)
+        for i in range(200):
+            root = self._begin(pair, "mkdir")
+            for leaf in range(2):
+                span = self._begin(pair, f"rpc:{leaf}", "rpc", root)
+                for kind in KINDS:
+                    pair.both("charge", kind, 1.0 + i, HOSTS[leaf + 1],
+                              resource=RESOURCES[leaf], by=("mkdir", None))
+                pair.both("charge_blocked", "raft.commit", "fsync", 2.0,
+                          HOSTS[leaf], resource="raft", by=None)
+                span[0].annotate(entries=i, txn_id=i * 2 + leaf)
+                span[1].annotate(entries=i, txn_id=i * 2 + leaf)
+                self._end(pair, span)
+            pair.both("charge", "cpu", 0.5, "proxy")
+            pair.both("charge", "wire", 0.5, None)
+            self._end(pair, root, ok=i % 7 != 3)
+        assert pair.new._ring._skip not in (0, None)
+        got = pair.new.spans
+        assert len(got) == 300
+        assert all(len(span.costs) >= 2 for span in got)
+        assert_same(pair)
+
+    def test_a_parent_opened_before_a_reset(self):
+        """A span opened before ``reset`` can parent one opened after it,
+        with an id equal to or above the child's own."""
+        pair = self._pair(max_spans=64)
+        old = [self._begin(pair, "mkdir") for _ in range(5)]
+        pair.both("reset")
+        for parent in (old[0], old[2], old[4]):
+            self._end(pair, self._begin(pair, "objstat", parent=parent))
+        for span in reversed(old):
+            self._end(pair, span)
+        assert {span.parent_id - span.span_id for span in pair.new.spans
+                if span.parent_id} == {0, 1, 2}
+        assert_same(pair)

@@ -45,16 +45,6 @@ def test_update_moves_to_front_without_eviction():
     assert c.get("a") == 10
 
 
-def test_peek_does_not_touch_recency_or_counters():
-    c = LRUCache(2)
-    c.put("a", 1)
-    c.put("b", 2)
-    assert c.peek("a") == 1
-    assert c.hits == 0
-    c.put("c", 3)  # 'a' must still be the LRU victim
-    assert "a" not in c
-
-
 def test_invalidate():
     c = LRUCache(2)
     c.put("a", 1)

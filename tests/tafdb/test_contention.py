@@ -59,12 +59,6 @@ def test_disabled_registry_never_activates():
     assert not reg.is_delta_mode(1, now=1.0)
 
 
-def test_force_delta_mode():
-    reg = ContentionRegistry()
-    reg.force_delta_mode(7, now=0.0)
-    assert reg.is_delta_mode(7, now=1e12)
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         ContentionRegistry(threshold=0)
