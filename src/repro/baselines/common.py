@@ -1,62 +1,67 @@
-"""Shared plumbing for the DB-backed baseline systems.
+"""Shared plumbing for the TafDB-backed systems.
 
 All three baselines (and Mantle) keep bulk metadata in the same sharded
 store; what differs is *how they resolve paths* and *how they coordinate
-directory updates*.  This mixin provides cluster construction, bulk loading
-and the level-by-level resolution primitive the DBtable approach uses.
+directory updates*.  :class:`StorageMixin` loads that store in bulk (Mantle
+uses it too); :class:`TafDBBaseline` builds a baseline's private cluster and
+proxy fleet and holds the op bodies Tectonic and InfiniFS share.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.baselines.base import IdAllocator, MetadataSystem
 from repro.errors import (
     AlreadyExistsError,
     InvalidPathError,
+    IsADirectoryError,
     NoSuchPathError,
     NotADirectoryError,
+    NotEmptyError,
     TransactionAbort,
 )
 from repro.paths import normalize, split_path
-from repro.sim.host import CostModel
-from repro.sim.stats import PHASE_LOOKUP, OpContext
+from repro.sim.core import Simulator
+from repro.sim.host import CostModel, Host
+from repro.sim.network import Network
+from repro.sim.stats import PHASE_EXECUTION, OpContext
+from repro.structures.lru import LRUCache
 from repro.tafdb.client import MAX_RETRIES
 from repro.tafdb.cluster import TafDBCluster
 from repro.tafdb.rows import (
     AttrRecord,
+    Dirent,
     DirRecord,
     attr_key,
     dirent_key,
     object_record,
 )
 from repro.tafdb.shard import WriteIntent
-from repro.types import ROOT_ID, AttrMeta, EntryKind, Permission
+from repro.types import ROOT_ID, AttrMeta, EntryKind, Permission, make_stat
 
-_ALL = Permission.ALL
+
+def split_walk(path: str, upto_parent: bool):
+    """``(walk, final)``: the components of ``path`` a lookup resolves and,
+    when ``upto_parent``, the last one it leaves to the op (else None)."""
+    parts = split_path(path)
+    if not upto_parent:
+        return parts, None
+    if not parts:
+        raise NoSuchPathError(path)
+    return parts[:-1], parts[-1]
 
 
 class StorageMixin:
-    """TafDB-backed storage, bulk loading and sequential resolution.
+    """Bulk loading over TafDB.
 
-    Subclasses must have ``self.sim``, ``self.network``, ``self.costs`` and
-    ``self.ids``, and either call :meth:`_init_storage` (a private TafDB
-    rooted at ``ROOT_ID``) or build/borrow their own ``self.tafdb`` and call
-    :meth:`_init_bulk` with their root id (Mantle's namespaces over a
-    shared TafDB).  ``_on_bulk_mkdir`` lets a system mirror new directories
-    into its own index (IndexNode replicas, InfiniFS's rename coordinator).
+    Subclasses must have ``self.tafdb`` and ``self.ids`` and call
+    :meth:`_init_bulk` with their root id (:class:`TafDBBaseline` does, for
+    a private TafDB rooted at ``ROOT_ID``; Mantle's namespaces share one
+    TafDB).  ``_on_bulk_mkdir`` lets a system mirror new directories into
+    its own index (IndexNode replicas, InfiniFS's rename coordinator).
     """
-
-    def _init_storage(self, num_db_servers: int, num_db_shards: int,
-                      db_cores: int, costs: CostModel,
-                      deltas_enabled: bool = False,
-                      new_dir_id: Optional[Callable[[str], int]] = None):
-        self.tafdb = TafDBCluster(
-            self.sim, self.network, num_servers=num_db_servers,
-            num_shards=num_db_shards, cores=db_cores, costs=costs,
-            deltas_enabled=deltas_enabled,
-            start_compactors=deltas_enabled)
-        self._init_bulk(ROOT_ID, new_dir_id)
 
     def _init_bulk(self, root_id: int,
                    new_dir_id: Optional[Callable[[str], int]] = None):
@@ -144,69 +149,70 @@ class StorageMixin:
                        path: str) -> None:
         """Hook: mirror a bulk-loaded directory into system-local indexes."""
 
-    # -- DBtable sequential resolution (§2.3) ------------------------------------
 
-    def resolve_sequential(self, db, path: str, upto_parent: bool,
-                           ctx: OpContext):
-        """Level-by-level path traversal: one RPC per component, marked as
-        the op's lookup phase.
+class TafDBBaseline(StorageMixin, MetadataSystem):
+    """A baseline over a private TafDB, run by stateless proxies.
 
-        This is the multi-RPC resolution of Figure 2 that Mantle's
-        single-RPC IndexNode lookup replaces.  Returns (dir_id, final_name,
-        permission); ``final_name`` is None when resolving the full path.
-        """
-        ctx.begin(PHASE_LOOKUP, self.sim.now)
-        parts = split_path(path)
-        if upto_parent:
-            if not parts:
-                raise NoSuchPathError(path)
-            walk, final = parts[:-1], parts[-1]
-        else:
-            walk, final = parts, None
-        current = ROOT_ID
-        perm = Permission.ALL
-        for part in walk:
-            row = yield from db.read(dirent_key(current, part), ctx=ctx)
-            if row is None:
-                raise NoSuchPathError(path, part)
-            value = row.value
-            if not value.is_dir:
-                raise NotADirectoryError(path, part)
-            if value.permission is not _ALL:  # skip IntFlag.__and__
-                perm &= value.permission
-            current = value.id
-        ctx.end(PHASE_LOOKUP, self.sim.now)
-        return current, final, perm
+    The DBtable design (§2.3) the paper re-implements its baselines on
+    (§6.1): each op runs on a round-robin proxy ``(host, db, cache)`` that
+    resolves the path and then reads and writes TafDB rows itself.  The op
+    bodies here are Tectonic's and InfiniFS's, which differ in two hooks:
 
-    # -- parent attribute read-modify-write with retries ------------------------------
+    * ``_lookup(host, db, cache, path, upto_parent, ctx)``, the lookup
+      phase: returns ``(dir_id, final_name, permission)`` for the parent
+      of ``path`` (``final_name`` its last component) or, without
+      ``upto_parent``, for ``path`` itself (``final_name`` None);
+    * ``_update_parent(db, pid, link_delta, entry_delta, ctx)``: adds a
+      child's change to its parent's link and entry counts.
 
-    def update_parent_attrs(self, db, parent_id: int, link_delta: int,
-                            entry_delta: int, ctx: OpContext):
-        """The contended in-place parent update of the DBtable approach.
+    A hook that delegates returns the callee's generator rather than
+    wrapping it in another frame.  ``mkdir``, ``objstat`` and ``dirrename`` are each
+    system's own.  LocoFS keeps its directories off TafDB and overrides
+    every op; it shares the construction and :meth:`delete_object_row`.
 
-        Optimistic read-modify-write with version expectation; conflicts
-        abort and retry with backoff — the mechanism behind Figure 4b.
-        """
-        attempt = 0
-        while True:
-            row = yield from db.read(attr_key(parent_id), ctx=ctx)
-            if row is None:
-                raise NoSuchPathError(f"dir id {parent_id}")
-            attrs = row.value.copy()
-            attrs.link_count += link_delta
-            attrs.entry_count += entry_delta
-            attrs.mtime = self.sim.now
-            try:
-                yield from db.execute_txn([WriteIntent(
-                    attr_key(parent_id), "update", attrs,
-                    expect_version=row.version)], ctx=ctx)
-                return
-            except TransactionAbort:
-                ctx.retries += 1
-                attempt += 1
-                if attempt > MAX_RETRIES:
-                    raise
-                yield self.sim.timeout(db.backoff_us(attempt))
+    A subclass calls ``__init__``, builds its own servers, then calls
+    :meth:`_init_proxies`: TafDB client ids follow that order.
+    """
+
+    def __init__(self, sim: Optional[Simulator],
+                 network: Optional[Network], costs: Optional[CostModel],
+                 num_db_servers: int, num_db_shards: int, db_cores: int,
+                 new_dir_id: Optional[Callable[[str], int]] = None):
+        self.costs = costs or CostModel()
+        sim = sim or Simulator()
+        network = network or Network(sim, one_way_us=self.costs.net_one_way_us)
+        super().__init__(sim, network)
+        self.ids = IdAllocator()
+        self.tafdb = TafDBCluster(
+            sim, network, num_servers=num_db_servers,
+            num_shards=num_db_shards, cores=db_cores, costs=self.costs,
+            deltas_enabled=False, start_compactors=False)
+        self._init_bulk(ROOT_ID, new_dir_id)
+
+    def _init_proxies(self, count: int, cores: int,
+                      cache_capacity: int = 0) -> None:
+        """``count`` proxies, each with its own TafDB client and, given a
+        capacity, an LRU cache of resolved paths (InfiniFS's AM-Cache)."""
+        self.proxies: List[Tuple[Host, object, Optional[LRUCache]]] = []
+        for i in range(count):
+            host = Host(self.sim, f"{self.name}-proxy-{i}", cores=cores)
+            cache = LRUCache(cache_capacity) if cache_capacity > 0 else None
+            self.proxies.append((host, self.tafdb.client(), cache))
+        self._proxy_rr = 0
+
+    def _proxy(self):
+        self._proxy_rr += 1
+        return self.proxies[self._proxy_rr % len(self.proxies)]
+
+    def shutdown(self) -> None:
+        self.tafdb.stop_compactors()
+
+    def _on_rmdir(self, pid: int, name: str, ctx: OpContext):
+        """What rmdir runs after its row changes, as an iterable to ``yield
+        from``: nothing here; InfiniFS tells its rename coordinator."""
+        return ()
+
+    # -- row helpers -----------------------------------------------------------------
 
     def insert_with_conflict_check(self, db, key, value, path: str,
                                    ctx: OpContext):
@@ -218,3 +224,147 @@ class StorageMixin:
             if exc.reason == "exists":
                 raise AlreadyExistsError(path) from exc
             raise
+
+    def delete_object_row(self, db, pid: int, name: str, path: str,
+                          ctx: OpContext):
+        """Delete object ``name``'s dirent under ``pid``; returns its id."""
+        key = dirent_key(pid, name)
+        row = yield from db.read(key, ctx=ctx)
+        if row is None:
+            raise NoSuchPathError(path, name)
+        if row.value.is_dir:
+            raise IsADirectoryError(path)
+        try:
+            yield from db.execute_txn([WriteIntent(
+                key, "delete", expect_version=row.version)], ctx=ctx)
+        except TransactionAbort as exc:
+            if exc.reason == "missing":
+                raise NoSuchPathError(path) from exc
+            raise
+        return row.value.id
+
+    def update_attrs(self, db, dir_id: int, link_delta: int,
+                     entry_delta: int, ctx: OpContext,
+                     permission: Optional[Permission] = None):
+        """Read-modify-write of one directory's attribute row: add the
+        deltas to its counts, set ``permission`` when given and stamp its
+        mtime; returns the attributes written.
+
+        Optimistic, with version expectation: a conflict aborts and retries
+        with backoff, at most ``MAX_RETRIES`` times — the contended
+        in-place parent update of the DBtable approach behind Figure 4b.
+        """
+        key = attr_key(dir_id)
+        attempt = 0
+        while True:
+            row = yield from db.read(key, ctx=ctx)
+            if row is None:
+                raise NoSuchPathError(f"dir id {dir_id}")
+            attrs = row.value.copy()
+            attrs.link_count += link_delta
+            attrs.entry_count += entry_delta
+            if permission is not None:
+                attrs.permission = permission
+            attrs.mtime = self.sim.now
+            try:
+                yield from db.execute_txn([WriteIntent(
+                    key, "update", attrs, expect_version=row.version)],
+                    ctx=ctx)
+                return attrs
+            except TransactionAbort:
+                ctx.retries += 1
+                attempt += 1
+                if attempt > MAX_RETRIES:
+                    raise
+                yield self.sim.timeout(db.backoff_us(attempt))
+
+    # -- object operations -----------------------------------------------------------
+
+    def op_create(self, path: str, ctx: OpContext):
+        host, db, cache = self._proxy()
+        yield from host.work(self.costs.proxy_overhead_us)
+        pid, name, _perm = yield from self._lookup(
+            host, db, cache, path, True, ctx)
+        ctx.begin(PHASE_EXECUTION, self.sim.now)
+        obj_id = self.ids.next()
+        now = self.sim.now
+        yield from self.insert_with_conflict_check(
+            db, dirent_key(pid, name),
+            Dirent(id=obj_id, kind=EntryKind.OBJECT,
+                   attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
+                                  ctime=now, mtime=now)),
+            path, ctx)
+        yield from self._update_parent(db, pid, 0, 1, ctx)
+        ctx.end(PHASE_EXECUTION, self.sim.now)
+        return obj_id
+
+    def op_delete(self, path: str, ctx: OpContext):
+        host, db, cache = self._proxy()
+        yield from host.work(self.costs.proxy_overhead_us)
+        pid, name, _perm = yield from self._lookup(
+            host, db, cache, path, True, ctx)
+        ctx.begin(PHASE_EXECUTION, self.sim.now)
+        obj_id = yield from self.delete_object_row(db, pid, name, path, ctx)
+        yield from self._update_parent(db, pid, 0, -1, ctx)
+        ctx.end(PHASE_EXECUTION, self.sim.now)
+        return obj_id
+
+    # -- directory operations --------------------------------------------------------
+
+    def op_dirstat(self, path: str, ctx: OpContext):
+        host, db, cache = self._proxy()
+        yield from host.work(self.costs.proxy_overhead_us)
+        dir_id, _none, _perm = yield from self._lookup(
+            host, db, cache, path, False, ctx)
+        ctx.begin(PHASE_EXECUTION, self.sim.now)
+        attrs = yield from db.read_dir_attrs(dir_id, ctx=ctx)
+        if attrs is None:
+            raise NoSuchPathError(path)
+        ctx.end(PHASE_EXECUTION, self.sim.now)
+        return make_stat(normalize(path), attrs)
+
+    def op_readdir(self, path: str, ctx: OpContext):
+        host, db, cache = self._proxy()
+        yield from host.work(self.costs.proxy_overhead_us)
+        dir_id, _none, _perm = yield from self._lookup(
+            host, db, cache, path, False, ctx)
+        ctx.begin(PHASE_EXECUTION, self.sim.now)
+        page = yield from db.scan_children(dir_id, ctx=ctx)
+        ctx.end(PHASE_EXECUTION, self.sim.now)
+        return [name for name, _ in page]
+
+    def op_rmdir(self, path: str, ctx: OpContext):
+        host, db, cache = self._proxy()
+        yield from host.work(self.costs.proxy_overhead_us)
+        pid, name, _perm = yield from self._lookup(
+            host, db, cache, path, True, ctx)
+        ctx.begin(PHASE_EXECUTION, self.sim.now)
+        key = dirent_key(pid, name)
+        row = yield from db.read(key, ctx=ctx)
+        if row is None:
+            raise NoSuchPathError(path, name)
+        if not row.value.is_dir:
+            raise NotADirectoryError(path, name)
+        dir_id = row.value.id
+        non_empty = yield from db.has_children(dir_id, ctx=ctx)
+        if non_empty:
+            raise NotEmptyError(path)
+        yield from db.execute_txn([WriteIntent(
+            key, "delete", expect_version=row.version)], ctx=ctx)
+        yield from db.execute_txn([WriteIntent(
+            attr_key(dir_id), "delete")], ctx=ctx)
+        yield from self._update_parent(db, pid, -1, -1, ctx)
+        yield from self._on_rmdir(pid, name, ctx)
+        ctx.end(PHASE_EXECUTION, self.sim.now)
+        return dir_id
+
+    def op_setattr(self, path: str, permission: Permission, ctx: OpContext):
+        host, db, cache = self._proxy()
+        yield from host.work(self.costs.proxy_overhead_us)
+        dir_id, _none, _perm = yield from self._lookup(
+            host, db, cache, path, False, ctx)
+        ctx.begin(PHASE_EXECUTION, self.sim.now)
+        attrs = yield from self.update_attrs(db, dir_id, 0, 0, ctx,
+                                             permission)
+        ctx.end(PHASE_EXECUTION, self.sim.now)
+        return make_stat(normalize(path), attrs)

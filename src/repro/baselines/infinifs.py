@@ -24,15 +24,13 @@ default and enabled for the Figure 20 study.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.baselines.base import IdAllocator, MetadataSystem
-from repro.baselines.common import StorageMixin
+from repro.baselines.common import TafDBBaseline, split_walk
 from repro.errors import (
-    IsADirectoryError,
+    AlreadyExistsError,
     NoSuchPathError,
     NotADirectoryError,
-    NotEmptyError,
     RenameLockConflict,
     TransactionAbort,
 )
@@ -54,6 +52,12 @@ from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AccessMeta, AttrMeta, EntryKind, Permission, make_stat
 
 _ALL = Permission.ALL
+
+#: Retries of a dirrename's distributed transaction before it gives up.
+#: Higher than ``MAX_RETRIES``: every parent-row conflict restarts the whole
+#: transaction, and at ``--scale full`` one InfiniFS dirrename retries 77
+#: times, so the shared limit would change full-scale results.
+_RENAME_TXN_RETRIES = 256
 
 
 def predict_dir_id(path: str) -> int:
@@ -138,7 +142,7 @@ class RenameCoordinator(Server):
         return True
 
 
-class InfiniFSSystem(StorageMixin, MetadataSystem):
+class InfiniFSSystem(TafDBBaseline):
     """Speculative-resolution baseline: 3 coordinator + 18 DB servers."""
 
     name = "infinifs"
@@ -150,24 +154,13 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
                  proxy_cores: int = 32, coordinator_cores: int = 64,
                  am_cache_capacity: int = 0,
                  costs: Optional[CostModel] = None):
-        self.costs = costs or CostModel()
-        sim = sim or Simulator()
-        network = network or Network(sim, one_way_us=self.costs.net_one_way_us)
-        super().__init__(sim, network)
-        self.ids = IdAllocator()
-        self._init_storage(num_db_servers, num_db_shards, db_cores,
-                           self.costs, new_dir_id=predict_dir_id)
+        super().__init__(sim, network, costs, num_db_servers, num_db_shards,
+                         db_cores, new_dir_id=predict_dir_id)
         self.coordinator = RenameCoordinator(
-            Host(sim, "infinifs-coordinator", cores=coordinator_cores),
+            Host(self.sim, "infinifs-coordinator", cores=coordinator_cores),
             self.costs)
         self.coordinator.db = self.tafdb.client()
-        self.proxies: List[Tuple[Host, object, Optional[LRUCache]]] = []
-        for i in range(num_proxies):
-            host = Host(sim, f"{self.name}-proxy-{i}", cores=proxy_cores)
-            cache = (LRUCache(am_cache_capacity)
-                     if am_cache_capacity > 0 else None)
-            self.proxies.append((host, self.tafdb.client(), cache))
-        self._proxy_rr = 0
+        self._init_proxies(num_proxies, proxy_cores, am_cache_capacity)
         #: CPU charged per speculative sub-request on the proxy (thread
         #: spawn + marshalling) — the over-provisioning cost of §3.3.
         self.speculation_cpu_us = 10.0
@@ -176,13 +169,6 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
                        path: str) -> None:
         self.coordinator.mirror.insert(
             AccessMeta(pid=pid, name=name, id=dir_id))
-
-    def _proxy(self):
-        self._proxy_rr += 1
-        return self.proxies[self._proxy_rr % len(self.proxies)]
-
-    def shutdown(self) -> None:
-        self.tafdb.stop_compactors()
 
     # -- speculative parallel resolution ------------------------------------------
 
@@ -195,13 +181,7 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
         component when ``upto_parent`` (the object dirent stays with TafDB's
         execution phase), else None.
         """
-        parts = split_path(path)
-        if upto_parent:
-            if not parts:
-                raise NoSuchPathError(path)
-            walk, final = parts[:-1], parts[-1]
-        else:
-            walk, final = parts, None
+        walk, final = split_walk(path, upto_parent)
         if not walk:
             return ROOT_ID, final, Permission.ALL
 
@@ -237,33 +217,27 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
                  for i in range(len(predicted))]
         rows = yield self.sim.all_of(procs)
 
-        # Validate the chain; fall back sequentially on the first miss.
+        # Validate the chain; from the first misprediction (renamed
+        # ancestry) on, stop trusting it and read level by level.
         current = start_id
         perm = Permission.ALL
-        level = start_level
-        for i, row in enumerate(rows):
-            if predicted[i] != current:
-                break  # misprediction (renamed ancestry): stop trusting
-            if row is None:
-                raise NoSuchPathError(path, walk[level])
-            value = row.value
-            if not value.is_dir:
-                raise NotADirectoryError(path, walk[level])
-            if value.permission is not _ALL:  # skip IntFlag.__and__
-                perm &= value.permission
-            current = value.id
-            level += 1
-        while level < len(walk):
-            row = yield from db.read(dirent_key(current, walk[level]), ctx=ctx)
-            if row is None:
-                if cached_prefix is not None:
+        speculating = True
+        for level in range(start_level, len(walk)):
+            if speculating:
+                speculating = predicted[level - start_level] == current
+            if speculating:
+                row = rows[level - start_level]
+            else:
+                row = yield from db.read(dirent_key(current, walk[level]),
+                                         ctx=ctx)
+                if row is None and cached_prefix is not None:
                     # Possibly a stale cache hit: retry uncached once.
                     cache.invalidate(cached_prefix)
                     result = yield from self._speculative_resolve(
                         host, db, None, path, upto_parent, ctx)
-                    if cache is not None:
-                        cache.put("/" + "/".join(walk), result[0])
+                    cache.put("/" + "/".join(walk), result[0])
                     return result
+            if row is None:
                 raise NoSuchPathError(path, walk[level])
             value = row.value
             if not value.is_dir:
@@ -271,68 +245,33 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
             if value.permission is not _ALL:  # skip IntFlag.__and__
                 perm &= value.permission
             current = value.id
-            level += 1
 
         if cache is not None:
             cache.put("/" + "/".join(walk), current)
         return current, final, perm
 
-    def _lookup_parent(self, host, db, cache, path: str, ctx: OpContext):
+    # -- the hooks of the shared op bodies ------------------------------------------------
+
+    def _lookup(self, host, db, cache, path: str, upto_parent: bool,
+                ctx: OpContext):
+        """The lookup phase: one speculative round of reads."""
         ctx.begin(PHASE_LOOKUP, self.sim.now)
-        pid, final, perm = yield from self._speculative_resolve(
-            host, db, cache, path, upto_parent=True, ctx=ctx)
+        result = yield from self._speculative_resolve(
+            host, db, cache, path, upto_parent, ctx)
         ctx.end(PHASE_LOOKUP, self.sim.now)
-        return pid, final, perm
+        return result
 
-    def _lookup_dir(self, host, db, cache, path: str, ctx: OpContext):
-        ctx.begin(PHASE_LOOKUP, self.sim.now)
-        dir_id, _final, perm = yield from self._speculative_resolve(
-            host, db, cache, path, upto_parent=False, ctx=ctx)
-        ctx.end(PHASE_LOOKUP, self.sim.now)
-        return dir_id, perm
+    def _update_parent(self, db, pid: int, link_delta: int,
+                       entry_delta: int, ctx: OpContext):
+        """CFS's atomic increment: serialises on the shard, never aborts."""
+        return db.atomic_add(pid, link_delta, entry_delta, ctx=ctx)
 
-    # -- object operations -------------------------------------------------------------
+    def _on_rmdir(self, pid: int, name: str, ctx: OpContext):
+        """Keep the rename coordinator's tree mirror current."""
+        return self.network.rpc(self.coordinator, "mirror_rmdir",
+                                pid, name, ctx=ctx)
 
-    def op_create(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup_parent(
-            host, db, cache, path, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        obj_id = self.ids.next()
-        now = self.sim.now
-        yield from self.insert_with_conflict_check(
-            db, dirent_key(pid, name),
-            Dirent(id=obj_id, kind=EntryKind.OBJECT,
-                   attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
-                                  ctime=now, mtime=now)),
-            path, ctx)
-        yield from db.atomic_add(pid, 0, 1, ctx=ctx)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return obj_id
-
-    def op_delete(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup_parent(
-            host, db, cache, path, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        row = yield from db.read(dirent_key(pid, name), ctx=ctx)
-        if row is None:
-            raise NoSuchPathError(path, name)
-        if row.value.is_dir:
-            raise IsADirectoryError(path)
-        try:
-            yield from db.execute_txn([WriteIntent(
-                dirent_key(pid, name), "delete",
-                expect_version=row.version)], ctx=ctx)
-        except TransactionAbort as exc:
-            if exc.reason == "missing":
-                raise NoSuchPathError(path) from exc
-            raise
-        yield from db.atomic_add(pid, 0, -1, ctx=ctx)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return row.value.id
+    # -- per-system operations -------------------------------------------------------------
 
     def op_objstat(self, path: str, ctx: OpContext):
         """InfiniFS resolves the object row inside the speculative round:
@@ -355,36 +294,12 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
             attrs = value.attrs
         return make_stat(normalize(path), attrs)
 
-    # -- directory read operations ---------------------------------------------------------
-
-    def op_dirstat(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _perm = yield from self._lookup_dir(host, db, cache, path, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        attrs = yield from db.read_dir_attrs(dir_id, ctx=ctx)
-        if attrs is None:
-            raise NoSuchPathError(path)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return make_stat(normalize(path), attrs)
-
-    def op_readdir(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _perm = yield from self._lookup_dir(host, db, cache, path, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        page = yield from db.scan_children(dir_id, ctx=ctx)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return [name for name, _ in page]
-
-    # -- directory modifications (CFS two-transaction strategy) ------------------------------
-
     def op_mkdir(self, path: str, ctx: OpContext,
                  permission: Permission = Permission.ALL):
         host, db, cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup_parent(
-            host, db, cache, path, ctx)
+        pid, name, _perm = yield from self._lookup(
+            host, db, cache, path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         dir_id = predict_dir_id(normalize(path))
         now = self.sim.now
@@ -401,63 +316,12 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
             Dirent(id=dir_id, kind=EntryKind.DIRECTORY,
                    permission=permission),
             path, ctx)
-        yield from db.atomic_add(pid, 1, 1, ctx=ctx)
+        yield from self._update_parent(db, pid, 1, 1, ctx)
         # Keep the rename coordinator's tree mirror current.
         yield from self.network.rpc(self.coordinator, "mirror_mkdir",
                                     pid, name, dir_id, ctx=ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return dir_id
-
-    def op_rmdir(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup_parent(
-            host, db, cache, path, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        row = yield from db.read(dirent_key(pid, name), ctx=ctx)
-        if row is None:
-            raise NoSuchPathError(path, name)
-        if not row.value.is_dir:
-            raise NotADirectoryError(path, name)
-        dir_id = row.value.id
-        non_empty = yield from db.has_children(dir_id, ctx=ctx)
-        if non_empty:
-            raise NotEmptyError(path)
-        yield from db.execute_txn([WriteIntent(
-            dirent_key(pid, name), "delete",
-            expect_version=row.version)], ctx=ctx)
-        yield from db.execute_txn([WriteIntent(
-            attr_key(dir_id), "delete")], ctx=ctx)
-        yield from db.atomic_add(pid, -1, -1, ctx=ctx)
-        yield from self.network.rpc(self.coordinator, "mirror_rmdir",
-                                    pid, name, ctx=ctx)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return dir_id
-
-    def op_setattr(self, path: str, permission: Permission, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _perm = yield from self._lookup_dir(host, db, cache, path, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        attempt = 0
-        while True:
-            row = yield from db.read(attr_key(dir_id), ctx=ctx)
-            if row is None:
-                raise NoSuchPathError(path)
-            attrs = row.value.copy()
-            attrs.permission = permission
-            attrs.mtime = self.sim.now
-            try:
-                yield from db.execute_txn([WriteIntent(
-                    attr_key(dir_id), "update", attrs,
-                    expect_version=row.version)], ctx=ctx)
-                break
-            except TransactionAbort:
-                ctx.retries += 1
-                attempt += 1
-                yield self.sim.timeout(db.backoff_us(attempt))
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return make_stat(normalize(path), attrs)
 
     def op_dirrename(self, src: str, dst: str, ctx: OpContext):
         """Rename through the coordinator, then one distributed transaction
@@ -468,7 +332,7 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
 
         ctx.begin(PHASE_LOOP_DETECT, self.sim.now)
         prep = None
-        for attempt in range(MAX_RETRIES):
+        for attempt in range(MAX_RETRIES + 1):
             try:
                 prep = yield from self.network.rpc(
                     self.coordinator, "rename_prepare", src, dst, owner,
@@ -482,8 +346,11 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
             raise RenameLockConflict(src)
 
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        src_key = dirent_key(prep["src_pid"], prep["src_name"])
-        dst_key = dirent_key(prep["dst_pid"], prep["dst_name"])
+        src_pid, dst_pid = prep["src_pid"], prep["dst_pid"]
+        src_key = dirent_key(src_pid, prep["src_name"])
+        dst_key = dirent_key(dst_pid, prep["dst_name"])
+        parent_deltas = ({src_pid: (0, 0)} if src_pid == dst_pid
+                         else {src_pid: (-1, -1), dst_pid: (1, 1)})
         committed = False
         try:
             attempt = 0
@@ -496,8 +363,7 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
                                 expect_version=src_row.version),
                     WriteIntent(dst_key, "insert", src_row.value),
                 ]
-                for parent_id, (ld, ed) in self._rename_parent_deltas(
-                        prep["src_pid"], prep["dst_pid"]).items():
+                for parent_id, (ld, ed) in parent_deltas.items():
                     row = yield from db.read(attr_key(parent_id), ctx=ctx)
                     if row is None:
                         raise NoSuchPathError(f"dir id {parent_id}")
@@ -514,18 +380,17 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
                     break
                 except TransactionAbort as exc:
                     if exc.reason == "exists" and exc.key == dst_key:
-                        from repro.errors import AlreadyExistsError
                         raise AlreadyExistsError(dst) from exc
                     ctx.retries += 1
                     attempt += 1
-                    if attempt > 256:
+                    if attempt > _RENAME_TXN_RETRIES:
                         raise
                     yield self.sim.timeout(db.backoff_us(attempt))
         finally:
             yield from self.network.rpc(
                 self.coordinator, "rename_finish", src, owner, committed,
-                prep["src_pid"], prep["src_name"],
-                prep["dst_pid"], prep["dst_name"], ctx=ctx)
+                src_pid, prep["src_name"], dst_pid, prep["dst_name"],
+                ctx=ctx)
             ctx.end(PHASE_EXECUTION, self.sim.now)
         if committed:
             src_prefix = normalize(src)
@@ -535,9 +400,3 @@ class InfiniFSSystem(StorageMixin, MetadataSystem):
                         lambda key: key == src_prefix
                         or key.startswith(src_prefix + "/"))
         return prep["src_id"]
-
-    @staticmethod
-    def _rename_parent_deltas(src_pid: int, dst_pid: int):
-        if src_pid == dst_pid:
-            return {src_pid: (0, 0)}
-        return {src_pid: (-1, -1), dst_pid: (1, 1)}

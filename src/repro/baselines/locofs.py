@@ -21,17 +21,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.baselines.base import IdAllocator, MetadataSystem
-from repro.baselines.common import StorageMixin
+from repro.baselines.common import TafDBBaseline, split_walk
 from repro.errors import (
     AlreadyExistsError,
     IsADirectoryError,
     NoSuchPathError,
     NotEmptyError,
-    TransactionAbort,
 )
 from repro.indexnode.index_table import ChildIndexedTable
-from repro.paths import normalize, split_path
+from repro.paths import normalize
 from repro.raft.group import RaftGroup
 from repro.raft.node import NotLeaderError, RaftConfig
 from repro.sim.core import Simulator
@@ -44,7 +42,6 @@ from repro.sim.stats import (
     OpContext,
 )
 from repro.tafdb.rows import Dirent, dirent_key
-from repro.tafdb.shard import WriteIntent
 from repro.types import (
     ROOT_ID,
     AccessMeta,
@@ -155,17 +152,12 @@ class LocoDirService(Server):
     def _walk(self, path: str, upto_parent: bool):
         """Local tree walk: ``(cpu us, (dir_id, final, perm))``, one probe
         charged per level."""
-        parts = split_path(path)
-        if upto_parent:
-            if not parts:
-                raise NoSuchPathError(path)
-            walk, final = parts[:-1], parts[-1]
-        else:
-            walk, final = parts, None
+        walk, final = split_walk(path, upto_parent)
         dir_id, perm, probes = self.state.resolve(walk, path)
         return (self.costs.index_rpc_overhead_us
                 + probes * self.costs.index_probe_us
-                + len(parts) * self.costs.permission_check_us,
+                + (len(walk) + (final is not None))
+                * self.costs.permission_check_us,
                 (dir_id, final, perm))
 
     def _resolve(self, path: str, upto_parent: bool):
@@ -267,10 +259,10 @@ class LocoDirService(Server):
             ("setperm", pid, name, perm_value, self.sim.now))
         if result[0] == "missing":
             raise NoSuchPathError(path)
-        return result[1]
+        return make_stat(normalize(path), self.state.attrs[result[1]].copy())
 
 
-class LocoFSSystem(StorageMixin, MetadataSystem):
+class LocoFSSystem(TafDBBaseline):
     """Tiered baseline: 3 directory-metadata + 18 object-metadata servers."""
 
     name = "locofs"
@@ -282,29 +274,22 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
                  proxy_cores: int = 32, dir_server_cores: int = 64,
                  dir_replicas: int = 3, costs: Optional[CostModel] = None,
                  seed: int = 11):
-        self.costs = costs or CostModel()
-        sim = sim or Simulator()
-        network = network or Network(sim, one_way_us=self.costs.net_one_way_us)
-        super().__init__(sim, network)
-        self.ids = IdAllocator()
-        self._init_storage(num_db_servers, num_db_shards, db_cores, self.costs)
-        hosts = [Host(sim, f"locofs-dir-{i}", cores=dir_server_cores,
+        super().__init__(sim, network, costs, num_db_servers, num_db_shards,
+                         db_cores)
+        hosts = [Host(self.sim, f"locofs-dir-{i}", cores=dir_server_cores,
                       fsync_us=self.costs.fsync_us)
                  for i in range(dir_replicas)]
         # Per-operation fsync: LocoFS predates Mantle's Raft log batching.
         raft_config = RaftConfig(batching_enabled=False)
         self.dir_group = RaftGroup(
-            sim, network, hosts, LocoDirState, num_voters=dir_replicas,
-            config=raft_config, costs=self.costs, seed=seed)
+            self.sim, self.network, hosts, LocoDirState,
+            num_voters=dir_replicas, config=raft_config, costs=self.costs,
+            seed=seed)
         self.dir_services = {
             nid: LocoDirService(node.host, node, node.state_machine,
                                 self.costs)
             for nid, node in self.dir_group.nodes.items()}
-        self.proxies: List[Tuple[Host, object]] = []
-        for i in range(num_proxies):
-            host = Host(sim, f"{self.name}-proxy-{i}", cores=proxy_cores)
-            self.proxies.append((host, self.tafdb.client()))
-        self._proxy_rr = 0
+        self._init_proxies(num_proxies, proxy_cores)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -313,11 +298,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
 
     def shutdown(self) -> None:
         self.dir_group.stop()
-        self.tafdb.stop_compactors()
-
-    def _proxy(self):
-        self._proxy_rr += 1
-        return self.proxies[self._proxy_rr % len(self.proxies)]
+        super().shutdown()
 
     def _dir_service(self) -> LocoDirService:
         leader = self.dir_group.leader_or_raise()
@@ -370,7 +351,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
     # -- object operations --------------------------------------------------------------
 
     def op_create(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
+        host, db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         ctx.begin(PHASE_LOOKUP, self.sim.now)
         pid, name, _perm = yield from self.network.rpc(
@@ -395,31 +376,19 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
         return obj_id
 
     def op_delete(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
+        host, db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         ctx.begin(PHASE_LOOKUP, self.sim.now)
         pid, name, _perm = yield from self.network.rpc(
             self._dir_service(), "object_prep", path, -1, ctx=ctx)
         ctx.end(PHASE_LOOKUP, self.sim.now)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        row = yield from db.read(dirent_key(pid, name), ctx=ctx)
-        if row is None:
-            raise NoSuchPathError(path, name)
-        if row.value.is_dir:
-            raise IsADirectoryError(path)
-        try:
-            yield from db.execute_txn([WriteIntent(
-                dirent_key(pid, name), "delete",
-                expect_version=row.version)], ctx=ctx)
-        except TransactionAbort as exc:
-            if exc.reason == "missing":
-                raise NoSuchPathError(path) from exc
-            raise
+        obj_id = yield from self.delete_object_row(db, pid, name, path, ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
-        return row.value.id
+        return obj_id
 
     def op_objstat(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
+        host, db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         ctx.begin(PHASE_LOOKUP, self.sim.now)
         pid, name, _perm = yield from self.network.rpc(
@@ -439,7 +408,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
     def op_dirstat(self, path: str, ctx: OpContext):
         """LocoFS resolves directory paths during the execution phase (§6.3):
         the whole dirstat is one RPC to the central node."""
-        host, _db = self._proxy()
+        host, _db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         stat = yield from self.network.rpc(
@@ -448,7 +417,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
         return stat
 
     def op_readdir(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
+        host, db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         dir_id, subdirs = yield from self.network.rpc(
@@ -461,7 +430,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
 
     def op_mkdir(self, path: str, ctx: OpContext,
                  permission: Permission = Permission.ALL):
-        host, db = self._proxy()
+        host, db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         # Tiering tax (§3.3): the name may exist as an *object* in the
@@ -480,7 +449,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
         return result
 
     def op_rmdir(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
+        host, db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         dir_id = yield from self.network.rpc(
@@ -496,7 +465,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
         return result
 
     def op_setattr(self, path: str, permission: Permission, ctx: OpContext):
-        host, _db = self._proxy()
+        host, _db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         result = yield from self.network.rpc(
@@ -505,7 +474,7 @@ class LocoFSSystem(StorageMixin, MetadataSystem):
         return result
 
     def op_dirrename(self, src: str, dst: str, ctx: OpContext):
-        host, db = self._proxy()
+        host, db, _cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
         # Resolution, loop detection and commit are all one central RPC;
         # account it to loop detection + execution like the paper does.

@@ -10,29 +10,27 @@ attribute updates are optimistic read-modify-writes that abort and retry.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from repro.baselines.base import IdAllocator, MetadataSystem
-from repro.baselines.common import StorageMixin
+from repro.baselines.common import TafDBBaseline, split_walk
 from repro.errors import (
-    IsADirectoryError,
     NoSuchPathError,
     NotADirectoryError,
-    NotEmptyError,
     RenameLoopError,
-    TransactionAbort,
 )
 from repro.paths import is_prefix, normalize
 from repro.sim.core import Simulator
-from repro.sim.host import CostModel, Host
+from repro.sim.host import CostModel
 from repro.sim.network import Network
-from repro.sim.stats import PHASE_EXECUTION, OpContext
+from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, OpContext
 from repro.tafdb.rows import Dirent, attr_key, dirent_key
 from repro.tafdb.shard import WriteIntent
-from repro.types import AttrMeta, EntryKind, Permission, make_stat
+from repro.types import ROOT_ID, AttrMeta, EntryKind, Permission, make_stat
+
+_ALL = Permission.ALL
 
 
-class TectonicSystem(StorageMixin, MetadataSystem):
+class TectonicSystem(TafDBBaseline):
     """DBtable-based baseline: Table 2 deploys it on 21 DB servers."""
 
     name = "tectonic"
@@ -42,81 +40,52 @@ class TectonicSystem(StorageMixin, MetadataSystem):
                  num_db_servers: int = 21, num_db_shards: int = 84,
                  db_cores: int = 32, num_proxies: int = 4,
                  proxy_cores: int = 32, costs: Optional[CostModel] = None):
-        self.costs = costs or CostModel()
-        sim = sim or Simulator()
-        network = network or Network(sim, one_way_us=self.costs.net_one_way_us)
-        super().__init__(sim, network)
-        self.ids = IdAllocator()
-        self._init_storage(num_db_servers, num_db_shards, db_cores, self.costs)
-        self.proxies: List[Tuple[Host, object]] = []
-        for i in range(num_proxies):
-            host = Host(sim, f"{self.name}-proxy-{i}", cores=proxy_cores)
-            self.proxies.append((host, self.tafdb.client()))
-        self._proxy_rr = 0
+        super().__init__(sim, network, costs, num_db_servers, num_db_shards,
+                         db_cores)
+        self._init_proxies(num_proxies, proxy_cores)
 
-    def _proxy(self):
-        self._proxy_rr += 1
-        return self.proxies[self._proxy_rr % len(self.proxies)]
+    # -- the two hooks of the shared op bodies ----------------------------------------
 
-    def shutdown(self) -> None:
-        self.tafdb.stop_compactors()
+    def _lookup(self, host, db, cache, path: str, upto_parent: bool,
+                ctx: OpContext):
+        """Level-by-level path traversal: one RPC per component, marked as
+        the op's lookup phase.
 
-    # -- row helper --------------------------------------------------------------
+        This is the multi-RPC resolution of Figure 2 that Mantle's
+        single-RPC IndexNode lookup replaces.
+        """
+        ctx.begin(PHASE_LOOKUP, self.sim.now)
+        walk, final = split_walk(path, upto_parent)
+        current = ROOT_ID
+        perm = Permission.ALL
+        for part in walk:
+            row = yield from db.read(dirent_key(current, part), ctx=ctx)
+            if row is None:
+                raise NoSuchPathError(path, part)
+            value = row.value
+            if not value.is_dir:
+                raise NotADirectoryError(path, part)
+            if value.permission is not _ALL:  # skip IntFlag.__and__
+                perm &= value.permission
+            current = value.id
+        ctx.end(PHASE_LOOKUP, self.sim.now)
+        return current, final, perm
 
-    def _read_dirent(self, db, pid: int, name: str, path: str,
-                     ctx: OpContext):
+    #: Relaxed consistency: the parent's counts change by an optimistic
+    #: read-modify-write that aborts and retries under contention.
+    _update_parent = TafDBBaseline.update_attrs
+
+    # -- per-system operations ------------------------------------------------------
+
+    def op_objstat(self, path: str, ctx: OpContext):
+        host, db, cache = self._proxy()
+        yield from host.work(self.costs.proxy_overhead_us)
+        pid, name, _perm = yield from self._lookup(
+            host, db, cache, path, True, ctx)
+        ctx.begin(PHASE_EXECUTION, self.sim.now)
         row = yield from db.read(dirent_key(pid, name), ctx=ctx)
         if row is None:
             raise NoSuchPathError(path, name)
-        return row
-
-    # -- object operations ----------------------------------------------------------
-
-    def op_create(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self.resolve_sequential(
-            db, path, True, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        obj_id = self.ids.next()
-        now = self.sim.now
-        dirent = Dirent(id=obj_id, kind=EntryKind.OBJECT,
-                        attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
-                                       ctime=now, mtime=now))
-        yield from self.insert_with_conflict_check(
-            db, dirent_key(pid, name), dirent, path, ctx)
-        yield from self.update_parent_attrs(db, pid, 0, 1, ctx)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return obj_id
-
-    def op_delete(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self.resolve_sequential(
-            db, path, True, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        row = yield from self._read_dirent(db, pid, name, path, ctx)
-        if row.value.is_dir:
-            raise IsADirectoryError(path)
-        try:
-            yield from db.execute_txn([WriteIntent(
-                dirent_key(pid, name), "delete",
-                expect_version=row.version)], ctx=ctx)
-        except TransactionAbort as exc:
-            if exc.reason == "missing":
-                raise NoSuchPathError(path) from exc
-            raise
-        yield from self.update_parent_attrs(db, pid, 0, -1, ctx)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return row.value.id
-
-    def op_objstat(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self.resolve_sequential(
-            db, path, True, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        row = yield from self._read_dirent(db, pid, name, path, ctx)
         if row.value.is_dir:
             attrs = yield from db.read_dir_attrs(row.value.id, ctx=ctx)
         else:
@@ -124,38 +93,12 @@ class TectonicSystem(StorageMixin, MetadataSystem):
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return make_stat(normalize(path), attrs)
 
-    # -- directory read operations ------------------------------------------------------
-
-    def op_dirstat(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self.resolve_sequential(
-            db, path, False, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        attrs = yield from db.read_dir_attrs(dir_id, ctx=ctx)
-        if attrs is None:
-            raise NoSuchPathError(path)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return make_stat(normalize(path), attrs)
-
-    def op_readdir(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self.resolve_sequential(
-            db, path, False, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        page = yield from db.scan_children(dir_id, ctx=ctx)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return [name for name, _ in page]
-
-    # -- directory modifications ---------------------------------------------------------
-
     def op_mkdir(self, path: str, ctx: OpContext,
                  permission: Permission = Permission.ALL):
-        host, db = self._proxy()
+        host, db, cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self.resolve_sequential(
-            db, path, True, ctx)
+        pid, name, _perm = yield from self._lookup(
+            host, db, cache, path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         dir_id = self.ids.next()
         now = self.sim.now
@@ -169,65 +112,17 @@ class TectonicSystem(StorageMixin, MetadataSystem):
             attr_key(dir_id), "insert",
             AttrMeta(id=dir_id, kind=EntryKind.DIRECTORY, ctime=now,
                      mtime=now, permission=permission))], ctx=ctx)
-        yield from self.update_parent_attrs(db, pid, 1, 1, ctx)
+        yield from self._update_parent(db, pid, 1, 1, ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return dir_id
-
-    def op_rmdir(self, path: str, ctx: OpContext):
-        host, db = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self.resolve_sequential(
-            db, path, True, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        row = yield from self._read_dirent(db, pid, name, path, ctx)
-        if not row.value.is_dir:
-            raise NotADirectoryError(path, name)
-        dir_id = row.value.id
-        non_empty = yield from db.has_children(dir_id, ctx=ctx)
-        if non_empty:
-            raise NotEmptyError(path)
-        yield from db.execute_txn([WriteIntent(
-            dirent_key(pid, name), "delete",
-            expect_version=row.version)], ctx=ctx)
-        yield from db.execute_txn([WriteIntent(
-            attr_key(dir_id), "delete")], ctx=ctx)
-        yield from self.update_parent_attrs(db, pid, -1, -1, ctx)
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return dir_id
-
-    def op_setattr(self, path: str, permission: Permission, ctx: OpContext):
-        host, db = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self.resolve_sequential(
-            db, path, False, ctx)
-        ctx.begin(PHASE_EXECUTION, self.sim.now)
-        attempt = 0
-        while True:
-            row = yield from db.read(attr_key(dir_id), ctx=ctx)
-            if row is None:
-                raise NoSuchPathError(path)
-            attrs = row.value.copy()
-            attrs.permission = permission
-            attrs.mtime = self.sim.now
-            try:
-                yield from db.execute_txn([WriteIntent(
-                    attr_key(dir_id), "update", attrs,
-                    expect_version=row.version)], ctx=ctx)
-                break
-            except TransactionAbort:
-                ctx.retries += 1
-                attempt += 1
-                yield self.sim.timeout(db.backoff_us(attempt))
-        ctx.end(PHASE_EXECUTION, self.sim.now)
-        return make_stat(normalize(path), attrs)
 
     def op_dirrename(self, src: str, dst: str, ctx: OpContext):
-        host, db = self._proxy()
+        host, db, cache = self._proxy()
         yield from host.work(self.costs.proxy_overhead_us)
-        src_pid, src_name, _sp = yield from self.resolve_sequential(
-            db, src, True, ctx)
-        dst_pid, dst_name, _dp = yield from self.resolve_sequential(
-            db, dst, True, ctx)
+        src_pid, src_name, _sp = yield from self._lookup(
+            host, db, cache, src, True, ctx)
+        dst_pid, dst_name, _dp = yield from self._lookup(
+            host, db, cache, dst, True, ctx)
 
         # Relaxed consistency (§6.1: "for Tectonic, we relax the consistency
         # and avoid using distributed transactions"): no transactional loop
@@ -238,19 +133,21 @@ class TectonicSystem(StorageMixin, MetadataSystem):
             raise RenameLoopError(src, dst)
 
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        row = yield from self._read_dirent(db, src_pid, src_name, src, ctx)
+        src_key = dirent_key(src_pid, src_name)
+        row = yield from db.read(src_key, ctx=ctx)
+        if row is None:
+            raise NoSuchPathError(src, src_name)
         if not row.value.is_dir:
             raise NotADirectoryError(src, src_name)
         # Relaxed consistency: delete + insert as separate transactions.
         yield from db.execute_txn([WriteIntent(
-            dirent_key(src_pid, src_name), "delete",
-            expect_version=row.version)], ctx=ctx)
+            src_key, "delete", expect_version=row.version)], ctx=ctx)
         yield from self.insert_with_conflict_check(
             db, dirent_key(dst_pid, dst_name), row.value, dst, ctx)
         if src_pid == dst_pid:
-            yield from self.update_parent_attrs(db, src_pid, 0, 0, ctx)
+            yield from self._update_parent(db, src_pid, 0, 0, ctx)
         else:
-            yield from self.update_parent_attrs(db, src_pid, -1, -1, ctx)
-            yield from self.update_parent_attrs(db, dst_pid, 1, 1, ctx)
+            yield from self._update_parent(db, src_pid, -1, -1, ctx)
+            yield from self._update_parent(db, dst_pid, 1, 1, ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return row.value.id

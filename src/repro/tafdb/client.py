@@ -28,7 +28,9 @@ from repro.tafdb.server import DBServer
 from repro.tafdb.shard import WriteIntent
 
 #: Retries after which an operation gives up on a contended transaction or
-#: rename lock and raises (every system's retry loops share this limit).
+#: rename lock and raises.  Every system's retry loops share this limit,
+#: except InfiniFS's rename transaction, which restarts whole on any parent
+#: conflict and has its own (``infinifs._RENAME_TXN_RETRIES``).
 MAX_RETRIES = 64
 
 

@@ -16,7 +16,11 @@ from repro.errors import (
     NoSuchPathError,
     NotEmptyError,
     RenameLoopError,
+    TransactionAbort,
 )
+from repro.tafdb.client import MAX_RETRIES
+from repro.types import Permission, StatResult
+from tests.baselines.conftest import SyncDriver, build_system
 
 
 class TestObjectSemantics:
@@ -78,6 +82,71 @@ class TestDirectorySemantics:
         driver.run("rmdir", "/top/victim")
         with pytest.raises(NoSuchPathError):
             driver.run("dirstat", "/top/victim")
+
+
+class TestSetattr:
+    """Only Mantle enforces a mask on later ops (a create under a
+    READ|EXECUTE directory is denied there and succeeds on the baselines),
+    so these check what setattr returns and what dirstat reads back."""
+
+    MASK = Permission.READ | Permission.EXECUTE
+
+    def test_setattr_returns_the_new_stat(self, driver):
+        driver.system.bulk_mkdir("/top")
+        dir_id = driver.system.bulk_mkdir("/top/d")
+        stat = driver.run("setattr", "/top/d", self.MASK)
+        assert isinstance(stat, StatResult)
+        assert (stat.path, stat.id, stat.is_dir) == ("/top/d", dir_id, True)
+        assert stat.permission == self.MASK
+
+    def test_dirstat_sees_the_new_mask(self, driver):
+        driver.system.bulk_mkdir("/top")
+        driver.system.bulk_mkdir("/top/d")
+        driver.run("setattr", "/top/d", self.MASK)
+        assert driver.run("dirstat", "/top/d").permission == self.MASK
+        assert driver.run("dirstat", "/top").permission == Permission.ALL
+
+    @pytest.mark.parametrize("path", ["/top/ghost", "/ghost/d"])
+    def test_setattr_on_missing_path_rejected(self, driver, path):
+        driver.system.bulk_mkdir("/top")
+        with pytest.raises(NoSuchPathError):
+            driver.run("setattr", path, self.MASK)
+
+
+class _Unbounded(Exception):
+    """A retry loop kept going past every limit the systems use."""
+
+
+class _AbortingClient:
+    """A proxy's TafDB client whose transactions all abort; reads and the
+    backoff schedule are the real client's."""
+
+    def __init__(self, db):
+        self._db = db
+        self.attempts = 0
+
+    def __getattr__(self, name):
+        return getattr(self._db, name)
+
+    def execute_txn(self, intents, ctx=None):
+        self.attempts += 1
+        if self.attempts > MAX_RETRIES + 5:
+            raise _Unbounded(self.attempts)
+        raise TransactionAbort("version", intents[0].key)
+        yield  # a generator, like the real one
+
+
+@pytest.mark.parametrize("name", ["tectonic", "infinifs"])
+def test_setattr_gives_up_after_max_retries(name):
+    system = build_system(name)
+    system.bulk_mkdir("/d")
+    stubs = [_AbortingClient(entry[1]) for entry in system.proxies]
+    system.proxies = [(entry[0], stub) + tuple(entry[2:])
+                      for entry, stub in zip(system.proxies, stubs)]
+    with pytest.raises(TransactionAbort):
+        SyncDriver(system).run("setattr", "/d", Permission.READ)
+    assert sum(stub.attempts for stub in stubs) == MAX_RETRIES + 1
+    system.shutdown()
 
 
 class TestRenameSemantics:

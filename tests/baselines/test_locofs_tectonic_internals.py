@@ -151,8 +151,7 @@ class TestTectonicRelaxedConsistency:
         system = build_tectonic()
         system.bulk_mkdir("/w")
         sim = system.sim
-        proxy_host, db = system.proxies[0]
-        del proxy_host
+        _host, db, _cache = system.proxies[0]
         from repro.tafdb.rows import Dirent, attr_key, dirent_key
         from repro.tafdb.shard import WriteIntent
         from repro.types import AttrMeta, EntryKind

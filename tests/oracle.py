@@ -94,7 +94,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 
 import pytest
 
-from repro.baselines import infinifs, locofs, tectonic
+from repro.baselines import common, locofs
 from repro.baselines.common import StorageMixin
 from repro.core import multitenant, service
 from repro.errors import (
@@ -173,7 +173,7 @@ def all_heap_systems():
 
     with pytest.MonkeyPatch.context() as patch:
         # Every module that constructs a system's simulator, by that name.
-        for module in (service, multitenant, tectonic, infinifs, locofs):
+        for module in (service, multitenant, common):
             patch.setattr(module, "Simulator", build)
         yield built
     assert built, "no system ran on the oracle"
