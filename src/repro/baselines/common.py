@@ -9,8 +9,9 @@ proxy fleet and holds the op bodies Tectonic and InfiniFS share.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.baselines.base import IdAllocator, MetadataSystem
 from repro.errors import (
@@ -26,9 +27,9 @@ from repro.paths import normalize, split_path
 from repro.sim.core import Simulator
 from repro.sim.host import CostModel, Host
 from repro.sim.network import Network
-from repro.sim.stats import PHASE_EXECUTION, OpContext
+from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, OpContext
 from repro.structures.lru import LRUCache
-from repro.tafdb.client import MAX_RETRIES
+from repro.tafdb.client import update_attrs
 from repro.tafdb.cluster import TafDBCluster
 from repro.tafdb.rows import (
     AttrRecord,
@@ -59,8 +60,11 @@ class StorageMixin:
     Subclasses must have ``self.tafdb`` and ``self.ids`` and call
     :meth:`_init_bulk` with their root id (:class:`TafDBBaseline` does, for
     a private TafDB rooted at ``ROOT_ID``; Mantle's namespaces share one
-    TafDB).  ``_on_bulk_mkdir`` lets a system mirror new directories into
-    its own index (IndexNode replicas, InfiniFS's rename coordinator).
+    TafDB).  Loader hooks: ``_bulk_install_dir`` installs a directory (its
+    TafDB dirent and attribute row, then ``_on_bulk_mkdir`` mirrors it into
+    a system's own index), ``_bulk_object`` an object's dirent, and
+    ``_bulk_fold`` adds a call's counts to a parent's attribute row; LocoFS
+    overrides them with its directory-server replicas and ``bump``.
     """
 
     def _init_bulk(self, root_id: int,
@@ -79,14 +83,13 @@ class StorageMixin:
         """Install ``dirs`` (parents before children; already-loaded ones are
         skipped) and then ``objects`` of ``size`` bytes, at no simulated cost.
 
-        Rows go straight into their TafDB shard, and each parent's link and
-        entry counts fold into its attribute row once, at the end of the
-        call (also when an entry raises part-way).  Ids are allocated
-        directories first, then objects, in list order.  Returns the id of
-        the last entry named, or None when both lists are empty.
+        Entries go straight into their store, and each parent's link and
+        entry counts fold once, at the end of the call (also when an entry
+        raises part-way).  Ids are allocated directories first, then
+        objects, in list order.  Returns the id of the last entry named, or
+        None when both lists are empty.
         """
         known = self._bulk_dirs
-        shard_for = self.tafdb.shard_for
         links: Counter = Counter()  # pid -> directories added under it
         entries: Counter = Counter()  # pid -> entries added under it
         last = None
@@ -97,18 +100,9 @@ class StorageMixin:
                 if last is not None:
                     continue
                 pid, name = self._bulk_parent(path)
-                shard = shard_for(pid)
-                key = dirent_key(pid, name)
-                if key in shard:
-                    raise AlreadyExistsError(path)
-                last = self._new_dir_id(path)
-                shard.install_record(
-                    key, DirRecord(1, last, EntryKind.DIRECTORY))
-                shard_for(last).install_record(
-                    attr_key(last), AttrRecord(1, last, EntryKind.DIRECTORY))
+                last = self._bulk_install_dir(pid, name, path)
                 links[pid] += 1
                 entries[pid] += 1
-                self._on_bulk_mkdir(pid, name, last, path)
                 known[path] = last
             for path in objects:
                 path = normalize(path)
@@ -117,11 +111,7 @@ class StorageMixin:
                 entries[pid] += 1
         finally:
             for pid, count in entries.items():
-                shard = shard_for(pid)
-                row = shard.read(attr_key(pid))
-                row.value.link_count += links[pid]
-                row.value.entry_count += count
-                shard.install(row.key, row.value, row.version + count)
+                self._bulk_fold(pid, links[pid], count)
         return last
 
     def _bulk_parent(self, path: str) -> Tuple[int, str]:
@@ -135,6 +125,19 @@ class StorageMixin:
             raise NoSuchPathError(path, parent or "/")
         return pid, name
 
+    def _bulk_install_dir(self, pid: int, name: str, path: str) -> int:
+        """Install one directory's rows; returns its id."""
+        shard = self.tafdb.shard_for(pid)
+        key = dirent_key(pid, name)
+        if key in shard:
+            raise AlreadyExistsError(path)
+        dir_id = self._new_dir_id(path)
+        shard.install_record(key, DirRecord(1, dir_id, EntryKind.DIRECTORY))
+        self.tafdb.shard_for(dir_id).install_record(
+            attr_key(dir_id), AttrRecord(1, dir_id, EntryKind.DIRECTORY))
+        self._on_bulk_mkdir(pid, name, dir_id, path)
+        return dir_id
+
     def _bulk_object(self, pid: int, name: str, path: str, size: int) -> int:
         """Install one object's dirent (attributes inline); returns its id."""
         shard = self.tafdb.shard_for(pid)
@@ -145,25 +148,45 @@ class StorageMixin:
         shard.install_record(key, object_record(obj_id, size))
         return obj_id
 
+    def _bulk_fold(self, pid: int, links: int, entries: int) -> None:
+        """Add ``links`` and ``entries`` to ``pid``'s attribute row."""
+        shard = self.tafdb.shard_for(pid)
+        row = shard.read(attr_key(pid))
+        row.value.link_count += links
+        row.value.entry_count += entries
+        shard.install(row.key, row.value, row.version + entries)
+
     def _on_bulk_mkdir(self, pid: int, name: str, dir_id: int,
                        path: str) -> None:
         """Hook: mirror a bulk-loaded directory into system-local indexes."""
+
+
+class Proxy(NamedTuple):
+    """A stateless proxy; ``cache`` is InfiniFS's AM-Cache, if any."""
+
+    host: Host
+    db: object
+    cache: Optional[LRUCache]
 
 
 class TafDBBaseline(StorageMixin, MetadataSystem):
     """A baseline over a private TafDB, run by stateless proxies.
 
     The DBtable design (§2.3) the paper re-implements its baselines on
-    (§6.1): each op runs on a round-robin proxy ``(host, db, cache)`` that
-    resolves the path and then reads and writes TafDB rows itself.  The op
-    bodies here are Tectonic's and InfiniFS's, which differ in two hooks:
+    (§6.1): each op runs on a round-robin :class:`Proxy` that resolves the
+    path and then reads and writes TafDB rows itself.  Every op body opens
+    with :meth:`_step`.  The bodies here are Tectonic's and InfiniFS's,
+    which differ in three hooks:
 
-    * ``_lookup(host, db, cache, path, upto_parent, ctx)``, the lookup
-      phase: returns ``(dir_id, final_name, permission)`` for the parent
-      of ``path`` (``final_name`` its last component) or, without
-      ``upto_parent``, for ``path`` itself (``final_name`` None);
+    * ``_lookup(host, db, cache, path, upto_parent, ctx)`` only resolves:
+      ``(dir_id, final_name, mask)`` for the parent of ``path``
+      (``final_name`` its last component) or, without ``upto_parent``, for
+      ``path`` itself (``final_name`` None), ``mask`` intersected along it;
     * ``_update_parent(db, pid, link_delta, entry_delta, ctx)``: adds a
-      child's change to its parent's link and entry counts.
+      child's change to its parent's link and entry counts;
+    * ``_on_dir_change(path, command, ctx)``: tells system-local indexes
+      of a directory mutation (``("mkdir", pid, name, dir_id, mask)``,
+      ``("rmdir", pid, name)``, ``("setperm", pid, name, mask)``).
 
     A hook that delegates returns the callee's generator rather than
     wrapping it in another frame.  ``mkdir``, ``objstat`` and ``dirrename`` are each
@@ -192,24 +215,39 @@ class TafDBBaseline(StorageMixin, MetadataSystem):
     def _init_proxies(self, count: int, cores: int,
                       cache_capacity: int = 0) -> None:
         """``count`` proxies, each with its own TafDB client and, given a
-        capacity, an LRU cache of resolved paths (InfiniFS's AM-Cache)."""
-        self.proxies: List[Tuple[Host, object, Optional[LRUCache]]] = []
+        capacity, an AM-Cache."""
+        self.proxies: List[Proxy] = []
         for i in range(count):
             host = Host(self.sim, f"{self.name}-proxy-{i}", cores=cores)
             cache = LRUCache(cache_capacity) if cache_capacity > 0 else None
-            self.proxies.append((host, self.tafdb.client(), cache))
+            self.proxies.append(Proxy(host, self.tafdb.client(), cache))
         self._proxy_rr = 0
 
     def _proxy(self):
+        """The next proxy, round-robin, with its per-op overhead charged."""
         self._proxy_rr += 1
-        return self.proxies[self._proxy_rr % len(self.proxies)]
+        proxy = self.proxies[self._proxy_rr % len(self.proxies)]
+        yield from proxy.host.work(self.costs.proxy_overhead_us)
+        return proxy
 
     def shutdown(self) -> None:
         self.tafdb.stop_compactors()
 
-    def _on_rmdir(self, pid: int, name: str, ctx: OpContext):
-        """What rmdir runs after its row changes, as an iterable to ``yield
-        from``: nothing here; InfiniFS tells its rename coordinator."""
+    def _step(self, path: str, upto_parent: bool, ctx: OpContext,
+              write: bool = False, proxy: Optional[Proxy] = None):
+        """Every op's prologue: a charged proxy (or the first step's, for a
+        second path), ``_lookup`` as the lookup phase, then the path
+        permission rule.  Returns ``(proxy, dir_id, final_name)``."""
+        if proxy is None:
+            proxy = yield from self._proxy()
+        ctx.begin(PHASE_LOOKUP, self.sim.now)
+        dir_id, final, permission = yield from self._lookup(
+            *proxy, path, upto_parent, ctx)
+        ctx.end(PHASE_LOOKUP, self.sim.now)
+        permission.check_path(path, write)
+        return proxy, dir_id, final
+
+    def _on_dir_change(self, path: str, command: Tuple, ctx: OpContext):
         return ()
 
     # -- row helpers -----------------------------------------------------------------
@@ -243,102 +281,54 @@ class TafDBBaseline(StorageMixin, MetadataSystem):
             raise
         return row.value.id
 
-    def update_attrs(self, db, dir_id: int, link_delta: int,
-                     entry_delta: int, ctx: OpContext,
-                     permission: Optional[Permission] = None):
-        """Read-modify-write of one directory's attribute row: add the
-        deltas to its counts, set ``permission`` when given and stamp its
-        mtime; returns the attributes written.
-
-        Optimistic, with version expectation: a conflict aborts and retries
-        with backoff, at most ``MAX_RETRIES`` times — the contended
-        in-place parent update of the DBtable approach behind Figure 4b.
-        """
-        key = attr_key(dir_id)
-        attempt = 0
-        while True:
-            row = yield from db.read(key, ctx=ctx)
-            if row is None:
-                raise NoSuchPathError(f"dir id {dir_id}")
-            attrs = row.value.copy()
-            attrs.link_count += link_delta
-            attrs.entry_count += entry_delta
-            if permission is not None:
-                attrs.permission = permission
-            attrs.mtime = self.sim.now
-            try:
-                yield from db.execute_txn([WriteIntent(
-                    key, "update", attrs, expect_version=row.version)],
-                    ctx=ctx)
-                return attrs
-            except TransactionAbort:
-                ctx.retries += 1
-                attempt += 1
-                if attempt > MAX_RETRIES:
-                    raise
-                yield self.sim.timeout(db.backoff_us(attempt))
-
     # -- object operations -----------------------------------------------------------
 
     def op_create(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(
-            host, db, cache, path, True, ctx)
+        proxy, pid, name = yield from self._step(path, True, ctx, write=True)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         obj_id = self.ids.next()
         now = self.sim.now
         yield from self.insert_with_conflict_check(
-            db, dirent_key(pid, name),
+            proxy.db, dirent_key(pid, name),
             Dirent(id=obj_id, kind=EntryKind.OBJECT,
                    attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
                                   ctime=now, mtime=now)),
             path, ctx)
-        yield from self._update_parent(db, pid, 0, 1, ctx)
+        yield from self._update_parent(proxy.db, pid, 0, 1, ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return obj_id
 
     def op_delete(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(
-            host, db, cache, path, True, ctx)
+        proxy, pid, name = yield from self._step(path, True, ctx, write=True)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        obj_id = yield from self.delete_object_row(db, pid, name, path, ctx)
-        yield from self._update_parent(db, pid, 0, -1, ctx)
+        obj_id = yield from self.delete_object_row(proxy.db, pid, name, path,
+                                                   ctx)
+        yield from self._update_parent(proxy.db, pid, 0, -1, ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return obj_id
 
     # -- directory operations --------------------------------------------------------
 
     def op_dirstat(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self._lookup(
-            host, db, cache, path, False, ctx)
+        proxy, dir_id, _none = yield from self._step(path, False, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        attrs = yield from db.read_dir_attrs(dir_id, ctx=ctx)
+        attrs = yield from proxy.db.read_dir_attrs(dir_id, ctx=ctx)
         if attrs is None:
             raise NoSuchPathError(path)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return make_stat(normalize(path), attrs)
 
     def op_readdir(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self._lookup(
-            host, db, cache, path, False, ctx)
+        proxy, dir_id, _none = yield from self._step(path, False, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        page = yield from db.scan_children(dir_id, ctx=ctx)
+        page = yield from proxy.db.scan_children(dir_id, ctx=ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return [name for name, _ in page]
 
     def op_rmdir(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(
-            host, db, cache, path, True, ctx)
+        proxy, pid, name = yield from self._step(path, True, ctx, write=True)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
+        db = proxy.db
         key = dirent_key(pid, name)
         row = yield from db.read(key, ctx=ctx)
         if row is None:
@@ -354,17 +344,27 @@ class TafDBBaseline(StorageMixin, MetadataSystem):
         yield from db.execute_txn([WriteIntent(
             attr_key(dir_id), "delete")], ctx=ctx)
         yield from self._update_parent(db, pid, -1, -1, ctx)
-        yield from self._on_rmdir(pid, name, ctx)
+        yield from self._on_dir_change(path, ("rmdir", pid, name), ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return dir_id
 
     def op_setattr(self, path: str, permission: Permission, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        dir_id, _none, _perm = yield from self._lookup(
-            host, db, cache, path, False, ctx)
+        """Set the mask in the attribute row and in the dirent lookups
+        read; gated, like Mantle's, on traversing the parent only."""
+        proxy, pid, name = yield from self._step(path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        attrs = yield from self.update_attrs(db, dir_id, 0, 0, ctx,
-                                             permission)
+        db = proxy.db
+        key = dirent_key(pid, name)
+        row = yield from db.read(key, ctx=ctx)
+        if row is None or not row.value.is_dir:
+            raise NoSuchPathError(path, name)
+        attrs = yield from update_attrs(db, row.value.id, 0, 0, ctx,
+                                        permission)
+        yield from db.execute_txn([WriteIntent(
+            key, "update", dataclasses.replace(row.value,
+                                               permission=permission),
+            expect_version=row.version)], ctx=ctx)
+        yield from self._on_dir_change(
+            path, ("setperm", pid, name, int(permission)), ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return make_stat(normalize(path), attrs)

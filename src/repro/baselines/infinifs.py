@@ -23,6 +23,7 @@ default and enabled for the Figure 20 study.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import Dict, Optional
 
@@ -30,8 +31,8 @@ from repro.baselines.common import TafDBBaseline, split_walk
 from repro.errors import (
     AlreadyExistsError,
     NoSuchPathError,
-    NotADirectoryError,
     RenameLockConflict,
+    RenameLoopError,
     TransactionAbort,
 )
 from repro.indexnode.index_table import IndexTable
@@ -46,7 +47,7 @@ from repro.sim.stats import (
     OpContext,
 )
 from repro.structures.lru import LRUCache
-from repro.tafdb.client import MAX_RETRIES
+from repro.tafdb.client import MAX_RETRIES, attr_update
 from repro.tafdb.rows import Dirent, attr_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AccessMeta, AttrMeta, EntryKind, Permission, make_stat
@@ -85,10 +86,12 @@ class RenameCoordinator(Server):
         #: ancestor chain against authoritative DB state during renames.
         self.db = None
 
-    def rpc_mirror_mkdir(self, pid: int, name: str, dir_id: int):
+    def rpc_mirror_mkdir(self, pid: int, name: str, dir_id: int,
+                         perm_value: int):
         yield from self.host.work(self.costs.index_probe_us)
         if self.mirror.get(pid, name) is None:
-            self.mirror.insert(AccessMeta(pid=pid, name=name, id=dir_id))
+            self.mirror.insert(AccessMeta(pid=pid, name=name, id=dir_id,
+                                          permission=Permission(perm_value)))
         return True
 
     def rpc_mirror_rmdir(self, pid: int, name: str):
@@ -97,16 +100,28 @@ class RenameCoordinator(Server):
             self.mirror.remove(pid, name)
         return True
 
+    def rpc_mirror_setperm(self, pid: int, name: str, perm_value: int):
+        yield from self.host.work(self.costs.index_probe_us)
+        meta = self.mirror.get(pid, name)
+        if meta is not None:
+            self.mirror.replace(dataclasses.replace(
+                meta, permission=Permission(perm_value)))
+        return True
+
     def rpc_rename_prepare(self, src: str, dst: str, owner: str):
         """Loop detection + lock acquisition for one rename."""
         yield from self.host.work(self.costs.index_rpc_overhead_us)
         src, dst = normalize(src), normalize(dst)
         src_parent_path, src_name = parent_and_name(src)
         dst_parent_path, dst_name = parent_and_name(dst)
-        src_pid, _perm, p1 = self.mirror.resolve_dir(
+        src_pid, src_perm, p1 = self.mirror.resolve_dir(
             split_path(src_parent_path), path_for_errors=src)
-        dst_pid, _perm, p2 = self.mirror.resolve_dir(
+        src_perm.check_path(src, write=True)
+        dst_pid, dst_perm, p2 = self.mirror.resolve_dir(
             split_path(dst_parent_path), path_for_errors=dst)
+        dst_perm.check_path(dst, write=True)
+        if (src_pid, src_name) == (dst_pid, dst_name):
+            raise RenameLoopError(src, dst)  # onto itself
         meta = self.mirror.get(src_pid, src_name)
         if meta is None:
             raise NoSuchPathError(src, src_name)
@@ -185,22 +200,23 @@ class InfiniFSSystem(TafDBBaseline):
         if not walk:
             return ROOT_ID, final, Permission.ALL
 
-        # AM-Cache: start from the deepest cached prefix.  A stale hit
-        # (concurrent rename through another proxy) surfaces as a missing
-        # row mid-walk; drop the entry and retry without the cache.
+        # AM-Cache: start from the deepest cached prefix and its mask.  A
+        # stale hit (concurrent rename through another proxy) surfaces as a
+        # missing row mid-walk; drop the entry and retry without the cache.
         start_level = 0
         start_id = ROOT_ID
+        perm = Permission.ALL
         cached_prefix = None
         if cache is not None:
             for level in range(len(walk), 0, -1):
                 prefix = "/" + "/".join(walk[:level])
                 hit = cache.get(prefix)
                 if hit is not None:
-                    start_level, start_id = level, hit
+                    start_level, (start_id, perm) = level, hit
                     cached_prefix = prefix
                     break
         if start_level == len(walk):
-            return start_id, final, Permission.ALL
+            return start_id, final, perm
 
         # One parallel round: read every remaining level with predicted pids.
         predicted = [start_id]
@@ -220,7 +236,6 @@ class InfiniFSSystem(TafDBBaseline):
         # Validate the chain; from the first misprediction (renamed
         # ancestry) on, stop trusting it and read level by level.
         current = start_id
-        perm = Permission.ALL
         speculating = True
         for level in range(start_level, len(walk)):
             if speculating:
@@ -235,54 +250,57 @@ class InfiniFSSystem(TafDBBaseline):
                     cache.invalidate(cached_prefix)
                     result = yield from self._speculative_resolve(
                         host, db, None, path, upto_parent, ctx)
-                    cache.put("/" + "/".join(walk), result[0])
+                    cache.put("/" + "/".join(walk), (result[0], result[2]))
                     return result
-            if row is None:
+            # An object on the way fails as Mantle's directory index does.
+            if row is None or not row.value.is_dir:
                 raise NoSuchPathError(path, walk[level])
             value = row.value
-            if not value.is_dir:
-                raise NotADirectoryError(path, walk[level])
             if value.permission is not _ALL:  # skip IntFlag.__and__
                 perm &= value.permission
             current = value.id
 
         if cache is not None:
-            cache.put("/" + "/".join(walk), current)
+            cache.put("/" + "/".join(walk), (current, perm))
         return current, final, perm
 
     # -- the hooks of the shared op bodies ------------------------------------------------
 
-    def _lookup(self, host, db, cache, path: str, upto_parent: bool,
-                ctx: OpContext):
-        """The lookup phase: one speculative round of reads."""
-        ctx.begin(PHASE_LOOKUP, self.sim.now)
-        result = yield from self._speculative_resolve(
-            host, db, cache, path, upto_parent, ctx)
-        ctx.end(PHASE_LOOKUP, self.sim.now)
-        return result
+    #: The lookup is one speculative round of reads.
+    _lookup = _speculative_resolve
 
     def _update_parent(self, db, pid: int, link_delta: int,
                        entry_delta: int, ctx: OpContext):
         """CFS's atomic increment: serialises on the shard, never aborts."""
         return db.atomic_add(pid, link_delta, entry_delta, ctx=ctx)
 
-    def _on_rmdir(self, pid: int, name: str, ctx: OpContext):
-        """Keep the rename coordinator's tree mirror current."""
-        return self.network.rpc(self.coordinator, "mirror_rmdir",
-                                pid, name, ctx=ctx)
+    def _on_dir_change(self, path: str, command, ctx: OpContext):
+        """Keep the coordinator's mirror current; rmdir and setattr drop
+        ``path``'s subtree (ids and masks) from every AM-Cache."""
+        if command[0] != "mkdir":
+            self._forget_cached(normalize(path))
+        return self.network.rpc(self.coordinator, "mirror_" + command[0],
+                                *command[1:], ctx=ctx)
+
+    def _forget_cached(self, prefix: str) -> None:
+        for proxy in self.proxies:
+            if proxy.cache is not None:
+                proxy.cache.invalidate_where(
+                    lambda key: key == prefix
+                    or key.startswith(prefix + "/"))
 
     # -- per-system operations -------------------------------------------------------------
 
     def op_objstat(self, path: str, ctx: OpContext):
         """InfiniFS resolves the object row inside the speculative round:
         execution is folded into the lookup phase (§6.3)."""
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        host, db, cache = yield from self._proxy()
         ctx.begin(PHASE_LOOKUP, self.sim.now)
         parts = split_path(path)
         parent_path = "/" + "/".join(parts[:-1]) if len(parts) > 1 else "/"
-        pid, _final, _perm = yield from self._speculative_resolve(
+        pid, _final, perm = yield from self._speculative_resolve(
             host, db, cache, parent_path, upto_parent=False, ctx=ctx)
+        perm.check_path(path)
         row = yield from db.read(dirent_key(pid, parts[-1]), ctx=ctx)
         ctx.end(PHASE_LOOKUP, self.sim.now)
         if row is None:
@@ -296,20 +314,27 @@ class InfiniFSSystem(TafDBBaseline):
 
     def op_mkdir(self, path: str, ctx: OpContext,
                  permission: Permission = Permission.ALL):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(
-            host, db, cache, path, True, ctx)
+        proxy, pid, name = yield from self._step(path, True, ctx, write=True)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
+        db = proxy.db
         dir_id = predict_dir_id(normalize(path))
         now = self.sim.now
         # Txn 1: the directory's own attribute record (its future shard).
         # The id is the path hash, so a duplicate mkdir collides right here.
-        yield from self.insert_with_conflict_check(
-            db, attr_key(dir_id),
-            AttrMeta(id=dir_id, kind=EntryKind.DIRECTORY, ctime=now,
-                     mtime=now, permission=permission),
-            path, ctx)
+        attrs = AttrMeta(id=dir_id, kind=EntryKind.DIRECTORY, ctime=now,
+                         mtime=now, permission=permission)
+        try:
+            yield from self.insert_with_conflict_check(
+                db, attr_key(dir_id), attrs, path, ctx)
+        except AlreadyExistsError:
+            # Or with a directory renamed away from here, which keeps its
+            # id: take an unpredicted one (lookups below read level-wise).
+            if (yield from db.read(dirent_key(pid, name), ctx=ctx)):
+                raise
+            dir_id = self.ids.next()
+            attrs = dataclasses.replace(attrs, id=dir_id)
+            yield from self.insert_with_conflict_check(
+                db, attr_key(dir_id), attrs, path, ctx)
         # Txn 2: access metadata, plus the atomic parent increment.
         yield from self.insert_with_conflict_check(
             db, dirent_key(pid, name),
@@ -317,17 +342,15 @@ class InfiniFSSystem(TafDBBaseline):
                    permission=permission),
             path, ctx)
         yield from self._update_parent(db, pid, 1, 1, ctx)
-        # Keep the rename coordinator's tree mirror current.
-        yield from self.network.rpc(self.coordinator, "mirror_mkdir",
-                                    pid, name, dir_id, ctx=ctx)
+        yield from self._on_dir_change(
+            path, ("mkdir", pid, name, dir_id, int(permission)), ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return dir_id
 
     def op_dirrename(self, src: str, dst: str, ctx: OpContext):
         """Rename through the coordinator, then one distributed transaction
         whose in-place parent updates abort under contention (§3.3)."""
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        host, db, cache = yield from self._proxy()
         owner = self.next_uuid()
 
         ctx.begin(PHASE_LOOP_DETECT, self.sim.now)
@@ -364,16 +387,8 @@ class InfiniFSSystem(TafDBBaseline):
                     WriteIntent(dst_key, "insert", src_row.value),
                 ]
                 for parent_id, (ld, ed) in parent_deltas.items():
-                    row = yield from db.read(attr_key(parent_id), ctx=ctx)
-                    if row is None:
-                        raise NoSuchPathError(f"dir id {parent_id}")
-                    attrs = row.value.copy()
-                    attrs.link_count += ld
-                    attrs.entry_count += ed
-                    attrs.mtime = self.sim.now
-                    intents.append(WriteIntent(
-                        attr_key(parent_id), "update", attrs,
-                        expect_version=row.version))
+                    intents.append((yield from attr_update(
+                        db, parent_id, ld, ed, ctx)))
                 try:
                     yield from db.execute_txn(intents, ctx=ctx)
                     committed = True
@@ -393,10 +408,5 @@ class InfiniFSSystem(TafDBBaseline):
                 ctx=ctx)
             ctx.end(PHASE_EXECUTION, self.sim.now)
         if committed:
-            src_prefix = normalize(src)
-            for _host, _db, proxy_cache in self.proxies:
-                if proxy_cache is not None:
-                    proxy_cache.invalidate_where(
-                        lambda key: key == src_prefix
-                        or key.startswith(src_prefix + "/"))
+            self._forget_cached(normalize(src))
         return prep["src_id"]

@@ -18,15 +18,18 @@ Consequences the paper measures, all reproduced here:
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+import copy
+import dataclasses
+from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.common import TafDBBaseline, split_walk
 from repro.errors import (
     AlreadyExistsError,
     IsADirectoryError,
     NoSuchPathError,
+    NotADirectoryError,
     NotEmptyError,
+    RenameLoopError,
 )
 from repro.indexnode.index_table import ChildIndexedTable
 from repro.paths import normalize
@@ -74,11 +77,9 @@ class LocoDirState:
         attrs.mtime = now
 
     def snapshot(self):
-        import copy
         return copy.deepcopy((self.table, self.attrs))
 
     def restore(self, blob) -> None:
-        import copy
         table, attrs = copy.deepcopy(blob)
         self.table = table
         self.attrs = attrs
@@ -87,8 +88,8 @@ class LocoDirState:
         op = command[0]
         if op == "mkdir":
             _op, pid, name, dir_id, perm_value, now = command
-            if self.table.get(pid, name) is not None:
-                existing = self.table.get(pid, name)
+            existing = self.table.get(pid, name)
+            if existing is not None:
                 if existing.id == dir_id:
                     return ("ok", dir_id)
                 return ("exists", existing.id)
@@ -124,7 +125,6 @@ class LocoDirState:
             meta = self.table.get(pid, name)
             if meta is None:
                 return ("missing", None)
-            import dataclasses
             self.table.replace(dataclasses.replace(
                 meta, permission=Permission(perm_value)))
             attrs = self.attrs.get(meta.id)
@@ -160,20 +160,27 @@ class LocoDirService(Server):
                 * self.costs.permission_check_us,
                 (dir_id, final, perm))
 
-    def _resolve(self, path: str, upto_parent: bool):
-        us, result = self._walk(path, upto_parent)
+    def _resolve(self, path: str, upto_parent: bool, write: bool = False):
+        """A charged local walk under the path permission rule:
+        ``(dir_id, final)``."""
+        us, (dir_id, final, perm) = self._walk(path, upto_parent)
         yield from self.host.work(us)
-        return result
+        perm.check_path(path, write)
+        return dir_id, final
 
     @unary
-    def rpc_resolve(self, path: str, upto_parent: bool = True):
+    def rpc_resolve(self, path: str):
+        """``(pid, name, mask, attrs)`` for ``path``'s parent, ``attrs`` a
+        copy of directory ``name``'s (None for no directory; not charged)."""
         self._require_leader()
-        us, result = self._walk(path, upto_parent)
-        return us, None, result
+        us, (pid, name, perm) = self._walk(path, True)
+        meta = self.state.table.get(pid, name)
+        attrs = None if meta is None else self.state.attrs[meta.id].copy()
+        return us, None, (pid, name, perm, attrs)
 
     def rpc_dirstat(self, path: str):
         self._require_leader()
-        dir_id, _final, _perm = yield from self._resolve(path, False)
+        dir_id, _final = yield from self._resolve(path, False)
         attrs = self.state.attrs.get(dir_id)
         if attrs is None:
             raise NoSuchPathError(path)
@@ -181,7 +188,7 @@ class LocoDirService(Server):
 
     def rpc_list_subdirs(self, path: str):
         self._require_leader()
-        dir_id, _final, _perm = yield from self._resolve(path, False)
+        dir_id, _final = yield from self._resolve(path, False)
         names = self.state.table.children_names(dir_id)
         yield from self.host.work(
             max(1, len(names)) * self.costs.index_probe_us)
@@ -192,7 +199,7 @@ class LocoDirService(Server):
         create/delete.  LocoFS relaxes durability for these counters (no
         Raft round), but they still consume the central node."""
         self._require_leader()
-        pid, name, perm = yield from self._resolve(path, True)
+        pid, name = yield from self._resolve(path, True, write=True)
         yield from self.host.work(self.costs.index_probe_us)
         if self.state.table.get(pid, name) is not None:
             # The name is a directory: object ops on it are semantic errors.
@@ -200,11 +207,11 @@ class LocoDirService(Server):
                 raise AlreadyExistsError(path)
             raise IsADirectoryError(path)
         self.state.bump(pid, 0, entry_delta, self.sim.now)
-        return pid, name, perm
+        return pid, name
 
     def rpc_mkdir(self, path: str, dir_id: int, perm_value: int):
         self._require_leader()
-        pid, name, _perm = yield from self._resolve(path, True)
+        pid, name = yield from self._resolve(path, True, write=True)
         result = yield self.node.propose(
             ("mkdir", pid, name, dir_id, perm_value, self.sim.now))
         if result[0] == "exists":
@@ -213,7 +220,7 @@ class LocoDirService(Server):
 
     def rpc_rmdir(self, path: str):
         self._require_leader()
-        pid, name, _perm = yield from self._resolve(path, True)
+        pid, name = yield from self._resolve(path, True, write=True)
         meta = self.state.table.get(pid, name)
         if meta is None:
             raise NoSuchPathError(path, name)
@@ -225,25 +232,34 @@ class LocoDirService(Server):
         return meta.id
 
     def rpc_has_dir(self, path: str):
-        """Check whether ``path`` resolves to a directory (rmdir support)."""
+        """rmdir's first step, under its rule: ``(pid, name, dir id or
+        None)``; only a directory is charged, as a walk of the whole path."""
         self._require_leader()
-        try:
-            dir_id, _f, _p = yield from self._resolve(path, False)
-        except NoSuchPathError:
-            return None
-        return dir_id
+        _us, (pid, name, perm) = self._walk(path, True)
+        perm.check_path(path, write=True)
+        meta = self.state.table.get(pid, name)
+        if meta is None:
+            return pid, name, None
+        yield from self.host.work(self._walk(path, False)[0])
+        return pid, name, meta.id
 
-    def rpc_rename(self, src: str, dst: str):
-        """Resolution, loop detection and the rename commit, all central."""
+    def rpc_rename(self, src: str, dst: str, dst_is_object: bool = False):
+        """Resolution, loop detection and the rename commit, all central;
+        ``dst_is_object``, the proxy's clash check, raises in Mantle's
+        order."""
         self._require_leader()
-        src_pid, src_name, _sp = yield from self._resolve(src, True)
-        dst_pid, dst_name, _dp = yield from self._resolve(dst, True)
+        src_pid, src_name = yield from self._resolve(src, True, write=True)
+        dst_pid, dst_name = yield from self._resolve(dst, True, write=True)
+        if (src_pid, src_name) == (dst_pid, dst_name):
+            raise RenameLoopError(src, dst)  # onto itself
         meta = self.state.table.get(src_pid, src_name)
         if meta is None:
             raise NoSuchPathError(src, src_name)
         chain = self.state.table.ancestor_chain(dst_pid)
         yield from self.host.work(len(chain) * self.costs.index_probe_us)
         self.state.table.check_rename_loop(meta.id, dst_pid)
+        if dst_is_object:
+            raise AlreadyExistsError(dst)
         result = yield self.node.propose(
             ("rename", src_pid, src_name, dst_pid, dst_name, self.sim.now))
         if result[0] == "missing":
@@ -254,7 +270,7 @@ class LocoDirService(Server):
 
     def rpc_setattr(self, path: str, perm_value: int):
         self._require_leader()
-        pid, name, _perm = yield from self._resolve(path, True)
+        pid, name = yield from self._resolve(path, True)
         result = yield self.node.propose(
             ("setperm", pid, name, perm_value, self.sim.now))
         if result[0] == "missing":
@@ -306,63 +322,53 @@ class LocoFSSystem(TafDBBaseline):
 
     # -- bulk loading (directories live only at the dir server) ----------------------
 
-    def bulk_load(self, dirs: Iterable[str] = (), objects: Iterable[str] = (),
-                  size: int = 0) -> Optional[int]:
-        """:meth:`StorageMixin.bulk_load` with directories installed in every
-        dir-service replica instead of TafDB; each parent's counts fold with
-        one ``bump`` per replica at the end of the call."""
-        states = [node.state_machine for node in self.dir_group.nodes.values()]
-        table = states[0].table
-        known = self._bulk_dirs
-        links: Counter = Counter()  # pid -> directories added under it
-        entries: Counter = Counter()  # pid -> entries added under it
-        last = None
-        try:
-            for path in dirs:
-                path = normalize(path)
-                last = known.get(path)
-                if last is not None:
-                    continue
-                pid, name = self._bulk_parent(path)
-                if (table.get(pid, name) is not None
-                        or dirent_key(pid, name) in self.tafdb.shard_for(pid)):
-                    raise AlreadyExistsError(path)
-                last = self.ids.next()
-                for state in states:
-                    state.table.insert(AccessMeta(pid=pid, name=name, id=last))
-                    state.attrs[last] = AttrMeta(id=last,
-                                                 kind=EntryKind.DIRECTORY)
-                links[pid] += 1
-                entries[pid] += 1
-                known[path] = last
-            for path in objects:
-                path = normalize(path)
-                pid, name = self._bulk_parent(path)
-                if table.get(pid, name) is not None:
-                    raise AlreadyExistsError(path)
-                last = self._bulk_object(pid, name, path, size)
-                entries[pid] += 1
-        finally:
-            for pid, count in entries.items():
-                for state in states:
-                    state.bump(pid, links[pid], count, 0.0)
-        return last
+    def _bulk_install_dir(self, pid: int, name: str, path: str) -> int:
+        """Into every dir-service replica (one shared entry), not TafDB."""
+        if (self._dir_table().get(pid, name) is not None
+                or dirent_key(pid, name) in self.tafdb.shard_for(pid)):
+            raise AlreadyExistsError(path)
+        dir_id = self.ids.next()
+        meta = AccessMeta(pid=pid, name=name, id=dir_id)
+        key = (pid, name)
+        for node in self.dir_group.nodes.values():
+            state = node.state_machine
+            state.table.insert(meta, key)
+            state.attrs[dir_id] = AttrMeta(id=dir_id,
+                                           kind=EntryKind.DIRECTORY)
+        return dir_id
+
+    def _bulk_fold(self, pid: int, links: int, entries: int) -> None:
+        for node in self.dir_group.nodes.values():
+            node.state_machine.bump(pid, links, entries, 0.0)
+
+    def _bulk_object(self, pid: int, name: str, path: str, size: int) -> int:
+        if self._dir_table().get(pid, name) is not None:
+            raise AlreadyExistsError(path)
+        return super()._bulk_object(pid, name, path, size)
+
+    def _dir_table(self) -> ChildIndexedTable:
+        return next(iter(self.dir_group.nodes.values())).state_machine.table
 
     # -- object operations --------------------------------------------------------------
 
-    def op_create(self, path: str, ctx: OpContext):
-        host, db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+    def _object_prep(self, path: str, entry_delta: int, ctx: OpContext):
+        """Create's and delete's step: the directory server resolves the
+        parent, applies the rule and moves its entry count."""
+        proxy = yield from self._proxy()
         ctx.begin(PHASE_LOOKUP, self.sim.now)
-        pid, name, _perm = yield from self.network.rpc(
-            self._dir_service(), "object_prep", path, 1, ctx=ctx)
+        pid, name = yield from self.network.rpc(
+            self._dir_service(), "object_prep", path, entry_delta, ctx=ctx)
         ctx.end(PHASE_LOOKUP, self.sim.now)
+        return proxy, pid, name
+
+    def op_create(self, path: str, ctx: OpContext):
+        proxy, pid, name = yield from self._object_prep(path, 1, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         obj_id = self.ids.next()
         now = self.sim.now
         try:
             yield from self.insert_with_conflict_check(
-                db, dirent_key(pid, name),
+                proxy.db, dirent_key(pid, name),
                 Dirent(id=obj_id, kind=EntryKind.OBJECT,
                        attrs=AttrMeta(id=obj_id, kind=EntryKind.OBJECT,
                                       ctime=now, mtime=now)),
@@ -376,31 +382,34 @@ class LocoFSSystem(TafDBBaseline):
         return obj_id
 
     def op_delete(self, path: str, ctx: OpContext):
-        host, db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.sim.now)
-        pid, name, _perm = yield from self.network.rpc(
-            self._dir_service(), "object_prep", path, -1, ctx=ctx)
-        ctx.end(PHASE_LOOKUP, self.sim.now)
+        proxy, pid, name = yield from self._object_prep(path, -1, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        obj_id = yield from self.delete_object_row(db, pid, name, path, ctx)
+        try:
+            obj_id = yield from self.delete_object_row(proxy.db, pid, name,
+                                                       path, ctx)
+        except NoSuchPathError:
+            # Roll the speculative parent bump back.
+            yield from self.network.rpc(
+                self._dir_service(), "object_prep", path, 1, ctx=ctx)
+            raise
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return obj_id
 
     def op_objstat(self, path: str, ctx: OpContext):
-        host, db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        """A directory's stat comes back with the resolve RPC."""
+        db = (yield from self._proxy()).db
         ctx.begin(PHASE_LOOKUP, self.sim.now)
-        pid, name, _perm = yield from self.network.rpc(
-            self._dir_service(), "resolve", path, True, ctx=ctx)
+        pid, name, perm, dir_attrs = yield from self.network.rpc(
+            self._dir_service(), "resolve", path, ctx=ctx)
         ctx.end(PHASE_LOOKUP, self.sim.now)
+        perm.check_path(path)
+        if dir_attrs is not None:
+            return make_stat(normalize(path), dir_attrs)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         row = yield from db.read(dirent_key(pid, name), ctx=ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         if row is None:
             raise NoSuchPathError(path, name)
-        if row.value.is_dir:
-            raise IsADirectoryError(path)
         return make_stat(normalize(path), row.value.attrs)
 
     # -- directory read operations -----------------------------------------------------------
@@ -408,8 +417,7 @@ class LocoFSSystem(TafDBBaseline):
     def op_dirstat(self, path: str, ctx: OpContext):
         """LocoFS resolves directory paths during the execution phase (§6.3):
         the whole dirstat is one RPC to the central node."""
-        host, _db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        yield from self._proxy()
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         stat = yield from self.network.rpc(
             self._dir_service(), "dirstat", path, ctx=ctx)
@@ -417,8 +425,7 @@ class LocoFSSystem(TafDBBaseline):
         return stat
 
     def op_readdir(self, path: str, ctx: OpContext):
-        host, db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        db = (yield from self._proxy()).db
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         dir_id, subdirs = yield from self.network.rpc(
             self._dir_service(), "list_subdirs", path, ctx=ctx)
@@ -430,14 +437,14 @@ class LocoFSSystem(TafDBBaseline):
 
     def op_mkdir(self, path: str, ctx: OpContext,
                  permission: Permission = Permission.ALL):
-        host, db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        db = (yield from self._proxy()).db
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         # Tiering tax (§3.3): the name may exist as an *object* in the
         # object store, which the directory server cannot see — one extra
         # cross-component round trip per mkdir.
-        pid, name, _perm = yield from self.network.rpc(
-            self._dir_service(), "resolve", path, True, ctx=ctx)
+        pid, name, perm, _dir = yield from self.network.rpc(
+            self._dir_service(), "resolve", path, ctx=ctx)
+        perm.check_path(path, write=True)
         clash = yield from db.read(dirent_key(pid, name), ctx=ctx)
         if clash is not None:
             raise AlreadyExistsError(path)
@@ -449,13 +456,14 @@ class LocoFSSystem(TafDBBaseline):
         return result
 
     def op_rmdir(self, path: str, ctx: OpContext):
-        host, db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        db = (yield from self._proxy()).db
         ctx.begin(PHASE_EXECUTION, self.sim.now)
-        dir_id = yield from self.network.rpc(
+        pid, name, dir_id = yield from self.network.rpc(
             self._dir_service(), "has_dir", path, ctx=ctx)
-        if dir_id is None:
-            raise NoSuchPathError(path)
+        if dir_id is None:  # an object or nothing
+            row = yield from db.read(dirent_key(pid, name), ctx=ctx)
+            raise (NoSuchPathError if row is None
+                   else NotADirectoryError)(path, name)
         has_objects = yield from db.has_children(dir_id, ctx=ctx)
         if has_objects:
             raise NotEmptyError(path)
@@ -465,8 +473,7 @@ class LocoFSSystem(TafDBBaseline):
         return result
 
     def op_setattr(self, path: str, permission: Permission, ctx: OpContext):
-        host, _db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        yield from self._proxy()
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         result = yield from self.network.rpc(
             self._dir_service(), "setattr", path, int(permission), ctx=ctx)
@@ -474,21 +481,24 @@ class LocoFSSystem(TafDBBaseline):
         return result
 
     def op_dirrename(self, src: str, dst: str, ctx: OpContext):
-        host, db, _cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
+        db = (yield from self._proxy()).db
         # Resolution, loop detection and commit are all one central RPC;
         # account it to loop detection + execution like the paper does.
         ctx.begin(PHASE_LOOP_DETECT, self.sim.now)
         ctx.end(PHASE_LOOP_DETECT, self.sim.now)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
         # Cross-store duplicate check: the destination name may exist as
-        # an object, invisible to the directory server.
-        dst_pid, dst_name, _perm = yield from self.network.rpc(
-            self._dir_service(), "resolve", dst, True, ctx=ctx)
-        clash = yield from db.read(dirent_key(dst_pid, dst_name), ctx=ctx)
-        if clash is not None:
-            raise AlreadyExistsError(dst)
+        # an object, invisible to the directory server.  The rename RPC
+        # applies the rule and raises what it finds in Mantle's order.
+        try:
+            dst_parent = yield from self.network.rpc(
+                self._dir_service(), "resolve", dst, ctx=ctx)
+        except NoSuchPathError:
+            clash = None
+        else:
+            clash = yield from db.read(dirent_key(*dst_parent[:2]), ctx=ctx)
         result = yield from self.network.rpc(
-            self._dir_service(), "rename", src, dst, ctx=ctx)
+            self._dir_service(), "rename", src, dst, clash is not None,
+            ctx=ctx)
         ctx.end(PHASE_EXECUTION, self.sim.now)
         return result

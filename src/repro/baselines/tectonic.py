@@ -13,16 +13,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.common import TafDBBaseline, split_walk
-from repro.errors import (
-    NoSuchPathError,
-    NotADirectoryError,
-    RenameLoopError,
-)
+from repro.errors import AlreadyExistsError, NoSuchPathError, RenameLoopError
 from repro.paths import is_prefix, normalize
 from repro.sim.core import Simulator
 from repro.sim.host import CostModel
 from repro.sim.network import Network
-from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, OpContext
+from repro.sim.stats import PHASE_EXECUTION, OpContext
+from repro.tafdb.client import update_attrs
 from repro.tafdb.rows import Dirent, attr_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import ROOT_ID, AttrMeta, EntryKind, Permission, make_stat
@@ -48,41 +45,35 @@ class TectonicSystem(TafDBBaseline):
 
     def _lookup(self, host, db, cache, path: str, upto_parent: bool,
                 ctx: OpContext):
-        """Level-by-level path traversal: one RPC per component, marked as
-        the op's lookup phase.
+        """Level-by-level path traversal: one RPC per component.
 
         This is the multi-RPC resolution of Figure 2 that Mantle's
         single-RPC IndexNode lookup replaces.
         """
-        ctx.begin(PHASE_LOOKUP, self.sim.now)
         walk, final = split_walk(path, upto_parent)
         current = ROOT_ID
         perm = Permission.ALL
         for part in walk:
             row = yield from db.read(dirent_key(current, part), ctx=ctx)
-            if row is None:
+            # An object on the way fails as Mantle's directory index does.
+            if row is None or not row.value.is_dir:
                 raise NoSuchPathError(path, part)
             value = row.value
-            if not value.is_dir:
-                raise NotADirectoryError(path, part)
             if value.permission is not _ALL:  # skip IntFlag.__and__
                 perm &= value.permission
             current = value.id
-        ctx.end(PHASE_LOOKUP, self.sim.now)
         return current, final, perm
 
     #: Relaxed consistency: the parent's counts change by an optimistic
     #: read-modify-write that aborts and retries under contention.
-    _update_parent = TafDBBaseline.update_attrs
+    _update_parent = staticmethod(update_attrs)
 
     # -- per-system operations ------------------------------------------------------
 
     def op_objstat(self, path: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(
-            host, db, cache, path, True, ctx)
+        proxy, pid, name = yield from self._step(path, True, ctx)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
+        db = proxy.db
         row = yield from db.read(dirent_key(pid, name), ctx=ctx)
         if row is None:
             raise NoSuchPathError(path, name)
@@ -95,11 +86,9 @@ class TectonicSystem(TafDBBaseline):
 
     def op_mkdir(self, path: str, ctx: OpContext,
                  permission: Permission = Permission.ALL):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        pid, name, _perm = yield from self._lookup(
-            host, db, cache, path, True, ctx)
+        proxy, pid, name = yield from self._step(path, True, ctx, write=True)
         ctx.begin(PHASE_EXECUTION, self.sim.now)
+        db = proxy.db
         dir_id = self.ids.next()
         now = self.sim.now
         # Relaxed consistency: three separate single-shard transactions.
@@ -117,12 +106,10 @@ class TectonicSystem(TafDBBaseline):
         return dir_id
 
     def op_dirrename(self, src: str, dst: str, ctx: OpContext):
-        host, db, cache = self._proxy()
-        yield from host.work(self.costs.proxy_overhead_us)
-        src_pid, src_name, _sp = yield from self._lookup(
-            host, db, cache, src, True, ctx)
-        dst_pid, dst_name, _dp = yield from self._lookup(
-            host, db, cache, dst, True, ctx)
+        proxy, src_pid, src_name = yield from self._step(
+            src, True, ctx, write=True)
+        _proxy, dst_pid, dst_name = yield from self._step(
+            dst, True, ctx, write=True, proxy=proxy)
 
         # Relaxed consistency (§6.1: "for Tectonic, we relax the consistency
         # and avoid using distributed transactions"): no transactional loop
@@ -133,17 +120,22 @@ class TectonicSystem(TafDBBaseline):
             raise RenameLoopError(src, dst)
 
         ctx.begin(PHASE_EXECUTION, self.sim.now)
+        db = proxy.db
         src_key = dirent_key(src_pid, src_name)
         row = yield from db.read(src_key, ctx=ctx)
-        if row is None:
+        if row is None or not row.value.is_dir:
             raise NoSuchPathError(src, src_name)
-        if not row.value.is_dir:
-            raise NotADirectoryError(src, src_name)
         # Relaxed consistency: delete + insert as separate transactions.
         yield from db.execute_txn([WriteIntent(
             src_key, "delete", expect_version=row.version)], ctx=ctx)
-        yield from self.insert_with_conflict_check(
-            db, dirent_key(dst_pid, dst_name), row.value, dst, ctx)
+        try:
+            yield from self.insert_with_conflict_check(
+                db, dirent_key(dst_pid, dst_name), row.value, dst, ctx)
+        except AlreadyExistsError:
+            # The destination is taken: put the source back.
+            yield from db.execute_txn([WriteIntent(
+                src_key, "insert", row.value)], ctx=ctx)
+            raise
         if src_pid == dst_pid:
             yield from self._update_parent(db, src_pid, 0, 0, ctx)
         else:

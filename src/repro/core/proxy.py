@@ -29,7 +29,6 @@ from repro.errors import (
     NoSuchPathError,
     NotADirectoryError,
     NotEmptyError,
-    PermissionDeniedError,
     RenameLockConflict,
     ServiceUnavailableError,
     TransactionAbort,
@@ -40,7 +39,7 @@ from repro.sim.stats import (
     PHASE_LOOP_DETECT,
     OpContext,
 )
-from repro.tafdb.client import MAX_RETRIES
+from repro.tafdb.client import MAX_RETRIES, attr_update, update_attrs
 from repro.tafdb.rows import AttrDelta, Dirent, attr_key, delta_key, dirent_key
 from repro.tafdb.shard import WriteIntent
 from repro.types import AttrMeta, EntryKind, Permission, make_stat
@@ -159,22 +158,19 @@ class MantleProxy:
                 yield from self.runtime.sleep(self.db.backoff_us(attempt))
         raise ServiceUnavailableError("indexnode leader")
 
-    def _require(self, outcome, path: str, write: bool = False) -> None:
-        """Enforce the Lazy-Hybrid unified path permission (§5.1.1).
-
-        Traversal needs EXECUTE across the whole prefix; mutating a
-        directory's contents additionally needs WRITE.  The mask arrives
-        pre-intersected from the IndexNode (or its caches), so enforcement
-        is a single AND here.
-        """
-        permission = outcome.permission
-        if permission is Permission.ALL:  # skip IntFlag.__and__
-            return
-        needed = Permission.EXECUTE
-        if write:
-            needed |= Permission.WRITE
-        if (permission & needed) != needed:
-            raise PermissionDeniedError(path, needed)
+    def _lookup_step(self, path: str, want: str, ctx: OpContext,
+                     write: bool = False):
+        """Every op's prologue: the proxy overhead, the one-RPC lookup as
+        the lookup phase, the path permission rule on the mask the
+        IndexNode intersected, then the execution phase opens."""
+        runtime = self.runtime
+        yield from runtime.work(self.host, self.costs.proxy_overhead_us)
+        ctx.begin(PHASE_LOOKUP, runtime.now)
+        outcome = yield from self._index_lookup(path, want, ctx)
+        ctx.end(PHASE_LOOKUP, runtime.now)
+        outcome.permission.check_path(path, write)
+        ctx.begin(PHASE_EXECUTION, runtime.now)
+        return outcome
 
     # -- TafDB transaction helper with delta-record fast path ----------------------
 
@@ -213,16 +209,9 @@ class MantleProxy:
                                   entry_delta=pending.entry_delta,
                                   mtime=self.runtime.now)))
                 else:
-                    row = yield from self.db.read(attr_key(parent_id), ctx=ctx)
-                    if row is None:
-                        raise NoSuchPathError(f"dir id {parent_id}")
-                    attrs = row.value.copy()
-                    attrs.link_count += pending.link_delta
-                    attrs.entry_count += pending.entry_delta
-                    attrs.mtime = self.runtime.now
-                    intents.append(WriteIntent(
-                        attr_key(parent_id), "update", attrs,
-                        expect_version=row.version))
+                    intents.append((yield from attr_update(
+                        self.db, parent_id, pending.link_delta,
+                        pending.entry_delta, ctx)))
             try:
                 yield from self.db.execute_txn(intents, ctx=ctx)
                 return
@@ -241,12 +230,7 @@ class MantleProxy:
     # -- object operations ------------------------------------------------------------
 
     def op_create(self, path: str, ctx: OpContext, size: int = 0):
-        yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.runtime.now)
-        parent = yield from self._index_lookup(path, "parent", ctx)
-        ctx.end(PHASE_LOOKUP, self.runtime.now)
-        self._require(parent, path, write=True)
-        ctx.begin(PHASE_EXECUTION, self.runtime.now)
+        parent = yield from self._lookup_step(path, "parent", ctx, write=True)
         obj_id = self.service.ids.next()
         now = self.runtime.now
         dirent = Dirent(id=obj_id, kind=EntryKind.OBJECT,
@@ -269,12 +253,7 @@ class MantleProxy:
         return row
 
     def op_delete(self, path: str, ctx: OpContext):
-        yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.runtime.now)
-        parent = yield from self._index_lookup(path, "parent", ctx)
-        ctx.end(PHASE_LOOKUP, self.runtime.now)
-        self._require(parent, path, write=True)
-        ctx.begin(PHASE_EXECUTION, self.runtime.now)
+        parent = yield from self._lookup_step(path, "parent", ctx, write=True)
         row = yield from self._read_dirent(parent, path, ctx)
         if row.value.is_dir:
             raise IsADirectoryError(path)
@@ -288,12 +267,7 @@ class MantleProxy:
         return row.value.id
 
     def op_objstat(self, path: str, ctx: OpContext):
-        yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.runtime.now)
-        parent = yield from self._index_lookup(path, "parent", ctx)
-        ctx.end(PHASE_LOOKUP, self.runtime.now)
-        self._require(parent, path)
-        ctx.begin(PHASE_EXECUTION, self.runtime.now)
+        parent = yield from self._lookup_step(path, "parent", ctx)
         row = yield from self._read_dirent(parent, path, ctx)
         value = row.value
         if value.is_dir:
@@ -308,12 +282,7 @@ class MantleProxy:
     # -- directory read operations -----------------------------------------------------
 
     def op_dirstat(self, path: str, ctx: OpContext):
-        yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.runtime.now)
-        target = yield from self._index_lookup(path, "dir", ctx)
-        ctx.end(PHASE_LOOKUP, self.runtime.now)
-        self._require(target, path)
-        ctx.begin(PHASE_EXECUTION, self.runtime.now)
+        target = yield from self._lookup_step(path, "dir", ctx)
         attrs = yield from self.db.read_dir_attrs(target.target_id, ctx=ctx)
         if attrs is None:
             raise NoSuchPathError(path)
@@ -322,12 +291,7 @@ class MantleProxy:
 
     def op_readdir(self, path: str, limit: Optional[int] = None,
                    start_after: Optional[str] = None, *, ctx: OpContext):
-        yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.runtime.now)
-        target = yield from self._index_lookup(path, "dir", ctx)
-        ctx.end(PHASE_LOOKUP, self.runtime.now)
-        self._require(target, path)
-        ctx.begin(PHASE_EXECUTION, self.runtime.now)
+        target = yield from self._lookup_step(path, "dir", ctx)
         page = yield from self.db.scan_children(
             target.target_id, limit=limit, start_after=start_after, ctx=ctx)
         ctx.end(PHASE_EXECUTION, self.runtime.now)
@@ -337,12 +301,7 @@ class MantleProxy:
 
     def op_mkdir(self, path: str, ctx: OpContext,
                  permission: Permission = Permission.ALL):
-        yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.runtime.now)
-        parent = yield from self._index_lookup(path, "parent", ctx)
-        ctx.end(PHASE_LOOKUP, self.runtime.now)
-        self._require(parent, path, write=True)
-        ctx.begin(PHASE_EXECUTION, self.runtime.now)
+        parent = yield from self._lookup_step(path, "parent", ctx, write=True)
         dir_id = self.service.ids.next()
         now = self.runtime.now
         key = dirent_key(parent.target_id, parent.final_name)
@@ -364,12 +323,7 @@ class MantleProxy:
         return dir_id
 
     def op_rmdir(self, path: str, ctx: OpContext):
-        yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.runtime.now)
-        parent = yield from self._index_lookup(path, "parent", ctx)
-        ctx.end(PHASE_LOOKUP, self.runtime.now)
-        self._require(parent, path, write=True)
-        ctx.begin(PHASE_EXECUTION, self.runtime.now)
+        parent = yield from self._lookup_step(path, "parent", ctx, write=True)
         row = yield from self._read_dirent(parent, path, ctx)
         if not row.value.is_dir:
             raise NotADirectoryError(path, parent.final_name)
@@ -397,30 +351,20 @@ class MantleProxy:
                 lambda key: paths.is_prefix(prefix, key))
 
     def op_setattr(self, path: str, permission: Permission, ctx: OpContext):
-        yield from self.runtime.work(self.host, self.costs.proxy_overhead_us)
-        ctx.begin(PHASE_LOOKUP, self.runtime.now)
-        target = yield from self._index_lookup(path, "dir", ctx)
-        ctx.end(PHASE_LOOKUP, self.runtime.now)
-        ctx.begin(PHASE_EXECUTION, self.runtime.now)
-        parent = yield from self._index_lookup(path, "parent", ctx)
         # setattr is owner-gated in real systems (chmod), not write-gated —
         # gating on the target's own mask would lock a directory forever.
-        # We model ownership as always-satisfied and only require traversal.
-        self._require(parent, path)
-        row = yield from self.db.read(attr_key(target.target_id), ctx=ctx)
-        if row is None:
-            raise NoSuchPathError(path)
-        attrs = row.value.copy()
-        attrs.permission = permission
-        attrs.mtime = self.runtime.now
-        yield from self._txn_with_parents(
-            [WriteIntent(attr_key(target.target_id), "update", attrs,
-                         expect_version=row.version)],
-            {}, {}, ctx)
+        # We model ownership as always-satisfied and only require traversal
+        # of the parent.
+        parent = yield from self._lookup_step(path, "parent", ctx)
+        target = yield from self._index_lookup(path, "dir", ctx)
+        yield from update_attrs(self.db, target.target_id, 0, 0, ctx,
+                                permission)
         yield from self._index_mutate(
             ("setperm", parent.target_id, parent.final_name,
              int(permission), paths.normalize(path)), ctx)
         self._client_cache_invalidate(paths.normalize(path))
+        # The row written lacks the counts still in delta records.
+        attrs = yield from self.db.read_dir_attrs(target.target_id, ctx=ctx)
         ctx.end(PHASE_EXECUTION, self.runtime.now)
         return make_stat(paths.normalize(path), attrs)
 
@@ -438,21 +382,12 @@ class MantleProxy:
                 prep = yield from self.runtime.rpc(
                     service, "rename_prepare", src, dst, owner, ctx=ctx)
                 break
-            except RenameLockConflict:
-                ctx.retries += 1
-                yield from self.runtime.sleep(self.db.backoff_us(attempt))
-            except ServiceUnavailableError:
+            except (RenameLockConflict, ServiceUnavailableError):
                 ctx.retries += 1
                 yield from self.runtime.sleep(self.db.backoff_us(attempt))
         ctx.end(PHASE_LOOP_DETECT, self.runtime.now)
         if prep is None:
             raise RenameLockConflict(src)
-        needed = Permission.EXECUTE | Permission.WRITE
-        if (prep.permission & needed) != needed:
-            yield from self._index_mutate(
-                ("rename_abort", prep.src_pid, prep.src_name, owner,
-                 prep.src_path), ctx)
-            raise PermissionDeniedError(src, needed)
 
         ctx.begin(PHASE_EXECUTION, self.runtime.now)
         src_key = dirent_key(prep.src_pid, prep.src_name)

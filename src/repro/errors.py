@@ -12,7 +12,7 @@ The full hierarchy (every class derives from :class:`MetadataError`, so
     MetadataError                  base class; catch-all for client code
     ├── NoSuchPathError            ENOENT: a path component is missing
     ├── AlreadyExistsError         EEXIST: target name already taken
-    ├── NotADirectoryError         ENOTDIR: non-final component is an object
+    ├── NotADirectoryError         ENOTDIR: rmdir aimed at an object
     ├── IsADirectoryError          EISDIR: object op aimed at a directory
     ├── NotEmptyError              ENOTEMPTY: rmdir of a non-empty directory
     ├── PermissionDeniedError      EACCES: aggregated path permission failed
@@ -73,7 +73,7 @@ class AlreadyExistsError(MetadataError):
 
 
 class NotADirectoryError(MetadataError):
-    """A non-final path component resolved to an object (ENOTDIR)."""
+    """rmdir aimed at an object (ENOTDIR)."""
 
     def __init__(self, path, component=None):
         self.path = path

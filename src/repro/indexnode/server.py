@@ -15,6 +15,7 @@ from repro.errors import (
     AlreadyExistsError,
     NoSuchPathError,
     RenameLockConflict,
+    RenameLoopError,
 )
 from repro.indexnode.state import IndexNodeState, LookupOutcome
 from repro.paths import normalize
@@ -35,7 +36,7 @@ class RenamePrep:
     src_path: str
     dst_parent_id: int
     dst_name: str
-    permission: Permission
+    permission: Permission  # the source directory's own mask
     loop_probes: int
 
 
@@ -241,11 +242,17 @@ class IndexNodeService(Server):
         state = self.state
         src_parent = state.lookup(src_path, want="parent")
         yield from self._charge_lookup(src_parent)
+        src_parent.permission.check_path(src_path, write=True)
+        dst_parent = state.lookup(dst_path, want="parent")
+        yield from self._charge_lookup(dst_parent)
+        dst_parent.permission.check_path(dst_path, write=True)
+        src_full = normalize(src_path)
+        if (dst_parent.target_id, dst_parent.final_name) == (
+                src_parent.target_id, src_parent.final_name):
+            raise RenameLoopError(src_full, dst_path)  # onto itself
         src_meta = state.table.get(src_parent.target_id, src_parent.final_name)
         if src_meta is None:
             raise NoSuchPathError(src_path, src_parent.final_name)
-        dst_parent = state.lookup(dst_path, want="parent")
-        yield from self._charge_lookup(dst_parent)
 
         # Loop detection before locking: moving src under its own subtree.
         chain = state.table.ancestor_chain(dst_parent.target_id)
@@ -254,7 +261,6 @@ class IndexNodeService(Server):
         state.table.check_rename_loop(src_meta.id, dst_parent.target_id)
 
         # Step 4+5: RemovalList insert + lock bit, replicated through Raft.
-        src_full = normalize(src_path)
         result = yield from self._propose_attributed(
             ("rename_lock", src_parent.target_id, src_parent.final_name,
              owner, src_full))
@@ -285,7 +291,7 @@ class IndexNodeService(Server):
             src_path=src_full,
             dst_parent_id=dst_parent.target_id,
             dst_name=dst_parent.final_name,
-            permission=src_parent.permission & dst_parent.permission,
+            permission=src_meta.permission,
             loop_probes=len(chain),
         )
 

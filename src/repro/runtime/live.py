@@ -128,7 +128,7 @@ class LiveHost:
     thread: an append plus a real ``os.fsync`` on this host's WAL file —
     the durability point the simulator charges ``db_commit_sync_us`` for.
     ``fsyncs`` is counted by the runtime on the loop side, once the
-    offloaded call has returned.
+    offloaded call has returned; a host without ``wal_dir`` opens no file.
     """
 
     def __init__(self, sim: LiveSimFacade, name: str,
@@ -269,23 +269,20 @@ def build_indexnode_role(config: MantleConfig, runtime: AsyncioRuntime,
     from repro.indexnode.state import IndexNodeState
 
     facade = LiveSimFacade(runtime)
-    host = LiveHost(facade, "indexnode-0", wal_dir=wal_dir)
+    # No WAL file: the host never fsyncs; SoloRaft's log is the durability.
+    host = LiveHost(facade, "indexnode-0")
     state = IndexNodeState(cache_k=config.path_cache_k,
                            cache_enabled=config.enable_path_cache,
                            root_id=ROOT_ID)
     log_path = None
     if wal_dir is not None:
+        os.makedirs(wal_dir, exist_ok=True)
         log_path = os.path.join(wal_dir, "indexnode-raft.jsonl")
     node = SoloRaft(host, state, log_path=log_path)
     service = IndexNodeService(host, node, state, config.costs,
                                purge_period_us=LIVE_PURGE_PERIOD_US,
                                start_purger=False)
-
-    def close() -> None:
-        node.close()
-        host.close()
-
-    return service, [service.purge_loop()], close
+    return service, [service.purge_loop()], node.close
 
 
 class LiveTafDB:
@@ -325,15 +322,13 @@ class LiveMantleService(ProxyRouted, MetadataSystem):
 
     def __init__(self, config: MantleConfig, runtime: AsyncioRuntime,
                  tafdb_services: List[RemoteService],
-                 index_service: RemoteService,
-                 wal_dir: Optional[str] = None):
+                 index_service: RemoteService):
         facade = LiveSimFacade(runtime)
         super().__init__(facade, None)  # resolves runtime from the facade
         self.config = config
         self.costs = config.costs
         self.namespace = "default"
         self.root_id = ROOT_ID
-        self._wal_dir = wal_dir
         self._hosts: Dict[int, LiveHost] = {}
         self.tafdb = LiveTafDB(facade, config, tafdb_services)
         self._index_service = index_service
@@ -346,13 +341,11 @@ class LiveMantleService(ProxyRouted, MetadataSystem):
         host = self._hosts.get(proxy_id)
         if host is None:
             host = self._hosts[proxy_id] = LiveHost(
-                self.sim, f"proxy-{proxy_id}", wal_dir=self._wal_dir)
+                self.sim, f"proxy-{proxy_id}")
         return host
 
     def shutdown(self) -> None:
-        """Close every proxy's write-ahead file and backend connection."""
-        for host in self._hosts.values():
-            host.close()
+        """Close every backend connection."""
         for service in [*self.tafdb.services, self._index_service]:
             service.connection.close()
 
@@ -407,14 +400,15 @@ def build_proxy_role(config: MantleConfig, runtime: AsyncioRuntime,
                      wal_dir: Optional[str] = None,
                      tafdb: str = "", indexnode: str = ""):
     """The proxy process over the comma-separated ``tafdb`` endpoints and
-    the ``indexnode`` endpoint."""
+    the ``indexnode`` endpoint.  A proxy keeps nothing durable, so it
+    opens nothing in ``wal_dir``."""
     from repro.runtime.aio import RpcConnection
 
     tafdb_services = [RemoteService(f"tafdb-{i}", RpcConnection(endpoint))
                       for i, endpoint in enumerate(tafdb.split(","))]
     index_service = RemoteService("indexnode-0", RpcConnection(indexnode))
     service = LiveMantleService(config, runtime, tafdb_services,
-                                index_service, wal_dir=wal_dir)
+                                index_service)
     return ProxyFrontend(service), [], service.shutdown
 
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import TransactionAbort
+from repro.errors import NoSuchPathError, TransactionAbort
 from repro.sim.core import Simulator
 from repro.sim.host import CostModel
 from repro.sim.network import Network
 from repro.sim.stats import OpContext
 from repro.tafdb.partition import Partitioner
-from repro.tafdb.rows import RowKey
+from repro.tafdb.rows import RowKey, attr_key
 from repro.tafdb.server import DBServer
 from repro.tafdb.shard import WriteIntent
 
@@ -32,6 +32,47 @@ from repro.tafdb.shard import WriteIntent
 #: except InfiniFS's rename transaction, which restarts whole on any parent
 #: conflict and has its own (``infinifs._RENAME_TXN_RETRIES``).
 MAX_RETRIES = 64
+
+
+def attr_update(db, dir_id: int, link_delta: int, entry_delta: int,
+                ctx: OpContext, permission=None):
+    """Read directory ``dir_id``'s attribute row through client ``db`` and
+    return the intent that adds the deltas to its counts, sets
+    ``permission`` when given, stamps its mtime and expects the version
+    read."""
+    key = attr_key(dir_id)
+    row = yield from db.read(key, ctx=ctx)
+    if row is None:
+        raise NoSuchPathError(f"dir id {dir_id}")
+    attrs = row.value.copy()
+    attrs.link_count += link_delta
+    attrs.entry_count += entry_delta
+    if permission is not None:
+        attrs.permission = permission
+    attrs.mtime = db.runtime.now
+    return WriteIntent(key, "update", attrs, expect_version=row.version)
+
+
+def update_attrs(db, dir_id: int, link_delta: int, entry_delta: int,
+                 ctx: OpContext, permission=None):
+    """:func:`attr_update` committed on its own; returns the attributes
+    written.  Optimistic: a conflict (a compactor folding delta records
+    moves the version too) aborts, and the read-modify-write retries with
+    backoff, at most ``MAX_RETRIES`` times — the contended in-place parent
+    update of the DBtable approach behind Figure 4b."""
+    attempt = 0
+    while True:
+        intent = yield from attr_update(db, dir_id, link_delta, entry_delta,
+                                        ctx, permission)
+        try:
+            yield from db.execute_txn([intent], ctx=ctx)
+            return intent.value
+        except TransactionAbort:
+            ctx.retries += 1
+            attempt += 1
+            if attempt > MAX_RETRIES:
+                raise
+            yield from db.runtime.sleep(db.backoff_us(attempt))
 
 
 class TafDBClient:

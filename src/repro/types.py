@@ -12,6 +12,8 @@ import dataclasses
 import enum
 from typing import Optional
 
+from repro.errors import PermissionDeniedError
+
 #: Inode id of the namespace root directory ("/").
 ROOT_ID = 1
 
@@ -39,6 +41,21 @@ class Permission(enum.IntFlag):
     WRITE = 2
     EXECUTE = 4
     ALL = READ | WRITE | EXECUTE
+
+    def check_path(self, path: str, write: bool = False) -> None:
+        """The unified path permission rule (§5.1.1), for every system:
+        this mask, intersected along ``path``'s resolved prefix, must grant
+        EXECUTE, and WRITE too for an op that changes a directory's
+        contents (``write``); else :class:`PermissionDeniedError`."""
+        if self is _ALL:  # skip IntFlag.__and__
+            return
+        needed = _EXECUTE_WRITE if write else Permission.EXECUTE
+        if (self & needed) != needed:
+            raise PermissionDeniedError(path, needed)
+
+
+_ALL = Permission.ALL
+_EXECUTE_WRITE = Permission.EXECUTE | Permission.WRITE
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -162,17 +179,6 @@ class StatResult:
     @property
     def is_dir(self) -> bool:
         return self.kind is EntryKind.DIRECTORY
-
-
-@dataclasses.dataclass(frozen=True)
-class ResolvedPath:
-    """Result of path resolution: the directory id the final component lives
-    in, plus the aggregated permission mask along the prefix."""
-
-    parent_id: int
-    name: str
-    permission: Permission
-    depth: int
 
 
 def make_stat(path: str, attr: AttrMeta) -> StatResult:

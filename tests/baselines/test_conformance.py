@@ -140,9 +140,9 @@ class _AbortingClient:
 def test_setattr_gives_up_after_max_retries(name):
     system = build_system(name)
     system.bulk_mkdir("/d")
-    stubs = [_AbortingClient(entry[1]) for entry in system.proxies]
-    system.proxies = [(entry[0], stub) + tuple(entry[2:])
-                      for entry, stub in zip(system.proxies, stubs)]
+    stubs = [_AbortingClient(proxy.db) for proxy in system.proxies]
+    system.proxies = [proxy._replace(db=stub)
+                      for proxy, stub in zip(system.proxies, stubs)]
     with pytest.raises(TransactionAbort):
         SyncDriver(system).run("setattr", "/d", Permission.READ)
     assert sum(stub.attempts for stub in stubs) == MAX_RETRIES + 1

@@ -117,7 +117,7 @@ class TestLocoFSTiering:
 
         def body():
             yield from system.network.rpc(
-                follower_service, "resolve", "/f", True)
+                follower_service, "resolve", "/f")
 
         with pytest.raises(NotLeaderError):
             system.sim.run_process(body())

@@ -362,3 +362,11 @@ class TestProcessCluster:
         finally:
             codes = cluster.stop()
         assert all(code == 0 for code in codes.values()), codes
+        # Only the host that fsyncs opens a WAL; the IndexNode's
+        # durability is its SoloRaft log.
+        wals = sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*.wal"))
+        assert wals == ["tafdb/tafdb-0.wal"]
+        assert (tmp_path / wals[0]).stat().st_size > 0
+        assert (tmp_path / "indexnode" / "indexnode-raft.jsonl").stat() \
+            .st_size > 0
