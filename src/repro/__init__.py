@@ -19,7 +19,7 @@ Quickstart::
 
 Operations dispatch through the typed registry in :mod:`repro.ops`; mutating
 calls return :class:`~repro.types.OpResult` and span tracing
-(:mod:`repro.sim.trace`, ``MantleConfig(tracing=True)`` or ``MANTLE_TRACE=1``)
+(:mod:`repro.sim.trace`, ``MANTLE_TRACE=1`` or a tracer on the simulator)
 records a hierarchical trace of everything the cluster did.
 
 See ``DESIGN.md`` for the system inventory, ``EXPERIMENTS.md`` for the

@@ -336,11 +336,18 @@ class InfiniFSSystem(TafDBBaseline):
             yield from self.insert_with_conflict_check(
                 db, attr_key(dir_id), attrs, path, ctx)
         # Txn 2: access metadata, plus the atomic parent increment.
-        yield from self.insert_with_conflict_check(
-            db, dirent_key(pid, name),
-            Dirent(id=dir_id, kind=EntryKind.DIRECTORY,
-                   permission=permission),
-            path, ctx)
+        try:
+            yield from self.insert_with_conflict_check(
+                db, dirent_key(pid, name),
+                Dirent(id=dir_id, kind=EntryKind.DIRECTORY,
+                       permission=permission),
+                path, ctx)
+        except (AlreadyExistsError, TransactionAbort):
+            # The name is taken (or its dirent is locked by the op taking
+            # it): drop the attribute row Txn 1 wrote.
+            yield from db.execute_txn(
+                [WriteIntent(attr_key(dir_id), "delete")], ctx=ctx)
+            raise
         yield from self._update_parent(db, pid, 1, 1, ctx)
         yield from self._on_dir_change(
             path, ("mkdir", pid, name, dir_id, int(permission)), ctx)

@@ -258,7 +258,8 @@ class MantleClient(ClientOps):
     @property
     def telemetry(self):
         """The simulator's time-series registry (the no-op singleton when
-        off; enable with ``MantleConfig(telemetry=True)``)."""
+        off; enable with ``MANTLE_TELEMETRY=1`` or by assigning a
+        :class:`~repro.sim.telemetry.Telemetry` to the simulator)."""
         return self.system.sim.telemetry
 
     def cache_stats(self) -> dict:

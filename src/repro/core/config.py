@@ -4,8 +4,7 @@ Every optimisation in §5 is an independent toggle so the Figure 16 ablation
 (`Mantle-base`, `+pathcache`, `+raftlogbatch`, `+delta record`,
 `+follower read`) can be expressed as configurations.  Beside the toggles a
 config holds the cluster shape, two thresholds tests lower to reach delta
-mode and Raft snapshots in a few ops, the observability switches and
-``costs``.
+mode and Raft snapshots in a few ops, and ``costs``.
 
 Timings no experiment varies are not fields here: the invalidator and
 compaction periods, the delta-activation window and the Raft batch window
@@ -14,6 +13,10 @@ and size are the defaults of the component that owns them
 :class:`~repro.tafdb.cluster.TafDBCluster`,
 :class:`~repro.tafdb.contention.ContentionRegistry`,
 :class:`~repro.raft.node.RaftConfig`).  Permissions are always enforced.
+Instruments are not fields either: a deployment is traced or telemetered
+through its simulator's ``tracer``/``telemetry`` (``MANTLE_TRACE=1`` /
+``MANTLE_TELEMETRY=1`` process-wide), the same for every system, and a
+live role through ``mantle-serve --trace/--telemetry``.
 
 ``costs`` is the one cost model every component of a deployment runs with
 (hosts, network, Raft, TafDB, IndexNodes, proxies).  A what-if rerun builds
@@ -76,24 +79,6 @@ class MantleConfig:
     #: little for client caching to win (§6.5 "Adding metadata caching").
     client_cache_capacity: int = 0
 
-    # --- observability ------------------------------------------------------
-    #: Attach a span tracer (:mod:`repro.sim.trace`) to this deployment's
-    #: simulator.  Purely observational: the tracer never creates simulator
-    #: events, so simulated results are identical with it on or off.
-    #: ``MANTLE_TRACE=1`` enables tracing process-wide instead.  Simulator
-    #: only: live roles are traced by ``mantle-serve --trace`` and the
-    #: cluster classes' ``trace=`` argument.
-    tracing: bool = False
-    #: Attach a windowed time-series registry (:mod:`repro.sim.telemetry`)
-    #: to this deployment's simulator.  Same contract as ``tracing``: pure
-    #: bookkeeping, results identical either way.  ``MANTLE_TELEMETRY=1``
-    #: enables it process-wide instead.  Simulator only: live roles take
-    #: ``mantle-serve --telemetry`` and the cluster classes' ``telemetry=``
-    #: (this config's ``telemetry_window_us`` still sets their window).
-    telemetry: bool = False
-    #: Telemetry sampling window in simulated microseconds (10 ms sim).
-    telemetry_window_us: float = 10_000.0
-
     # --- costs -------------------------------------------------------------
     costs: CostModel = dataclasses.field(default_factory=CostModel)
 
@@ -135,5 +120,3 @@ class MantleConfig:
             raise ValueError("need at least one DB shard and server")
         if self.num_db_shards % self.num_db_servers != 0:
             raise ValueError("shards must divide evenly across DB servers")
-        if self.telemetry_window_us <= 0:
-            raise ValueError("telemetry_window_us must be positive")

@@ -70,14 +70,6 @@ class MantleSystem(ProxyRouted, StorageMixin, MetadataSystem):
         # proxies all read it (a what-if rerun passes a scaled copy).
         costs = self.config.costs
         sim = sim or Simulator()
-        if self.config.tracing and not sim.tracer.enabled:
-            from repro.sim.trace import Tracer
-            sim.tracer = Tracer()
-            sim.tracer.bind(sim)
-        if self.config.telemetry and not sim.telemetry.enabled:
-            from repro.sim.telemetry import Telemetry
-            sim.telemetry = Telemetry(
-                window_us=self.config.telemetry_window_us)
         network = network or Network(sim, one_way_us=costs.net_one_way_us)
         super().__init__(sim, network)
         self.costs = costs

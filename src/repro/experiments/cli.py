@@ -12,7 +12,7 @@ Usage::
     mantle-exp explain fig15|table1 --view trace
     mantle-exp explain multitenant --view blame
     mantle-exp whatif fig14 --speedup tafdb.fsync=2x [--max-error FRAC]
-    mantle-exp live smoke [--trace] [--telemetry] [--metrics] [--out DIR]
+    mantle-exp live smoke [--trace] [--telemetry] [--out DIR]
     mantle-exp live fig12 [--divergence X]     (both: [--in-process])
 
 ``run --jobs N`` fans a sweep experiment's per-point simulators across N

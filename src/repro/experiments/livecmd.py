@@ -9,9 +9,8 @@ every role on one thread with ``--in-process``:
   process, fails unless the merged cross-process trace validates and some
   op tree spans client -> proxy -> backend, and writes it as one
   Chrome-trace / Perfetto file (``trace_live.json`` under ``--out``).
-  ``--telemetry`` schema-checks every role's metrics snapshot and fails
-  unless the roles' windowed latency digests merge cluster-wide;
-  ``--metrics`` reads those snapshots from per-role HTTP endpoints.
+  ``--telemetry`` schema-checks every role's ``obs.metrics_snapshot`` and
+  fails unless the roles' windowed latency digests merge cluster-wide.
 
 * ``live fig12`` — the sim-vs-live companion to Figure 12's read path: the
   same namespace is built and the same read mix is run through the
@@ -28,14 +27,11 @@ Snapshots, metrics and resets go over every role's ``obs.*`` RPCs
 
 from __future__ import annotations
 
-import json
 import time
-import urllib.request
 from typing import List, Tuple
 
 from repro.bench.report import Table, print_tables
 from repro.core.api import MantleClient
-from repro.core.config import MantleConfig
 from repro.errors import MetadataError
 from repro.experiments.exportutil import ensure_valid, write_export
 from repro.ops import DirStat, ObjStat, ReadDir
@@ -57,8 +53,7 @@ def _start_cluster(args, trace: bool = False, telemetry: bool = False):
     from repro.runtime.live import InProcessCluster, ProcessCluster
 
     flavour = InProcessCluster if args.in_process else ProcessCluster
-    cluster = flavour(wal_dir=args.wal_dir, trace=trace, telemetry=telemetry,
-                      metrics=getattr(args, "metrics", False))
+    cluster = flavour(wal_dir=args.wal_dir, trace=trace, telemetry=telemetry)
     cluster.start()
     return cluster
 
@@ -96,34 +91,26 @@ def _check_trace(cluster, client, out_dir: str) -> List[str]:
     return []
 
 
-def _check_metrics(cluster, args) -> List[str]:
-    """Schema-check every role's metrics snapshot; with ``--telemetry``
-    also merge the roles' latency digests cluster-wide."""
+def _check_metrics(cluster) -> List[str]:
+    """Schema-check every role's ``obs.metrics_snapshot`` and merge the
+    roles' latency digests cluster-wide."""
     from repro.runtime import obs
 
-    if args.metrics:
-        payloads = []
-        for port in sorted(cluster.metrics_ports.values()):
-            with urllib.request.urlopen(f"http://127.0.0.1:{port}/",
-                                        timeout=10) as response:
-                payloads.append(json.loads(response.read()))
-        source = "metrics endpoint"
-    else:
-        payloads = obs.collect_snapshots(cluster.endpoints,
-                                         method="obs.metrics_snapshot")
-        source = "obs.metrics_snapshot"
-    problems = [f"{source} ({payload.get('process', '?')}): {problem}"
+    payloads = obs.collect_snapshots(cluster.endpoints,
+                                     method="obs.metrics_snapshot")
+    problems = [f"obs.metrics_snapshot ({payload.get('process', '?')}): "
+                f"{problem}"
                 for payload in payloads
                 for problem in obs.validate_metrics_snapshot(payload)]
-    print(f"live-smoke: {len(payloads)} {source} snapshots schema-checked")
-    if args.telemetry:
-        merged = obs.merged_digests(payloads)
-        recorded = sum(d.total_count for d in merged.values())
-        print(f"live-smoke: merged {len(merged)} cluster-wide digests "
-              f"covering {recorded} completions")
-        if recorded <= 0:
-            problems.append("the roles' latency digests merge to no "
-                            "completions")
+    print(f"live-smoke: {len(payloads)} obs.metrics_snapshot snapshots "
+          "schema-checked")
+    merged = obs.merged_digests(payloads)
+    recorded = sum(d.total_count for d in merged.values())
+    print(f"live-smoke: merged {len(merged)} cluster-wide digests "
+          f"covering {recorded} completions")
+    if recorded <= 0:
+        problems.append("the roles' latency digests merge to no "
+                        "completions")
     return problems
 
 
@@ -176,8 +163,8 @@ def run_live_smoke(args) -> int:
         # Observability checks while the cluster is still serving.
         if args.trace:
             obs_problems += _check_trace(cluster, client, args.out)
-        if args.telemetry or args.metrics:
-            obs_problems += _check_metrics(cluster, args)
+        if args.telemetry:
+            obs_problems += _check_metrics(cluster)
     finally:
         codes = cluster.stop()
     elapsed = time.time() - started
@@ -244,14 +231,17 @@ def run_live_fig12(args) -> int:
 
     # Simulated side, traced: the tracer is reset after the namespace
     # build so the phase breakdown covers exactly the measured read mix.
-    sim_client = MantleClient(MantleConfig.small(tracing=True))
+    sim_client = MantleClient()
+    sim = sim_client.system.sim
+    sim_tracer = Tracer()
+    sim_tracer.bind(sim)
+    sim.tracer = sim_tracer
     paths = _build_namespace(sim_client)
-    sim_tracer = sim_client.system.sim.tracer
     sim_tracer.reset()
     _drive(sim_client, _read_mix(paths, args.ops))
     sim_metrics = sim_client.metrics
     sim_snapshot = obs.snapshot_from_tracer(
-        "sim", sim_tracer, now_us=sim_client.system.sim.now)
+        "sim", sim_tracer, now_us=sim.now)
     sim_client.close()
     sim_phases = obs.phase_breakdown([sim_snapshot])
 
@@ -378,9 +368,6 @@ def add_live_parser(sub) -> None:
                        help="enable telemetry; fail unless every role's "
                             "metrics snapshot validates and their latency "
                             "digests merge cluster-wide")
-    smoke.add_argument("--metrics", action="store_true",
-                       help="serve per-role metrics HTTP endpoints and "
-                            "schema-check what they return")
     smoke.add_argument("--out", metavar="DIR", default="",
                        help="directory for the --trace export "
                             "(default: the working directory)")

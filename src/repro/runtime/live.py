@@ -16,8 +16,8 @@ processes:
   durable JSONL append before every apply, the degenerate (but correctly
   ordered and durable) Raft a one-replica group is;
 * the three ``build_*_role`` functions assemble each role, and
-  :class:`LiveRole` is the one way a role starts and stops: dispatcher,
-  background loops on the runtime seam, wire and metrics listeners.
+  :class:`LiveRole` is the one way a role starts and stops: instruments,
+  dispatcher, background loops on the runtime seam, wire listener.
   ``mantle-serve <role>`` runs one per process; :class:`InProcessCluster`
   runs all three on one event loop (real localhost TCP) for tests, and
   :class:`ProcessCluster` spawns them as ``mantle-serve`` processes with a
@@ -73,20 +73,6 @@ STOP_TIMEOUT_S = 15.0
 #: simulator's invalidator period (200 us) would wake a real process 5,000
 #: times a second.
 LIVE_PURGE_PERIOD_US = 50_000.0
-
-
-def build_observability(config: MantleConfig, trace: bool = False,
-                        telemetry: bool = False):
-    """Resolve (tracer, telemetry) for one live process.
-
-    ``trace``/``telemetry`` are the one switch (``mantle-serve
-    --trace/--telemetry``, the cluster classes' arguments); the config only
-    supplies the telemetry window.  Disabled layers get the shared null
-    singletons, preserving the zero-cost-off contract.
-    """
-    return (Tracer() if trace else NULL_TRACER,
-            Telemetry(window_us=config.telemetry_window_us) if telemetry
-            else NULL_TELEMETRY)
 
 
 class LiveSimFacade:
@@ -420,14 +406,18 @@ _ROLE_BUILDERS = {"tafdb": build_tafdb_role,
 class LiveRole:
     """One live role from assembly to teardown — the one way a role starts.
 
-    :meth:`start` gives the role its own :class:`AsyncioRuntime` (so span
-    buffers stay per role even when roles share an event loop), builds its
-    dispatcher, drives its background loops on that runtime (TafDB's delta
-    compactor, the IndexNode's invalidator — the very generators the
-    simulator spawns), binds the :class:`WireServer` and, given a
-    ``metrics_port``, a :class:`~repro.runtime.obs.MetricsServer`.
-    :meth:`stop` undoes all of it.  ``mantle-serve <role>`` runs one per
-    process; :class:`InProcessCluster` runs one per role on a shared loop.
+    The role gets its own :class:`AsyncioRuntime` (so span buffers stay
+    per role even when roles share an event loop), with a
+    :class:`~repro.sim.trace.Tracer` given ``trace`` and a
+    :class:`~repro.sim.telemetry.Telemetry` given ``telemetry`` (the null
+    singletons otherwise, so an uninstrumented role pays nothing); every
+    role answers the ``obs.*`` RPCs on its wire port either way.
+    :meth:`start` builds its dispatcher, drives its background loops on
+    that runtime (TafDB's delta compactor, the IndexNode's invalidator —
+    the very generators the simulator spawns) and binds the
+    :class:`WireServer`; :meth:`stop` undoes all of it.  ``mantle-serve
+    <role>`` runs one per process; :class:`InProcessCluster` runs one per
+    role on a shared loop.
     ``tafdb``/``indexnode`` are the proxy's backend endpoints.  Given
     ``sock``, an already listening socket, the role serves it instead of
     binding ``host:port``, and owns it from then on.
@@ -436,24 +426,22 @@ class LiveRole:
     def __init__(self, role: str, config: MantleConfig, *,
                  trace: bool = False, telemetry: bool = False,
                  wal_dir: Optional[str] = None, host: str = "127.0.0.1",
-                 port: int = 0, metrics_port: Optional[int] = None,
-                 tafdb: str = "", indexnode: str = "",
+                 port: int = 0, tafdb: str = "", indexnode: str = "",
                  sock: Optional[socket.socket] = None):
-        tracer, registry = build_observability(config, trace, telemetry)
-        self.runtime = AsyncioRuntime(tracer=tracer, telemetry=registry,
-                                      process_name=role)
+        self.runtime = AsyncioRuntime(
+            tracer=Tracer() if trace else NULL_TRACER,
+            telemetry=Telemetry() if telemetry else NULL_TELEMETRY,
+            process_name=role)
         self.role = role
         self.config = config
         self.wal_dir = wal_dir
         self.host = host
-        #: The bound ports once started.
+        #: The bound port once started.
         self.port = port
         self._sock = sock
-        self.metrics_port = metrics_port
         self._backends = {"tafdb": tafdb, "indexnode": indexnode} \
             if role == "proxy" else {}
         self._server: Optional[WireServer] = None
-        self._metrics = None
         self._loops: List[asyncio.Future] = []
         self._close = None
 
@@ -466,23 +454,15 @@ class LiveRole:
         self._server = WireServer(self.runtime, dispatcher, host=self.host,
                                   port=self.port, sock=self._sock)
         self.port = await self._server.start()
-        if self.metrics_port is not None:
-            from repro.runtime.obs import MetricsServer
-
-            self._metrics = MetricsServer(self.runtime, host=self.host,
-                                          port=self.metrics_port)
-            self.metrics_port = await self._metrics.start()
         return self.port
 
     async def stop(self) -> None:
-        """Cancel the background loops, close both listeners, release the
+        """Cancel the background loops, close the listener, release the
         role's files and backend connections; then raise what a background
         loop died of, if one did."""
         for task in self._loops:
             task.cancel()
         ended = await asyncio.gather(*self._loops, return_exceptions=True)
-        if self._metrics is not None:
-            await self._metrics.stop()
         if self._server is not None:
             await self._server.stop()
         if self._sock is not None:  # closed with the server, unless the
@@ -511,16 +491,12 @@ class _Cluster:
 
     ROLE_ORDER = ROLE_ORDER
 
-    def __init__(self, wal_dir: Optional[str], trace: bool, telemetry: bool,
-                 metrics: bool):
+    def __init__(self, wal_dir: Optional[str], trace: bool, telemetry: bool):
         self.wal_dir = wal_dir
         self.trace = trace
         self.telemetry = telemetry
-        self.metrics = metrics
         #: role -> "127.0.0.1:<port>" once started (obs snapshot targets).
         self.endpoints: Dict[str, str] = {}
-        #: role -> metrics HTTP port (only with ``metrics=True``).
-        self.metrics_ports: Dict[str, int] = {}
         self.proxy_endpoint: Optional[str] = None
 
     def __enter__(self):
@@ -551,8 +527,8 @@ class InProcessCluster(_Cluster):
 
     def __init__(self, config: Optional[MantleConfig] = None,
                  wal_dir: Optional[str] = None, trace: bool = False,
-                 telemetry: bool = False, metrics: bool = False):
-        super().__init__(wal_dir, trace, telemetry, metrics)
+                 telemetry: bool = False):
+        super().__init__(wal_dir, trace, telemetry)
         self.config = config or MantleConfig.small()
         self._roles: List[LiveRole] = []
         self._exit_codes: Dict[str, int] = {}
@@ -598,7 +574,6 @@ class InProcessCluster(_Cluster):
             LiveRole(role, self.config, trace=self.trace,
                      telemetry=self.telemetry,
                      wal_dir=self._role_wal_dir(role),
-                     metrics_port=0 if self.metrics else None,
                      tafdb=self.endpoints["tafdb"],
                      indexnode=self.endpoints["indexnode"], sock=sock)
             for role, sock in self._bind_listeners().items()]
@@ -608,9 +583,6 @@ class InProcessCluster(_Cluster):
         for outcome in outcomes:
             if isinstance(outcome, BaseException):
                 raise outcome
-        if self.metrics:
-            self.metrics_ports = {runner.role: runner.metrics_port
-                                  for runner in self._roles}
 
     async def _stop_roles(self) -> None:
         for runner in reversed(self._roles):
@@ -635,8 +607,8 @@ class InProcessCluster(_Cluster):
 
 
 def _ready_fields(output: bytes) -> Optional[Dict[str, str]]:
-    """The fields of the first complete ``MANTLE-SERVE READY port=N
-    [metrics=M]`` line in a role's output, or None before there is one."""
+    """The fields of the first complete ``MANTLE-SERVE READY port=N`` line
+    in a role's output, or None before there is one."""
     for line in output.split(b"\n")[:-1]:
         if line.startswith(b"MANTLE-SERVE READY"):
             return dict(token.split("=", 1)
@@ -659,8 +631,8 @@ class ProcessCluster(_Cluster):
 
     def __init__(self, config_name: str = "small",
                  wal_dir: Optional[str] = None, trace: bool = False,
-                 telemetry: bool = False, metrics: bool = False):
-        super().__init__(wal_dir, trace, telemetry, metrics)
+                 telemetry: bool = False):
+        super().__init__(wal_dir, trace, telemetry)
         self.config_name = config_name
         self.processes: Dict[str, subprocess.Popen] = {}
         self._log_dir: Optional[str] = None
@@ -677,8 +649,6 @@ class ProcessCluster(_Cluster):
             argv.append("--trace")
         if self.telemetry:
             argv.append("--telemetry")
-        if self.metrics:
-            argv += ["--metrics-port", "0"]
         return argv
 
     def _log_path(self, role: str) -> str:
@@ -731,10 +701,7 @@ class ProcessCluster(_Cluster):
         return failures
 
     def _ready(self, role: str, fields: Dict[str, str]) -> Optional[str]:
-        """Record a READY line's metrics port; returns what is wrong with
-        the line, if anything is."""
-        if "metrics" in fields:
-            self.metrics_ports[role] = int(fields["metrics"])
+        """What is wrong with a role's READY line, if anything is."""
         listening = self.endpoints[role].rsplit(":", 1)[1]
         if fields.get("port") != listening:
             return (f"reported port {fields.get('port')}, not its inherited "

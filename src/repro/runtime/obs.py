@@ -24,9 +24,9 @@ own buffers.  This module is the cross-process half:
   microseconds per op.  The same function consumes simulated tracer
   output, which is what makes the ``mantle-exp live fig12`` differential
   an apples-to-apples table;
-* **metrics endpoint** — :class:`MetricsServer` is the tiny HTTP listener
-  behind ``mantle-serve --metrics-port``: every GET answers one JSON
-  metrics snapshot (schema-checked by :func:`validate_metrics_snapshot`).
+* **collection** — :func:`collect_snapshots` reads one snapshot per role
+  over the wire; a metrics snapshot is schema-checked by
+  :func:`validate_metrics_snapshot`.
 
 Validation and the phase breakdown read one
 :class:`~repro.sim.trace.SpanIndex` over the snapshots, keyed by
@@ -35,9 +35,7 @@ Validation and the phase breakdown read one
 
 from __future__ import annotations
 
-import asyncio
-import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.sim import telemetry as telemetry_module
 from repro.sim.trace import (
@@ -69,8 +67,6 @@ def snapshot_from_tracer(process: str, tracer, epoch_us: float = 0.0,
                          now_us: float = 0.0,
                          clock: str = "sim") -> Dict[str, Any]:
     """Build a trace snapshot from any tracer (simulated or wall-clock)."""
-    spans = tracer.retained_spans() if hasattr(tracer, "retained_spans") \
-        else list(tracer.spans)
     snapshot = {
         "version": SNAPSHOT_VERSION,
         "process": process,
@@ -78,10 +74,11 @@ def snapshot_from_tracer(process: str, tracer, epoch_us: float = 0.0,
         "epoch_us": epoch_us,
         "now_us": now_us,
         "enabled": bool(tracer.enabled),
-        "started": getattr(tracer, "started", 0),
-        "finished": getattr(tracer, "finished", 0),
+        "started": tracer.started,
+        "finished": tracer.finished,
         "dropped": tracer.dropped,
-        "spans": [span_to_jsonable(span) for span in spans],
+        "spans": [span_to_jsonable(span)
+                  for span in tracer.retained_spans()],
     }
     snapshot["trace_stats"] = trace_stats(tracer)
     return snapshot
@@ -369,58 +366,3 @@ def collect_snapshots(endpoints: Dict[str, str],
         with LiveClient(endpoint, rpc_timeout_s=10.0) as client:
             snapshots.append(client.call(method))
     return snapshots
-
-
-# ---------------------------------------------------------------------------
-# The --metrics-port HTTP endpoint.
-# ---------------------------------------------------------------------------
-
-class MetricsServer:
-    """Minimal HTTP/1.0 listener serving one JSON metrics snapshot per GET.
-
-    Deliberately not a web framework: it answers every request (any path,
-    any method) with the current :func:`metrics_snapshot_payload`, which
-    is all a scrape loop or a curl in CI needs.
-    """
-
-    def __init__(self, runtime, host: str = "127.0.0.1", port: int = 0):
-        self.runtime = runtime
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-
-    async def start(self) -> int:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        try:
-            # Drain the request head (request line + headers) best-effort;
-            # the response does not depend on it.
-            try:
-                await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), timeout=5.0)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError):
-                pass
-            body = json.dumps(metrics_snapshot_payload(self.runtime),
-                              separators=(",", ":")).encode("utf-8")
-            writer.write(
-                b"HTTP/1.0 200 OK\r\n"
-                b"Content-Type: application/json\r\n"
-                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
-                + body)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()

@@ -12,11 +12,11 @@ instead of binding ``--host``/``--port``: that is how
 :class:`~repro.runtime.live.ProcessCluster` starts its roles, all at once,
 with every endpoint known before any of them runs.  Once the listener is
 bound the process prints ``MANTLE-SERVE READY port=<port>`` on stdout (the
-handshake the cluster waits for; with ``--metrics-port`` the line also
-carries ``metrics=<port>``) and serves until SIGTERM/SIGINT, which it
+handshake the cluster waits for) and serves until SIGTERM/SIGINT, which it
 traps for a clean exit 0.  ``--trace``/``--telemetry`` turn on the wall-clock
-instrumentation; every role then answers ``obs.trace_snapshot`` /
-``obs.metrics_snapshot`` control RPCs on its wire port.
+instrumentation; every role answers the ``obs.trace_snapshot`` /
+``obs.metrics_snapshot`` / ``obs.reset`` control RPCs on its wire port,
+which is the one way to read it.
 
 ``mantle-serve cluster`` is the quickstart: it spawns all three roles as
 child processes, prints the proxy endpoint, and tears the cluster down on
@@ -49,7 +49,6 @@ async def _serve_role(args) -> int:
     role = LiveRole(args.role, config, trace=args.trace,
                     telemetry=args.telemetry, wal_dir=args.wal_dir,
                     host=args.host, port=args.port,
-                    metrics_port=args.metrics_port,
                     tafdb=getattr(args, "tafdb", ""),
                     indexnode=getattr(args, "indexnode", ""), sock=sock)
     await role.start()
@@ -59,10 +58,7 @@ async def _serve_role(args) -> int:
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(sig, stop.set)
-    ready = f"MANTLE-SERVE READY port={role.port}"
-    if role.metrics_port is not None:
-        ready += f" metrics={role.metrics_port}"
-    print(ready, flush=True)
+    print(f"MANTLE-SERVE READY port={role.port}", flush=True)
     await stop.wait()
     await role.stop()
     return 0
@@ -70,12 +66,9 @@ async def _serve_role(args) -> int:
 
 def _run_cluster(args) -> int:
     cluster = ProcessCluster(config_name=args.config, wal_dir=args.wal_dir,
-                             trace=args.trace, telemetry=args.telemetry,
-                             metrics=args.metrics)
+                             trace=args.trace, telemetry=args.telemetry)
     endpoint = cluster.start()
     print(f"MANTLE-CLUSTER READY proxy={endpoint}", flush=True)
-    if cluster.metrics_ports:
-        print(f"metrics ports: {cluster.metrics_ports}", flush=True)
     print("press Ctrl-C to stop", flush=True)
     try:
         signal.pause()
@@ -113,10 +106,6 @@ def main(argv: Optional[list] = None) -> int:
                        help="serve this inherited, already listening "
                             "socket instead of binding --host/--port "
                             "(how mantle-serve cluster starts its roles)")
-        p.add_argument("--metrics-port", type=int, default=None,
-                       help="serve a JSON metrics snapshot over HTTP on "
-                            "this port (0 = ephemeral; advertised on the "
-                            "READY line as metrics=<port>)")
         if role == "proxy":
             p.add_argument("--tafdb", default=None,
                            help="comma-separated TafDB endpoints")
@@ -126,8 +115,6 @@ def main(argv: Optional[list] = None) -> int:
     p = sub.add_parser("cluster",
                        help="spawn tafdb+indexnode+proxy as child processes")
     common(p)
-    p.add_argument("--metrics", action="store_true",
-                   help="give every role an ephemeral metrics HTTP port")
 
     args = parser.parse_args(argv)
     if args.role == "cluster":

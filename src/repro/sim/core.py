@@ -45,10 +45,10 @@ import repro.sim.telemetry as telemetry_module
 _PENDING = object()
 
 
-def _tracing_default() -> bool:
-    """Span tracing is off unless ``MANTLE_TRACE`` enables it."""
-    return os.environ.get("MANTLE_TRACE", "0").lower() in (
-        "1", "true", "on", "yes")
+def _env_flag(name: str) -> bool:
+    """Whether environment variable ``name`` is set to a true value: how
+    ``MANTLE_TRACE`` and ``MANTLE_TELEMETRY`` turn instruments on."""
+    return os.environ.get(name, "0").lower() in ("1", "true", "on", "yes")
 
 
 class SimulationError(RuntimeError):
@@ -377,7 +377,7 @@ class Simulator:
         self._micro: collections.deque = collections.deque()
         self._active_process: Optional[Process] = None
         if tracer is None:
-            tracer = (trace_module.Tracer() if _tracing_default()
+            tracer = (trace_module.Tracer() if _env_flag("MANTLE_TRACE")
                       else trace_module.NULL_TRACER)
         #: Span collector consulted by instrumented layers; the default is
         #: the shared no-op singleton, so untraced runs pay only an
@@ -391,7 +391,7 @@ class Simulator:
         tracer.bind(self)
         if telemetry is None:
             telemetry = (telemetry_module.Telemetry()
-                         if telemetry_module._telemetry_default()
+                         if _env_flag("MANTLE_TELEMETRY")
                          else telemetry_module.NULL_TELEMETRY)
         #: Windowed time-series registry consulted by instrumented layers;
         #: same on/off contract as the tracer — the default is the no-op

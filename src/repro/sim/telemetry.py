@@ -31,8 +31,9 @@ simulator events, never advances time and never touches an RNG —
 enabling it cannot change any simulated result (pinned by
 ``tests/experiments/test_fastpath_determinism.py``).
 
-Enable per deployment with ``MantleConfig(telemetry=True)``, process-wide
-with ``MANTLE_TELEMETRY=1``, or attach to a live simulator::
+Enable process-wide with ``MANTLE_TELEMETRY=1`` (every simulator
+constructed in the process gets a live registry), or attach one to a
+simulator, which is how one deployment of any system turns it on::
 
     from repro.sim.telemetry import Telemetry
     system.sim.telemetry = Telemetry(window_us=10_000.0)
@@ -43,7 +44,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.tools.shape import check_shape
@@ -75,12 +75,6 @@ OP_LATENCY_DIGEST_PREFIX = "op.latency_us."
 #: Column order of every exported row (CSV header / JSON keys).
 EXPORT_COLUMNS = ("metric", "kind", "host", "window_start_us", "value",
                   "count", "max", "capacity")
-
-
-def _telemetry_default() -> bool:
-    """Telemetry is off unless ``MANTLE_TELEMETRY`` enables it."""
-    return os.environ.get("MANTLE_TELEMETRY", "0").lower() in (
-        "1", "true", "on", "yes")
 
 
 class Counter:
@@ -581,8 +575,8 @@ class Telemetry:
                        ) -> Dict[str, Any]:
         """Build the ``{"window_us", "rows", **extra}`` export payload.
 
-        This is the JSON document ``write_json`` persists and the live
-        metrics endpoint (``mantle-serve --metrics-port``) serves.
+        This is the JSON document ``write_json`` persists and a live role's
+        ``obs.metrics_snapshot`` RPC answers with.
         """
         payload: Dict[str, Any] = {"window_us": self.window_us,
                                    "rows": self.export_rows(now)}

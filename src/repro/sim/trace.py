@@ -35,8 +35,9 @@ Design constraints, in order of importance:
   simulated durations, so it is deterministic.
 
 Enable tracing with ``MANTLE_TRACE=1`` (every :class:`~repro.sim.core.Simulator`
-constructed in the process gets a live tracer), ``MantleConfig(tracing=True)``
-(one Mantle deployment), or by assigning ``sim.tracer = Tracer()`` directly.
+constructed in the process gets a live tracer), or for one deployment of any
+system by binding and assigning one: ``tracer = Tracer(); tracer.bind(sim);
+sim.tracer = tracer``.
 
 The tracer folds each ``op`` span with its declared ``phase``/``rpc``
 children into :class:`OpAggregate` as the op ends — the paper's per-phase
@@ -296,6 +297,7 @@ class NullTracer:
     __slots__ = ()
     enabled = False
     keeper = None
+    started = finished = 0
 
     @property
     def spans(self) -> Sequence[Span]:
@@ -1205,10 +1207,10 @@ class Tracer:
 def trace_stats(tracer) -> Dict[str, int]:
     """Keep/drop accounting for one tracer, embedded in every trace export
     so consumers can tell how complete the span population is."""
-    keeper = getattr(tracer, "keeper", None)
+    keeper = tracer.keeper
     return {
-        "started": getattr(tracer, "started", 0),
-        "finished": getattr(tracer, "finished", 0),
+        "started": tracer.started,
+        "finished": tracer.finished,
         "dropped": tracer.dropped,
         "kept_roots": keeper.kept_roots if keeper is not None else 0,
         "kept_errors": keeper.kept_errors if keeper is not None else 0,

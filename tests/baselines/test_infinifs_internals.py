@@ -3,8 +3,11 @@
 import pytest
 
 from repro.baselines.infinifs import InfiniFSSystem, predict_dir_id
-from repro.errors import NoSuchPathError, RenameLockConflict, RenameLoopError
+from repro.errors import (AlreadyExistsError, NoSuchPathError,
+                          RenameLockConflict, RenameLoopError,
+                          TransactionAbort)
 from repro.sim.stats import OpContext
+from repro.tafdb.rows import ATTR_SENTINEL, attr_key
 from repro.types import ROOT_ID
 from repro.ops import make_op
 
@@ -43,6 +46,68 @@ class TestIdPrediction:
         system.bulk_mkdir("/p")
         result, _ = run_op(system, "mkdir", "/p/q")
         assert result == predict_dir_id("/p/q")
+        system.shutdown()
+
+
+def orphan_attr_rows(system):
+    """Ids of directory attribute rows no dirent names (the root aside)."""
+    attrs, named = set(), {ROOT_ID}
+    for server in system.tafdb.servers:
+        for shard in server.shards.values():
+            for key, value, _version in shard.rows():
+                if key.name == ATTR_SENTINEL:
+                    if key.ts == 0:
+                        attrs.add(key.pid)
+                elif value.is_dir:
+                    named.add(value.id)
+    return attrs - named
+
+
+class TestFailedMkdir:
+    def test_mkdir_over_an_object_leaves_no_attribute_row(self):
+        system = build()
+        run_op(system, "create", "/o")
+        with pytest.raises(AlreadyExistsError):
+            run_op(system, "mkdir", "/o")
+        dir_id = predict_dir_id("/o")
+        assert system.tafdb.shard_for(dir_id).read(attr_key(dir_id)) is None
+        assert orphan_attr_rows(system) == set()
+        # The predicted id is free again.
+        run_op(system, "delete", "/o")
+        result, _ = run_op(system, "mkdir", "/o")
+        assert result == dir_id
+        system.shutdown()
+
+    # The create starts while the mkdir is between its two transactions:
+    # it commits first, or still holds the dirent's lock when Txn 2 comes.
+    @pytest.mark.parametrize("create_at_us, error", [
+        (200.0, AlreadyExistsError), (480.0, TransactionAbort)],
+        ids=["committed", "locked"])
+    def test_mkdir_losing_to_a_create_on_an_unpredicted_id(
+            self, create_at_us, error):
+        """A directory renamed away keeps the predicted id, so the mkdir
+        takes an unpredicted one; losing the name to a create still
+        leaves no attribute row behind."""
+        system = build()
+        system.bulk_mkdir("/d")
+        run_op(system, "dirrename", "/d", "/e")
+        sim = system.sim
+        outcomes = {}
+
+        def run(op, delay_us, *args):
+            yield sim.timeout(delay_us)
+            try:
+                outcomes[op] = yield from system.perform(
+                    make_op(op, *args), ctx=OpContext(op))
+            except error as exc:
+                outcomes[op] = exc
+
+        mkdir = sim.process(run("mkdir", 0.0, "/d"))
+        create = sim.process(run("create", create_at_us, "/d"))
+        sim.run_until(sim.all_of([mkdir, create]))
+        assert isinstance(outcomes["mkdir"], error)
+        assert isinstance(outcomes["create"], int)
+        assert orphan_attr_rows(system) == set()
         system.shutdown()
 
 

@@ -75,10 +75,12 @@ class TestConfigPresets:
         config = MantleConfig.small()
         assert config.num_db_servers == 3
         assert config.num_proxies == 2
-        assert config.tracing is False
+        assert config.client_cache_capacity == 0
 
     def test_presets_take_overrides(self):
-        assert MantleConfig.small(tracing=True).tracing is True
+        assert MantleConfig.small(path_cache_k=2).path_cache_k == 2
+        with pytest.raises(AttributeError):
+            MantleConfig.small(no_such_field=True)
 
 
 class TestClientSurface:
@@ -151,8 +153,11 @@ class TestClientSurface:
                 name
 
     @pytest.mark.parametrize("tracing", [False, True])
-    def test_failed_op_is_recorded_with_its_latency(self, tracing):
-        with MantleClient(MantleConfig.small(tracing=tracing)) as client:
+    def test_failed_op_is_recorded_with_its_latency(self, tracing,
+                                                    monkeypatch):
+        monkeypatch.setenv("MANTLE_TRACE", "1" if tracing else "0")
+        with MantleClient() as client:
+            assert client.tracer.enabled is tracing
             with pytest.raises(NoSuchPathError):
                 client.objstat("/absent")
             metrics = client.metrics
@@ -160,8 +165,11 @@ class TestClientSurface:
             assert metrics.failed_latency["objstat"].min > 0
 
     @pytest.mark.parametrize("tracing", [False, True])
-    def test_perform_records_failures_into_metrics(self, tracing):
-        with MantleClient(MantleConfig.small(tracing=tracing)) as client:
+    def test_perform_records_failures_into_metrics(self, tracing,
+                                                   monkeypatch):
+        monkeypatch.setenv("MANTLE_TRACE", "1" if tracing else "0")
+        with MantleClient() as client:
+            assert client.tracer.enabled is tracing
             system, metrics = client.system, MetricSet()
             with pytest.raises(NoSuchPathError):
                 system.sim.run_process(system.perform(
@@ -179,8 +187,9 @@ class TestClientSurface:
             assert client.metrics.ops_failed == 1
             assert client.metrics.failed_latency["readdir"].min > 0
 
-    def test_listdir_page_opens_a_root_span(self):
-        with MantleClient(MantleConfig.small(tracing=True)) as client:
+    def test_listdir_page_opens_a_root_span(self, monkeypatch):
+        monkeypatch.setenv("MANTLE_TRACE", "1")
+        with MantleClient() as client:
             client.mkdir("/d")
             assert client.listdir_page("/d", limit=5) == []
             assert [span.name for span in client.tracer.spans

@@ -5,13 +5,9 @@ a traced :class:`LiveClient` drives a small workload; the tests then assert
 the cross-process properties the tooling depends on: every op roots one
 *connected* span tree across client, proxy, and backend; the merged
 Chrome-trace export validates; wall-clock self-times telescope; and every
-role serves a schema-valid metrics snapshot (over the wire and, for the
-HTTP endpoint, over plain GET).  Every snapshot is read over the roles'
-``obs.*`` RPCs, the one path both cluster flavours serve.
+role serves a schema-valid metrics snapshot.  Every snapshot is read over
+the roles' ``obs.*`` RPCs, the one path both cluster flavours serve.
 """
-
-import json
-import urllib.request
 
 import pytest
 
@@ -24,8 +20,7 @@ from repro.sim.trace import Tracer, validate_chrome_trace
 @pytest.fixture(scope="module")
 def traced_world():
     """Cluster + client snapshots after a fixed traced workload."""
-    with InProcessCluster(trace=True, telemetry=True,
-                          metrics=True) as cluster:
+    with InProcessCluster(trace=True, telemetry=True) as cluster:
         client = LiveClient(cluster.proxy_endpoint, tracer=Tracer())
         with client:
             client.mkdir("/obs")
@@ -38,14 +33,7 @@ def traced_world():
         snapshots.append(client.trace_snapshot())
         metrics = obs.collect_snapshots(cluster.endpoints,
                                         method="obs.metrics_snapshot")
-        http_payloads = []
-        for port in sorted(cluster.metrics_ports.values()):
-            with urllib.request.urlopen(f"http://127.0.0.1:{port}/",
-                                        timeout=10) as response:
-                http_payloads.append(
-                    json.loads(response.read().decode("utf-8")))
-        yield {"snapshots": snapshots, "metrics": metrics,
-               "http": http_payloads}
+        yield {"snapshots": snapshots, "metrics": metrics}
 
 
 class TestCrossProcessTrace:
@@ -119,11 +107,6 @@ class TestMetricsSnapshots:
             assert obs.validate_metrics_snapshot(payload) == []
             assert payload["tracing"]["enabled"] is True
             assert payload["telemetry"]["enabled"] is True
-
-    def test_http_endpoint_serves_same_schema(self, traced_world):
-        assert len(traced_world["http"]) == 3
-        for payload in traced_world["http"]:
-            assert obs.validate_metrics_snapshot(payload) == []
 
     def test_rpc_and_fsync_counters_moved(self, traced_world):
         rows_by_proc = {p["process"]: p["telemetry"]["rows"]

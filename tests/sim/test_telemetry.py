@@ -8,7 +8,6 @@ cannot change simulated results" contract is pinned separately in
 
 import pytest
 
-from repro.core.config import MantleConfig
 from repro.sim.core import Simulator
 from repro.sim.telemetry import (
     DEFAULT_WINDOW_US,
@@ -204,22 +203,6 @@ class TestOnOffWiring:
         sim = Simulator()
         assert sim.telemetry.enabled is True
         assert sim.telemetry.window_us == DEFAULT_WINDOW_US
-
-    def test_config_enables_telemetry(self, monkeypatch):
-        monkeypatch.delenv("MANTLE_TELEMETRY", raising=False)
-        from repro.bench.cluster import build_system
-
-        config = MantleConfig(telemetry=True, telemetry_window_us=500.0)
-        system = build_system("mantle", "quick", config=config)
-        try:
-            assert system.sim.telemetry.enabled is True
-            assert system.sim.telemetry.window_us == 500.0
-        finally:
-            system.shutdown()
-
-    def test_config_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            MantleConfig(telemetry_window_us=0.0).validate()
 
 
 class TestSparkline:

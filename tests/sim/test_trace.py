@@ -7,7 +7,6 @@ import pytest
 
 from repro.bench import build_system, run_workload
 from repro.core.api import MantleClient
-from repro.core.config import MantleConfig
 from repro.errors import MetadataError
 from repro.sim.trace import (
     NULL_SPAN,
@@ -232,7 +231,11 @@ class TestSpanTreeInvariants:
     """Whole-stack invariants."""
 
     def _client_session(self):
-        client = MantleClient(MantleConfig.small(tracing=True))
+        client = MantleClient()
+        sim = client.system.sim
+        tracer = Tracer()
+        tracer.bind(sim)
+        sim.tracer = tracer
         results = [
             client.mkdir("/a"),
             client.mkdir("/a/b"),
