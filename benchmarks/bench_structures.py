@@ -10,10 +10,10 @@ import random
 import pytest
 
 from repro.indexnode.index_table import IndexTable
+from repro.indexnode.invalidator import Invalidator
 from repro.indexnode.path_cache import TopDirPathCache
 from repro.structures.lru import LRUCache
 from repro.structures.radix_tree import PrefixTree
-from repro.structures.skiplist import SkipList
 from repro.types import ROOT_ID, AccessMeta, Permission
 
 _N = 2000
@@ -94,30 +94,23 @@ def test_prefix_tree_descendant_scan(benchmark):
     assert len(benchmark(scan)) == _N // 40
 
 
-def test_skiplist_insert_search_remove(benchmark):
-    keys = [f"/p/{i:05d}" for i in range(500)]
+def test_invalidator_mark_probe_purge(benchmark):
+    """One RemovalList cycle at its busiest quick-scale load (66 paths
+    marked at once in fig16): mark them, probe a depth-10 path against
+    them, purge."""
+    inv = Invalidator(TopDirPathCache(k=3))
+    marks = [f"/mods/dir{i}" for i in range(66)]
+    deep = "/" + "/".join(f"l{level}" for level in range(10))
 
     def cycle():
-        sl = SkipList(seed=3)
-        for key in keys:
-            sl.insert(key)
-        hits = sum(1 for key in keys if key in sl)
-        for key in keys:
-            sl.remove(key)
-        return hits
+        for path in marks:
+            inv.mark_modifying(path)
+        blocked = inv.blocking_modification(deep)
+        inv.purge_pending()
+        return blocked
 
-    assert benchmark(cycle) == 500
-
-
-def test_skiplist_contains_prefix_of(benchmark):
-    sl = SkipList(seed=3)
-    for i in range(200):
-        sl.insert(f"/mods/dir{i}")
-
-    def probe():
-        return sl.contains_prefix_of("/mods/dir42/deep/child/path")
-
-    assert benchmark(probe) == "/mods/dir42"
+    assert benchmark(cycle) is None
+    assert inv.purge_rounds > 0 and not inv.removal_list
 
 
 def test_lru_cache_churn(benchmark):

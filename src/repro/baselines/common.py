@@ -29,7 +29,7 @@ from repro.sim.host import CostModel, Host
 from repro.sim.network import Network
 from repro.sim.stats import PHASE_EXECUTION, PHASE_LOOKUP, OpContext
 from repro.structures.lru import LRUCache
-from repro.tafdb.client import update_attrs
+from repro.tafdb.client import MAX_RETRIES, update_attrs
 from repro.tafdb.cluster import TafDBCluster
 from repro.tafdb.rows import (
     AttrRecord,
@@ -254,14 +254,23 @@ class TafDBBaseline(StorageMixin, MetadataSystem):
 
     def insert_with_conflict_check(self, db, key, value, path: str,
                                    ctx: OpContext):
-        """Single-row insert where EEXIST is a semantic error."""
-        try:
-            yield from db.execute_txn([WriteIntent(key, "insert", value)],
-                                      ctx=ctx)
-        except TransactionAbort as exc:
-            if exc.reason == "exists":
-                raise AlreadyExistsError(path) from exc
-            raise
+        """Single-row insert where EEXIST is a semantic error.  Any other
+        abort (the row's lock held by a racing transaction) is contention:
+        retried with backoff, at most ``MAX_RETRIES`` times."""
+        attempt = 0
+        while True:
+            try:
+                yield from db.execute_txn([WriteIntent(key, "insert", value)],
+                                          ctx=ctx)
+                return
+            except TransactionAbort as exc:
+                if exc.reason == "exists":
+                    raise AlreadyExistsError(path) from exc
+                ctx.retries += 1
+                attempt += 1
+                if attempt > MAX_RETRIES:
+                    raise
+                yield from db.runtime.sleep(db.backoff_us(attempt))
 
     def delete_object_row(self, db, pid: int, name: str, path: str,
                           ctx: OpContext):

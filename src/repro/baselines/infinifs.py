@@ -343,8 +343,8 @@ class InfiniFSSystem(TafDBBaseline):
                        permission=permission),
                 path, ctx)
         except (AlreadyExistsError, TransactionAbort):
-            # The name is taken (or its dirent is locked by the op taking
-            # it): drop the attribute row Txn 1 wrote.
+            # The name is taken (or its dirent stayed locked through every
+            # retry): drop the attribute row Txn 1 wrote.
             yield from db.execute_txn(
                 [WriteIntent(attr_key(dir_id), "delete")], ctx=ctx)
             raise

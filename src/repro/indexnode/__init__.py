@@ -16,18 +16,3 @@ RPC.  The package splits along the paper's Figure 6/7:
   preparation with loop detection, mutation proposals), including
   follower/learner lookups (§5.1.3).
 """
-
-from repro.indexnode.index_table import IndexTable
-from repro.indexnode.path_cache import TopDirPathCache
-from repro.indexnode.invalidator import Invalidator
-from repro.indexnode.state import IndexNodeState, LookupOutcome
-from repro.indexnode.server import IndexNodeService
-
-__all__ = [
-    "IndexTable",
-    "TopDirPathCache",
-    "Invalidator",
-    "IndexNodeState",
-    "LookupOutcome",
-    "IndexNodeService",
-]

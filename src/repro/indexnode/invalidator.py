@@ -1,4 +1,4 @@
-"""The Invalidator: lock-free-style cache invalidation (§5.1.2).
+"""The Invalidator: cache invalidation for TopDirPathCache (§5.1.2).
 
 Two auxiliary structures keep TopDirPathCache coherent with directory
 modifications:
@@ -6,24 +6,31 @@ modifications:
 * **PrefixTree** (radix tree) mirrors the directory tree of every cached
   prefix so a modification can find all affected cache entries with one
   range query;
-* **RemovalList** (skiplist) records full paths of directories currently
-  being modified; lookups consult it first (Figure 7 step 1) and bypass the
-  cache when a modified path prefixes theirs.
+* **RemovalList** records full paths of directories currently being
+  modified; lookups consult it first (Figure 7 step 1) and bypass the cache
+  when a modified path prefixes theirs.
 
-A background thread periodically drains RemovalList, queries PrefixTree for
-the affected range, and removes the entries from the cache.  The skiplist's
-version counter provides the "conventional timestamp mechanism" lookups use
-to decide whether their freshly-resolved prefix may still be cached.
+The RemovalList is the set of paths under modification plus a version.
+The paper keeps it in a lock-free skip list so many IndexNode threads can
+probe and change it at once; here a replica applies commands and answers
+lookups one at a time, so a plain set does the job.  The version is the
+"conventional timestamp mechanism" lookups use to decide whether their
+freshly-resolved prefix may still be cached: a mark always bumps it, an
+unmark only when the path was marked, a drain only when the list was not
+empty.
+
+A background loop periodically drains the RemovalList (in sorted path
+order), queries PrefixTree for each affected range, and removes the entries
+from the cache.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Set
 
 from repro.indexnode.path_cache import TopDirPathCache
-from repro.paths import is_prefix
+from repro.paths import ancestors
 from repro.structures.radix_tree import PrefixTree
-from repro.structures.skiplist import SkipList
 
 
 class Invalidator:
@@ -32,7 +39,8 @@ class Invalidator:
     def __init__(self, cache: TopDirPathCache):
         self.cache = cache
         self.prefix_tree = PrefixTree()
-        self.removal_list = SkipList()
+        self.removal_list: Set[str] = set()
+        self.version = 0
         self.purged_entries = 0
         self.purge_rounds = 0
 
@@ -40,7 +48,8 @@ class Invalidator:
         """Independent Invalidator bound to ``cache`` (a copy of ours)."""
         twin = Invalidator(cache)
         twin.prefix_tree = self.prefix_tree.copy()
-        twin.removal_list = self.removal_list.copy()
+        twin.removal_list = set(self.removal_list)
+        twin.version = self.version
         twin.purged_entries = self.purged_entries
         twin.purge_rounds = self.purge_rounds
         return twin
@@ -49,12 +58,16 @@ class Invalidator:
 
     def blocking_modification(self, path: str) -> Optional[str]:
         """Step 1 of the lookup workflow: return a path under modification
-        that prefixes ``path`` (lookup must then bypass the cache)."""
-        return self.removal_list.contains_prefix_of(path)
-
-    def version(self) -> int:
-        """Snapshot for the timestamp conflict check around a resolution."""
-        return self.removal_list.version
+        that is ``path`` or one of its ancestors (lookup must then bypass
+        the cache).  With the list empty "most of the time" (§5.1.2) this
+        is a single test."""
+        marked = self.removal_list
+        if not marked:
+            return None
+        for candidate in ancestors(path) + [path]:
+            if candidate in marked:
+                return candidate
+        return None
 
     def try_cache(self, prefix: str, dir_id: int, permission,
                   version_before: int) -> bool:
@@ -62,9 +75,9 @@ class Invalidator:
         not already cached, and no modification raced the resolution)."""
         if prefix in self.cache:
             return False
-        if self.removal_list.version != version_before:
+        if self.version != version_before:
             return False
-        if self.removal_list.contains_prefix_of(prefix) is not None:
+        if self.blocking_modification(prefix) is not None:
             return False
         self.cache.insert(prefix, dir_id, permission)
         self.prefix_tree.insert(prefix)
@@ -74,11 +87,14 @@ class Invalidator:
 
     def mark_modifying(self, path: str) -> None:
         """Record that ``path`` (and so its subtree) is being modified."""
-        self.removal_list.insert(path, True)
+        self.removal_list.add(path)
+        self.version += 1
 
     def unmark(self, path: str) -> None:
         """Withdraw a mark without purging (aborted rename: nothing changed)."""
-        self.removal_list.remove(path)
+        if path in self.removal_list:
+            self.removal_list.remove(path)
+            self.version += 1
 
     def on_rmdir(self, path: str) -> None:
         """rmdir needs no RemovalList entry (§5.1.2: an empty directory
@@ -96,23 +112,16 @@ class Invalidator:
         Returns the number of cache entries removed.  This is the body of
         the Invalidator's background execution thread.
         """
-        marked = self.removal_list.pop_all()
-        if not marked:
+        if not self.removal_list:
             return 0
+        marked = sorted(self.removal_list)
+        self.removal_list.clear()
+        self.version += 1
         self.purge_rounds += 1
         removed = 0
-        for path, _flag in marked:
+        for path in marked:
             for victim in self.prefix_tree.remove_subtree(path):
                 if self.cache.remove(victim):
                     removed += 1
         self.purged_entries += removed
         return removed
-
-    # -- introspection ------------------------------------------------------------------
-
-    def pending_paths(self) -> List[str]:
-        return list(self.removal_list.keys())
-
-    def cached_under(self, prefix: str) -> List[str]:
-        return [p for p in self.prefix_tree.descendants(prefix)
-                if is_prefix(prefix, p)]

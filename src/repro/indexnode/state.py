@@ -79,7 +79,7 @@ class IndexNodeState:
         index_probes = 0
         cache_probes = 0
         cache_hit = False
-        version_before = self.invalidator.version()
+        version_before = self.invalidator.version
         # Step 1: scan RemovalList for in-flight modifications on our path.
         blocked = self.invalidator.blocking_modification(path) is not None
         # The cache key is the path less its last k components, taken from

@@ -7,28 +7,3 @@ laptop-scale substitute.  It provides a generator-coroutine event loop
 (:mod:`repro.sim.network`, :mod:`repro.sim.host`) and measurement helpers
 (:mod:`repro.sim.stats`).  All simulated time is in microseconds.
 """
-
-from repro.sim.core import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
-from repro.sim.resources import Resource, Store
-
-__all__ = [
-    "Simulator",
-    "Event",
-    "Timeout",
-    "Process",
-    "Interrupt",
-    "AllOf",
-    "AnyOf",
-    "SimulationError",
-    "Resource",
-    "Store",
-]

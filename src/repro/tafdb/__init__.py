@@ -30,25 +30,3 @@ two-phase commits across shards.  Version mismatches and lock conflicts
 abort the transaction (:class:`repro.errors.TransactionAbort`), which is the
 mechanism behind the paper's Figure 4b contention collapse.
 """
-
-from repro.tafdb.rows import AttrDelta, Dirent, Row, RowKey, attr_key, dirent_key
-from repro.tafdb.shard import ShardState, WriteIntent
-from repro.tafdb.partition import Partitioner
-from repro.tafdb.contention import ContentionRegistry
-from repro.tafdb.cluster import TafDBCluster
-from repro.tafdb.client import TafDBClient
-
-__all__ = [
-    "RowKey",
-    "Row",
-    "Dirent",
-    "AttrDelta",
-    "attr_key",
-    "dirent_key",
-    "ShardState",
-    "WriteIntent",
-    "Partitioner",
-    "ContentionRegistry",
-    "TafDBCluster",
-    "TafDBClient",
-]

@@ -4,8 +4,7 @@ import pytest
 
 from repro.baselines.infinifs import InfiniFSSystem, predict_dir_id
 from repro.errors import (AlreadyExistsError, NoSuchPathError,
-                          RenameLockConflict, RenameLoopError,
-                          TransactionAbort)
+                          RenameLockConflict, RenameLoopError)
 from repro.sim.stats import OpContext
 from repro.tafdb.rows import ATTR_SENTINEL, attr_key
 from repro.types import ROOT_ID
@@ -79,12 +78,12 @@ class TestFailedMkdir:
         system.shutdown()
 
     # The create starts while the mkdir is between its two transactions:
-    # it commits first, or still holds the dirent's lock when Txn 2 comes.
-    @pytest.mark.parametrize("create_at_us, error", [
-        (200.0, AlreadyExistsError), (480.0, TransactionAbort)],
-        ids=["committed", "locked"])
+    # it commits first, or still holds the dirent's lock when Txn 2 comes,
+    # which Txn 2 waits out with retries before it sees the name taken.
+    @pytest.mark.parametrize("create_at_us, min_retries", [
+        (200.0, 0), (480.0, 1)], ids=["committed", "locked"])
     def test_mkdir_losing_to_a_create_on_an_unpredicted_id(
-            self, create_at_us, error):
+            self, create_at_us, min_retries):
         """A directory renamed away keeps the predicted id, so the mkdir
         takes an unpredicted one; losing the name to a create still
         leaves no attribute row behind."""
@@ -92,20 +91,22 @@ class TestFailedMkdir:
         system.bulk_mkdir("/d")
         run_op(system, "dirrename", "/d", "/e")
         sim = system.sim
-        outcomes = {}
+        outcomes, ctxs = {}, {}
 
         def run(op, delay_us, *args):
             yield sim.timeout(delay_us)
+            ctxs[op] = OpContext(op)
             try:
                 outcomes[op] = yield from system.perform(
-                    make_op(op, *args), ctx=OpContext(op))
-            except error as exc:
+                    make_op(op, *args), ctx=ctxs[op])
+            except AlreadyExistsError as exc:
                 outcomes[op] = exc
 
         mkdir = sim.process(run("mkdir", 0.0, "/d"))
         create = sim.process(run("create", create_at_us, "/d"))
         sim.run_until(sim.all_of([mkdir, create]))
-        assert isinstance(outcomes["mkdir"], error)
+        assert isinstance(outcomes["mkdir"], AlreadyExistsError)
+        assert ctxs["mkdir"].retries >= min_retries
         assert isinstance(outcomes["create"], int)
         assert orphan_attr_rows(system) == set()
         system.shutdown()

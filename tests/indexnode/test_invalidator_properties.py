@@ -36,7 +36,7 @@ class TestCoherenceInvariants:
         for action, path in actions:
             if action == "cache":
                 inv.try_cache(path, next(dir_ids), Permission.ALL,
-                              inv.version())
+                              inv.version)
             elif action == "mark":
                 inv.mark_modifying(path)
             elif action == "unmark":
@@ -44,14 +44,14 @@ class TestCoherenceInvariants:
             elif action == "rmdir":
                 inv.on_rmdir(path)
             elif action == "purge":
-                marked = inv.pending_paths()
+                marked = sorted(inv.removal_list)
                 inv.purge_pending()
                 for mark in marked:
                     for prefix in list(cache._entries):
                         assert not is_prefix(mark, prefix), (mark, prefix)
         # Final purge drains everything.
         inv.purge_pending()
-        assert inv.pending_paths() == []
+        assert not inv.removal_list
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_action, max_size=40))
@@ -64,7 +64,7 @@ class TestCoherenceInvariants:
         for action, path in actions:
             if action == "cache":
                 inv.try_cache(path, next(dir_ids), Permission.ALL,
-                              inv.version())
+                              inv.version)
             elif action == "mark":
                 inv.mark_modifying(path)
             elif action == "unmark":

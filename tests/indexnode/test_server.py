@@ -193,8 +193,9 @@ class TestInvalidatorPurge:
         # Let the purge loops run.
         system.sim.run(until=system.sim.now + 5 * 200.0 + 1)
         for node in system.index_group.nodes.values():
-            assert not node.state_machine.invalidator.pending_paths()
-        assert len(leader.state_machine.invalidator.cached_under("/p/q")) == 0
+            assert not node.state_machine.invalidator.removal_list
+        assert not list(
+            leader.state_machine.invalidator.prefix_tree.descendants("/p/q"))
         system.shutdown()
 
     def test_service_stop_halts_purger(self):

@@ -206,8 +206,7 @@ def fingerprint(state):
         "cache_stats": (cache.k, cache.enabled, cache.hits, cache.misses,
                         cache.inserts, cache.invalidations),
         "prefix_tree": (list(inv.prefix_tree.paths()), len(inv.prefix_tree)),
-        "removal_list": (list(inv.removal_list.items()),
-                         inv.removal_list.version),
+        "removal_list": (sorted(inv.removal_list), inv.version),
         "purges": (inv.purged_entries, inv.purge_rounds),
         "applied": state.applied_commands,
     }

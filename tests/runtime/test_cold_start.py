@@ -104,7 +104,8 @@ def test_serve_imports_only_what_a_role_serves():
         import repro.runtime.serve
         loaded = [name for name in sys.modules if name in (
             "repro.baselines.tectonic", "repro.baselines.infinifs",
-            "repro.baselines.locofs", "repro.core.api")
+            "repro.baselines.locofs", "repro.core.api",
+            "repro.tafdb.cluster")
             or name.startswith(("repro.experiments", "repro.bench"))]
         assert not loaded, loaded
 
